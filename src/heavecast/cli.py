@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -45,12 +44,11 @@ def _common(fn):
     fn = click.option("--horizon", "-H", "horizons", multiple=True, type=int, help="override manifest horizons")(fn)
     fn = click.option("--model", "model_kind", type=click.Choice(["basic", "hybrid"]), default=None)(fn)
     fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True)(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None, help="override output directory")(fn)
     return fn
 
 
-def _load(manifest, horizons, model_kind, seed, threads, out) -> io.RunManifest:
+def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
     m = io.RunManifest.load(Path(manifest))
     if horizons:
         m.horizons = sorted(set(horizons))
@@ -60,18 +58,9 @@ def _load(manifest, horizons, model_kind, seed, threads, out) -> io.RunManifest:
         m.seed = seed
     if out:
         m.out_dir = Path(out)
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
     m.sampler = dict(m.sampler)
     m.out_dir.mkdir(parents=True, exist_ok=True)
     return m
-
-
-def _map(threads: int, fn, items):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sampler_config(m: io.RunManifest) -> sampler.SamplerConfig:
@@ -126,14 +115,11 @@ def build(**kwargs):
     issues = [io.read_forecast_issue(p) for p in m.issue_files]
     measurements = io.read_heave_records(m.measurements_file)
 
-    def one(h: int):
+    for h in m.horizons:
         series = datasets.synthesize_horizon_series(issues, h)
         ds = datasets.align(series, measurements, horizon=h)
         io.write_horizon_dataset(_dataset_path(m, h), ds)
-        return h, len(ds)
-
-    for h, n in _map(kwargs["threads"], one, list(m.horizons)):
-        click.echo(f"h={h}: {n} aligned rows -> {_dataset_path(m, h)}")
+        click.echo(f"h={h}: {len(ds)} aligned rows -> {_dataset_path(m, h)}")
 
 
 @main.command()
@@ -144,14 +130,11 @@ def fit(**kwargs):
     m = _load(**kwargs)
     cfg = _sampler_config(m)
 
-    def one(h: int):
+    for h in m.horizons:
         ds = io.read_horizon_dataset(_dataset_path(m, h), h)
         train, _ = datasets.chrono_split(ds, m.train_fraction)
         samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
         io.write_posterior_samples(_samples_path(m, h), samples)
-        return h, samples
-
-    for h, samples in _map(kwargs["threads"], one, list(m.horizons)):
         worst = max(v["rhat"] for v in samples.diagnostics.values())
         click.echo(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {_samples_path(m, h)}")
 

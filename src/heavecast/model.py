@@ -9,16 +9,22 @@ Two model variants share the mean structure y = beta0 + beta1 * x + error:
 
 Residual lags follow measurement time: eps_{t-1} = y_{t-1} - beta0 -
 beta1 * x_{t-1}. Rows whose hourly predecessor is missing (post-gap rows)
-have the corresponding lag set to zero, its unconditional mean. The first
-two rows of a training set act only as lag providers.
+have the corresponding lag set to zero, its unconditional mean. Every row is
+scored, the first two of a training set included: their missing lags are
+zero in the same way.
+
+log_posterior is the readable reference density. LogPosterior evaluates the
+same density for one dataset at a per-call cost independent of its length,
+which is what the sampler calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
 
 from .datasets import HorizonDataset
 
@@ -29,6 +35,8 @@ __all__ = [
     "PredictiveDistribution",
     "residuals",
     "log_posterior",
+    "LogPosterior",
+    "ar2_stationary",
     "posterior_predictive",
     "map_sigma",
     "credible_interval",
@@ -36,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_X_FLOOR = 0.01  # m; keeps the scaled-noise likelihood proper as x -> 0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,20 @@ class PriorSet:
         for v in (self.beta0_var, self.beta1_var, self.phi_sd, self.sigma_scale):
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError("prior scales must be finite and positive")
+
+    @cached_property
+    def log_norms(self) -> tuple[float, float, float, float]:
+        """Log normalising constants of the beta0, beta1, sigma and each phi density."""
+        sd1 = math.sqrt(self.beta1_var)
+        # beta1 is renormalised by its prior mass above zero; the half-Gaussian
+        # sigma density is twice the Gaussian one on (0, inf)
+        beta1_mass = 0.5 * math.erfc(-self.beta1_mean / (sd1 * math.sqrt(2.0)))
+        return (
+            -0.5 * math.log(self.beta0_var) - _HALF_LOG_2PI,
+            -math.log(sd1) - _HALF_LOG_2PI - math.log(beta1_mass),
+            math.log(2.0) - math.log(self.sigma_scale) - _HALF_LOG_2PI,
+            -math.log(self.phi_sd) - _HALF_LOG_2PI,
+        )
 
 
 @dataclass(frozen=True)
@@ -121,32 +144,40 @@ class PredictiveDistribution:
         return out
 
 
+def ar2_stationary(p1, p2):
+    """AR(2) stationarity triangle: |p2| < 1, p1 + p2 < 1 and p2 - p1 < 1.
+
+    Works elementwise on arrays as well as on scalars.
+    """
+    return (abs(p2) < 1.0) & (p1 + p2 < 1.0) & (p2 - p1 < 1.0)
+
+
 def in_support(params: np.ndarray, spec: ModelSpec) -> bool:
     """Prior support: beta1 > 0, sigma > 0 and AR(2) stationarity."""
     beta1, sigma = params[1], params[-1]
     if not (beta1 > 0.0 and sigma > 0.0):
         return False
-    if spec.kind == "hybrid":
-        p1, p2 = params[2], params[3]
-        if not (-1.0 < p2 < 1.0 and p1 + p2 < 1.0 and p2 - p1 < 1.0):
-            return False
-    return True
+    return spec.kind != "hybrid" or bool(ar2_stationary(params[2], params[3]))
 
 
 def _log_prior(params: np.ndarray, spec: ModelSpec) -> float:
     pr = spec.priors
-    beta0, beta1, sigma = params[0], params[1], params[-1]
-    lp = norm.logpdf(beta0, pr.beta0_mean, np.sqrt(pr.beta0_var))
-    # truncation of beta1 to (0, inf) renormalises by the prior mass above zero
-    lp += norm.logpdf(beta1, pr.beta1_mean, np.sqrt(pr.beta1_var))
-    lp -= np.log(norm.sf(0.0, pr.beta1_mean, np.sqrt(pr.beta1_var)))
-    lp += np.log(2.0) + norm.logpdf(sigma, 0.0, pr.sigma_scale)
+    n_beta0, n_beta1, n_sigma, n_phi = pr.log_norms
+    beta0, beta1, sigma = float(params[0]), float(params[1]), float(params[-1])
+    lp = (
+        n_beta0
+        - 0.5 * (beta0 - pr.beta0_mean) ** 2 / pr.beta0_var
+        + n_beta1
+        - 0.5 * (beta1 - pr.beta1_mean) ** 2 / pr.beta1_var
+        + n_sigma
+        - 0.5 * (sigma / pr.sigma_scale) ** 2
+    )
     if spec.kind == "hybrid":
         # joint truncation to the stationarity triangle contributes only a
         # constant, which is irrelevant to sampling and omitted here
-        lp += norm.logpdf(params[2], 0.0, pr.phi_sd)
-        lp += norm.logpdf(params[3], 0.0, pr.phi_sd)
-    return float(lp)
+        p1, p2 = float(params[2]), float(params[3])
+        lp += 2.0 * n_phi - 0.5 * (p1 * p1 + p2 * p2) / pr.phi_sd**2
+    return lp
 
 
 def residuals(params: np.ndarray, ds: HorizonDataset) -> np.ndarray:
@@ -155,17 +186,21 @@ def residuals(params: np.ndarray, ds: HorizonDataset) -> np.ndarray:
     return ds.y - beta0 - beta1 * ds.x
 
 
-def _lagged(eps: np.ndarray, post_gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted residual series with post-gap lags zeroed."""
-    e1 = np.zeros_like(eps)
-    e2 = np.zeros_like(eps)
-    e1[1:] = eps[:-1]
-    e2[2:] = eps[:-2]
-    e1[post_gap] = 0.0
+def _lagged(a: np.ndarray, post_gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-1 and lag-2 copies of a along its last axis, zeroed where missing.
+
+    A lag is missing before the first rows and wherever a gap breaks the
+    hourly chain: lag 1 at post-gap rows, lag 2 also on the row after one.
+    """
+    e1 = np.zeros_like(a)
+    e2 = np.zeros_like(a)
+    e1[..., 1:] = a[..., :-1]
+    e2[..., 2:] = a[..., :-2]
+    e1[..., post_gap] = 0.0
     # lag-2 needs both predecessors present
     bad2 = post_gap.copy()
     bad2[1:] |= post_gap[:-1]
-    e2[bad2] = 0.0
+    e2[..., bad2] = 0.0
     return e1, e2
 
 
@@ -219,6 +254,61 @@ def log_posterior(
     return float(loglik) + _log_prior(params, spec)
 
 
+class LogPosterior:
+    """log_posterior for one dataset, at a per-call cost independent of its length.
+
+    The innovation of row t is u_t = c' A_t b with c = (1, -phi1, -phi2),
+    b = (1, beta0, beta1) and A_t the 3x3 block whose rows are the lag-0,
+    lag-1 and lag-2 values of (y, -1, -x), with missing lags zeroed as in
+    conditional_moments. Hence sum_t (u_t / w_t)^2 = v' G v with v = c (x) b
+    and G = sum_t vec(A_t) vec(A_t)' / w_t^2, w_t = max(x_t, x_floor), a 9x9
+    matrix built once; sum_t log(w_t * sigma) = sum_t log w_t + N log sigma.
+    The basic model keeps only the lag-0 row (a 3x3 G, w_t = 1).
+
+    G is built in coordinates centred on the least-squares line
+    y = y_mean + slope * (x - x_mean): y enters as its residual r from that
+    line, x as x - x_mean, and b = (1, beta0 + beta1 * x_mean - y_mean,
+    beta1 - slope). Near the posterior mode every entry of v is then as
+    small as the innovations, so v' G v does not cancel large terms (rows
+    with x below the floor weigh up to 1/x_floor^2 in G).
+    """
+
+    def __init__(self, ds: HorizonDataset, spec: ModelSpec, x_floor: float = DEFAULT_X_FLOOR):
+        self.ds = ds
+        self.spec = spec
+        self._x_mean = float(np.mean(ds.x))
+        self._y_mean = float(np.mean(ds.y))
+        dx = ds.x - self._x_mean
+        sxx = float(dx @ dx)
+        self._slope = float(dx @ (ds.y - self._y_mean)) / sxx if sxx > 0.0 else 0.0
+        resid = ds.y - self._y_mean - self._slope * dx
+        block = np.stack([resid, -np.ones_like(dx), -dx])  # (3, N)
+        n = len(ds)
+        self._log_norm = -0.5 * n * math.log(2.0 * math.pi)
+        if spec.kind == "hybrid":
+            w = np.maximum(ds.x, x_floor)
+            self._log_norm -= float(np.sum(np.log(w)))
+            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / w  # (9, N)
+        self._gram = block @ block.T
+        self._n = n
+
+    def __call__(self, params: np.ndarray) -> float:
+        """Unnormalised log posterior density; -inf outside the prior support."""
+        spec = self.spec
+        params = np.asarray(params, dtype=float)
+        if params.shape != (spec.n_params,):
+            raise ValueError(f"expected {spec.n_params} parameters for {spec.kind}")
+        if not in_support(params, spec):
+            return -np.inf
+        beta0, beta1, sigma = float(params[0]), float(params[1]), float(params[-1])
+        v = np.array([1.0, beta0 + beta1 * self._x_mean - self._y_mean, beta1 - self._slope])
+        if spec.kind == "hybrid":
+            v = np.outer((1.0, -float(params[2]), -float(params[3])), v).ravel()
+        sum_z2 = float(v @ self._gram @ v) / (sigma * sigma)
+        loglik = -0.5 * sum_z2 - self._n * math.log(sigma) + self._log_norm
+        return loglik + _log_prior(params, spec)
+
+
 def posterior_predictive(
     samples: PosteriorSamples,
     ds: HorizonDataset,
@@ -256,15 +346,7 @@ def posterior_predictive(
     sigma = draws[:, -1:]
     mean = beta0 + beta1 * x[None, :]
     if spec.kind == "hybrid":
-        eps = y[None, :] - mean
-        e1 = np.zeros_like(eps)
-        e2 = np.zeros_like(eps)
-        e1[:, 1:] = eps[:, :-1]
-        e2[:, 2:] = eps[:, :-2]
-        bad2 = post_gap.copy()
-        bad2[1:] |= post_gap[:-1]
-        e1[:, post_gap] = 0.0
-        e2[:, bad2] = 0.0
+        e1, e2 = _lagged(y[None, :] - mean, post_gap)
         mean = mean + draws[:, 2:3] * e1 + draws[:, 3:4] * e2
         scale = np.maximum(x, x_floor)[None, :] * sigma
     else:

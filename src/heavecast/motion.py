@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
 
 __all__ = [
     "RawMotionSeries",
@@ -107,6 +106,9 @@ def highpass_filter(series: RawMotionSeries, cutoff: float, order: int = 5) -> R
         raise ValueError(f"cutoff must lie in (0, {nyquist}) Hz")
     if order < 1:
         raise ValueError("order must be >= 1")
+    # imported here: scipy.signal is costly to import and no CLI stage filters
+    from scipy import signal
+
     sos = signal.butter(order, cutoff, btype="highpass", fs=series.sample_rate, output="sos")
     padlen = 3 * (2 * sos.shape[0] + 1)  # sosfiltfilt default
 

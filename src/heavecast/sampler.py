@@ -1,11 +1,24 @@
-"""Adaptive random-walk Metropolis sampler for the adjustment models.
+"""Two-phase adaptive random-walk Metropolis sampler for the adjustment models.
 
-The posterior has at most five parameters, so a component-wise random-walk
-Metropolis sampler with per-parameter proposal scales adapted during warm-up
-(target acceptance around 30%) is sufficient and avoids any gradient
-infrastructure. Chains are independent, each with its own deterministic
-random stream spawned from the fit seed, so results are reproducible
-bit-for-bit.
+The posterior has at most five parameters, so random-walk Metropolis with
+adapted proposals is sufficient and avoids any gradient infrastructure. Each
+chain runs in three phases:
+
+* warm-up phase 1 (first half of the warm-up): component-wise random walks
+  whose per-parameter scales adapt towards the target acceptance (around
+  30%), which survives arbitrarily bad initial scales;
+* warm-up phase 2 (second half): joint proposals from the empirical
+  covariance of the chain so far, scaled by 2.38^2 / d (the adaptive
+  Metropolis of Haario et al. 2001, with the scaling of Roberts & Rosenthal
+  2001), with a global scale adapted towards the target acceptance and the
+  covariance refreshed every adaptation window;
+* sampling: the joint proposal frozen, d proposals per retained draw.
+
+The log posterior is built once per fit as a model.LogPosterior, whose cost
+per call does not grow with the training set; model.log_posterior stays the
+reference it is tested against. Chains are independent, each with its own
+deterministic random stream spawned from the fit seed, so results are
+reproducible bit-for-bit.
 
 The regression pair (beta0, beta1) is strongly correlated when x has a
 nonzero mean; the sampler therefore works internally with the centred
@@ -22,9 +35,10 @@ import numpy as np
 from .datasets import HorizonDataset
 from .model import (
     DEFAULT_X_FLOOR,
+    LogPosterior,
     ModelSpec,
     PosteriorSamples,
-    log_posterior,
+    ar2_stationary,
 )
 
 __all__ = ["SamplerConfig", "SamplerError", "InitializationError", "fit", "rhat", "ess"]
@@ -115,8 +129,7 @@ def _initial_point(ds: HorizonDataset, spec: ModelSpec) -> np.ndarray:
 
 
 def _run_chain(
-    ds: HorizonDataset,
-    spec: ModelSpec,
+    log_post: LogPosterior,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     start: np.ndarray,
@@ -130,8 +143,8 @@ def _run_chain(
     acceptance), which is what lets the chain traverse the narrow (phi1,
     phi2) ridge the near-unit-root hybrid posterior develops.
     """
-    x_mean = float(np.mean(ds.x))
-    n_params = spec.n_params
+    x_mean = float(np.mean(log_post.ds.x))
+    n_params = log_post.spec.n_params
 
     def to_natural(state: np.ndarray) -> np.ndarray:
         out = state.copy()
@@ -139,7 +152,7 @@ def _run_chain(
         return out
 
     def logpost(state: np.ndarray) -> float:
-        return log_posterior(to_natural(state), ds, spec, cfg.x_floor)
+        return log_post(to_natural(state))
 
     state = start.copy()
     state[0] = start[0] + start[1] * x_mean  # beta0 -> alpha
@@ -151,8 +164,9 @@ def _run_chain(
     scales[-1] = max(0.25 * start[-1], 1e-3)
     jitter = rng.standard_normal(n_params) * 0.01 * scales
     trial = state + jitter
-    if np.isfinite(logpost(trial)):
-        state, current_lp = trial, logpost(trial)
+    trial_lp = logpost(trial)
+    if np.isfinite(trial_lp):
+        state, current_lp = trial, trial_lp
 
     # phase 1: component-wise scale adaptation over the first warm-up half
     phase1 = cfg.warmup_draws // 2
@@ -242,12 +256,13 @@ def fit(
     if len(ds) < 3 + spec.n_params:
         raise ValueError("too few training rows for the parameter count")
     start = _initial_point(ds, spec)
+    log_post = LogPosterior(ds, spec, cfg.x_floor)
     streams = np.random.SeedSequence(seed).spawn(cfg.chains)
     per_chain = []
     rates = []
     for chain_seed in streams:
         rng = np.random.default_rng(chain_seed)
-        draws, rate = _run_chain(ds, spec, cfg, rng, start)
+        draws, rate = _run_chain(log_post, cfg, rng, start)
         per_chain.append(draws)
         rates.append(rate)
 
@@ -274,8 +289,9 @@ def fit(
 
 
 def _check_support(samples: PosteriorSamples, spec: ModelSpec) -> None:
-    assert np.all(samples.column("beta1") > 0.0)
-    assert np.all(samples.column("sigma") > 0.0)
+    """Raise SamplerError if any retained draw lies outside the prior support."""
+    ok = np.all(samples.column("beta1") > 0.0) and np.all(samples.column("sigma") > 0.0)
     if spec.kind == "hybrid":
-        p1, p2 = samples.column("phi1"), samples.column("phi2")
-        assert np.all(np.abs(p2) < 1.0) and np.all(p1 + p2 < 1.0) and np.all(p2 - p1 < 1.0)
+        ok = ok and np.all(ar2_stationary(samples.column("phi1"), samples.column("phi2")))
+    if not ok:
+        raise SamplerError("retained draws outside the prior support")

@@ -9,11 +9,11 @@ error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "ScoreReport",
@@ -57,14 +57,16 @@ def crps_gaussian(mu: float, sigma: float, y: float) -> float:
     """Closed-form CRPS of a Gaussian predictive distribution.
 
     sigma * [z * (2*Phi(z) - 1) + 2*phi(z) - 1/sqrt(pi)] with
-    z = (y - mu)/sigma; a point mass (sigma = 0) scores absolute error.
+    z = (y - mu)/sigma, where 2*Phi(z) - 1 = erf(z/sqrt(2)); a point mass
+    (sigma = 0) scores absolute error.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return abs(y - mu)
-    z = (y - mu) / sigma
-    return float(sigma * (z * (2.0 * norm.cdf(z) - 1.0) + 2.0 * norm.pdf(z) - 1.0 / np.sqrt(np.pi)))
+    z = float((y - mu) / sigma)
+    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return float(sigma * (z * math.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)))
 
 
 def crps_samples(draws: np.ndarray, y: float) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DEFAULT_MAX_LEADS, ForecastIssue
+from .model import ar2_stationary
 from .spectral import (
     DirectionalWaveSpectrum,
     MorisonRaoParams,
@@ -310,7 +311,7 @@ def generate_observations(
     residual recursion initialised at zero.
     """
     beta0, beta1, phi1, phi2, sigma = (float(v) for v in true_params)
-    if not (-1.0 < phi2 < 1.0 and phi1 + phi2 < 1.0 and phi2 - phi1 < 1.0):
+    if not ar2_stationary(phi1, phi2):
         raise ValueError("(phi1, phi2) outside the AR(2) stationarity region")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import heavecast
 from heavecast.cli import main
 
 RUNNER = CliRunner()
@@ -147,3 +153,12 @@ class TestExitCodes:
             assert run([cmd, "--manifest", str(manifest)]).exit_code == 0
         result = run(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 3
+
+
+def test_import_leaves_scipy_stats_and_signal_out():
+    # scipy.stats and scipy.signal dominate start-up time; no stage needs them
+    code = "import sys, heavecast.cli; print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    src = str(Path(heavecast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,10 +5,12 @@ from scipy.stats import norm
 from heavecast.datasets import HorizonDataset
 from heavecast.model import (
     DEFAULT_X_FLOOR,
+    LogPosterior,
     ModelSpec,
     PosteriorSamples,
     PredictiveDistribution,
     PriorSet,
+    ar2_stationary,
     conditional_moments,
     credible_interval,
     in_support,
@@ -17,7 +19,7 @@ from heavecast.model import (
     posterior_predictive,
     residuals,
 )
-from heavecast.sampler import SamplerConfig, ess, fit, rhat
+from heavecast.sampler import SamplerConfig, SamplerError, _check_support, ess, fit, rhat
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
@@ -162,6 +164,80 @@ class TestLogPosterior:
         assert not in_support(np.array([0.0, 1.0, -1.3, 0.2, 0.1]), HYBRID)
         assert not in_support(np.array([0.0, 1.0, 0.0, 1.1, 0.1]), HYBRID)
 
+    def test_ar2_stationary_elementwise(self):
+        p1 = np.array([0.5, 0.9, -1.3, 0.0, 1.0])
+        p2 = np.array([0.3, 0.2, 0.2, 1.1, -0.5])
+        expected = [True, False, False, False, True]
+        assert ar2_stationary(p1, p2).tolist() == expected
+        assert [bool(ar2_stationary(a, b)) for a, b in zip(p1.tolist(), p2.tolist())] == expected
+
+
+def oracle_dataset(n, seed):
+    """Hourly rows with gaps and some forecasts below DEFAULT_X_FLOOR."""
+    rng = np.random.default_rng(seed)
+    x = np.abs(1.2 + 0.8 * np.sin(np.arange(n) / 30.0) + 0.3 * rng.standard_normal(n))
+    x[rng.choice(n, max(1, n // 40), replace=False)] = 0.5 * DEFAULT_X_FLOOR
+    y = 0.1 + 0.9 * x + 0.05 * np.maximum(x, DEFAULT_X_FLOOR) * rng.standard_normal(n)
+    gap_after = set(rng.choice(np.arange(1, n), max(1, n // 100), replace=False).tolist())
+    return make_ds(x, y, gap_after=gap_after)
+
+
+def oracle_params(spec, rng, n):
+    """Draws near the generating values (where sum u^2 is smallest) and wide
+    draws, many of them outside the prior support."""
+    near = np.column_stack(
+        [
+            rng.normal(0.1, 0.02, n),
+            rng.normal(0.9, 0.02, n),
+            rng.uniform(-0.3, 0.3, n),
+            rng.uniform(-0.3, 0.3, n),
+            rng.uniform(0.03, 0.08, n),
+        ]
+    )
+    wide = np.column_stack(
+        [
+            rng.normal(0.0, 1.0, n),
+            rng.normal(1.0, 1.0, n),
+            rng.uniform(-2.5, 2.5, n),
+            rng.uniform(-1.5, 1.5, n),
+            rng.normal(0.1, 0.2, n),
+        ]
+    )
+    draws = np.concatenate([near, wide])
+    return draws if spec.kind == "hybrid" else draws[:, [0, 1, 4]]
+
+
+class TestLogPosteriorEvaluator:
+    @pytest.mark.parametrize("kind", ["basic", "hybrid"])
+    @pytest.mark.parametrize("n", [10, 57, 400, 3428, 20000])
+    def test_matches_reference(self, kind, n):
+        spec = ModelSpec(kind=kind)
+        ds = oracle_dataset(n, seed=n)
+        fast = LogPosterior(ds, spec)
+        n_inf = 0
+        for params in oracle_params(spec, np.random.default_rng(n + 1), 60):
+            ref = log_posterior(params, ds, spec)
+            got = fast(params)
+            if ref == -np.inf:
+                n_inf += 1
+                assert got == -np.inf
+            else:
+                assert got == pytest.approx(ref, rel=1e-9)
+        assert 0 < n_inf < 120
+
+    def test_prior_and_floor_honoured(self):
+        spec = ModelSpec(kind="hybrid", priors=PriorSet(beta1_mean=-0.5, beta1_var=0.2, phi_sd=0.3))
+        ds = oracle_dataset(200, seed=3)
+        fast = LogPosterior(ds, spec, x_floor=0.05)
+        for params in oracle_params(spec, np.random.default_rng(4), 20):
+            ref = log_posterior(params, ds, spec, x_floor=0.05)
+            assert fast(params) == (ref if ref == -np.inf else pytest.approx(ref, rel=1e-9))
+
+    def test_wrong_length_rejected(self):
+        fast = LogPosterior(make_ds([1.0, 1.1, 0.9], [1.0, 1.0, 1.0]), BASIC)
+        with pytest.raises(ValueError):
+            fast(np.array([0.0, 1.0, 0.1, 0.1]))
+
 
 def point_mass_samples(params, names, n=400):
     return PosteriorSamples(
@@ -298,6 +374,28 @@ class TestDiagStats:
         for t in range(1, n):
             ar[:, t] = 0.95 * ar[:, t - 1] + z[:, t]
         assert ess(ar) < 0.1 * ar.size
+
+
+class TestCheckSupport:
+    GOOD = {"basic": [0.1, 1.0, 0.2], "hybrid": [0.1, 1.0, 0.5, 0.2, 0.2]}
+
+    @pytest.mark.parametrize(
+        "kind,bad",
+        [
+            ("basic", [0.1, 0.0, 0.2]),
+            ("basic", [0.1, -0.5, 0.2]),
+            ("basic", [0.1, 1.0, -0.2]),
+            ("hybrid", [0.1, -0.1, 0.5, 0.2, 0.2]),
+            ("hybrid", [0.1, 1.0, 0.9, 0.2, 0.2]),
+            ("hybrid", [0.1, 1.0, 0.0, -1.0, 0.2]),
+        ],
+    )
+    def test_draw_outside_support_raises(self, kind, bad):
+        spec = ModelSpec(kind=kind)
+        samples = point_mass_samples(self.GOOD[kind], spec.param_names)
+        samples.draws[-1] = bad
+        with pytest.raises(SamplerError):
+            _check_support(samples, spec)
 
 
 class TestFit:
