@@ -29,6 +29,7 @@ from .spectral import (
     ResponseStatistics,
     interpolate_spectrum_to_rao_grid,
     morison_rao,
+    response_moments,
     response_statistics,
     significant_response,
     spectral_moment,

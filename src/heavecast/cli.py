@@ -18,7 +18,7 @@ import numpy as np
 from . import datasets, io, model, sampler, scoring, synthetic
 from .diagnostics import heteroskedasticity_summary, pacf, standardized_residuals
 from .motion import HeaveRecord
-from .spectral import response_statistics
+from .spectral import response_moments
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -93,10 +93,10 @@ def response(**kwargs):
     m.require("rao_file", "spectra_file")
     rao = io.read_rao(m.rao_file)
     spectra = io.read_spectra(m.spectra_file)
+    m0, m2 = response_moments(spectra, rao)
     lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
-    for spec in spectra:
-        st = response_statistics(spec, rao)
-        lines.append(f"{st.timestamp}, {st.m0:.10g}, {st.m2:.10g}, {st.sig_amplitude:.10g}")
+    for spec, a, b, sig in zip(spectra, m0, m2, 2.0 * np.sqrt(m0)):
+        lines.append(f"{spec.timestamp}, {a:.10g}, {b:.10g}, {sig:.10g}")
     io.atomic_write_text(m.out_dir / "response.csv", "\n".join(lines) + "\n")
     click.echo(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)")
 

@@ -9,6 +9,7 @@ the target directory, then rename.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -19,10 +20,12 @@ import numpy as np
 import yaml
 
 from .datasets import ForecastIssue, HorizonDataset
-from .model import PosteriorSamples
+from .model import PosteriorSamples, predictive_summaries
 from .motion import HeaveRecord, RawMotionSeries
+from .sampler import SamplerConfig
 from .scoring import ScoreReport
 from .spectral import DirectionalWaveSpectrum, RaoCurve, midpoint_widths
+from .synthetic import ErrorInjection, SwellEvent, SwellScenario
 
 __all__ = [
     "RunManifest",
@@ -66,18 +69,31 @@ def _fmt(v: float) -> str:
     return f"{float(v):.10g}"
 
 
-def _parse_time(s: str) -> np.datetime64:
-    return np.datetime64(s.strip().removesuffix("Z"), "s")
+def _parse_times(cells) -> np.ndarray:
+    """One column of ISO-8601 UTC cells (optional trailing Z) as datetime64[s]."""
+    return np.array([c.removesuffix("Z") for c in cells], dtype="datetime64[s]")
+
+
+def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header cells and data rows; every row must have the header's cell count."""
+    lines = [(n, ln) for n, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip() for c in lines[0][1].split(",")]
+    rows = []
+    for n, ln in lines[1:]:
+        cells = [c.strip() for c in ln.split(",")]
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {n}: expected {len(header)} cells, found {len(cells)}")
+        rows.append(cells)
+    return header, rows
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header, rows = _read_table(path)
     if header != expected_header:
         raise ValueError(f"{path}: expected header {expected_header}, found {header}")
-    return [[c.strip() for c in ln.split(",")] for ln in lines[1:] if ln.strip()]
+    return rows
 
 
 # -- RAO ---------------------------------------------------------------------
@@ -109,8 +125,8 @@ def read_spectra(path: Path) -> list[DirectionalWaveSpectrum]:
     if not rows:
         raise ValueError(f"{path}: no spectrum rows")
     by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for r in rows:
-        by_time.setdefault(_parse_time(r[0]), []).append((float(r[1]), float(r[2]), float(r[3])))
+    for stamp, r in zip(_parse_times(r[0] for r in rows), rows):
+        by_time.setdefault(stamp, []).append((float(r[1]), float(r[2]), float(r[3])))
 
     spectra = []
     grid_key = None
@@ -162,7 +178,7 @@ def read_motion_series(path: Path) -> RawMotionSeries:
     rows = _read_rows(path, ["timestamp_utc", "heave_m"])
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    times = np.array([_parse_time(r[0]) for r in rows], dtype="datetime64[ms]")
+    times = _parse_times(r[0] for r in rows).astype("datetime64[ms]")
     steps = np.diff(times) / np.timedelta64(1, "s")
     if np.ptp(steps) > 1e-9 or steps[0] <= 0:
         raise ValueError(f"{path}: samples must be uniform in time")
@@ -172,16 +188,18 @@ def read_motion_series(path: Path) -> RawMotionSeries:
 
 def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64], str]]:
     rows = _read_rows(path, ["start_utc", "end_utc", "reason"])
-    return [((_parse_time(r[0]), _parse_time(r[1])), r[2]) for r in rows]
+    starts = _parse_times(r[0] for r in rows)
+    ends = _parse_times(r[1] for r in rows)
+    return [((a, b), r[2]) for a, b, r in zip(starts, ends, rows)]
 
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
     rows = _read_rows(path, ["timestamp_utc", "sig_heave_m", "valid"])
     out = []
-    for r in rows:
+    for stamp, r in zip(_parse_times(r[0] for r in rows), rows):
         valid = r[2].lower() == "true"
         sig = float(r[1]) if valid else np.nan
-        out.append(HeaveRecord(timestamp=_parse_time(r[0]), sig_heave=sig, valid=valid))
+        out.append(HeaveRecord(timestamp=stamp, sig_heave=sig, valid=valid))
     return out
 
 
@@ -199,33 +217,32 @@ def read_forecast_issue(path: Path) -> ForecastIssue:
     rows = _read_rows(path, ["issue_time_utc", "valid_time_utc", "sig_heave_m"])
     if not rows:
         raise ValueError(f"{path}: empty forecast issue")
-    issue_time = _parse_time(rows[0][0])
-    leads = []
-    values = []
-    for r in rows:
-        if _parse_time(r[0]) != issue_time:
-            raise ValueError(f"{path}: multiple issue times in one file")
-        leads.append(int((_parse_time(r[1]) - issue_time) / np.timedelta64(1, "h")))
-        values.append(float(r[2]))
-    return ForecastIssue(issue_time=issue_time, horizon_hours=np.array(leads), values=np.array(values))
+    issue_col, valid_col, value_col = zip(*rows)
+    issue_times = _parse_times(issue_col)
+    issue_time = issue_times[0]
+    if np.any(issue_times != issue_time):
+        raise ValueError(f"{path}: multiple issue times in one file")
+    leads = ((_parse_times(valid_col) - issue_time) / np.timedelta64(1, "h")).astype(int)
+    values = np.array([float(v) for v in value_col])
+    return ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values)
 
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
+    valid = np.datetime_as_string(issue.issue_time + issue.horizon_hours * np.timedelta64(1, "h"))
     lines = ["issue_time_utc, valid_time_utc, sig_heave_m"]
-    for lead, v in zip(issue.horizon_hours, issue.values):
-        vt = issue.issue_time + int(lead) * np.timedelta64(1, "h")
-        lines.append(f"{issue.issue_time}, {vt}, {_fmt(v)}")
+    lines += [f"{issue.issue_time}, {vt}, {v:.10g}" for vt, v in zip(valid, issue.values.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     rows = _read_rows(path, ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"])
+    valid_col, x_col, y_col, issue_col, _ = zip(*rows) if rows else ((),) * 5
     return HorizonDataset(
         horizon=horizon,
-        valid_times=np.array([_parse_time(r[0]) for r in rows], dtype="datetime64[s]"),
-        x=np.array([float(r[1]) for r in rows]),
-        y=np.array([float(r[2]) for r in rows]),
-        issue_times=np.array([_parse_time(r[3]) for r in rows], dtype="datetime64[s]"),
+        valid_times=_parse_times(valid_col),
+        x=np.array([float(v) for v in x_col]),
+        y=np.array([float(v) for v in y_col]),
+        issue_times=_parse_times(issue_col),
     )
 
 
@@ -255,17 +272,14 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
 
 
 def read_posterior_samples(path: Path) -> PosteriorSamples:
-    lines = Path(path).read_text().strip().splitlines()
-    header = [c.strip() for c in lines[0].split(",")]
+    header, rows = _read_table(path)
     if header[0] != "chain":
         raise ValueError(f"{path}: expected a 'chain' column first")
+    if not rows:
+        raise ValueError(f"{path}: no posterior draws")
     names = tuple(header[1:])
-    chain_ids = []
-    draws = []
-    for ln in lines[1:]:
-        cells = [c.strip() for c in ln.split(",")]
-        chain_ids.append(int(cells[0]))
-        draws.append([float(c) for c in cells[1:]])
+    chain_ids = [int(r[0]) for r in rows]
+    draws = [[float(c) for c in r[1:]] for r in rows]
     sidecar_path = Path(str(path) + ".diag.json")
     diagnostics, acceptance = {}, float("nan")
     if sidecar_path.exists():
@@ -285,17 +299,12 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
 
 def write_predictions(path: Path, dists) -> None:
     """Predictive summaries per valid time: mean and the quantile levels."""
-    if not dists:
-        raise ValueError("no predictive distributions to write")
+    table = predictive_summaries(dists)
     levels = dists[0].levels
     cols = ["valid_time_utc", "mean_m"] + [f"p{round(lv * 100):02d}_m" for lv in levels]
     lines = [", ".join(cols)]
-    for d in dists:
-        s = d.summaries
-        cells = [str(d.valid_time), _fmt(s["mean"])] + [
-            _fmt(s[f"p{round(lv * 100):02d}"]) for lv in levels
-        ]
-        lines.append(", ".join(cells))
+    for d, row in zip(dists, table.tolist()):
+        lines.append(", ".join([str(d.valid_time)] + [_fmt(v) for v in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -307,6 +316,39 @@ def write_score_reports(path: Path, reports: list[ScoreReport]) -> None:
 
 
 # -- run manifest ------------------------------------------------------------
+
+# value types checked per dataclass field annotation; other fields are not
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "dict": ((dict,), "a mapping"),
+    "str": ((str,), "a string"),
+    "Path": ((str,), "a path"),
+    "Path | None": ((str, type(None)), "a path"),
+}
+
+
+def _check_section(what: str, raw, cls, skip=frozenset(), extra=frozenset()) -> None:
+    """A manifest mapping must set every field of cls without a default and
+    may set the others, less skip and plus extra; int, float and dict fields
+    must hold values of that type."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a mapping, found {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
+    unknown = set(raw) - set(fields) - set(extra)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [
+        name for name, f in fields.items()
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and name not in raw
+    ]
+    if missing:
+        raise ValueError(f"{what} must set {missing}")
+    for key, value in raw.items():
+        typed = _FIELD_TYPES.get(getattr(fields.get(key), "type", None))
+        if typed and (isinstance(value, bool) or not isinstance(value, typed[0])):
+            raise ValueError(f"{what} key {key} must be {typed[1]}, found {value!r}")
+
 
 @dataclass
 class RunManifest:
@@ -329,12 +371,24 @@ class RunManifest:
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
         raw = yaml.safe_load(Path(path).read_text()) or {}
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-        if "out_dir" not in raw:
-            raise ValueError("manifest must set out_dir")
+        _check_section("manifest", raw, cls)
+        _check_section("manifest sampler", raw.get("sampler", {}), SamplerConfig)
+        _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
+        files = raw.get("issue_files", [])
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise ValueError(f"issue_files must be a list of paths, found {files!r}")
+        if "scenario" in raw:
+            # simulate defaults the start time; the seeds come from the manifest seed
+            scenario = raw["scenario"]
+            _check_section(
+                "manifest scenario", scenario, SwellScenario,
+                skip={"seed", "start"}, extra={"start", "measurement_noise"},
+            )
+            events = scenario.get("events", [])
+            if not isinstance(events, list):
+                raise ValueError("manifest scenario events must be a list")
+            for event in events:
+                _check_section("manifest scenario event", event, SwellEvent)
         base = Path(path).parent
         m = cls(out_dir=base / raw.pop("out_dir"))
         for key, value in raw.items():
@@ -343,8 +397,10 @@ class RunManifest:
             if key == "issue_files":
                 value = [base / v for v in value]
             setattr(m, key, value)
-        if any(h < 0 or int(h) != h for h in m.horizons):
-            raise ValueError("horizons must be nonnegative integers")
+        if not isinstance(m.horizons, list) or not all(
+            isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in m.horizons
+        ):
+            raise ValueError(f"horizons must be a list of nonnegative integers, found {m.horizons!r}")
         if m.model_kind not in ("basic", "hybrid"):
             raise ValueError("model_kind must be 'basic' or 'hybrid'")
         return m

@@ -33,6 +33,7 @@ __all__ = [
     "ModelSpec",
     "PosteriorSamples",
     "PredictiveDistribution",
+    "predictive_summaries",
     "residuals",
     "log_posterior",
     "LogPosterior",
@@ -142,6 +143,28 @@ class PredictiveDistribution:
         for lv, q in zip(self.levels, qs):
             out[f"p{round(lv * 100):02d}"] = float(q)
         return out
+
+
+def predictive_summaries(dists: list[PredictiveDistribution]) -> np.ndarray:
+    """PredictiveDistribution.summaries of many rows as one (rows, 1 + levels) array.
+
+    Column 0 is the mean, then one column per quantile level. The mean and
+    quantiles are taken along axis 1 of contiguous (rows, draws) blocks,
+    which gives the same bits as each row's summaries. Blocks of 64 rows
+    keep the copies small: one block of all rows raised the predict stage's
+    peak RSS by about 10 MB on a 4380-hour campaign (850 rows x 1500 draws).
+    """
+    if not dists:
+        raise ValueError("no predictive distributions to summarise")
+    levels = dists[0].levels
+    if any(d.levels != levels for d in dists):
+        raise ValueError("predictive distributions must share their quantile levels")
+    out = np.empty((len(dists), 1 + len(levels)))
+    for start in range(0, len(dists), 64):
+        block = np.stack([d.draws for d in dists[start : start + 64]])
+        out[start : start + 64, 0] = block.mean(axis=1)
+        out[start : start + 64, 1:] = np.quantile(block, levels, axis=1).T
+    return out
 
 
 def ar2_stationary(p1, p2):

@@ -9,6 +9,7 @@ damping-to-restoring ratio are known.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "spectral_moment",
     "significant_response",
     "response_statistics",
+    "response_moments",
     "midpoint_widths",
 ]
 
@@ -269,3 +271,36 @@ def response_statistics(
     m0 = spectral_moment(on_grid, rao, 0)
     m2 = spectral_moment(on_grid, rao, 2)
     return ResponseStatistics(timestamp=spec.timestamp, m0=m0, m2=m2)
+
+
+def response_moments(
+    spectra: Sequence[DirectionalWaveSpectrum], rao: RaoCurve
+) -> tuple[np.ndarray, np.ndarray]:
+    """Response moments m0 and m2 of many spectra sharing one grid.
+
+    Equal to response_statistics per spectrum (the reference), computed
+    array-at-a-time. Interpolation onto the RAO grid and the moment sum are
+    both linear in the density, so sum_{w,theta} w^i |RAO|^2 S Dw Dtheta
+    over the re-gridded spectrum equals (S @ Dtheta) @ P^T (w^i |RAO|^2 Dw),
+    with P the zero-extended linear interpolation matrix from the spectrum
+    frequencies to the RAO grid. Only the (spectra, freqs) omnidirectional
+    densities are formed, never a spectrum on the RAO grid; the summation
+    order differs from the reference, so results agree to rounding.
+    """
+    if not spectra:
+        return np.empty(0), np.empty(0)
+    grid = spectra[0]
+    if (
+        any(s.density.shape != grid.density.shape for s in spectra)
+        or np.any(np.array([s.freqs for s in spectra]) != grid.freqs)
+        or np.any(np.array([s.dir_widths for s in spectra]) != grid.dir_widths)
+    ):
+        raise ValueError("spectra must share one frequency/direction grid")
+    omni = np.array([s.density @ grid.dir_widths for s in spectra])
+    interp = np.column_stack(
+        [np.interp(rao.freqs, grid.freqs, unit, left=0.0, right=0.0) for unit in np.eye(grid.freqs.size)]
+    )
+    widths = midpoint_widths(rao.freqs)
+    weights = np.column_stack([rao.freqs**order * rao.amplitudes**2 * widths for order in (0, 2)])
+    moments = omni @ (interp.T @ weights)
+    return moments[:, 0], moments[:, 1]

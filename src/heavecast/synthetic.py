@@ -21,7 +21,7 @@ from .spectral import (
     MorisonRaoParams,
     RaoCurve,
     morison_rao,
-    response_statistics,
+    response_moments,
 )
 
 __all__ = [
@@ -125,31 +125,34 @@ class ErrorInjection:
             raise ValueError("noise persistence must lie in [0, 1)")
 
 
-def _gaussian_peak_density(
+def _peak_shape(
     freqs_hz: np.ndarray,
     dirs: np.ndarray,
     freq_widths: np.ndarray,
     dir_widths: np.ndarray,
-    hs: float,
     tp: float,
     direction: float,
     spread_exp: float,
     bandwidth_hz: float,
-) -> np.ndarray:
-    """One spectral component, normalised so its grid integral is (Hs/4)^2.
+) -> tuple[np.ndarray, float]:
+    """One spectral component's unnormalised shape and its grid integral.
 
-    Frequency axes here are angular (rad/s); shape parameters are given in
-    Hz for readability and converted.
+    The component of significant height Hs is shape * (Hs/4)^2 / total, so
+    its grid integral is (Hs/4)^2. Frequency axes here are angular (rad/s);
+    shape parameters are given in Hz for readability and converted.
     """
     f_peak = 1.0 / tp
     shape_f = np.exp(-0.5 * ((freqs_hz - f_peak) / bandwidth_hz) ** 2)
     ang = 0.5 * (np.mod(dirs - direction + np.pi, 2.0 * np.pi) - np.pi)
     shape_d = np.abs(np.cos(ang)) ** (2.0 * spread_exp)
-    density = shape_f[:, None] * shape_d[None, :]
-    total = np.sum(density * freq_widths[:, None] * dir_widths[None, :])
-    if total == 0.0:
-        return density
-    return density * ((hs / 4.0) ** 2 / total)
+    shape = shape_f[:, None] * shape_d[None, :]
+    total = np.sum(shape * freq_widths[:, None] * dir_widths[None, :])
+    return shape, total
+
+
+def _energy_scale(hs, total: float):
+    """(Hs/4)^2 / total, or 1 for a shape that vanishes on the grid."""
+    return np.ones(np.shape(hs)) if total == 0.0 else (hs / 4.0) ** 2 / total
 
 
 def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
@@ -161,6 +164,14 @@ def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
     4*sqrt(m0) of a lone event reproduces its scheduled Hs at the peak hour.
     A nonzero hs_jitter roughens the campaign with an hourly AR(1)
     modulation of the whole field's Hs, seeded by the scenario seed.
+
+    The densities are built as one (hours, freqs, dirs) array: the
+    background is added once, each event's shape and normaliser are
+    computed once and its shape * (hs_t/4)^2 / total is added, in event
+    order, on the hours where hs_t >= 1e-6; the jitter's square scales
+    every hour last. This is the sum a per-hour loop over the components
+    makes (the reference in tests/test_synthetic.py), equal to it within
+    rounding of the squares.
     """
     from .spectral import midpoint_widths
 
@@ -180,37 +191,32 @@ def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
         jitter = np.maximum(1.0 + scn.hs_jitter * g, 0.2)
     # component normalisation works in the same angular-frequency measure the
     # spectrum is stored in
-    out = []
-    for k in range(scn.duration_h):
-        density = np.zeros((freqs_hz.size, dirs.size))
-        if scn.background_hs > 0.0:
-            density += _gaussian_peak_density(
-                freqs_hz, dirs, fw, dw,
-                scn.background_hs, scn.background_tp,
-                scn.background_direction, scn.background_spread_exp,
-                bandwidth_hz=0.06,
-            )
-        for ev in scn.events:
-            dt = k - ev.arrival_h
-            env = np.exp(dt / ev.rise_h) if dt < 0 else np.exp(-dt / ev.decay_h)
-            hs_t = ev.hs * env
-            if hs_t < 1e-6:
-                continue
-            density += _gaussian_peak_density(
-                freqs_hz, dirs, fw, dw,
-                hs_t, ev.tp, ev.direction, ev.spread_exp, ev.bandwidth_hz,
-            )
-        out.append(
-            DirectionalWaveSpectrum(
-                timestamp=scn.start + k * HOUR,
-                freqs=omega,
-                dirs=dirs,
-                density=density * jitter[k] ** 2,  # Hs scales with sqrt(energy)
-                freq_widths=fw,
-                dir_widths=dw,
-            )
+    density = np.zeros((scn.duration_h, freqs_hz.size, dirs.size))
+    if scn.background_hs > 0.0:
+        shape, total = _peak_shape(
+            freqs_hz, dirs, fw, dw, scn.background_tp,
+            scn.background_direction, scn.background_spread_exp, bandwidth_hz=0.06,
         )
-    return out
+        density += shape * _energy_scale(scn.background_hs, total)
+    hours = np.arange(scn.duration_h)
+    for ev in scn.events:
+        dt = hours - ev.arrival_h
+        hs_t = ev.hs * np.exp(np.where(dt < 0, dt / ev.rise_h, -dt / ev.decay_h))
+        active = hs_t >= 1e-6
+        shape, total = _peak_shape(freqs_hz, dirs, fw, dw, ev.tp, ev.direction, ev.spread_exp, ev.bandwidth_hz)
+        density[active] += shape * _energy_scale(hs_t[active], total)[:, None, None]
+    density *= (jitter**2)[:, None, None]  # Hs scales with sqrt(energy)
+    return [
+        DirectionalWaveSpectrum(
+            timestamp=scn.start + k * HOUR,
+            freqs=omega,
+            dirs=dirs,
+            density=density[k],
+            freq_widths=fw,
+            dir_widths=dw,
+        )
+        for k in range(scn.duration_h)
+    ]
 
 
 def reference_rao(n_points: int = 240) -> RaoCurve:
@@ -235,10 +241,14 @@ def reference_rao(n_points: int = 240) -> RaoCurve:
 def true_response_series(
     spectra: list[DirectionalWaveSpectrum], rao: RaoCurve
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Significant heave response of the true sea states: (times, 2*sqrt(m0))."""
+    """Significant heave response of the true sea states: (times, 2*sqrt(m0)).
+
+    m0 comes from spectral.response_moments over all hours at once; a loop
+    of spectral.response_statistics is the reference it matches to rounding.
+    """
     times = np.array([s.timestamp for s in spectra], dtype="datetime64[s]")
-    sig = np.array([response_statistics(s, rao).sig_amplitude for s in spectra])
-    return times, sig
+    m0, _ = response_moments(spectra, rao)
+    return times, 2.0 * np.sqrt(m0)
 
 
 def generate_forecast_issues(

@@ -137,6 +137,30 @@ class TestExitCodes:
         result = run(["build", "--manifest", str(path)])
         assert result.exit_code == 2
 
+    def test_non_integer_horizon_is_validation_error(self, tmp_path):
+        manifest = write_manifest(tmp_path, horizons=["a"])
+        result = run(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert "horizons must be a list of nonnegative integers" in result.output
+
+    def test_unknown_sampler_key_is_validation_error(self, tmp_path):
+        manifest = write_manifest(tmp_path, sampler={"chainz": 3})
+        result = run(["fit", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert "unknown manifest sampler keys: ['chainz']" in result.output
+
+    def test_short_issue_row_is_validation_error(self, tmp_path):
+        (tmp_path / "issue.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
+            "2024-06-01T00:00:00, 2024-06-01T01:00:00\n"
+        )
+        (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
+        manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
+        result = run(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert "issue.csv, line 3: expected 3 cells, found 2" in result.output
+
     def test_unconverged_fit_is_numerical_error(self, tmp_path):
         # an unattainable convergence threshold must surface as exit code 3
         manifest = write_manifest(

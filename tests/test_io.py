@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from heavecast.io import (
     write_score_reports,
     write_spectra,
 )
-from heavecast.model import PosteriorSamples, PredictiveDistribution
+from heavecast.model import PosteriorSamples, PredictiveDistribution, predictive_summaries
 from heavecast.motion import HeaveRecord
 from heavecast.scoring import ScoreReport
 from heavecast.spectral import DirectionalWaveSpectrum, RaoCurve
@@ -159,6 +161,51 @@ class TestIssueAndDataset:
         np.testing.assert_array_equal(back.horizon_hours, issue.horizon_hours)
         np.testing.assert_allclose(back.values, issue.values, rtol=1e-9)
 
+    @pytest.mark.parametrize("issue_time", ["2024-06-01T06:00:00", "2024-12-31T18:00:00"])
+    def test_issue_round_trip_exact(self, tmp_path, issue_time):
+        # a non-midnight issue of the 00/12Z length (241 leads) crossing a day
+        # and, for the second, a year boundary; 10-digit values survive exactly
+        rng = np.random.default_rng(3)
+        t0 = np.datetime64(issue_time, "s")
+        issue = ForecastIssue(
+            issue_time=t0, horizon_hours=np.arange(241), values=np.round(rng.uniform(0.0, 4.0, 241), 9)
+        )
+        p = tmp_path / "issue.csv"
+        write_forecast_issue(p, issue)
+        lines = p.read_text().splitlines()
+        assert len(lines) == 242
+        # the row-by-row format the column writer replaced
+        for k, line in enumerate(lines[1:]):
+            assert line == f"{t0}, {t0 + k * HOUR}, {float(issue.values[k]):.10g}"
+        back = read_forecast_issue(p)
+        assert back.issue_time == t0
+        np.testing.assert_array_equal(back.horizon_hours, issue.horizon_hours)
+        np.testing.assert_array_equal(back.values, issue.values)
+        write_forecast_issue(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+    def test_issue_times_with_z_suffix(self, tmp_path):
+        p = tmp_path / "issue.csv"
+        p.write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T12:00:00Z, 2024-06-01T12:00:00Z, 1.5\n"
+            "2024-06-01T12:00:00Z, 2024-06-01T13:00:00Z, 1.25\n"
+        )
+        issue = read_forecast_issue(p)
+        assert issue.issue_time == T0 + 12 * HOUR
+        np.testing.assert_array_equal(issue.horizon_hours, [0, 1])
+        np.testing.assert_array_equal(issue.values, [1.5, 1.25])
+
+    def test_multiple_issue_times_rejected(self, tmp_path):
+        p = tmp_path / "issue.csv"
+        p.write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.5\n"
+            "2024-06-01T06:00:00, 2024-06-01T07:00:00, 1.25\n"
+        )
+        with pytest.raises(ValueError, match="multiple issue times"):
+            read_forecast_issue(p)
+
     def test_dataset_round_trip(self, tmp_path):
         times = np.array([T0, T0 + HOUR, T0 + 3 * HOUR], dtype="datetime64[s]")
         ds = HorizonDataset(
@@ -178,7 +225,88 @@ class TestIssueAndDataset:
         np.testing.assert_array_equal(back.post_gap, [True, False, True])
 
 
+# one good file per reader; its last data row loses a cell in the test below
+SHORT_ROW_CASES = {
+    "rao": (read_rao, "freq_hz, amplitude\n0.1, 1.0\n0.2, 1.5\n"),
+    "spectra": (
+        read_spectra,
+        "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n"
+        + "".join(f"2024-06-01T00:00:00, {f}, {d}, 1.0\n" for f in (0.1, 0.2) for d in (10, 20)),
+    ),
+    "motion": (read_motion_series, "timestamp_utc, heave_m\n2024-06-01T00:00:00, 0.0\n2024-06-01T00:00:01, 0.1\n"),
+    "qa_events": (read_qa_events, "start_utc, end_utc, reason\n2024-06-01T00:00:00, 2024-06-01T06:00:00, transit\n"),
+    "measurements": (
+        read_heave_records,
+        "timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 0.5, true\n2024-06-01T01:00:00, 0.6, true\n",
+    ),
+    "issue": (
+        read_forecast_issue,
+        "issue_time_utc, valid_time_utc, sig_heave_m\n2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
+        "2024-06-01T00:00:00, 2024-06-01T01:00:00, 1.1\n",
+    ),
+    "dataset": (
+        lambda p: read_horizon_dataset(p, horizon=0),
+        "valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag\n"
+        "2024-06-01T00:00:00, 1.0, 0.9, 2024-06-01T00:00:00, 1\n"
+        "2024-06-01T01:00:00, 1.1, 1.0, 2024-06-01T00:00:00, 0\n",
+    ),
+    "samples": (read_posterior_samples, "chain, beta0, sigma\n0, 0.1, 0.5\n1, 0.2, 0.6\n"),
+}
+
+
+class TestShortRows:
+    @pytest.mark.parametrize("kind", sorted(SHORT_ROW_CASES))
+    def test_short_row_names_file_and_line(self, tmp_path, kind):
+        reader, text = SHORT_ROW_CASES[kind]
+        p = tmp_path / f"{kind}.csv"
+        p.write_text(text)
+        reader(p)  # the intact file reads
+        lines = text.splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{kind}\.csv, line {len(lines)}: expected \d+ cells, found \d+"):
+            reader(p)
+
+    def test_blank_lines_do_not_shift_line_numbers(self, tmp_path):
+        p = tmp_path / "rao.csv"
+        p.write_text("freq_hz, amplitude\n\n0.1, 1.0\n0.2\n")
+        with pytest.raises(ValueError, match="line 4"):
+            read_rao(p)
+
+
 class TestPosteriorAndPredictions:
+    @pytest.mark.parametrize("text", ["", "\n", "chain, beta0, sigma\n"])
+    def test_samples_without_draws_rejected(self, tmp_path, text):
+        p = tmp_path / "samples.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="samples.csv"):
+            read_posterior_samples(p)
+
+    def test_predictions_equal_row_summaries(self, tmp_path):
+        # the draws are strided columns of one (draws, rows) array, as
+        # posterior_predictive makes them; 150 rows span three row blocks
+        rng = np.random.default_rng(5)
+        ystar = rng.gamma(2.0, 0.4, (1500, 150))
+        dists = [PredictiveDistribution(valid_time=T0 + k * HOUR, draws=ystar[:, k]) for k in range(150)]
+        table = predictive_summaries(dists)
+        for d, row in zip(dists, table):
+            s = d.summaries
+            assert list(row) == [s["mean"], s["p05"], s["p50"], s["p95"]]
+        p = tmp_path / "pred.csv"
+        write_predictions(p, dists)
+        lines = p.read_text().splitlines()[1:]
+        for d, line in zip(dists, lines):
+            s = d.summaries
+            assert line == ", ".join([str(d.valid_time)] + [f"{s[k]:.10g}" for k in ("mean", "p05", "p50", "p95")])
+
+    def test_mixed_levels_rejected(self, tmp_path):
+        dists = [
+            PredictiveDistribution(valid_time=T0, draws=np.arange(10.0)),
+            PredictiveDistribution(valid_time=T0 + HOUR, draws=np.arange(10.0), levels=(0.1, 0.9)),
+        ]
+        with pytest.raises(ValueError, match="levels"):
+            write_predictions(tmp_path / "pred.csv", dists)
+
     def test_samples_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         samples = PosteriorSamples(
@@ -262,3 +390,48 @@ class TestRunManifest:
         manifest.write_text("out_dir: out\nmodel_kind: fancy\n")
         with pytest.raises(ValueError):
             RunManifest.load(manifest)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("horizons: [6, a]", "horizons must be a list"),
+            ("horizons: 6", "horizons must be a list"),
+            ("horizons: [6.5]", "horizons must be a list"),
+            ("seed: 1.5", "seed must be an integer"),
+            ("rao_file: 5", "rao_file must be a path"),
+            ("issue_files: 5", "issue_files must be a list of paths"),
+            ("issue_files: [a.csv, 5]", "issue_files must be a list of paths"),
+            ("train_fraction: high", "train_fraction must be a number"),
+            ("sampler: 3", "sampler must be a mapping"),
+            ("sampler: {chainz: 3}", "unknown manifest sampler keys"),
+            ("sampler: {chains: three}", "chains must be an integer"),
+            ("injection: {seed: 4}", "unknown manifest injection keys"),
+            ("injection: {noise_scale: [1]}", "noise_scale must be a number"),
+            ("scenario: {duration_h: 48, extra: 1}", "unknown manifest scenario keys"),
+            ("scenario: {background_hs: 0.5}", "scenario must set ['duration_h']"),
+            ("scenario: {duration_h: 48, events: {hs: 1}}", "events must be a list"),
+            ("scenario: {duration_h: 48, events: [{hs: 1.0, tp: 12}]}", "event must set ['arrival_h']"),
+            ("scenario: {duration_h: 48, events: [{arrival_h: 0, hs: true, tp: 12}]}", "hs must be a number"),
+        ],
+    )
+    def test_section_types_checked(self, tmp_path, body, message):
+        manifest = tmp_path / "run.yaml"
+        manifest.write_text(f"out_dir: out\n{body}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunManifest.load(manifest)
+
+    def test_full_sections_accepted(self, tmp_path):
+        manifest = tmp_path / "run.yaml"
+        manifest.write_text(
+            "out_dir: out\n"
+            "sampler: {chains: 2, warmup_draws: 200, retained_draws: 100, x_floor: 0.02}\n"
+            "injection: {bias_factor: 0.9, noise_scale: 0}\n"
+            "scenario:\n"
+            "  start: 2024-01-01T06:00:00\n"
+            "  duration_h: 48\n"
+            "  measurement_noise: 0.01\n"
+            "  events: [{arrival_h: 10, hs: 2, tp: 14.5, decay_h: 12}]\n"
+        )
+        m = RunManifest.load(manifest)
+        assert m.sampler["chains"] == 2
+        assert m.scenario["events"][0]["hs"] == 2

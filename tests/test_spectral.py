@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavecast.io import read_spectra, write_spectra
 from heavecast.spectral import (
     DirectionalWaveSpectrum,
     MorisonRaoParams,
@@ -11,10 +12,12 @@ from heavecast.spectral import (
     interpolate_spectrum_to_rao_grid,
     midpoint_widths,
     morison_rao,
+    response_moments,
     response_statistics,
     significant_response,
     spectral_moment,
 )
+from heavecast.synthetic import SwellEvent, SwellScenario, generate_spectra, reference_rao
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 
@@ -259,3 +262,70 @@ class TestResponseStatistics:
         on_grid = interpolate_spectrum_to_rao_grid(spec, rao)
         assert st_.m0 == pytest.approx(spectral_moment(on_grid, rao, 0), rel=1e-12)
         assert st_.sig_amplitude == 2.0 * np.sqrt(st_.m0)
+
+
+class TestResponseMoments:
+    """response_moments against a loop of response_statistics, the reference."""
+
+    @staticmethod
+    def assert_matches_loop(spectra, rao):
+        m0, m2 = response_moments(spectra, rao)
+        ref = [response_statistics(s, rao) for s in spectra]
+        np.testing.assert_allclose(m0, [r.m0 for r in ref], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(m2, [r.m2 for r in ref], rtol=1e-12, atol=0.0)
+        return m0, m2
+
+    def test_generated_spectra(self):
+        scn = SwellScenario(
+            start=T0,
+            duration_h=72,
+            events=(SwellEvent(arrival_h=20, hs=2.5, tp=16.0), SwellEvent(arrival_h=50, hs=1.5, tp=11.0)),
+            background_hs=0.7,
+            hs_jitter=0.2,
+            seed=4,
+        )
+        m0, _ = self.assert_matches_loop(generate_spectra(scn), reference_rao())
+        assert np.all(m0 > 0.0)
+
+    def test_spectra_read_from_file(self, tmp_path):
+        rng = np.random.default_rng(9)
+        freqs = 2 * np.pi * np.linspace(0.05, 0.3, 9)
+        dirs = np.deg2rad(np.arange(0.0, 360.0, 45.0))
+        spectra = [
+            DirectionalWaveSpectrum(
+                timestamp=T0 + k * np.timedelta64(1, "h"), freqs=freqs, dirs=dirs, density=rng.uniform(0.0, 2.0, (9, 8))
+            )
+            for k in range(5)
+        ]
+        write_spectra(tmp_path / "spectra.csv", spectra)
+        self.assert_matches_loop(read_spectra(tmp_path / "spectra.csv"), reference_rao())
+
+    def test_rao_grid_past_spectrum_support(self):
+        rng = np.random.default_rng(10)
+        freqs = np.linspace(0.5, 1.5, 7)
+        dirs = np.linspace(0.1, 6.0, 5)
+        spectra = [
+            DirectionalWaveSpectrum(timestamp=T0, freqs=freqs, dirs=dirs, density=rng.uniform(0.0, 1.0, (7, 5)))
+            for _ in range(4)
+        ]
+        # RAO points below, between, on and above the spectrum frequencies
+        rao_freqs = np.concatenate([[0.1, 0.3], np.linspace(0.5, 1.5, 23), [1.7, 2.5]])
+        rao = RaoCurve(freqs=rao_freqs, amplitudes=rng.uniform(0.2, 2.0, rao_freqs.size))
+        self.assert_matches_loop(spectra, rao)
+
+    def test_all_zero_hours(self):
+        scn = SwellScenario(start=T0, duration_h=6, background_hs=0.0)
+        spectra = generate_spectra(scn)
+        m0, m2 = self.assert_matches_loop(spectra, reference_rao())
+        assert np.all(m0 == 0.0) and np.all(m2 == 0.0)
+
+    def test_empty_and_mixed_grids(self):
+        m0, m2 = response_moments([], reference_rao())
+        assert m0.size == 0 and m2.size == 0
+        spec, rao = random_case(np.random.default_rng(11))
+        other = DirectionalWaveSpectrum(timestamp=T0, freqs=spec.freqs * 1.01, dirs=spec.dirs, density=spec.density)
+        with pytest.raises(ValueError, match="grid"):
+            response_moments([spec, other], rao)
+        smaller, _ = random_case(np.random.default_rng(12), n_f=4)
+        with pytest.raises(ValueError, match="grid"):
+            response_moments([spec, smaller], rao)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heavecast.spectral import RaoCurve, spectral_moment
+from heavecast.spectral import RaoCurve, midpoint_widths, spectral_moment
 from heavecast.synthetic import (
     FORECAST_DIRS_RAD,
     FORECAST_FREQS_HZ,
@@ -83,6 +83,85 @@ class TestGenerateSpectra:
             SwellEvent(arrival_h=0, hs=1.0, tp=30.0)  # outside the band
         with pytest.raises(ValueError):
             SwellEvent(arrival_h=0, hs=1.0, tp=15.0, rise_h=0.0)
+
+
+def per_hour_spectra(scn):
+    """Per-hour, per-component densities: the loop generate_spectra batches."""
+    freqs_hz, dirs = FORECAST_FREQS_HZ, FORECAST_DIRS_RAD
+    fw, dw = midpoint_widths(2.0 * np.pi * freqs_hz), midpoint_widths(dirs)
+
+    def component(hs, tp, direction, spread_exp, bandwidth_hz):
+        shape_f = np.exp(-0.5 * ((freqs_hz - 1.0 / tp) / bandwidth_hz) ** 2)
+        ang = 0.5 * (np.mod(dirs - direction + np.pi, 2.0 * np.pi) - np.pi)
+        density = shape_f[:, None] * (np.abs(np.cos(ang)) ** (2.0 * spread_exp))[None, :]
+        total = np.sum(density * fw[:, None] * dw[None, :])
+        return density if total == 0.0 else density * ((hs / 4.0) ** 2 / total)
+
+    jitter = np.ones(scn.duration_h)
+    if scn.hs_jitter > 0.0:
+        rng = np.random.default_rng(scn.seed)
+        g = np.empty(scn.duration_h)
+        g[0] = rng.standard_normal()
+        for k in range(1, scn.duration_h):
+            g[k] = scn.hs_jitter_ar * g[k - 1] + np.sqrt(1.0 - scn.hs_jitter_ar**2) * rng.standard_normal()
+        jitter = np.maximum(1.0 + scn.hs_jitter * g, 0.2)
+    out = []
+    for k in range(scn.duration_h):
+        density = np.zeros((freqs_hz.size, dirs.size))
+        if scn.background_hs > 0.0:
+            density += component(
+                scn.background_hs, scn.background_tp, scn.background_direction, scn.background_spread_exp, 0.06
+            )
+        for ev in scn.events:
+            dt = k - ev.arrival_h
+            hs_t = ev.hs * (np.exp(dt / ev.rise_h) if dt < 0 else np.exp(-dt / ev.decay_h))
+            if hs_t >= 1e-6:
+                density += component(hs_t, ev.tp, ev.direction, ev.spread_exp, ev.bandwidth_hz)
+        out.append(density * jitter[k] ** 2)
+    return np.array(out)
+
+
+class TestBatchedSpectra:
+    def test_matches_per_hour_reference(self):
+        # the second event decays below the 1e-6 m cutoff after hour 30 and the
+        # third rises above it at hour 62, so hours with and without each occur
+        scn = SwellScenario(
+            start=T0,
+            duration_h=120,
+            events=(
+                SwellEvent(arrival_h=10, hs=2.0, tp=15.0, rise_h=3.0, decay_h=30.0),
+                SwellEvent(arrival_h=4, hs=0.5, tp=9.0, rise_h=2.0, decay_h=2.0),
+                SwellEvent(arrival_h=90, hs=1.2, tp=19.0, rise_h=2.0, decay_h=6.0, direction=1.0),
+            ),
+            background_hs=0.8,
+            hs_jitter=0.25,
+            hs_jitter_ar=0.8,
+            seed=7,
+        )
+        ref = per_hour_spectra(scn)
+        spectra = generate_spectra(scn)
+        assert len(spectra) == scn.duration_h
+        np.testing.assert_allclose(np.array([s.density for s in spectra]), ref, rtol=1e-14, atol=0.0)
+
+    def test_hours_below_cutoff_stay_empty(self):
+        # no background: the second event falls below 1e-6 m after hour 8, the
+        # third rises above it at hour 12 and the fourth is too narrow for the
+        # grid, so hours 9-11 hold no energy
+        scn = SwellScenario(
+            start=T0,
+            duration_h=30,
+            events=(
+                SwellEvent(arrival_h=5, hs=0.0, tp=12.0),
+                SwellEvent(arrival_h=2, hs=1.0, tp=12.0, decay_h=0.5),
+                SwellEvent(arrival_h=25, hs=1.0, tp=12.0, rise_h=1.0),
+                SwellEvent(arrival_h=10, hs=1.0, tp=12.0, bandwidth_hz=1e-6),  # vanishes on the grid
+            ),
+            background_hs=0.0,
+        )
+        ref = per_hour_spectra(scn)
+        assert np.all(ref[9:12] == 0.0) and ref[8].max() > 0.0 and ref[12].max() > 0.0
+        density = np.array([s.density for s in generate_spectra(scn)])
+        np.testing.assert_allclose(density, ref, rtol=1e-14, atol=0.0)
 
 
 class TestReferenceRao:
