@@ -13,7 +13,6 @@ from .model import (
     PosteriorSamples,
     PredictiveDistribution,
     PriorSet,
-    credible_interval,
     log_posterior,
     map_sigma,
     posterior_predictive,

@@ -29,7 +29,7 @@ def _failsoft(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, FileNotFoundError, KeyError) as exc:
+        except (ValueError, OSError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(VALIDATION_EXIT)
         except (sampler.SamplerError, ZeroDivisionError, FloatingPointError) as exc:
@@ -44,7 +44,10 @@ def _common(fn):
     fn = click.option("--horizon", "-H", "horizons", multiple=True, type=int, help="override manifest horizons")(fn)
     fn = click.option("--model", "model_kind", type=click.Choice(["basic", "hybrid"]), default=None)(fn)
     fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False), default=None, help="override output directory")(fn)
+    fn = click.option(
+        "--out", type=click.Path(file_okay=False), default=None,
+        help="override output directory (relative to the current directory, not the manifest)",
+    )(fn)
     return fn
 
 
@@ -77,6 +80,25 @@ def _dataset_path(m: io.RunManifest, h: int) -> Path:
 
 def _samples_path(m: io.RunManifest, h: int) -> Path:
     return m.out_dir / f"samples_{m.model_kind}_h{h:03d}.csv"
+
+
+def _split(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset, datasets.HorizonDataset]:
+    """The horizon-h dataset, split chronologically into (train, test)."""
+    ds = io.read_horizon_dataset(_dataset_path(m, h), h)
+    return datasets.chrono_split(ds, m.train_fraction)
+
+
+def _test_predictive(
+    m: io.RunManifest, h: int
+) -> tuple[datasets.HorizonDataset, list[model.PredictiveDistribution]]:
+    """The horizon-h test split and its posterior-predictive distributions.
+
+    predict and score both call this, so they draw the same y* values.
+    """
+    train, test = _split(m, h)
+    samples = io.read_posterior_samples(_samples_path(m, h))
+    dists = model.posterior_predictive(samples, test, _model_spec(m, h), seed=m.seed + 1000 + h, context=train)
+    return test, dists
 
 
 @click.group()
@@ -131,8 +153,7 @@ def fit(**kwargs):
     cfg = _sampler_config(m)
 
     for h in m.horizons:
-        ds = io.read_horizon_dataset(_dataset_path(m, h), h)
-        train, _ = datasets.chrono_split(ds, m.train_fraction)
+        train, _ = _split(m, h)
         samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
         io.write_posterior_samples(_samples_path(m, h), samples)
         worst = max(v["rhat"] for v in samples.diagnostics.values())
@@ -146,12 +167,7 @@ def predict(**kwargs):
     """Posterior-predictive quantiles for the test split of each horizon."""
     m = _load(**kwargs)
     for h in m.horizons:
-        ds = io.read_horizon_dataset(_dataset_path(m, h), h)
-        train, test = datasets.chrono_split(ds, m.train_fraction)
-        samples = io.read_posterior_samples(_samples_path(m, h))
-        dists = model.posterior_predictive(
-            samples, test, _model_spec(m, h), seed=m.seed + 1000 + h, context=train
-        )
+        _, dists = _test_predictive(m, h)
         path = m.out_dir / f"predictions_{m.model_kind}_h{h:03d}.csv"
         io.write_predictions(path, dists)
         click.echo(f"h={h}: {len(dists)} predictive rows -> {path}")
@@ -167,12 +183,7 @@ def score(**kwargs):
     models: dict[str, dict[int, np.ndarray]] = {label: {}, "raw physics": {}}
     obs: dict[int, np.ndarray] = {}
     for h in m.horizons:
-        ds = io.read_horizon_dataset(_dataset_path(m, h), h)
-        train, test = datasets.chrono_split(ds, m.train_fraction)
-        samples = io.read_posterior_samples(_samples_path(m, h))
-        dists = model.posterior_predictive(
-            samples, test, _model_spec(m, h), seed=m.seed + 1000 + h, context=train
-        )
+        test, dists = _test_predictive(m, h)
         models[label][h] = np.stack([d.draws for d in dists])
         models["raw physics"][h] = test.x
         obs[h] = test.y
@@ -192,8 +203,7 @@ def diagnose(max_lag, bins, **kwargs):
     """Residual PACF and heteroskedasticity tables per horizon."""
     m = _load(**kwargs)
     for h in m.horizons:
-        ds = io.read_horizon_dataset(_dataset_path(m, h), h)
-        train, _ = datasets.chrono_split(ds, m.train_fraction)
+        train, _ = _split(m, h)
         samples = io.read_posterior_samples(_samples_path(m, h))
         spec = _model_spec(m, h)
         at_mean = np.mean(samples.draws, axis=0)

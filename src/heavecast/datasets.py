@@ -63,7 +63,7 @@ class HorizonDataset:
     """Time-aligned (forecast, measurement) pairs for one horizon.
 
     post_gap marks rows whose hourly predecessor is absent, so lagged-residual
-    terms must be reset there. split_index is set by chrono_split.
+    terms must be reset there.
     """
 
     horizon: int
@@ -72,7 +72,6 @@ class HorizonDataset:
     y: np.ndarray  # measured sig-heave (m)
     issue_times: np.ndarray
     post_gap: np.ndarray = None
-    split_index: int | None = None
 
     def __post_init__(self):
         vt = np.asarray(self.valid_times, dtype="datetime64[s]")
@@ -110,18 +109,17 @@ class HorizonDataset:
 
 
 def synthesize_horizon_series(
-    issues: list[ForecastIssue],
-    h: int,
-    max_leads: dict[int, int] | None = None,
+    issues: list[ForecastIssue], h: int
 ) -> list[tuple[np.datetime64, float, np.datetime64]]:
     """Continuous hourly forecast series at fixed horizon h.
 
     Issues are admitted for horizon h only when their cycle's maximum lead
-    covers the whole lead window [h, h + block - 1], where block is 6 h for
-    h < 72 (all four daily cycles qualify) and 12 h otherwise (00Z/12Z
-    only, since the short cycles stop at 72 h). Each hourly valid time then
-    takes the most recent admitted issue, which keeps every lead inside the
-    window and guarantees no future information is used. Hours whose issue
+    (DEFAULT_MAX_LEADS) covers the whole lead window [h, h + block - 1],
+    where block is 6 h for h < 72 (all four daily cycles qualify) and 12 h
+    otherwise (00Z/12Z only, since the short cycles stop at 72 h). Each
+    hourly valid time then takes the most recent admitted issue, which keeps
+    every lead inside the window and guarantees no future information is
+    used. Hours whose issue
     is missing are simply absent: gaps are recorded by omission, never
     interpolated from an older issue.
 
@@ -129,11 +127,9 @@ def synthesize_horizon_series(
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
-    if max_leads is None:
-        max_leads = DEFAULT_MAX_LEADS
     block = 6 if h < 72 else 12
     admitted = sorted(
-        (i for i in issues if max_leads.get(i.cycle_hour, 0) >= h + block - 1),
+        (i for i in issues if DEFAULT_MAX_LEADS.get(i.cycle_hour, 0) >= h + block - 1),
         key=lambda i: i.issue_time,
     )
     out = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import HorizonDataset
-from .model import ModelSpec, conditional_moments, DEFAULT_X_FLOOR
+from .model import ModelSpec, conditional_moments
 
 __all__ = [
     "PacfResult",
@@ -47,12 +47,12 @@ def sample_autocovariance(series: np.ndarray, max_lag: int) -> np.ndarray:
     return np.array([np.dot(x[: n - k], x[k:]) / n for k in range(max_lag + 1)])
 
 
-def pacf(series: np.ndarray, max_lag: int, band_z: float = 1.96) -> PacfResult:
+def pacf(series: np.ndarray, max_lag: int) -> PacfResult:
     """Partial autocorrelation function via the Durbin-Levinson recursion.
 
     The lag-k coefficient is the k-th reflection coefficient of the
     recursion on the biased sample autocovariances, which keeps every
-    coefficient inside [-1, 1]. The confidence band is band_z/sqrt(N).
+    coefficient inside [-1, 1]. The 95% white-noise band is 1.96/sqrt(N).
     """
     series = np.asarray(series, dtype=float)
     n = series.size
@@ -82,7 +82,7 @@ def pacf(series: np.ndarray, max_lag: int, band_z: float = 1.96) -> PacfResult:
     return PacfResult(
         lags=np.arange(1, max_lag + 1),
         coefficients=coeffs,
-        confidence_band=band_z / np.sqrt(n),
+        confidence_band=1.96 / np.sqrt(n),
     )
 
 
@@ -122,17 +122,12 @@ def heteroskedasticity_summary(
     return table
 
 
-def standardized_residuals(
-    params: np.ndarray,
-    ds: HorizonDataset,
-    spec: ModelSpec,
-    x_floor: float = DEFAULT_X_FLOOR,
-) -> np.ndarray:
+def standardized_residuals(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> np.ndarray:
     """Innovations (y - conditional mean) / conditional scale.
 
     Evaluated with teacher-forced lags, typically at the posterior-mean
     parameters; whiteness of this series is the check that the hybrid error
     structure has absorbed the residual correlation.
     """
-    mean, scale = conditional_moments(np.asarray(params, float), ds.x, ds.y, ds.post_gap, spec, x_floor)
+    mean, scale = conditional_moments(np.asarray(params, float), ds.x, ds.y, ds.post_gap, spec)
     return (ds.y - mean) / scale

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .datasets import ForecastIssue, HorizonDataset
-from .model import PosteriorSamples, predictive_summaries
+from .datasets import DEFAULT_HORIZONS, ForecastIssue, HorizonDataset
+from .model import QUANTILE_LEVELS, PosteriorSamples, predictive_summaries
 from .motion import HeaveRecord, RawMotionSeries
 from .sampler import SamplerConfig
 from .scoring import ScoreReport
@@ -98,11 +98,11 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
 
 # -- RAO ---------------------------------------------------------------------
 
-def read_rao(path: Path, label: str | None = None) -> RaoCurve:
+def read_rao(path: Path) -> RaoCurve:
     rows = _read_rows(path, ["freq_hz", "amplitude"])
     freqs_hz = np.array([float(r[0]) for r in rows])
     amps = np.array([float(r[1]) for r in rows])
-    return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=label or Path(path).stem)
+    return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:
@@ -300,8 +300,7 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
 def write_predictions(path: Path, dists) -> None:
     """Predictive summaries per valid time: mean and the quantile levels."""
     table = predictive_summaries(dists)
-    levels = dists[0].levels
-    cols = ["valid_time_utc", "mean_m"] + [f"p{round(lv * 100):02d}_m" for lv in levels]
+    cols = ["valid_time_utc", "mean_m"] + [f"p{round(lv * 100):02d}_m" for lv in QUANTILE_LEVELS]
     lines = [", ".join(cols)]
     for d, row in zip(dists, table.tolist()):
         lines.append(", ".join([str(d.valid_time)] + [_fmt(v) for v in row]))
@@ -337,7 +336,7 @@ def _check_section(what: str, raw, cls, skip=frozenset(), extra=frozenset()) -> 
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
     unknown = set(raw) - set(fields) - set(extra)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     missing = [
         name for name, f in fields.items()
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and name not in raw
@@ -359,8 +358,7 @@ class RunManifest:
     spectra_file: Path | None = None
     issue_files: list[Path] = field(default_factory=list)
     measurements_file: Path | None = None
-    qa_events_file: Path | None = None
-    horizons: list[int] = field(default_factory=lambda: [0, 6, 12, 24, 48, 72, 96])
+    horizons: list[int] = field(default_factory=lambda: list(DEFAULT_HORIZONS))
     model_kind: str = "hybrid"
     seed: int = 0
     train_fraction: float = 0.8
@@ -370,7 +368,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        raw = yaml.safe_load(Path(path).read_text()) or {}
+        try:
+            raw = yaml.safe_load(Path(path).read_text()) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: malformed YAML: {exc}") from exc
         _check_section("manifest", raw, cls)
         _check_section("manifest sampler", raw.get("sampler", {}), SamplerConfig)
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})

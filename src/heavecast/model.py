@@ -40,11 +40,11 @@ __all__ = [
     "ar2_stationary",
     "posterior_predictive",
     "map_sigma",
-    "credible_interval",
     "conditional_moments",
 ]
 
-DEFAULT_X_FLOOR = 0.01  # m; keeps the scaled-noise likelihood proper as x -> 0
+X_FLOOR = 0.01  # m; keeps the scaled-noise likelihood proper as x -> 0
+QUANTILE_LEVELS = (0.05, 0.5, 0.95)  # predictive quantiles reported per row
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -130,7 +130,6 @@ class PredictiveDistribution:
 
     valid_time: np.datetime64
     draws: np.ndarray
-    levels: tuple[float, ...] = (0.05, 0.5, 0.95)
 
     @property
     def mean(self) -> float:
@@ -139,31 +138,28 @@ class PredictiveDistribution:
     @property
     def summaries(self) -> dict[str, float]:
         out = {"mean": self.mean}
-        qs = np.quantile(self.draws, self.levels)
-        for lv, q in zip(self.levels, qs):
+        qs = np.quantile(self.draws, QUANTILE_LEVELS)
+        for lv, q in zip(QUANTILE_LEVELS, qs):
             out[f"p{round(lv * 100):02d}"] = float(q)
         return out
 
 
 def predictive_summaries(dists: list[PredictiveDistribution]) -> np.ndarray:
-    """PredictiveDistribution.summaries of many rows as one (rows, 1 + levels) array.
+    """PredictiveDistribution.summaries of many rows as one array.
 
-    Column 0 is the mean, then one column per quantile level. The mean and
-    quantiles are taken along axis 1 of contiguous (rows, draws) blocks,
-    which gives the same bits as each row's summaries. Blocks of 64 rows
-    keep the copies small: one block of all rows raised the predict stage's
+    Column 0 is the mean, then one column per level of QUANTILE_LEVELS. The
+    mean and quantiles are taken along axis 1 of contiguous (rows, draws)
+    blocks, which gives the same bits as each row's summaries. Blocks of 64
+    rows keep the copies small: one block of all rows raised the predict stage's
     peak RSS by about 10 MB on a 4380-hour campaign (850 rows x 1500 draws).
     """
     if not dists:
         raise ValueError("no predictive distributions to summarise")
-    levels = dists[0].levels
-    if any(d.levels != levels for d in dists):
-        raise ValueError("predictive distributions must share their quantile levels")
-    out = np.empty((len(dists), 1 + len(levels)))
+    out = np.empty((len(dists), 1 + len(QUANTILE_LEVELS)))
     for start in range(0, len(dists), 64):
         block = np.stack([d.draws for d in dists[start : start + 64]])
         out[start : start + 64, 0] = block.mean(axis=1)
-        out[start : start + 64, 1:] = np.quantile(block, levels, axis=1).T
+        out[start : start + 64, 1:] = np.quantile(block, QUANTILE_LEVELS, axis=1).T
     return out
 
 
@@ -233,13 +229,12 @@ def conditional_moments(
     y: np.ndarray,
     post_gap: np.ndarray,
     spec: ModelSpec,
-    x_floor: float = DEFAULT_X_FLOOR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row conditional mean and noise scale, teacher-forcing the lags.
 
     For the basic model the mean is beta0 + beta1*x and the scale is sigma.
     For the hybrid model the mean adds phi1*eps_{t-1} + phi2*eps_{t-2} and
-    the scale is max(x, x_floor) * sigma.
+    the scale is max(x, X_FLOOR) * sigma.
     """
     beta0, beta1, sigma = float(params[0]), float(params[1]), float(params[-1])
     mean = beta0 + beta1 * x
@@ -248,16 +243,11 @@ def conditional_moments(
     p1, p2 = float(params[2]), float(params[3])
     e1, e2 = _lagged(y - mean, post_gap)
     mean = mean + p1 * e1 + p2 * e2
-    scale = np.maximum(x, x_floor) * sigma
+    scale = np.maximum(x, X_FLOOR) * sigma
     return mean, scale
 
 
-def log_posterior(
-    params: np.ndarray,
-    ds: HorizonDataset,
-    spec: ModelSpec,
-    x_floor: float = DEFAULT_X_FLOOR,
-) -> float:
+def log_posterior(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> float:
     """Unnormalised log posterior density; -inf outside the prior support.
 
     Every row contributes a Gaussian term; rows whose lagged residuals are
@@ -271,7 +261,7 @@ def log_posterior(
         raise ValueError(f"expected {spec.n_params} parameters for {spec.kind}")
     if not in_support(params, spec):
         return -np.inf
-    mean, scale = conditional_moments(params, ds.x, ds.y, ds.post_gap, spec, x_floor)
+    mean, scale = conditional_moments(params, ds.x, ds.y, ds.post_gap, spec)
     z = (ds.y - mean) / scale
     loglik = -0.5 * np.sum(z * z) - np.sum(np.log(scale)) - 0.5 * z.size * np.log(2.0 * np.pi)
     return float(loglik) + _log_prior(params, spec)
@@ -284,7 +274,7 @@ class LogPosterior:
     b = (1, beta0, beta1) and A_t the 3x3 block whose rows are the lag-0,
     lag-1 and lag-2 values of (y, -1, -x), with missing lags zeroed as in
     conditional_moments. Hence sum_t (u_t / w_t)^2 = v' G v with v = c (x) b
-    and G = sum_t vec(A_t) vec(A_t)' / w_t^2, w_t = max(x_t, x_floor), a 9x9
+    and G = sum_t vec(A_t) vec(A_t)' / w_t^2, w_t = max(x_t, X_FLOOR), a 9x9
     matrix built once; sum_t log(w_t * sigma) = sum_t log w_t + N log sigma.
     The basic model keeps only the lag-0 row (a 3x3 G, w_t = 1).
 
@@ -293,10 +283,10 @@ class LogPosterior:
     line, x as x - x_mean, and b = (1, beta0 + beta1 * x_mean - y_mean,
     beta1 - slope). Near the posterior mode every entry of v is then as
     small as the innovations, so v' G v does not cancel large terms (rows
-    with x below the floor weigh up to 1/x_floor^2 in G).
+    with x below the floor weigh up to 1/X_FLOOR^2 in G).
     """
 
-    def __init__(self, ds: HorizonDataset, spec: ModelSpec, x_floor: float = DEFAULT_X_FLOOR):
+    def __init__(self, ds: HorizonDataset, spec: ModelSpec):
         self.ds = ds
         self.spec = spec
         self._x_mean = float(np.mean(ds.x))
@@ -309,7 +299,7 @@ class LogPosterior:
         n = len(ds)
         self._log_norm = -0.5 * n * math.log(2.0 * math.pi)
         if spec.kind == "hybrid":
-            w = np.maximum(ds.x, x_floor)
+            w = np.maximum(ds.x, X_FLOOR)
             self._log_norm -= float(np.sum(np.log(w)))
             block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / w  # (9, N)
         self._gram = block @ block.T
@@ -337,10 +327,7 @@ def posterior_predictive(
     ds: HorizonDataset,
     spec: ModelSpec,
     seed: int,
-    x_floor: float = DEFAULT_X_FLOOR,
     context: HorizonDataset | None = None,
-    levels: tuple[float, ...] = (0.05, 0.5, 0.95),
-    allow_reset: bool = True,
 ) -> list[PredictiveDistribution]:
     """Posterior-predictive distributions for every row of ds.
 
@@ -359,8 +346,6 @@ def posterior_predictive(
             vt = np.concatenate([tail.valid_times, ds.valid_times])
             post_gap = np.ones(vt.size, dtype=bool)
             post_gap[1:] = np.diff(vt) != np.timedelta64(1, "h")
-    if spec.kind == "hybrid" and not allow_reset and bool(np.any(post_gap)):
-        raise ValueError("lagged residuals unavailable and post-gap reset disallowed")
 
     draws = samples.draws
     n_draws, n_rows = draws.shape[0], x.size
@@ -371,13 +356,13 @@ def posterior_predictive(
     if spec.kind == "hybrid":
         e1, e2 = _lagged(y[None, :] - mean, post_gap)
         mean = mean + draws[:, 2:3] * e1 + draws[:, 3:4] * e2
-        scale = np.maximum(x, x_floor)[None, :] * sigma
+        scale = np.maximum(x, X_FLOOR)[None, :] * sigma
     else:
         scale = np.broadcast_to(sigma, (n_draws, n_rows))
     rng = np.random.default_rng(seed)
     ystar = mean + scale * rng.standard_normal((n_draws, n_rows))
     return [
-        PredictiveDistribution(valid_time=ds.valid_times[i - n_ctx], draws=ystar[:, i], levels=levels)
+        PredictiveDistribution(valid_time=ds.valid_times[i - n_ctx], draws=ystar[:, i])
         for i in range(n_ctx, n_rows)
     ]
 
@@ -394,15 +379,3 @@ def map_sigma(samples: PosteriorSamples) -> float:
     k = int(np.argmax(counts))
     return float(0.5 * (edges[k] + edges[k + 1]))
 
-
-def credible_interval(
-    dist: PredictiveDistribution, levels: tuple[float, ...]
-) -> dict[float, float]:
-    """Empirical quantiles (interpolated order statistics) of the draws."""
-    if dist.draws.size < 2:
-        raise ValueError("need at least two draws")
-    levels = tuple(levels)
-    if any(not 0.0 < lv < 1.0 for lv in levels):
-        raise ValueError("levels must lie in (0, 1)")
-    qs = np.quantile(dist.draws, levels)
-    return {lv: float(q) for lv, q in zip(levels, qs)}

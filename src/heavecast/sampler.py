@@ -33,15 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import HorizonDataset
-from .model import (
-    DEFAULT_X_FLOOR,
-    LogPosterior,
-    ModelSpec,
-    PosteriorSamples,
-    ar2_stationary,
-)
+from .model import X_FLOOR, LogPosterior, ModelSpec, PosteriorSamples, ar2_stationary
 
 __all__ = ["SamplerConfig", "SamplerError", "InitializationError", "fit", "rhat", "ess"]
+
+TARGET_ACCEPTANCE = 0.3  # acceptance rate the warm-up scales adapt towards
+ADAPT_INTERVAL = 50  # warm-up iterations per adaptation window
 
 
 class SamplerError(RuntimeError):
@@ -57,16 +54,11 @@ class SamplerConfig:
     chains: int = 3
     warmup_draws: int = 1000
     retained_draws: int = 1000
-    x_floor: float = DEFAULT_X_FLOOR
-    target_acceptance: float = 0.3
-    adapt_interval: int = 50
     rhat_limit: float = 1.05
 
     def __post_init__(self):
         if self.chains < 1 or self.warmup_draws < 100 or self.retained_draws < 100:
             raise ValueError("need >= 1 chain, >= 100 warmup and retained draws")
-        if not 0.1 <= self.target_acceptance <= 0.6:
-            raise ValueError("target_acceptance out of range")
 
 
 def rhat(chains: np.ndarray) -> float:
@@ -123,7 +115,7 @@ def _initial_point(ds: HorizonDataset, spec: ModelSpec) -> np.ndarray:
     if spec.kind == "basic":
         sigma = max(float(np.std(resid)), 1e-4)
         return np.array([beta0, beta1, sigma])
-    scaled = resid / np.maximum(x, DEFAULT_X_FLOOR)
+    scaled = resid / np.maximum(x, X_FLOOR)
     sigma = max(float(np.std(scaled)), 1e-4)
     return np.array([beta0, beta1, 0.0, 0.0, sigma])
 
@@ -185,10 +177,10 @@ def _run_chain(
                 accepted_since_adapt += 1
         trace[it] = state
         window_count += 1
-        if window_count == cfg.adapt_interval:
+        if window_count == ADAPT_INTERVAL:
             rates = window_accepts / window_count
-            scales *= np.exp(np.clip(2.0 * (rates - cfg.target_acceptance), -1.0, 1.0))
-            if accepted_since_adapt == 0 and it > 2 * cfg.adapt_interval:
+            scales *= np.exp(np.clip(2.0 * (rates - TARGET_ACCEPTANCE), -1.0, 1.0))
+            if accepted_since_adapt == 0 and it > 2 * ADAPT_INTERVAL:
                 raise SamplerError("sampler diverged: no accepted proposal over an adaptation window")
             window_accepts[:] = 0.0
             window_count = 0
@@ -215,9 +207,9 @@ def _run_chain(
             window_joint += 1
         trace[it] = state
         window_count += 1
-        if window_count == cfg.adapt_interval:
+        if window_count == ADAPT_INTERVAL:
             rate = window_joint / window_count
-            log_lam += np.clip(2.0 * (rate - cfg.target_acceptance), -1.0, 1.0)
+            log_lam += np.clip(2.0 * (rate - TARGET_ACCEPTANCE), -1.0, 1.0)
             chol = proposal_chol(trace[phase1 // 2 : it + 1])
             window_joint = 0
             window_count = 0
@@ -256,7 +248,7 @@ def fit(
     if len(ds) < 3 + spec.n_params:
         raise ValueError("too few training rows for the parameter count")
     start = _initial_point(ds, spec)
-    log_post = LogPosterior(ds, spec, cfg.x_floor)
+    log_post = LogPosterior(ds, spec)
     streams = np.random.SeedSequence(seed).spawn(cfg.chains)
     per_chain = []
     rates = []

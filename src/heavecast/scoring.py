@@ -39,18 +39,16 @@ class ScoreReport:
             raise ValueError("scores must be nonnegative over at least one row")
 
 
-def rmse(forecast_means: np.ndarray, obs: np.ndarray, *, mse: bool = False) -> float:
+def rmse(forecast_means: np.ndarray, obs: np.ndarray) -> float:
     """Root mean square error of the forecast means.
 
-    Probabilistic forecasts enter via their predictive mean. With mse=True
-    the square root is skipped and the plain mean squared error returned.
+    Probabilistic forecasts enter via their predictive mean.
     """
     f = np.asarray(forecast_means, dtype=float)
     y = np.asarray(obs, dtype=float)
     if f.shape != y.shape or f.size == 0:
         raise ValueError("forecasts and observations must match and be non-empty")
-    m = float(np.mean((f - y) ** 2))
-    return m if mse else float(np.sqrt(m))
+    return float(np.sqrt(np.mean((f - y) ** 2)))
 
 
 def crps_gaussian(mu: float, sigma: float, y: float) -> float:
@@ -91,8 +89,6 @@ def score_table(
     models: dict[str, dict[int, np.ndarray]],
     obs: dict[int, np.ndarray],
     horizons: list[int],
-    *,
-    mse: bool = False,
 ) -> list[ScoreReport]:
     """Evaluate RMSE and mean CRPS per model per horizon.
 
@@ -120,7 +116,7 @@ def score_table(
                 ScoreReport(
                     model_label=label,
                     horizon=h,
-                    rmse=rmse(means, y, mse=mse),
+                    rmse=rmse(means, y),
                     crps_mean=float(np.mean(crps)),
                     n=y.size,
                 )

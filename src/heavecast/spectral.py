@@ -169,12 +169,6 @@ class DirectionalWaveSpectrum:
         object.__setattr__(self, "freq_widths", fw)
         object.__setattr__(self, "dir_widths", dw)
 
-    def surface_m0(self) -> float:
-        """Zeroth moment of the sea surface (m^2); Hs = 4*sqrt(m0)."""
-        return float(
-            np.sum(self.density * self.freq_widths[:, None] * self.dir_widths[None, :])
-        )
-
 
 @dataclass(frozen=True)
 class ResponseStatistics:

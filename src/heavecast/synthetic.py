@@ -219,14 +219,14 @@ def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
     ]
 
 
-def reference_rao(n_points: int = 240) -> RaoCurve:
+def reference_rao() -> RaoCurve:
     """Representative semisubmersible heave RAO for synthetic campaigns.
 
     Morison form with resonance at an 18.5 s period and a tabulated
     excitation ratio that dips towards zero just below resonance, giving
     the characteristic cancellation/resonance pair of a twin-pontoon semi.
     """
-    omega = np.linspace(0.05, 3.5, n_points)
+    omega = np.linspace(0.05, 3.5, 240)
     tab_w = np.linspace(0.04, 3.6, 400)
     dip = 1.0 - 0.92 * np.exp(-0.5 * ((tab_w - 0.255) / 0.02) ** 2)
     rolloff = np.exp(-0.5 * (np.maximum(tab_w - 0.6, 0.0) / 0.5) ** 2)
@@ -255,16 +255,14 @@ def generate_forecast_issues(
     truth_times: np.ndarray,
     truth_sig: np.ndarray,
     inj: ErrorInjection,
-    max_leads: dict[int, int] | None = None,
 ) -> list[ForecastIssue]:
     """Forecast issues at 00/06/12/18Z corrupted per the injection settings.
 
     Each issue reads the truth at (valid time - timing shift), scales it by
     the bias factor and adds the lead-correlated noise; lead caps follow the
-    per-cycle capability table. Values are floored at zero.
+    per-cycle capability table (DEFAULT_MAX_LEADS). Values are floored at
+    zero.
     """
-    if max_leads is None:
-        max_leads = DEFAULT_MAX_LEADS
     times = np.asarray(truth_times, dtype="datetime64[s]")
     sig = np.asarray(truth_sig, dtype=float)
     hours = (times - times[0]) / np.timedelta64(1, "h")
@@ -277,7 +275,7 @@ def generate_forecast_issues(
     day = 0
     while True:
         any_in_span = False
-        for cycle in sorted(max_leads):
+        for cycle in sorted(DEFAULT_MAX_LEADS):
             issue_time = first_day.astype("datetime64[s]") + np.timedelta64(day * 24 + cycle, "h")
             offset_h = float((issue_time - times[0]) / np.timedelta64(1, "h"))
             if offset_h < 0.0:
@@ -286,7 +284,7 @@ def generate_forecast_issues(
             if offset_h > span_h:
                 continue
             any_in_span = True
-            cap = max_leads[cycle]
+            cap = DEFAULT_MAX_LEADS[cycle]
             max_lead = int(min(cap, np.floor(span_h - offset_h)))
             leads = np.arange(max_lead + 1)
             rng = np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(issue_idx,)))

@@ -114,6 +114,16 @@ class TestPipeline:
         assert lines[0] == "timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"
         assert len(lines) == 4
 
+    def test_out_resolves_against_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "manifest").mkdir()
+        (tmp_path / "cwd").mkdir()
+        manifest = write_manifest(tmp_path / "manifest", scenario={"duration_h": 48})
+        monkeypatch.chdir(tmp_path / "cwd")
+        result = run(["simulate", "--manifest", str(manifest), "--out", "elsewhere"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "cwd" / "elsewhere" / "rao.csv").is_file()
+        assert not (tmp_path / "manifest" / "elsewhere").exists()
+
     def test_horizon_override(self, pipeline):
         tmp_path, manifest = pipeline
         result = run(["build", "--manifest", str(manifest), "--horizon", "12"])
@@ -160,6 +170,37 @@ class TestExitCodes:
         result = run(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "issue.csv, line 3: expected 3 cells, found 2" in result.output
+
+    def test_malformed_yaml_is_validation_error(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("out_dir: [\n")
+        result = run(["build", "--manifest", str(path)])
+        assert result.exit_code == 2
+        assert f"{path}: malformed YAML" in result.output
+
+    def test_directory_as_data_file_is_validation_error(self, tmp_path):
+        (tmp_path / "issue.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
+        )
+        manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file=".")
+        result = run(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert "Is a directory" in result.output
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"sampler": {"x_floor": 0.05}}, "unknown manifest sampler keys: ['x_floor']"),
+            ({"sampler": {"target_acceptance": 0.3}}, "unknown manifest sampler keys: ['target_acceptance']"),
+            ({"qa_events_file": "q.csv"}, "unknown manifest keys: ['qa_events_file']"),
+        ],
+    )
+    def test_removed_manifest_keys_are_validation_errors(self, tmp_path, override, message):
+        # the noise floor and the sampler tuning are fixed, and no stage reads QA events
+        manifest = write_manifest(tmp_path, **override)
+        result = run(["fit", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_unconverged_fit_is_numerical_error(self, tmp_path):
         # an unattainable convergence threshold must surface as exit code 3

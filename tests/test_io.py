@@ -1,7 +1,14 @@
+import copy
+import dataclasses
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavecast.datasets import ForecastIssue, HorizonDataset
 from heavecast.io import (
@@ -26,8 +33,10 @@ from heavecast.io import (
 )
 from heavecast.model import PosteriorSamples, PredictiveDistribution, predictive_summaries
 from heavecast.motion import HeaveRecord
+from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport
 from heavecast.spectral import DirectionalWaveSpectrum, RaoCurve
+from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
@@ -299,14 +308,6 @@ class TestPosteriorAndPredictions:
             s = d.summaries
             assert line == ", ".join([str(d.valid_time)] + [f"{s[k]:.10g}" for k in ("mean", "p05", "p50", "p95")])
 
-    def test_mixed_levels_rejected(self, tmp_path):
-        dists = [
-            PredictiveDistribution(valid_time=T0, draws=np.arange(10.0)),
-            PredictiveDistribution(valid_time=T0 + HOUR, draws=np.arange(10.0), levels=(0.1, 0.9)),
-        ]
-        with pytest.raises(ValueError, match="levels"):
-            write_predictions(tmp_path / "pred.csv", dists)
-
     def test_samples_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         samples = PosteriorSamples(
@@ -402,6 +403,7 @@ class TestRunManifest:
             ("issue_files: 5", "issue_files must be a list of paths"),
             ("issue_files: [a.csv, 5]", "issue_files must be a list of paths"),
             ("train_fraction: high", "train_fraction must be a number"),
+            ("7: 1\nbogus: 2", "unknown manifest keys: [7, 'bogus']"),
             ("sampler: 3", "sampler must be a mapping"),
             ("sampler: {chainz: 3}", "unknown manifest sampler keys"),
             ("sampler: {chains: three}", "chains must be an integer"),
@@ -424,7 +426,7 @@ class TestRunManifest:
         manifest = tmp_path / "run.yaml"
         manifest.write_text(
             "out_dir: out\n"
-            "sampler: {chains: 2, warmup_draws: 200, retained_draws: 100, x_floor: 0.02}\n"
+            "sampler: {chains: 2, warmup_draws: 200, retained_draws: 100, rhat_limit: 1.04}\n"
             "injection: {bias_factor: 0.9, noise_scale: 0}\n"
             "scenario:\n"
             "  start: 2024-01-01T06:00:00\n"
@@ -435,3 +437,99 @@ class TestRunManifest:
         m = RunManifest.load(manifest)
         assert m.sampler["chains"] == 2
         assert m.scenario["events"][0]["hs"] == 2
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 5000), st.floats(), st.text(max_size=6)
+)
+# any YAML value: scalars, lists and mappings nested a few levels deep
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_VALID_MANIFEST = {
+    "out_dir": "out",
+    "horizons": [0, 6],
+    "model_kind": "hybrid",
+    "seed": 1,
+    "train_fraction": 0.8,
+    "rao_file": "rao.csv",
+    "issue_files": ["issue.csv"],
+    "sampler": {"chains": 2, "warmup_draws": 200, "retained_draws": 100, "rhat_limit": 1.05},
+    "injection": {"bias_factor": 0.9, "noise_scale": 0.02},
+    "scenario": {
+        "duration_h": 48,
+        "start": "2024-01-01T00:00:00",
+        "measurement_noise": 0.01,
+        "events": [{"arrival_h": 10, "hs": 2.0, "tp": 14.0}],
+    },
+}
+_UNKNOWN_KEYS = ["bogus", 7, None]
+
+
+def _keys(cls, *extra) -> list:
+    return [f.name for f in dataclasses.fields(cls)] + list(extra) + _UNKNOWN_KEYS
+
+
+# every key of the manifest and of its sampler, injection, scenario and
+# event sections, as a path into the manifest mapping
+_KEY_PATHS = (
+    [(k,) for k in _keys(RunManifest)]
+    + [("sampler", k) for k in _keys(SamplerConfig)]
+    + [("injection", k) for k in _keys(ErrorInjection)]
+    + [("scenario", k) for k in _keys(SwellScenario, "measurement_noise")]
+    + [("scenario", "events", 0, k) for k in _keys(SwellEvent)]
+)
+_DELETE = object()
+
+
+def _mutated(edits) -> dict:
+    """The valid manifest with each (key path, value) edit applied in turn;
+    an edit whose parent is no longer a mapping or list is skipped."""
+    raw = copy.deepcopy(_VALID_MANIFEST)
+    for path, value in edits:
+        parent = raw
+        for step in path[:-1]:
+            ok = isinstance(parent, dict) and step in parent
+            ok = ok or (isinstance(parent, list) and isinstance(step, int) and step < len(parent))
+            if not ok:
+                break
+            parent = parent[step]
+        else:
+            if not isinstance(parent, dict):
+                continue
+            if value is _DELETE:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+    return raw
+
+
+_MANIFESTS = st.lists(
+    st.tuples(st.sampled_from(_KEY_PATHS), _VALUES | st.just(_DELETE)), max_size=4
+).map(_mutated)
+
+
+def _load_text(text: str) -> None:
+    """RunManifest.load on a manifest file holding text; it returns or fails
+    with the ValueError/OSError that the CLI maps to exit code 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.yaml"
+        path.write_text(text)
+        try:
+            RunManifest.load(path)
+        except (ValueError, OSError):
+            pass
+
+
+class TestRunManifestFuzz:
+    @given(raw=_MANIFESTS)
+    @settings(max_examples=150, deadline=None)
+    def test_edited_manifests(self, raw):
+        _load_text(yaml.safe_dump(raw, sort_keys=False))
+
+    @given(text=st.text(max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_text(self, text):
+        _load_text(text)

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from heavecast.datasets import HorizonDataset
 from heavecast.model import (
-    DEFAULT_X_FLOOR,
+    X_FLOOR,
     LogPosterior,
     ModelSpec,
     PosteriorSamples,
@@ -12,7 +12,6 @@ from heavecast.model import (
     PriorSet,
     ar2_stationary,
     conditional_moments,
-    credible_interval,
     in_support,
     log_posterior,
     map_sigma,
@@ -107,7 +106,7 @@ class TestConditionalMoments:
         params = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
         ds = make_ds([0.001, 0.5], [0.0, 0.5])
         _, scale = conditional_moments(params, ds.x, ds.y, ds.post_gap, HYBRID)
-        assert scale[0] == pytest.approx(DEFAULT_X_FLOOR)
+        assert scale[0] == pytest.approx(X_FLOOR)
         assert scale[1] == pytest.approx(0.5)
 
 
@@ -173,11 +172,11 @@ class TestLogPosterior:
 
 
 def oracle_dataset(n, seed):
-    """Hourly rows with gaps and some forecasts below DEFAULT_X_FLOOR."""
+    """Hourly rows with gaps and some forecasts below X_FLOOR."""
     rng = np.random.default_rng(seed)
     x = np.abs(1.2 + 0.8 * np.sin(np.arange(n) / 30.0) + 0.3 * rng.standard_normal(n))
-    x[rng.choice(n, max(1, n // 40), replace=False)] = 0.5 * DEFAULT_X_FLOOR
-    y = 0.1 + 0.9 * x + 0.05 * np.maximum(x, DEFAULT_X_FLOOR) * rng.standard_normal(n)
+    x[rng.choice(n, max(1, n // 40), replace=False)] = 0.5 * X_FLOOR
+    y = 0.1 + 0.9 * x + 0.05 * np.maximum(x, X_FLOOR) * rng.standard_normal(n)
     gap_after = set(rng.choice(np.arange(1, n), max(1, n // 100), replace=False).tolist())
     return make_ds(x, y, gap_after=gap_after)
 
@@ -225,12 +224,12 @@ class TestLogPosteriorEvaluator:
                 assert got == pytest.approx(ref, rel=1e-9)
         assert 0 < n_inf < 120
 
-    def test_prior_and_floor_honoured(self):
+    def test_prior_honoured(self):
         spec = ModelSpec(kind="hybrid", priors=PriorSet(beta1_mean=-0.5, beta1_var=0.2, phi_sd=0.3))
         ds = oracle_dataset(200, seed=3)
-        fast = LogPosterior(ds, spec, x_floor=0.05)
+        fast = LogPosterior(ds, spec)
         for params in oracle_params(spec, np.random.default_rng(4), 20):
-            ref = log_posterior(params, ds, spec, x_floor=0.05)
+            ref = log_posterior(params, ds, spec)
             assert fast(params) == (ref if ref == -np.inf else pytest.approx(ref, rel=1e-9))
 
     def test_wrong_length_rejected(self):
@@ -286,12 +285,6 @@ class TestPosteriorPredictive:
         assert with_ctx[0].mean == pytest.approx(1.0 + 0.6 * 0.5, abs=1e-6)
         assert without[0].mean == pytest.approx(1.0, abs=1e-6)
 
-    def test_reset_disallowed_raises(self):
-        samples = point_mass_samples([0.0, 1.0, 0.1, 0.1, 0.1], HYBRID.param_names)
-        ds = make_ds([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            posterior_predictive(samples, ds, HYBRID, seed=0, allow_reset=False)
-
     def test_reproducible(self):
         samples = point_mass_samples([0.1, 1.0, 0.2], BASIC.param_names)
         ds = make_ds([1.0, 2.0], [1.0, 2.0])
@@ -324,29 +317,10 @@ class TestMapSigma:
         assert map_sigma(samples) == 0.5
 
 
-class TestCredibleInterval:
+class TestPredictiveDistribution:
     def test_known_quantiles(self):
         dist = PredictiveDistribution(valid_time=T0, draws=np.arange(1001, dtype=float))
-        ci = credible_interval(dist, (0.05, 0.5, 0.95))
-        assert ci[0.05] == pytest.approx(50.0)
-        assert ci[0.5] == pytest.approx(500.0)
-        assert ci[0.95] == pytest.approx(950.0)
-
-    def test_level_validation(self):
-        dist = PredictiveDistribution(valid_time=T0, draws=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            credible_interval(dist, (0.0, 0.5))
-        with pytest.raises(ValueError):
-            credible_interval(dist, (0.5, 1.0))
-
-    def test_summaries_match(self):
-        rng = np.random.default_rng(4)
-        dist = PredictiveDistribution(valid_time=T0, draws=rng.standard_normal(2000))
-        s = dist.summaries
-        ci = credible_interval(dist, (0.05, 0.5, 0.95))
-        assert s["p05"] == pytest.approx(ci[0.05])
-        assert s["p50"] == pytest.approx(ci[0.5])
-        assert s["p95"] == pytest.approx(ci[0.95])
+        assert dist.summaries == pytest.approx({"mean": 500.0, "p05": 50.0, "p50": 500.0, "p95": 950.0})
 
 
 class TestDiagStats:

@@ -38,9 +38,6 @@ class TestRmse:
     def test_known_value(self):
         assert rmse(np.array([1.0, 2.0]), np.array([0.0, 4.0])) == pytest.approx(np.sqrt(2.5))
 
-    def test_mse_flag(self):
-        assert rmse(np.array([1.0, 2.0]), np.array([0.0, 4.0]), mse=True) == pytest.approx(2.5)
-
     def test_perfect(self):
         assert rmse(np.ones(5), np.ones(5)) == 0.0
 
