@@ -7,7 +7,7 @@ noise scale proportional to the physics forecast, and forecasts are scored
 with proper scoring rules (RMSE, CRPS).
 """
 
-from .datasets import ForecastIssue, HorizonDataset, align, chrono_split, synthesize_horizon_series
+from .datasets import ForecastIssue, HorizonDataset, HorizonSeries, align, chrono_split, synthesize_horizon_series
 from .model import (
     ModelSpec,
     PosteriorSamples,
@@ -26,6 +26,7 @@ from .spectral import (
     MorisonRaoParams,
     RaoCurve,
     ResponseStatistics,
+    SpectrumSeries,
     interpolate_spectrum_to_rao_grid,
     morison_rao,
     response_moments,

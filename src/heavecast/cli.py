@@ -248,6 +248,10 @@ def simulate(spectra_hours, **kwargs):
 
     issues = synthetic.generate_forecast_issues(times, sig, inj)
     issue_dir = m.out_dir / "issues"
+    # simulate owns issues/: build reads every issue file there, so none may
+    # survive from an earlier campaign
+    for stale in issue_dir.glob("issue_*.csv"):
+        stale.unlink()
     for i, issue in enumerate(issues):
         io.write_forecast_issue(issue_dir / f"issue_{i:04d}.csv", issue)
     io.write_rao(m.out_dir / "rao.csv", rao)
@@ -261,8 +265,7 @@ def _scenario_from(m: io.RunManifest) -> synthetic.SwellScenario:
     raw = dict(m.scenario)
     raw.pop("measurement_noise", None)
     events = tuple(synthetic.SwellEvent(**e) for e in raw.pop("events", []))
-    raw.setdefault("start", "2024-06-01T00:00:00")
-    raw["start"] = np.datetime64(str(raw["start"]).removesuffix("Z"), "s")
+    raw.setdefault("start", np.datetime64("2024-06-01T00:00:00", "s"))
     return synthetic.SwellScenario(events=events, seed=m.seed, **raw)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "ForecastIssue",
     "HorizonDataset",
+    "HorizonSeries",
     "DEFAULT_MAX_LEADS",
     "DEFAULT_HORIZONS",
     "synthesize_horizon_series",
@@ -108,9 +109,32 @@ class HorizonDataset:
         )
 
 
-def synthesize_horizon_series(
-    issues: list[ForecastIssue], h: int
-) -> list[tuple[np.datetime64, float, np.datetime64]]:
+@dataclass(frozen=True)
+class HorizonSeries:
+    """A fixed-horizon forecast series, one row per valid time in time order.
+
+    Iterating yields (valid_time, value, issue_time) tuples.
+    """
+
+    valid_times: np.ndarray  # datetime64[s]
+    values: np.ndarray  # m
+    issue_times: np.ndarray  # datetime64[s]
+
+    def __post_init__(self):
+        object.__setattr__(self, "valid_times", np.asarray(self.valid_times, dtype="datetime64[s]"))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "issue_times", np.asarray(self.issue_times, dtype="datetime64[s]"))
+        if not self.valid_times.shape == self.values.shape == self.issue_times.shape == (self.valid_times.size,):
+            raise ValueError("valid_times, values and issue_times must be matching 1-d arrays")
+
+    def __len__(self) -> int:
+        return self.valid_times.size
+
+    def __iter__(self):
+        return zip(self.valid_times, self.values.tolist(), self.issue_times)
+
+
+def synthesize_horizon_series(issues: list[ForecastIssue], h: int) -> HorizonSeries:
     """Continuous hourly forecast series at fixed horizon h.
 
     Issues are admitted for horizon h only when their cycle's maximum lead
@@ -123,7 +147,8 @@ def synthesize_horizon_series(
     is missing are simply absent: gaps are recorded by omission, never
     interpolated from an older issue.
 
-    Returns (valid_time, forecast value, issue_time) tuples in time order.
+    Where windows overlap, the issue latest in issue-time order (the later
+    one in the input among equal issue times) wins.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
@@ -132,43 +157,52 @@ def synthesize_horizon_series(
         (i for i in issues if DEFAULT_MAX_LEADS.get(i.cycle_hour, 0) >= h + block - 1),
         key=lambda i: i.issue_time,
     )
-    out = []
+    if not admitted:
+        return HorizonSeries(valid_times=[], values=[], issue_times=[])
+    # an issue's leads are sorted, so its window [h, h + block) is one slice
+    parts = []
     for issue in admitted:
-        for lead in range(h, h + block):
-            pos = np.searchsorted(issue.horizon_hours, lead)
-            if pos >= issue.horizon_hours.size or issue.horizon_hours[pos] != lead:
-                continue
-            out.append((issue.issue_time + lead * HOUR, float(issue.values[pos]), issue.issue_time))
-    # most recent issue wins where windows overlap; later issues overwrite
-    by_time = {vt: (x, it) for vt, x, it in out}
-    return [(vt, x, it) for vt, (x, it) in sorted(by_time.items())]
+        lo, hi = np.searchsorted(issue.horizon_hours, (h, h + block))
+        leads = issue.horizon_hours[lo:hi]
+        parts.append((issue.issue_time + leads * HOUR, issue.values[lo:hi], np.full(leads.size, issue.issue_time)))
+    valid_times, values, issue_times = (np.concatenate(column) for column in zip(*parts))
+    # the most recent issue wins: the last row of each valid time after a stable sort
+    order = np.argsort(valid_times, kind="stable")
+    valid_times = valid_times[order]
+    last = np.ones(valid_times.size, dtype=bool)
+    last[:-1] = valid_times[1:] != valid_times[:-1]
+    return HorizonSeries(
+        valid_times=valid_times[last], values=values[order][last], issue_times=issue_times[order][last]
+    )
 
 
-def align(
-    forecast_series: list[tuple[np.datetime64, float, np.datetime64]],
-    measurements,
-    horizon: int,
-) -> HorizonDataset:
-    """Inner-join the horizon forecast series with QA-valid measurements."""
-    meas = {
-        np.datetime64(m.timestamp, "s"): float(m.sig_heave)
-        for m in measurements
-        if m.valid
-    }
-    rows = [
-        (np.datetime64(vt, "s"), x, meas[np.datetime64(vt, "s")], np.datetime64(it, "s"))
-        for vt, x, it in forecast_series
-        if np.datetime64(vt, "s") in meas
-    ]
-    if not rows:
+def align(forecast_series, measurements, horizon: int) -> HorizonDataset:
+    """Inner-join the horizon forecast series with QA-valid measurements.
+
+    forecast_series is a HorizonSeries or (valid_time, value, issue_time)
+    rows; rows keep their order. Where several valid measurements share a
+    timestamp, the last one counts.
+    """
+    if not isinstance(forecast_series, HorizonSeries):
+        rows = list(forecast_series)
+        vt, x, it = zip(*rows) if rows else ((), (), ())
+        forecast_series = HorizonSeries(valid_times=vt, values=x, issue_times=it)
+    valid = [m for m in measurements if m.valid]
+    meas_times = np.array([m.timestamp for m in valid], dtype="datetime64[s]")
+    meas_values = np.array([float(m.sig_heave) for m in valid])
+    order = np.argsort(meas_times, kind="stable")
+    meas_times, meas_values = meas_times[order], meas_values[order]
+    idx = np.searchsorted(meas_times, forecast_series.valid_times, side="right") - 1
+    hit = idx >= 0
+    hit[hit] = meas_times[idx[hit]] == forecast_series.valid_times[hit]
+    if not hit.any():
         raise ValueError("forecast series and measurements share no valid times")
-    vt, x, y, it = zip(*rows)
     return HorizonDataset(
         horizon=horizon,
-        valid_times=np.array(vt, dtype="datetime64[s]"),
-        x=np.array(x),
-        y=np.array(y),
-        issue_times=np.array(it, dtype="datetime64[s]"),
+        valid_times=forecast_series.valid_times[hit],
+        x=forecast_series.values[hit],
+        y=meas_values[idx[hit]],
+        issue_times=forecast_series.issue_times[hit],
     )
 
 

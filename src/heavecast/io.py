@@ -10,10 +10,13 @@ the target directory, then rename.
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from .model import QUANTILE_LEVELS, PosteriorSamples, predictive_summaries
 from .motion import HeaveRecord, RawMotionSeries
 from .sampler import SamplerConfig
 from .scoring import ScoreReport
-from .spectral import DirectionalWaveSpectrum, RaoCurve, midpoint_widths
+from .spectral import RaoCurve, SpectrumSeries
 from .synthetic import ErrorInjection, SwellEvent, SwellScenario
 
 __all__ = [
@@ -75,33 +78,45 @@ def _parse_times(cells) -> np.ndarray:
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header cells and data rows; every row must have the header's cell count."""
-    lines = [(n, ln) for n, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
-    if not lines:
+    """Header cells and the data cells column by column.
+
+    Blank lines are skipped; every other row must have the header's cell
+    count, or a ValueError names the file and the line.
+    """
+    lines = Path(path).read_text().splitlines()
+    top = next((n for n, ln in enumerate(lines) if ln.strip()), None)
+    if top is None:
         raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0][1].split(",")]
-    rows = []
-    for n, ln in lines[1:]:
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != len(header):
-            raise ValueError(f"{path}, line {n}: expected {len(header)} cells, found {len(cells)}")
-        rows.append(cells)
-    return header, rows
+    header = [c.strip() for c in lines[top].split(",")]
+    body = lines[top + 1:]
+    commas = len(header) - 1
+    if not commas or set(map(str.count, body, repeat(","))) != {commas}:
+        # blank lines (a one-column row looks like one) or a row of the wrong width
+        kept = []
+        for n, ln in enumerate(body, top + 2):
+            if ln.strip():
+                if ln.count(",") != commas:
+                    raise ValueError(f"{path}, line {n}: expected {len(header)} cells, found {ln.count(',') + 1}")
+                kept.append(ln)
+        body = kept
+    cells = ",".join(body).split(",") if body else []
+    return header, [list(map(str.strip, cells[j::len(header)])) for j in range(len(header))]
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
-    header, rows = _read_table(path)
+def _read_columns(path: Path, expected_header: list[str]) -> list[list[str]]:
+    """The data cells column by column, for a file with the expected header."""
+    header, columns = _read_table(path)
     if header != expected_header:
         raise ValueError(f"{path}: expected header {expected_header}, found {header}")
-    return rows
+    return columns
 
 
 # -- RAO ---------------------------------------------------------------------
 
 def read_rao(path: Path) -> RaoCurve:
-    rows = _read_rows(path, ["freq_hz", "amplitude"])
-    freqs_hz = np.array([float(r[0]) for r in rows])
-    amps = np.array([float(r[1]) for r in rows])
+    freq_col, amp_col = _read_columns(path, ["freq_hz", "amplitude"])
+    freqs_hz = np.array(freq_col, dtype=float)
+    amps = np.array(amp_col, dtype=float)
     return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
 
 
@@ -114,21 +129,23 @@ def write_rao(path: Path, rao: RaoCurve) -> None:
 
 # -- directional spectra -----------------------------------------------------
 
-def read_spectra(path: Path) -> list[DirectionalWaveSpectrum]:
+def read_spectra(path: Path) -> SpectrumSeries:
     """Long-format spectrum file covering one or more timestamps.
 
     The (freq, dir) grid must be identical for every timestamp; the density
     column is m^2 s per degree of direction (per-Hz, per-deg) and is
     converted to the per-rad/s, per-rad convention used internally.
     """
-    rows = _read_rows(path, ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"])
-    if not rows:
+    time_col, freq_col, dir_col, density_col = _read_columns(
+        path, ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
+    )
+    if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
     by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for stamp, r in zip(_parse_times(r[0] for r in rows), rows):
-        by_time.setdefault(stamp, []).append((float(r[1]), float(r[2]), float(r[3])))
+    for stamp, f, d, v in zip(_parse_times(time_col), freq_col, dir_col, density_col):
+        by_time.setdefault(stamp, []).append((float(f), float(d), float(v)))
 
-    spectra = []
+    densities = []
     grid_key = None
     for stamp in sorted(by_time):
         entries = by_time[stamp]
@@ -146,28 +163,24 @@ def read_spectra(path: Path) -> list[DirectionalWaveSpectrum]:
         density = np.zeros((freqs_hz.size, dirs_deg.size))
         for f, d, v in entries:
             density[fi[f], di[d]] = v
+        densities.append(density)
+    return SpectrumSeries(
+        times=sorted(by_time),
+        freqs=TWO_PI * freqs_hz,
+        dirs=np.deg2rad(dirs_deg),
         # per-Hz per-deg  ->  per-(rad/s) per-rad
-        density *= (1.0 / TWO_PI) * (180.0 / np.pi)
-        spectra.append(
-            DirectionalWaveSpectrum(
-                timestamp=stamp,
-                freqs=TWO_PI * freqs_hz,
-                dirs=np.deg2rad(dirs_deg),
-                density=density,
-            )
-        )
-    return spectra
+        density=np.array(densities) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
+    )
 
 
-def write_spectra(path: Path, spectra: list[DirectionalWaveSpectrum]) -> None:
+def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
     lines = ["timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg"]
-    for spec in spectra:
-        freqs_hz = spec.freqs / TWO_PI
-        dirs_deg = np.rad2deg(spec.dirs)
-        density = spec.density * TWO_PI * (np.pi / 180.0)
+    freqs_hz = spectra.freqs / TWO_PI
+    dirs_deg = np.rad2deg(spectra.dirs)
+    for stamp, density in zip(spectra.times, spectra.density * TWO_PI * (np.pi / 180.0)):
         for i, f in enumerate(freqs_hz):
             for j, d in enumerate(dirs_deg):
-                lines.append(f"{spec.timestamp}, {_fmt(f)}, {_fmt(d)}, {_fmt(density[i, j])}")
+                lines.append(f"{stamp}, {_fmt(f)}, {_fmt(d)}, {_fmt(density[i, j])}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -175,31 +188,28 @@ def write_spectra(path: Path, spectra: list[DirectionalWaveSpectrum]) -> None:
 
 def read_motion_series(path: Path) -> RawMotionSeries:
     """Uniformly sampled heave displacement, `timestamp_utc, heave_m`."""
-    rows = _read_rows(path, ["timestamp_utc", "heave_m"])
-    if len(rows) < 2:
+    time_col, value_col = _read_columns(path, ["timestamp_utc", "heave_m"])
+    if len(time_col) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    times = _parse_times(r[0] for r in rows).astype("datetime64[ms]")
+    times = _parse_times(time_col).astype("datetime64[ms]")
     steps = np.diff(times) / np.timedelta64(1, "s")
     if np.ptp(steps) > 1e-9 or steps[0] <= 0:
         raise ValueError(f"{path}: samples must be uniform in time")
-    values = np.array([float(r[1]) for r in rows])
+    values = np.array(value_col, dtype=float)
     return RawMotionSeries(start=times[0], sample_rate=1.0 / float(steps[0]), values=values)
 
 
 def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64], str]]:
-    rows = _read_rows(path, ["start_utc", "end_utc", "reason"])
-    starts = _parse_times(r[0] for r in rows)
-    ends = _parse_times(r[1] for r in rows)
-    return [((a, b), r[2]) for a, b, r in zip(starts, ends, rows)]
+    start_col, end_col, reasons = _read_columns(path, ["start_utc", "end_utc", "reason"])
+    return [((a, b), r) for a, b, r in zip(_parse_times(start_col), _parse_times(end_col), reasons)]
 
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
-    rows = _read_rows(path, ["timestamp_utc", "sig_heave_m", "valid"])
+    time_col, sig_col, valid_col = _read_columns(path, ["timestamp_utc", "sig_heave_m", "valid"])
     out = []
-    for stamp, r in zip(_parse_times(r[0] for r in rows), rows):
-        valid = r[2].lower() == "true"
-        sig = float(r[1]) if valid else np.nan
-        out.append(HeaveRecord(timestamp=stamp, sig_heave=sig, valid=valid))
+    for stamp, sig, flag in zip(_parse_times(time_col), sig_col, valid_col):
+        valid = flag.lower() == "true"
+        out.append(HeaveRecord(timestamp=stamp, sig_heave=float(sig) if valid else np.nan, valid=valid))
     return out
 
 
@@ -214,34 +224,36 @@ def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
 # -- forecast issues and horizon datasets ------------------------------------
 
 def read_forecast_issue(path: Path) -> ForecastIssue:
-    rows = _read_rows(path, ["issue_time_utc", "valid_time_utc", "sig_heave_m"])
-    if not rows:
+    issue_col, valid_col, value_col = _read_columns(path, ["issue_time_utc", "valid_time_utc", "sig_heave_m"])
+    if not issue_col:
         raise ValueError(f"{path}: empty forecast issue")
-    issue_col, valid_col, value_col = zip(*rows)
-    issue_times = _parse_times(issue_col)
+    # every row repeats the issue time: parse each distinct spelling once
+    issue_times = _parse_times(set(issue_col))
     issue_time = issue_times[0]
     if np.any(issue_times != issue_time):
         raise ValueError(f"{path}: multiple issue times in one file")
     leads = ((_parse_times(valid_col) - issue_time) / np.timedelta64(1, "h")).astype(int)
-    values = np.array([float(v) for v in value_col])
+    values = np.array(value_col, dtype=float)
     return ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values)
 
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
-    valid = np.datetime_as_string(issue.issue_time + issue.horizon_hours * np.timedelta64(1, "h"))
+    valid = np.datetime_as_string(issue.issue_time + issue.horizon_hours * np.timedelta64(1, "h")).tolist()
+    issued = f"{issue.issue_time}, "
     lines = ["issue_time_utc, valid_time_utc, sig_heave_m"]
-    lines += [f"{issue.issue_time}, {vt}, {v:.10g}" for vt, v in zip(valid, issue.values.tolist())]
+    lines += [f"{issued}{vt}, {v:.10g}" for vt, v in zip(valid, issue.values.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
-    rows = _read_rows(path, ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"])
-    valid_col, x_col, y_col, issue_col, _ = zip(*rows) if rows else ((),) * 5
+    valid_col, x_col, y_col, issue_col, _ = _read_columns(
+        path, ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
+    )
     return HorizonDataset(
         horizon=horizon,
         valid_times=_parse_times(valid_col),
-        x=np.array([float(v) for v in x_col]),
-        y=np.array([float(v) for v in y_col]),
+        x=np.array(x_col, dtype=float),
+        y=np.array(y_col, dtype=float),
         issue_times=_parse_times(issue_col),
     )
 
@@ -272,14 +284,15 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
 
 
 def read_posterior_samples(path: Path) -> PosteriorSamples:
-    header, rows = _read_table(path)
+    header, columns = _read_table(path)
     if header[0] != "chain":
         raise ValueError(f"{path}: expected a 'chain' column first")
-    if not rows:
+    if not columns[0]:
         raise ValueError(f"{path}: no posterior draws")
     names = tuple(header[1:])
-    chain_ids = [int(r[0]) for r in rows]
-    draws = [[float(c) for c in r[1:]] for r in rows]
+    chain_ids = [int(c) for c in columns[0]]
+    # (n_draws, n_params), row-major like the draws fit wrote
+    draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
     sidecar_path = Path(str(path) + ".diag.json")
     diagnostics, acceptance = {}, float("nan")
     if sidecar_path.exists():
@@ -287,7 +300,7 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
         diagnostics = meta.get("parameters", {})
         acceptance = meta.get("acceptance_rate", float("nan"))
     return PosteriorSamples(
-        draws=np.array(draws),
+        draws=draws,
         param_names=names,
         chain_ids=np.array(chain_ids),
         diagnostics=diagnostics,
@@ -324,17 +337,26 @@ _FIELD_TYPES = {
     "str": ((str,), "a string"),
     "Path": ((str,), "a path"),
     "Path | None": ((str, type(None)), "a path"),
+    # YAML reads an unquoted ISO-8601 time as a timestamp
+    "str | date": ((str, datetime.date), "an ISO-8601 time"),
 }
 
+# libyaml's loader when PyYAML was built with it, else the pure-Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-def _check_section(what: str, raw, cls, skip=frozenset(), extra=frozenset()) -> None:
+_ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?")
+
+
+def _check_section(what: str, raw, cls, skip=frozenset(), extra=None) -> None:
     """A manifest mapping must set every field of cls without a default and
-    may set the others, less skip and plus extra; int, float and dict fields
-    must hold values of that type."""
+    may set the others, less skip, and the keys of extra, which maps each to
+    its type annotation; int, float, dict, str and path values must have
+    that type."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a mapping, found {raw!r}")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
-    unknown = set(raw) - set(fields) - set(extra)
+    types = {name: f.type for name, f in fields.items()} | (extra or {})
+    unknown = set(raw) - set(types)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     missing = [
@@ -344,9 +366,19 @@ def _check_section(what: str, raw, cls, skip=frozenset(), extra=frozenset()) -> 
     if missing:
         raise ValueError(f"{what} must set {missing}")
     for key, value in raw.items():
-        typed = _FIELD_TYPES.get(getattr(fields.get(key), "type", None))
+        typed = _FIELD_TYPES.get(types[key])
         if typed and (isinstance(value, bool) or not isinstance(value, typed[0])):
             raise ValueError(f"{what} key {key} must be {typed[1]}, found {value!r}")
+
+
+def _iso_time(value) -> np.datetime64:
+    """An ISO-8601 string (date, optional time, optional Z) or a YAML
+    timestamp, as a UTC datetime64[s]."""
+    if isinstance(value, datetime.datetime) and value.tzinfo is not None:
+        value = value.astimezone(datetime.timezone.utc).replace(tzinfo=None)
+    if isinstance(value, str) and not _ISO_TIME.fullmatch(value):
+        raise ValueError(f"{value!r} is not an ISO-8601 time")
+    return np.datetime64(value.removesuffix("Z") if isinstance(value, str) else value, "s")
 
 
 @dataclass
@@ -369,7 +401,7 @@ class RunManifest:
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
         try:
-            raw = yaml.safe_load(Path(path).read_text()) or {}
+            raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: malformed YAML: {exc}") from exc
         _check_section("manifest", raw, cls)
@@ -383,8 +415,13 @@ class RunManifest:
             scenario = raw["scenario"]
             _check_section(
                 "manifest scenario", scenario, SwellScenario,
-                skip={"seed", "start"}, extra={"start", "measurement_noise"},
+                skip={"seed", "start"}, extra={"start": "str | date", "measurement_noise": "float"},
             )
+            if "start" in scenario:
+                try:
+                    scenario["start"] = _iso_time(scenario["start"])
+                except ValueError as exc:
+                    raise ValueError(f"manifest scenario key start: {exc}") from exc
             events = scenario.get("events", [])
             if not isinstance(events, list):
                 raise ValueError("manifest scenario events must be a list")

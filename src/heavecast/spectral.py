@@ -9,7 +9,7 @@ damping-to-restoring ratio are known.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +18,7 @@ __all__ = [
     "RaoCurve",
     "MorisonRaoParams",
     "DirectionalWaveSpectrum",
+    "SpectrumSeries",
     "ResponseStatistics",
     "morison_rao",
     "interpolate_spectrum_to_rao_grid",
@@ -128,6 +129,32 @@ class MorisonRaoParams:
         return np.interp(freqs, f, v)
 
 
+def _checked_grid(freqs, dirs, density, freq_widths, dir_widths, n_times=None):
+    """Grid and density as float arrays, after the checks both spectrum
+    types make; density is (n_freqs, n_dirs), or (n_times, n_freqs, n_dirs)
+    when n_times is given. Absent widths are the grid's midpoint widths."""
+    freqs = np.asarray(freqs, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    density = np.asarray(density, dtype=float)
+    fw = midpoint_widths(freqs) if freq_widths is None else np.asarray(freq_widths, dtype=float)
+    dw = midpoint_widths(dirs) if dir_widths is None else np.asarray(dir_widths, dtype=float)
+    if np.any(np.diff(freqs) <= 0.0):
+        raise ValueError("frequencies must be strictly increasing")
+    if np.any(np.diff(dirs) <= 0.0) or np.any(dirs < 0.0) or np.any(dirs >= 2.0 * np.pi):
+        raise ValueError("directions must be strictly increasing in [0, 2*pi)")
+    if n_times is None and density.shape != (freqs.size, dirs.size):
+        raise ValueError("density must be shaped (n_freqs, n_dirs)")
+    if n_times is not None and density.shape != (n_times, freqs.size, dirs.size):
+        raise ValueError("density must be shaped (n_times, n_freqs, n_dirs)")
+    if np.any(density < 0.0) or not np.all(np.isfinite(density)):
+        raise ValueError("density must be finite and nonnegative")
+    if fw.shape != freqs.shape or dw.shape != dirs.shape:
+        raise ValueError("bin width count must match bin center count")
+    if np.any(fw <= 0.0) or np.any(dw <= 0.0):
+        raise ValueError("bin widths must be positive")
+    return freqs, dirs, density, fw, dw
+
+
 @dataclass(frozen=True)
 class DirectionalWaveSpectrum:
     """Directional spectral density on a frequency x direction grid.
@@ -145,29 +172,54 @@ class DirectionalWaveSpectrum:
     dir_widths: np.ndarray = None
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        dirs = np.asarray(self.dirs, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        fw = midpoint_widths(freqs) if self.freq_widths is None else np.asarray(self.freq_widths, dtype=float)
-        dw = midpoint_widths(dirs) if self.dir_widths is None else np.asarray(self.dir_widths, dtype=float)
-        if np.any(np.diff(freqs) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing")
-        if np.any(np.diff(dirs) <= 0.0) or np.any(dirs < 0.0) or np.any(dirs >= 2.0 * np.pi):
-            raise ValueError("directions must be strictly increasing in [0, 2*pi)")
-        if density.shape != (freqs.size, dirs.size):
-            raise ValueError("density must be shaped (n_freqs, n_dirs)")
-        if np.any(density < 0.0) or not np.all(np.isfinite(density)):
-            raise ValueError("density must be finite and nonnegative")
-        if fw.shape != freqs.shape or dw.shape != dirs.shape:
-            raise ValueError("bin width count must match bin center count")
-        if np.any(fw <= 0.0) or np.any(dw <= 0.0):
-            raise ValueError("bin widths must be positive")
+        grid = _checked_grid(self.freqs, self.dirs, self.density, self.freq_widths, self.dir_widths)
         object.__setattr__(self, "timestamp", np.datetime64(self.timestamp, "s"))
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "dirs", dirs)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "freq_widths", fw)
-        object.__setattr__(self, "dir_widths", dw)
+        for name, value in zip(("freqs", "dirs", "density", "freq_widths", "dir_widths"), grid):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True)
+class SpectrumSeries:
+    """Directional spectra of many timestamps on one frequency x direction grid.
+
+    density is (times, freqs, dirs), in the units of DirectionalWaveSpectrum;
+    the grid and the whole density array are checked once, by the same rules.
+    series[k] is the spectrum at times[k] and series[a:b] a shorter series.
+    """
+
+    times: np.ndarray  # datetime64[s]
+    freqs: np.ndarray
+    dirs: np.ndarray
+    density: np.ndarray
+    freq_widths: np.ndarray = None
+    dir_widths: np.ndarray = None
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype="datetime64[s]")
+        if times.ndim != 1:
+            raise ValueError("times must be a 1-d array")
+        grid = _checked_grid(self.freqs, self.dirs, self.density, self.freq_widths, self.dir_widths, times.size)
+        object.__setattr__(self, "times", times)
+        for name, value in zip(("freqs", "dirs", "density", "freq_widths", "dir_widths"), grid):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return dataclasses.replace(self, times=self.times[key], density=self.density[key])
+        return DirectionalWaveSpectrum(
+            timestamp=self.times[key],
+            freqs=self.freqs,
+            dirs=self.dirs,
+            density=self.density[key],
+            freq_widths=self.freq_widths,
+            dir_widths=self.dir_widths,
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -267,32 +319,21 @@ def response_statistics(
     return ResponseStatistics(timestamp=spec.timestamp, m0=m0, m2=m2)
 
 
-def response_moments(
-    spectra: Sequence[DirectionalWaveSpectrum], rao: RaoCurve
-) -> tuple[np.ndarray, np.ndarray]:
-    """Response moments m0 and m2 of many spectra sharing one grid.
+def response_moments(series: SpectrumSeries, rao: RaoCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Response moments m0 and m2 of every spectrum of a series.
 
     Equal to response_statistics per spectrum (the reference), computed
     array-at-a-time. Interpolation onto the RAO grid and the moment sum are
     both linear in the density, so sum_{w,theta} w^i |RAO|^2 S Dw Dtheta
     over the re-gridded spectrum equals (S @ Dtheta) @ P^T (w^i |RAO|^2 Dw),
     with P the zero-extended linear interpolation matrix from the spectrum
-    frequencies to the RAO grid. Only the (spectra, freqs) omnidirectional
+    frequencies to the RAO grid. Only the (times, freqs) omnidirectional
     densities are formed, never a spectrum on the RAO grid; the summation
     order differs from the reference, so results agree to rounding.
     """
-    if not spectra:
-        return np.empty(0), np.empty(0)
-    grid = spectra[0]
-    if (
-        any(s.density.shape != grid.density.shape for s in spectra)
-        or np.any(np.array([s.freqs for s in spectra]) != grid.freqs)
-        or np.any(np.array([s.dir_widths for s in spectra]) != grid.dir_widths)
-    ):
-        raise ValueError("spectra must share one frequency/direction grid")
-    omni = np.array([s.density @ grid.dir_widths for s in spectra])
+    omni = series.density @ series.dir_widths
     interp = np.column_stack(
-        [np.interp(rao.freqs, grid.freqs, unit, left=0.0, right=0.0) for unit in np.eye(grid.freqs.size)]
+        [np.interp(rao.freqs, series.freqs, unit, left=0.0, right=0.0) for unit in np.eye(series.freqs.size)]
     )
     widths = midpoint_widths(rao.freqs)
     weights = np.column_stack([rao.freqs**order * rao.amplitudes**2 * widths for order in (0, 2)])

@@ -17,9 +17,10 @@ import numpy as np
 from .datasets import DEFAULT_MAX_LEADS, ForecastIssue
 from .model import ar2_stationary
 from .spectral import (
-    DirectionalWaveSpectrum,
     MorisonRaoParams,
     RaoCurve,
+    SpectrumSeries,
+    midpoint_widths,
     morison_rao,
     response_moments,
 )
@@ -155,7 +156,7 @@ def _energy_scale(hs, total: float):
     return np.ones(np.shape(hs)) if total == 0.0 else (hs / 4.0) ** 2 / total
 
 
-def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
+def generate_spectra(scn: SwellScenario) -> SpectrumSeries:
     """Hourly directional spectra over the scenario span.
 
     Each event contributes a narrow Gaussian swell peak whose Hs follows an
@@ -173,8 +174,6 @@ def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
     makes (the reference in tests/test_synthetic.py), equal to it within
     rounding of the squares.
     """
-    from .spectral import midpoint_widths
-
     freqs_hz = FORECAST_FREQS_HZ
     omega = 2.0 * np.pi * freqs_hz
     dirs = FORECAST_DIRS_RAD
@@ -202,21 +201,17 @@ def generate_spectra(scn: SwellScenario) -> list[DirectionalWaveSpectrum]:
     for ev in scn.events:
         dt = hours - ev.arrival_h
         hs_t = ev.hs * np.exp(np.where(dt < 0, dt / ev.rise_h, -dt / ev.decay_h))
-        active = hs_t >= 1e-6
+        # hs_t rises to the peak and then decays, so its active hours are one run
+        active = np.flatnonzero(hs_t >= 1e-6)
+        if not active.size:
+            continue
+        on = slice(active[0], active[-1] + 1)
         shape, total = _peak_shape(freqs_hz, dirs, fw, dw, ev.tp, ev.direction, ev.spread_exp, ev.bandwidth_hz)
-        density[active] += shape * _energy_scale(hs_t[active], total)[:, None, None]
+        density[on] += shape * _energy_scale(hs_t[on], total)[:, None, None]
     density *= (jitter**2)[:, None, None]  # Hs scales with sqrt(energy)
-    return [
-        DirectionalWaveSpectrum(
-            timestamp=scn.start + k * HOUR,
-            freqs=omega,
-            dirs=dirs,
-            density=density[k],
-            freq_widths=fw,
-            dir_widths=dw,
-        )
-        for k in range(scn.duration_h)
-    ]
+    return SpectrumSeries(
+        times=scn.start + hours * HOUR, freqs=omega, dirs=dirs, density=density, freq_widths=fw, dir_widths=dw
+    )
 
 
 def reference_rao() -> RaoCurve:
@@ -238,17 +233,14 @@ def reference_rao() -> RaoCurve:
     return morison_rao(params, omega, label="reference semisubmersible")
 
 
-def true_response_series(
-    spectra: list[DirectionalWaveSpectrum], rao: RaoCurve
-) -> tuple[np.ndarray, np.ndarray]:
+def true_response_series(spectra: SpectrumSeries, rao: RaoCurve) -> tuple[np.ndarray, np.ndarray]:
     """Significant heave response of the true sea states: (times, 2*sqrt(m0)).
 
     m0 comes from spectral.response_moments over all hours at once; a loop
     of spectral.response_statistics is the reference it matches to rounding.
     """
-    times = np.array([s.timestamp for s in spectra], dtype="datetime64[s]")
     m0, _ = response_moments(spectra, rao)
-    return times, 2.0 * np.sqrt(m0)
+    return spectra.times, 2.0 * np.sqrt(m0)
 
 
 def generate_forecast_issues(
@@ -262,49 +254,52 @@ def generate_forecast_issues(
     the bias factor and adds the lead-correlated noise; lead caps follow the
     per-cycle capability table (DEFAULT_MAX_LEADS). Values are floored at
     zero.
+
+    The cycle slots are numbered from 00Z of the first day, and slot k
+    draws its noise from its own stream, spawn key (k,) of the injection
+    seed, so an issue's noise does not depend on how many issues follow it.
+    The AR(1) recursion then runs over the lead index for all issues at
+    once; a loop over issues and leads (the reference in
+    tests/test_synthetic.py) gives the same bits.
     """
     times = np.asarray(truth_times, dtype="datetime64[s]")
     sig = np.asarray(truth_sig, dtype=float)
     hours = (times - times[0]) / np.timedelta64(1, "h")
     span_h = float(hours[-1])
 
-    issues = []
-    root = np.random.SeedSequence(inj.seed)
-    first_day = times[0].astype("datetime64[D]")
-    issue_idx = 0
-    day = 0
-    while True:
-        any_in_span = False
-        for cycle in sorted(DEFAULT_MAX_LEADS):
-            issue_time = first_day.astype("datetime64[s]") + np.timedelta64(day * 24 + cycle, "h")
-            offset_h = float((issue_time - times[0]) / np.timedelta64(1, "h"))
-            if offset_h < 0.0:
-                issue_idx += 1
-                continue
-            if offset_h > span_h:
-                continue
-            any_in_span = True
-            cap = DEFAULT_MAX_LEADS[cycle]
-            max_lead = int(min(cap, np.floor(span_h - offset_h)))
-            leads = np.arange(max_lead + 1)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(issue_idx,)))
-            issue_idx += 1
-            shifted = offset_h + leads - inj.timing_shift_h
-            base = np.interp(shifted, hours, sig)
-            noise = np.zeros(leads.size)
-            if inj.noise_scale > 0.0:
-                z = rng.standard_normal(leads.size)
-                amp = inj.noise_scale * (1.0 + inj.error_growth_rate * leads)
-                rho = inj.noise_ar * np.exp(-leads / inj.noise_ar_lead_decay)
-                noise[0] = amp[0] * z[0]
-                for i in range(1, leads.size):
-                    noise[i] = rho[i] * noise[i - 1] + amp[i] * np.sqrt(1.0 - rho[i] ** 2) * z[i]
-            values = np.maximum(inj.bias_factor * base + noise, 0.0)
-            issues.append(ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values))
-        if not any_in_span and day > 0:
-            break
-        day += 1
-    return issues
+    # every cycle slot from 00Z of the first day through the span, in time order
+    cycles = np.array(sorted(DEFAULT_MAX_LEADS))
+    first_day = times[0].astype("datetime64[D]").astype("datetime64[s]")
+    days = int((times[-1] - first_day) // np.timedelta64(1, "D")) + 1
+    slot_h = (24 * np.arange(days)[:, None] + cycles[None, :]).ravel()
+    issue_times = first_day + slot_h * HOUR
+    offsets = (issue_times - times[0]) / HOUR
+    slots = np.flatnonzero((offsets >= 0.0) & (offsets <= span_h))
+    if not slots.size:
+        return []
+    caps = np.array([DEFAULT_MAX_LEADS[c] for c in cycles])[slots % cycles.size]
+    sizes = np.minimum(caps, np.floor(span_h - offsets[slots])).astype(int) + 1
+
+    leads = np.arange(sizes.max())
+    shifted = offsets[slots, None] + leads[None, :] - inj.timing_shift_h
+    base = np.interp(shifted, hours, sig)
+    noise = np.zeros(shifted.shape)
+    if inj.noise_scale > 0.0:
+        root = np.random.SeedSequence(inj.seed)
+        z = np.zeros(shifted.shape)
+        for row, (slot, size) in enumerate(zip(slots.tolist(), sizes.tolist())):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(slot,)))
+            z[row, :size] = rng.standard_normal(size)
+        amp = inj.noise_scale * (1.0 + inj.error_growth_rate * leads)
+        rho = inj.noise_ar * np.exp(-leads / inj.noise_ar_lead_decay)
+        noise[:, 0] = amp[0] * z[:, 0]
+        for i in range(1, leads.size):
+            noise[:, i] = rho[i] * noise[:, i - 1] + amp[i] * np.sqrt(1.0 - rho[i] ** 2) * z[:, i]
+    values = np.maximum(inj.bias_factor * base + noise, 0.0)
+    return [
+        ForecastIssue(issue_time=issue_times[slot], horizon_hours=leads[:size], values=values[row, :size])
+        for row, (slot, size) in enumerate(zip(slots.tolist(), sizes.tolist()))
+    ]
 
 
 def generate_observations(

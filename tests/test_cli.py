@@ -131,6 +131,30 @@ class TestPipeline:
         assert (tmp_path / "out" / "dataset_h012.csv").exists()
 
 
+class TestSimulate:
+    def test_earlier_issue_files_are_replaced(self, tmp_path):
+        # a shorter campaign into the same out_dir leaves only its own issues,
+        # so build reads no forecast of the earlier campaign
+        scenario = {"background_hs": 0.6, "events": [{"arrival_h": 20, "hs": 2.0, "tp": 15.0}]}
+        for hours in (200, 60):
+            manifest = write_manifest(tmp_path, scenario={"duration_h": hours, **scenario})
+            assert run(["simulate", "--manifest", str(manifest)]).exit_code == 0
+        issues = sorted((tmp_path / "out" / "issues").glob("issue_*.csv"))
+        assert len(issues) == 10  # 00/06/12/18Z over hours 0-59
+        assert issues[-1].read_text().splitlines()[1].startswith("2024-06-03T06:00:00, ")
+
+    def test_start_time_and_yaml_timestamps(self, tmp_path):
+        # a quoted ISO-8601 string and an unquoted YAML timestamp start the same campaign
+        texts = []
+        for start in ('"2024-03-01T06:00:00Z"', "2024-03-01T06:00:00"):
+            manifest = write_manifest(tmp_path, scenario={"duration_h": 12})
+            manifest.write_text(manifest.read_text().replace("duration_h: 12", f"duration_h: 12\n  start: {start}"))
+            assert run(["simulate", "--manifest", str(manifest)]).exit_code == 0
+            texts.append((tmp_path / "out" / "measurements.csv").read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].splitlines()[1].startswith("2024-03-01T06:00:00, ")
+
+
 class TestExitCodes:
     def test_missing_manifest_is_validation_error(self, tmp_path):
         result = RUNNER.invoke(main, ["build", "--manifest", str(tmp_path / "nope.yaml")])
@@ -201,6 +225,23 @@ class TestExitCodes:
         result = run(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert message in result.output
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"measurement_noise": [1]}, "measurement_noise must be a number, found [1]"),
+            ({"measurement_noise": "0.01"}, "measurement_noise must be a number"),
+            ({"start": 5}, "start must be an ISO-8601 time, found 5"),
+            ({"start": "5"}, "'5' is not an ISO-8601 time"),
+            ({"start": "2024-13-01T00:00:00"}, "manifest scenario key start:"),
+        ],
+    )
+    def test_bad_scenario_extras_are_validation_errors(self, tmp_path, scenario, message):
+        manifest = write_manifest(tmp_path, scenario={"duration_h": 48, **scenario})
+        result = run(["simulate", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "out" / "measurements.csv").exists()
 
     def test_unconverged_fit_is_numerical_error(self, tmp_path):
         # an unattainable convergence threshold must surface as exit code 3

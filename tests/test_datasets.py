@@ -7,6 +7,7 @@ from heavecast.datasets import (
     DEFAULT_MAX_LEADS,
     ForecastIssue,
     HorizonDataset,
+    HorizonSeries,
     align,
     chrono_split,
     synthesize_horizon_series,
@@ -196,3 +197,121 @@ class TestLeakProperties:
                 cycle = int((other.issue_time - T0) / HOUR) % 24
                 admissible = lead >= h and lead <= DEFAULT_MAX_LEADS[cycle]
                 assert not admissible, "a more recent admissible issue was skipped"
+
+
+def dict_synthesize(issues, h):
+    """Lead by lead with a dict keyed by valid time: the reference for
+    synthesize_horizon_series."""
+    block = 6 if h < 72 else 12
+    admitted = sorted(
+        (i for i in issues if DEFAULT_MAX_LEADS.get(i.cycle_hour, 0) >= h + block - 1),
+        key=lambda i: i.issue_time,
+    )
+    out = []
+    for issue in admitted:
+        for lead in range(h, h + block):
+            pos = np.searchsorted(issue.horizon_hours, lead)
+            if pos >= issue.horizon_hours.size or issue.horizon_hours[pos] != lead:
+                continue
+            out.append((issue.issue_time + lead * HOUR, float(issue.values[pos]), issue.issue_time))
+    by_time = {vt: (x, it) for vt, x, it in out}
+    return [(vt, x, it) for vt, (x, it) in sorted(by_time.items())]
+
+
+def dict_align(series, measurements, horizon):
+    """Row by row with a dict of valid measurements: the reference for align."""
+    meas = {np.datetime64(m.timestamp, "s"): float(m.sig_heave) for m in measurements if m.valid}
+    rows = [
+        (np.datetime64(vt, "s"), x, meas[np.datetime64(vt, "s")], np.datetime64(it, "s"))
+        for vt, x, it in series
+        if np.datetime64(vt, "s") in meas
+    ]
+    if not rows:
+        raise ValueError("forecast series and measurements share no valid times")
+    vt, x, y, it = zip(*rows)
+    return HorizonDataset(
+        horizon=horizon,
+        valid_times=np.array(vt, dtype="datetime64[s]"),
+        x=np.array(x),
+        y=np.array(y),
+        issue_times=np.array(it, dtype="datetime64[s]"),
+    )
+
+
+@st.composite
+def irregular_issues(draw):
+    """Issues at 00/06/12/18Z with dropped cycles, leads that start late or
+    stop early, random values and an occasional repeated issue time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    issues = []
+    for slot in range(draw(st.integers(1, 16))):
+        if draw(st.booleans()) and slot % 5 == 3:
+            continue
+        cap = DEFAULT_MAX_LEADS[(slot % 4) * 6]
+        first = min(draw(st.sampled_from([0, 0, 0, 1, 5, 7, 30, 71, 75])), cap)
+        last = draw(st.integers(first - 1, cap))
+        leads = np.arange(first, last + 1)
+        values = rng.uniform(0.0, 5.0, leads.size)
+        issue = ForecastIssue(issue_time=T0 + 6 * slot * HOUR, horizon_hours=leads, values=values)
+        issues.append(issue)
+        if draw(st.integers(0, 9)) == 0:  # a second issue at the same time
+            issues.append(ForecastIssue(issue_time=issue.issue_time, horizon_hours=leads, values=np.add(values, 1.0)))
+    return draw(st.permutations(issues))
+
+
+class TestArrayJoinsOracle:
+    @given(issues=irregular_issues(), h=st.sampled_from([0, 1, 5, 6, 12, 24, 48, 71, 72, 80, 96]))
+    @settings(max_examples=150, deadline=None)
+    def test_synthesize_matches_dict_reference(self, issues, h):
+        series = synthesize_horizon_series(issues, h)
+        assert isinstance(series, HorizonSeries)
+        ref = dict_synthesize(issues, h)
+        got = list(series)
+        assert len(got) == len(series) == len(ref)
+        for (vt, x, it), (rvt, rx, rit) in zip(got, ref):
+            assert vt == rvt and it == rit
+            assert type(x) is float and x == rx
+
+    def test_overlapping_windows_take_the_latest_issue(self):
+        # 00Z and 06Z issues at h=0 (6 h windows) and 00Z/12Z at h=72 (12 h)
+        issues = full_day_issues(days=4, value_fn=lambda t, lead: t + lead / 1000.0)
+        for h in (0, 6, 72, 96):
+            got = list(synthesize_horizon_series(issues, h))
+            assert got == dict_synthesize(issues, h)
+            assert all(int((vt - it) / HOUR) in range(h, h + (6 if h < 72 else 12)) for vt, _, it in got)
+
+    def test_no_admitted_issue(self):
+        issues = [issue_at(6, 72)]  # 06Z stops at 72 h
+        assert list(synthesize_horizon_series(issues, 72)) == []
+        assert list(synthesize_horizon_series([], 0)) == []
+
+    @given(
+        issues=irregular_issues(),
+        h=st.sampled_from([0, 6, 72]),
+        hours=st.lists(st.integers(-3, 200), max_size=120),
+        invalid=st.sets(st.integers(0, 119), max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_align_matches_dict_reference(self, issues, h, hours, invalid):
+        # measurement gaps, invalid rows, unsorted and repeated timestamps
+        measurements = [
+            HeaveRecord(
+                timestamp=T0 + k * HOUR,
+                sig_heave=np.nan if n in invalid else 0.1 + (n % 7) / 3.0,
+                valid=n not in invalid,
+            )
+            for n, k in enumerate(hours)
+        ]
+        series = synthesize_horizon_series(issues, h)
+        try:
+            ref = dict_align(list(series), measurements, h)
+        except ValueError:
+            with pytest.raises(ValueError, match="share no valid times"):
+                align(series, measurements, h)
+            return
+        for given_series in (series, list(series)):
+            ds = align(given_series, measurements, h)
+            np.testing.assert_array_equal(ds.valid_times, ref.valid_times)
+            np.testing.assert_array_equal(ds.issue_times, ref.issue_times)
+            np.testing.assert_array_equal(ds.post_gap, ref.post_gap)
+            assert ds.x.tobytes() == ref.x.tobytes() and ds.y.tobytes() == ref.y.tobytes()

@@ -35,7 +35,7 @@ from heavecast.model import PosteriorSamples, PredictiveDistribution, predictive
 from heavecast.motion import HeaveRecord
 from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport
-from heavecast.spectral import DirectionalWaveSpectrum, RaoCurve
+from heavecast.spectral import RaoCurve, SpectrumSeries
 from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario
 
 T0 = np.datetime64("2024-06-01T00:00:00")
@@ -75,29 +75,45 @@ class TestRaoRoundTrip:
 class TestSpectraRoundTrip:
     def make_spectra(self, n=2):
         rng = np.random.default_rng(0)
-        freqs = 2 * np.pi * np.linspace(0.05, 0.5, 6)
-        dirs = np.deg2rad(np.array([15.0, 105.0, 195.0, 285.0]))
-        return [
-            DirectionalWaveSpectrum(
-                timestamp=T0 + k * HOUR,
-                freqs=freqs,
-                dirs=dirs,
-                density=rng.uniform(0.0, 4.0, (6, 4)),
-            )
-            for k in range(n)
-        ]
+        return SpectrumSeries(
+            times=T0 + np.arange(n) * HOUR,
+            freqs=2 * np.pi * np.linspace(0.05, 0.5, 6),
+            dirs=np.deg2rad(np.array([15.0, 105.0, 195.0, 285.0])),
+            density=rng.uniform(0.0, 4.0, (n, 6, 4)),
+        )
 
     def test_round_trip(self, tmp_path):
         spectra = self.make_spectra()
         p = tmp_path / "spec.csv"
         write_spectra(p, spectra)
         back = read_spectra(p)
+        assert isinstance(back, SpectrumSeries)
         assert len(back) == 2
         for a, b in zip(spectra, back):
             assert a.timestamp == b.timestamp
             np.testing.assert_allclose(b.freqs, a.freqs, rtol=1e-9)
             np.testing.assert_allclose(b.dirs, a.dirs, rtol=1e-9)
             np.testing.assert_allclose(b.density, a.density, rtol=1e-8)
+
+    def test_slice_round_trip_and_rewrite(self, tmp_path):
+        # a written-and-read series writes the same file again
+        spectra = self.make_spectra(n=5)
+        write_spectra(tmp_path / "a.csv", spectra[1:4])
+        back = read_spectra(tmp_path / "a.csv")
+        np.testing.assert_array_equal(back.times, spectra.times[1:4])
+        np.testing.assert_allclose(back.density, spectra.density[1:4], rtol=1e-8)
+        np.testing.assert_array_equal(back.freq_widths, back[0].freq_widths)
+        write_spectra(tmp_path / "b.csv", back)
+        assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
+
+    def test_mixed_grids_rejected(self, tmp_path):
+        p = tmp_path / "spec.csv"
+        lines = ["timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg"]
+        for stamp, freqs in (("2024-06-01T00:00:00", (0.1, 0.2)), ("2024-06-01T01:00:00", (0.1, 0.3))):
+            lines += [f"{stamp}, {f}, {d}, 1.0" for f in freqs for d in (10, 20)]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="inconsistent grid"):
+            read_spectra(p)
 
     def test_irregular_grid_rejected(self, tmp_path):
         p = tmp_path / "spec.csv"
@@ -205,6 +221,30 @@ class TestIssueAndDataset:
         np.testing.assert_array_equal(issue.horizon_hours, [0, 1])
         np.testing.assert_array_equal(issue.values, [1.5, 1.25])
 
+    def test_issue_time_spelled_two_ways(self, tmp_path):
+        # the distinct spellings are parsed: with and without Z name one time
+        p = tmp_path / "issue.csv"
+        p.write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T12:00:00Z, 2024-06-01T12:00:00, 1.5\n"
+            "2024-06-01T12:00:00, 2024-06-01T13:00:00, 1.25\n"
+            " 2024-06-01T12:00:00Z , 2024-06-01T14:00:00Z, 1.0\n"
+        )
+        issue = read_forecast_issue(p)
+        assert issue.issue_time == T0 + 12 * HOUR
+        np.testing.assert_array_equal(issue.horizon_hours, [0, 1, 2])
+
+    @pytest.mark.parametrize("bad", ["1.5x", "", "true"])
+    def test_bad_value_cell_rejected(self, tmp_path, bad):
+        p = tmp_path / "issue.csv"
+        p.write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.5\n"
+            f"2024-06-01T00:00:00, 2024-06-01T01:00:00, {bad}\n"
+        )
+        with pytest.raises(ValueError, match="could not convert"):
+            read_forecast_issue(p)
+
     def test_multiple_issue_times_rejected(self, tmp_path):
         p = tmp_path / "issue.csv"
         p.write_text(
@@ -281,6 +321,24 @@ class TestShortRows:
         p.write_text("freq_hz, amplitude\n\n0.1, 1.0\n0.2\n")
         with pytest.raises(ValueError, match="line 4"):
             read_rao(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "rao.csv"
+        p.write_text("\n  \nfreq_hz, amplitude\n0.1, 1.0\n \n\n0.2,2.5\n\n")
+        rao = read_rao(p)
+        np.testing.assert_allclose(rao.freqs, 2 * np.pi * np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(rao.amplitudes, [1.0, 2.5])
+
+    def test_long_row_and_short_row_that_cancel(self, tmp_path):
+        # the cell total is right, but no row may borrow a cell from another
+        p = tmp_path / "measurements.csv"
+        p.write_text(
+            "timestamp_utc, sig_heave_m, valid\n"
+            "2024-06-01T00:00:00, 0.5, true, 7\n"
+            "2024-06-01T01:00:00, 0.6\n"
+        )
+        with pytest.raises(ValueError, match=r"measurements\.csv, line 2: expected 3 cells, found 4"):
+            read_heave_records(p)
 
 
 class TestPosteriorAndPredictions:
@@ -421,6 +479,42 @@ class TestRunManifest:
         manifest.write_text(f"out_dir: out\n{body}\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             RunManifest.load(manifest)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("scenario: {duration_h: 48, measurement_noise: [1]}", "measurement_noise must be a number, found [1]"),
+            ("scenario: {duration_h: 48, measurement_noise: true}", "measurement_noise must be a number"),
+            ("scenario: {duration_h: 48, start: 5}", "start must be an ISO-8601 time, found 5"),
+            ("scenario: {duration_h: 48, start: [2024]}", "start must be an ISO-8601 time"),
+            ("scenario: {duration_h: 48, start: '5'}", "'5' is not an ISO-8601 time"),
+            ("scenario: {duration_h: 48, start: now}", "'now' is not an ISO-8601 time"),
+            ("scenario: {duration_h: 48, start: ''}", "'' is not an ISO-8601 time"),
+            ("scenario: {duration_h: 48, start: '2024-02-30'}", "manifest scenario key start:"),
+        ],
+    )
+    def test_scenario_extras_checked(self, tmp_path, body, message):
+        manifest = tmp_path / "run.yaml"
+        manifest.write_text(f"out_dir: out\n{body}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunManifest.load(manifest)
+
+    @pytest.mark.parametrize(
+        "start, expected",
+        [
+            ("2024-01-01T06:00:00", "2024-01-01T06:00:00"),
+            ("'2024-01-01T06:00:00'", "2024-01-01T06:00:00"),
+            ("'2024-01-01T06:00:00Z'", "2024-01-01T06:00:00"),
+            ("2024-01-01T06:00:00Z", "2024-01-01T06:00:00"),
+            ("2024-01-01T08:00:00+02:00", "2024-01-01T06:00:00"),
+            ("2024-01-01", "2024-01-01T00:00:00"),
+            ("'2024-01-01 06:30'", "2024-01-01T06:30:00"),
+        ],
+    )
+    def test_scenario_start_forms(self, tmp_path, start, expected):
+        manifest = tmp_path / "run.yaml"
+        manifest.write_text(f"out_dir: out\nscenario:\n  duration_h: 48\n  start: {start}\n")
+        assert RunManifest.load(manifest).scenario["start"] == np.datetime64(expected, "s")
 
     def test_full_sections_accepted(self, tmp_path):
         manifest = tmp_path / "run.yaml"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from heavecast.spectral import (
     MorisonRaoParams,
     RaoCurve,
     ResponseStatistics,
+    SpectrumSeries,
     interpolate_spectrum_to_rao_grid,
     midpoint_widths,
     morison_rao,
@@ -48,6 +51,19 @@ def random_case(rng, n_f=5, n_d=4):
     spec = DirectionalWaveSpectrum(timestamp=T0, freqs=freqs, dirs=dirs, density=density)
     rao = RaoCurve(freqs=freqs, amplitudes=rng.uniform(0.0, 3.0, n_f))
     return spec, rao
+
+
+def series_of(spectra):
+    """The SpectrumSeries of per-hour spectra that share one grid."""
+    first = spectra[0]
+    return SpectrumSeries(
+        times=[s.timestamp for s in spectra],
+        freqs=first.freqs,
+        dirs=first.dirs,
+        density=np.array([s.density for s in spectra]),
+        freq_widths=first.freq_widths,
+        dir_widths=first.dir_widths,
+    )
 
 
 class TestRaoCurve:
@@ -270,7 +286,7 @@ class TestResponseMoments:
     @staticmethod
     def assert_matches_loop(spectra, rao):
         m0, m2 = response_moments(spectra, rao)
-        ref = [response_statistics(s, rao) for s in spectra]
+        ref = [response_statistics(spectra[k], rao) for k in range(len(spectra))]
         np.testing.assert_allclose(m0, [r.m0 for r in ref], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(m2, [r.m2 for r in ref], rtol=1e-12, atol=0.0)
         return m0, m2
@@ -291,12 +307,12 @@ class TestResponseMoments:
         rng = np.random.default_rng(9)
         freqs = 2 * np.pi * np.linspace(0.05, 0.3, 9)
         dirs = np.deg2rad(np.arange(0.0, 360.0, 45.0))
-        spectra = [
+        spectra = series_of([
             DirectionalWaveSpectrum(
                 timestamp=T0 + k * np.timedelta64(1, "h"), freqs=freqs, dirs=dirs, density=rng.uniform(0.0, 2.0, (9, 8))
             )
             for k in range(5)
-        ]
+        ])
         write_spectra(tmp_path / "spectra.csv", spectra)
         self.assert_matches_loop(read_spectra(tmp_path / "spectra.csv"), reference_rao())
 
@@ -304,10 +320,10 @@ class TestResponseMoments:
         rng = np.random.default_rng(10)
         freqs = np.linspace(0.5, 1.5, 7)
         dirs = np.linspace(0.1, 6.0, 5)
-        spectra = [
+        spectra = series_of([
             DirectionalWaveSpectrum(timestamp=T0, freqs=freqs, dirs=dirs, density=rng.uniform(0.0, 1.0, (7, 5)))
             for _ in range(4)
-        ]
+        ])
         # RAO points below, between, on and above the spectrum frequencies
         rao_freqs = np.concatenate([[0.1, 0.3], np.linspace(0.5, 1.5, 23), [1.7, 2.5]])
         rao = RaoCurve(freqs=rao_freqs, amplitudes=rng.uniform(0.2, 2.0, rao_freqs.size))
@@ -320,12 +336,117 @@ class TestResponseMoments:
         assert np.all(m0 == 0.0) and np.all(m2 == 0.0)
 
     def test_empty_and_mixed_grids(self):
-        m0, m2 = response_moments([], reference_rao())
-        assert m0.size == 0 and m2.size == 0
         spec, rao = random_case(np.random.default_rng(11))
-        other = DirectionalWaveSpectrum(timestamp=T0, freqs=spec.freqs * 1.01, dirs=spec.dirs, density=spec.density)
-        with pytest.raises(ValueError, match="grid"):
-            response_moments([spec, other], rao)
+        m0, m2 = response_moments(series_of([spec])[:0], rao)
+        assert m0.size == 0 and m2.size == 0
+        # one series holds one grid: a spectrum of another grid does not fit in
         smaller, _ = random_case(np.random.default_rng(12), n_f=4)
-        with pytest.raises(ValueError, match="grid"):
-            response_moments([spec, smaller], rao)
+        with pytest.raises(ValueError, match="shaped"):
+            SpectrumSeries(
+                times=[T0, T0], freqs=spec.freqs, dirs=spec.dirs, density=np.array([spec.density[:4], smaller.density])
+            )
+
+
+class TestSpectrumSeries:
+    """SpectrumSeries checks once what DirectionalWaveSpectrum checks per hour."""
+
+    @staticmethod
+    def grid(n_times=6, seed=20):
+        rng = np.random.default_rng(seed)
+        return dict(
+            times=T0 + np.arange(n_times) * np.timedelta64(1, "h"),
+            freqs=np.linspace(0.3, 1.5, 5),
+            dirs=np.linspace(0.2, 6.0, 4),
+            density=rng.uniform(0.0, 2.0, (n_times, 5, 4)),
+        )
+
+    @staticmethod
+    def per_hour(fields, k):
+        return DirectionalWaveSpectrum(
+            timestamp=fields["times"][k],
+            freqs=fields["freqs"],
+            dirs=fields["dirs"],
+            density=fields["density"][k],
+            freq_widths=fields.get("freq_widths"),
+            dir_widths=fields.get("dir_widths"),
+        )
+
+    @pytest.mark.parametrize("fault", ["negative", "nan", "inf", "decreasing_freqs", "dir_at_2pi",
+                                       "negative_dir", "width_count", "zero_width"])
+    def test_rejects_what_the_per_hour_type_rejects(self, fault):
+        fields = self.grid()
+        density = fields["density"].copy()
+        if fault == "negative":
+            density[5, 4, 3] = -1e-12  # last hour, last bin: the whole array is checked
+        elif fault == "nan":
+            density[3, 0, 0] = np.nan
+        elif fault == "inf":
+            density[5, 2, 1] = np.inf
+        elif fault == "decreasing_freqs":
+            fields["freqs"] = fields["freqs"][::-1]
+        elif fault == "dir_at_2pi":
+            fields["dirs"] = np.array([0.5, 1.0, 3.0, 2.0 * np.pi])
+        elif fault == "negative_dir":
+            fields["dirs"] = np.array([-0.1, 1.0, 3.0, 4.0])
+        elif fault == "width_count":
+            fields["freq_widths"] = np.ones(4)
+        elif fault == "zero_width":
+            fields["dir_widths"] = np.array([1.0, 0.0, 1.0, 1.0])
+        fields["density"] = density
+        hour = 5 if fault in ("negative", "inf") else 3 if fault == "nan" else 0
+        with pytest.raises(ValueError) as per_hour:
+            self.per_hour(fields, hour)
+        with pytest.raises(ValueError) as series:
+            SpectrumSeries(**fields)
+        assert str(series.value) == str(per_hour.value)
+
+    def test_rejects_bad_shapes(self):
+        fields = self.grid()
+        with pytest.raises(ValueError, match="shaped"):
+            SpectrumSeries(**{**fields, "density": fields["density"][:, :4]})
+        with pytest.raises(ValueError, match="shaped"):
+            SpectrumSeries(**{**fields, "density": fields["density"][:5]})
+        with pytest.raises(ValueError, match="shaped"):
+            SpectrumSeries(**{**fields, "density": fields["density"][0]})
+        with pytest.raises(ValueError, match="1-d"):
+            SpectrumSeries(**{**fields, "times": fields["times"].reshape(2, 3)})
+
+    def test_item_is_the_per_hour_spectrum(self):
+        fields = self.grid()
+        series = SpectrumSeries(**fields)
+        assert len(series) == 6
+        for k in (0, 3, 5, -1):
+            got, ref = series[k], self.per_hour(fields, k)
+            assert isinstance(got, DirectionalWaveSpectrum)
+            assert got.timestamp == ref.timestamp
+            for name in ("freqs", "dirs", "density", "freq_widths", "dir_widths"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        with pytest.raises(IndexError):
+            series[6]
+        assert [s.timestamp for s in series] == list(fields["times"])
+
+    def test_slices_are_series(self):
+        fields = self.grid()
+        series = SpectrumSeries(**fields)
+        for sl in (slice(1, 4), slice(None, None, 2), slice(4, None), slice(2, 2)):
+            part = series[sl]
+            assert isinstance(part, SpectrumSeries)
+            np.testing.assert_array_equal(part.times, fields["times"][sl])
+            np.testing.assert_array_equal(part.density, fields["density"][sl])
+            np.testing.assert_array_equal(part.freq_widths, series.freq_widths)
+            np.testing.assert_array_equal(part.dir_widths, series.dir_widths)
+
+    def test_series_is_read_only_to_callers(self):
+        series = SpectrumSeries(**self.grid())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            series.density = np.zeros((6, 5, 4))
+
+    def test_moments_of_slices(self):
+        series = SpectrumSeries(**self.grid(n_times=12, seed=21))
+        rao = RaoCurve(freqs=np.linspace(0.2, 1.8, 30), amplitudes=np.linspace(0.5, 1.5, 30))
+        m0, m2 = response_moments(series, rao)
+        part0, part2 = response_moments(series[3:9], rao)
+        np.testing.assert_array_equal(part0, m0[3:9])
+        np.testing.assert_array_equal(part2, m2[3:9])
+        ref = [response_statistics(s, rao) for s in series]
+        np.testing.assert_allclose(m0, [r.m0 for r in ref], rtol=1e-12, atol=0.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from heavecast.spectral import RaoCurve, midpoint_widths, spectral_moment
+from heavecast.datasets import DEFAULT_MAX_LEADS, ForecastIssue
+from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths, spectral_moment
 from heavecast.synthetic import (
     FORECAST_DIRS_RAD,
     FORECAST_FREQS_HZ,
@@ -72,7 +73,10 @@ class TestGenerateSpectra:
 
     def test_hourly_timestamps(self):
         spectra = generate_spectra(lone_event_scenario(duration=30))
+        assert isinstance(spectra, SpectrumSeries)
+        assert spectra.density.shape == (30, FORECAST_FREQS_HZ.size, FORECAST_DIRS_RAD.size)
         assert len(spectra) == 30
+        np.testing.assert_array_equal(spectra.times, T0 + np.arange(30) * HOUR)
         assert spectra[0].timestamp == T0
         assert spectra[29].timestamp == T0 + 29 * HOUR
 
@@ -250,6 +254,103 @@ class TestGenerateForecastIssues:
             ErrorInjection(noise_scale=-0.1)
         with pytest.raises(ValueError):
             ErrorInjection(noise_ar=1.0)
+
+
+def per_issue_forecasts(truth_times, truth_sig, inj):
+    """Issue by issue and lead by lead: the loop generate_forecast_issues batches."""
+    times = np.asarray(truth_times, dtype="datetime64[s]")
+    sig = np.asarray(truth_sig, dtype=float)
+    hours = (times - times[0]) / np.timedelta64(1, "h")
+    span_h = float(hours[-1])
+    issues = []
+    root = np.random.SeedSequence(inj.seed)
+    first_day = times[0].astype("datetime64[D]")
+    issue_idx = 0
+    day = 0
+    while True:
+        any_in_span = False
+        for cycle in sorted(DEFAULT_MAX_LEADS):
+            issue_time = first_day.astype("datetime64[s]") + np.timedelta64(day * 24 + cycle, "h")
+            offset_h = float((issue_time - times[0]) / np.timedelta64(1, "h"))
+            if offset_h < 0.0:
+                issue_idx += 1
+                continue
+            if offset_h > span_h:
+                continue
+            any_in_span = True
+            max_lead = int(min(DEFAULT_MAX_LEADS[cycle], np.floor(span_h - offset_h)))
+            leads = np.arange(max_lead + 1)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=root.entropy, spawn_key=(issue_idx,)))
+            issue_idx += 1
+            base = np.interp(offset_h + leads - inj.timing_shift_h, hours, sig)
+            noise = np.zeros(leads.size)
+            if inj.noise_scale > 0.0:
+                z = rng.standard_normal(leads.size)
+                amp = inj.noise_scale * (1.0 + inj.error_growth_rate * leads)
+                rho = inj.noise_ar * np.exp(-leads / inj.noise_ar_lead_decay)
+                noise[0] = amp[0] * z[0]
+                for i in range(1, leads.size):
+                    noise[i] = rho[i] * noise[i - 1] + amp[i] * np.sqrt(1.0 - rho[i] ** 2) * z[i]
+            values = np.maximum(inj.bias_factor * base + noise, 0.0)
+            issues.append(ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values))
+        if not any_in_span and day > 0:
+            break
+        day += 1
+    return issues
+
+
+class TestForecastIssuesOracle:
+    """generate_forecast_issues against the per-issue loop, bit for bit."""
+
+    @staticmethod
+    def truth(start, hours, seed=0):
+        rng = np.random.default_rng(seed)
+        times = start + np.arange(hours) * HOUR
+        return times, 1.0 + 0.5 * np.sin(np.arange(hours) / 9.0) + 0.1 * rng.standard_normal(hours)
+
+    @staticmethod
+    def assert_same(times, sig, inj):
+        got = generate_forecast_issues(times, sig, inj)
+        ref = per_issue_forecasts(times, sig, inj)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.issue_time == b.issue_time
+            np.testing.assert_array_equal(a.horizon_hours, b.horizon_hours)
+            assert a.values.tobytes() == b.values.tobytes()
+        return got
+
+    @pytest.mark.parametrize(
+        "inj",
+        [
+            ErrorInjection(),
+            ErrorInjection(bias_factor=0.85, noise_scale=0.02, noise_ar=0.6, seed=3),
+            ErrorInjection(noise_scale=0.05, error_growth_rate=0.03, noise_ar=0.9, noise_ar_lead_decay=20.0, seed=4),
+            ErrorInjection(timing_shift_h=2.5, noise_scale=0.03, noise_ar=0.5, seed=5),
+            ErrorInjection(timing_shift_h=-7.0, bias_factor=1.2, noise_scale=1.5, seed=6),  # floored at zero
+        ],
+    )
+    def test_long_campaign_ending_mid_issue(self, inj):
+        # 20 days and 5 hours: the last 00Z and 12Z issues stop short of 240 h
+        times, sig = self.truth(T0, 20 * 24 + 5)
+        issues = self.assert_same(times, sig, inj)
+        assert issues[-1].horizon_hours[-1] < 72
+        assert max(i.horizon_hours.size for i in issues) == 241
+
+    @pytest.mark.parametrize("start_hour", [1, 5, 6, 13, 23])
+    def test_start_not_at_00z(self, start_hour):
+        times, sig = self.truth(T0 + start_hour * HOUR, 5 * 24 + 3, seed=start_hour)
+        inj = ErrorInjection(noise_scale=0.04, error_growth_rate=0.02, noise_ar=0.7, timing_shift_h=1.5, seed=8)
+        issues = self.assert_same(times, sig, inj)
+        assert issues[0].issue_time >= times[0]
+
+    def test_start_between_whole_hours(self):
+        times, sig = self.truth(T0 + np.timedelta64(5430, "s"), 50)
+        self.assert_same(times, sig, ErrorInjection(noise_scale=0.02, noise_ar=0.4, seed=9))
+
+    def test_span_holding_no_issue_time(self):
+        # 19:00 to 23:00 of one day: no cycle time falls inside
+        times, sig = self.truth(T0 + 19 * HOUR, 5)
+        assert self.assert_same(times, sig, ErrorInjection(noise_scale=0.02, seed=1)) == []
 
 
 class TestGenerateObservations:
