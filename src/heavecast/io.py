@@ -259,19 +259,28 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
+    rows = zip(
+        np.datetime_as_string(ds.valid_times).tolist(),
+        ds.x.tolist(),
+        ds.y.tolist(),
+        np.datetime_as_string(ds.issue_times).tolist(),
+        ds.post_gap.astype(int).tolist(),
+    )
     lines = ["valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag"]
-    for i in range(len(ds)):
-        lines.append(
-            f"{ds.valid_times[i]}, {_fmt(ds.x[i])}, {_fmt(ds.y[i])}, "
-            f"{ds.issue_times[i]}, {int(ds.post_gap[i])}"
-        )
+    lines += [f"{vt}, {x:.10g}, {y:.10g}, {it}, {gap}" for vt, x, y, it, gap in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # -- posterior samples -------------------------------------------------------
 
 def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
-    """Draw matrix as delimited text plus a JSON diagnostics sidecar."""
+    """Draw matrix as delimited text plus a JSON diagnostics sidecar.
+
+    The sidecar holds per-parameter R-hat and ESS, the sigma-step acceptance
+    rate and the sampler's deterministic facts: burn-in and retained sweeps,
+    rejections per truncated block and the smallest ESS. No wall-clock value
+    goes in, so a fixed manifest and seed reproduce it bit for bit.
+    """
     lines = ["chain, " + ", ".join(samples.param_names)]
     for cid, row in zip(samples.chain_ids, samples.draws):
         lines.append(f"{int(cid)}, " + ", ".join(f"{v:.12g}" for v in row))
@@ -279,6 +288,7 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
     sidecar = {
         "acceptance_rate": samples.acceptance_rate,
         "parameters": samples.diagnostics,
+        "sampler": samples.sampler_facts,
     }
     atomic_write_text(Path(str(path) + ".diag.json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
@@ -294,17 +304,14 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     # (n_draws, n_params), row-major like the draws fit wrote
     draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
     sidecar_path = Path(str(path) + ".diag.json")
-    diagnostics, acceptance = {}, float("nan")
-    if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
-        diagnostics = meta.get("parameters", {})
-        acceptance = meta.get("acceptance_rate", float("nan"))
+    meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
     return PosteriorSamples(
         draws=draws,
         param_names=names,
         chain_ids=np.array(chain_ids),
-        diagnostics=diagnostics,
-        acceptance_rate=acceptance,
+        diagnostics=meta.get("parameters", {}),
+        acceptance_rate=meta.get("acceptance_rate", float("nan")),
+        sampler_facts=meta.get("sampler", {}),
     )
 
 

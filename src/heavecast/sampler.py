@@ -1,58 +1,55 @@
-"""Two-phase adaptive random-walk Metropolis sampler for the adjustment models.
+"""Blocked Gibbs sampler for the adjustment models.
 
-The posterior has at most five parameters, so random-walk Metropolis with
-adapted proposals is sufficient and avoids any gradient infrastructure. Each
-chain runs in three phases:
+The noise weights w_t = max(x_t, X_FLOOR) are fixed, so the hybrid model is a
+regression with AR(2) errors (Chib 1993, J. Econometrics 58, "Bayes
+regression with autoregressive errors: a Gibbs sampling approach") whose
+blocks have closed-form full conditionals. One sweep draws
 
-* warm-up phase 1 (first half of the warm-up): component-wise random walks
-  whose per-parameter scales adapt towards the target acceptance (around
-  30%), which survives arbitrarily bad initial scales;
-* warm-up phase 2 (second half): joint proposals from the empirical
-  covariance of the chain so far, scaled by 2.38^2 / d (the adaptive
-  Metropolis of Haario et al. 2001, with the scaling of Roberts & Rosenthal
-  2001), with a global scale adapted towards the target acceptance and the
-  covariance refreshed every adaptation window;
-* sampling: the joint proposal frozen, d proposals per retained draw.
+* (beta0, beta1) | phi, sigma from a bivariate Gaussian, redrawn until
+  beta1 > 0;
+* (phi1, phi2) | beta, sigma from a bivariate Gaussian, redrawn until it lies
+  in the AR(2) stationarity triangle (hybrid only);
+* sigma | beta, phi by independence Metropolis-Hastings: 1/sigma^2 is
+  proposed from Gamma((N - 1)/2, rate S/2), S the weighted sum of squared
+  innovations, and accepted by the half-Gaussian prior's density ratio alone.
 
-The log posterior is built once per fit as a model.LogPosterior, whose cost
-per call does not grow with the training set; model.log_posterior stays the
-reference it is tested against. Chains are independent, each with its own
-deterministic random stream spawned from the fit seed, so results are
-reproducible bit-for-bit.
+The conditionals come from model.LogPosterior's Gram matrix (see
+_Conditionals), so a sweep costs the same whatever the training-set size;
+model.log_posterior stays the reference they are tested against. A truncated
+block that rejects MAX_REJECTIONS draws in a row raises SamplerError.
 
-The regression pair (beta0, beta1) is strongly correlated when x has a
-nonzero mean; the sampler therefore works internally with the centred
-intercept alpha = beta0 + beta1 * mean(x), which decorrelates the pair, and
-maps draws back to beta0 for storage.
+Chains are independent plain-float loops. Each has its own Generator spawned
+from the fit seed, which draws the chain's normals, gammas and uniforms up
+front (and further normals only when a truncated block rejects), so results
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import HorizonDataset
-from .model import X_FLOOR, LogPosterior, ModelSpec, PosteriorSamples, ar2_stationary
+from .model import LogPosterior, ModelSpec, PosteriorSamples, ar2_stationary
 
-__all__ = ["SamplerConfig", "SamplerError", "InitializationError", "fit", "rhat", "ess"]
+__all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]
 
-TARGET_ACCEPTANCE = 0.3  # acceptance rate the warm-up scales adapt towards
-ADAPT_INTERVAL = 50  # warm-up iterations per adaptation window
+MAX_REJECTIONS = 1000  # redraws in a row of one truncated block before SamplerError
+
+# upper-triangle entries of a symmetric 3x3 matrix, in the order forms use
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class SamplerError(RuntimeError):
-    """Sampling failed: divergence or unconverged chains."""
-
-
-class InitializationError(SamplerError):
-    """Log posterior non-finite at the starting point."""
+    """Sampling failed: a stuck truncated block or unconverged chains."""
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     chains: int = 3
-    warmup_draws: int = 1000
+    warmup_draws: int = 1000  # burn-in sweeps per chain
     retained_draws: int = 1000
     rhat_limit: float = 1.05
 
@@ -104,139 +101,141 @@ def ess(chains: np.ndarray) -> float:
     return float(total / tau)
 
 
-def _initial_point(ds: HorizonDataset, spec: ModelSpec) -> np.ndarray:
-    """Least-squares-flavoured starting point inside the prior support."""
-    x, y = ds.x, ds.y
-    vx = np.var(x)
-    beta1 = float(np.cov(x, y, ddof=0)[0, 1] / vx) if vx > 0 else 1.0
-    beta1 = max(beta1, 0.05)
-    beta0 = float(np.mean(y) - beta1 * np.mean(x))
-    resid = y - beta0 - beta1 * x
-    if spec.kind == "basic":
-        sigma = max(float(np.std(resid)), 1e-4)
-        return np.array([beta0, beta1, sigma])
-    scaled = resid / np.maximum(x, X_FLOOR)
-    sigma = max(float(np.std(scaled)), 1e-4)
-    return np.array([beta0, beta1, 0.0, 0.0, sigma])
+def _form(terms: tuple, v1: float, v2: float) -> tuple:
+    """Upper entries of a 3x3 matrix whose entries are quadratic in (v1, v2); terms
+    holds, per entry of _UPPER, the coefficients of 1, v1, v2, v1^2, v1 v2 and v2^2."""
+    m11, m12, m22 = v1 * v1, v1 * v2, v2 * v2
+    return tuple(t0 + t1 * v1 + t2 * v2 + t3 * m11 + t4 * m12 + t5 * m22 for t0, t1, t2, t3, t4, t5 in terms)
 
 
-def _run_chain(
-    log_post: LogPosterior,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-    start: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """One chain: component-wise warm-up, then covariance-matched proposals.
+def _quadratic(q: tuple, x1: float, x2: float) -> float:
+    """v' Q v for v = (1, x1, x2), Q given by its upper entries."""
+    q00, q01, q02, q11, q12, q22 = q
+    return q00 + 2.0 * (x1 * q01 + x2 * q02 + x1 * x2 * q12) + x1 * x1 * q11 + x2 * x2 * q22
 
-    The first warm-up half runs component-wise random walks with scale
-    adaptation, which survives arbitrarily bad initial scales. Its trace
-    seeds an empirical covariance; the second half and the sampling phase
-    propose jointly from that covariance (rescaled towards the target
-    acceptance), which is what lets the chain traverse the narrow (phi1,
-    phi2) ridge the near-unit-root hybrid posterior develops.
+
+def _gaussian2(p11: float, p12: float, p22: float, h1: float, h2: float, z1: float, z2: float):
+    """A draw from the density proportional to exp(-x'Px/2 + h'x) from two standard normals.
+
+    With P = LL', x = L'^-1 (L^-1 h + z) has mean P^-1 h and covariance P^-1.
     """
-    x_mean = float(np.mean(log_post.ds.x))
-    n_params = log_post.spec.n_params
-
-    def to_natural(state: np.ndarray) -> np.ndarray:
-        out = state.copy()
-        out[0] = state[0] - state[1] * x_mean  # alpha -> beta0
-        return out
-
-    def logpost(state: np.ndarray) -> float:
-        return log_post(to_natural(state))
-
-    state = start.copy()
-    state[0] = start[0] + start[1] * x_mean  # beta0 -> alpha
-    current_lp = logpost(state)
-    if not np.isfinite(current_lp):
-        raise InitializationError("log posterior is not finite at the starting point")
-
-    scales = np.full(n_params, 0.1)
-    scales[-1] = max(0.25 * start[-1], 1e-3)
-    jitter = rng.standard_normal(n_params) * 0.01 * scales
-    trial = state + jitter
-    trial_lp = logpost(trial)
-    if np.isfinite(trial_lp):
-        state, current_lp = trial, trial_lp
-
-    # phase 1: component-wise scale adaptation over the first warm-up half
-    phase1 = cfg.warmup_draws // 2
-    trace = np.empty((cfg.warmup_draws, n_params))
-    window_accepts = np.zeros(n_params)
-    window_count = 0
-    accepted_since_adapt = 0
-    for it in range(phase1):
-        for j in range(n_params):
-            prop = state.copy()
-            prop[j] += scales[j] * rng.standard_normal()
-            prop_lp = logpost(prop)
-            if np.log(rng.random()) < prop_lp - current_lp:
-                state, current_lp = prop, prop_lp
-                window_accepts[j] += 1
-                accepted_since_adapt += 1
-        trace[it] = state
-        window_count += 1
-        if window_count == ADAPT_INTERVAL:
-            rates = window_accepts / window_count
-            scales *= np.exp(np.clip(2.0 * (rates - TARGET_ACCEPTANCE), -1.0, 1.0))
-            if accepted_since_adapt == 0 and it > 2 * ADAPT_INTERVAL:
-                raise SamplerError("sampler diverged: no accepted proposal over an adaptation window")
-            window_accepts[:] = 0.0
-            window_count = 0
-            accepted_since_adapt = 0
-
-    def proposal_chol(sample: np.ndarray) -> np.ndarray:
-        cov = np.cov(sample.T) if n_params > 1 else np.array([[np.var(sample)]])
-        cov = np.atleast_2d(cov) + np.diag(np.maximum(1e-12, 1e-6 * np.diag(np.atleast_2d(cov))))
-        cov += 1e-12 * np.eye(n_params)
-        return np.linalg.cholesky((2.38**2 / n_params) * cov)
-
-    chol = proposal_chol(trace[max(0, phase1 // 2) : phase1])
-    log_lam = 0.0
-
-    # phase 2: jointly proposed warm-up with global-scale adaptation and
-    # periodic covariance refreshes
-    window_joint = 0
-    window_count = 0
-    for it in range(phase1, cfg.warmup_draws):
-        prop = state + np.exp(log_lam) * (chol @ rng.standard_normal(n_params))
-        prop_lp = logpost(prop)
-        if np.log(rng.random()) < prop_lp - current_lp:
-            state, current_lp = prop, prop_lp
-            window_joint += 1
-        trace[it] = state
-        window_count += 1
-        if window_count == ADAPT_INTERVAL:
-            rate = window_joint / window_count
-            log_lam += np.clip(2.0 * (rate - TARGET_ACCEPTANCE), -1.0, 1.0)
-            chol = proposal_chol(trace[phase1 // 2 : it + 1])
-            window_joint = 0
-            window_count = 0
-
-    # sampling phase: frozen proposal, thinned so each retained draw costs
-    # the same as one sweep of the component-wise phase
-    draws = np.empty((cfg.retained_draws, n_params))
-    n_accept_total = 0
-    for it in range(cfg.retained_draws):
-        for _ in range(n_params):
-            prop = state + np.exp(log_lam) * (chol @ rng.standard_normal(n_params))
-            prop_lp = logpost(prop)
-            if np.log(rng.random()) < prop_lp - current_lp:
-                state, current_lp = prop, prop_lp
-                n_accept_total += 1
-        draws[it] = to_natural(state)
-
-    accept_rate = n_accept_total / (cfg.retained_draws * n_params)
-    return draws, accept_rate
+    if not p11 > 0.0:
+        raise SamplerError("conditional precision is not positive definite")
+    l11 = math.sqrt(p11)
+    l21 = p12 / l11
+    pivot = p22 - l21 * l21
+    if not pivot > 0.0:
+        raise SamplerError("conditional precision is not positive definite")
+    l22 = math.sqrt(pivot)
+    y1 = h1 / l11
+    x2 = ((h2 - l21 * y1) / l22 + z2) / l22
+    return (y1 + z1 - l21 * x2) / l11, x2
 
 
-def fit(
-    ds: HorizonDataset,
-    spec: ModelSpec,
-    cfg: SamplerConfig | None = None,
-    seed: int = 0,
-) -> PosteriorSamples:
+def _precision(q: tuple, sigma2: float, prior: tuple) -> tuple:
+    """(P11, P12, P22, h1, h2) of the block whose form is q, given sigma^2 and the block's prior."""
+    p11, p12, p22, h1, h2 = prior
+    return q[3] / sigma2 + p11, q[4] / sigma2 + p12, q[5] / sigma2 + p22, h1 - q[1] / sigma2, h2 - q[2] / sigma2
+
+
+class _Conditionals:
+    """The sum of squares S of one dataset as a quadratic form in each block.
+
+    LogPosterior writes S = v'Gv with v = c (x) b, b = (1, a, d) the centred
+    regression coordinates (a = beta0 + beta1 * x_mean - y_mean,
+    d = beta1 - slope) and c = (1, -phi1, -phi2); the basic model's 3x3 G is
+    padded here to 9x9 with zeros. With G reshaped to G4 (3, 3, 3, 3), S is
+    b'H(c)b with H = c.G4.c and c'K(b)c with K = b.G4.b. The entries of H
+    and K are quadratic polynomials in c and b: beta_terms and phi_terms hold
+    their coefficients, read from G once, for _form.
+
+    The beta block is drawn as (a, d), the phi block as (-phi1, -phi2). Given
+    sigma each has the density exp(-x'Px/2 + h'x) with P = Q[1:, 1:]/sigma^2
+    plus the prior precision and h = -Q[0, 1:]/sigma^2 plus the prior's
+    linear term, Q = H or K (_precision).
+    """
+
+    def __init__(self, log_post: LogPosterior):
+        pr = log_post.spec.priors
+        self.n, self.sigma_scale = log_post._n, pr.sigma_scale
+        self.x_mean, self.y_mean, self.slope = log_post._x_mean, log_post._y_mean, log_post._slope
+        gram = np.zeros((9, 9))
+        size = log_post._gram.shape[0]
+        gram[:size, :size] = log_post._gram
+        # the start: phi = 0, and sigma the weighted RMS residual of the least-squares line (a = d = 0)
+        self.sigma_start = max(math.sqrt(gram[0, 0] / self.n), 1e-4)
+        # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2
+        mono = np.zeros((3, 3, 6))
+        for m, (i, j) in enumerate(_UPPER):
+            mono[i, j, m] = mono[j, i, m] = 1.0
+        g4 = gram.reshape(3, 3, 3, 3)
+        beta_terms = np.einsum("lkmn,lmp->knp", g4, mono)
+        phi_terms = np.einsum("lkmn,knp->lmp", g4, mono)
+        self.beta_terms = tuple(tuple(beta_terms[i, j].tolist()) for i, j in _UPPER)
+        self.phi_terms = tuple(tuple(phi_terms[i, j].tolist()) for i, j in _UPPER)
+        # beta0 - beta0_mean = a - x_mean * d + e0 and beta1 - beta1_mean = d + e1
+        e0 = self.y_mean - self.slope * self.x_mean - pr.beta0_mean
+        e1 = self.slope - pr.beta1_mean
+        v0, v1, xm = pr.beta0_var, pr.beta1_var, self.x_mean
+        self.beta_prior = (1.0 / v0, -xm / v0, xm * xm / v0 + 1.0 / v1, -e0 / v0, xm * e0 / v0 - e1 / v1)
+        self.phi_prior = (pr.phi_sd**-2, 0.0, pr.phi_sd**-2, 0.0, 0.0)
+
+
+def _truncated(p: tuple, z1: float, z2: float, inside, rng: np.random.Generator) -> tuple[float, float, int]:
+    """A _gaussian2 draw redrawn until inside(x1, x2), with the redraw count."""
+    x1, x2 = _gaussian2(*p, z1, z2)
+    rejected = 0
+    while not inside(x1, x2):
+        rejected += 1
+        if rejected == MAX_REJECTIONS:
+            raise SamplerError(f"truncated block rejected {MAX_REJECTIONS} draws in a row")
+        z1, z2 = rng.standard_normal(2).tolist()
+        x1, x2 = _gaussian2(*p, z1, z2)
+    return x1, x2, rejected
+
+
+def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.random.Generator):
+    """One chain of Gibbs sweeps.
+
+    Returns the retained (beta0, beta1, phi1, phi2, sigma) draws, less the
+    phi columns for the basic model, the number of accepted sigma proposals
+    over all sweeps and the redraws of the beta and phi blocks.
+    """
+    sweeps = cfg.warmup_draws + cfg.retained_draws
+    normals = rng.standard_normal((sweeps, 4)).tolist()
+    gammas = rng.standard_gamma(0.5 * (cond.n - 1), sweeps).tolist()
+    log_u = np.log(rng.random(sweeps)).tolist()
+    half_inv_scale2 = 0.5 / cond.sigma_scale**2
+    x_mean, y_mean, slope = cond.x_mean, cond.y_mean, cond.slope
+    phi1 = phi2 = 0.0
+    sigma2 = cond.sigma_start**2
+    draws = []
+    accepted = beta_rejected = phi_rejected = 0
+    for i, (z1, z2, z3, z4) in enumerate(normals):
+        p = _precision(_form(cond.beta_terms, -phi1, -phi2), sigma2, cond.beta_prior)
+        a, d, rejected = _truncated(p, z1, z2, lambda a, d: d + slope > 0.0, rng)
+        beta_rejected += rejected
+        q = _form(cond.phi_terms, a, d)
+        if hybrid:
+            p = _precision(q, sigma2, cond.phi_prior)
+            c1, c2, rejected = _truncated(p, z3, z4, lambda c1, c2: ar2_stationary(-c1, -c2), rng)
+            phi_rejected += rejected
+            phi1, phi2 = -c1, -c2
+        ss = _quadratic(q, -phi1, -phi2)
+        if not ss > 0.0:
+            raise SamplerError("weighted sum of squared innovations is not positive")
+        proposal = 0.5 * ss / gammas[i]
+        if log_u[i] < (sigma2 - proposal) * half_inv_scale2:
+            sigma2 = proposal
+            accepted += 1
+        if i >= cfg.warmup_draws:
+            beta1 = d + slope
+            draws.append((a - beta1 * x_mean + y_mean, beta1, phi1, phi2, math.sqrt(sigma2)))
+    draws = np.array(draws)
+    return (draws if hybrid else draws[:, [0, 1, 4]]), accepted, beta_rejected, phi_rejected
+
+
+def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, seed: int = 0) -> PosteriorSamples:
     """Draw posterior samples for the model on the training rows of ds.
 
     Runs cfg.chains independent chains and pools the retained draws. Raises
@@ -247,34 +246,34 @@ def fit(
         cfg = SamplerConfig()
     if len(ds) < 3 + spec.n_params:
         raise ValueError("too few training rows for the parameter count")
-    start = _initial_point(ds, spec)
-    log_post = LogPosterior(ds, spec)
+    cond = _Conditionals(LogPosterior(ds, spec))
     streams = np.random.SeedSequence(seed).spawn(cfg.chains)
-    per_chain = []
-    rates = []
-    for chain_seed in streams:
-        rng = np.random.default_rng(chain_seed)
-        draws, rate = _run_chain(log_post, cfg, rng, start)
-        per_chain.append(draws)
-        rates.append(rate)
+    runs = [_run_chain(cond, cfg, spec.kind == "hybrid", np.random.default_rng(s)) for s in streams]
+    per_chain, accepted, beta_rejected, phi_rejected = zip(*runs)
 
     stacked = np.stack(per_chain)  # (chains, draws, params)
-    diagnostics = {}
-    for j, name in enumerate(spec.param_names):
-        diagnostics[name] = {
-            "rhat": rhat(stacked[:, :, j]),
-            "ess": ess(stacked[:, :, j]),
-        }
+    diagnostics = {
+        name: {"rhat": rhat(stacked[:, :, j]), "ess": ess(stacked[:, :, j])} for j, name in enumerate(spec.param_names)
+    }
     bad = {k: v["rhat"] for k, v in diagnostics.items() if v["rhat"] > cfg.rhat_limit}
     if bad:
         raise SamplerError(f"chains not converged, rhat over limit: {bad}")
 
+    rejections = {"beta": sum(beta_rejected)}
+    if spec.kind == "hybrid":
+        rejections["phi"] = sum(phi_rejected)
     samples = PosteriorSamples(
         draws=stacked.reshape(-1, spec.n_params),
         param_names=spec.param_names,
         chain_ids=np.repeat(np.arange(cfg.chains), cfg.retained_draws),
         diagnostics=diagnostics,
-        acceptance_rate=float(np.mean(rates)),
+        acceptance_rate=sum(accepted) / (cfg.chains * (cfg.warmup_draws + cfg.retained_draws)),
+        sampler_facts={
+            "burn_in_sweeps": cfg.warmup_draws,
+            "retained_sweeps": cfg.retained_draws,
+            "rejections": rejections,
+            "min_ess": min(v["ess"] for v in diagnostics.values()),
+        },
     )
     _check_support(samples, spec)
     return samples

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -75,7 +76,12 @@ class TestPipeline:
         out = tmp_path / "out"
         for h in (0, 6):
             assert (out / f"samples_basic_h{h:03d}.csv").exists()
-            assert (out / f"samples_basic_h{h:03d}.csv.diag.json").exists()
+            sidecar = json.loads((out / f"samples_basic_h{h:03d}.csv.diag.json").read_text())
+            assert 0.5 < sidecar["acceptance_rate"] <= 1.0
+            facts = sidecar["sampler"]
+            assert set(facts) == {"burn_in_sweeps", "retained_sweeps", "rejections", "min_ess"}
+            assert list(facts["rejections"]) == ["beta"]
+            assert facts["min_ess"] == min(p["ess"] for p in sidecar["parameters"].values())
 
     def test_predict_artifacts(self, pipeline):
         tmp_path, _ = pipeline

@@ -273,6 +273,28 @@ class TestIssueAndDataset:
         # the gap between rows 1 and 2 is reconstructed
         np.testing.assert_array_equal(back.post_gap, [True, False, True])
 
+    def test_dataset_bytes_match_row_loop(self, tmp_path):
+        # hours with gaps, values from tiny to large and with 10+ digits
+        rng = np.random.default_rng(4)
+        n = 500
+        steps = rng.choice([1, 1, 1, 2, 5], n)
+        times = (T0 + np.cumsum(steps) * HOUR).astype("datetime64[s]")
+        x = rng.uniform(0.0, 4.0, n) * 10.0 ** rng.integers(-12, 3, n)
+        ds = HorizonDataset(
+            horizon=24, valid_times=times, x=x, y=rng.normal(1.0, 0.7, n),
+            issue_times=(times - rng.integers(24, 36, n) * HOUR).astype("datetime64[s]"),
+        )
+        p = tmp_path / "ds.csv"
+        write_horizon_dataset(p, ds)
+        # the row-by-row format the column writer replaced
+        lines = ["valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag"]
+        for i in range(len(ds)):
+            lines.append(
+                f"{ds.valid_times[i]}, {float(ds.x[i]):.10g}, {float(ds.y[i]):.10g}, "
+                f"{ds.issue_times[i]}, {int(ds.post_gap[i])}"
+            )
+        assert p.read_text() == "\n".join(lines) + "\n"
+
 
 # one good file per reader; its last data row loses a cell in the test below
 SHORT_ROW_CASES = {
@@ -383,6 +405,21 @@ class TestPosteriorAndPredictions:
         assert back.param_names == samples.param_names
         assert back.acceptance_rate == pytest.approx(0.31)
         assert back.diagnostics["beta0"]["rhat"] == 1.0
+        assert back.sampler_facts == {}
+
+    def test_sampler_facts_round_trip(self, tmp_path):
+        facts = {"burn_in_sweeps": 1000, "retained_sweeps": 10, "rejections": {"beta": 2, "phi": 0}, "min_ess": 9.5}
+        samples = PosteriorSamples(
+            draws=np.ones((10, 3)),
+            param_names=("beta0", "beta1", "sigma"),
+            chain_ids=np.zeros(10, dtype=int),
+            diagnostics={"beta0": {"rhat": 1.0, "ess": 9.5}},
+            acceptance_rate=0.99,
+            sampler_facts=facts,
+        )
+        p = tmp_path / "samples.csv"
+        write_posterior_samples(p, samples)
+        assert read_posterior_samples(p).sampler_facts == facts
 
     def test_predictions_file(self, tmp_path):
         dists = [

@@ -10,6 +10,7 @@ from heavecast.model import (
     PosteriorSamples,
     PredictiveDistribution,
     PriorSet,
+    _sorted_quantiles,
     ar2_stationary,
     conditional_moments,
     in_support,
@@ -322,6 +323,16 @@ class TestPredictiveDistribution:
         dist = PredictiveDistribution(valid_time=T0, draws=np.arange(1001, dtype=float))
         assert dist.summaries == pytest.approx({"mean": 500.0, "p05": 50.0, "p50": 500.0, "p95": 950.0})
 
+    @pytest.mark.parametrize("n_draws", [2, 3, 10, 21, 1000, 1001, 1500])
+    def test_sorted_quantiles_match_numpy(self, n_draws):
+        rng = np.random.default_rng(n_draws)
+        rows = rng.gamma(2.0, 0.4, (70, n_draws))
+        rows[3] = 0.7  # a point mass
+        levels = (0.05, 0.1, 0.25, 0.5, 0.75, 0.95)
+        expected = np.quantile(rows, levels, axis=1).T
+        rows.sort(axis=1)
+        np.testing.assert_array_equal(_sorted_quantiles(rows, levels), expected)
+
 
 class TestDiagStats:
     def test_rhat_identical_chains(self):
@@ -388,7 +399,7 @@ class TestFit:
         assert np.mean(samples.column("beta1")) == pytest.approx(1.2, abs=0.05)
         assert np.mean(samples.column("sigma")) == pytest.approx(0.08, abs=0.02)
         assert all(d["rhat"] <= 1.05 for d in samples.diagnostics.values())
-        assert 0.05 < samples.acceptance_rate < 0.9
+        assert 0.5 < samples.acceptance_rate <= 1.0
 
     def test_bit_identical_reproducibility(self):
         ds = self.make_regression(n=120, seed=1)

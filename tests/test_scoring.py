@@ -133,6 +133,18 @@ class TestScoreTable:
         assert by["raw"].crps_mean == pytest.approx(0.5)  # point mass -> |error|
         assert by["adj"].rmse == pytest.approx(0.0)
 
+    def test_draw_rows_match_crps_samples(self):
+        # 150 rows span three 64-row blocks; ties and a point-mass row included
+        rng = np.random.default_rng(12)
+        draws = rng.gamma(2.0, 0.4, (150, 301))
+        draws[7] = 1.25
+        draws[8, 1::3] = draws[8, ::3][:100]
+        y = rng.gamma(2.0, 0.4, 150)
+        (report,) = score_table({"adj": {0: draws}}, {0: y}, [0])
+        crps = np.array([crps_samples(draws[i], y[i]) for i in range(150)])
+        assert report.crps_mean == float(np.mean(crps))
+        assert report.rmse == rmse(np.mean(draws, axis=1), y)
+
     def test_missing_horizon_warns_and_skips(self):
         obs = {0: np.array([1.0]), 6: np.array([1.0])}
         with pytest.warns(UserWarning):
