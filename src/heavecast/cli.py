@@ -4,6 +4,11 @@ Every command reads a YAML run manifest, takes flag overrides, writes plain
 delimited text into the manifest's output directory and is idempotent for a
 fixed manifest and seed. Exit codes: 0 success, 2 validation error,
 3 sampler or numerical failure.
+
+Start-up loads only the standard library and click: each command and helper
+imports the heavecast modules it calls (and with them numpy and PyYAML) at
+the top of its body, so `--help` parses no more than it prints and a stage
+loads only the modules its own work needs.
 """
 
 from __future__ import annotations
@@ -11,17 +16,26 @@ from __future__ import annotations
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import datasets, io, model, sampler, scoring, synthetic
-from .diagnostics import heteroskedasticity_summary, pacf, standardized_residuals
-from .motion import HeaveRecord
-from .spectral import response_moments
+if TYPE_CHECKING:
+    from . import config, datasets, io, model
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
+
+
+def _numerical_errors() -> tuple[type[BaseException], ...]:
+    """The exception types that exit NUMERICAL_EXIT.
+
+    SamplerError is looked up only once an exception is being handled: it is
+    defined in sampler, which only fit imports, so when sampler is not loaded
+    nothing can have raised it.
+    """
+    sampler = sys.modules.get(f"{__package__}.sampler")
+    return (ZeroDivisionError, FloatingPointError) + ((sampler.SamplerError,) if sampler else ())
 
 
 def _failsoft(fn):
@@ -32,7 +46,7 @@ def _failsoft(fn):
         except (ValueError, OSError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(VALIDATION_EXIT)
-        except (sampler.SamplerError, ZeroDivisionError, FloatingPointError) as exc:
+        except _numerical_errors() as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(NUMERICAL_EXIT)
 
@@ -52,6 +66,8 @@ def _common(fn):
 
 
 def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
+    from . import io
+
     m = io.RunManifest.load(Path(manifest))
     if horizons:
         m.horizons = sorted(set(horizons))
@@ -66,11 +82,15 @@ def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
     return m
 
 
-def _sampler_config(m: io.RunManifest) -> sampler.SamplerConfig:
-    return sampler.SamplerConfig(**m.sampler)
+def _sampler_config(m: io.RunManifest) -> config.SamplerConfig:
+    from . import config
+
+    return config.SamplerConfig(**m.sampler)
 
 
 def _model_spec(m: io.RunManifest, horizon: int) -> model.ModelSpec:
+    from . import model
+
     return model.ModelSpec(kind=m.model_kind, horizon=horizon)
 
 
@@ -84,8 +104,23 @@ def _samples_path(m: io.RunManifest, h: int) -> Path:
 
 def _split(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset, datasets.HorizonDataset]:
     """The horizon-h dataset, split chronologically into (train, test)."""
+    from . import datasets, io
+
     ds = io.read_horizon_dataset(_dataset_path(m, h), h)
     return datasets.chrono_split(ds, m.train_fraction)
+
+
+def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.PosteriorSamples:
+    """The horizon-h posterior samples, checked to be spec's parameters inside the prior support."""
+    from . import io, model
+
+    path = _samples_path(m, h)
+    samples = io.read_posterior_samples(path)
+    try:
+        model.check_samples(samples, spec)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return samples
 
 
 def _test_predictive(
@@ -95,9 +130,12 @@ def _test_predictive(
 
     predict and score both call this, so they draw the same y* values.
     """
+    from . import model
+
     train, test = _split(m, h)
-    samples = io.read_posterior_samples(_samples_path(m, h))
-    dists = model.posterior_predictive(samples, test, _model_spec(m, h), seed=m.seed + 1000 + h, context=train)
+    spec = _model_spec(m, h)
+    samples = _read_samples(m, h, spec)
+    dists = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
     return test, dists
 
 
@@ -111,14 +149,18 @@ def main():
 @_failsoft
 def response(**kwargs):
     """Physics response statistics from a spectra file and an RAO file."""
+    import numpy as np
+
+    from . import io, spectral
+
     m = _load(**kwargs)
     m.require("rao_file", "spectra_file")
     rao = io.read_rao(m.rao_file)
     spectra = io.read_spectra(m.spectra_file)
-    m0, m2 = response_moments(spectra, rao)
+    m0, m2 = spectral.response_moments(spectra, rao)
+    rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
     lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
-    for spec, a, b, sig in zip(spectra, m0, m2, 2.0 * np.sqrt(m0)):
-        lines.append(f"{spec.timestamp}, {a:.10g}, {b:.10g}, {sig:.10g}")
+    lines += [f"{t}, {a:.10g}, {b:.10g}, {sig:.10g}" for t, a, b, sig in rows]
     io.atomic_write_text(m.out_dir / "response.csv", "\n".join(lines) + "\n")
     click.echo(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)")
 
@@ -128,6 +170,8 @@ def response(**kwargs):
 @_failsoft
 def build(**kwargs):
     """Synthesise per-horizon datasets from forecast issues and measurements."""
+    from . import datasets, io
+
     m = _load(**kwargs)
     if not m.issue_files:
         m.issue_files = sorted((m.out_dir / "issues").glob("issue_*.csv"))
@@ -149,6 +193,8 @@ def build(**kwargs):
 @_failsoft
 def fit(**kwargs):
     """Fit the adjustment model per horizon on the training split."""
+    from . import io, sampler
+
     m = _load(**kwargs)
     cfg = _sampler_config(m)
 
@@ -165,6 +211,8 @@ def fit(**kwargs):
 @_failsoft
 def predict(**kwargs):
     """Posterior-predictive quantiles for the test split of each horizon."""
+    from . import io
+
     m = _load(**kwargs)
     for h in m.horizons:
         _, dists = _test_predictive(m, h)
@@ -178,6 +226,10 @@ def predict(**kwargs):
 @_failsoft
 def score(**kwargs):
     """Score the fitted model against the raw physics forecast."""
+    import numpy as np
+
+    from . import io, scoring
+
     m = _load(**kwargs)
     label = f"{m.model_kind} adjustment"
     models: dict[str, dict[int, np.ndarray]] = {label: {}, "raw physics": {}}
@@ -201,22 +253,27 @@ def score(**kwargs):
 @_failsoft
 def diagnose(max_lag, bins, **kwargs):
     """Residual PACF and heteroskedasticity tables per horizon."""
+    import numpy as np
+
+    from . import diagnostics, io, model
+
     m = _load(**kwargs)
     for h in m.horizons:
         train, _ = _split(m, h)
-        samples = io.read_posterior_samples(_samples_path(m, h))
         spec = _model_spec(m, h)
+        samples = _read_samples(m, h, spec)
         at_mean = np.mean(samples.draws, axis=0)
 
         eps = model.residuals(at_mean, train)
-        series = eps if spec.kind == "basic" else standardized_residuals(at_mean, train, spec)
-        pac = pacf(series, max_lag)
+        series = eps if spec.kind == "basic" else diagnostics.standardized_residuals(at_mean, train, spec)
+        # both tables are computed before either is written, so a bad option writes nothing
+        pac = diagnostics.pacf(series, max_lag)
+        table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map=model.map_sigma(samples))
         lines = ["lag, coefficient, band"]
         for lag, c in zip(pac.lags, pac.coefficients):
             lines.append(f"{lag}, {c:.6f}, {pac.confidence_band:.6f}")
         io.atomic_write_text(m.out_dir / f"pacf_{m.model_kind}_h{h:03d}.csv", "\n".join(lines) + "\n")
 
-        table = heteroskedasticity_summary(eps, train.x, bins, sigma_map=model.map_sigma(samples))
         lines = ["x_bin_center_m, mean_abs_residual_m, count, sigma_map"]
         for row in table:
             lines.append(
@@ -234,9 +291,13 @@ def diagnose(max_lag, bins, **kwargs):
 @_failsoft
 def simulate(spectra_hours, **kwargs):
     """Generate a synthetic campaign: RAO, measurements and forecast issues."""
+    import numpy as np
+
+    from . import config, io, motion, synthetic
+
     m = _load(**kwargs)
     scn = _scenario_from(m)
-    inj = synthetic.ErrorInjection(seed=m.seed + 17, **m.injection)
+    inj = config.ErrorInjection(seed=m.seed + 17, **m.injection)
     spectra = synthetic.generate_spectra(scn)
     rao = synthetic.reference_rao()
     times, sig = synthetic.true_response_series(spectra, rao)
@@ -244,7 +305,7 @@ def simulate(spectra_hours, **kwargs):
     meas_noise = float(m.scenario.get("measurement_noise", 0.0))
     rng = np.random.default_rng(m.seed + 29)
     y = np.maximum(sig + meas_noise * rng.standard_normal(sig.size), 0.0)
-    records = [HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
+    records = [motion.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
 
     issues = synthetic.generate_forecast_issues(times, sig, inj)
     issue_dir = m.out_dir / "issues"
@@ -261,12 +322,16 @@ def simulate(spectra_hours, **kwargs):
     click.echo(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}")
 
 
-def _scenario_from(m: io.RunManifest) -> synthetic.SwellScenario:
+def _scenario_from(m: io.RunManifest) -> config.SwellScenario:
+    import numpy as np
+
+    from . import config
+
     raw = dict(m.scenario)
     raw.pop("measurement_noise", None)
-    events = tuple(synthetic.SwellEvent(**e) for e in raw.pop("events", []))
+    events = tuple(config.SwellEvent(**e) for e in raw.pop("events", []))
     raw.setdefault("start", np.datetime64("2024-06-01T00:00:00", "s"))
-    return synthetic.SwellScenario(events=events, seed=m.seed, **raw)
+    return config.SwellScenario(events=events, seed=m.seed, **raw)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,8 @@ def pacf(series: np.ndarray, max_lag: int) -> PacfResult:
     recursion on the biased sample autocovariances, which keeps every
     coefficient inside [-1, 1]. The 95% white-noise band is 1.96/sqrt(N).
     """
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be at least 1, found {max_lag}")
     series = np.asarray(series, dtype=float)
     n = series.size
     if n <= max_lag + 1:
@@ -98,6 +100,8 @@ def heteroskedasticity_summary(
     the row count and (when given) the flat MAP sigma overlay value, which
     is what a homoskedastic error model would draw through the panel.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be at least 1, found {n_bins}")
     res = np.asarray(residuals, dtype=float)
     x = np.asarray(x_values, dtype=float)
     if res.shape != x.shape:

@@ -18,17 +18,19 @@ import tempfile
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
+from .config import ErrorInjection, SamplerConfig, SwellEvent, SwellScenario
 from .datasets import DEFAULT_HORIZONS, ForecastIssue, HorizonDataset
 from .model import QUANTILE_LEVELS, PosteriorSamples, predictive_summaries
 from .motion import HeaveRecord, RawMotionSeries
-from .sampler import SamplerConfig
-from .scoring import ScoreReport
 from .spectral import RaoCurve, SpectrumSeries
-from .synthetic import ErrorInjection, SwellEvent, SwellScenario
+
+if TYPE_CHECKING:
+    from .scoring import ScoreReport
 
 __all__ = [
     "RunManifest",

@@ -38,6 +38,8 @@ __all__ = [
     "log_posterior",
     "LogPosterior",
     "ar2_stationary",
+    "in_support",
+    "check_samples",
     "posterior_predictive",
     "map_sigma",
     "conditional_moments",
@@ -194,12 +196,31 @@ def ar2_stationary(p1, p2):
     return (abs(p2) < 1.0) & (p1 + p2 < 1.0) & (p2 - p1 < 1.0)
 
 
-def in_support(params: np.ndarray, spec: ModelSpec) -> bool:
-    """Prior support: beta1 > 0, sigma > 0 and AR(2) stationarity."""
-    beta1, sigma = params[1], params[-1]
-    if not (beta1 > 0.0 and sigma > 0.0):
-        return False
-    return spec.kind != "hybrid" or bool(ar2_stationary(params[2], params[3]))
+def in_support(params: np.ndarray, spec: ModelSpec):
+    """Prior support: finite values, beta1 > 0, sigma > 0 and AR(2) stationarity.
+
+    params is one parameter vector or an array of them along the last axis;
+    the result has one bool per vector.
+    """
+    params = np.asarray(params, dtype=float)
+    ok = np.all(np.isfinite(params), axis=-1) & (params[..., 1] > 0.0) & (params[..., -1] > 0.0)
+    if spec.kind == "hybrid":
+        ok &= ar2_stationary(params[..., 2], params[..., 3])
+    return ok
+
+
+def check_samples(samples: PosteriorSamples, spec: ModelSpec) -> None:
+    """Raise ValueError unless samples hold spec's parameters, every draw inside the prior support."""
+    if samples.param_names != spec.param_names:
+        raise ValueError(
+            f"expected {spec.kind} parameters {list(spec.param_names)}, found {list(samples.param_names)}"
+        )
+    outside = np.flatnonzero(~in_support(samples.draws, spec))
+    if outside.size:
+        raise ValueError(
+            f"{outside.size} of {len(samples)} draws are not finite or lie outside the prior support,"
+            f" the first at row {outside[0] + 1}"
+        )
 
 
 def _log_prior(params: np.ndarray, spec: ModelSpec) -> float:

@@ -27,12 +27,12 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SamplerConfig
 from .datasets import HorizonDataset
-from .model import LogPosterior, ModelSpec, PosteriorSamples, ar2_stationary
+from .model import LogPosterior, ModelSpec, PosteriorSamples, ar2_stationary, in_support
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]
 
@@ -44,18 +44,6 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 class SamplerError(RuntimeError):
     """Sampling failed: a stuck truncated block or unconverged chains."""
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    chains: int = 3
-    warmup_draws: int = 1000  # burn-in sweeps per chain
-    retained_draws: int = 1000
-    rhat_limit: float = 1.05
-
-    def __post_init__(self):
-        if self.chains < 1 or self.warmup_draws < 100 or self.retained_draws < 100:
-            raise ValueError("need >= 1 chain, >= 100 warmup and retained draws")
 
 
 def rhat(chains: np.ndarray) -> float:
@@ -281,8 +269,5 @@ def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, s
 
 def _check_support(samples: PosteriorSamples, spec: ModelSpec) -> None:
     """Raise SamplerError if any retained draw lies outside the prior support."""
-    ok = np.all(samples.column("beta1") > 0.0) and np.all(samples.column("sigma") > 0.0)
-    if spec.kind == "hybrid":
-        ok = ok and np.all(ar2_stationary(samples.column("phi1"), samples.column("phi2")))
-    if not ok:
+    if not np.all(in_support(samples.draws, spec)):
         raise SamplerError("retained draws outside the prior support")

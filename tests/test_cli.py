@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import yaml
 from click.testing import CliRunner
 
 import heavecast
+from heavecast import io
 from heavecast.cli import main
+from heavecast.spectral import response_moments
 
 RUNNER = CliRunner()
 
@@ -130,6 +133,23 @@ class TestPipeline:
         assert (tmp_path / "cwd" / "elsewhere" / "rao.csv").is_file()
         assert not (tmp_path / "manifest" / "elsewhere").exists()
 
+    def test_response_matches_per_spectrum_formatting(self, tmp_path):
+        manifest = write_manifest(
+            tmp_path, scenario={"duration_h": 30, "start": "2024-03-01T06:00:00Z"},
+            rao_file="out/rao.csv", spectra_file="out/spectra.csv",
+        )
+        assert run(["simulate", "--manifest", str(manifest), "--spectra-hours", "30"]).exit_code == 0
+        result = run(["response", "--manifest", str(manifest)])
+        assert result.exit_code == 0, result.output
+        # the reference: one validated spectrum object per row, read for its timestamp
+        spectra = io.read_spectra(tmp_path / "out" / "spectra.csv")
+        m0, m2 = response_moments(spectra, io.read_rao(tmp_path / "out" / "rao.csv"))
+        lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
+        for spec, a, b, sig in zip(spectra, m0, m2, 2.0 * np.sqrt(m0)):
+            lines.append(f"{spec.timestamp}, {a:.10g}, {b:.10g}, {sig:.10g}")
+        assert len(lines) == 31
+        assert (tmp_path / "out" / "response.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_horizon_override(self, pipeline):
         tmp_path, manifest = pipeline
         result = run(["build", "--manifest", str(manifest), "--horizon", "12"])
@@ -188,6 +208,21 @@ class TestExitCodes:
         result = run(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "unknown manifest sampler keys: ['chainz']" in result.output
+
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"sampler": {"chainz": 3}}, "unknown manifest sampler keys: ['chainz']"),
+            ({"injection": {"noise_scale": "big"}}, "manifest injection key noise_scale must be a number"),
+            ({"scenario": {"duration_h": 48, "events": [{"hs": 1.0}]}}, "manifest scenario event must set"),
+        ],
+    )
+    def test_every_stage_checks_every_manifest_section(self, tmp_path, cmd, override, message):
+        manifest = write_manifest(tmp_path, **override)
+        result = run([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_short_issue_row_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
@@ -267,9 +302,163 @@ class TestExitCodes:
         assert result.exit_code == 3
 
 
+@pytest.fixture(scope="module")
+def hybrid_run(tmp_path_factory):
+    """A hybrid campaign through fit, at one horizon."""
+    tmp_path = tmp_path_factory.mktemp("hybrid")
+    manifest = write_manifest(
+        tmp_path, horizons=[0], model_kind="hybrid",
+        sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
+    )
+    for cmd in ("simulate", "build", "fit"):
+        result = run([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 0, f"{cmd} failed: {result.output}"
+    return tmp_path
+
+
+@pytest.fixture
+def campaign(hybrid_run, tmp_path):
+    """A copy of the hybrid campaign that a test may alter."""
+    shutil.copytree(hybrid_run / "out", tmp_path / "out")
+    shutil.copy(hybrid_run / "run.yaml", tmp_path / "run.yaml")
+    return tmp_path
+
+
+class TestBadSamples:
+    """A samples file must hold the model's parameters, every draw in the prior support."""
+
+    @staticmethod
+    def rewrite_samples(campaign, edit):
+        """Apply edit to the cells of every line of the h=0 samples file."""
+        path = campaign / "out" / "samples_hybrid_h000.csv"
+        lines = [edit(line.split(", ")) for line in path.read_text().splitlines()]
+        path.write_text("\n".join(", ".join(cells) for cells in lines) + "\n")
+
+    def assert_refused(self, campaign, cmd, message):
+        result = run([cmd, "--manifest", str(campaign / "run.yaml")])
+        assert result.exit_code == 2, result.output
+        assert "samples_hybrid_h000.csv: " + message in result.output
+
+    @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
+    def test_missing_phi2_column(self, campaign, cmd):
+        self.rewrite_samples(campaign, lambda cells: cells[:4] + cells[5:])
+        self.assert_refused(campaign, cmd, "expected hybrid parameters ['beta0', 'beta1', 'phi1', 'phi2', 'sigma']")
+
+    @pytest.mark.parametrize("cmd", ["predict", "score"])
+    @pytest.mark.parametrize("sigma", ["nan", "-0.05"])
+    def test_sigma_outside_support(self, campaign, cmd, sigma):
+        self.rewrite_samples(campaign, lambda cells: cells[:-1] + [cells[-1] if cells[0] == "chain" else sigma])
+        self.assert_refused(campaign, cmd, "400 of 400 draws are not finite or lie outside the prior support")
+
+    def test_samples_as_fit_wrote_them_are_accepted(self, campaign):
+        for cmd in ("predict", "score", "diagnose"):
+            result = run([cmd, "--manifest", str(campaign / "run.yaml")])
+            assert result.exit_code == 0, result.output
+
+
+class TestDiagnoseRanges:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-lag", "-3"], "max_lag must be at least 1, found -3"),
+            (["--max-lag", "0"], "max_lag must be at least 1, found 0"),
+            (["--bins", "0"], "n_bins must be at least 1, found 0"),
+        ],
+    )
+    def test_out_of_range_is_validation_error(self, campaign, flags, message):
+        result = run(["diagnose", "--manifest", str(campaign / "run.yaml"), *flags])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not list((campaign / "out").glob("pacf_*.csv"))
+
+
+def _imported(args):
+    """Exit code and top-level names of every module `python -m heavecast.cli ARGS` imports.
+
+    Read from `-X importtime`, which lists each module the first time it is
+    imported; heavecast.cli itself runs as __main__.
+    """
+    src = str(Path(heavecast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "heavecast.cli", *args], env=env, capture_output=True, text=True
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+    return proc.returncode, names
+
+
+def test_help_loads_only_click_and_the_package():
+    code, names = _imported(["--help"])
+    assert code == 0
+    assert "click" in names
+    assert {n.split(".")[0] for n in names}.isdisjoint({"numpy", "yaml", "scipy"})
+    assert {n for n in names if n.startswith("heavecast")} <= {"heavecast", "heavecast.cli"}
+
+
+# the heavecast modules each stage must leave unloaded
+UNLOADED = {
+    "simulate": {"sampler", "scoring", "diagnostics"},
+    "build": {"sampler", "synthetic", "scoring", "diagnostics"},
+    "fit": {"synthetic", "scoring", "diagnostics"},
+    "predict": {"sampler", "synthetic", "scoring", "diagnostics"},
+    "score": {"sampler", "synthetic", "diagnostics"},
+    "diagnose": {"sampler", "synthetic", "scoring"},
+}
+
+
+@pytest.fixture(scope="module")
+def stage_imports(tmp_path_factory):
+    """Modules each stage imported, running the pipeline in order on a small hybrid campaign."""
+    tmp_path = tmp_path_factory.mktemp("imports")
+    manifest = write_manifest(
+        tmp_path, horizons=[0], model_kind="hybrid",
+        sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
+    )
+    imports = {}
+    for stage in UNLOADED:
+        code, names = _imported([stage, "--manifest", str(manifest)])
+        assert code == 0, stage
+        imports[stage] = names
+    return imports
+
+
+@pytest.mark.parametrize("stage", list(UNLOADED))
+def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
+    names = stage_imports[stage]
+    assert "heavecast.io" in names and "heavecast.config" in names
+    assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
+    assert {"scipy.stats", "scipy.signal"}.isdisjoint(names)
+
+
+def test_public_names_resolve_lazily():
+    from heavecast import sampler
+
+    assert heavecast.__version__ == "0.1.0"
+    listed = dir(heavecast)
+    for name in heavecast.__all__:
+        assert name in listed
+        value = getattr(heavecast, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert heavecast.SamplerConfig is sampler.SamplerConfig
+    with pytest.raises(AttributeError):
+        heavecast.no_such_name  # noqa: B018
+
+
 def test_import_leaves_scipy_stats_and_signal_out():
-    # scipy.stats and scipy.signal dominate start-up time; no stage needs them
-    code = "import sys, heavecast.cli; print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    # scipy.stats and scipy.signal dominate start-up time; no stage needs
+    # them, so importing every module and public name must leave them out
+    code = (
+        "import importlib, pkgutil, sys, heavecast\n"
+        "for mod in pkgutil.iter_modules(heavecast.__path__):\n"
+        "    importlib.import_module('heavecast.' + mod.name)\n"
+        "for name in heavecast.__all__:\n"
+        "    getattr(heavecast, name)\n"
+        "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
+    )
     src = str(Path(heavecast.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

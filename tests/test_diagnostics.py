@@ -98,6 +98,11 @@ class TestPacf:
         with pytest.raises(ValueError):
             pacf(np.array([1.0, np.nan, 2.0] * 20), 3)
 
+    @pytest.mark.parametrize("max_lag", [0, -3])
+    def test_max_lag_below_one_rejected(self, max_lag):
+        with pytest.raises(ValueError, match="max_lag must be at least 1"):
+            pacf(ar_series([0.5], 100, seed=9), max_lag)
+
     def test_result_validation(self):
         with pytest.raises(ValueError):
             PacfResult(lags=np.array([1]), coefficients=np.array([1.5]), confidence_band=0.1)
@@ -140,6 +145,11 @@ class TestHeteroskedasticitySummary:
             heteroskedasticity_summary(np.ones(3), np.ones(4), 2)
         with pytest.raises(ValueError):
             heteroskedasticity_summary(np.ones(3), np.ones(3), 10)
+
+    @pytest.mark.parametrize("n_bins", [0, -2])
+    def test_bins_below_one_rejected(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins must be at least 1"):
+            heteroskedasticity_summary(np.ones(20), np.arange(20.0), n_bins)
 
 
 class TestStandardizedResiduals:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -12,6 +14,7 @@ from heavecast.model import (
     PriorSet,
     _sorted_quantiles,
     ar2_stationary,
+    check_samples,
     conditional_moments,
     in_support,
     log_posterior,
@@ -164,6 +167,24 @@ class TestLogPosterior:
         assert not in_support(np.array([0.0, 1.0, -1.3, 0.2, 0.1]), HYBRID)
         assert not in_support(np.array([0.0, 1.0, 0.0, 1.1, 0.1]), HYBRID)
 
+    def test_in_support_rows_match_single_vectors(self):
+        rng = np.random.default_rng(3)
+        draws = rng.uniform(-1.5, 1.5, (500, 5))
+        draws[::7, 0] = np.inf
+        draws[::11, 4] = np.nan
+        for spec in (BASIC, HYBRID):
+            rows = draws[:, : spec.n_params] if spec.kind == "hybrid" else draws[:, [0, 1, 4]]
+            expected = [support_reference(row, spec) for row in rows]
+            assert in_support(rows, spec).tolist() == expected
+            assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_in_support_rejects_non_finite_values(self, bad):
+        for j in range(5):
+            params = np.array([0.0, 1.0, 0.5, 0.3, 0.1])
+            params[j] = bad
+            assert not in_support(params, HYBRID)
+
     def test_ar2_stationary_elementwise(self):
         p1 = np.array([0.5, 0.9, -1.3, 0.0, 1.0])
         p2 = np.array([0.3, 0.2, 0.2, 1.1, -0.5])
@@ -237,6 +258,18 @@ class TestLogPosteriorEvaluator:
         fast = LogPosterior(make_ds([1.0, 1.1, 0.9], [1.0, 1.0, 1.0]), BASIC)
         with pytest.raises(ValueError):
             fast(np.array([0.0, 1.0, 0.1, 0.1]))
+
+
+def support_reference(params, spec):
+    """Prior support of one parameter vector, spelled out scalar by scalar."""
+    if not all(math.isfinite(v) for v in params):
+        return False
+    if not (params[1] > 0.0 and params[-1] > 0.0):
+        return False
+    if spec.kind == "basic":
+        return True
+    p1, p2 = params[2], params[3]
+    return abs(p2) < 1.0 and p1 + p2 < 1.0 and p2 - p1 < 1.0
 
 
 def point_mass_samples(params, names, n=400):
@@ -381,6 +414,27 @@ class TestCheckSupport:
         samples.draws[-1] = bad
         with pytest.raises(SamplerError):
             _check_support(samples, spec)
+        with pytest.raises(ValueError, match="outside the prior support, the first at row 400"):
+            check_samples(samples, spec)
+
+    @pytest.mark.parametrize("kind", ["basic", "hybrid"])
+    def test_check_samples_accepts_draws_in_support(self, kind):
+        spec = ModelSpec(kind=kind)
+        check_samples(point_mass_samples(self.GOOD[kind], spec.param_names), spec)
+
+    def test_check_samples_rejects_other_parameters(self):
+        # a hybrid file without its phi2 column would otherwise read sigma as phi2
+        names = ("beta0", "beta1", "phi1", "sigma")
+        samples = point_mass_samples([0.1, 1.0, 0.5, 0.2], names)
+        with pytest.raises(ValueError, match="expected hybrid parameters"):
+            check_samples(samples, HYBRID)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.2])
+    def test_check_samples_rejects_bad_sigma(self, sigma):
+        samples = point_mass_samples(self.GOOD["hybrid"], HYBRID.param_names)
+        samples.draws[:, -1] = sigma
+        with pytest.raises(ValueError, match="400 of 400 draws"):
+            check_samples(samples, HYBRID)
 
 
 class TestFit:
