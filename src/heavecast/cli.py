@@ -123,10 +123,8 @@ def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.Pos
     return samples
 
 
-def _test_predictive(
-    m: io.RunManifest, h: int
-) -> tuple[datasets.HorizonDataset, list[model.PredictiveDistribution]]:
-    """The horizon-h test split and its posterior-predictive distributions.
+def _test_predictive(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset, model.PredictiveDraws]:
+    """The horizon-h test split and its posterior-predictive draws.
 
     predict and score both call this, so they draw the same y* values.
     """
@@ -135,8 +133,8 @@ def _test_predictive(
     train, test = _split(m, h)
     spec = _model_spec(m, h)
     samples = _read_samples(m, h, spec)
-    dists = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
-    return test, dists
+    pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
+    return test, pred
 
 
 @click.group()
@@ -215,31 +213,34 @@ def predict(**kwargs):
 
     m = _load(**kwargs)
     for h in m.horizons:
-        _, dists = _test_predictive(m, h)
+        _, pred = _test_predictive(m, h)
         path = m.out_dir / f"predictions_{m.model_kind}_h{h:03d}.csv"
-        io.write_predictions(path, dists)
-        click.echo(f"h={h}: {len(dists)} predictive rows -> {path}")
+        io.write_predictions(path, pred)
+        click.echo(f"h={h}: {len(pred)} predictive rows -> {path}")
+        del pred  # before the next horizon's draws are made
 
 
 @main.command()
 @_common
 @_failsoft
 def score(**kwargs):
-    """Score the fitted model against the raw physics forecast."""
-    import numpy as np
+    """Score the fitted model against the raw physics forecast.
 
+    Each horizon is scored as soon as its draws exist, and the draws are
+    released before the next horizon's are made; the reports are then put in
+    label-major order, every horizon of one model before the next model.
+    """
     from . import io, scoring
 
     m = _load(**kwargs)
-    label = f"{m.model_kind} adjustment"
-    models: dict[str, dict[int, np.ndarray]] = {label: {}, "raw physics": {}}
-    obs: dict[int, np.ndarray] = {}
+    labels = [f"{m.model_kind} adjustment", "raw physics"]
+    reports = []
     for h in m.horizons:
-        test, dists = _test_predictive(m, h)
-        models[label][h] = np.stack([d.draws for d in dists])
-        models["raw physics"][h] = test.x
-        obs[h] = test.y
-    reports = scoring.score_table(models, obs, list(m.horizons))
+        test, pred = _test_predictive(m, h)
+        models = {labels[0]: {h: pred.draws.T}, labels[1]: {h: test.x}}
+        reports += scoring.score_table(models, {h: test.y}, [h])
+        del pred, models
+    reports.sort(key=lambda r: labels.index(r.model_label))
     io.write_score_reports(m.out_dir / "scores.csv", reports)
     table = scoring.format_score_table(reports)
     io.atomic_write_text(m.out_dir / "scores.txt", table + "\n")

@@ -209,11 +209,18 @@ def align(forecast_series, measurements, horizon: int) -> HorizonDataset:
 def chrono_split(
     ds: HorizonDataset, train_fraction: float = 0.8
 ) -> tuple[HorizonDataset, HorizonDataset]:
-    """Chronological train/test split: first ceil(fraction*N) rows train."""
+    """Chronological train/test split: first ceil(fraction*N) rows train.
+
+    Both parts must keep at least one row.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly inside (0, 1)")
     n = len(ds)
     if n < 10:
         raise ValueError("too few rows to split")
     k = int(np.ceil(train_fraction * n))
+    if k >= n:
+        raise ValueError(
+            f"train_fraction {train_fraction} leaves no test row of the {n} rows at horizon {ds.horizon}"
+        )
     return ds.rows(slice(0, k)), ds.rows(slice(k, n))

@@ -5,6 +5,10 @@ plotting tool can consume them. Frequencies are stored in files as Hz and
 directions in degrees (the operational product conventions); everything is
 converted to rad/s and radians on ingestion. Writes are atomic: temp file in
 the target directory, then rename.
+
+A reader imports the type it builds, and write_predictions the predictive
+helpers, when it runs, so a stage loads only the modules behind the files it
+reads or writes.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ import yaml
 
 from .config import ErrorInjection, SamplerConfig, SwellEvent, SwellScenario
 from .datasets import DEFAULT_HORIZONS, ForecastIssue, HorizonDataset
-from .model import QUANTILE_LEVELS, PosteriorSamples, predictive_summaries
-from .motion import HeaveRecord, RawMotionSeries
-from .spectral import RaoCurve, SpectrumSeries
 
 if TYPE_CHECKING:
+    from .model import PosteriorSamples, PredictiveDraws
+    from .motion import HeaveRecord, RawMotionSeries
     from .scoring import ScoreReport
+    from .spectral import RaoCurve, SpectrumSeries
 
 __all__ = [
     "RunManifest",
@@ -116,6 +120,8 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[list[str]]:
 # -- RAO ---------------------------------------------------------------------
 
 def read_rao(path: Path) -> RaoCurve:
+    from .spectral import RaoCurve
+
     freq_col, amp_col = _read_columns(path, ["freq_hz", "amplitude"])
     freqs_hz = np.array(freq_col, dtype=float)
     amps = np.array(amp_col, dtype=float)
@@ -138,6 +144,8 @@ def read_spectra(path: Path) -> SpectrumSeries:
     column is m^2 s per degree of direction (per-Hz, per-deg) and is
     converted to the per-rad/s, per-rad convention used internally.
     """
+    from .spectral import SpectrumSeries
+
     time_col, freq_col, dir_col, density_col = _read_columns(
         path, ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
     )
@@ -190,6 +198,8 @@ def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
 
 def read_motion_series(path: Path) -> RawMotionSeries:
     """Uniformly sampled heave displacement, `timestamp_utc, heave_m`."""
+    from .motion import RawMotionSeries
+
     time_col, value_col = _read_columns(path, ["timestamp_utc", "heave_m"])
     if len(time_col) < 2:
         raise ValueError(f"{path}: need at least two samples")
@@ -207,6 +217,8 @@ def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64]
 
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
+    from .motion import HeaveRecord
+
     time_col, sig_col, valid_col = _read_columns(path, ["timestamp_utc", "sig_heave_m", "valid"])
     out = []
     for stamp, sig, flag in zip(_parse_times(time_col), sig_col, valid_col):
@@ -296,6 +308,8 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
 
 
 def read_posterior_samples(path: Path) -> PosteriorSamples:
+    from .model import PosteriorSamples
+
     header, columns = _read_table(path)
     if header[0] != "chain":
         raise ValueError(f"{path}: expected a 'chain' column first")
@@ -319,13 +333,15 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
 
 # -- predictions and scores --------------------------------------------------
 
-def write_predictions(path: Path, dists) -> None:
+def write_predictions(path: Path, pred: PredictiveDraws) -> None:
     """Predictive summaries per valid time: mean and the quantile levels."""
-    table = predictive_summaries(dists)
+    from .model import QUANTILE_LEVELS, predictive_summaries
+
+    table = predictive_summaries(pred)
     cols = ["valid_time_utc", "mean_m"] + [f"p{round(lv * 100):02d}_m" for lv in QUANTILE_LEVELS]
     lines = [", ".join(cols)]
-    for d, row in zip(dists, table.tolist()):
-        lines.append(", ".join([str(d.valid_time)] + [_fmt(v) for v in row]))
+    for vt, row in zip(pred.valid_times, table.tolist()):
+        lines.append(", ".join([str(vt)] + [_fmt(v) for v in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

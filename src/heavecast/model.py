@@ -21,6 +21,7 @@ which is what the sampler calls.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,6 +34,7 @@ __all__ = [
     "ModelSpec",
     "PosteriorSamples",
     "PredictiveDistribution",
+    "PredictiveDraws",
     "predictive_summaries",
     "residuals",
     "log_posterior",
@@ -148,21 +150,46 @@ class PredictiveDistribution:
         return out
 
 
-def predictive_summaries(dists: list[PredictiveDistribution]) -> np.ndarray:
-    """PredictiveDistribution.summaries of many rows as one array.
+@dataclass(frozen=True)
+class PredictiveDraws:
+    """Posterior-predictive draws of y* for many valid times, as one matrix.
+
+    draws[:, i] are the draws at valid_times[i]. Like a sequence of
+    PredictiveDistribution, it has a length, and indexing or iterating
+    gives one per valid time, whose draws are a column view of the matrix.
+    """
+
+    valid_times: np.ndarray  # (n_rows,) datetime64[s]
+    draws: np.ndarray  # (n_draws, n_rows)
+
+    def __len__(self) -> int:
+        return self.valid_times.size
+
+    def __getitem__(self, i: int) -> PredictiveDistribution:
+        i = operator.index(i)
+        return PredictiveDistribution(valid_time=self.valid_times[i], draws=self.draws[:, i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def predictive_summaries(pred: PredictiveDraws) -> np.ndarray:
+    """PredictiveDistribution.summaries of every valid time as one array.
 
     Column 0 is the mean, then one column per level of QUANTILE_LEVELS. The
-    mean is taken along axis 1 of contiguous (rows, draws) blocks, which gives
-    the same bits as each row's summaries; the block is then sorted once and
-    every quantile read from it by _sorted_quantiles. Blocks of 64 rows keep
-    the copies small: one block of all rows raised the predict stage's peak
-    RSS by about 10 MB on a 4380-hour campaign (850 rows x 1500 draws).
+    mean is taken along axis 1 of a C-ordered (rows, draws) copy of 64 valid
+    times, which stores each row's draws contiguously as np.stack of the
+    column views would, so it gives the same bits as each row's summaries;
+    the copy is then sorted once and every quantile read from it by
+    _sorted_quantiles. Blocks of 64 rows keep the copies small: one block of
+    all rows raised the predict stage's peak RSS by about 10 MB on a
+    4380-hour campaign (850 rows x 1500 draws).
     """
-    if not dists:
+    if not len(pred):
         raise ValueError("no predictive distributions to summarise")
-    out = np.empty((len(dists), 1 + len(QUANTILE_LEVELS)))
-    for start in range(0, len(dists), 64):
-        block = np.stack([d.draws for d in dists[start : start + 64]])
+    out = np.empty((len(pred), 1 + len(QUANTILE_LEVELS)))
+    for start in range(0, len(pred), 64):
+        block = np.array(pred.draws[:, start : start + 64].T, order="C")
         out[start : start + 64, 0] = block.mean(axis=1)
         block.sort(axis=1)
         out[start : start + 64, 1:] = _sorted_quantiles(block, QUANTILE_LEVELS)
@@ -372,13 +399,19 @@ def posterior_predictive(
     spec: ModelSpec,
     seed: int,
     context: HorizonDataset | None = None,
-) -> list[PredictiveDistribution]:
-    """Posterior-predictive distributions for every row of ds.
+) -> PredictiveDraws:
+    """Posterior-predictive draws for every row of ds.
 
     One y* draw per retained parameter draw, N(mean_t, scale_t^2), with
     lagged residuals teacher-forced from the observed y series. A context
     dataset (typically the training tail) supplies the lags of the first
     rows when it abuts ds in time.
+
+    The (n_draws, n_rows) matrix of standard normals z is drawn whole and
+    turned into y* = mean + scale * z in place, 64 draws at a time, so no
+    other array is larger than one block. Each element gets the same IEEE
+    operations on the same operands as that expression on whole matrices
+    would apply, so the draws do not depend on the block size.
     """
     x, y, post_gap, n_ctx = ds.x, ds.y, ds.post_gap, 0
     if context is not None and len(context) >= 1:
@@ -392,23 +425,26 @@ def posterior_predictive(
             post_gap[1:] = np.diff(vt) != np.timedelta64(1, "h")
 
     draws = samples.draws
-    n_draws, n_rows = draws.shape[0], x.size
-    beta0 = draws[:, 0:1]
-    beta1 = draws[:, 1:2]
-    sigma = draws[:, -1:]
-    mean = beta0 + beta1 * x[None, :]
-    if spec.kind == "hybrid":
-        e1, e2 = _lagged(y[None, :] - mean, post_gap)
-        mean = mean + draws[:, 2:3] * e1 + draws[:, 3:4] * e2
-        scale = np.maximum(x, X_FLOOR)[None, :] * sigma
-    else:
-        scale = np.broadcast_to(sigma, (n_draws, n_rows))
     rng = np.random.default_rng(seed)
-    ystar = mean + scale * rng.standard_normal((n_draws, n_rows))
-    return [
-        PredictiveDistribution(valid_time=ds.valid_times[i - n_ctx], draws=ystar[:, i])
-        for i in range(n_ctx, n_rows)
-    ]
+    ystar = rng.standard_normal((draws.shape[0], x.size))
+    w = np.maximum(x, X_FLOOR)
+    for start in range(0, draws.shape[0], 64):
+        d = draws[start : start + 64]
+        mean = d[:, 1:2] * x
+        mean += d[:, 0:1]
+        if spec.kind == "hybrid":
+            e1, e2 = _lagged(y - mean, post_gap)
+            e1 *= d[:, 2:3]
+            mean += e1
+            e2 *= d[:, 3:4]
+            mean += e2
+            scale = w * d[:, -1:]
+        else:
+            scale = d[:, -1:]
+        z = ystar[start : start + 64]
+        z *= scale
+        z += mean
+    return PredictiveDraws(valid_times=ds.valid_times, draws=ystar[:, n_ctx:])
 
 
 def map_sigma(samples: PosteriorSamples) -> float:

@@ -85,24 +85,30 @@ def crps_samples(draws: np.ndarray, y: float) -> float:
     return term1 - pair_sum / (2.0 * m * m)
 
 
-def _crps_rows(draws: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """crps_samples of every row of draws against obs, with the same bits.
+def _draw_scores(draws: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and crps_samples of every row of draws against obs, with the same bits.
 
-    mean|y* - y| is taken on the unsorted rows as crps_samples takes it; each
-    block of 64 rows is then sorted once, and its pair sums are per-row dot
-    products with the rank coefficients.
+    Each block of 64 rows is copied once to C order, which stores every row
+    contiguously whatever the layout of draws (an F-ordered view included).
+    The mean and mean|y* - y| are taken on the copy as crps_samples takes
+    them on one row; the copy is then sorted in place, and its pair sums are
+    per-row dot products with the rank coefficients.
     """
     m = draws.shape[1]
     if m < 2:
         raise ValueError("need at least two draws")
     coeffs = 2.0 * np.arange(m) - (m - 1)
-    out = np.empty(obs.size)
+    means = np.empty(obs.size)
+    crps = np.empty(obs.size)
     for start in range(0, obs.size, 64):
-        block = draws[start : start + 64]
-        term1 = np.mean(np.abs(block - obs[start : start + 64, None]), axis=1)
-        pair_sums = [2.0 * float(np.dot(coeffs, row)) for row in np.sort(block, axis=1)]
-        out[start : start + 64] = term1 - np.array(pair_sums) / (2.0 * m * m)
-    return out
+        block = np.array(draws[start : start + 64], order="C")
+        rows = slice(start, start + 64)
+        means[rows] = block.mean(axis=1)
+        term1 = np.mean(np.abs(block - obs[rows, None]), axis=1)
+        block.sort(axis=1)
+        pair_sums = [2.0 * float(np.dot(coeffs, row)) for row in block]
+        crps[rows] = term1 - np.array(pair_sums) / (2.0 * m * m)
+    return means, crps
 
 
 def score_table(
@@ -114,7 +120,8 @@ def score_table(
 
     models maps label -> {horizon: forecasts}, where forecasts is either a
     1-d array of point values or a 2-d (n_rows, n_draws) array of predictive
-    draws. Horizons a model has no data for are skipped with a warning.
+    draws in any memory order. Horizons a model has no data for are skipped
+    with a warning.
     """
     reports = []
     for label, per_h in models.items():
@@ -130,8 +137,7 @@ def score_table(
             else:
                 if f.shape[0] != y.size:
                     raise ValueError("draw matrix row count must match observations")
-                means = np.mean(f, axis=1)
-                crps = _crps_rows(f, y)
+                means, crps = _draw_scores(f, y)
             reports.append(
                 ScoreReport(
                     model_label=label,

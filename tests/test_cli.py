@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from click.testing import CliRunner
 import heavecast
 from heavecast import io
 from heavecast.cli import main
+from heavecast.datasets import HorizonDataset
+from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.spectral import response_moments
 
 RUNNER = CliRunner()
@@ -356,6 +359,17 @@ class TestBadSamples:
             assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("cmd", ["fit", "predict", "score", "diagnose"])
+def test_split_without_test_rows_is_validation_error(campaign, cmd):
+    manifest = campaign / "run.yaml"
+    cfg = yaml.safe_load(manifest.read_text())
+    manifest.write_text(yaml.safe_dump({**cfg, "train_fraction": 0.999}))
+    result = run([cmd, "--manifest", str(manifest)])
+    assert result.exit_code == 2, result.output
+    assert "train_fraction 0.999 leaves no test row of the" in result.output
+    assert "Traceback" not in result.output
+
+
 class TestDiagnoseRanges:
     @pytest.mark.parametrize(
         "flags, message",
@@ -402,11 +416,11 @@ def test_help_loads_only_click_and_the_package():
 # the heavecast modules each stage must leave unloaded
 UNLOADED = {
     "simulate": {"sampler", "scoring", "diagnostics"},
-    "build": {"sampler", "synthetic", "scoring", "diagnostics"},
-    "fit": {"synthetic", "scoring", "diagnostics"},
-    "predict": {"sampler", "synthetic", "scoring", "diagnostics"},
-    "score": {"sampler", "synthetic", "diagnostics"},
-    "diagnose": {"sampler", "synthetic", "scoring"},
+    "build": {"sampler", "synthetic", "scoring", "diagnostics", "model", "spectral"},
+    "fit": {"synthetic", "scoring", "diagnostics", "spectral", "motion"},
+    "predict": {"sampler", "synthetic", "scoring", "diagnostics", "spectral", "motion"},
+    "score": {"sampler", "synthetic", "diagnostics", "spectral", "motion"},
+    "diagnose": {"sampler", "synthetic", "scoring", "spectral", "motion"},
 }
 
 
@@ -463,3 +477,48 @@ def test_import_leaves_scipy_stats_and_signal_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_score_holds_one_horizon_of_draws_at_a_time(tmp_path):
+    """score's traced peak must not grow with the number of horizons.
+
+    Four horizons share one dataset and one samples file, so each horizon's
+    (rows x draws) matrix is as large as the others. numpy reports its
+    allocations to tracemalloc.
+    """
+    rng = np.random.default_rng(3)
+    n_rows, n_draws = 1000, 1000
+    times = np.datetime64("2024-06-01T00:00:00", "s") + np.arange(n_rows) * np.timedelta64(1, "h")
+    x = rng.gamma(2.0, 0.5, n_rows)
+    y = 1.1 * x + 0.05 * rng.standard_normal(n_rows)
+    ds = HorizonDataset(horizon=0, valid_times=times, x=x, y=y, issue_times=times)
+    spec = ModelSpec(kind="hybrid")
+    samples = PosteriorSamples(
+        draws=np.array([0.05, 1.1, 0.5, -0.2, 0.1]) + 0.01 * rng.standard_normal((n_draws, 5)),
+        param_names=spec.param_names,
+        chain_ids=np.zeros(n_draws, dtype=int),
+        diagnostics={},
+        acceptance_rate=1.0,
+    )
+    manifest = tmp_path / "run.yaml"
+    cfg = {"out_dir": "out", "horizons": [0, 1, 2, 3], "model_kind": "hybrid", "train_fraction": 0.6}
+    manifest.write_text(yaml.safe_dump(cfg))
+    for h in range(4):
+        io.write_horizon_dataset(tmp_path / "out" / f"dataset_h{h:03d}.csv", ds)
+        io.write_posterior_samples(tmp_path / "out" / f"samples_hybrid_h{h:03d}.csv", samples)
+
+    def traced_peak(*flags):
+        tracemalloc.reset_peak()
+        result = run(["score", "--manifest", str(manifest), *flags])
+        assert result.exit_code == 0, result.output
+        return tracemalloc.get_traced_memory()[1]
+
+    assert run(["score", "--manifest", str(manifest), "-H", "0"]).exit_code == 0  # imports happen untraced
+    tracemalloc.start()
+    try:
+        one, four = traced_peak("-H", "0"), traced_peak()
+    finally:
+        tracemalloc.stop()
+    matrix = 8 * n_draws * (n_rows - int(np.ceil(0.6 * n_rows)))
+    assert one > matrix
+    assert four < 1.25 * one, (one / matrix, four / matrix)

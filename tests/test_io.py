@@ -31,7 +31,7 @@ from heavecast.io import (
     write_score_reports,
     write_spectra,
 )
-from heavecast.model import PosteriorSamples, PredictiveDistribution, predictive_summaries
+from heavecast.model import PosteriorSamples, PredictiveDraws, predictive_summaries
 from heavecast.motion import HeaveRecord
 from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport
@@ -376,7 +376,7 @@ class TestPosteriorAndPredictions:
         # posterior_predictive makes them; 150 rows span three row blocks
         rng = np.random.default_rng(5)
         ystar = rng.gamma(2.0, 0.4, (1500, 150))
-        dists = [PredictiveDistribution(valid_time=T0 + k * HOUR, draws=ystar[:, k]) for k in range(150)]
+        dists = PredictiveDraws(valid_times=T0 + np.arange(150) * HOUR, draws=ystar)
         table = predictive_summaries(dists)
         for d, row in zip(dists, table):
             s = d.summaries
@@ -422,17 +422,16 @@ class TestPosteriorAndPredictions:
         assert read_posterior_samples(p).sampler_facts == facts
 
     def test_predictions_file(self, tmp_path):
-        dists = [
-            PredictiveDistribution(valid_time=T0 + k * HOUR, draws=np.linspace(0, 1, 101))
-            for k in range(3)
-        ]
+        draws = np.linspace(0, 1, 101)[:, None].repeat(3, axis=1)
+        dists = PredictiveDraws(valid_times=T0 + np.arange(3) * HOUR, draws=draws)
         p = tmp_path / "pred.csv"
         write_predictions(p, dists)
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "valid_time_utc, mean_m, p05_m, p50_m, p95_m"
         assert len(lines) == 4
+        empty = PredictiveDraws(valid_times=dists.valid_times[:0], draws=draws[:, :0])
         with pytest.raises(ValueError):
-            write_predictions(tmp_path / "empty.csv", [])
+            write_predictions(tmp_path / "empty.csv", empty)
 
     def test_score_reports_file(self, tmp_path):
         reports = [ScoreReport(model_label="raw", horizon=0, rmse=0.2, crps_mean=0.1, n=5)]
