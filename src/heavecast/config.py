@@ -1,13 +1,14 @@
 """Settings the run manifest carries: the sampler, scenario and error-injection sections.
 
 These dataclasses check their own values, and io.RunManifest.load checks a
-manifest's keys against their fields, so every stage validates every section
-by importing this small module alone. sampler and synthetic, which act on
-the settings, import them from here.
+manifest's keys against their fields (and the sampler section's values), so
+every stage validates every section by importing this small module alone.
+sampler and synthetic, which act on the settings, import them from here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.chains < 1 or self.warmup_draws < 100 or self.retained_draws < 100:
             raise ValueError("need >= 1 chain, >= 100 warmup and retained draws")
+        # a NaN limit would make every R-hat comparison false and pass any chains
+        if not 1.0 <= self.rhat_limit < math.inf:
+            raise ValueError(f"rhat_limit must be finite and at least 1.0, found {self.rhat_limit!r}")
 
 
 @dataclass(frozen=True)

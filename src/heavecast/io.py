@@ -321,6 +321,8 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
     sidecar_path = Path(str(path) + ".diag.json")
     meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar_path}: expected a JSON object, found {type(meta).__name__}")
     return PosteriorSamples(
         draws=draws,
         param_names=names,
@@ -431,6 +433,7 @@ class RunManifest:
             raise ValueError(f"{path}: malformed YAML: {exc}") from exc
         _check_section("manifest", raw, cls)
         _check_section("manifest sampler", raw.get("sampler", {}), SamplerConfig)
+        SamplerConfig(**raw.get("sampler", {}))
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
         files = raw.get("issue_files", [])
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):

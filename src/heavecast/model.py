@@ -13,9 +13,8 @@ have the corresponding lag set to zero, its unconditional mean. Every row is
 scored, the first two of a training set included: their missing lags are
 zero in the same way.
 
-log_posterior is the readable reference density. LogPosterior evaluates the
-same density for one dataset at a per-call cost independent of its length,
-which is what the sampler calls.
+log_posterior is the readable reference density, the oracle of the sampler's
+Gibbs conditionals (sampler._Conditionals), which never evaluate it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "predictive_summaries",
     "residuals",
     "log_posterior",
-    "LogPosterior",
     "ar2_stationary",
     "in_support",
     "check_samples",
@@ -336,61 +334,6 @@ def log_posterior(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> fl
     z = (ds.y - mean) / scale
     loglik = -0.5 * np.sum(z * z) - np.sum(np.log(scale)) - 0.5 * z.size * np.log(2.0 * np.pi)
     return float(loglik) + _log_prior(params, spec)
-
-
-class LogPosterior:
-    """log_posterior for one dataset, at a per-call cost independent of its length.
-
-    The innovation of row t is u_t = c' A_t b with c = (1, -phi1, -phi2),
-    b = (1, beta0, beta1) and A_t the 3x3 block whose rows are the lag-0,
-    lag-1 and lag-2 values of (y, -1, -x), with missing lags zeroed as in
-    conditional_moments. Hence sum_t (u_t / w_t)^2 = v' G v with v = c (x) b
-    and G = sum_t vec(A_t) vec(A_t)' / w_t^2, w_t = max(x_t, X_FLOOR), a 9x9
-    matrix built once; sum_t log(w_t * sigma) = sum_t log w_t + N log sigma.
-    The basic model keeps only the lag-0 row (a 3x3 G, w_t = 1).
-
-    G is built in coordinates centred on the least-squares line
-    y = y_mean + slope * (x - x_mean): y enters as its residual r from that
-    line, x as x - x_mean, and b = (1, beta0 + beta1 * x_mean - y_mean,
-    beta1 - slope). Near the posterior mode every entry of v is then as
-    small as the innovations, so v' G v does not cancel large terms (rows
-    with x below the floor weigh up to 1/X_FLOOR^2 in G).
-    """
-
-    def __init__(self, ds: HorizonDataset, spec: ModelSpec):
-        self.ds = ds
-        self.spec = spec
-        self._x_mean = float(np.mean(ds.x))
-        self._y_mean = float(np.mean(ds.y))
-        dx = ds.x - self._x_mean
-        sxx = float(dx @ dx)
-        self._slope = float(dx @ (ds.y - self._y_mean)) / sxx if sxx > 0.0 else 0.0
-        resid = ds.y - self._y_mean - self._slope * dx
-        block = np.stack([resid, -np.ones_like(dx), -dx])  # (3, N)
-        n = len(ds)
-        self._log_norm = -0.5 * n * math.log(2.0 * math.pi)
-        if spec.kind == "hybrid":
-            w = np.maximum(ds.x, X_FLOOR)
-            self._log_norm -= float(np.sum(np.log(w)))
-            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / w  # (9, N)
-        self._gram = block @ block.T
-        self._n = n
-
-    def __call__(self, params: np.ndarray) -> float:
-        """Unnormalised log posterior density; -inf outside the prior support."""
-        spec = self.spec
-        params = np.asarray(params, dtype=float)
-        if params.shape != (spec.n_params,):
-            raise ValueError(f"expected {spec.n_params} parameters for {spec.kind}")
-        if not in_support(params, spec):
-            return -np.inf
-        beta0, beta1, sigma = float(params[0]), float(params[1]), float(params[-1])
-        v = np.array([1.0, beta0 + beta1 * self._x_mean - self._y_mean, beta1 - self._slope])
-        if spec.kind == "hybrid":
-            v = np.outer((1.0, -float(params[2]), -float(params[3])), v).ravel()
-        sum_z2 = float(v @ self._gram @ v) / (sigma * sigma)
-        loglik = -0.5 * sum_z2 - self._n * math.log(sigma) + self._log_norm
-        return loglik + _log_prior(params, spec)
 
 
 def posterior_predictive(

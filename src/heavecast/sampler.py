@@ -13,8 +13,8 @@ blocks have closed-form full conditionals. One sweep draws
   proposed from Gamma((N - 1)/2, rate S/2), S the weighted sum of squared
   innovations, and accepted by the half-Gaussian prior's density ratio alone.
 
-The conditionals come from model.LogPosterior's Gram matrix (see
-_Conditionals), so a sweep costs the same whatever the training-set size;
+The conditionals come from one Gram matrix of the training rows, built once
+by _Conditionals, so a sweep costs the same whatever the training-set size;
 model.log_posterior stays the reference they are tested against. A truncated
 block that rejects MAX_REJECTIONS draws in a row raises SamplerError.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import SamplerConfig
 from .datasets import HorizonDataset
-from .model import LogPosterior, ModelSpec, PosteriorSamples, ar2_stationary, in_support
+from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, ar2_stationary, in_support
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]
 
@@ -129,13 +129,21 @@ def _precision(q: tuple, sigma2: float, prior: tuple) -> tuple:
 class _Conditionals:
     """The sum of squares S of one dataset as a quadratic form in each block.
 
-    LogPosterior writes S = v'Gv with v = c (x) b, b = (1, a, d) the centred
-    regression coordinates (a = beta0 + beta1 * x_mean - y_mean,
-    d = beta1 - slope) and c = (1, -phi1, -phi2); the basic model's 3x3 G is
-    padded here to 9x9 with zeros. With G reshaped to G4 (3, 3, 3, 3), S is
-    b'H(c)b with H = c.G4.c and c'K(b)c with K = b.G4.b. The entries of H
-    and K are quadratic polynomials in c and b: beta_terms and phi_terms hold
-    their coefficients, read from G once, for _form.
+    Row t's innovation is u_t = c' A_t b with c = (1, -phi1, -phi2), b the
+    regression coordinates and A_t the 3x3 block whose rows are the lag-0, -1
+    and -2 values of (y, -1, -x), missing lags zeroed as in model._lagged. So
+    S = sum_t (u_t / w_t)^2 = v'Gv with v = c (x) b, w_t = max(x_t, X_FLOOR)
+    and G = sum_t vec(A_t) vec(A_t)' / w_t^2, a 9x9 matrix built once; the
+    basic model keeps the lag-0 row (a 3x3 G, w_t = 1), zero-padded to 9x9.
+    G is centred on the least-squares line y = y_mean + slope * (x - x_mean):
+    y enters as its residual from that line, x as x - x_mean, and b = (1, a, d)
+    with a = beta0 + beta1 * x_mean - y_mean and d = beta1 - slope. Near the
+    mode every entry of v is then as small as the innovations, so v'Gv does
+    not cancel large terms (rows with x below the floor weigh up to
+    1/X_FLOOR^2 in G). With G reshaped to G4 (3, 3, 3, 3), S is b'H(c)b with
+    H = c.G4.c and c'K(b)c with K = b.G4.b; beta_terms and phi_terms hold
+    the coefficients of these quadratic polynomials, read from G once, for
+    _form.
 
     The beta block is drawn as (a, d), the phi block as (-phi1, -phi2). Given
     sigma each has the density exp(-x'Px/2 + h'x) with P = Q[1:, 1:]/sigma^2
@@ -143,13 +151,18 @@ class _Conditionals:
     linear term, Q = H or K (_precision).
     """
 
-    def __init__(self, log_post: LogPosterior):
-        pr = log_post.spec.priors
-        self.n, self.sigma_scale = log_post._n, pr.sigma_scale
-        self.x_mean, self.y_mean, self.slope = log_post._x_mean, log_post._y_mean, log_post._slope
+    def __init__(self, ds: HorizonDataset, spec: ModelSpec):
+        pr = spec.priors
+        self.n, self.sigma_scale = len(ds), pr.sigma_scale
+        self.x_mean, self.y_mean = float(np.mean(ds.x)), float(np.mean(ds.y))
+        dx = ds.x - self.x_mean
+        sxx = float(dx @ dx)
+        self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
+        block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
+        if spec.kind == "hybrid":
+            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
         gram = np.zeros((9, 9))
-        size = log_post._gram.shape[0]
-        gram[:size, :size] = log_post._gram
+        gram[: len(block), : len(block)] = block @ block.T
         # the start: phi = 0, and sigma the weighted RMS residual of the least-squares line (a = d = 0)
         self.sigma_start = max(math.sqrt(gram[0, 0] / self.n), 1e-4)
         # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2
@@ -234,7 +247,7 @@ def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, s
         cfg = SamplerConfig()
     if len(ds) < 3 + spec.n_params:
         raise ValueError("too few training rows for the parameter count")
-    cond = _Conditionals(LogPosterior(ds, spec))
+    cond = _Conditionals(ds, spec)
     streams = np.random.SeedSequence(seed).spawn(cfg.chains)
     runs = [_run_chain(cond, cfg, spec.kind == "hybrid", np.random.default_rng(s)) for s in streams]
     per_chain, accepted, beta_rejected, phi_rejected = zip(*runs)

@@ -227,6 +227,16 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert message in result.output
 
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
+    def test_rhat_limit_below_one_or_nan_is_validation_error(self, tmp_path, cmd, limit):
+        # a NaN limit would pass any chains, since no R-hat compares greater than it
+        manifest = write_manifest(tmp_path, sampler={"rhat_limit": limit})
+        result = run([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert f"error: rhat_limit must be finite and at least 1.0, found {limit!r}" in result.output
+        assert "Traceback" not in result.output
+
     def test_short_issue_row_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
             "issue_time_utc, valid_time_utc, sig_heave_m\n"
@@ -352,6 +362,14 @@ class TestBadSamples:
     def test_sigma_outside_support(self, campaign, cmd, sigma):
         self.rewrite_samples(campaign, lambda cells: cells[:-1] + [cells[-1] if cells[0] == "chain" else sigma])
         self.assert_refused(campaign, cmd, "400 of 400 draws are not finite or lie outside the prior support")
+
+    @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
+    def test_sidecar_not_an_object(self, campaign, cmd):
+        (campaign / "out" / "samples_hybrid_h000.csv.diag.json").write_text("[]\n")
+        result = run([cmd, "--manifest", str(campaign / "run.yaml")])
+        assert result.exit_code == 2, result.output
+        assert "samples_hybrid_h000.csv.diag.json: expected a JSON object, found list" in result.output
+        assert "Traceback" not in result.output
 
     def test_samples_as_fit_wrote_them_are_accepted(self, campaign):
         for cmd in ("predict", "score", "diagnose"):

@@ -7,7 +7,6 @@ from scipy.stats import norm
 from heavecast.datasets import HorizonDataset
 from heavecast.model import (
     X_FLOOR,
-    LogPosterior,
     ModelSpec,
     PosteriorSamples,
     PredictiveDistribution,
@@ -114,7 +113,7 @@ class TestConditionalMoments:
         assert scale[1] == pytest.approx(0.5)
 
 
-class TestLogPosterior:
+class TestReferenceDensity:
     def test_basic_single_row_oracle(self):
         ds = make_ds([0.8], [1.1])
         params = np.array([0.05, 1.2, 0.3])
@@ -191,73 +190,6 @@ class TestLogPosterior:
         expected = [True, False, False, False, True]
         assert ar2_stationary(p1, p2).tolist() == expected
         assert [bool(ar2_stationary(a, b)) for a, b in zip(p1.tolist(), p2.tolist())] == expected
-
-
-def oracle_dataset(n, seed):
-    """Hourly rows with gaps and some forecasts below X_FLOOR."""
-    rng = np.random.default_rng(seed)
-    x = np.abs(1.2 + 0.8 * np.sin(np.arange(n) / 30.0) + 0.3 * rng.standard_normal(n))
-    x[rng.choice(n, max(1, n // 40), replace=False)] = 0.5 * X_FLOOR
-    y = 0.1 + 0.9 * x + 0.05 * np.maximum(x, X_FLOOR) * rng.standard_normal(n)
-    gap_after = set(rng.choice(np.arange(1, n), max(1, n // 100), replace=False).tolist())
-    return make_ds(x, y, gap_after=gap_after)
-
-
-def oracle_params(spec, rng, n):
-    """Draws near the generating values (where sum u^2 is smallest) and wide
-    draws, many of them outside the prior support."""
-    near = np.column_stack(
-        [
-            rng.normal(0.1, 0.02, n),
-            rng.normal(0.9, 0.02, n),
-            rng.uniform(-0.3, 0.3, n),
-            rng.uniform(-0.3, 0.3, n),
-            rng.uniform(0.03, 0.08, n),
-        ]
-    )
-    wide = np.column_stack(
-        [
-            rng.normal(0.0, 1.0, n),
-            rng.normal(1.0, 1.0, n),
-            rng.uniform(-2.5, 2.5, n),
-            rng.uniform(-1.5, 1.5, n),
-            rng.normal(0.1, 0.2, n),
-        ]
-    )
-    draws = np.concatenate([near, wide])
-    return draws if spec.kind == "hybrid" else draws[:, [0, 1, 4]]
-
-
-class TestLogPosteriorEvaluator:
-    @pytest.mark.parametrize("kind", ["basic", "hybrid"])
-    @pytest.mark.parametrize("n", [10, 57, 400, 3428, 20000])
-    def test_matches_reference(self, kind, n):
-        spec = ModelSpec(kind=kind)
-        ds = oracle_dataset(n, seed=n)
-        fast = LogPosterior(ds, spec)
-        n_inf = 0
-        for params in oracle_params(spec, np.random.default_rng(n + 1), 60):
-            ref = log_posterior(params, ds, spec)
-            got = fast(params)
-            if ref == -np.inf:
-                n_inf += 1
-                assert got == -np.inf
-            else:
-                assert got == pytest.approx(ref, rel=1e-9)
-        assert 0 < n_inf < 120
-
-    def test_prior_honoured(self):
-        spec = ModelSpec(kind="hybrid", priors=PriorSet(beta1_mean=-0.5, beta1_var=0.2, phi_sd=0.3))
-        ds = oracle_dataset(200, seed=3)
-        fast = LogPosterior(ds, spec)
-        for params in oracle_params(spec, np.random.default_rng(4), 20):
-            ref = log_posterior(params, ds, spec)
-            assert fast(params) == (ref if ref == -np.inf else pytest.approx(ref, rel=1e-9))
-
-    def test_wrong_length_rejected(self):
-        fast = LogPosterior(make_ds([1.0, 1.1, 0.9], [1.0, 1.0, 1.0]), BASIC)
-        with pytest.raises(ValueError):
-            fast(np.array([0.0, 1.0, 0.1, 0.1]))
 
 
 def support_reference(params, spec):

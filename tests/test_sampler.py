@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heavecast.datasets import HorizonDataset
-from heavecast.model import X_FLOOR, LogPosterior, ModelSpec, PriorSet, log_posterior
+from heavecast.model import X_FLOOR, ModelSpec, PriorSet, log_posterior
 from heavecast.sampler import (
     MAX_REJECTIONS,
     SamplerConfig,
@@ -64,7 +64,10 @@ def assert_constant(diffs, refs):
     assert np.ptp(diffs) <= 1e-9 * max(1.0, np.max(np.abs(refs))), np.ptp(diffs)
 
 
-CASES = [("basic", 57), ("basic", 3428), ("hybrid", 57), ("hybrid", 3428)]
+# n = 20000 is the large-N case the centred coordinates exist for: rows with
+# x below the floor weigh up to 1/X_FLOOR^2 in the Gram matrix
+SIZES = [10, 57, 3428, 20000]
+CASES = [(kind, n) for kind in ("basic", "hybrid") for n in SIZES]
 
 
 class TestConditionalsOracle:
@@ -75,7 +78,7 @@ class TestConditionalsOracle:
         priors = PriorSet(beta0_mean=0.3, beta0_var=0.01, beta1_mean=0.7, beta1_var=0.02)
         spec = ModelSpec(kind=kind, priors=priors)
         ds = gappy_dataset(n, seed=n)
-        cond = _Conditionals(LogPosterior(ds, spec))
+        cond = _Conditionals(ds, spec)
         rng = np.random.default_rng(1)
         for _ in range(5):
             params = state(kind, rng)
@@ -89,11 +92,11 @@ class TestConditionalsOracle:
                 diffs.append(refs[-1] - gaussian_log_density(p, *centred(cond, beta0, beta1)))
             assert_constant(diffs, refs)
 
-    @pytest.mark.parametrize("n", [57, 3428])
+    @pytest.mark.parametrize("n", SIZES)
     def test_phi_block(self, n):
         spec = ModelSpec(kind="hybrid", priors=PriorSet(phi_sd=0.4))
         ds = gappy_dataset(n, seed=n + 1)
-        cond = _Conditionals(LogPosterior(ds, spec))
+        cond = _Conditionals(ds, spec)
         rng = np.random.default_rng(2)
         for _ in range(5):
             params = state("hybrid", rng)
@@ -112,7 +115,7 @@ class TestConditionalsOracle:
         # half-Gaussian prior's sigma^2 / (2 scale^2)
         spec = ModelSpec(kind=kind, priors=PriorSet(sigma_scale=0.2))
         ds = gappy_dataset(n, seed=n + 2)
-        cond = _Conditionals(LogPosterior(ds, spec))
+        cond = _Conditionals(ds, spec)
         rng = np.random.default_rng(3)
         for _ in range(5):
             params = state(kind, rng)
