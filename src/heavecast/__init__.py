@@ -17,7 +17,7 @@ _ORIGINS = {
     name: module
     for module, names in {
         "datasets": (
-            "ForecastIssue", "HorizonDataset", "HorizonSeries", "align", "chrono_split",
+            "ForecastIssue", "HorizonDataset", "HorizonSeries", "IssueSet", "align", "chrono_split",
             "synthesize_horizon_series",
         ),
         "model": (

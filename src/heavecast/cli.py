@@ -176,7 +176,7 @@ def build(**kwargs):
     if m.measurements_file is None and (m.out_dir / "measurements.csv").exists():
         m.measurements_file = m.out_dir / "measurements.csv"
     m.require("issue_files", "measurements_file")
-    issues = [io.read_forecast_issue(p) for p in m.issue_files]
+    issues = io.read_forecast_issues(m.issue_files)
     measurements = io.read_heave_records(m.measurements_file)
 
     for h in m.horizons:
@@ -294,11 +294,11 @@ def simulate(spectra_hours, **kwargs):
     """Generate a synthetic campaign: RAO, measurements and forecast issues."""
     import numpy as np
 
-    from . import config, io, motion, synthetic
+    from . import io, motion, synthetic
 
     m = _load(**kwargs)
-    scn = _scenario_from(m)
-    inj = config.ErrorInjection(seed=m.seed + 17, **m.injection)
+    scn = m.swell_scenario()
+    inj = m.error_injection()
     spectra = synthetic.generate_spectra(scn)
     rao = synthetic.reference_rao()
     times, sig = synthetic.true_response_series(spectra, rao)
@@ -309,30 +309,14 @@ def simulate(spectra_hours, **kwargs):
     records = [motion.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
 
     issues = synthetic.generate_forecast_issues(times, sig, inj)
-    issue_dir = m.out_dir / "issues"
-    # simulate owns issues/: build reads every issue file there, so none may
-    # survive from an earlier campaign
-    for stale in issue_dir.glob("issue_*.csv"):
-        stale.unlink()
-    for i, issue in enumerate(issues):
-        io.write_forecast_issue(issue_dir / f"issue_{i:04d}.csv", issue)
+    # simulate owns issues/: build reads every issue file there, so the set
+    # replaces the whole directory and no file of an earlier campaign survives
+    io.write_forecast_issues(m.out_dir / "issues", issues)
     io.write_rao(m.out_dir / "rao.csv", rao)
     io.write_heave_records(m.out_dir / "measurements.csv", records)
     if spectra_hours > 0:
         io.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
     click.echo(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}")
-
-
-def _scenario_from(m: io.RunManifest) -> config.SwellScenario:
-    import numpy as np
-
-    from . import config
-
-    raw = dict(m.scenario)
-    raw.pop("measurement_noise", None)
-    events = tuple(config.SwellEvent(**e) for e in raw.pop("events", []))
-    raw.setdefault("start", np.datetime64("2024-06-01T00:00:00", "s"))
-    return config.SwellScenario(events=events, seed=m.seed, **raw)
 
 
 if __name__ == "__main__":

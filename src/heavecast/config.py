@@ -1,13 +1,14 @@
 """Settings the run manifest carries: the sampler, scenario and error-injection sections.
 
 These dataclasses check their own values, and io.RunManifest.load checks a
-manifest's keys against their fields (and the sampler section's values), so
-every stage validates every section by importing this small module alone.
+manifest's keys against their fields and builds each section, so every
+stage validates every section by importing this small module alone.
 sampler and synthetic, which act on the settings, import them from here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,20 @@ FORECAST_DIRS_RAD = (np.arange(30) + 0.5) * (2.0 * np.pi / 30.0)
 
 _TP_MIN = 1.0 / FORECAST_FREQS_HZ[-1]  # ~1.85 s
 _TP_MAX = 1.0 / FORECAST_FREQS_HZ[0]  # ~24.3 s
+
+
+def _check_finite(settings) -> None:
+    """Every float field must hold a finite number: NaN compares false with
+    every bound, so a range check alone would let it through."""
+    for f in dataclasses.fields(settings):
+        if f.type == "float":
+            value = getattr(settings, f.name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be a finite number, found {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,7 @@ class SwellEvent:
     bandwidth_hz: float = 0.008
 
     def __post_init__(self):
+        _check_finite(self)
         if self.hs < 0.0:
             raise ValueError("Hs must be nonnegative")
         if not _TP_MIN <= self.tp <= _TP_MAX:
@@ -83,6 +99,7 @@ class SwellScenario:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.duration_h < 1:
             raise ValueError("duration must be at least one hour")
         if self.background_hs < 0.0:
@@ -117,7 +134,10 @@ class ErrorInjection:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.noise_scale < 0.0:
             raise ValueError("noise scale must be nonnegative")
         if not 0.0 <= self.noise_ar < 1.0:
             raise ValueError("noise persistence must lie in [0, 1)")
+        if self.noise_ar_lead_decay <= 0.0:
+            raise ValueError(f"noise_ar_lead_decay must be positive, found {self.noise_ar_lead_decay!r}")

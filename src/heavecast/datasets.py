@@ -10,12 +10,14 @@ issues reach far enough (long horizons) it concatenates leads h..h+11.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ForecastIssue",
+    "IssueSet",
     "HorizonDataset",
     "HorizonSeries",
     "DEFAULT_MAX_LEADS",
@@ -47,7 +49,7 @@ class ForecastIssue:
         values = np.asarray(self.values, dtype=float)
         if leads.ndim != 1 or leads.shape != values.shape:
             raise ValueError("horizon_hours and values must be matching 1-d arrays")
-        if leads.size and (np.any(leads < 0) or np.any(np.diff(leads) != 1)):
+        if _irregular_issues(np.array([0, leads.size]), leads).size:
             raise ValueError("lead times must be nonnegative, hourly and increasing")
         object.__setattr__(self, "issue_time", np.datetime64(self.issue_time, "s"))
         object.__setattr__(self, "horizon_hours", leads)
@@ -55,8 +57,95 @@ class ForecastIssue:
 
     @property
     def cycle_hour(self) -> int:
-        secs = (self.issue_time - self.issue_time.astype("datetime64[D]")) / np.timedelta64(1, "s")
-        return int(secs // 3600) % 24
+        return int(_cycle_hours(self.issue_time))
+
+
+def _cycle_hours(issue_times) -> np.ndarray:
+    """The UTC hour of day of each issue time."""
+    secs = (issue_times - issue_times.astype("datetime64[D]")).astype(np.int64)
+    return secs // 3600 % 24
+
+
+def _irregular_issues(bounds: np.ndarray, leads: np.ndarray) -> np.ndarray:
+    """Indices of the issues, rows bounds[i]:bounds[i + 1], whose leads are
+    not nonnegative, hourly and increasing."""
+    bad = np.zeros(leads.size, dtype=bool)
+    bad[1:] = np.diff(leads) != 1
+    starts = bounds[:-1][np.diff(bounds) > 0]
+    bad[starts] = leads[starts] < 0
+    bad_issue = np.zeros(bounds.size - 1, dtype=bool)  # not np.unique, which imports numpy.ma
+    bad_issue[np.searchsorted(bounds, np.flatnonzero(bad), side="right") - 1] = True
+    return np.flatnonzero(bad_issue)
+
+
+@dataclass(frozen=True, eq=False)
+class IssueSet(Sequence):
+    """Forecast issues as one table: issue i owns rows bounds[i]:bounds[i + 1].
+
+    simulate, build and synthesize_horizon_series work on the flat arrays.
+    As a sequence the set yields one ForecastIssue per issue, built when it
+    is indexed, so code that walks issues one at a time reads it as a list.
+    """
+
+    issue_times: np.ndarray  # datetime64[s], one per issue
+    bounds: np.ndarray  # row offsets, one more than the issues
+    leads: np.ndarray  # hours after the issue time, one per row
+    values: np.ndarray  # m, one per row
+
+    def __post_init__(self):
+        issue_times = np.asarray(self.issue_times, dtype="datetime64[s]")
+        bounds = np.asarray(self.bounds, dtype=np.int64)
+        leads = np.asarray(self.leads, dtype=int)
+        values = np.asarray(self.values, dtype=float)
+        if issue_times.ndim != 1 or bounds.shape != (issue_times.size + 1,):
+            raise ValueError("bounds must hold one more offset than there are issue times")
+        if leads.ndim != 1 or leads.shape != values.shape:
+            raise ValueError("leads and values must be matching 1-d arrays")
+        if bounds[0] != 0 or bounds[-1] != leads.size or np.any(np.diff(bounds) < 0):
+            raise ValueError("bounds must rise from 0 to the number of rows")
+        bad = _irregular_issues(bounds, leads)
+        if bad.size:
+            raise ValueError(f"issue {bad[0]}: lead times must be nonnegative, hourly and increasing")
+        object.__setattr__(self, "issue_times", issue_times)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "leads", leads)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_issues(cls, issues) -> "IssueSet":
+        """The issues, in the order given, as one table."""
+        issues = list(issues)
+        sizes = [i.horizon_hours.size for i in issues]
+        return cls(
+            issue_times=np.array([i.issue_time for i in issues], dtype="datetime64[s]"),
+            bounds=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+            leads=np.concatenate([i.horizon_hours for i in issues] or [np.zeros(0, dtype=int)]),
+            values=np.concatenate([i.values for i in issues] or [np.zeros(0)]),
+        )
+
+    def __len__(self) -> int:
+        return self.issue_times.size
+
+    def __eq__(self, other):
+        # compared as the list of issues it stands for
+        if not isinstance(other, (list, IssueSet)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(*key.indices(len(self)))]
+        i = range(len(self))[key]  # from the end when negative; IndexError when out of range
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return ForecastIssue(issue_time=self.issue_times[i], horizon_hours=self.leads[lo:hi], values=self.values[lo:hi])
+
+    def row_issues(self) -> np.ndarray:
+        """The index of each row's issue."""
+        return np.repeat(np.arange(len(self)), np.diff(self.bounds))
+
+    def valid_times(self) -> np.ndarray:
+        """Each row's valid time, its issue time plus its lead."""
+        return self.issue_times[self.row_issues()] + self.leads * HOUR
 
 
 @dataclass(frozen=True)
@@ -134,7 +223,7 @@ class HorizonSeries:
         return zip(self.valid_times, self.values.tolist(), self.issue_times)
 
 
-def synthesize_horizon_series(issues: list[ForecastIssue], h: int) -> HorizonSeries:
+def synthesize_horizon_series(issues: IssueSet | list[ForecastIssue], h: int) -> HorizonSeries:
     """Continuous hourly forecast series at fixed horizon h.
 
     Issues are admitted for horizon h only when their cycle's maximum lead
@@ -148,31 +237,31 @@ def synthesize_horizon_series(issues: list[ForecastIssue], h: int) -> HorizonSer
     interpolated from an older issue.
 
     Where windows overlap, the issue latest in issue-time order (the later
-    one in the input among equal issue times) wins.
+    one in the input among equal issue times) wins. The rows are picked
+    from the set's flat arrays; a list of issues is made one table first.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
+    if not isinstance(issues, IssueSet):
+        issues = IssueSet.from_issues(issues)
     block = 6 if h < 72 else 12
-    admitted = sorted(
-        (i for i in issues if DEFAULT_MAX_LEADS.get(i.cycle_hour, 0) >= h + block - 1),
-        key=lambda i: i.issue_time,
-    )
-    if not admitted:
-        return HorizonSeries(valid_times=[], values=[], issue_times=[])
-    # an issue's leads are sorted, so its window [h, h + block) is one slice
-    parts = []
-    for issue in admitted:
-        lo, hi = np.searchsorted(issue.horizon_hours, (h, h + block))
-        leads = issue.horizon_hours[lo:hi]
-        parts.append((issue.issue_time + leads * HOUR, issue.values[lo:hi], np.full(leads.size, issue.issue_time)))
-    valid_times, values, issue_times = (np.concatenate(column) for column in zip(*parts))
+    caps = np.array([DEFAULT_MAX_LEADS.get(hour, 0) for hour in range(24)])
+    admitted = caps[_cycle_hours(issues.issue_times)] >= h + block - 1
+    row_issue = issues.row_issues()
+    rows = np.flatnonzero(admitted[row_issue] & (issues.leads >= h) & (issues.leads < h + block))
+    # issue by issue in issue-time order, each issue's window in lead order
+    rank = np.empty(len(issues), dtype=np.intp)
+    rank[np.argsort(issues.issue_times, kind="stable")] = np.arange(len(issues))
+    rows = rows[np.argsort(rank[row_issue[rows]], kind="stable")]
+    issue_times = issues.issue_times[row_issue[rows]]
+    valid_times = issue_times + issues.leads[rows] * HOUR
     # the most recent issue wins: the last row of each valid time after a stable sort
     order = np.argsort(valid_times, kind="stable")
     valid_times = valid_times[order]
     last = np.ones(valid_times.size, dtype=bool)
     last[:-1] = valid_times[1:] != valid_times[:-1]
     return HorizonSeries(
-        valid_times=valid_times[last], values=values[order][last], issue_times=issue_times[order][last]
+        valid_times=valid_times[last], values=issues.values[rows][order][last], issue_times=issue_times[order][last]
     )
 
 

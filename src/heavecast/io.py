@@ -3,8 +3,10 @@
 All artefacts are plain comma-separated text with a header line so any
 plotting tool can consume them. Frequencies are stored in files as Hz and
 directions in degrees (the operational product conventions); everything is
-converted to rad/s and radians on ingestion. Writes are atomic: temp file in
-the target directory, then rename.
+converted to rad/s and radians on ingestion. Writes are atomic: a file is
+written as a temp file in the target directory, then renamed, and a
+forecast-issue set is written into a staging directory that one rename puts
+in place of the issue directory, so a reader never sees a mix of two sets.
 
 A reader imports the type it builds, and write_predictions the predictive
 helpers, when it runs, so a stage loads only the modules behind the files it
@@ -16,8 +18,10 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import math
 import os
 import re
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -28,7 +32,7 @@ import numpy as np
 import yaml
 
 from .config import ErrorInjection, SamplerConfig, SwellEvent, SwellScenario
-from .datasets import DEFAULT_HORIZONS, ForecastIssue, HorizonDataset
+from .datasets import DEFAULT_HORIZONS, ForecastIssue, HorizonDataset, IssueSet, _irregular_issues
 
 if TYPE_CHECKING:
     from .model import PosteriorSamples, PredictiveDraws
@@ -48,7 +52,9 @@ __all__ = [
     "read_heave_records",
     "write_heave_records",
     "read_forecast_issue",
+    "read_forecast_issues",
     "write_forecast_issue",
+    "write_forecast_issues",
     "read_horizon_dataset",
     "write_horizon_dataset",
     "read_posterior_samples",
@@ -83,13 +89,14 @@ def _parse_times(cells) -> np.ndarray:
     return np.array([c.removesuffix("Z") for c in cells], dtype="datetime64[s]")
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header cells and the data cells column by column.
+def _table_lines(path: Path) -> tuple[list[str], list[str]]:
+    """Header cells and the data lines.
 
     Blank lines are skipped; every other row must have the header's cell
     count, or a ValueError names the file and the line.
     """
-    lines = Path(path).read_text().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     top = next((n for n, ln in enumerate(lines) if ln.strip()), None)
     if top is None:
         raise ValueError(f"{path}: empty file")
@@ -105,6 +112,12 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
                     raise ValueError(f"{path}, line {n}: expected {len(header)} cells, found {ln.count(',') + 1}")
                 kept.append(ln)
         body = kept
+    return header, body
+
+
+def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header cells and the data cells column by column (see _table_lines)."""
+    header, body = _table_lines(path)
     cells = ",".join(body).split(",") if body else []
     return header, [list(map(str.strip, cells[j::len(header)])) for j in range(len(header))]
 
@@ -237,26 +250,177 @@ def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
 
 # -- forecast issues and horizon datasets ------------------------------------
 
+_ISSUE_HEADER = ["issue_time_utc", "valid_time_utc", "sig_heave_m"]
+
+# issue files parsed together: one split and one float conversion per batch,
+# while the text held at once stays a small part of the set
+_ISSUE_BATCH = 64
+
+
 def read_forecast_issue(path: Path) -> ForecastIssue:
-    issue_col, valid_col, value_col = _read_columns(path, ["issue_time_utc", "valid_time_utc", "sig_heave_m"])
-    if not issue_col:
-        raise ValueError(f"{path}: empty forecast issue")
-    # every row repeats the issue time: parse each distinct spelling once
-    issue_times = _parse_times(set(issue_col))
-    issue_time = issue_times[0]
-    if np.any(issue_times != issue_time):
-        raise ValueError(f"{path}: multiple issue times in one file")
-    leads = ((_parse_times(valid_col) - issue_time) / np.timedelta64(1, "h")).astype(int)
-    values = np.array(value_col, dtype=float)
-    return ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values)
+    return read_forecast_issues([path])[0]
+
+
+def read_forecast_issues(paths: list[Path]) -> IssueSet:
+    """The issue files, in the order given, as one IssueSet.
+
+    Every row of a file must repeat one issue time, and every valid time
+    must lie a whole number of hours after it; the leads must be
+    nonnegative, hourly and increasing. A file that breaks a rule raises a
+    ValueError naming it: the first such file in the order given, as when
+    the files are read one at a time.
+    """
+    paths = list(paths)
+    parts = [_read_issue_batch(paths[k:k + _ISSUE_BATCH]) for k in range(0, len(paths), _ISSUE_BATCH)]
+    if not parts:
+        return IssueSet.from_issues([])
+    issue_times, sizes, leads, values = (np.concatenate(column) for column in zip(*parts))
+    del parts  # before the set checks itself, which takes as much memory again
+    return IssueSet(issue_times=issue_times, bounds=np.concatenate([[0], np.cumsum(sizes)]), leads=leads, values=values)
+
+
+def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
+    try:
+        return _parse_issue_files(paths)
+    except (ValueError, OSError):
+        if len(paths) == 1:
+            raise
+        # the batch holds a bad file: find the first, as a file-by-file read would
+        for path in paths:
+            _parse_issue_files([path])
+        raise
+
+
+_NAT = int(np.datetime64("NaT", "s").view(np.int64))
+
+
+def _column_times(cells: list[str]) -> np.ndarray:
+    """_parse_times of a column that repeats a few spellings, each parsed once."""
+    spellings = {c: k for k, c in enumerate(dict.fromkeys(cells))}
+    times = _parse_times([c.strip() for c in spellings])
+    return times[np.fromiter(map(spellings.__getitem__, cells), dtype=np.intp, count=len(cells))]
+
+
+def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
+    """The files' issue times, row counts, leads and values, their rows split
+    and converted together, then checked file by file."""
+    sizes, bodies = [], []
+    for path in paths:
+        header, body = _table_lines(path)
+        if header != _ISSUE_HEADER:
+            raise ValueError(f"{path}: expected header {_ISSUE_HEADER}, found {header}")
+        if not body:
+            raise ValueError(f"{path}: empty forecast issue")
+        sizes.append(len(body))
+        bodies.append(",".join(body))  # one string per file: its lines need not be held
+    bounds = np.cumsum([0] + sizes)
+    cells = ",".join(bodies).split(",")
+    del bodies
+    where = paths[0] if len(paths) == 1 else f"{len(paths)} issue files"
+
+    def file_of(rows: np.ndarray) -> Path:
+        return paths[np.searchsorted(bounds, rows[0], side="right") - 1]
+
+    # every row repeats its file's issue time: parse each distinct spelling once
+    issue_cells = cells[0::3]
+    spelled = [set(issue_cells[lo:hi]) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
+    distinct = list(set().union(*spelled))
+    try:
+        seconds_of = dict(zip(distinct, _parse_times([s.strip() for s in distinct]).view(np.int64).tolist()))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    issue_seconds = []
+    for path, spellings in zip(paths, spelled):
+        seconds = {seconds_of[s] for s in spellings}
+        if len(seconds) > 1:
+            raise ValueError(f"{path}: multiple issue times in one file")
+        if _NAT in seconds:
+            raise ValueError(f"{path}: issue time is not a time (NaT)")
+        issue_seconds.append(seconds.pop())
+    issue_times = np.array(issue_seconds, dtype="datetime64[s]")
+    row_issue_times = np.repeat(issue_times, np.diff(bounds))
+    try:
+        valid_times = _column_times(cells[1::3])
+        values = np.array(cells[2::3], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    nat = np.flatnonzero(np.isnat(valid_times))
+    if nat.size:
+        raise ValueError(f"{file_of(nat)}: valid time is not a time (NaT)")
+    seconds = (valid_times - row_issue_times).astype(np.int64)
+    off_hour = np.flatnonzero(seconds % 3600)
+    if off_hour.size:
+        row = off_hour[0]
+        raise ValueError(
+            f"{file_of(off_hour)}: valid time {valid_times[row]} is not a whole number of hours "
+            f"after the issue time {row_issue_times[row]}"
+        )
+    leads = seconds // 3600
+    irregular = _irregular_issues(bounds, leads)
+    if irregular.size:
+        raise ValueError(f"{paths[irregular[0]]}: lead times must be nonnegative, hourly and increasing")
+    return issue_times, np.array(sizes), leads, values
+
+
+def _issue_texts(issues: IssueSet):
+    """Each issue's file text, in issue order, formatted by column.
+
+    The valid-time strings come from one table of the set's distinct valid
+    times, and each file's values from one %.10g format, which spells a
+    float as f"{v:.10g}" does. The table comes from a sort, not np.unique,
+    which imports numpy.ma (about 16 ms at the start of a stage).
+    """
+    valid = issues.valid_times()
+    order = np.argsort(valid, kind="stable")
+    valid = valid[order]
+    new = np.ones(valid.size, dtype=bool)
+    new[1:] = valid[1:] != valid[:-1]
+    stamps = np.asarray(np.datetime_as_string(valid[new]), dtype=object)
+    row_stamp = np.empty(valid.size, dtype=np.intp)
+    row_stamp[order] = np.cumsum(new) - 1
+    bounds = issues.bounds.tolist()
+    header = ", ".join(_ISSUE_HEADER)
+    for issued, lo, hi in zip(np.datetime_as_string(issues.issue_times).tolist(), bounds, bounds[1:]):
+        # one file's cells at a time, so no Python object per row of the set is held
+        cells = [None] * (2 * (hi - lo))
+        cells[0::2] = stamps[row_stamp[lo:hi]].tolist()
+        cells[1::2] = issues.values[lo:hi].tolist()
+        yield f"{header}\n" + (f"{issued}, %s, %.10g\n" * (hi - lo)) % tuple(cells)
 
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
-    valid = np.datetime_as_string(issue.issue_time + issue.horizon_hours * np.timedelta64(1, "h")).tolist()
-    issued = f"{issue.issue_time}, "
-    lines = ["issue_time_utc, valid_time_utc, sig_heave_m"]
-    lines += [f"{issued}{vt}, {v:.10g}" for vt, v in zip(valid, issue.values.tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    (text,) = _issue_texts(IssueSet.from_issues([issue]))
+    atomic_write_text(path, text)
+
+
+def write_forecast_issues(issue_dir: Path, issues: IssueSet) -> None:
+    """The set as issue_0000.csv, issue_0001.csv, ... and nothing else in issue_dir.
+
+    The files are written into a staging directory beside issue_dir. Then
+    issue_dir, if there is one, is moved into the staging directory, and one
+    rename puts the new set in its place, so a reader finds the old set, no
+    directory or the new set, never a mix. The staging directory, with the
+    old set, is removed last; if a write fails, issue_dir is left as it was.
+    """
+    issue_dir = Path(issue_dir)
+    issue_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=issue_dir.parent, prefix=f".{issue_dir.name}."))
+    try:
+        new, old = staging / issue_dir.name, staging / "replaced"
+        new.mkdir()
+        for i, text in enumerate(_issue_texts(issues)):
+            with open(new / f"issue_{i:04d}.csv", "x") as fh:
+                fh.write(text)
+        if os.path.lexists(issue_dir):
+            os.rename(issue_dir, old)
+        try:
+            os.rename(new, issue_dir)
+        except OSError:
+            if os.path.lexists(old):
+                os.rename(old, issue_dir)
+            raise
+    finally:
+        shutil.rmtree(staging)
 
 
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
@@ -373,6 +537,9 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?")
 
+# where a scenario starts when its manifest names no start
+_DEFAULT_START = np.datetime64("2024-06-01T00:00:00", "s")
+
 
 def _check_section(what: str, raw, cls, skip=frozenset(), extra=None) -> None:
     """A manifest mapping must set every field of cls without a default and
@@ -433,7 +600,6 @@ class RunManifest:
             raise ValueError(f"{path}: malformed YAML: {exc}") from exc
         _check_section("manifest", raw, cls)
         _check_section("manifest sampler", raw.get("sampler", {}), SamplerConfig)
-        SamplerConfig(**raw.get("sampler", {}))
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
         files = raw.get("issue_files", [])
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
@@ -450,6 +616,11 @@ class RunManifest:
                     scenario["start"] = _iso_time(scenario["start"])
                 except ValueError as exc:
                     raise ValueError(f"manifest scenario key start: {exc}") from exc
+            noise = scenario.get("measurement_noise", 0.0)
+            if not 0.0 <= noise < math.inf:
+                raise ValueError(
+                    f"manifest scenario key measurement_noise must be finite and nonnegative, found {noise!r}"
+                )
             events = scenario.get("events", [])
             if not isinstance(events, list):
                 raise ValueError("manifest scenario events must be a list")
@@ -469,7 +640,24 @@ class RunManifest:
             raise ValueError(f"horizons must be a list of nonnegative integers, found {m.horizons!r}")
         if m.model_kind not in ("basic", "hybrid"):
             raise ValueError("model_kind must be 'basic' or 'hybrid'")
+        # the settings check their own values, so every stage refuses what simulate or fit would
+        SamplerConfig(**m.sampler)
+        m.error_injection()
+        if "scenario" in raw:
+            m.swell_scenario()
         return m
+
+    def error_injection(self) -> ErrorInjection:
+        """The injection section, seeded from the manifest seed."""
+        return ErrorInjection(seed=self.seed + 17, **self.injection)
+
+    def swell_scenario(self) -> SwellScenario:
+        """The scenario section, seeded by the manifest seed; it starts at
+        2024-06-01T00:00:00 unless it names a start."""
+        raw = {k: v for k, v in self.scenario.items() if k != "measurement_noise"}
+        events = tuple(SwellEvent(**e) for e in raw.pop("events", []))
+        raw.setdefault("start", _DEFAULT_START)
+        return SwellScenario(events=events, seed=self.seed, **raw)
 
     def require(self, *names: str) -> None:
         for name in names:

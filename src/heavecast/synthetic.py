@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ, ErrorInjection, SwellEvent, SwellScenario
-from .datasets import DEFAULT_MAX_LEADS, ForecastIssue
+from .datasets import DEFAULT_MAX_LEADS, IssueSet
 from .model import ar2_stationary
 from .spectral import (
     MorisonRaoParams,
@@ -95,13 +95,13 @@ def generate_spectra(scn: SwellScenario) -> SpectrumSeries:
     dw = midpoint_widths(dirs)
     jitter = np.ones(scn.duration_h)
     if scn.hs_jitter > 0.0:
-        rng = np.random.default_rng(scn.seed)
-        g = np.empty(scn.duration_h)
+        # one call draws the stream that one call per hour drew
+        z = np.random.default_rng(scn.seed).standard_normal(scn.duration_h)
         rho = scn.hs_jitter_ar
-        g[0] = rng.standard_normal()
-        for k in range(1, scn.duration_h):
-            g[k] = rho * g[k - 1] + np.sqrt(1.0 - rho**2) * rng.standard_normal()
-        jitter = np.maximum(1.0 + scn.hs_jitter * g, 0.2)
+        g = [float(z[0])]
+        for innovation in (np.sqrt(1.0 - rho**2) * z[1:]).tolist():
+            g.append(rho * g[-1] + innovation)
+        jitter = np.maximum(1.0 + scn.hs_jitter * np.array(g), 0.2)
     # component normalisation works in the same angular-frequency measure the
     # spectrum is stored in
     density = np.zeros((scn.duration_h, freqs_hz.size, dirs.size))
@@ -161,7 +161,7 @@ def generate_forecast_issues(
     truth_times: np.ndarray,
     truth_sig: np.ndarray,
     inj: ErrorInjection,
-) -> list[ForecastIssue]:
+) -> IssueSet:
     """Forecast issues at 00/06/12/18Z corrupted per the injection settings.
 
     Each issue reads the truth at (valid time - timing shift), scales it by
@@ -174,7 +174,8 @@ def generate_forecast_issues(
     seed, so an issue's noise does not depend on how many issues follow it.
     The AR(1) recursion then runs over the lead index for all issues at
     once; a loop over issues and leads (the reference in
-    tests/test_synthetic.py) gives the same bits.
+    tests/test_synthetic.py) gives the same bits. The issues come back as
+    one IssueSet, rows in issue order.
     """
     times = np.asarray(truth_times, dtype="datetime64[s]")
     sig = np.asarray(truth_sig, dtype=float)
@@ -190,7 +191,7 @@ def generate_forecast_issues(
     offsets = (issue_times - times[0]) / HOUR
     slots = np.flatnonzero((offsets >= 0.0) & (offsets <= span_h))
     if not slots.size:
-        return []
+        return IssueSet.from_issues([])
     caps = np.array([DEFAULT_MAX_LEADS[c] for c in cycles])[slots % cycles.size]
     sizes = np.minimum(caps, np.floor(span_h - offsets[slots])).astype(int) + 1
 
@@ -210,10 +211,14 @@ def generate_forecast_issues(
         for i in range(1, leads.size):
             noise[:, i] = rho[i] * noise[:, i - 1] + amp[i] * np.sqrt(1.0 - rho[i] ** 2) * z[:, i]
     values = np.maximum(inj.bias_factor * base + noise, 0.0)
-    return [
-        ForecastIssue(issue_time=issue_times[slot], horizon_hours=leads[:size], values=values[row, :size])
-        for row, (slot, size) in enumerate(zip(slots.tolist(), sizes.tolist()))
-    ]
+    # row by row, the first `size` leads of each issue
+    kept = leads[None, :] < sizes[:, None]
+    return IssueSet(
+        issue_times=issue_times[slots],
+        bounds=np.concatenate([[0], np.cumsum(sizes)]),
+        leads=np.broadcast_to(leads, kept.shape)[kept],
+        values=values[kept],
+    )
 
 
 def generate_observations(

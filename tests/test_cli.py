@@ -219,6 +219,9 @@ class TestExitCodes:
             ({"sampler": {"chainz": 3}}, "unknown manifest sampler keys: ['chainz']"),
             ({"injection": {"noise_scale": "big"}}, "manifest injection key noise_scale must be a number"),
             ({"scenario": {"duration_h": 48, "events": [{"hs": 1.0}]}}, "manifest scenario event must set"),
+            ({"injection": {"noise_scale": -1.0}}, "noise scale must be nonnegative"),
+            ({"scenario": {"duration_h": 48, "events": [{"arrival_h": 5, "hs": 1.0, "tp": 40.0}]}}, "Tp must lie"),
+            ({"scenario": {"duration_h": 0}}, "duration must be at least one hour"),
         ],
     )
     def test_every_stage_checks_every_manifest_section(self, tmp_path, cmd, override, message):
@@ -236,6 +239,47 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert f"error: rhat_limit must be finite and at least 1.0, found {limit!r}" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            # NaN issue values were written
+            ({"injection": {"bias_factor": float("nan")}}, "bias_factor must be a finite number, found nan"),
+            # the event was dropped without a word
+            (
+                {"scenario": {"duration_h": 48, "events": [{"arrival_h": 10, "hs": float("nan"), "tp": 14.0}]}},
+                "hs must be a finite number, found nan",
+            ),
+            # NaN issue values, with a RuntimeWarning
+            ({"injection": {"noise_ar_lead_decay": -5.0}}, "noise_ar_lead_decay must be positive, found -5.0"),
+            # a RuntimeWarning from the division by zero
+            ({"injection": {"noise_ar_lead_decay": 0.0}}, "noise_ar_lead_decay must be positive, found 0.0"),
+            # NaN measurements, which build then refused
+            (
+                {"scenario": {"duration_h": 48, "measurement_noise": float("nan")}},
+                "manifest scenario key measurement_noise must be finite and nonnegative, found nan",
+            ),
+        ],
+    )
+    def test_non_finite_or_nonpositive_setting_is_validation_error(self, tmp_path, override, message):
+        manifest = write_manifest(tmp_path, **override)
+        result = run(["simulate", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out" / "issues").exists()
+
+    def test_off_hour_valid_time_is_validation_error(self, tmp_path):
+        (tmp_path / "issue.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
+            "2024-06-01T00:00:00, 2024-06-01T01:30:00, 1.1\n"
+        )
+        (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
+        manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
+        result = run(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert "issue.csv: valid time 2024-06-01T01:30:00 is not a whole number of hours" in result.output
 
     def test_short_issue_row_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
@@ -463,7 +507,8 @@ def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
     names = stage_imports[stage]
     assert "heavecast.io" in names and "heavecast.config" in names
     assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
-    assert {"scipy.stats", "scipy.signal"}.isdisjoint(names)
+    # numpy.ma costs about 16 ms to import, and np.unique imports it
+    assert {"scipy.stats", "scipy.signal", "numpy.ma"}.isdisjoint(names)
 
 
 def test_public_names_resolve_lazily():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,34 @@ class TestBatchedSpectra:
         assert np.all(ref[9:12] == 0.0) and ref[8].max() > 0.0 and ref[12].max() > 0.0
         density = np.array([s.density for s in generate_spectra(scn)])
         np.testing.assert_allclose(density, ref, rtol=1e-14, atol=0.0)
+
+
+def per_hour_jitter(scn):
+    """The hs-jitter as it was drawn before: one standard_normal call per hour."""
+    rng = np.random.default_rng(scn.seed)
+    rho = scn.hs_jitter_ar
+    g = np.empty(scn.duration_h)
+    g[0] = rng.standard_normal()
+    for k in range(1, scn.duration_h):
+        g[k] = rho * g[k - 1] + np.sqrt(1.0 - rho**2) * rng.standard_normal()
+    return np.maximum(1.0 + scn.hs_jitter * g, 0.2)
+
+
+class TestJitterDraws:
+    def test_one_call_draws_the_scalar_stream(self):
+        rng = np.random.default_rng(77)
+        scalars = np.array([rng.standard_normal() for _ in range(4380)])
+        assert np.random.default_rng(77).standard_normal(4380).tobytes() == scalars.tobytes()
+
+    @pytest.mark.parametrize("rho, seed", [(0.9, 77), (0.0, 3), (0, 5), (0.999, 11)])
+    def test_spectra_match_per_hour_draws_bit_for_bit(self, rho, seed):
+        scn = SwellScenario(
+            start=T0, duration_h=500, events=(SwellEvent(arrival_h=200, hs=2.0, tp=15.0),),
+            background_hs=0.7, hs_jitter=0.18, hs_jitter_ar=rho, seed=seed,
+        )
+        smooth = generate_spectra(dataclasses.replace(scn, hs_jitter=0.0)).density
+        expected = smooth * (per_hour_jitter(scn) ** 2)[:, None, None]
+        assert generate_spectra(scn).density.tobytes() == expected.tobytes()
 
 
 class TestReferenceRao:
