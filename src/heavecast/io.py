@@ -84,9 +84,24 @@ def _fmt(v: float) -> str:
     return f"{float(v):.10g}"
 
 
-def _parse_times(cells) -> np.ndarray:
-    """One column of ISO-8601 UTC cells (optional trailing Z) as datetime64[s]."""
-    return np.array([c.removesuffix("Z") for c in cells], dtype="datetime64[s]")
+def _parse_times(cells, where, what: str) -> np.ndarray:
+    """One column of ISO-8601 UTC cells (optional trailing Z) as datetime64[s].
+
+    numpy alone also reads `now` and `today`, in any case, as the wall-clock
+    time, and `NaT` and empty cells as NaT. A column with such a cell, or one
+    numpy cannot parse, raises a ValueError naming where, the file, and what,
+    the column.
+    """
+    try:
+        times = np.array([c.removesuffix("Z") for c in cells], dtype="datetime64[s]")
+    except ValueError as exc:
+        raise ValueError(f"{where}: {what}: {exc}") from exc
+    # an ISO-8601 cell starts with a digit or a sign, both of which sort
+    # before every letter, so the largest cell starts with a letter if any does
+    if times.size and (max(cells)[:1] > "9" or np.isnat(times).any()):
+        bad = next(c for c, t in zip(cells, np.isnat(times).tolist()) if t or c[:1] > "9")
+        raise ValueError(f"{where}: {what} is not a time ({bad!r})")
+    return times
 
 
 def _table_lines(path: Path) -> tuple[list[str], list[str]]:
@@ -165,7 +180,7 @@ def read_spectra(path: Path) -> SpectrumSeries:
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
     by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for stamp, f, d, v in zip(_parse_times(time_col), freq_col, dir_col, density_col):
+    for stamp, f, d, v in zip(_parse_times(time_col, path, "timestamp_utc"), freq_col, dir_col, density_col):
         by_time.setdefault(stamp, []).append((float(f), float(d), float(v)))
 
     densities = []
@@ -216,7 +231,7 @@ def read_motion_series(path: Path) -> RawMotionSeries:
     time_col, value_col = _read_columns(path, ["timestamp_utc", "heave_m"])
     if len(time_col) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    times = _parse_times(time_col).astype("datetime64[ms]")
+    times = _parse_times(time_col, path, "timestamp_utc").astype("datetime64[ms]")
     steps = np.diff(times) / np.timedelta64(1, "s")
     if np.ptp(steps) > 1e-9 or steps[0] <= 0:
         raise ValueError(f"{path}: samples must be uniform in time")
@@ -226,7 +241,8 @@ def read_motion_series(path: Path) -> RawMotionSeries:
 
 def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64], str]]:
     start_col, end_col, reasons = _read_columns(path, ["start_utc", "end_utc", "reason"])
-    return [((a, b), r) for a, b, r in zip(_parse_times(start_col), _parse_times(end_col), reasons)]
+    starts, ends = _parse_times(start_col, path, "start_utc"), _parse_times(end_col, path, "end_utc")
+    return [((a, b), r) for a, b, r in zip(starts, ends, reasons)]
 
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
@@ -234,7 +250,7 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
 
     time_col, sig_col, valid_col = _read_columns(path, ["timestamp_utc", "sig_heave_m", "valid"])
     out = []
-    for stamp, sig, flag in zip(_parse_times(time_col), sig_col, valid_col):
+    for stamp, sig, flag in zip(_parse_times(time_col, path, "timestamp_utc"), sig_col, valid_col):
         valid = flag.lower() == "true"
         out.append(HeaveRecord(timestamp=stamp, sig_heave=float(sig) if valid else np.nan, valid=valid))
     return out
@@ -291,13 +307,10 @@ def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
         raise
 
 
-_NAT = int(np.datetime64("NaT", "s").view(np.int64))
-
-
-def _column_times(cells: list[str]) -> np.ndarray:
+def _column_times(cells: list[str], where, what: str) -> np.ndarray:
     """_parse_times of a column that repeats a few spellings, each parsed once."""
     spellings = {c: k for k, c in enumerate(dict.fromkeys(cells))}
-    times = _parse_times([c.strip() for c in spellings])
+    times = _parse_times([c.strip() for c in spellings], where, what)
     return times[np.fromiter(map(spellings.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
@@ -325,28 +338,21 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     issue_cells = cells[0::3]
     spelled = [set(issue_cells[lo:hi]) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
     distinct = list(set().union(*spelled))
-    try:
-        seconds_of = dict(zip(distinct, _parse_times([s.strip() for s in distinct]).view(np.int64).tolist()))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    times = _parse_times([s.strip() for s in distinct], where, "issue time")
+    seconds_of = dict(zip(distinct, times.view(np.int64).tolist()))
     issue_seconds = []
     for path, spellings in zip(paths, spelled):
         seconds = {seconds_of[s] for s in spellings}
         if len(seconds) > 1:
             raise ValueError(f"{path}: multiple issue times in one file")
-        if _NAT in seconds:
-            raise ValueError(f"{path}: issue time is not a time (NaT)")
         issue_seconds.append(seconds.pop())
     issue_times = np.array(issue_seconds, dtype="datetime64[s]")
     row_issue_times = np.repeat(issue_times, np.diff(bounds))
+    valid_times = _column_times(cells[1::3], where, "valid time")
     try:
-        valid_times = _column_times(cells[1::3])
         values = np.array(cells[2::3], dtype=float)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    nat = np.flatnonzero(np.isnat(valid_times))
-    if nat.size:
-        raise ValueError(f"{file_of(nat)}: valid time is not a time (NaT)")
     seconds = (valid_times - row_issue_times).astype(np.int64)
     off_hour = np.flatnonzero(seconds % 3600)
     if off_hour.size:
@@ -429,10 +435,10 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     )
     return HorizonDataset(
         horizon=horizon,
-        valid_times=_parse_times(valid_col),
+        valid_times=_parse_times(valid_col, path, "valid_time_utc"),
         x=np.array(x_col, dtype=float),
         y=np.array(y_col, dtype=float),
-        issue_times=_parse_times(issue_col),
+        issue_times=_parse_times(issue_col, path, "issue_time_utc"),
     )
 
 
@@ -459,9 +465,9 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
     rejections per truncated block and the smallest ESS. No wall-clock value
     goes in, so a fixed manifest and seed reproduce it bit for bit.
     """
+    row = "%d, " + ", ".join(["%.12g"] * samples.draws.shape[1])
     lines = ["chain, " + ", ".join(samples.param_names)]
-    for cid, row in zip(samples.chain_ids, samples.draws):
-        lines.append(f"{int(cid)}, " + ", ".join(f"{v:.12g}" for v in row))
+    lines += [row % (cid, *values) for cid, values in zip(samples.chain_ids.tolist(), samples.draws.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
     sidecar = {
         "acceptance_rate": samples.acceptance_rate,

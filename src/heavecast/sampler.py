@@ -14,14 +14,21 @@ blocks have closed-form full conditionals. One sweep draws
   innovations, and accepted by the half-Gaussian prior's density ratio alone.
 
 The conditionals come from one Gram matrix of the training rows, built once
-by _Conditionals, so a sweep costs the same whatever the training-set size;
-model.log_posterior stays the reference they are tested against. A truncated
-block that rejects MAX_REJECTIONS draws in a row raises SamplerError.
+by _Conditionals, so a sweep costs the same whatever the training-set size.
+Its cost is interpreter work, so _run_chain runs each chain as one fused
+loop over local floats: per sweep it evaluates each block's quadratic form,
+factors the block's 2x2 precision once for all its redraws, and computes
+the sum of squares and the stationarity test inline. The same sweep written
+as small helpers (form, precision, bivariate draw, truncated redraws, sum of
+squares) lives in tests/sampler_reference.py. There the helpers are tested
+against model.log_posterior, and the fused loop must match their chain bit
+for bit. A truncated block that rejects MAX_REJECTIONS draws in a row raises
+SamplerError.
 
-Chains are independent plain-float loops. Each has its own Generator spawned
-from the fit seed, which draws the chain's normals, gammas and uniforms up
-front (and further normals only when a truncated block rejects), so results
-are reproducible bit for bit.
+Chains are independent. Each has its own Generator spawned from the fit
+seed, which draws the chain's normals, gammas and uniforms up front (and
+further normals only when a truncated block rejects), so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ import numpy as np
 
 from .config import SamplerConfig
 from .datasets import HorizonDataset
-from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, ar2_stationary, in_support
+from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, in_support
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]
 
 MAX_REJECTIONS = 1000  # redraws in a row of one truncated block before SamplerError
+_STUCK = f"truncated block rejected {MAX_REJECTIONS} draws in a row"
+_NOT_POSITIVE_DEFINITE = "conditional precision is not positive definite"
 
 # upper-triangle entries of a symmetric 3x3 matrix, in the order forms use
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -89,43 +98,6 @@ def ess(chains: np.ndarray) -> float:
     return float(total / tau)
 
 
-def _form(terms: tuple, v1: float, v2: float) -> tuple:
-    """Upper entries of a 3x3 matrix whose entries are quadratic in (v1, v2); terms
-    holds, per entry of _UPPER, the coefficients of 1, v1, v2, v1^2, v1 v2 and v2^2."""
-    m11, m12, m22 = v1 * v1, v1 * v2, v2 * v2
-    return tuple(t0 + t1 * v1 + t2 * v2 + t3 * m11 + t4 * m12 + t5 * m22 for t0, t1, t2, t3, t4, t5 in terms)
-
-
-def _quadratic(q: tuple, x1: float, x2: float) -> float:
-    """v' Q v for v = (1, x1, x2), Q given by its upper entries."""
-    q00, q01, q02, q11, q12, q22 = q
-    return q00 + 2.0 * (x1 * q01 + x2 * q02 + x1 * x2 * q12) + x1 * x1 * q11 + x2 * x2 * q22
-
-
-def _gaussian2(p11: float, p12: float, p22: float, h1: float, h2: float, z1: float, z2: float):
-    """A draw from the density proportional to exp(-x'Px/2 + h'x) from two standard normals.
-
-    With P = LL', x = L'^-1 (L^-1 h + z) has mean P^-1 h and covariance P^-1.
-    """
-    if not p11 > 0.0:
-        raise SamplerError("conditional precision is not positive definite")
-    l11 = math.sqrt(p11)
-    l21 = p12 / l11
-    pivot = p22 - l21 * l21
-    if not pivot > 0.0:
-        raise SamplerError("conditional precision is not positive definite")
-    l22 = math.sqrt(pivot)
-    y1 = h1 / l11
-    x2 = ((h2 - l21 * y1) / l22 + z2) / l22
-    return (y1 + z1 - l21 * x2) / l11, x2
-
-
-def _precision(q: tuple, sigma2: float, prior: tuple) -> tuple:
-    """(P11, P12, P22, h1, h2) of the block whose form is q, given sigma^2 and the block's prior."""
-    p11, p12, p22, h1, h2 = prior
-    return q[3] / sigma2 + p11, q[4] / sigma2 + p12, q[5] / sigma2 + p22, h1 - q[1] / sigma2, h2 - q[2] / sigma2
-
-
 class _Conditionals:
     """The sum of squares S of one dataset as a quadratic form in each block.
 
@@ -141,14 +113,16 @@ class _Conditionals:
     mode every entry of v is then as small as the innovations, so v'Gv does
     not cancel large terms (rows with x below the floor weigh up to
     1/X_FLOOR^2 in G). With G reshaped to G4 (3, 3, 3, 3), S is b'H(c)b with
-    H = c.G4.c and c'K(b)c with K = b.G4.b; beta_terms and phi_terms hold
-    the coefficients of these quadratic polynomials, read from G once, for
-    _form.
+    H = c.G4.c and c'K(b)c with K = b.G4.b. beta_terms and phi_terms hold
+    the coefficients of these quadratic polynomials, read from G once: per
+    upper entry of Q = H or K (in _UPPER order), those of 1, v1, v2, v1^2,
+    v1 v2 and v2^2, with (v1, v2) = (-phi1, -phi2) for H and (a, d) for K.
 
     The beta block is drawn as (a, d), the phi block as (-phi1, -phi2). Given
     sigma each has the density exp(-x'Px/2 + h'x) with P = Q[1:, 1:]/sigma^2
     plus the prior precision and h = -Q[0, 1:]/sigma^2 plus the prior's
-    linear term, Q = H or K (_precision).
+    linear term; beta_prior and phi_prior hold (P11, P12, P22, h1, h2) of
+    the priors.
     """
 
     def __init__(self, ds: HorizonDataset, spec: ModelSpec):
@@ -182,19 +156,6 @@ class _Conditionals:
         self.phi_prior = (pr.phi_sd**-2, 0.0, pr.phi_sd**-2, 0.0, 0.0)
 
 
-def _truncated(p: tuple, z1: float, z2: float, inside, rng: np.random.Generator) -> tuple[float, float, int]:
-    """A _gaussian2 draw redrawn until inside(x1, x2), with the redraw count."""
-    x1, x2 = _gaussian2(*p, z1, z2)
-    rejected = 0
-    while not inside(x1, x2):
-        rejected += 1
-        if rejected == MAX_REJECTIONS:
-            raise SamplerError(f"truncated block rejected {MAX_REJECTIONS} draws in a row")
-        z1, z2 = rng.standard_normal(2).tolist()
-        x1, x2 = _gaussian2(*p, z1, z2)
-    return x1, x2, rejected
-
-
 def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.random.Generator):
     """One chain of Gibbs sweeps.
 
@@ -205,33 +166,101 @@ def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.ra
     sweeps = cfg.warmup_draws + cfg.retained_draws
     normals = rng.standard_normal((sweeps, 4)).tolist()
     gammas = rng.standard_gamma(0.5 * (cond.n - 1), sweeps).tolist()
-    log_u = np.log(rng.random(sweeps)).tolist()
+    log_us = np.log(rng.random(sweeps)).tolist()
+    redraw, sqrt = rng.standard_normal, math.sqrt
     half_inv_scale2 = 0.5 / cond.sigma_scale**2
-    x_mean, y_mean, slope = cond.x_mean, cond.y_mean, cond.slope
+    x_mean, y_mean, slope, warmup = cond.x_mean, cond.y_mean, cond.slope, cfg.warmup_draws
+    # the coefficients of the beta form's entries q1-q5 (q0 is not read) and of the phi form's q0-q5
+    (_, (b10, b11, b12, b13, b14, b15), (b20, b21, b22, b23, b24, b25), (b30, b31, b32, b33, b34, b35),
+     (b40, b41, b42, b43, b44, b45), (b50, b51, b52, b53, b54, b55)) = cond.beta_terms
+    ((f00, f01, f02, f03, f04, f05), (f10, f11, f12, f13, f14, f15), (f20, f21, f22, f23, f24, f25),
+     (f30, f31, f32, f33, f34, f35), (f40, f41, f42, f43, f44, f45), (f50, f51, f52, f53, f54, f55)) = cond.phi_terms
+    bp11, bp12, bp22, bh1, bh2 = cond.beta_prior
+    fp11, fp12, fp22, fh1, fh2 = cond.phi_prior
     phi1 = phi2 = 0.0
     sigma2 = cond.sigma_start**2
     draws = []
     accepted = beta_rejected = phi_rejected = 0
-    for i, (z1, z2, z3, z4) in enumerate(normals):
-        p = _precision(_form(cond.beta_terms, -phi1, -phi2), sigma2, cond.beta_prior)
-        a, d, rejected = _truncated(p, z1, z2, lambda a, d: d + slope > 0.0, rng)
+    for i, (z1, z2, z3, z4), gamma, log_u in zip(range(sweeps), normals, gammas, log_us):
+        # beta block, drawn as (a, d): its form at v = (-phi1, -phi2)
+        v1, v2 = -phi1, -phi2
+        m11, m12, m22 = v1 * v1, v1 * v2, v2 * v2
+        q1 = b10 + b11 * v1 + b12 * v2 + b13 * m11 + b14 * m12 + b15 * m22
+        q2 = b20 + b21 * v1 + b22 * v2 + b23 * m11 + b24 * m12 + b25 * m22
+        q3 = b30 + b31 * v1 + b32 * v2 + b33 * m11 + b34 * m12 + b35 * m22
+        q4 = b40 + b41 * v1 + b42 * v2 + b43 * m11 + b44 * m12 + b45 * m22
+        q5 = b50 + b51 * v1 + b52 * v2 + b53 * m11 + b54 * m12 + b55 * m22
+        # P = LL' and y = L^-1 h once; every draw is x = L'^-1 (y + z)
+        p11 = q3 / sigma2 + bp11
+        if not p11 > 0.0:
+            raise SamplerError(_NOT_POSITIVE_DEFINITE)
+        l11 = sqrt(p11)
+        l21 = (q4 / sigma2 + bp12) / l11
+        pivot = q5 / sigma2 + bp22 - l21 * l21
+        if not pivot > 0.0:
+            raise SamplerError(_NOT_POSITIVE_DEFINITE)
+        l22 = sqrt(pivot)
+        y1 = (bh1 - q1 / sigma2) / l11
+        y2 = (bh2 - q2 / sigma2 - l21 * y1) / l22
+        d = (y2 + z2) / l22
+        a = (y1 + z1 - l21 * d) / l11
+        rejected = 0
+        while not d + slope > 0.0:
+            rejected += 1
+            if rejected == MAX_REJECTIONS:
+                raise SamplerError(_STUCK)
+            z1, z2 = redraw(2).tolist()
+            d = (y2 + z2) / l22
+            a = (y1 + z1 - l21 * d) / l11
         beta_rejected += rejected
-        q = _form(cond.phi_terms, a, d)
+
+        # phi block, drawn as (-phi1, -phi2): its form at (a, d), which also gives the sum of squares
+        m11, m12, m22 = a * a, a * d, d * d
+        q0 = f00 + f01 * a + f02 * d + f03 * m11 + f04 * m12 + f05 * m22
+        q1 = f10 + f11 * a + f12 * d + f13 * m11 + f14 * m12 + f15 * m22
+        q2 = f20 + f21 * a + f22 * d + f23 * m11 + f24 * m12 + f25 * m22
+        q3 = f30 + f31 * a + f32 * d + f33 * m11 + f34 * m12 + f35 * m22
+        q4 = f40 + f41 * a + f42 * d + f43 * m11 + f44 * m12 + f45 * m22
+        q5 = f50 + f51 * a + f52 * d + f53 * m11 + f54 * m12 + f55 * m22
         if hybrid:
-            p = _precision(q, sigma2, cond.phi_prior)
-            c1, c2, rejected = _truncated(p, z3, z4, lambda c1, c2: ar2_stationary(-c1, -c2), rng)
-            phi_rejected += rejected
+            p11 = q3 / sigma2 + fp11
+            if not p11 > 0.0:
+                raise SamplerError(_NOT_POSITIVE_DEFINITE)
+            l11 = sqrt(p11)
+            l21 = (q4 / sigma2 + fp12) / l11
+            pivot = q5 / sigma2 + fp22 - l21 * l21
+            if not pivot > 0.0:
+                raise SamplerError(_NOT_POSITIVE_DEFINITE)
+            l22 = sqrt(pivot)
+            y1 = (fh1 - q1 / sigma2) / l11
+            y2 = (fh2 - q2 / sigma2 - l21 * y1) / l22
+            c2 = (y2 + z4) / l22
+            c1 = (y1 + z3 - l21 * c2) / l11
             phi1, phi2 = -c1, -c2
-        ss = _quadratic(q, -phi1, -phi2)
+            rejected = 0
+            # the AR(2) stationarity triangle of model.ar2_stationary
+            while not (abs(phi2) < 1.0 and phi1 + phi2 < 1.0 and phi2 - phi1 < 1.0):
+                rejected += 1
+                if rejected == MAX_REJECTIONS:
+                    raise SamplerError(_STUCK)
+                z3, z4 = redraw(2).tolist()
+                c2 = (y2 + z4) / l22
+                c1 = (y1 + z3 - l21 * c2) / l11
+                phi1, phi2 = -c1, -c2
+            phi_rejected += rejected
+
+        # sigma by independence MH: S = v'Qv at v = (1, -phi1, -phi2)
+        v1, v2 = -phi1, -phi2
+        ss = q0 + 2.0 * (v1 * q1 + v2 * q2 + v1 * v2 * q4) + v1 * v1 * q3 + v2 * v2 * q5
         if not ss > 0.0:
             raise SamplerError("weighted sum of squared innovations is not positive")
-        proposal = 0.5 * ss / gammas[i]
-        if log_u[i] < (sigma2 - proposal) * half_inv_scale2:
+        proposal = 0.5 * ss / gamma
+        if log_u < (sigma2 - proposal) * half_inv_scale2:
             sigma2 = proposal
             accepted += 1
-        if i >= cfg.warmup_draws:
+        if i >= warmup:
             beta1 = d + slope
-            draws.append((a - beta1 * x_mean + y_mean, beta1, phi1, phi2, math.sqrt(sigma2)))
+            draws.append((a - beta1 * x_mean + y_mean, beta1, phi1, phi2, sqrt(sigma2)))
     draws = np.array(draws)
     return (draws if hybrid else draws[:, [0, 1, 4]]), accepted, beta_rejected, phi_rejected
 

@@ -281,6 +281,16 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "issue.csv: valid time 2024-06-01T01:30:00 is not a whole number of hours" in result.output
 
+    def test_wall_clock_issue_time_is_validation_error(self, tmp_path):
+        # numpy reads `now` as the current time, which would make build's output depend on when it ran
+        (tmp_path / "issue.csv").write_text("issue_time_utc, valid_time_utc, sig_heave_m\nnow, now, 1.0\n")
+        (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
+        manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
+        result = run(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert "issue.csv: issue time is not a time ('now')" in result.output
+        assert not list((tmp_path / "out").glob("dataset_*.csv"))
+
     def test_short_issue_row_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
             "issue_time_utc, valid_time_utc, sig_heave_m\n"

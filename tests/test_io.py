@@ -325,6 +325,22 @@ SHORT_ROW_CASES = {
 }
 
 
+# numpy's datetime64 reads these as the wall-clock time or as NaT
+WALL_CLOCK_SPELLINGS = ["now", "NOW", "nowZ", "today", "Today", "NaT", "nat", ""]
+
+
+@pytest.mark.parametrize("spelling", WALL_CLOCK_SPELLINGS)
+@pytest.mark.parametrize("kind", sorted(set(SHORT_ROW_CASES) - {"rao", "samples"}))
+def test_wall_clock_time_cell_names_the_file(tmp_path, kind, spelling):
+    reader, text = SHORT_ROW_CASES[kind]
+    lines = text.splitlines()
+    lines[-1] = ", ".join([spelling] + lines[-1].split(", ")[1:])  # each of these files starts a row with a time
+    p = tmp_path / f"{kind}.csv"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{kind}\.csv: .* is not a time \({re.escape(repr(spelling))}\)"):
+        reader(p)
+
+
 class TestShortRows:
     @pytest.mark.parametrize("kind", sorted(SHORT_ROW_CASES))
     def test_short_row_names_file_and_line(self, tmp_path, kind):
@@ -438,6 +454,47 @@ class TestPosteriorAndPredictions:
         p = tmp_path / "scores.csv"
         write_score_reports(p, reports)
         assert "raw, 0, 0.200, 0.100, 5" in p.read_text()
+
+
+def per_value_samples_text(samples: PosteriorSamples) -> str:
+    """The samples file as the writer once spelled it: one f-string per numpy scalar."""
+    lines = ["chain, " + ", ".join(samples.param_names)]
+    for cid, row in zip(samples.chain_ids, samples.draws):
+        lines.append(f"{int(cid)}, " + ", ".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+               3.0, -12.0, 1e16, 123456789012.0, 0.1, 1234567890123.5]
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS), min_size=5, max_size=5),
+        min_size=1,
+        max_size=12,
+    ),
+    hybrid=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_samples_rows_spelled_as_per_value_f_strings(rows, hybrid):
+    draws = np.array(rows) if hybrid else np.array(rows)[:, :3]
+    names = ("beta0", "beta1", "phi1", "phi2", "sigma") if hybrid else ("beta0", "beta1", "sigma")
+    samples = PosteriorSamples(
+        draws=draws,
+        param_names=names,
+        chain_ids=np.arange(len(rows)) % 3,
+        diagnostics={},
+        acceptance_rate=1.0,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "samples.csv"
+        write_posterior_samples(p, samples)
+        assert p.read_text() == per_value_samples_text(samples)
+        back = read_posterior_samples(p)
+    expected = np.array([[float(f"{v:.12g}") for v in row] for row in draws.tolist()])
+    assert back.draws.tobytes() == expected.tobytes()
+    assert back.chain_ids.tolist() == samples.chain_ids.tolist()
 
 
 class TestRunManifest:

@@ -43,11 +43,11 @@ def oracle_read(path: Path) -> ForecastIssue:
     issue_col, valid_col, value_col = io._read_columns(path, HEADER.split(", "))
     if not issue_col:
         raise ValueError(f"{path}: empty forecast issue")
-    issue_times = io._parse_times(set(issue_col))
+    issue_times = io._parse_times(set(issue_col), path, "issue time")
     issue_time = issue_times[0]
     if np.any(issue_times != issue_time):
         raise ValueError(f"{path}: multiple issue times in one file")
-    leads = ((io._parse_times(valid_col) - issue_time) / np.timedelta64(1, "h")).astype(int)
+    leads = ((io._parse_times(valid_col, path, "valid time") - issue_time) / np.timedelta64(1, "h")).astype(int)
     values = np.array(value_col, dtype=float)
     return ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values)
 
@@ -229,6 +229,8 @@ class TestSetReader:
             ("2024-06-01T00:00:00, 2024-05-31T23:00:00, 1\n", "lead times must be nonnegative, hourly and increasing"),
             ("NaT, 2024-06-01T00:00:00, 1\n", "issue time is not a time"),
             ("2024-06-01T00:00:00, , 1\n", "valid time is not a time"),
+            ("now, now, 1\n", "issue time is not a time"),
+            ("2024-06-01T00:00:00, today, 1\n", "valid time is not a time"),
         ],
     )
     def test_bad_leads_and_times_name_the_file(self, tmp_path, rows, message):
@@ -240,7 +242,7 @@ class TestSetReader:
 
 # -- build on garbled issue files -------------------------------------------
 
-GARBLES = ("bad header", "short row", "bad value cell", "two issue times", "off-hour valid time")
+GARBLES = ("bad header", "short row", "bad value cell", "two issue times", "off-hour valid time", "wall-clock time")
 
 
 def garble(text: str, kind: str, row: int, junk: str) -> str:
@@ -255,6 +257,9 @@ def garble(text: str, kind: str, row: int, junk: str) -> str:
         lines[k] = f"{issued}, {valid}, {value}{junk or 'x'}x"
     elif kind == "two issue times":
         lines[k] = f"{issued[:-8]}23:00:00, {valid}, {value}"
+    elif kind == "wall-clock time":
+        spelling = ("now", "Today", "NaT", "")[row % 4]
+        lines[k] = f"{spelling}, {valid}, {value}" if row % 8 < 4 else f"{issued}, {spelling}, {value}"
     else:
         lines[k] = f"{issued}, {valid[:-5]}{row % 59 + 1:02d}:00, {value}"
     return "\n".join(lines) + "\n"

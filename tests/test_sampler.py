@@ -1,25 +1,18 @@
 """Blocked Gibbs sampler: conditionals against the reference density, the
-bivariate draw and the rejection cap."""
+bivariate draw, the rejection cap and the fused chain against the reference
+chain built from the helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from heavecast import sampler
 from heavecast.datasets import HorizonDataset
 from heavecast.model import X_FLOOR, ModelSpec, PriorSet, log_posterior
-from heavecast.sampler import (
-    MAX_REJECTIONS,
-    SamplerConfig,
-    SamplerError,
-    _Conditionals,
-    _form,
-    _gaussian2,
-    _precision,
-    _quadratic,
-    _truncated,
-    fit,
-)
+from heavecast.sampler import MAX_REJECTIONS, SamplerConfig, SamplerError, _Conditionals, _run_chain, fit
+from sampler_reference import _form, _gaussian2, _precision, _quadratic, _truncated, run_chain
 
 T0 = np.datetime64("2024-06-01T00:00:00", "s")
 HOUR = np.timedelta64(1, "h")
@@ -172,7 +165,8 @@ class TestRejectionCap:
     def test_fit_with_prior_outside_support(self):
         # a beta1 prior packed far below zero leaves the beta block no mass above it
         spec = ModelSpec(kind="basic", priors=PriorSet(beta1_mean=-5.0, beta1_var=1e-6))
-        with pytest.raises(SamplerError, match="rejected"):
+        message = f"truncated block rejected {MAX_REJECTIONS} draws in a row"
+        with pytest.raises(SamplerError, match=f"^{re.escape(message)}$"):
             fit(gappy_dataset(200, seed=8), spec, SamplerConfig(chains=1, warmup_draws=100, retained_draws=100))
 
 
@@ -186,3 +180,61 @@ class TestFitFacts:
         assert facts["min_ess"] == min(v["ess"] for v in samples.diagnostics.values())
         assert 0.5 < samples.acceptance_rate <= 1.0
         assert samples.draws.shape == (600, 5)
+
+
+# a tight beta1 prior at 0 puts half the beta block's mass below beta1 = 0, and
+# on 20 rows a wide phi prior puts much of the phi block's outside the triangle
+REDRAWS = PriorSet(beta1_mean=0.0, beta1_var=1e-6, phi_sd=10.0)
+
+
+class TestFusedChain:
+    """sampler._run_chain against the reference chain of sampler_reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["basic", "hybrid"])
+    @pytest.mark.parametrize("n,priors", [(400, PriorSet()), (3428, PriorSet()), (20, REDRAWS)], ids=["400", "3428", "redraws"])
+    def test_same_draws_and_counts(self, kind, n, priors):
+        ds = gappy_dataset(n, seed=n + 3)
+        assert np.any(ds.x < X_FLOOR)
+        cond = _Conditionals(ds, ModelSpec(kind=kind, priors=priors))
+        cfg = SamplerConfig(chains=1, warmup_draws=300, retained_draws=200)
+        hybrid = kind == "hybrid"
+        draws, *counts = _run_chain(cond, cfg, hybrid, np.random.default_rng(n))
+        ref_draws, *ref_counts = run_chain(cond, cfg, hybrid, np.random.default_rng(n))
+        assert draws.shape == ref_draws.shape == (200, 5 if hybrid else 3)
+        assert draws.tobytes() == ref_draws.tobytes()
+        assert counts == ref_counts
+        if priors is REDRAWS:
+            _, beta_rejected, phi_rejected = counts
+            assert beta_rejected > 0 and (phi_rejected > 0 or not hybrid)
+
+
+def with_conditionals(monkeypatch, **attrs):
+    """Have fit build _Conditionals whose given attributes are replaced."""
+
+    class Patched(_Conditionals):
+        def __init__(self, ds, spec):
+            super().__init__(ds, spec)
+            for name, value in attrs.items():
+                setattr(self, name, value)
+
+    monkeypatch.setattr(sampler, "_Conditionals", Patched)
+
+
+class TestFitErrors:
+    """The fused loop's checks raise through fit with the reference helpers' messages."""
+
+    CFG = SamplerConfig(chains=1, warmup_draws=100, retained_draws=100)
+
+    @pytest.mark.parametrize("block", ["beta_prior", "phi_prior"])
+    @pytest.mark.parametrize("prior", [(math.nan, 0.0, 1.0, 0.0, 0.0), (1.0, math.nan, 1.0, 0.0, 0.0)], ids=["p11", "pivot"])
+    def test_not_positive_definite(self, monkeypatch, block, prior):
+        with_conditionals(monkeypatch, **{block: prior})
+        with pytest.raises(SamplerError, match="^conditional precision is not positive definite$"):
+            fit(gappy_dataset(200, seed=10), ModelSpec(kind="hybrid"), self.CFG)
+
+    def test_phi_block_gives_up(self, monkeypatch):
+        # a prior packed at phi1 = -10, far outside the stationarity triangle
+        with_conditionals(monkeypatch, phi_prior=(1e6, 0.0, 1e6, 1e7, 0.0))
+        message = f"truncated block rejected {MAX_REJECTIONS} draws in a row"
+        with pytest.raises(SamplerError, match=f"^{re.escape(message)}$"):
+            fit(gappy_dataset(200, seed=11), ModelSpec(kind="hybrid"), self.CFG)
