@@ -433,13 +433,18 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     valid_col, x_col, y_col, issue_col, _ = _read_columns(
         path, ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
     )
-    return HorizonDataset(
-        horizon=horizon,
-        valid_times=_parse_times(valid_col, path, "valid_time_utc"),
-        x=np.array(x_col, dtype=float),
-        y=np.array(y_col, dtype=float),
-        issue_times=_parse_times(issue_col, path, "issue_time_utc"),
-    )
+    valid_times = _parse_times(valid_col, path, "valid_time_utc")
+    issue_times = _parse_times(issue_col, path, "issue_time_utc")
+    try:
+        return HorizonDataset(
+            horizon=horizon,
+            valid_times=valid_times,
+            x=np.array(x_col, dtype=float),
+            y=np.array(y_col, dtype=float),
+            issue_times=issue_times,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
@@ -486,11 +491,17 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     if not columns[0]:
         raise ValueError(f"{path}: no posterior draws")
     names = tuple(header[1:])
-    chain_ids = [int(c) for c in columns[0]]
-    # (n_draws, n_params), row-major like the draws fit wrote
-    draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
+    try:
+        chain_ids = [int(c) for c in columns[0]]
+        # (n_draws, n_params), row-major like the draws fit wrote
+        draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     sidecar_path = Path(str(path) + ".diag.json")
-    meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    try:
+        meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar_path}: expected a JSON object, found {type(meta).__name__}")
     return PosteriorSamples(

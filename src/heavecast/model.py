@@ -47,6 +47,7 @@ __all__ = [
 
 X_FLOOR = 0.01  # m; keeps the scaled-noise likelihood proper as x -> 0
 QUANTILE_LEVELS = (0.05, 0.5, 0.95)  # predictive quantiles reported per row
+MIN_DRAWS = 100  # fewest posterior draws a stage accepts; fit retains at least this many per chain
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -235,11 +236,13 @@ def in_support(params: np.ndarray, spec: ModelSpec):
 
 
 def check_samples(samples: PosteriorSamples, spec: ModelSpec) -> None:
-    """Raise ValueError unless samples hold spec's parameters, every draw inside the prior support."""
+    """Raise ValueError unless samples hold spec's parameters in MIN_DRAWS or more draws, all in the prior support."""
     if samples.param_names != spec.param_names:
         raise ValueError(
             f"expected {spec.kind} parameters {list(spec.param_names)}, found {list(samples.param_names)}"
         )
+    if len(samples) < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} posterior draws, found {len(samples)}")
     outside = np.flatnonzero(~in_support(samples.draws, spec))
     if outside.size:
         raise ValueError(
@@ -393,8 +396,8 @@ def posterior_predictive(
 def map_sigma(samples: PosteriorSamples) -> float:
     """Histogram-mode MAP estimate of the noise scale sigma."""
     draws = samples.column("sigma")
-    if draws.size < 100:
-        raise ValueError("need at least 100 draws for a mode estimate")
+    if draws.size < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws for a mode estimate")
     if np.ptp(draws) == 0.0:
         return float(draws[0])
     n_bins = int(np.clip(np.sqrt(draws.size), 10, 500))

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import yaml
 from click.testing import CliRunner
 
 import heavecast
-from heavecast import io
+from heavecast import cli, io
 from heavecast.cli import main
 from heavecast.datasets import HorizonDataset
 from heavecast.model import ModelSpec, PosteriorSamples
@@ -48,6 +49,19 @@ def write_manifest(tmp_path, **overrides):
 
 def run(args):
     return RUNNER.invoke(main, args, catch_exceptions=False)
+
+
+def _src_env():
+    """os.environ with the heavecast package under test first on PYTHONPATH."""
+    src = str(Path(heavecast.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def program(*args, **kwargs):
+    """Run `python -m heavecast.cli ARGS` as its own process, as the installed script runs."""
+    return subprocess.run(
+        [sys.executable, "-m", "heavecast.cli", *args], env=_src_env(), capture_output=True, **kwargs
+    )
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +444,67 @@ class TestBadSamples:
             result = run([cmd, "--manifest", str(campaign / "run.yaml")])
             assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
+    def test_too_few_draws(self, campaign, cmd):
+        # fit retains at least 100 draws per chain; one draw would give predict degenerate quantiles
+        path = campaign / "out" / "samples_hybrid_h000.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        self.assert_refused(campaign, cmd, "need at least 100 posterior draws, found 1")
+        assert not list((campaign / "out").glob("predictions_*.csv"))
+
+
+class TestEntryPoint:
+    """heavecast.cli.run is the program; main stays a plain click group for library callers."""
+
+    def test_main_leaves_the_collector_alone(self, campaign):
+        frozen = gc.get_freeze_count()
+        for cmd in ("predict", "score", "diagnose"):
+            assert run([cmd, "--manifest", str(campaign / "run.yaml")]).exit_code == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_the_heap_after_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["heavecast", "--help"])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == 0
+            assert "Probabilistic heave-response forecasting pipeline." in capsys.readouterr().out
+            assert gc.isenabled()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_exit_codes_and_messages(self, campaign):
+        manifest = campaign / "run.yaml"
+        ok = program("predict", "--manifest", str(manifest), text=True)
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.startswith("h=0: ") and ok.stderr == ""
+
+        samples = campaign / "out" / "samples_hybrid_h000.csv"
+        samples.write_text("\n".join(samples.read_text().splitlines()[:2]) + "\n")
+        bad = program("score", "--manifest", str(manifest), text=True)
+        assert bad.returncode == 2
+        assert bad.stderr == f"error: {samples}: need at least 100 posterior draws, found 1\n"
+
+        cfg = yaml.safe_load(manifest.read_text())
+        manifest.write_text(yaml.safe_dump({**cfg, "sampler": {**cfg["sampler"], "rhat_limit": 1.0}}))
+        failed = program("fit", "--manifest", str(manifest), text=True)
+        assert failed.returncode == 3
+        assert failed.stderr.startswith("numerical failure: chains not converged, rhat over limit: ")
+        assert failed.stderr.count("\n") == 1
+
+    def test_score_prints_the_table_it_writes(self, campaign):
+        result = program("score", "--manifest", str(campaign / "run.yaml"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (campaign / "out" / "scores.txt").read_bytes()
+
+    def test_installed_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"heavecast": "heavecast.cli:run"}
+
 
 @pytest.mark.parametrize("cmd", ["fit", "predict", "score", "diagnose"])
 def test_split_without_test_rows_is_validation_error(campaign, cmd):
@@ -464,10 +539,8 @@ def _imported(args):
     Read from `-X importtime`, which lists each module the first time it is
     imported; heavecast.cli itself runs as __main__.
     """
-    src = str(Path(heavecast.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "heavecast.cli", *args], env=env, capture_output=True, text=True
+        [sys.executable, "-X", "importtime", "-m", "heavecast.cli", *args], env=_src_env(), capture_output=True, text=True
     )
     names = {
         line.rsplit("|", 1)[1].strip()
@@ -546,9 +619,7 @@ def test_import_leaves_scipy_stats_and_signal_out():
         "    getattr(heavecast, name)\n"
         "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])"
     )
-    src = str(Path(heavecast.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
