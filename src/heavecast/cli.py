@@ -2,24 +2,26 @@
 
 Every command reads a YAML run manifest, takes flag overrides, writes plain
 delimited text into the manifest's output directory and is idempotent for a
-fixed manifest and seed. Exit codes: 0 success, 2 validation error,
+fixed manifest and seed. Exit codes: 0 success, 2 validation or usage
+error (an unknown command or option, a missing or malformed value),
 3 sampler or numerical failure.
 
-Start-up loads only the standard library and click: each command and helper
-imports the heavecast modules it calls (and with them numpy and PyYAML) at
-the top of its body, so `--help` parses no more than it prints and a stage
-loads only the modules its own work needs.
+The command layer is argparse, one parser per command, and start-up loads
+nothing outside the standard library: each command and helper imports the
+heavecast modules it calls (and with them numpy and PyYAML) at the top of
+its body, so `--help` parses no more than it prints and a stage loads only
+the modules its own work needs.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import gc
 import sys
+import textwrap
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
     from . import config, datasets, io, model
@@ -45,28 +47,75 @@ def _failsoft(fn):
         try:
             return fn(*args, **kwargs)
         except (ValueError, OSError, KeyError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(VALIDATION_EXIT)
         except _numerical_errors() as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            print(f"numerical failure: {exc}", file=sys.stderr)
             sys.exit(NUMERICAL_EXIT)
 
     return wrapper
 
 
-def _common(fn):
-    fn = click.option("--manifest", "-m", required=True, type=click.Path(exists=True, dir_okay=False))(fn)
-    fn = click.option("--horizon", "-H", "horizons", multiple=True, type=int, help="override manifest horizons")(fn)
-    fn = click.option("--model", "model_kind", type=click.Choice(["basic", "hybrid"]), default=None)(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option(
-        "--out", type=click.Path(file_okay=False), default=None,
-        help="override output directory (relative to the current directory, not the manifest)",
-    )(fn)
-    return fn
+def _option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One option of a command: the arguments of ArgumentParser.add_argument."""
+    return flags, kwargs
+
+
+# options every command takes
+_COMMON = (
+    _option("-m", "--manifest", required=True, metavar="FILE"),
+    _option("-H", "--horizon", dest="horizons", action="append", type=int, metavar="HOURS",
+            help="override manifest horizons"),
+    _option("--model", dest="model_kind", choices=["basic", "hybrid"]),
+    _option("--seed", type=int),
+    _option("--out", metavar="DIR",
+            help="override output directory (relative to the current directory, not the manifest)"),
+)
+
+# name -> (command, its options), filled by @_command
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(*options: tuple[tuple[str, ...], dict]):
+    """Make fn the command named after it, with the common options and options.
+
+    The command receives every option as a keyword argument, and its
+    ValueError, OSError and KeyError exit VALIDATION_EXIT (see _failsoft).
+    """
+
+    def register(fn):
+        fn = _failsoft(fn)
+        _COMMANDS[fn.__name__] = (fn, _COMMON + options)
+        return fn
+
+    return register
+
+
+# every parser: no option prefix accepted, help only as --help, descriptions kept as written
+_PARSER = dict(add_help=False, allow_abbrev=False, formatter_class=argparse.RawDescriptionHelpFormatter)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The program's parser, with one subparser per command."""
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__.partition("\n")[0], **_PARSER)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND", required=True)
+    for name, (fn, options) in sorted(_COMMANDS.items()):
+        summary, newline, details = fn.__doc__.partition("\n")
+        description = summary + newline + textwrap.dedent(details)
+        sub = commands.add_parser(name, help=summary, description=description, **_PARSER)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    return parser
 
 
 def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
+    """The manifest with the command's overrides, its output directory made.
+
+    A manifest path that is missing or a directory, and an --out that is a
+    file, raise OSError, which exits VALIDATION_EXIT.
+    """
     from . import io
 
     m = io.RunManifest.load(Path(manifest))
@@ -107,8 +156,12 @@ def _split(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset, datasets
     """The horizon-h dataset, split chronologically into (train, test)."""
     from . import datasets, io
 
-    ds = io.read_horizon_dataset(_dataset_path(m, h), h)
-    return datasets.chrono_split(ds, m.train_fraction)
+    path = _dataset_path(m, h)
+    ds = io.read_horizon_dataset(path, h)
+    try:
+        return datasets.chrono_split(ds, m.train_fraction)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.PosteriorSamples:
@@ -138,15 +191,24 @@ def _test_predictive(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset
     return test, pred
 
 
-@click.group()
-def main():
-    """Probabilistic heave-response forecasting pipeline."""
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Probabilistic heave-response forecasting pipeline.
+
+    Parses args (default sys.argv[1:]), runs the command they name and
+    exits as a program does: it always ends in SystemExit, whose code is 0
+    on success, 2 on a usage or validation error and 3 on a numerical
+    failure.
+    """
+    options = vars(_parser(prog_name or "heavecast").parse_args(args))
+    command, _ = _COMMANDS[options.pop("command")]
+    command(**options)
+    sys.exit(0)
 
 
 def run() -> None:
     """Run main as the program, then leave its heap to the operating system.
 
-    A stage process holds every object of numpy, click, PyYAML and heavecast
+    A stage process holds every object of numpy, PyYAML and heavecast
     when main returns or exits, and the collections of interpreter shutdown
     would free them one at a time just before the process's memory goes back
     to the system anyway. gc.freeze() moves every object into the permanent
@@ -158,7 +220,7 @@ def run() -> None:
     returns (with-blocks, io.atomic_write_text), so no write waits for a
     collection to close it; pytest enforces that by turning ResourceWarning
     into an error. main itself keeps a normal collector for library callers
-    and CliRunner.
+    and for tests that call it in process.
     """
     try:
         main()
@@ -166,9 +228,7 @@ def run() -> None:
         gc.freeze()
 
 
-@main.command()
-@_common
-@_failsoft
+@_command()
 def response(**kwargs):
     """Physics response statistics from a spectra file and an RAO file."""
     import numpy as np
@@ -184,12 +244,10 @@ def response(**kwargs):
     lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
     lines += [f"{t}, {a:.10g}, {b:.10g}, {sig:.10g}" for t, a, b, sig in rows]
     io.atomic_write_text(m.out_dir / "response.csv", "\n".join(lines) + "\n")
-    click.echo(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)")
+    print(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)", flush=True)
 
 
-@main.command()
-@_common
-@_failsoft
+@_command()
 def build(**kwargs):
     """Synthesise per-horizon datasets from forecast issues and measurements."""
     from . import datasets, io
@@ -207,12 +265,10 @@ def build(**kwargs):
         series = datasets.synthesize_horizon_series(issues, h)
         ds = datasets.align(series, measurements, horizon=h)
         io.write_horizon_dataset(_dataset_path(m, h), ds)
-        click.echo(f"h={h}: {len(ds)} aligned rows -> {_dataset_path(m, h)}")
+        print(f"h={h}: {len(ds)} aligned rows -> {_dataset_path(m, h)}", flush=True)
 
 
-@main.command()
-@_common
-@_failsoft
+@_command()
 def fit(**kwargs):
     """Fit the adjustment model per horizon on the training split."""
     from . import io, sampler
@@ -225,12 +281,10 @@ def fit(**kwargs):
         samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
         io.write_posterior_samples(_samples_path(m, h), samples)
         worst = max(v["rhat"] for v in samples.diagnostics.values())
-        click.echo(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {_samples_path(m, h)}")
+        print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {_samples_path(m, h)}", flush=True)
 
 
-@main.command()
-@_common
-@_failsoft
+@_command()
 def predict(**kwargs):
     """Posterior-predictive quantiles for the test split of each horizon."""
     from . import io
@@ -240,13 +294,11 @@ def predict(**kwargs):
         _, pred = _test_predictive(m, h)
         path = m.out_dir / f"predictions_{m.model_kind}_h{h:03d}.csv"
         io.write_predictions(path, pred)
-        click.echo(f"h={h}: {len(pred)} predictive rows -> {path}")
+        print(f"h={h}: {len(pred)} predictive rows -> {path}", flush=True)
         del pred  # before the next horizon's draws are made
 
 
-@main.command()
-@_common
-@_failsoft
+@_command()
 def score(**kwargs):
     """Score the fitted model against the raw physics forecast.
 
@@ -268,14 +320,13 @@ def score(**kwargs):
     io.write_score_reports(m.out_dir / "scores.csv", reports)
     table = scoring.format_score_table(reports)
     io.atomic_write_text(m.out_dir / "scores.txt", table + "\n")
-    click.echo(table)
+    print(table, flush=True)
 
 
-@main.command()
-@_common
-@click.option("--max-lag", type=int, default=20, show_default=True)
-@click.option("--bins", type=int, default=10, show_default=True)
-@_failsoft
+@_command(
+    _option("--max-lag", type=int, default=20, help="[default: %(default)s]"),
+    _option("--bins", type=int, default=10, help="[default: %(default)s]"),
+)
 def diagnose(max_lag, bins, **kwargs):
     """Residual PACF and heteroskedasticity tables per horizon."""
     import numpy as np
@@ -306,14 +357,13 @@ def diagnose(max_lag, bins, **kwargs):
                 f"{row['count']}, {row['sigma_map']:.6f}"
             )
         io.atomic_write_text(m.out_dir / f"hetero_{m.model_kind}_h{h:03d}.csv", "\n".join(lines) + "\n")
-        click.echo(f"h={h}: diagnostics written")
+        print(f"h={h}: diagnostics written", flush=True)
 
 
-@main.command()
-@_common
-@click.option("--spectra-hours", type=int, default=0, show_default=True,
-              help="also write the first N hours of true spectra (large files)")
-@_failsoft
+@_command(
+    _option("--spectra-hours", type=int, default=0, metavar="N",
+            help="also write the first N hours of true spectra (large files) [default: %(default)s]"),
+)
 def simulate(spectra_hours, **kwargs):
     """Generate a synthetic campaign: RAO, measurements and forecast issues."""
     import numpy as np
@@ -340,7 +390,7 @@ def simulate(spectra_hours, **kwargs):
     io.write_heave_records(m.out_dir / "measurements.csv", records)
     if spectra_hours > 0:
         io.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
-    click.echo(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}")
+    print(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}", flush=True)
 
 
 if __name__ == "__main__":

@@ -306,7 +306,7 @@ def chrono_split(
         raise ValueError("train_fraction must lie strictly inside (0, 1)")
     n = len(ds)
     if n < 10:
-        raise ValueError("too few rows to split")
+        raise ValueError(f"too few rows to split: {n} rows at horizon {ds.horizon}, at least 10 needed")
     k = int(np.ceil(train_fraction * n))
     if k >= n:
         raise ValueError(

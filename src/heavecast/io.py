@@ -430,13 +430,19 @@ def write_forecast_issues(issue_dir: Path, issues: IssueSet) -> None:
 
 
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
-    valid_col, x_col, y_col, issue_col, _ = _read_columns(
+    """The dataset write_horizon_dataset wrote.
+
+    HorizonDataset recomputes post_gap from the valid times, so the
+    post_gap_flag column is only checked: each cell must be 0 or 1 and
+    agree with the recomputed flag, or a ValueError names the file and row.
+    """
+    valid_col, x_col, y_col, issue_col, flag_col = _read_columns(
         path, ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
     )
     valid_times = _parse_times(valid_col, path, "valid_time_utc")
     issue_times = _parse_times(issue_col, path, "issue_time_utc")
     try:
-        return HorizonDataset(
+        ds = HorizonDataset(
             horizon=horizon,
             valid_times=valid_times,
             x=np.array(x_col, dtype=float),
@@ -445,6 +451,13 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    expected = np.where(ds.post_gap, "1", "0").tolist()
+    if flag_col != expected:
+        row, cell, flag = next((k, c, e) for k, (c, e) in enumerate(zip(flag_col, expected), 1) if c != e)
+        if cell not in ("0", "1"):
+            raise ValueError(f"{path}, row {row}: post_gap_flag must be 0 or 1, found {cell!r}")
+        raise ValueError(f"{path}, row {row}: post_gap_flag is {cell}, but the valid times make it {flag}")
+    return ds
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:

@@ -15,11 +15,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavecast.cli import main
 from heavecast.datasets import (
     DEFAULT_MAX_LEADS,
     ForecastIssue,
@@ -50,6 +48,7 @@ from heavecast.synthetic import (
     reference_rao,
     true_response_series,
 )
+from clirun import invoke
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
@@ -435,7 +434,6 @@ def test_criterion_10_synthesis_properties(capfd):
 
 def test_criterion_11_pipeline_determinism(capfd, tmp_path):
     with criterion(capfd, 11, "seeded pipeline is bit-identical across runs"):
-        runner = CliRunner()
         outputs = []
         for tag in ("a", "b"):
             cfg = {
@@ -459,8 +457,7 @@ def test_criterion_11_pipeline_determinism(capfd, tmp_path):
             manifest = tmp_path / f"run_{tag}.yaml"
             manifest.write_text(yaml.safe_dump(cfg))
             for cmd in ("simulate", "build", "fit", "predict", "score"):
-                result = runner.invoke(main, [cmd, "--manifest", str(manifest)],
-                                       catch_exceptions=False)
+                result = invoke([cmd, "--manifest", str(manifest)])
                 assert result.exit_code == 0, f"{cmd} failed: {result.output}"
             outputs.append(tmp_path / f"out_{tag}")
         files_a = sorted(p.relative_to(outputs[0]) for p in outputs[0].rglob("*") if p.is_file())

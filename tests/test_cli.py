@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,16 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import heavecast
 from heavecast import cli, io
-from heavecast.cli import main
 from heavecast.datasets import HorizonDataset
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.spectral import response_moments
-
-RUNNER = CliRunner()
+from clirun import invoke
 
 
 def write_manifest(tmp_path, **overrides):
@@ -47,10 +45,6 @@ def write_manifest(tmp_path, **overrides):
     return path
 
 
-def run(args):
-    return RUNNER.invoke(main, args, catch_exceptions=False)
-
-
 def _src_env():
     """os.environ with the heavecast package under test first on PYTHONPATH."""
     src = str(Path(heavecast.__file__).resolve().parents[1])
@@ -70,7 +64,7 @@ def pipeline(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
     manifest = write_manifest(tmp_path)
     for cmd in ("simulate", "build", "fit", "predict", "score"):
-        result = run([cmd, "--manifest", str(manifest)])
+        result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 0, f"{cmd} failed: {result.output}"
     return tmp_path, manifest
 
@@ -119,7 +113,7 @@ class TestPipeline:
 
     def test_diagnose(self, pipeline):
         tmp_path, manifest = pipeline
-        result = run(["diagnose", "--manifest", str(manifest), "--max-lag", "10"])
+        result = invoke(["diagnose", "--manifest", str(manifest), "--max-lag", "10"])
         assert result.exit_code == 0, result.output
         out = tmp_path / "out"
         assert (out / "pacf_basic_h000.csv").exists()
@@ -132,9 +126,9 @@ class TestPipeline:
             rao_file="out/rao.csv",
             spectra_file="out/spectra.csv",
         )
-        result = run(["simulate", "--manifest", str(manifest), "--spectra-hours", "3"])
+        result = invoke(["simulate", "--manifest", str(manifest), "--spectra-hours", "3"])
         assert result.exit_code == 0, result.output
-        result = run(["response", "--manifest", str(manifest)])
+        result = invoke(["response", "--manifest", str(manifest)])
         assert result.exit_code == 0, result.output
         lines = (tmp_path / "out" / "response.csv").read_text().strip().splitlines()
         assert lines[0] == "timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"
@@ -145,7 +139,7 @@ class TestPipeline:
         (tmp_path / "cwd").mkdir()
         manifest = write_manifest(tmp_path / "manifest", scenario={"duration_h": 48})
         monkeypatch.chdir(tmp_path / "cwd")
-        result = run(["simulate", "--manifest", str(manifest), "--out", "elsewhere"])
+        result = invoke(["simulate", "--manifest", str(manifest), "--out", "elsewhere"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "cwd" / "elsewhere" / "rao.csv").is_file()
         assert not (tmp_path / "manifest" / "elsewhere").exists()
@@ -155,8 +149,8 @@ class TestPipeline:
             tmp_path, scenario={"duration_h": 30, "start": "2024-03-01T06:00:00Z"},
             rao_file="out/rao.csv", spectra_file="out/spectra.csv",
         )
-        assert run(["simulate", "--manifest", str(manifest), "--spectra-hours", "30"]).exit_code == 0
-        result = run(["response", "--manifest", str(manifest)])
+        assert invoke(["simulate", "--manifest", str(manifest), "--spectra-hours", "30"]).exit_code == 0
+        result = invoke(["response", "--manifest", str(manifest)])
         assert result.exit_code == 0, result.output
         # the reference: one validated spectrum object per row, read for its timestamp
         spectra = io.read_spectra(tmp_path / "out" / "spectra.csv")
@@ -169,7 +163,7 @@ class TestPipeline:
 
     def test_horizon_override(self, pipeline):
         tmp_path, manifest = pipeline
-        result = run(["build", "--manifest", str(manifest), "--horizon", "12"])
+        result = invoke(["build", "--manifest", str(manifest), "--horizon", "12"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "dataset_h012.csv").exists()
 
@@ -181,7 +175,7 @@ class TestSimulate:
         scenario = {"background_hs": 0.6, "events": [{"arrival_h": 20, "hs": 2.0, "tp": 15.0}]}
         for hours in (200, 60):
             manifest = write_manifest(tmp_path, scenario={"duration_h": hours, **scenario})
-            assert run(["simulate", "--manifest", str(manifest)]).exit_code == 0
+            assert invoke(["simulate", "--manifest", str(manifest)]).exit_code == 0
         issues = sorted((tmp_path / "out" / "issues").glob("issue_*.csv"))
         assert len(issues) == 10  # 00/06/12/18Z over hours 0-59
         assert issues[-1].read_text().splitlines()[1].startswith("2024-06-03T06:00:00, ")
@@ -192,37 +186,49 @@ class TestSimulate:
         for start in ('"2024-03-01T06:00:00Z"', "2024-03-01T06:00:00"):
             manifest = write_manifest(tmp_path, scenario={"duration_h": 12})
             manifest.write_text(manifest.read_text().replace("duration_h: 12", f"duration_h: 12\n  start: {start}"))
-            assert run(["simulate", "--manifest", str(manifest)]).exit_code == 0
+            assert invoke(["simulate", "--manifest", str(manifest)]).exit_code == 0
             texts.append((tmp_path / "out" / "measurements.csv").read_text())
         assert texts[0] == texts[1]
         assert texts[0].splitlines()[1].startswith("2024-03-01T06:00:00, ")
 
 
 class TestExitCodes:
-    def test_missing_manifest_is_validation_error(self, tmp_path):
-        result = RUNNER.invoke(main, ["build", "--manifest", str(tmp_path / "nope.yaml")])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--manifest", "nope.yaml"], "nope.yaml"),  # missing
+            (["--manifest", "."], "."),  # a directory
+            (["--manifest", "run.yaml", "--out", "run.yaml"], "run.yaml"),  # --out names a file
+        ],
+    )
+    def test_bad_path_is_validation_error(self, tmp_path, monkeypatch, flags, named):
+        write_manifest(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        result = invoke(["build", *flags])
         assert result.exit_code == 2
+        assert result.output.startswith("error: ") and f"'{named}'" in result.output, result.output
+        assert not (tmp_path / "out").exists()
 
     def test_build_without_inputs(self, tmp_path):
         manifest = write_manifest(tmp_path)
-        result = run(["build", "--manifest", str(manifest)])
+        result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
 
     def test_bad_manifest_key(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("out_dir: out\nwhatever: 1\n")
-        result = run(["build", "--manifest", str(path)])
+        result = invoke(["build", "--manifest", str(path)])
         assert result.exit_code == 2
 
     def test_non_integer_horizon_is_validation_error(self, tmp_path):
         manifest = write_manifest(tmp_path, horizons=["a"])
-        result = run(["build", "--manifest", str(manifest)])
+        result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "horizons must be a list of nonnegative integers" in result.output
 
     def test_unknown_sampler_key_is_validation_error(self, tmp_path):
         manifest = write_manifest(tmp_path, sampler={"chainz": 3})
-        result = run(["fit", "--manifest", str(manifest)])
+        result = invoke(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "unknown manifest sampler keys: ['chainz']" in result.output
 
@@ -240,7 +246,7 @@ class TestExitCodes:
     )
     def test_every_stage_checks_every_manifest_section(self, tmp_path, cmd, override, message):
         manifest = write_manifest(tmp_path, **override)
-        result = run([cmd, "--manifest", str(manifest)])
+        result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert message in result.output
 
@@ -249,7 +255,7 @@ class TestExitCodes:
     def test_rhat_limit_below_one_or_nan_is_validation_error(self, tmp_path, cmd, limit):
         # a NaN limit would pass any chains, since no R-hat compares greater than it
         manifest = write_manifest(tmp_path, sampler={"rhat_limit": limit})
-        result = run([cmd, "--manifest", str(manifest)])
+        result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
         assert f"error: rhat_limit must be finite and at least 1.0, found {limit!r}" in result.output
         assert "Traceback" not in result.output
@@ -277,7 +283,7 @@ class TestExitCodes:
     )
     def test_non_finite_or_nonpositive_setting_is_validation_error(self, tmp_path, override, message):
         manifest = write_manifest(tmp_path, **override)
-        result = run(["simulate", "--manifest", str(manifest)])
+        result = invoke(["simulate", "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
         assert f"error: {message}" in result.output
         assert "Traceback" not in result.output
@@ -291,7 +297,7 @@ class TestExitCodes:
         )
         (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
-        result = run(["build", "--manifest", str(manifest)])
+        result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "issue.csv: valid time 2024-06-01T01:30:00 is not a whole number of hours" in result.output
 
@@ -300,7 +306,7 @@ class TestExitCodes:
         (tmp_path / "issue.csv").write_text("issue_time_utc, valid_time_utc, sig_heave_m\nnow, now, 1.0\n")
         (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
-        result = run(["build", "--manifest", str(manifest)])
+        result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
         assert "issue.csv: issue time is not a time ('now')" in result.output
         assert not list((tmp_path / "out").glob("dataset_*.csv"))
@@ -313,14 +319,14 @@ class TestExitCodes:
         )
         (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
-        result = run(["build", "--manifest", str(manifest)])
+        result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "issue.csv, line 3: expected 3 cells, found 2" in result.output
 
     def test_malformed_yaml_is_validation_error(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("out_dir: [\n")
-        result = run(["build", "--manifest", str(path)])
+        result = invoke(["build", "--manifest", str(path)])
         assert result.exit_code == 2
         assert f"{path}: malformed YAML" in result.output
 
@@ -329,7 +335,7 @@ class TestExitCodes:
             "issue_time_utc, valid_time_utc, sig_heave_m\n2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
         )
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file=".")
-        result = run(["build", "--manifest", str(manifest)])
+        result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "Is a directory" in result.output
 
@@ -344,7 +350,7 @@ class TestExitCodes:
     def test_removed_manifest_keys_are_validation_errors(self, tmp_path, override, message):
         # the noise floor and the sampler tuning are fixed, and no stage reads QA events
         manifest = write_manifest(tmp_path, **override)
-        result = run(["fit", "--manifest", str(manifest)])
+        result = invoke(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert message in result.output
 
@@ -360,7 +366,7 @@ class TestExitCodes:
     )
     def test_bad_scenario_extras_are_validation_errors(self, tmp_path, scenario, message):
         manifest = write_manifest(tmp_path, scenario={"duration_h": 48, **scenario})
-        result = run(["simulate", "--manifest", str(manifest)])
+        result = invoke(["simulate", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert message in result.output
         assert not (tmp_path / "out" / "measurements.csv").exists()
@@ -378,8 +384,8 @@ class TestExitCodes:
             },
         )
         for cmd in ("simulate", "build"):
-            assert run([cmd, "--manifest", str(manifest)]).exit_code == 0
-        result = run(["fit", "--manifest", str(manifest)])
+            assert invoke([cmd, "--manifest", str(manifest)]).exit_code == 0
+        result = invoke(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 3
 
 
@@ -392,7 +398,7 @@ def hybrid_run(tmp_path_factory):
         sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
     )
     for cmd in ("simulate", "build", "fit"):
-        result = run([cmd, "--manifest", str(manifest)])
+        result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 0, f"{cmd} failed: {result.output}"
     return tmp_path
 
@@ -403,6 +409,50 @@ def campaign(hybrid_run, tmp_path):
     shutil.copytree(hybrid_run / "out", tmp_path / "out")
     shutil.copy(hybrid_run / "run.yaml", tmp_path / "run.yaml")
     return tmp_path
+
+
+class TestUsage:
+    """A usage error exits 2 with a message naming the culprit, and prints nothing to stdout."""
+
+    @pytest.mark.parametrize(
+        "args, pattern",
+        [
+            (["nosuch"], r"'nosuch'"),  # an unknown command
+            (["build"], r"--manifest"),  # -m is required
+            (["build", "-m", "run.yaml", "--model", "other"], r"--model.*'other'|'other'.*--model"),
+            (["build", "-m", "run.yaml", "-H", "a"], r"'a'"),
+            (["build", "-m", "run.yaml", "--manif", "run.yaml"], r"--manif\b"),  # no option is abbreviated
+            (["build", "-m", "run.yaml", "--max-lag", "3"], r"--max-lag\b"),  # diagnose's option only
+        ],
+    )
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, args, pattern):
+        write_manifest(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        result = invoke(args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == "" and re.search(pattern, result.stderr), result.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    def test_command_help(self, cmd):
+        result = invoke([cmd, "--help"])
+        assert result.exit_code == 0
+        assert getattr(cli, cmd).__doc__.partition("\n")[0] in result.output
+        assert "--manifest" in result.output and "override manifest horizons" in result.output
+
+    def test_program_help_lists_every_command(self):
+        result = invoke(["--help"])
+        assert result.exit_code == 0
+        assert "Probabilistic heave-response forecasting pipeline." in result.output
+        for cmd in ("simulate", "build", "fit", "predict", "score", "diagnose", "response"):
+            assert cmd in result.output
+
+    def test_repeated_horizon_runs_each(self, campaign):
+        # the campaign's manifest lists horizon 0 only
+        result = invoke(["build", "-m", str(campaign / "run.yaml"), "-H", "0", "-H", "6"])
+        assert result.exit_code == 0, result.output
+        assert [line.split(":")[0] for line in result.stdout.splitlines()] == ["h=0", "h=6"]
+        assert (campaign / "out" / "dataset_h006.csv").is_file()
 
 
 class TestBadSamples:
@@ -416,7 +466,7 @@ class TestBadSamples:
         path.write_text("\n".join(", ".join(cells) for cells in lines) + "\n")
 
     def assert_refused(self, campaign, cmd, message):
-        result = run([cmd, "--manifest", str(campaign / "run.yaml")])
+        result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])
         assert result.exit_code == 2, result.output
         assert "samples_hybrid_h000.csv: " + message in result.output
 
@@ -434,14 +484,14 @@ class TestBadSamples:
     @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
     def test_sidecar_not_an_object(self, campaign, cmd):
         (campaign / "out" / "samples_hybrid_h000.csv.diag.json").write_text("[]\n")
-        result = run([cmd, "--manifest", str(campaign / "run.yaml")])
+        result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])
         assert result.exit_code == 2, result.output
         assert "samples_hybrid_h000.csv.diag.json: expected a JSON object, found list" in result.output
         assert "Traceback" not in result.output
 
     def test_samples_as_fit_wrote_them_are_accepted(self, campaign):
         for cmd in ("predict", "score", "diagnose"):
-            result = run([cmd, "--manifest", str(campaign / "run.yaml")])
+            result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])
             assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
@@ -454,12 +504,12 @@ class TestBadSamples:
 
 
 class TestEntryPoint:
-    """heavecast.cli.run is the program; main stays a plain click group for library callers."""
+    """heavecast.cli.run is the program; main leaves the collector alone for library callers."""
 
     def test_main_leaves_the_collector_alone(self, campaign):
         frozen = gc.get_freeze_count()
         for cmd in ("predict", "score", "diagnose"):
-            assert run([cmd, "--manifest", str(campaign / "run.yaml")]).exit_code == 0
+            assert invoke([cmd, "--manifest", str(campaign / "run.yaml")]).exit_code == 0
         assert gc.isenabled()
         assert gc.get_freeze_count() == frozen
 
@@ -511,10 +561,21 @@ def test_split_without_test_rows_is_validation_error(campaign, cmd):
     manifest = campaign / "run.yaml"
     cfg = yaml.safe_load(manifest.read_text())
     manifest.write_text(yaml.safe_dump({**cfg, "train_fraction": 0.999}))
-    result = run([cmd, "--manifest", str(manifest)])
+    result = invoke([cmd, "--manifest", str(manifest)])
     assert result.exit_code == 2, result.output
     assert "train_fraction 0.999 leaves no test row of the" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("cmd", ["fit", "predict", "score", "diagnose"])
+def test_too_few_rows_to_split_names_the_dataset(campaign, cmd):
+    manifest = campaign / "run.yaml"
+    assert invoke(["build", "-m", str(manifest), "-H", "12"]).exit_code == 0
+    dataset = campaign / "out" / "dataset_h012.csv"
+    dataset.write_text("\n".join(dataset.read_text().splitlines()[:6]) + "\n")
+    result = invoke([cmd, "-m", str(manifest), "-H", "12"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {dataset}: too few rows to split: 5 rows at horizon 12, at least 10 needed\n"
 
 
 class TestDiagnoseRanges:
@@ -527,20 +588,21 @@ class TestDiagnoseRanges:
         ],
     )
     def test_out_of_range_is_validation_error(self, campaign, flags, message):
-        result = run(["diagnose", "--manifest", str(campaign / "run.yaml"), *flags])
+        result = invoke(["diagnose", "--manifest", str(campaign / "run.yaml"), *flags])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not list((campaign / "out").glob("pacf_*.csv"))
 
 
-def _imported(args):
-    """Exit code and top-level names of every module `python -m heavecast.cli ARGS` imports.
+def _imported(args, python_args=("-m", "heavecast.cli")):
+    """Exit code and names of every module `python PYTHON_ARGS ARGS` imports.
 
     Read from `-X importtime`, which lists each module the first time it is
-    imported; heavecast.cli itself runs as __main__.
+    imported; with the default `-m heavecast.cli`, heavecast.cli itself runs
+    as __main__.
     """
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "heavecast.cli", *args], env=_src_env(), capture_output=True, text=True
+        [sys.executable, "-X", "importtime", *python_args, *args], env=_src_env(), capture_output=True, text=True
     )
     names = {
         line.rsplit("|", 1)[1].strip()
@@ -550,12 +612,15 @@ def _imported(args):
     return proc.returncode, names
 
 
-def test_help_loads_only_click_and_the_package():
+def test_help_loads_only_the_standard_library_and_the_package():
+    # judged against the interpreter's own start-up, which may import
+    # third-party modules through site (a .pth file), plus argparse
     code, names = _imported(["--help"])
+    _, start_up = _imported([], python_args=("-c", "import argparse"))
     assert code == 0
-    assert "click" in names
-    assert {n.split(".")[0] for n in names}.isdisjoint({"numpy", "yaml", "scipy"})
-    assert {n for n in names if n.startswith("heavecast")} <= {"heavecast", "heavecast.cli"}
+    assert "argparse" in names
+    added = {n for n in names - start_up if n.split(".")[0] not in sys.stdlib_module_names}
+    assert added <= {"heavecast", "heavecast.cli"}
 
 
 # the heavecast modules each stage must leave unloaded
@@ -653,11 +718,11 @@ def test_score_holds_one_horizon_of_draws_at_a_time(tmp_path):
 
     def traced_peak(*flags):
         tracemalloc.reset_peak()
-        result = run(["score", "--manifest", str(manifest), *flags])
+        result = invoke(["score", "--manifest", str(manifest), *flags])
         assert result.exit_code == 0, result.output
         return tracemalloc.get_traced_memory()[1]
 
-    assert run(["score", "--manifest", str(manifest), "-H", "0"]).exit_code == 0  # imports happen untraced
+    assert invoke(["score", "--manifest", str(manifest), "-H", "0"]).exit_code == 0  # imports happen untraced
     tracemalloc.start()
     try:
         one, four = traced_peak("-H", "0"), traced_peak()

@@ -144,7 +144,7 @@ class TestChronoSplit:
             chrono_split(self.make_ds(20), 0.0)
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^too few rows to split: 9 rows at horizon 0, at least 10 needed$"):
             chrono_split(self.make_ds(9), 0.8)
 
     def test_ordering_preserved(self):

@@ -273,6 +273,33 @@ class TestIssueAndDataset:
         # the gap between rows 1 and 2 is reconstructed
         np.testing.assert_array_equal(back.post_gap, [True, False, True])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["1", "0", "abc"], "row 3: post_gap_flag must be 0 or 1, found 'abc'"),
+            (["1", "nan", "1"], "row 2: post_gap_flag must be 0 or 1, found 'nan'"),
+            (["1", "0", ""], "row 3: post_gap_flag must be 0 or 1, found ''"),
+            (["1", "1", "1"], "row 2: post_gap_flag is 1, but the valid times make it 0"),
+            (["0", "0", "1"], "row 1: post_gap_flag is 0, but the valid times make it 1"),
+        ],
+    )
+    def test_dataset_post_gap_flag_is_checked(self, tmp_path, flags, message):
+        # the flag is recomputed from the valid times (1, 0, 1 here), so a
+        # cell that is not that flag means the file is not what was written
+        rows = [
+            ("2024-06-01T00:00:00", "1.0", "0.9", "2024-05-31T18:00:00"),
+            ("2024-06-01T01:00:00", "1.1", "1.0", "2024-05-31T18:00:00"),
+            ("2024-06-01T03:00:00", "1.2", "1.3", "2024-05-31T18:00:00"),
+        ]
+        p = tmp_path / "ds.csv"
+        p.write_text(
+            "valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag\n"
+            + "".join(", ".join((*cells, flag)) + "\n" for cells, flag in zip(rows, flags))
+        )
+        with pytest.raises(ValueError) as exc:
+            read_horizon_dataset(p, horizon=6)
+        assert str(exc.value) == f"{p}, {message}"
+
     def test_dataset_bytes_match_row_loop(self, tmp_path):
         # hours with gaps, values from tiny to large and with 10+ digits
         rng = np.random.default_rng(4)

@@ -10,12 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavecast import io
-from heavecast.cli import main
 from heavecast.datasets import ForecastIssue, IssueSet
 from heavecast.io import (
     read_forecast_issue,
@@ -23,6 +21,7 @@ from heavecast.io import (
     write_forecast_issue,
     write_forecast_issues,
 )
+from clirun import invoke
 
 T0 = np.datetime64("2024-06-01T00:00:00", "s")
 HOUR = np.timedelta64(1, "h")
@@ -296,7 +295,7 @@ def test_build_refuses_garbled_issue_file(issue_texts, kind, which, row, junk):
         manifest.write_text(yaml.safe_dump(
             {"out_dir": "out", "horizons": [0], "issue_files": names, "measurements_file": "measurements.csv"}
         ))
-        result = CliRunner().invoke(main, ["build", "--manifest", str(manifest)], catch_exceptions=False)
+        result = invoke(["build", "--manifest", str(manifest)])
     assert result.exit_code == 2, result.output
     assert f"issue_{which}.csv" in result.output
     assert "Traceback" not in result.output
