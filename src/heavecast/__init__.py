@@ -17,9 +17,9 @@ _ORIGINS = {
     name: module
     for module, names in {
         "datasets": (
-            "ForecastIssue", "HorizonDataset", "HorizonSeries", "IssueSet", "align", "chrono_split",
-            "synthesize_horizon_series",
+            "ForecastIssue", "HorizonSeries", "IssueSet", "align", "synthesize_horizon_series",
         ),
+        "horizon": ("HorizonDataset", "chrono_split"),
         "model": (
             "ModelSpec", "PosteriorSamples", "PredictiveDistribution", "PriorSet", "log_posterior",
             "map_sigma", "posterior_predictive", "residuals",

@@ -10,7 +10,8 @@ The command layer is argparse, one parser per command, and start-up loads
 nothing outside the standard library: each command and helper imports the
 heavecast modules it calls (and with them numpy and PyYAML) at the top of
 its body, so `--help` parses no more than it prints and a stage loads only
-the modules its own work needs.
+the modules its own work needs. Only the command that runs gets its
+options built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
-    from . import config, datasets, io, model
+    from collections.abc import Callable
+
+    from . import config, horizon, io, model
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -95,13 +98,22 @@ def _command(*options: tuple[tuple[str, ...], dict]):
 _PARSER = dict(add_help=False, allow_abbrev=False, formatter_class=argparse.RawDescriptionHelpFormatter)
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The program's parser, with one subparser per command."""
+def _parser(prog: str, chosen: str | None) -> argparse.ArgumentParser:
+    """The program's parser, with one subparser per command.
+
+    Only the chosen command's subparser gets its description and options:
+    argparse hands the arguments after the command name to that subparser
+    alone, so the others need no more than their name and summary, which
+    the program's help lists.
+    """
     parser = argparse.ArgumentParser(prog=prog, description=main.__doc__.partition("\n")[0], **_PARSER)
     parser.add_argument("--help", action="help", help="show this message and exit")
     commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND", required=True)
     for name, (fn, options) in sorted(_COMMANDS.items()):
         summary, newline, details = fn.__doc__.partition("\n")
+        if name != chosen:
+            commands.add_parser(name, help=summary, **_PARSER)
+            continue
         description = summary + newline + textwrap.dedent(details)
         sub = commands.add_parser(name, help=summary, description=description, **_PARSER)
         sub.add_argument("--help", action="help", help="show this message and exit")
@@ -152,14 +164,14 @@ def _samples_path(m: io.RunManifest, h: int) -> Path:
     return m.out_dir / f"samples_{m.model_kind}_h{h:03d}.csv"
 
 
-def _split(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset, datasets.HorizonDataset]:
+def _split(m: io.RunManifest, h: int) -> tuple[horizon.HorizonDataset, horizon.HorizonDataset]:
     """The horizon-h dataset, split chronologically into (train, test)."""
-    from . import datasets, io
+    from . import horizon, io
 
     path = _dataset_path(m, h)
     ds = io.read_horizon_dataset(path, h)
     try:
-        return datasets.chrono_split(ds, m.train_fraction)
+        return horizon.chrono_split(ds, m.train_fraction)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -177,7 +189,7 @@ def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.Pos
     return samples
 
 
-def _test_predictive(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset, model.PredictiveDraws]:
+def _test_predictive(m: io.RunManifest, h: int) -> tuple[horizon.HorizonDataset, model.PredictiveDraws]:
     """The horizon-h test split and its posterior-predictive draws.
 
     predict and score both call this, so they draw the same y* values.
@@ -191,6 +203,19 @@ def _test_predictive(m: io.RunManifest, h: int) -> tuple[datasets.HorizonDataset
     return test, pred
 
 
+def _parse(args: list[str], prog: str) -> tuple[Callable[..., None], dict]:
+    """The command args name and its options as keyword arguments.
+
+    A usage error exits VALIDATION_EXIT, and --help exits 0, as argparse does.
+    """
+    # the program itself takes no option with a value, so its first
+    # argument that is not an option names the command, if any does
+    chosen = next((arg for arg in args if not arg.startswith("-")), None)
+    options = vars(_parser(prog, chosen).parse_args(args))
+    command, _ = _COMMANDS[options.pop("command")]
+    return command, options
+
+
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Probabilistic heave-response forecasting pipeline.
 
@@ -199,29 +224,32 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     on success, 2 on a usage or validation error and 3 on a numerical
     failure.
     """
-    options = vars(_parser(prog_name or "heavecast").parse_args(args))
-    command, _ = _COMMANDS[options.pop("command")]
+    command, options = _parse(sys.argv[1:] if args is None else list(args), prog_name or "heavecast")
     command(**options)
     sys.exit(0)
 
 
 def run() -> None:
-    """Run main as the program, then leave its heap to the operating system.
+    """Run main as the program, with no cyclic garbage collection.
 
-    A stage process holds every object of numpy, PyYAML and heavecast
-    when main returns or exits, and the collections of interpreter shutdown
-    would free them one at a time just before the process's memory goes back
-    to the system anyway. gc.freeze() moves every object into the permanent
-    generation, which those collections skip. Output streams are still
-    flushed and atexit handlers still run, and the collector stays enabled
-    while the stage works.
+    The stages make no reference cycles (tests/test_cli.py checks that
+    gc.collect() finds nothing after each), so the collections the
+    interpreter would start as a stage allocates find nothing to free: run
+    turns the collector off before main. When main returns or exits, the
+    process holds every object of numpy, PyYAML and heavecast, and the
+    collections of interpreter shutdown would free them one at a time just
+    before the process's memory goes back to the system anyway.
+    gc.freeze() moves every object into the permanent generation, which
+    those collections skip. Output streams are still flushed and atexit
+    handlers still run.
 
     This relies on every file the program writes being closed before run
     returns (with-blocks, io.atomic_write_text), so no write waits for a
     collection to close it; pytest enforces that by turning ResourceWarning
-    into an error. main itself keeps a normal collector for library callers
-    and for tests that call it in process.
+    into an error. main itself leaves the collector as it finds it, on for
+    library callers and for tests that call it in process.
     """
+    gc.disable()
     try:
         main()
     finally:
@@ -233,12 +261,12 @@ def response(**kwargs):
     """Physics response statistics from a spectra file and an RAO file."""
     import numpy as np
 
-    from . import io, spectral
+    from . import campaign, io, spectral
 
     m = _load(**kwargs)
     m.require("rao_file", "spectra_file")
-    rao = io.read_rao(m.rao_file)
-    spectra = io.read_spectra(m.spectra_file)
+    rao = campaign.read_rao(m.rao_file)
+    spectra = campaign.read_spectra(m.spectra_file)
     m0, m2 = spectral.response_moments(spectra, rao)
     rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
     lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
@@ -250,7 +278,7 @@ def response(**kwargs):
 @_command()
 def build(**kwargs):
     """Synthesise per-horizon datasets from forecast issues and measurements."""
-    from . import datasets, io
+    from . import campaign, datasets, io
 
     m = _load(**kwargs)
     if not m.issue_files:
@@ -258,8 +286,8 @@ def build(**kwargs):
     if m.measurements_file is None and (m.out_dir / "measurements.csv").exists():
         m.measurements_file = m.out_dir / "measurements.csv"
     m.require("issue_files", "measurements_file")
-    issues = io.read_forecast_issues(m.issue_files)
-    measurements = io.read_heave_records(m.measurements_file)
+    issues = campaign.read_forecast_issues(m.issue_files)
+    measurements = campaign.read_heave_records(m.measurements_file)
 
     for h in m.horizons:
         series = datasets.synthesize_horizon_series(issues, h)
@@ -342,9 +370,13 @@ def diagnose(max_lag, bins, **kwargs):
 
         eps = model.residuals(at_mean, train)
         series = eps if spec.kind == "basic" else diagnostics.standardized_residuals(at_mean, train, spec)
+        sigma_map = model.map_sigma(samples)
         # both tables are computed before either is written, so a bad option writes nothing
-        pac = diagnostics.pacf(series, max_lag)
-        table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map=model.map_sigma(samples))
+        try:
+            pac = diagnostics.pacf(series, max_lag)
+            table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map=sigma_map)
+        except ValueError as exc:
+            raise ValueError(f"{_dataset_path(m, h)}, horizon {h}: {exc}") from exc
         lines = ["lag, coefficient, band"]
         for lag, c in zip(pac.lags, pac.coefficients):
             lines.append(f"{lag}, {c:.6f}, {pac.confidence_band:.6f}")
@@ -368,7 +400,7 @@ def simulate(spectra_hours, **kwargs):
     """Generate a synthetic campaign: RAO, measurements and forecast issues."""
     import numpy as np
 
-    from . import io, motion, synthetic
+    from . import campaign, motion, synthetic
 
     m = _load(**kwargs)
     scn = m.swell_scenario()
@@ -385,11 +417,11 @@ def simulate(spectra_hours, **kwargs):
     issues = synthetic.generate_forecast_issues(times, sig, inj)
     # simulate owns issues/: build reads every issue file there, so the set
     # replaces the whole directory and no file of an earlier campaign survives
-    io.write_forecast_issues(m.out_dir / "issues", issues)
-    io.write_rao(m.out_dir / "rao.csv", rao)
-    io.write_heave_records(m.out_dir / "measurements.csv", records)
+    campaign.write_forecast_issues(m.out_dir / "issues", issues)
+    campaign.write_rao(m.out_dir / "rao.csv", rao)
+    campaign.write_heave_records(m.out_dir / "measurements.csv", records)
     if spectra_hours > 0:
-        io.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
+        campaign.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
     print(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}", flush=True)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import HorizonDataset
+from .horizon import HorizonDataset
 from .model import ModelSpec, conditional_moments
 
 __all__ = [

@@ -1,12 +1,16 @@
 """Delimited-text file formats and the run manifest.
 
 All artefacts are plain comma-separated text with a header line so any
-plotting tool can consume them. Frequencies are stored in files as Hz and
-directions in degrees (the operational product conventions); everything is
-converted to rad/s and radians on ingestion. Writes are atomic: a file is
-written as a temp file in the target directory, then renamed, and a
-forecast-issue set is written into a staging directory that one rename puts
-in place of the issue directory, so a reader never sees a mix of two sets.
+plotting tool can consume them. Writes are atomic: a file is written as a
+temp file in the target directory, then renamed.
+
+This module holds what every stage reads or writes: the run manifest, the
+horizon datasets, posterior samples, predictions and scores, and the table
+helpers. The campaign's own files (RAO, spectra, motion series, QA events,
+heave records and forecast issues), which only simulate, build and response
+touch, are read and written by campaign; their readers and writers still
+resolve as attributes of this module, importing campaign on first use
+(PEP 562), so fit, predict, score and diagnose never load it.
 
 A reader imports the type it builds, and write_predictions the predictive
 helpers, when it runs, so a stage loads only the modules behind the files it
@@ -21,7 +25,6 @@ import json
 import math
 import os
 import re
-import shutil
 import tempfile
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -32,17 +35,14 @@ import numpy as np
 import yaml
 
 from .config import ErrorInjection, SamplerConfig, SwellEvent, SwellScenario
-from .datasets import DEFAULT_HORIZONS, ForecastIssue, HorizonDataset, IssueSet, _irregular_issues
+from .horizon import DEFAULT_HORIZONS, HorizonDataset
 
 if TYPE_CHECKING:
     from .model import PosteriorSamples, PredictiveDraws
-    from .motion import HeaveRecord, RawMotionSeries
     from .scoring import ScoreReport
-    from .spectral import RaoCurve, SpectrumSeries
 
-__all__ = [
-    "RunManifest",
-    "atomic_write_text",
+# the readers and writers campaign defines, resolved here on first use
+_CAMPAIGN_NAMES = (
     "read_rao",
     "write_rao",
     "read_spectra",
@@ -55,6 +55,12 @@ __all__ = [
     "read_forecast_issues",
     "write_forecast_issue",
     "write_forecast_issues",
+)
+
+__all__ = [
+    "RunManifest",
+    "atomic_write_text",
+    *_CAMPAIGN_NAMES,
     "read_horizon_dataset",
     "write_horizon_dataset",
     "read_posterior_samples",
@@ -63,7 +69,19 @@ __all__ = [
     "write_score_reports",
 ]
 
-TWO_PI = 2.0 * np.pi
+
+def __getattr__(name: str):
+    if name not in _CAMPAIGN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import campaign
+
+    value = getattr(campaign, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -145,290 +163,6 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[list[str]]:
     return columns
 
 
-# -- RAO ---------------------------------------------------------------------
-
-def read_rao(path: Path) -> RaoCurve:
-    from .spectral import RaoCurve
-
-    freq_col, amp_col = _read_columns(path, ["freq_hz", "amplitude"])
-    freqs_hz = np.array(freq_col, dtype=float)
-    amps = np.array(amp_col, dtype=float)
-    return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
-
-
-def write_rao(path: Path, rao: RaoCurve) -> None:
-    lines = ["freq_hz, amplitude"]
-    for w, a in zip(rao.freqs, rao.amplitudes):
-        lines.append(f"{_fmt(w / TWO_PI)}, {_fmt(a)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# -- directional spectra -----------------------------------------------------
-
-def read_spectra(path: Path) -> SpectrumSeries:
-    """Long-format spectrum file covering one or more timestamps.
-
-    The (freq, dir) grid must be identical for every timestamp; the density
-    column is m^2 s per degree of direction (per-Hz, per-deg) and is
-    converted to the per-rad/s, per-rad convention used internally.
-    """
-    from .spectral import SpectrumSeries
-
-    time_col, freq_col, dir_col, density_col = _read_columns(
-        path, ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
-    )
-    if not time_col:
-        raise ValueError(f"{path}: no spectrum rows")
-    by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for stamp, f, d, v in zip(_parse_times(time_col, path, "timestamp_utc"), freq_col, dir_col, density_col):
-        by_time.setdefault(stamp, []).append((float(f), float(d), float(v)))
-
-    densities = []
-    grid_key = None
-    for stamp in sorted(by_time):
-        entries = by_time[stamp]
-        freqs_hz = np.array(sorted({e[0] for e in entries}))
-        dirs_deg = np.array(sorted({e[1] for e in entries}))
-        key = (freqs_hz.tobytes(), dirs_deg.tobytes())
-        if grid_key is None:
-            grid_key = key
-        elif key != grid_key:
-            raise ValueError(f"{path}: inconsistent grid across timestamps")
-        if len(entries) != freqs_hz.size * dirs_deg.size:
-            raise ValueError(f"{path}: irregular grid at {stamp}")
-        fi = {f: i for i, f in enumerate(freqs_hz)}
-        di = {d: j for j, d in enumerate(dirs_deg)}
-        density = np.zeros((freqs_hz.size, dirs_deg.size))
-        for f, d, v in entries:
-            density[fi[f], di[d]] = v
-        densities.append(density)
-    return SpectrumSeries(
-        times=sorted(by_time),
-        freqs=TWO_PI * freqs_hz,
-        dirs=np.deg2rad(dirs_deg),
-        # per-Hz per-deg  ->  per-(rad/s) per-rad
-        density=np.array(densities) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
-    )
-
-
-def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
-    lines = ["timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg"]
-    freqs_hz = spectra.freqs / TWO_PI
-    dirs_deg = np.rad2deg(spectra.dirs)
-    for stamp, density in zip(spectra.times, spectra.density * TWO_PI * (np.pi / 180.0)):
-        for i, f in enumerate(freqs_hz):
-            for j, d in enumerate(dirs_deg):
-                lines.append(f"{stamp}, {_fmt(f)}, {_fmt(d)}, {_fmt(density[i, j])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# -- motion measurements -----------------------------------------------------
-
-def read_motion_series(path: Path) -> RawMotionSeries:
-    """Uniformly sampled heave displacement, `timestamp_utc, heave_m`."""
-    from .motion import RawMotionSeries
-
-    time_col, value_col = _read_columns(path, ["timestamp_utc", "heave_m"])
-    if len(time_col) < 2:
-        raise ValueError(f"{path}: need at least two samples")
-    times = _parse_times(time_col, path, "timestamp_utc").astype("datetime64[ms]")
-    steps = np.diff(times) / np.timedelta64(1, "s")
-    if np.ptp(steps) > 1e-9 or steps[0] <= 0:
-        raise ValueError(f"{path}: samples must be uniform in time")
-    values = np.array(value_col, dtype=float)
-    return RawMotionSeries(start=times[0], sample_rate=1.0 / float(steps[0]), values=values)
-
-
-def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64], str]]:
-    start_col, end_col, reasons = _read_columns(path, ["start_utc", "end_utc", "reason"])
-    starts, ends = _parse_times(start_col, path, "start_utc"), _parse_times(end_col, path, "end_utc")
-    return [((a, b), r) for a, b, r in zip(starts, ends, reasons)]
-
-
-def read_heave_records(path: Path) -> list[HeaveRecord]:
-    from .motion import HeaveRecord
-
-    time_col, sig_col, valid_col = _read_columns(path, ["timestamp_utc", "sig_heave_m", "valid"])
-    out = []
-    for stamp, sig, flag in zip(_parse_times(time_col, path, "timestamp_utc"), sig_col, valid_col):
-        valid = flag.lower() == "true"
-        out.append(HeaveRecord(timestamp=stamp, sig_heave=float(sig) if valid else np.nan, valid=valid))
-    return out
-
-
-def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
-    lines = ["timestamp_utc, sig_heave_m, valid"]
-    for rec in records:
-        sig = _fmt(rec.sig_heave) if rec.valid else "nan"
-        lines.append(f"{rec.timestamp}, {sig}, {str(rec.valid).lower()}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# -- forecast issues and horizon datasets ------------------------------------
-
-_ISSUE_HEADER = ["issue_time_utc", "valid_time_utc", "sig_heave_m"]
-
-# issue files parsed together: one split and one float conversion per batch,
-# while the text held at once stays a small part of the set
-_ISSUE_BATCH = 64
-
-
-def read_forecast_issue(path: Path) -> ForecastIssue:
-    return read_forecast_issues([path])[0]
-
-
-def read_forecast_issues(paths: list[Path]) -> IssueSet:
-    """The issue files, in the order given, as one IssueSet.
-
-    Every row of a file must repeat one issue time, and every valid time
-    must lie a whole number of hours after it; the leads must be
-    nonnegative, hourly and increasing. A file that breaks a rule raises a
-    ValueError naming it: the first such file in the order given, as when
-    the files are read one at a time.
-    """
-    paths = list(paths)
-    parts = [_read_issue_batch(paths[k:k + _ISSUE_BATCH]) for k in range(0, len(paths), _ISSUE_BATCH)]
-    if not parts:
-        return IssueSet.from_issues([])
-    issue_times, sizes, leads, values = (np.concatenate(column) for column in zip(*parts))
-    del parts  # before the set checks itself, which takes as much memory again
-    return IssueSet(issue_times=issue_times, bounds=np.concatenate([[0], np.cumsum(sizes)]), leads=leads, values=values)
-
-
-def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
-    try:
-        return _parse_issue_files(paths)
-    except (ValueError, OSError):
-        if len(paths) == 1:
-            raise
-        # the batch holds a bad file: find the first, as a file-by-file read would
-        for path in paths:
-            _parse_issue_files([path])
-        raise
-
-
-def _column_times(cells: list[str], where, what: str) -> np.ndarray:
-    """_parse_times of a column that repeats a few spellings, each parsed once."""
-    spellings = {c: k for k, c in enumerate(dict.fromkeys(cells))}
-    times = _parse_times([c.strip() for c in spellings], where, what)
-    return times[np.fromiter(map(spellings.__getitem__, cells), dtype=np.intp, count=len(cells))]
-
-
-def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
-    """The files' issue times, row counts, leads and values, their rows split
-    and converted together, then checked file by file."""
-    sizes, bodies = [], []
-    for path in paths:
-        header, body = _table_lines(path)
-        if header != _ISSUE_HEADER:
-            raise ValueError(f"{path}: expected header {_ISSUE_HEADER}, found {header}")
-        if not body:
-            raise ValueError(f"{path}: empty forecast issue")
-        sizes.append(len(body))
-        bodies.append(",".join(body))  # one string per file: its lines need not be held
-    bounds = np.cumsum([0] + sizes)
-    cells = ",".join(bodies).split(",")
-    del bodies
-    where = paths[0] if len(paths) == 1 else f"{len(paths)} issue files"
-
-    def file_of(rows: np.ndarray) -> Path:
-        return paths[np.searchsorted(bounds, rows[0], side="right") - 1]
-
-    # every row repeats its file's issue time: parse each distinct spelling once
-    issue_cells = cells[0::3]
-    spelled = [set(issue_cells[lo:hi]) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
-    distinct = list(set().union(*spelled))
-    times = _parse_times([s.strip() for s in distinct], where, "issue time")
-    seconds_of = dict(zip(distinct, times.view(np.int64).tolist()))
-    issue_seconds = []
-    for path, spellings in zip(paths, spelled):
-        seconds = {seconds_of[s] for s in spellings}
-        if len(seconds) > 1:
-            raise ValueError(f"{path}: multiple issue times in one file")
-        issue_seconds.append(seconds.pop())
-    issue_times = np.array(issue_seconds, dtype="datetime64[s]")
-    row_issue_times = np.repeat(issue_times, np.diff(bounds))
-    valid_times = _column_times(cells[1::3], where, "valid time")
-    try:
-        values = np.array(cells[2::3], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-    seconds = (valid_times - row_issue_times).astype(np.int64)
-    off_hour = np.flatnonzero(seconds % 3600)
-    if off_hour.size:
-        row = off_hour[0]
-        raise ValueError(
-            f"{file_of(off_hour)}: valid time {valid_times[row]} is not a whole number of hours "
-            f"after the issue time {row_issue_times[row]}"
-        )
-    leads = seconds // 3600
-    irregular = _irregular_issues(bounds, leads)
-    if irregular.size:
-        raise ValueError(f"{paths[irregular[0]]}: lead times must be nonnegative, hourly and increasing")
-    return issue_times, np.array(sizes), leads, values
-
-
-def _issue_texts(issues: IssueSet):
-    """Each issue's file text, in issue order, formatted by column.
-
-    The valid-time strings come from one table of the set's distinct valid
-    times, and each file's values from one %.10g format, which spells a
-    float as f"{v:.10g}" does. The table comes from a sort, not np.unique,
-    which imports numpy.ma (about 16 ms at the start of a stage).
-    """
-    valid = issues.valid_times()
-    order = np.argsort(valid, kind="stable")
-    valid = valid[order]
-    new = np.ones(valid.size, dtype=bool)
-    new[1:] = valid[1:] != valid[:-1]
-    stamps = np.asarray(np.datetime_as_string(valid[new]), dtype=object)
-    row_stamp = np.empty(valid.size, dtype=np.intp)
-    row_stamp[order] = np.cumsum(new) - 1
-    bounds = issues.bounds.tolist()
-    header = ", ".join(_ISSUE_HEADER)
-    for issued, lo, hi in zip(np.datetime_as_string(issues.issue_times).tolist(), bounds, bounds[1:]):
-        # one file's cells at a time, so no Python object per row of the set is held
-        cells = [None] * (2 * (hi - lo))
-        cells[0::2] = stamps[row_stamp[lo:hi]].tolist()
-        cells[1::2] = issues.values[lo:hi].tolist()
-        yield f"{header}\n" + (f"{issued}, %s, %.10g\n" * (hi - lo)) % tuple(cells)
-
-
-def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
-    (text,) = _issue_texts(IssueSet.from_issues([issue]))
-    atomic_write_text(path, text)
-
-
-def write_forecast_issues(issue_dir: Path, issues: IssueSet) -> None:
-    """The set as issue_0000.csv, issue_0001.csv, ... and nothing else in issue_dir.
-
-    The files are written into a staging directory beside issue_dir. Then
-    issue_dir, if there is one, is moved into the staging directory, and one
-    rename puts the new set in its place, so a reader finds the old set, no
-    directory or the new set, never a mix. The staging directory, with the
-    old set, is removed last; if a write fails, issue_dir is left as it was.
-    """
-    issue_dir = Path(issue_dir)
-    issue_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(dir=issue_dir.parent, prefix=f".{issue_dir.name}."))
-    try:
-        new, old = staging / issue_dir.name, staging / "replaced"
-        new.mkdir()
-        for i, text in enumerate(_issue_texts(issues)):
-            with open(new / f"issue_{i:04d}.csv", "x") as fh:
-                fh.write(text)
-        if os.path.lexists(issue_dir):
-            os.rename(issue_dir, old)
-        try:
-            os.rename(new, issue_dir)
-        except OSError:
-            if os.path.lexists(old):
-                os.rename(old, issue_dir)
-            raise
-    finally:
-        shutil.rmtree(staging)
-
-
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     """The dataset write_horizon_dataset wrote.
 
@@ -492,7 +226,22 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
         "parameters": samples.diagnostics,
         "sampler": samples.sampler_facts,
     }
-    atomic_write_text(Path(str(path) + ".diag.json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(Path(str(path) + ".diag.json"), _json_text(sidecar) + "\n")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of nested dicts whose
+    leaves are JSON scalars (numbers, strings, booleans, None).
+
+    json indents in pure Python, and each such call leaves a cycle of
+    closures that only the cyclic collector frees; without indent it encodes
+    in C and leaves none, so only the layout is written here.
+    """
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    items = [f"{inner}{json.dumps(key)}: {_json_text(v, inner)}" for key, v in sorted(value.items())]
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
 
 
 def read_posterior_samples(path: Path) -> PosteriorSamples:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datasets import HorizonDataset
+from .horizon import HorizonDataset
 
 __all__ = [
     "PriorSet",

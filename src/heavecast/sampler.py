@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .config import SamplerConfig
-from .datasets import HorizonDataset
+from .horizon import HorizonDataset
 from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, in_support
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]

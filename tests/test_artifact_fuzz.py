@@ -69,8 +69,7 @@ def run_stages(texts: dict[str, str], name: str, garbled: str, codes=(0, 2, 3)) 
         assert "Traceback" not in output
         if code == 2:
             assert output.startswith("error: "), output
-            # a dataset may also be too short for diagnose's --max-lag, which is not the file's fault
-            assert name == DATASET or name in output, output
+            assert name in output, output
 
 
 def test_campaign_as_written_is_accepted(texts):

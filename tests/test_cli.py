@@ -504,7 +504,7 @@ class TestBadSamples:
 
 
 class TestEntryPoint:
-    """heavecast.cli.run is the program; main leaves the collector alone for library callers."""
+    """heavecast.cli.run is the program, with the collector off; main leaves it alone for library callers."""
 
     def test_main_leaves_the_collector_alone(self, campaign):
         frozen = gc.get_freeze_count()
@@ -520,10 +520,53 @@ class TestEntryPoint:
                 cli.run()
             assert exc.value.code == 0
             assert "Probabilistic heave-response forecasting pipeline." in capsys.readouterr().out
-            assert gc.isenabled()
+            assert not gc.isenabled()
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
+            gc.enable()
+
+    def test_stages_make_no_cyclic_garbage(self, tmp_path):
+        """run() turns the collector off, which holds no memory only while no stage makes a reference cycle.
+
+        Each command is run twice: the first pass imports what it needs
+        (module and class definitions leave cycles, once per process).
+        argparse's parsers are cyclic too, so each command's arguments are
+        parsed before the collector is checked.
+        """
+        manifest = write_manifest(
+            tmp_path, horizons=[0, 6], model_kind="hybrid", rao_file="out/rao.csv", spectra_file="out/spectra.csv",
+            sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
+        )
+        commands = (["simulate", "--spectra-hours", "3"], ["response"], ["build"], ["fit"], ["predict"], ["score"],
+                    ["diagnose"])
+        found = {}
+        for _ in range(2):
+            for args in commands:
+                command, options = cli._parse([*args, "--manifest", str(manifest)], "heavecast")
+                gc.collect()
+                gc.disable()
+                try:
+                    command(**options)
+                    found[args[0]] = gc.collect()
+                finally:
+                    gc.enable()
+        assert found == dict.fromkeys(found, 0)
+
+    def test_program_runs_the_pipeline_without_warnings(self, tmp_path):
+        # the program as installed, with the collector off: a file left open
+        # raises its ResourceWarning as an error, which lands on stderr
+        manifest = write_manifest(
+            tmp_path, horizons=[0], model_kind="hybrid",
+            sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
+        )
+        for stage in ("simulate", "build", "fit", "predict", "score", "diagnose"):
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "heavecast.cli", stage,
+                 "--manifest", str(manifest)],
+                env=_src_env(), capture_output=True, text=True,
+            )
+            assert (stage, result.returncode, result.stderr) == (stage, 0, "")
 
     def test_exit_codes_and_messages(self, campaign):
         manifest = campaign / "run.yaml"
@@ -593,6 +636,12 @@ class TestDiagnoseRanges:
         assert message in result.output
         assert not list((campaign / "out").glob("pacf_*.csv"))
 
+    def test_dataset_too_short_for_max_lag_names_it(self, campaign):
+        result = invoke(["diagnose", "--manifest", str(campaign / "run.yaml"), "--max-lag", "100000"])
+        assert result.exit_code == 2, result.output
+        dataset = campaign / "out" / "dataset_h000.csv"
+        assert result.stderr == f"error: {dataset}, horizon 0: series must be longer than max_lag + 1\n"
+
 
 def _imported(args, python_args=("-m", "heavecast.cli")):
     """Exit code and names of every module `python PYTHON_ARGS ARGS` imports.
@@ -623,14 +672,16 @@ def test_help_loads_only_the_standard_library_and_the_package():
     assert added <= {"heavecast", "heavecast.cli"}
 
 
+# the model stages read no campaign file and build no issue set
+CAMPAIGN = {"campaign", "datasets"}
 # the heavecast modules each stage must leave unloaded
 UNLOADED = {
     "simulate": {"sampler", "scoring", "diagnostics"},
     "build": {"sampler", "synthetic", "scoring", "diagnostics", "model", "spectral"},
-    "fit": {"synthetic", "scoring", "diagnostics", "spectral", "motion"},
-    "predict": {"sampler", "synthetic", "scoring", "diagnostics", "spectral", "motion"},
-    "score": {"sampler", "synthetic", "diagnostics", "spectral", "motion"},
-    "diagnose": {"sampler", "synthetic", "scoring", "spectral", "motion"},
+    "fit": {"synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
+    "predict": {"sampler", "synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
+    "score": {"sampler", "synthetic", "diagnostics", "spectral", "motion", *CAMPAIGN},
+    "diagnose": {"sampler", "synthetic", "scoring", "spectral", "motion", *CAMPAIGN},
 }
 
 
@@ -653,7 +704,7 @@ def stage_imports(tmp_path_factory):
 @pytest.mark.parametrize("stage", list(UNLOADED))
 def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
     names = stage_imports[stage]
-    assert "heavecast.io" in names and "heavecast.config" in names
+    assert {"heavecast.io", "heavecast.config", "heavecast.horizon"} <= names
     assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
     # numpy.ma costs about 16 ms to import, and np.unique imports it
     assert {"scipy.stats", "scipy.signal", "numpy.ma"}.isdisjoint(names)

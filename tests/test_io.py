@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -522,6 +523,36 @@ def test_samples_rows_spelled_as_per_value_f_strings(rows, hybrid):
     expected = np.array([[float(f"{v:.12g}") for v in row] for row in draws.tolist()])
     assert back.draws.tobytes() == expected.tobytes()
     assert back.chain_ids.tolist() == samples.chain_ids.tolist()
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+
+
+@given(
+    sidecar=st.recursive(
+        st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3),
+        lambda inner: st.dictionaries(st.text(max_size=4), JSON_SCALARS | inner, max_size=3),
+        max_leaves=12,
+    ),
+    rhat=st.floats(),
+)
+@settings(max_examples=200, deadline=None)
+def test_samples_sidecar_spelled_as_json_dumps(sidecar, rhat):
+    # the sidecar is laid out without json's indenting encoder, which leaves
+    # cyclic garbage; json.dumps stays the reference for every byte
+    samples = PosteriorSamples(
+        draws=np.zeros((2, 3)),
+        param_names=("beta0", "beta1", "sigma"),
+        chain_ids=np.zeros(2, dtype=int),
+        diagnostics={"sigma": {"rhat": rhat, "ess": 2}, "beta0": {}},
+        acceptance_rate=rhat,
+        sampler_facts=sidecar,
+    )
+    expected = {"acceptance_rate": rhat, "parameters": samples.diagnostics, "sampler": sidecar}
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "samples.csv"
+        write_posterior_samples(p, samples)
+        assert Path(tmp, "samples.csv.diag.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 class TestRunManifest:

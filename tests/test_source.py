@@ -1,6 +1,9 @@
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -40,18 +43,47 @@ def test_exported_names_resolve():
     assert missing == []
 
 
-def test_bench_tracer_targets_resolve():
-    # bench/tracer.py wraps each Target("heavecast.<module>", "<func>") by
-    # getattr, so a deleted function would stop the traced benchmark run;
-    # the targets are read from its source, which is not imported here
-    targets = [
+def _tracer_targets() -> list[tuple[str, str]]:
+    """(module, function) of each Target in bench/tracer.py, read from its
+    source, which is not imported here."""
+    return [
         tuple(arg.value for arg in node.args[:2])
         for node in ast.walk(ast.parse(TRACER.read_text(), filename=str(TRACER)))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Target"
     ]
+
+
+def test_bench_tracer_targets_resolve():
+    # bench/tracer.py wraps each Target("heavecast.<module>", "<func>") by
+    # getattr, so a deleted function would stop the traced benchmark run
+    targets = _tracer_targets()
     assert len(targets) > 20
     missing = [f"{m}.{f}" for m, f in targets if not hasattr(importlib.import_module(m), f)]
     assert missing == []
+
+
+def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
+    # io resolves the campaign readers and writers on first use, and datasets
+    # re-exports the horizon names: in a process that has resolved none of
+    # them yet, getattr must still find each, as the function its defining
+    # module holds
+    targets = [(m, f) for m, f in _tracer_targets() if m in ("heavecast.io", "heavecast.datasets")]
+    assert len(targets) > 10
+    code = (
+        "import importlib, json, sys\n"
+        "found = [getattr(importlib.import_module(m), f) for m, f in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([[v.__module__, v.__name__, getattr(sys.modules[v.__module__], v.__name__) is v]\n"
+        "                  for v in found]))"
+    )
+    src = str(Path(heavecast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(targets)], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    defined = json.loads(out)
+    assert [(f, held) for _, f, held in defined] == [(f, True) for _, f in targets]
+    modules = {m for m, _, _ in defined}
+    assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets", "heavecast.horizon"}
 
 
 def _imported_packages(path: Path) -> set[str]:
