@@ -1,17 +1,17 @@
 """Command-line pipeline: simulate -> build -> fit -> predict -> score.
 
-Every command reads a YAML run manifest, takes flag overrides, writes plain
-delimited text into the manifest's output directory and is idempotent for a
-fixed manifest and seed. Exit codes: 0 success, 2 validation or usage
-error (an unknown command or option, a missing or malformed value),
-3 sampler or numerical failure.
+Every command reads a run manifest (JSON or YAML), takes flag overrides,
+writes plain delimited text into the manifest's output directory and is
+idempotent for a fixed manifest and seed. Exit codes: 0 success, 2
+validation or usage error (an unknown command or option, a missing or
+malformed value), 3 sampler or numerical failure.
 
 The command layer is argparse, one parser per command, and start-up loads
 nothing outside the standard library: each command and helper imports the
-heavecast modules it calls (and with them numpy and PyYAML) at the top of
-its body, so `--help` parses no more than it prints and a stage loads only
-the modules its own work needs. Only the command that runs gets its
-options built.
+heavecast modules it calls (and with them numpy, and PyYAML for a manifest
+that is not JSON) at the top of its body, so `--help` parses no more than
+it prints and a stage loads only the modules its own work needs. Only the
+command that runs gets its options built.
 """
 
 from __future__ import annotations
@@ -236,9 +236,10 @@ def run() -> None:
     gc.collect() finds nothing after each), so the collections the
     interpreter would start as a stage allocates find nothing to free: run
     turns the collector off before main. When main returns or exits, the
-    process holds every object of numpy, PyYAML and heavecast, and the
-    collections of interpreter shutdown would free them one at a time just
-    before the process's memory goes back to the system anyway.
+    process holds every object of numpy and heavecast (and of PyYAML, for
+    a YAML manifest), and the collections of interpreter shutdown would
+    free them one at a time just before the process's memory goes back to
+    the system anyway.
     gc.freeze() moves every object into the permanent generation, which
     those collections skip. Output streams are still flushed and atexit
     handlers still run.

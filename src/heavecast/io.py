@@ -14,7 +14,8 @@ resolve as attributes of this module, importing campaign on first use
 
 A reader imports the type it builds, and write_predictions the predictive
 helpers, when it runs, so a stage loads only the modules behind the files it
-reads or writes.
+reads or writes. Likewise the run manifest is read with json when it is a
+JSON document, and PyYAML is imported only for one that is not.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-import yaml
 
 from .config import ErrorInjection, SamplerConfig, SwellEvent, SwellScenario
 from .horizon import DEFAULT_HORIZONS, HorizonDataset
@@ -311,9 +311,6 @@ _FIELD_TYPES = {
     "str | date": ((str, datetime.date), "an ISO-8601 time"),
 }
 
-# libyaml's loader when PyYAML was built with it, else the pure-Python one
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
 _ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?")
 
 # where a scenario starts when its manifest names no start
@@ -354,6 +351,37 @@ def _iso_time(value) -> np.datetime64:
     return np.datetime64(value.removesuffix("Z") if isinstance(value, str) else value, "s")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _manifest_document(path: Path):
+    """The manifest file's document: read by json when it is JSON, else by
+    PyYAML, which this imports only then.
+
+    PyYAML reads a JSON document as flow YAML and gives the same values,
+    with three differences. It reads NaN and Infinity as strings, which the
+    manifest checks refuse, so a document that spells them goes to PyYAML.
+    It reads a number with an exponent but no dot or no exponent sign
+    (1e-05, as json.dumps writes 0.00001, or 1.5e3) as a string, where JSON
+    and YAML 1.2 read a number, as json does here. And libyaml refuses the
+    surrogate-pair escape of a character beyond U+FFFF, which json reads. A
+    document nested deeper than json's recursion limit goes to PyYAML too.
+    """
+    text = path.read_text()
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except (ValueError, RecursionError):
+        pass
+    import yaml
+
+    try:
+        # libyaml's loader when PyYAML was built with it, else the pure-Python one
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: malformed YAML: {exc}") from exc
+
+
 @dataclass
 class RunManifest:
     """Paths and settings steering one end-to-end run."""
@@ -373,10 +401,7 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        try:
-            raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER) or {}
-        except yaml.YAMLError as exc:
-            raise ValueError(f"{path}: malformed YAML: {exc}") from exc
+        raw = _manifest_document(Path(path)) or {}
         _check_section("manifest", raw, cls)
         _check_section("manifest sampler", raw.get("sampler", {}), SamplerConfig)
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
@@ -417,6 +442,12 @@ class RunManifest:
             isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in m.horizons
         ):
             raise ValueError(f"horizons must be a list of nonnegative integers, found {m.horizons!r}")
+        if len(set(m.horizons)) < len(m.horizons):
+            raise ValueError(f"horizons must not repeat a horizon, found {m.horizons!r}")
+        if not 0.0 < m.train_fraction < 1.0:
+            raise ValueError(
+                f"manifest key train_fraction must lie strictly inside (0, 1), found {m.train_fraction!r}"
+            )
         if m.model_kind not in ("basic", "hybrid"):
             raise ValueError("model_kind must be 'basic' or 'hybrid'")
         # the settings check their own values, so every stage refuses what simulate or fit would

@@ -14,7 +14,6 @@ import numpy as np
 
 from .config import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ, ErrorInjection, SwellEvent, SwellScenario
 from .datasets import DEFAULT_MAX_LEADS, IssueSet
-from .model import ar2_stationary
 from .spectral import (
     MorisonRaoParams,
     RaoCurve,
@@ -232,6 +231,8 @@ def generate_observations(
     with eta ~ N(0, sigma^2), eps_t = y_t - beta0 - beta1*x_t and the
     residual recursion initialised at zero.
     """
+    from .model import ar2_stationary
+
     beta0, beta1, phi1, phi2, sigma = (float(v) for v in true_params)
     if not ar2_stationary(phi1, phi2):
         raise ValueError("(phi1, phi2) outside the AR(2) stationarity region")

@@ -20,7 +20,8 @@ from heavecast.spectral import response_moments
 from clirun import invoke
 
 
-def write_manifest(tmp_path, **overrides):
+def write_manifest(tmp_path, dump=yaml.safe_dump, **overrides):
+    """A small basic campaign's manifest with overrides, as dump writes it (block YAML by default)."""
     cfg = {
         "out_dir": "out",
         "horizons": [0, 6],
@@ -41,7 +42,7 @@ def write_manifest(tmp_path, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(dump(cfg))
     return path
 
 
@@ -323,12 +324,57 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "issue.csv, line 3: expected 3 cells, found 2" in result.output
 
-    def test_malformed_yaml_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("text", ["out_dir: [\n", '{"out_dir": "out", "seed": 1\n'])
+    def test_malformed_yaml_is_validation_error(self, tmp_path, text):
+        # the second is neither JSON nor YAML
         path = tmp_path / "run.yaml"
-        path.write_text("out_dir: [\n")
+        path.write_text(text)
         result = invoke(["build", "--manifest", str(path)])
         assert result.exit_code == 2
         assert f"{path}: malformed YAML" in result.output
+
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    def test_repeated_manifest_horizon_is_validation_error(self, tmp_path, cmd):
+        # each stage would do horizon 12's work twice, and score write its rows twice
+        manifest = write_manifest(tmp_path, horizons=[0, 12, 12])
+        result = invoke([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: horizons must not repeat a horizon, found [0, 12, 12]\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose"])
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), 0.0, 1.0, 1.5])
+    def test_train_fraction_outside_unit_interval_is_validation_error(self, tmp_path, cmd, fraction):
+        # simulate and build used to pass NaN and infinity, which only the splitting stages refused
+        manifest = write_manifest(tmp_path, train_fraction=fraction)
+        result = invoke([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: manifest key train_fraction must lie strictly inside (0, 1), found {fraction!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "fit"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"train_fraction": float("nan")}, "manifest key train_fraction must be a number, found 'NaN'"),
+            (
+                {"sampler": {"rhat_limit": float("inf")}},
+                "manifest sampler key rhat_limit must be a number, found 'Infinity'",
+            ),
+            (
+                {"scenario": {"duration_h": 48, "measurement_noise": -float("inf")}},
+                "manifest scenario key measurement_noise must be a number, found '-Infinity'",
+            ),
+        ],
+    )
+    def test_json_nan_and_infinity_are_validation_errors(self, tmp_path, cmd, override, message):
+        # json.dumps spells them NaN and Infinity, which PyYAML reads as strings
+        manifest = write_manifest(tmp_path, dump=json.dumps, **override)
+        result = invoke([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
 
     def test_directory_as_data_file_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
@@ -676,7 +722,7 @@ def test_help_loads_only_the_standard_library_and_the_package():
 CAMPAIGN = {"campaign", "datasets"}
 # the heavecast modules each stage must leave unloaded
 UNLOADED = {
-    "simulate": {"sampler", "scoring", "diagnostics"},
+    "simulate": {"sampler", "scoring", "diagnostics", "model"},
     "build": {"sampler", "synthetic", "scoring", "diagnostics", "model", "spectral"},
     "fit": {"synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
     "predict": {"sampler", "synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
@@ -685,12 +731,12 @@ UNLOADED = {
 }
 
 
-@pytest.fixture(scope="module")
-def stage_imports(tmp_path_factory):
-    """Modules each stage imported, running the pipeline in order on a small hybrid campaign."""
+def _stage_imports(tmp_path_factory, dump):
+    """Modules each stage imported, running the pipeline in order on a small
+    hybrid campaign whose manifest dump wrote."""
     tmp_path = tmp_path_factory.mktemp("imports")
     manifest = write_manifest(
-        tmp_path, horizons=[0], model_kind="hybrid",
+        tmp_path, dump, horizons=[0], model_kind="hybrid",
         sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
     )
     imports = {}
@@ -701,6 +747,18 @@ def stage_imports(tmp_path_factory):
     return imports
 
 
+@pytest.fixture(scope="module")
+def stage_imports(tmp_path_factory):
+    """Modules each stage imported, its manifest block YAML."""
+    return _stage_imports(tmp_path_factory, yaml.safe_dump)
+
+
+@pytest.fixture(scope="module")
+def json_stage_imports(tmp_path_factory):
+    """Modules each stage imported, its manifest JSON."""
+    return _stage_imports(tmp_path_factory, json.dumps)
+
+
 @pytest.mark.parametrize("stage", list(UNLOADED))
 def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
     names = stage_imports[stage]
@@ -708,6 +766,20 @@ def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
     assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
     # numpy.ma costs about 16 ms to import, and np.unique imports it
     assert {"scipy.stats", "scipy.signal", "numpy.ma"}.isdisjoint(names)
+
+
+def _pyyaml(names: set[str]) -> set[str]:
+    return {n for n in names if n.split(".")[0] in ("yaml", "_yaml")}
+
+
+@pytest.mark.parametrize("stage", list(UNLOADED))
+def test_json_manifest_leaves_pyyaml_unloaded(stage_imports, json_stage_imports, stage):
+    # PyYAML costs about 6 ms of every start; only a manifest that is not JSON needs it
+    assert "yaml" in stage_imports[stage]
+    names = json_stage_imports[stage]
+    assert _pyyaml(names) == set()
+    assert {"heavecast.io", "heavecast.config", "heavecast.horizon"} <= names
+    assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
 
 
 def test_public_names_resolve_lazily():

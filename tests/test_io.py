@@ -1,14 +1,17 @@
 import copy
 import dataclasses
 import json
+import math
+import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heavecast.datasets import ForecastIssue, HorizonDataset
@@ -39,6 +42,7 @@ from heavecast.scoring import ScoreReport
 from heavecast.spectral import RaoCurve, SpectrumSeries
 from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario
 
+ROOT = Path(__file__).resolve().parents[1]
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
 
@@ -778,3 +782,165 @@ class TestRunManifestFuzz:
     @settings(max_examples=100, deadline=None)
     def test_arbitrary_text(self, text):
         _load_text(text)
+
+
+def _readme_text() -> str:
+    """The README's run.yaml, block YAML with comments."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"`run.yaml`:\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+
+
+def _readme_manifest() -> dict:
+    return yaml.safe_load(_readme_text())
+
+
+def _year_manifest() -> dict:
+    """A half-year campaign's manifest: dozens of swell events with rounded
+    times, heights and periods, a start time, and full injection and sampler
+    sections."""
+    rng = random.Random(7)
+    events = []
+    t = rng.uniform(24.0, 120.0)
+    while t < 4356:
+        hs, tp = rng.uniform(1.2, 3.5), rng.uniform(12.0, 19.0)
+        events.append({"arrival_h": round(t, 1), "hs": round(hs, 3), "tp": round(tp, 3)})
+        t += rng.uniform(80.0, 200.0)
+    events[0].update(rise_h=6, decay_h=30.5, direction=3.4906585039886591, spread_exp=8, bandwidth_hz=0.0125)
+    return {
+        "out_dir": "out",
+        "horizons": [6, 72],
+        "model_kind": "hybrid",
+        "seed": 3,
+        "train_fraction": 0.8,
+        "sampler": {"chains": 3, "warmup_draws": 1000, "retained_draws": 500, "rhat_limit": 1.05},
+        "scenario": {
+            "duration_h": 4380,
+            "start": "2024-01-01T00:00:00Z",
+            "background_hs": 0.6,
+            "measurement_noise": 0.01,
+            "events": events,
+        },
+        "injection": {
+            "bias_factor": 0.8,
+            "timing_shift_h": -1.5,
+            "noise_scale": 0.012,
+            "error_growth_rate": 0.0025,
+            "noise_ar": 0.9,
+            "noise_ar_lead_decay": 20.0,
+        },
+    }
+
+
+def _load_as(tmp_path: Path, text: str, name: str) -> RunManifest:
+    path = tmp_path / name
+    path.write_text(text)
+    return RunManifest.load(path)
+
+
+class TestJsonManifest:
+    """A JSON manifest is read by json, and reads as PyYAML reads the same text.
+
+    A leading YAML comment makes the same document invalid JSON, so load
+    hands it to PyYAML.
+    """
+
+    @pytest.mark.parametrize("raw", [_readme_manifest(), _year_manifest()], ids=["readme", "year"])
+    @pytest.mark.parametrize("indent", [None, 2, "\t"])
+    def test_json_reads_as_yaml_reads(self, tmp_path, monkeypatch, raw, indent):
+        text = json.dumps(raw, indent=indent)
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "yaml", None)  # so that `import yaml` fails
+            by_json = _load_as(tmp_path, text, "run.json")
+        by_yaml = _load_as(tmp_path, "# the same document, as YAML\n" + text, "run.json")
+        assert repr(by_json) == repr(by_yaml)
+        assert by_json == by_yaml
+
+    def test_readme_manifest_reads_as_its_yaml(self, tmp_path):
+        by_json = _load_as(tmp_path, json.dumps(_readme_manifest()), "run.json")
+        by_yaml = _load_as(tmp_path, _readme_text(), "run.yaml")
+        assert repr(by_json) == repr(by_yaml)
+
+    def test_exponent_without_dot_is_a_number(self, tmp_path):
+        # PyYAML 1.1 reads 1e-05 and 1.5e3 as strings; JSON and YAML 1.2 read numbers
+        text = json.dumps({"out_dir": "out", "injection": {"noise_scale": 0.00001, "bias_factor": 1.5e3}})
+        text = text.replace("1500.0", "1.5e3")
+        assert "1e-05" in text and "1.5e3" in text
+        m = _load_as(tmp_path, text, "run.json")
+        assert m.injection == {"noise_scale": 1e-05, "bias_factor": 1500.0}
+        assert m.error_injection().noise_scale == 1e-05
+        with pytest.raises(ValueError, match=re.escape("noise_scale must be a number, found '1e-05'")):
+            _load_as(tmp_path, "out_dir: out\ninjection: {noise_scale: 1e-05}\n", "run.yaml")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_and_infinity_go_to_yaml_and_are_refused(self, tmp_path, constant):
+        # json.loads would read them as floats; PyYAML reads them as strings
+        text = f'{{"out_dir": "out", "train_fraction": {constant}}}'
+        with pytest.raises(ValueError, match=re.escape(f"train_fraction must be a number, found '{constant}'")):
+            _load_as(tmp_path, text, "run.json")
+
+    @pytest.mark.parametrize("text", ['{"out_dir": "out",', '{"out_dir": "out"} x', '{"out_dir": [1, }'])
+    def test_neither_json_nor_yaml_names_the_file(self, tmp_path, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed YAML: ")):
+            RunManifest.load(path)
+
+    def test_nesting_deeper_than_json_reads_goes_to_yaml(self, tmp_path):
+        # json stops at its recursion limit; PyYAML reads it, and the checks refuse it
+        nested = "[" * 2000 + "]" * 2000
+        with pytest.raises(ValueError, match=re.escape("unknown manifest keys: ['bogus']")):
+            _load_as(tmp_path, f'{{"out_dir": "out", "bogus": {nested}}}', "run.json")
+
+    def test_duplicate_key_keeps_the_last(self, tmp_path):
+        assert _load_as(tmp_path, '{"out_dir": "out", "seed": 1, "seed": 2}', "run.json").seed == 2
+
+    @pytest.mark.parametrize("text", ["", "null", "  \n"])
+    def test_empty_document_sets_nothing(self, tmp_path, text):
+        with pytest.raises(ValueError, match=re.escape("manifest must set ['out_dir']")):
+            _load_as(tmp_path, text, "run.json")
+
+    @pytest.mark.parametrize("horizons", [[12, 12], [0, 6, 0]])
+    def test_repeated_horizon_rejected(self, tmp_path, horizons):
+        text = json.dumps({"out_dir": "out", "horizons": horizons})
+        with pytest.raises(ValueError, match=re.escape(f"horizons must not repeat a horizon, found {horizons}")):
+            _load_as(tmp_path, text, "run.json")
+
+    @pytest.mark.parametrize(
+        "fraction, value",
+        [("0", 0), ("1", 1), ("-0.5", -0.5), ("1.0e+400", math.inf), (".nan", math.nan), ("-.inf", -math.inf)],
+    )
+    def test_train_fraction_outside_unit_interval_rejected(self, tmp_path, fraction, value):
+        # YAML here: json reads NaN and infinity only as constants, which load hands to PyYAML
+        message = f"manifest key train_fraction must lie strictly inside (0, 1), found {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _load_as(tmp_path, f"out_dir: out\ntrain_fraction: {fraction}\n", "run.yaml")
+
+
+def _has_exponent(value) -> bool:
+    """Whether a float json.dumps spells with an exponent is anywhere in value."""
+    if isinstance(value, float):
+        return "e" in repr(value)
+    if isinstance(value, dict):
+        return any(map(_has_exponent, value.values()))
+    return isinstance(value, list) and any(map(_has_exponent, value))
+
+
+def _outcome(tmp: str, text: str, name: str) -> str:
+    """repr of the manifest load reads from text, or of the error it raises."""
+    path = Path(tmp) / name
+    path.write_text(text)
+    try:
+        return repr(RunManifest.load(path))
+    except (ValueError, OSError) as exc:
+        return f"{type(exc).__name__}: {str(exc).replace(str(path), '<path>')}"
+
+
+@given(raw=_MANIFESTS)
+@settings(max_examples=150, deadline=None)
+def test_json_manifest_loads_as_yaml_loads(raw):
+    # the documented differences aside: exponents, and characters JSON escapes as surrogate pairs
+    text = json.dumps(raw)
+    assume(not _has_exponent(raw) and "\\ud8" not in text and "\\ud9" not in text)
+    assume("\\uda" not in text and "\\udb" not in text)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _outcome(tmp, text, "run.json") == _outcome(tmp, "# as YAML\n" + text, "run.json")

@@ -86,20 +86,34 @@ def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
     assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets", "heavecast.horizon"}
 
 
-def _imported_packages(path: Path) -> set[str]:
-    """Top-level names of every absolute import in path, at any depth of the code."""
+def _imported_packages(path: Path, module_level: bool = False) -> set[str]:
+    """Top-level names of every absolute import in path, at any depth of the
+    code, or with module_level only those outside every function body, which
+    run when the module is imported."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    nodes = [ast.parse(path.read_text(), filename=str(path))]
+    while nodes:
+        node = nodes.pop()
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
+        nodes.extend(ast.iter_child_nodes(node))
     return names
 
 
 def test_no_module_imports_click():
     # the command layer is argparse; click cost about 30 ms of every start
     assert [p.name for p in SOURCES if "click" in _imported_packages(p)] == []
+
+
+def test_no_module_imports_yaml_on_import():
+    # PyYAML costs about 6 ms of every start; only a manifest that is not JSON
+    # needs it, and io.RunManifest.load imports it then
+    assert [p.name for p in SOURCES if "yaml" in _imported_packages(p, module_level=True)] == []
+    assert [p.name for p in SOURCES if "yaml" in _imported_packages(p)] == ["io.py"]
 
 
 def _distribution(name: str) -> str:
