@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datasets import ForecastIssue, IssueSet, _irregular_issues
-from .io import _CAMPAIGN_NAMES, _fmt, _parse_times, _read_columns, _table_lines, atomic_write_text
+from .io import _CAMPAIGN_NAMES, _floats, _fmt, _naming, _parse_times, _read_columns, _table_lines, atomic_write_text
 
 if TYPE_CHECKING:
     from .motion import HeaveRecord, RawMotionSeries
@@ -40,9 +40,9 @@ def read_rao(path: Path) -> RaoCurve:
     from .spectral import RaoCurve
 
     freq_col, amp_col = _read_columns(path, ["freq_hz", "amplitude"])
-    freqs_hz = np.array(freq_col, dtype=float)
-    amps = np.array(amp_col, dtype=float)
-    return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
+    freqs_hz, amps = _floats(freq_col, path, "freq_hz"), _floats(amp_col, path, "amplitude")
+    with _naming(path):
+        return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:
@@ -57,20 +57,22 @@ def write_rao(path: Path, rao: RaoCurve) -> None:
 def read_spectra(path: Path) -> SpectrumSeries:
     """Long-format spectrum file covering one or more timestamps.
 
-    The (freq, dir) grid must be identical for every timestamp; the density
-    column is m^2 s per degree of direction (per-Hz, per-deg) and is
-    converted to the per-rad/s, per-rad convention used internally.
+    The (freq, dir) grid must be identical for every timestamp, each cell once;
+    the density column is m^2 s per degree of direction (per-Hz, per-deg) and
+    is converted to the per-rad/s, per-rad convention used internally.
     """
     from .spectral import SpectrumSeries
 
-    time_col, freq_col, dir_col, density_col = _read_columns(
-        path, ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
-    )
+    names = ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
+    time_col, *number_cols = _read_columns(path, names)
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
+    freqs, dirs, density = (_floats(col, path, name).tolist() for col, name in zip(number_cols, names[1:]))
+    if not np.isfinite([freqs, dirs]).all():
+        raise ValueError(f"{path}: freq_hz and dir_deg must be finite")
     by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for stamp, f, d, v in zip(_parse_times(time_col, path, "timestamp_utc"), freq_col, dir_col, density_col):
-        by_time.setdefault(stamp, []).append((float(f), float(d), float(v)))
+    for stamp, f, d, v in zip(_parse_times(time_col, path, names[0]), freqs, dirs, density):
+        by_time.setdefault(stamp, []).append((f, d, v))
 
     densities = []
     grid_key = None
@@ -83,7 +85,7 @@ def read_spectra(path: Path) -> SpectrumSeries:
             grid_key = key
         elif key != grid_key:
             raise ValueError(f"{path}: inconsistent grid across timestamps")
-        if len(entries) != freqs_hz.size * dirs_deg.size:
+        if len({e[:2] for e in entries}) != len(entries) or len(entries) != freqs_hz.size * dirs_deg.size:
             raise ValueError(f"{path}: irregular grid at {stamp}")
         fi = {f: i for i, f in enumerate(freqs_hz)}
         di = {d: j for j, d in enumerate(dirs_deg)}
@@ -91,13 +93,14 @@ def read_spectra(path: Path) -> SpectrumSeries:
         for f, d, v in entries:
             density[fi[f], di[d]] = v
         densities.append(density)
-    return SpectrumSeries(
-        times=sorted(by_time),
-        freqs=TWO_PI * freqs_hz,
-        dirs=np.deg2rad(dirs_deg),
-        # per-Hz per-deg  ->  per-(rad/s) per-rad
-        density=np.array(densities) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
-    )
+    with _naming(path):
+        return SpectrumSeries(
+            times=sorted(by_time),
+            freqs=TWO_PI * freqs_hz,
+            dirs=np.deg2rad(dirs_deg),
+            # per-Hz per-deg  ->  per-(rad/s) per-rad
+            density=np.array(densities) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
+        )
 
 
 def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
@@ -124,8 +127,9 @@ def read_motion_series(path: Path) -> RawMotionSeries:
     steps = np.diff(times) / np.timedelta64(1, "s")
     if np.ptp(steps) > 1e-9 or steps[0] <= 0:
         raise ValueError(f"{path}: samples must be uniform in time")
-    values = np.array(value_col, dtype=float)
-    return RawMotionSeries(start=times[0], sample_rate=1.0 / float(steps[0]), values=values)
+    values = _floats(value_col, path, "heave_m")
+    with _naming(path):
+        return RawMotionSeries(start=times[0], sample_rate=1.0 / float(steps[0]), values=values)
 
 
 def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64], str]]:
@@ -135,14 +139,18 @@ def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64]
 
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
+    """Each row's record; valid reads true or false in any case, and sig_heave_m is read only where true."""
     from .motion import HeaveRecord
 
     time_col, sig_col, valid_col = _read_columns(path, ["timestamp_utc", "sig_heave_m", "valid"])
-    out = []
-    for stamp, sig, flag in zip(_parse_times(time_col, path, "timestamp_utc"), sig_col, valid_col):
-        valid = flag.lower() == "true"
-        out.append(HeaveRecord(timestamp=stamp, sig_heave=float(sig) if valid else np.nan, valid=valid))
-    return out
+    times = _parse_times(time_col, path, "timestamp_utc")
+    for row, cell in enumerate(valid_col, 1):
+        if cell.lower() not in ("true", "false"):
+            raise ValueError(f"{path}, row {row}: valid must be true or false, found {cell!r}")
+    valid = [cell.lower() == "true" for cell in valid_col]
+    sig = _floats([c if ok else "nan" for c, ok in zip(sig_col, valid)], path, "sig_heave_m").tolist()
+    with _naming(path):
+        return [HeaveRecord(timestamp=t, sig_heave=v, valid=ok) for t, v, ok in zip(times, sig, valid)]
 
 
 def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
@@ -238,10 +246,8 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     issue_times = np.array(issue_seconds, dtype="datetime64[s]")
     row_issue_times = np.repeat(issue_times, np.diff(bounds))
     valid_times = _column_times(cells[1::3], where, "valid time")
-    try:
+    with _naming(where):
         values = np.array(cells[2::3], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
     seconds = (valid_times - row_issue_times).astype(np.int64)
     off_hour = np.flatnonzero(seconds % 3600)
     if off_hour.size:

@@ -170,10 +170,8 @@ def _split(m: io.RunManifest, h: int) -> tuple[horizon.HorizonDataset, horizon.H
 
     path = _dataset_path(m, h)
     ds = io.read_horizon_dataset(path, h)
-    try:
+    with io._naming(path):
         return horizon.chrono_split(ds, m.train_fraction)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.PosteriorSamples:
@@ -182,10 +180,8 @@ def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.Pos
 
     path = _samples_path(m, h)
     samples = io.read_posterior_samples(path)
-    try:
+    with io._naming(path):
         model.check_samples(samples, spec)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     return samples
 
 
@@ -370,14 +366,13 @@ def diagnose(max_lag, bins, **kwargs):
         at_mean = np.mean(samples.draws, axis=0)
 
         eps = model.residuals(at_mean, train)
-        series = eps if spec.kind == "basic" else diagnostics.standardized_residuals(at_mean, train, spec)
+        # the basic model's innovations are eps / sigma, whose PACF is that of eps
+        series = diagnostics.standardized_residuals(at_mean, train, spec)
         sigma_map = model.map_sigma(samples)
         # both tables are computed before either is written, so a bad option writes nothing
-        try:
+        with io._naming(f"{_dataset_path(m, h)}, horizon {h}"):
             pac = diagnostics.pacf(series, max_lag)
             table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map=sigma_map)
-        except ValueError as exc:
-            raise ValueError(f"{_dataset_path(m, h)}, horizon {h}: {exc}") from exc
         lines = ["lag, coefficient, band"]
         for lag, c in zip(pac.lags, pac.coefficients):
             lines.append(f"{lag}, {c:.6f}, {pac.confidence_band:.6f}")

@@ -133,5 +133,5 @@ def standardized_residuals(params: np.ndarray, ds: HorizonDataset, spec: ModelSp
     parameters; whiteness of this series is the check that the hybrid error
     structure has absorbed the residual correlation.
     """
-    mean, scale = conditional_moments(np.asarray(params, float), ds.x, ds.y, ds.post_gap, spec)
+    mean, scale = conditional_moments(params, ds.x, ds.y, ds.post_gap, spec)
     return (ds.y - mean) / scale

@@ -20,12 +20,14 @@ JSON document, and PyYAML is imported only for one that is not.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import json
 import math
 import os
 import re
+import reprlib
 import tempfile
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -98,6 +100,15 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _naming(where):
+    """Give a ValueError raised in the block the message f"{where}: {message}"."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _fmt(v: float) -> str:
     return f"{float(v):.10g}"
 
@@ -110,16 +121,20 @@ def _parse_times(cells, where, what: str) -> np.ndarray:
     numpy cannot parse, raises a ValueError naming where, the file, and what,
     the column.
     """
-    try:
+    with _naming(f"{where}: {what}"):
         times = np.array([c.removesuffix("Z") for c in cells], dtype="datetime64[s]")
-    except ValueError as exc:
-        raise ValueError(f"{where}: {what}: {exc}") from exc
     # an ISO-8601 cell starts with a digit or a sign, both of which sort
     # before every letter, so the largest cell starts with a letter if any does
     if times.size and (max(cells)[:1] > "9" or np.isnat(times).any()):
         bad = next(c for c, t in zip(cells, np.isnat(times).tolist()) if t or c[:1] > "9")
         raise ValueError(f"{where}: {what} is not a time ({bad!r})")
     return times
+
+
+def _floats(cells, where, what: str) -> np.ndarray:
+    """A column of number cells as floats; a bad cell raises a ValueError naming where, the file, and what."""
+    with _naming(f"{where}: {what}"):
+        return np.array(cells, dtype=float)
 
 
 def _table_lines(path: Path) -> tuple[list[str], list[str]]:
@@ -175,16 +190,9 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     )
     valid_times = _parse_times(valid_col, path, "valid_time_utc")
     issue_times = _parse_times(issue_col, path, "issue_time_utc")
-    try:
-        ds = HorizonDataset(
-            horizon=horizon,
-            valid_times=valid_times,
-            x=np.array(x_col, dtype=float),
-            y=np.array(y_col, dtype=float),
-            issue_times=issue_times,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    x, y = _floats(x_col, path, "x_m"), _floats(y_col, path, "y_m")
+    with _naming(path):
+        ds = HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
     expected = np.where(ds.post_gap, "1", "0").tolist()
     if flag_col != expected:
         row, cell, flag = next((k, c, e) for k, (c, e) in enumerate(zip(flag_col, expected), 1) if c != e)
@@ -253,17 +261,13 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     if not columns[0]:
         raise ValueError(f"{path}: no posterior draws")
     names = tuple(header[1:])
-    try:
+    with _naming(path):
         chain_ids = [int(c) for c in columns[0]]
         # (n_draws, n_params), row-major like the draws fit wrote
         draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     sidecar_path = Path(str(path) + ".diag.json")
-    try:
+    with _naming(sidecar_path):
         meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
-    except ValueError as exc:
-        raise ValueError(f"{sidecar_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar_path}: expected a JSON object, found {type(meta).__name__}")
     return PosteriorSamples(
@@ -323,7 +327,7 @@ def _check_section(what: str, raw, cls, skip=frozenset(), extra=None) -> None:
     its type annotation; int, float, dict, str and path values must have
     that type."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a mapping, found {raw!r}")
+        raise ValueError(f"{what} must be a mapping, found {reprlib.repr(raw)}")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
     types = {name: f.type for name, f in fields.items()} | (extra or {})
     unknown = set(raw) - set(types)
@@ -338,7 +342,7 @@ def _check_section(what: str, raw, cls, skip=frozenset(), extra=None) -> None:
     for key, value in raw.items():
         typed = _FIELD_TYPES.get(types[key])
         if typed and (isinstance(value, bool) or not isinstance(value, typed[0])):
-            raise ValueError(f"{what} key {key} must be {typed[1]}, found {value!r}")
+            raise ValueError(f"{what} key {key} must be {typed[1]}, found {reprlib.repr(value)}")
 
 
 def _iso_time(value) -> np.datetime64:
@@ -366,13 +370,15 @@ def _manifest_document(path: Path):
     (1e-05, as json.dumps writes 0.00001, or 1.5e3) as a string, where JSON
     and YAML 1.2 read a number, as json does here. And libyaml refuses the
     surrogate-pair escape of a character beyond U+FFFF, which json reads. A
-    document nested deeper than json's recursion limit goes to PyYAML too.
+    document nested deeper than json reads is refused: libyaml can crash on it.
     """
     text = path.read_text()
     try:
         return json.loads(text, parse_constant=_refuse_constant)
-    except (ValueError, RecursionError):
+    except ValueError:
         pass
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply") from None
     import yaml
 
     try:
@@ -407,7 +413,7 @@ class RunManifest:
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
         files = raw.get("issue_files", [])
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-            raise ValueError(f"issue_files must be a list of paths, found {files!r}")
+            raise ValueError(f"issue_files must be a list of paths, found {reprlib.repr(files)}")
         if "scenario" in raw:
             # simulate defaults the start time; the seeds come from the manifest seed
             scenario = raw["scenario"]
@@ -416,10 +422,8 @@ class RunManifest:
                 skip={"seed", "start"}, extra={"start": "str | date", "measurement_noise": "float"},
             )
             if "start" in scenario:
-                try:
+                with _naming("manifest scenario key start"):
                     scenario["start"] = _iso_time(scenario["start"])
-                except ValueError as exc:
-                    raise ValueError(f"manifest scenario key start: {exc}") from exc
             noise = scenario.get("measurement_noise", 0.0)
             if not 0.0 <= noise < math.inf:
                 raise ValueError(
@@ -441,7 +445,7 @@ class RunManifest:
         if not isinstance(m.horizons, list) or not all(
             isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in m.horizons
         ):
-            raise ValueError(f"horizons must be a list of nonnegative integers, found {m.horizons!r}")
+            raise ValueError(f"horizons must be a list of nonnegative integers, found {reprlib.repr(m.horizons)}")
         if len(set(m.horizons)) < len(m.horizons):
             raise ValueError(f"horizons must not repeat a horizon, found {m.horizons!r}")
         if not 0.0 < m.train_fraction < 1.0:

@@ -13,6 +13,9 @@ have the corresponding lag set to zero, its unconditional mean. Every row is
 scored, the first two of a training set included: their missing lags are
 zero in the same way.
 
+conditional_moments is the one definition of each row's conditional mean and
+noise scale; log_posterior, posterior_predictive and standardized residuals use it.
+
 log_posterior is the readable reference density, the oracle of the sampler's
 Gibbs conditionals (sampler._Conditionals), which never evaluate it.
 """
@@ -26,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .horizon import HorizonDataset
+from .horizon import HOUR, HorizonDataset
 
 __all__ = [
     "PriorSet",
@@ -307,16 +310,18 @@ def conditional_moments(
     For the basic model the mean is beta0 + beta1*x and the scale is sigma.
     For the hybrid model the mean adds phi1*eps_{t-1} + phi2*eps_{t-2} and
     the scale is max(x, X_FLOOR) * sigma.
+
+    params is one parameter vector, or a stack of them along the last axis as
+    in_support takes them; a stack gives one row of means and scales per vector.
     """
-    beta0, beta1, sigma = float(params[0]), float(params[1]), float(params[-1])
+    params = np.asarray(params, dtype=float)
+    beta0, beta1, sigma = params[..., 0, None], params[..., 1, None], params[..., -1, None]
     mean = beta0 + beta1 * x
     if spec.kind == "basic":
-        return mean, np.full_like(x, sigma)
-    p1, p2 = float(params[2]), float(params[3])
+        return mean, np.broadcast_to(sigma, mean.shape)
     e1, e2 = _lagged(y - mean, post_gap)
-    mean = mean + p1 * e1 + p2 * e2
-    scale = np.maximum(x, X_FLOOR) * sigma
-    return mean, scale
+    mean = mean + params[..., 2, None] * e1 + params[..., 3, None] * e2
+    return mean, np.maximum(x, X_FLOOR) * sigma
 
 
 def log_posterior(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> float:
@@ -335,7 +340,7 @@ def log_posterior(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> fl
         return -np.inf
     mean, scale = conditional_moments(params, ds.x, ds.y, ds.post_gap, spec)
     z = (ds.y - mean) / scale
-    loglik = -0.5 * np.sum(z * z) - np.sum(np.log(scale)) - 0.5 * z.size * np.log(2.0 * np.pi)
+    loglik = -0.5 * np.sum(z * z) - np.sum(np.log(scale)) - z.size * _HALF_LOG_2PI
     return float(loglik) + _log_prior(params, spec)
 
 
@@ -359,34 +364,23 @@ def posterior_predictive(
     operations on the same operands as that expression on whole matrices
     would apply, so the draws do not depend on the block size.
     """
-    x, y, post_gap, n_ctx = ds.x, ds.y, ds.post_gap, 0
+    rows, n_ctx = ds, 0
     if context is not None and len(context) >= 1:
         tail = context.rows(slice(max(0, len(context) - 2), len(context)))
-        if ds.valid_times.size and tail.valid_times[-1] + np.timedelta64(1, "h") == ds.valid_times[0]:
+        if len(ds) and tail.valid_times[-1] + HOUR == ds.valid_times[0]:
             n_ctx = len(tail)
-            x = np.concatenate([tail.x, x])
-            y = np.concatenate([tail.y, y])
-            vt = np.concatenate([tail.valid_times, ds.valid_times])
-            post_gap = np.ones(vt.size, dtype=bool)
-            post_gap[1:] = np.diff(vt) != np.timedelta64(1, "h")
+            rows = HorizonDataset(
+                horizon=ds.horizon,
+                valid_times=np.concatenate([tail.valid_times, ds.valid_times]),
+                x=np.concatenate([tail.x, ds.x]),
+                y=np.concatenate([tail.y, ds.y]),
+                issue_times=np.concatenate([tail.issue_times, ds.issue_times]),
+            )
 
     draws = samples.draws
-    rng = np.random.default_rng(seed)
-    ystar = rng.standard_normal((draws.shape[0], x.size))
-    w = np.maximum(x, X_FLOOR)
+    ystar = np.random.default_rng(seed).standard_normal((draws.shape[0], len(rows)))
     for start in range(0, draws.shape[0], 64):
-        d = draws[start : start + 64]
-        mean = d[:, 1:2] * x
-        mean += d[:, 0:1]
-        if spec.kind == "hybrid":
-            e1, e2 = _lagged(y - mean, post_gap)
-            e1 *= d[:, 2:3]
-            mean += e1
-            e2 *= d[:, 3:4]
-            mean += e2
-            scale = w * d[:, -1:]
-        else:
-            scale = d[:, -1:]
+        mean, scale = conditional_moments(draws[start : start + 64], rows.x, rows.y, rows.post_gap, spec)
         z = ystar[start : start + 64]
         z *= scale
         z += mean

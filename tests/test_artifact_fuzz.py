@@ -1,4 +1,5 @@
-"""predict, score and diagnose on garbled dataset, samples and sidecar files.
+"""predict, score and diagnose on garbled dataset, samples and sidecar files,
+and response on garbled RAO and spectra files.
 
 Whatever a stage reads, it must exit 0, 2 or 3 and never raise: clirun.invoke
 passes on any exception other than SystemExit, so an uncaught one fails the test.
@@ -14,9 +15,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavecast.config import SwellEvent, SwellScenario
 from heavecast.datasets import HorizonDataset
-from heavecast.io import write_horizon_dataset, write_posterior_samples
+from heavecast.io import write_horizon_dataset, write_posterior_samples, write_rao, write_spectra
 from heavecast.model import ModelSpec, PosteriorSamples
+from heavecast.synthetic import generate_spectra, reference_rao
 from clirun import invoke
 
 DATASET = "dataset_h000.csv"
@@ -140,3 +143,51 @@ def test_garbled_sidecar(texts, kind, cut, value):
     else:
         garbled = json.dumps({"acceptance_rate": value, "parameters": value, "sampler": value})
     run_stages(texts, SIDECAR, garbled)
+
+
+RAO = "rao.csv"
+SPECTRA = "spectra.csv"
+
+
+@pytest.fixture(scope="module")
+def response_texts():
+    """The text of a valid RAO file and of three hours of spectra."""
+    start = np.datetime64("2024-06-01T00:00:00", "s")
+    scenario = SwellScenario(start=start, duration_h=3, events=(SwellEvent(arrival_h=1, hs=2.0, tp=14.0),))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_rao(Path(tmp) / RAO, reference_rao())
+        write_spectra(Path(tmp) / SPECTRA, generate_spectra(scenario))
+        return {name: (Path(tmp) / name).read_text() for name in (RAO, SPECTRA)}
+
+
+def response_result(files: dict[str, str]) -> tuple[int, str]:
+    """(exit code, output) of response run on an RAO and a spectra file (name -> text)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        manifest = Path(tmp) / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "rao_file": RAO, "spectra_file": SPECTRA}))
+        result = invoke(["response", "--manifest", str(manifest)])
+    return result.exit_code, result.output
+
+
+def test_response_inputs_as_written_are_accepted(response_texts):
+    assert response_result(response_texts)[0] == 0
+
+
+@given(
+    name=st.sampled_from([RAO, SPECTRA]),
+    kind=st.sampled_from(CSV_GARBLES),
+    row=st.integers(0, 100_000),
+    col=st.integers(0, 10),
+    junk=st.text(alphabet="abc ;:_", max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_garbled_response_input(response_texts, name, kind, row, col, junk):
+    garbled = garble_csv(response_texts[name], kind, row, col, junk)
+    code, output = response_result({**response_texts, name: garbled})
+    assert code in (0, 2, 3), (code, output)
+    assert "Traceback" not in output
+    if code == 2:
+        assert output.startswith("error: "), output
+        assert name in output, output

@@ -342,6 +342,23 @@ class TestExitCodes:
         assert result.stderr == "error: horizons must not repeat a horizon, found [0, 12, 12]\n"
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_yaml_horizons_is_validation_error(self, tmp_path):
+        # the message's repr of the value once recursed 2000 levels and raised RecursionError
+        path = tmp_path / "run.yaml"
+        path.write_text("out_dir: out\nhorizons: " + "[" * 2000 + "]" * 2000 + "\n")
+        result = invoke(["build", "--manifest", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: horizons must be a list of nonnegative integers, found [[[[[[[...]]]]]]]\n"
+
+    def test_json_nested_too_deeply_names_the_file(self, tmp_path):
+        # json gave up on this and handed it to libyaml, which crashed the process (exit 139)
+        path = tmp_path / "run.json"
+        path.write_text('{"out_dir": "out", "horizons": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        result = program("build", "--manifest", str(path), text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {path}: nested too deeply\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose"])
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), 0.0, 1.0, 1.5])
     def test_train_fraction_outside_unit_interval_is_validation_error(self, tmp_path, cmd, fraction):

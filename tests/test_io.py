@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -409,6 +410,127 @@ class TestShortRows:
         )
         with pytest.raises(ValueError, match=r"measurements\.csv, line 2: expected 3 cells, found 4"):
             read_heave_records(p)
+
+
+# the number columns of each reader's file in SHORT_ROW_CASES; the issue
+# reader names only its file (tests/test_issue_files.py)
+NUMBER_COLUMNS = [
+    ("rao", "freq_hz"),
+    ("rao", "amplitude"),
+    ("spectra", "freq_hz"),
+    ("spectra", "dir_deg"),
+    ("spectra", "density_m2_s_per_deg"),
+    ("motion", "heave_m"),
+    ("measurements", "sig_heave_m"),
+    ("dataset", "x_m"),
+    ("dataset", "y_m"),
+]
+
+
+@pytest.mark.parametrize("kind, column", NUMBER_COLUMNS)
+def test_bad_number_cell_names_the_file_and_column(tmp_path, kind, column):
+    reader, text = SHORT_ROW_CASES[kind]
+    lines = text.splitlines()
+    cells = lines[-1].split(", ")
+    cells[lines[0].split(", ").index(column)] = "x"
+    lines[-1] = ", ".join(cells)
+    p = tmp_path / f"{kind}.csv"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{kind}\.csv: {column}: could not convert string to float: 'x'"):
+        reader(p)
+
+
+@pytest.mark.parametrize(
+    "kind, reader, text, message",
+    [
+        ("rao", read_rao, "freq_hz, amplitude\n0.2, 1.0\n0.1, 1.5\n", "strictly increasing"),
+        (
+            "spectra",
+            read_spectra,
+            "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n"
+            + "".join(f"2024-06-01T00:00:00, {f}, {d}, -1.0\n" for f in (0.1, 0.2) for d in (10, 20)),
+            "density must be finite and nonnegative",
+        ),
+        (
+            "motion",
+            read_motion_series,
+            "timestamp_utc, heave_m\n2024-06-01T00:00:00, 0.0\n2024-06-01T00:00:01, nan\n",
+            "values must be finite",
+        ),
+        (
+            "measurements",
+            read_heave_records,
+            "timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, -0.5, true\n",
+            "sig_heave must be nonnegative",
+        ),
+    ],
+)
+def test_value_error_of_the_built_type_names_the_file(tmp_path, kind, reader, text, message):
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"{kind}\.csv: .*{message}"):
+        reader(p)
+
+
+class TestValidCells:
+    def test_any_case_of_true_and_false_reads(self, tmp_path):
+        p = tmp_path / "measurements.csv"
+        p.write_text(
+            "timestamp_utc, sig_heave_m, valid\n"
+            "2024-06-01T00:00:00, 0.5, TRUE\n"
+            "2024-06-01T01:00:00, nan, False\n"
+            "2024-06-01T02:00:00, 0.7, tRuE\n"
+        )
+        assert [r.valid for r in read_heave_records(p)] == [True, False, True]
+
+    @pytest.mark.parametrize("cell", ["yes", "1", "ture", "", "no", "0"])
+    def test_other_cells_name_the_file_and_row(self, tmp_path, cell):
+        # these used to read as false, which silently dropped the measurement
+        p = tmp_path / "measurements.csv"
+        p.write_text(
+            "timestamp_utc, sig_heave_m, valid\n"
+            "2024-06-01T00:00:00, 0.5, true\n"
+            f"2024-06-01T01:00:00, 0.6, {cell}\n"
+        )
+        message = f"measurements.csv, row 2: valid must be true or false, found {cell!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_heave_records(p)
+
+    def test_invalid_row_value_is_not_read(self, tmp_path):
+        p = tmp_path / "measurements.csv"
+        p.write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, ?, false\n")
+        (record,) = read_heave_records(p)
+        assert not record.valid and np.isnan(record.sig_heave)
+
+
+class TestSpectraGrid:
+    HEADER = "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg"
+
+    def test_duplicate_row_hiding_a_missing_cell_rejected(self, tmp_path):
+        # the (0.2, 20) cell is missing and (0.1, 10) appears twice: the count is right
+        p = tmp_path / "spec.csv"
+        rows = [("0.1", "10", "1.0"), ("0.1", "20", "2.0"), ("0.2", "10", "3.0"), ("0.1", "10", "4.0")]
+        p.write_text("\n".join([self.HEADER] + [f"2024-06-01T00:00:00, {f}, {d}, {v}" for f, d, v in rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: irregular grid at 2024-06-01T00:00:00")):
+            read_spectra(p)
+
+    def test_rows_in_any_order_read_as_sorted(self, tmp_path):
+        stamps = ("2024-06-01T01:00:00", "2024-06-01T00:00:00")
+        lines = [f"{t}, {f}, {d}, {k}" for k, (t, f, d) in enumerate(itertools.product(stamps, (0.2, 0.1), (20, 10)))]
+        random.Random(3).shuffle(lines)
+        p = tmp_path / "spec.csv"
+        p.write_text("\n".join([self.HEADER] + lines) + "\n")
+        back = read_spectra(p)
+        np.testing.assert_array_equal(back.times, np.array(stamps[::-1], dtype="datetime64[s]"))
+        # time 0 held 4..7 and time 1 held 0..3, each as (0.2, 20), (0.2, 10), (0.1, 20), (0.1, 10)
+        per_deg = back.density / ((1.0 / (2 * np.pi)) * (180.0 / np.pi))
+        np.testing.assert_allclose(per_deg, [[[7, 6], [5, 4]], [[3, 2], [1, 0]]])
+
+    def test_non_finite_grid_value_rejected(self, tmp_path):
+        p = tmp_path / "spec.csv"
+        p.write_text(f"{self.HEADER}\n2024-06-01T00:00:00, nan, 10, 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: freq_hz and dir_deg must be finite")):
+            read_spectra(p)
 
 
 class TestPosteriorAndPredictions:
@@ -885,11 +1007,17 @@ class TestJsonManifest:
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed YAML: ")):
             RunManifest.load(path)
 
-    def test_nesting_deeper_than_json_reads_goes_to_yaml(self, tmp_path):
-        # json stops at its recursion limit; PyYAML reads it, and the checks refuse it
+    def test_nesting_deeper_than_json_reads_is_refused(self, tmp_path):
+        # json stops at its recursion limit; libyaml would crash on a document deep enough
         nested = "[" * 2000 + "]" * 2000
-        with pytest.raises(ValueError, match=re.escape("unknown manifest keys: ['bogus']")):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'run.json'}: nested too deeply")):
             _load_as(tmp_path, f'{{"out_dir": "out", "bogus": {nested}}}', "run.json")
+
+    def test_deeply_nested_yaml_value_has_a_bounded_message(self, tmp_path):
+        # PyYAML reads this; the message's repr of the value must not recurse 2000 levels
+        nested = "[" * 2000 + "]" * 2000
+        with pytest.raises(ValueError, match=re.escape("found [[[[[[[...]]]]]]]")):
+            _load_as(tmp_path, f"out_dir: out\nhorizons: {nested}\n", "run.yaml")
 
     def test_duplicate_key_keeps_the_last(self, tmp_path):
         assert _load_as(tmp_path, '{"out_dir": "out", "seed": 1, "seed": 2}', "run.json").seed == 2

@@ -113,6 +113,18 @@ class TestConditionalMoments:
         assert scale[1] == pytest.approx(0.5)
 
 
+    @pytest.mark.parametrize("spec, params", [(BASIC, [[0.2, 1.1, 0.4], [0.1, 0.9, 0.3]]),
+                                              (HYBRID, [[0.1, 1.0, 0.5, 0.25, 0.2], [0.0, 1.2, -0.3, 0.1, 0.4]])])
+    def test_stack_of_vectors_gives_each_vectors_rows(self, spec, params):
+        ds = make_ds([0.001, 0.5, 1.0, 1.0, 1.0], [0.1, 0.7, 1.3, 1.1, 0.9], gap_after={3})
+        stack = np.array([params, params[::-1]])  # (2, 2, n_params)
+        mean, scale = conditional_moments(stack, ds.x, ds.y, ds.post_gap, spec)
+        assert mean.shape == scale.shape == (2, 2, len(ds))
+        for idx in np.ndindex(2, 2):
+            one_mean, one_scale = conditional_moments(stack[idx], ds.x, ds.y, ds.post_gap, spec)
+            assert mean[idx].tobytes() == one_mean.tobytes() and scale[idx].tobytes() == one_scale.tobytes()
+
+
 class TestReferenceDensity:
     def test_basic_single_row_oracle(self):
         ds = make_ds([0.8], [1.1])

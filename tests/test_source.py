@@ -33,6 +33,27 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _kind_reads(path: Path, within: str | None = None) -> list[str]:
+    """file:line of each `.kind` attribute read in path, or only in its function within."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if within:
+        tree = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == within)
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "kind"
+    ]
+
+
+def test_only_model_and_sampler_branch_on_the_model_kind():
+    # the basic and hybrid mean and scale are written in model.conditional_moments
+    # and the sampler's conditionals; every other module passes the ModelSpec on
+    found = [line for path in SOURCES if path.name not in ("model.py", "sampler.py") for line in _kind_reads(path)]
+    assert found == []
+    model = next(path for path in SOURCES if path.name == "model.py")
+    assert _kind_reads(model, within="posterior_predictive") == []
+
+
 def _modules():
     return [importlib.import_module(f"heavecast.{p.stem}") for p in SOURCES if p.stem != "__init__"]
 
