@@ -24,14 +24,14 @@ _ORIGINS = {
             "ModelSpec", "PosteriorSamples", "PredictiveDistribution", "PriorSet", "log_posterior",
             "map_sigma", "posterior_predictive", "residuals",
         ),
-        "motion": ("HeaveRecord", "RawMotionSeries", "apply_qa_mask", "highpass_filter", "rolling_m0"),
+        "motion": ("HeaveRecord", "RawMotionSeries", "highpass_filter"),
         "config": ("SamplerConfig",),
         "sampler": ("SamplerError", "fit"),
         "scoring": ("ScoreReport", "crps_gaussian", "crps_samples", "rmse", "score_table"),
         "spectral": (
             "DirectionalWaveSpectrum", "MorisonRaoParams", "RaoCurve", "ResponseStatistics",
             "SpectrumSeries", "interpolate_spectrum_to_rao_grid", "morison_rao", "response_moments",
-            "response_statistics", "significant_response", "spectral_moment",
+            "response_statistics", "spectral_moment",
         ),
     }.items()
     for name in names

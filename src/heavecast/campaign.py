@@ -1,5 +1,5 @@
-"""The campaign's input files: RAO, spectra, motion series, QA events,
-heave records and forecast issues.
+"""The campaign's input files: RAO, spectra, heave records and forecast
+issues.
 
 simulate writes these files, and build and response read them; no other
 stage loads this module. Each reader and writer also resolves as an
@@ -26,7 +26,7 @@ from .datasets import ForecastIssue, IssueSet, _irregular_issues
 from .io import _CAMPAIGN_NAMES, _floats, _fmt, _naming, _parse_times, _read_columns, _table_lines, atomic_write_text
 
 if TYPE_CHECKING:
-    from .motion import HeaveRecord, RawMotionSeries
+    from .motion import HeaveRecord
     from .spectral import RaoCurve, SpectrumSeries
 
 __all__ = list(_CAMPAIGN_NAMES)
@@ -114,29 +114,7 @@ def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# -- motion measurements -----------------------------------------------------
-
-def read_motion_series(path: Path) -> RawMotionSeries:
-    """Uniformly sampled heave displacement, `timestamp_utc, heave_m`."""
-    from .motion import RawMotionSeries
-
-    time_col, value_col = _read_columns(path, ["timestamp_utc", "heave_m"])
-    if len(time_col) < 2:
-        raise ValueError(f"{path}: need at least two samples")
-    times = _parse_times(time_col, path, "timestamp_utc").astype("datetime64[ms]")
-    steps = np.diff(times) / np.timedelta64(1, "s")
-    if np.ptp(steps) > 1e-9 or steps[0] <= 0:
-        raise ValueError(f"{path}: samples must be uniform in time")
-    values = _floats(value_col, path, "heave_m")
-    with _naming(path):
-        return RawMotionSeries(start=times[0], sample_rate=1.0 / float(steps[0]), values=values)
-
-
-def read_qa_events(path: Path) -> list[tuple[tuple[np.datetime64, np.datetime64], str]]:
-    start_col, end_col, reasons = _read_columns(path, ["start_utc", "end_utc", "reason"])
-    starts, ends = _parse_times(start_col, path, "start_utc"), _parse_times(end_col, path, "end_utc")
-    return [((a, b), r) for a, b, r in zip(starts, ends, reasons)]
-
+# -- heave records -----------------------------------------------------------
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
     """Each row's record; valid reads true or false in any case, and sig_heave_m is read only where true."""
@@ -231,20 +209,11 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     def file_of(rows: np.ndarray) -> Path:
         return paths[np.searchsorted(bounds, rows[0], side="right") - 1]
 
-    # every row repeats its file's issue time: parse each distinct spelling once
-    issue_cells = cells[0::3]
-    spelled = [set(issue_cells[lo:hi]) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
-    distinct = list(set().union(*spelled))
-    times = _parse_times([s.strip() for s in distinct], where, "issue time")
-    seconds_of = dict(zip(distinct, times.view(np.int64).tolist()))
-    issue_seconds = []
-    for path, spellings in zip(paths, spelled):
-        seconds = {seconds_of[s] for s in spellings}
-        if len(seconds) > 1:
-            raise ValueError(f"{path}: multiple issue times in one file")
-        issue_seconds.append(seconds.pop())
-    issue_times = np.array(issue_seconds, dtype="datetime64[s]")
-    row_issue_times = np.repeat(issue_times, np.diff(bounds))
+    row_issue_times = _column_times(cells[0::3], where, "issue time")
+    issue_times = row_issue_times[bounds[:-1]]
+    mixed = np.flatnonzero(row_issue_times != np.repeat(issue_times, sizes))
+    if mixed.size:
+        raise ValueError(f"{file_of(mixed)}: multiple issue times in one file")
     valid_times = _column_times(cells[1::3], where, "valid time")
     with _naming(where):
         values = np.array(cells[2::3], dtype=float)

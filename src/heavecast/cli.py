@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NoReturn
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from . import config, horizon, io, model
+    from . import horizon, io, model
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -123,7 +123,7 @@ def _parser(prog: str, chosen: str | None) -> argparse.ArgumentParser:
 
 
 def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
-    """The manifest with the command's overrides, its output directory made.
+    """The manifest with the command's overrides, checked, its output directory made.
 
     A manifest path that is missing or a directory, and an --out that is a
     file, raise OSError, which exits VALIDATION_EXIT.
@@ -139,15 +139,10 @@ def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
         m.seed = seed
     if out:
         m.out_dir = Path(out)
+    m.check()
     m.sampler = dict(m.sampler)
     m.out_dir.mkdir(parents=True, exist_ok=True)
     return m
-
-
-def _sampler_config(m: io.RunManifest) -> config.SamplerConfig:
-    from . import config
-
-    return config.SamplerConfig(**m.sampler)
 
 
 def _model_spec(m: io.RunManifest, horizon: int) -> model.ModelSpec:
@@ -296,10 +291,10 @@ def build(**kwargs):
 @_command()
 def fit(**kwargs):
     """Fit the adjustment model per horizon on the training split."""
-    from . import io, sampler
+    from . import config, io, sampler
 
     m = _load(**kwargs)
-    cfg = _sampler_config(m)
+    cfg = config.SamplerConfig(**m.sampler)
 
     for h in m.horizons:
         train, _ = _split(m, h)
@@ -398,6 +393,8 @@ def simulate(spectra_hours, **kwargs):
 
     from . import campaign, motion, synthetic
 
+    if spectra_hours < 0:
+        raise ValueError(f"spectra_hours must be nonnegative, found {spectra_hours}")
     m = _load(**kwargs)
     scn = m.swell_scenario()
     inj = m.error_injection()

@@ -6,11 +6,11 @@ temp file in the target directory, then renamed.
 
 This module holds what every stage reads or writes: the run manifest, the
 horizon datasets, posterior samples, predictions and scores, and the table
-helpers. The campaign's own files (RAO, spectra, motion series, QA events,
-heave records and forecast issues), which only simulate, build and response
-touch, are read and written by campaign; their readers and writers still
-resolve as attributes of this module, importing campaign on first use
-(PEP 562), so fit, predict, score and diagnose never load it.
+helpers. The campaign's own files (RAO, spectra, heave records and
+forecast issues), which only simulate, build and response touch, are read
+and written by campaign; their readers and writers still resolve as
+attributes of this module, importing campaign on first use (PEP 562), so
+fit, predict, score and diagnose never load it.
 
 A reader imports the type it builds, and write_predictions the predictive
 helpers, when it runs, so a stage loads only the modules behind the files it
@@ -49,8 +49,6 @@ _CAMPAIGN_NAMES = (
     "write_rao",
     "read_spectra",
     "write_spectra",
-    "read_motion_series",
-    "read_qa_events",
     "read_heave_records",
     "write_heave_records",
     "read_forecast_issue",
@@ -359,6 +357,10 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+# libyaml's composer recurses once per level and crashes 20000 to 40000 levels deep
+_YAML_DEPTH_LIMIT = 5000
+
+
 def _manifest_document(path: Path):
     """The manifest file's document: read by json when it is JSON, else by
     PyYAML, which this imports only then.
@@ -369,8 +371,11 @@ def _manifest_document(path: Path):
     It reads a number with an exponent but no dot or no exponent sign
     (1e-05, as json.dumps writes 0.00001, or 1.5e3) as a string, where JSON
     and YAML 1.2 read a number, as json does here. And libyaml refuses the
-    surrogate-pair escape of a character beyond U+FFFF, which json reads. A
-    document nested deeper than json reads is refused: libyaml can crash on it.
+    surrogate-pair escape of a character beyond U+FFFF, which json reads.
+    Refused: a document deeper than json reads, or than _YAML_DEPTH_LIMIT, or
+    than the pure-Python composer can recurse. PyYAML's parser keeps its own
+    stack, so its events are walked first, and only to the first level past
+    the limit, since libyaml parses deep flow nesting in quadratic time.
     """
     text = path.read_text()
     try:
@@ -378,14 +383,22 @@ def _manifest_document(path: Path):
     except ValueError:
         pass
     except RecursionError:
-        raise ValueError(f"{path}: nested too deeply") from None
+        raise ValueError("nested too deeply") from None
     import yaml
 
+    # libyaml's loader when PyYAML was built with it, else the pure-Python one
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        # libyaml's loader when PyYAML was built with it, else the pure-Python one
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        depth = 0
+        for event in yaml.parse(text, Loader=loader):
+            depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+            if depth > _YAML_DEPTH_LIMIT:
+                raise ValueError("nested too deeply")
+        return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: malformed YAML: {exc}") from exc
+        raise ValueError(f"malformed YAML: {exc}") from exc
+    except RecursionError:  # the pure-Python composer's, a few hundred levels deep
+        raise ValueError("nested too deeply") from None
 
 
 @dataclass
@@ -407,7 +420,14 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        raw = _manifest_document(Path(path)) or {}
+        """The manifest at path, its keys, their types and values checked; a
+        ValueError's message starts with the path."""
+        path = Path(path)
+        with _naming(path):
+            return cls._from_document(_manifest_document(path) or {}, path.parent)
+
+    @classmethod
+    def _from_document(cls, raw, base: Path) -> "RunManifest":
         _check_section("manifest", raw, cls)
         _check_section("manifest sampler", raw.get("sampler", {}), SamplerConfig)
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
@@ -434,7 +454,6 @@ class RunManifest:
                 raise ValueError("manifest scenario events must be a list")
             for event in events:
                 _check_section("manifest scenario event", event, SwellEvent)
-        base = Path(path).parent
         m = cls(out_dir=base / raw.pop("out_dir"))
         for key, value in raw.items():
             if key.endswith("_file") and value is not None:
@@ -442,24 +461,30 @@ class RunManifest:
             if key == "issue_files":
                 value = [base / v for v in value]
             setattr(m, key, value)
-        if not isinstance(m.horizons, list) or not all(
-            isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in m.horizons
+        m.check()
+        return m
+
+    def check(self) -> None:
+        """Refuse a value no stage runs with; load calls this, and each command after its overrides."""
+        if not isinstance(self.horizons, list) or not all(
+            isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in self.horizons
         ):
-            raise ValueError(f"horizons must be a list of nonnegative integers, found {reprlib.repr(m.horizons)}")
-        if len(set(m.horizons)) < len(m.horizons):
-            raise ValueError(f"horizons must not repeat a horizon, found {m.horizons!r}")
-        if not 0.0 < m.train_fraction < 1.0:
+            raise ValueError(f"horizons must be a list of nonnegative integers, found {reprlib.repr(self.horizons)}")
+        if len(set(self.horizons)) < len(self.horizons):
+            raise ValueError(f"horizons must not repeat a horizon, found {self.horizons!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, found {self.seed!r}")
+        if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
-                f"manifest key train_fraction must lie strictly inside (0, 1), found {m.train_fraction!r}"
+                f"manifest key train_fraction must lie strictly inside (0, 1), found {self.train_fraction!r}"
             )
-        if m.model_kind not in ("basic", "hybrid"):
+        if self.model_kind not in ("basic", "hybrid"):
             raise ValueError("model_kind must be 'basic' or 'hybrid'")
         # the settings check their own values, so every stage refuses what simulate or fit would
-        SamplerConfig(**m.sampler)
-        m.error_injection()
-        if "scenario" in raw:
-            m.swell_scenario()
-        return m
+        SamplerConfig(**self.sampler)
+        self.error_injection()
+        if self.scenario:
+            self.swell_scenario()
 
     def error_injection(self) -> ErrorInjection:
         """The injection section, seeded from the manifest seed."""

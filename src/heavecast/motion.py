@@ -1,13 +1,13 @@
-"""Hourly significant-heave statistics from raw motion-sensor displacement.
+"""Measured heave: raw motion-sensor displacement and hourly significant heave.
 
-Raw heave displacement (typically 1 Hz from a motion reference unit) is
-high-pass filtered to strip slow-drift content, quality masked, and reduced to
-windowed zeroth-moment statistics: sig_heave = 2*sqrt(variance of the window).
+A HeaveRecord is one hour's measured significant heave, 2*sqrt(m0), as
+simulate writes and build reads it. A RawMotionSeries is raw heave
+displacement (typically 1 Hz from a motion reference unit), which
+highpass_filter strips of slow-drift content.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,8 +16,6 @@ __all__ = [
     "RawMotionSeries",
     "HeaveRecord",
     "highpass_filter",
-    "rolling_m0",
-    "apply_qa_mask",
 ]
 
 
@@ -53,13 +51,6 @@ class RawMotionSeries:
     def gap_mask(self) -> np.ndarray:
         """Boolean mask, True on excluded samples."""
         return self._gap_mask(self.values.size, self.gaps)
-
-    def time_of(self, index: int) -> np.datetime64:
-        return self.start + np.timedelta64(round(index / self.sample_rate * 1e3), "ms")
-
-    def index_of(self, when: np.datetime64) -> float:
-        dt = (np.datetime64(when, "ms") - np.datetime64(self.start, "ms")) / np.timedelta64(1, "s")
-        return float(dt) * self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -124,61 +115,3 @@ def highpass_filter(series: RawMotionSeries, cutoff: float, order: int = 5) -> R
             continue
         out[lo:hi] = signal.sosfiltfilt(sos, seg)
     return replace(series, values=out, gaps=_merged_gaps(gaps))
-
-
-def apply_qa_mask(
-    series: RawMotionSeries,
-    events: list[tuple[tuple[np.datetime64, np.datetime64], str]],
-) -> RawMotionSeries:
-    """Exclude time intervals flagged by quality assurance (transits, draft
-    changes, heading changes) by adding them to the gap set.
-
-    Events entirely outside the series span are ignored with a warning.
-    Idempotent: gaps are stored as a merged union.
-    """
-    n = series.values.size
-    gaps = list(series.gaps)
-    skipped = 0
-    for (start, end), _reason in events:
-        lo = int(np.floor(series.index_of(start)))
-        hi = int(np.ceil(series.index_of(end)))
-        if hi <= 0 or lo >= n:
-            skipped += 1
-            continue
-        gaps.append((max(lo, 0), min(hi, n)))
-    if skipped:
-        warnings.warn(f"{skipped} QA event(s) fell outside the series span", stacklevel=2)
-    return replace(series, gaps=_merged_gaps(gaps))
-
-
-def rolling_m0(
-    series: RawMotionSeries,
-    window: np.timedelta64,
-    step: np.timedelta64,
-) -> list[HeaveRecord]:
-    """Windowed zeroth-moment statistics of a (filtered) heave series.
-
-    m0 for each window is the population variance of its samples, which by
-    Parseval equals the integrated displacement spectrum without taper
-    choices. Records are stamped with the window end so a record at t uses
-    only data up to t. Windows overlapping any gap are marked invalid.
-    """
-    window_s = window / np.timedelta64(1, "s")
-    step_s = step / np.timedelta64(1, "s")
-    if window_s < step_s or step_s <= 0:
-        raise ValueError("need window >= step > 0")
-    n_win = int(round(window_s * series.sample_rate))
-    n_step = int(round(step_s * series.sample_rate))
-    if n_win < 2 or series.values.size < n_win:
-        raise ValueError("series shorter than the averaging window")
-    mask = series.gap_mask()
-    records = []
-    for lo in range(0, series.values.size - n_win + 1, n_step):
-        hi = lo + n_win
-        stamp = series.time_of(hi - 1) + np.timedelta64(round(1e3 / series.sample_rate), "ms")
-        if mask[lo:hi].any():
-            records.append(HeaveRecord(timestamp=stamp, sig_heave=np.nan, valid=False))
-            continue
-        m0 = float(np.var(series.values[lo:hi]))
-        records.append(HeaveRecord(timestamp=stamp, sig_heave=2.0 * np.sqrt(m0)))
-    return records

@@ -23,7 +23,6 @@ __all__ = [
     "morison_rao",
     "interpolate_spectrum_to_rao_grid",
     "spectral_moment",
-    "significant_response",
     "response_statistics",
     "response_moments",
     "midpoint_widths",
@@ -61,8 +60,8 @@ class RaoCurve:
             raise ValueError("RAO needs at least two frequency points")
         if amps.shape != freqs.shape:
             raise ValueError("freqs and amplitudes must have equal length")
-        if np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing and positive")
+        if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
+            raise ValueError("frequencies must be finite, strictly increasing and positive")
         if np.any(amps < 0.0) or not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite and nonnegative")
         object.__setattr__(self, "freqs", freqs)
@@ -300,13 +299,6 @@ def spectral_moment(spec: DirectionalWaveSpectrum, rao: RaoCurve, order: int = 0
         raise ValueError("spectrum frequency grid does not match the RAO grid")
     weights = spec.freqs**order * rao.amplitudes**2 * spec.freq_widths
     return float(weights @ (spec.density @ spec.dir_widths))
-
-
-def significant_response(m0: float) -> float:
-    """Significant response amplitude 2*sqrt(m0)."""
-    if m0 < 0.0:
-        raise ValueError("m0 must be nonnegative")
-    return 2.0 * np.sqrt(m0)
 
 
 def response_statistics(

@@ -52,10 +52,12 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def program(*args, **kwargs):
-    """Run `python -m heavecast.cli ARGS` as its own process, as the installed script runs."""
+def program(*args, env=None, **kwargs):
+    """Run `python -m heavecast.cli ARGS` as its own process, as the installed
+    script runs, with env's variables added to the environment."""
     return subprocess.run(
-        [sys.executable, "-m", "heavecast.cli", *args], env=_src_env(), capture_output=True, **kwargs
+        [sys.executable, "-m", "heavecast.cli", *args], env=dict(_src_env(), **(env or {})), capture_output=True,
+        **kwargs,
     )
 
 
@@ -243,6 +245,8 @@ class TestExitCodes:
             ({"injection": {"noise_scale": -1.0}}, "noise scale must be nonnegative"),
             ({"scenario": {"duration_h": 48, "events": [{"arrival_h": 5, "hs": 1.0, "tp": 40.0}]}}, "Tp must lie"),
             ({"scenario": {"duration_h": 0}}, "duration must be at least one hour"),
+            # simulate and build ran with it; fit stopped with numpy's "expected non-negative integer"
+            ({"seed": -1}, "seed must be a nonnegative integer, found -1"),
         ],
     )
     def test_every_stage_checks_every_manifest_section(self, tmp_path, cmd, override, message):
@@ -258,7 +262,7 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, sampler={"rhat_limit": limit})
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert f"error: rhat_limit must be finite and at least 1.0, found {limit!r}" in result.output
+        assert f"error: {manifest}: rhat_limit must be finite and at least 1.0, found {limit!r}" in result.output
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
@@ -286,7 +290,7 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, **override)
         result = invoke(["simulate", "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert f"error: {message}" in result.output
+        assert f"error: {manifest}: {message}" in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out" / "issues").exists()
 
@@ -311,6 +315,21 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert "issue.csv: issue time is not a time ('now')" in result.output
         assert not list((tmp_path / "out").glob("dataset_*.csv"))
+
+    def test_bad_issue_time_is_named_alike_under_every_hash_seed(self, tmp_path):
+        # the issue-time spellings were parsed as a set, so the cell named depended on PYTHONHASHSEED
+        (tmp_path / "issue.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\ntoday, today, 1.0\nnow, now, 1.1\n"
+        )
+        (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
+        manifest = write_manifest(
+            tmp_path, dump=json.dumps, issue_files=["issue.csv"], measurements_file="measurements.csv"
+        )
+        results = {
+            (r.returncode, r.stderr)
+            for r in (program("build", "-m", str(manifest), env={"PYTHONHASHSEED": seed}, text=True) for seed in "04")
+        }
+        assert results == {(2, f"error: {tmp_path / 'issue.csv'}: issue time is not a time ('today')\n")}
 
     def test_short_issue_row_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
@@ -339,7 +358,7 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, horizons=[0, 12, 12])
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert result.stderr == "error: horizons must not repeat a horizon, found [0, 12, 12]\n"
+        assert result.stderr == f"error: {manifest}: horizons must not repeat a horizon, found [0, 12, 12]\n"
         assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_yaml_horizons_is_validation_error(self, tmp_path):
@@ -348,15 +367,71 @@ class TestExitCodes:
         path.write_text("out_dir: out\nhorizons: " + "[" * 2000 + "]" * 2000 + "\n")
         result = invoke(["build", "--manifest", str(path)])
         assert result.exit_code == 2, result.output
-        assert result.stderr == "error: horizons must be a list of nonnegative integers, found [[[[[[[...]]]]]]]\n"
+        assert result.stderr == (
+            f"error: {path}: horizons must be a list of nonnegative integers, found [[[[[[[...]]]]]]]\n"
+        )
 
-    def test_json_nested_too_deeply_names_the_file(self, tmp_path):
-        # json gave up on this and handed it to libyaml, which crashed the process (exit 139)
-        path = tmp_path / "run.json"
-        path.write_text('{"out_dir": "out", "horizons": ' + "[" * 200_000 + "]" * 200_000 + "}")
-        result = program("build", "--manifest", str(path), text=True)
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            # json gave up on this and handed it to libyaml
+            ("run.json", '{"out_dir": "out", "horizons": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+            ("run.yaml", "out_dir: out\nhorizons: " + "[" * 200_000 + "]" * 200_000 + "\n"),
+            ("run.yaml", "out_dir: out\nhorizons:\n  " + "- " * 200_000 + "x\n"),
+        ],
+        ids=["json", "yaml-flow", "yaml-block"],
+    )
+    def test_manifest_nested_too_deeply_names_the_file(self, tmp_path, name, text):
+        # libyaml's composer recursed once per level and crashed the process (exit 139)
+        path = tmp_path / name
+        path.write_text(text)
+        result = program("build", "--manifest", str(path), text=True, timeout=20)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == f"error: {path}: nested too deeply\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("out_dir: out\nbogus: 1\n", "unknown manifest keys: ['bogus']\n"),
+            ("horizons: [0]\n", "manifest must set ['out_dir']\n"),
+            ("out_dir: out\nseed: x\n", "manifest key seed must be an integer, found 'x'\n"),
+            ("out_dir: out\nsampler: {chains: 0}\n", "need >= 1 chain, >= 100 warmup and retained draws\n"),
+            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario key start: '5' is not"),
+            ("out_dir: [\n", "malformed YAML: "),
+        ],
+    )
+    def test_manifest_message_starts_with_the_manifest(self, tmp_path, text, message):
+        # only the parser's messages named the file; the checks' messages did not
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        result = invoke(["build", "--manifest", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {path}: {message}"), result.stderr
+        assert result.stderr.count(str(path)) == 1
+
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-100"], "seed must be a nonnegative integer, found -100"),
+            (["-H", "-1"], "horizons must be a list of nonnegative integers, found [-1]"),
+        ],
+    )
+    def test_negative_override_is_validation_error(self, tmp_path, cmd, flags, message):
+        # -H -1 went looking for dataset_h-01.csv
+        manifest = write_manifest(tmp_path)
+        result = invoke([cmd, "--manifest", str(manifest), *flags])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_spectra_hours_is_validation_error(self, tmp_path):
+        # simulate ran and wrote no spectra, as for 0
+        manifest = write_manifest(tmp_path)
+        result = invoke(["simulate", "--manifest", str(manifest), "--spectra-hours", "-3"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: spectra_hours must be nonnegative, found -3\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose"])
@@ -367,7 +442,7 @@ class TestExitCodes:
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
         assert result.stderr == (
-            f"error: manifest key train_fraction must lie strictly inside (0, 1), found {fraction!r}\n"
+            f"error: {manifest}: manifest key train_fraction must lie strictly inside (0, 1), found {fraction!r}\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -391,7 +466,7 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, dump=json.dumps, **override)
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: {message}\n"
+        assert result.stderr == f"error: {manifest}: {message}\n"
 
     def test_directory_as_data_file_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from heavecast.datasets import ForecastIssue, HorizonDataset
 from heavecast.io import (
+    _YAML_DEPTH_LIMIT,
     RunManifest,
     atomic_write_text,
     read_forecast_issue,
     read_heave_records,
     read_horizon_dataset,
-    read_motion_series,
     read_posterior_samples,
-    read_qa_events,
     read_rao,
     read_spectra,
     write_forecast_issue,
@@ -134,40 +133,7 @@ class TestSpectraRoundTrip:
             read_spectra(p)
 
 
-class TestMotionAndQa:
-    def test_motion_series(self, tmp_path):
-        p = tmp_path / "motion.csv"
-        lines = ["timestamp_utc, heave_m"]
-        for k in range(5):
-            lines.append(f"2024-06-01T00:00:{k:02d}, {0.1 * k}")
-        p.write_text("\n".join(lines) + "\n")
-        series = read_motion_series(p)
-        assert series.sample_rate == pytest.approx(1.0)
-        np.testing.assert_allclose(series.values, 0.1 * np.arange(5))
-
-    def test_nonuniform_rejected(self, tmp_path):
-        p = tmp_path / "motion.csv"
-        p.write_text(
-            "timestamp_utc, heave_m\n"
-            "2024-06-01T00:00:00, 0.0\n"
-            "2024-06-01T00:00:01, 0.1\n"
-            "2024-06-01T00:00:03, 0.2\n"
-        )
-        with pytest.raises(ValueError):
-            read_motion_series(p)
-
-    def test_qa_events(self, tmp_path):
-        p = tmp_path / "qa.csv"
-        p.write_text(
-            "start_utc, end_utc, reason\n"
-            "2024-06-01T00:00:00, 2024-06-01T06:00:00, transit\n"
-        )
-        events = read_qa_events(p)
-        assert len(events) == 1
-        (start, end), reason = events[0]
-        assert reason == "transit"
-        assert end - start == 6 * HOUR
-
+class TestHeaveRecords:
     def test_heave_record_round_trip(self, tmp_path):
         records = [
             HeaveRecord(timestamp=T0, sig_heave=0.5, valid=True),
@@ -337,8 +303,6 @@ SHORT_ROW_CASES = {
         "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n"
         + "".join(f"2024-06-01T00:00:00, {f}, {d}, 1.0\n" for f in (0.1, 0.2) for d in (10, 20)),
     ),
-    "motion": (read_motion_series, "timestamp_utc, heave_m\n2024-06-01T00:00:00, 0.0\n2024-06-01T00:00:01, 0.1\n"),
-    "qa_events": (read_qa_events, "start_utc, end_utc, reason\n2024-06-01T00:00:00, 2024-06-01T06:00:00, transit\n"),
     "measurements": (
         read_heave_records,
         "timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 0.5, true\n2024-06-01T01:00:00, 0.6, true\n",
@@ -420,7 +384,6 @@ NUMBER_COLUMNS = [
     ("spectra", "freq_hz"),
     ("spectra", "dir_deg"),
     ("spectra", "density_m2_s_per_deg"),
-    ("motion", "heave_m"),
     ("measurements", "sig_heave_m"),
     ("dataset", "x_m"),
     ("dataset", "y_m"),
@@ -444,18 +407,14 @@ def test_bad_number_cell_names_the_file_and_column(tmp_path, kind, column):
     "kind, reader, text, message",
     [
         ("rao", read_rao, "freq_hz, amplitude\n0.2, 1.0\n0.1, 1.5\n", "strictly increasing"),
+        # an infinite last frequency passed, and its bin width came out NaN
+        ("rao", read_rao, "freq_hz, amplitude\n0.1, 1.0\ninf, 1.5\n", "frequencies must be finite"),
         (
             "spectra",
             read_spectra,
             "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n"
             + "".join(f"2024-06-01T00:00:00, {f}, {d}, -1.0\n" for f in (0.1, 0.2) for d in (10, 20)),
             "density must be finite and nonnegative",
-        ),
-        (
-            "motion",
-            read_motion_series,
-            "timestamp_utc, heave_m\n2024-06-01T00:00:00, 0.0\n2024-06-01T00:00:01, nan\n",
-            "values must be finite",
         ),
         (
             "measurements",
@@ -1018,6 +977,24 @@ class TestJsonManifest:
         nested = "[" * 2000 + "]" * 2000
         with pytest.raises(ValueError, match=re.escape("found [[[[[[[...]]]]]]]")):
             _load_as(tmp_path, f"out_dir: out\nhorizons: {nested}\n", "run.yaml")
+
+    def test_yaml_nesting_limit(self, tmp_path):
+        # the top mapping is one level of the document; libyaml crashed some 20000 levels deep
+        def nested(depth):
+            return f"out_dir: out\nhorizons: {'[' * depth}{']' * depth}\n"
+
+        with pytest.raises(ValueError, match=re.escape("horizons must be a list of nonnegative integers")):
+            _load_as(tmp_path, nested(_YAML_DEPTH_LIMIT - 1), "run.yaml")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'run.yaml'}: nested too deeply")):
+            _load_as(tmp_path, nested(_YAML_DEPTH_LIMIT), "run.yaml")
+
+    def test_pure_python_yaml_loader_refuses_deep_nesting(self, tmp_path, monkeypatch):
+        # without libyaml the composer's recursion ran out of stack and raised RecursionError
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        nested = "[" * 2000 + "]" * 2000
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'run.yaml'}: nested too deeply")):
+            _load_as(tmp_path, f"out_dir: out\nhorizons: {nested}\n", "run.yaml")
+        assert _load_as(tmp_path, "out_dir: out\nhorizons: [0, 6]\n", "run.yaml").horizons == [0, 6]
 
     def test_duplicate_key_keeps_the_last(self, tmp_path):
         assert _load_as(tmp_path, '{"out_dir": "out", "seed": 1, "seed": 2}', "run.json").seed == 2

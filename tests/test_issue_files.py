@@ -189,6 +189,22 @@ class TestSetReader:
         with pytest.raises(ValueError, match=r"f100\.csv: expected header"):
             read_forecast_issues(paths[:70] + paths[71:])
 
+    def test_first_file_with_two_issue_times_is_named(self, tmp_path):
+        # files 5 and 9 each repeat a second issue time; file 2 spells its one time two ways
+        paths = []
+        for k in range(12):
+            paths.append(tmp_path / f"f{k:02d}.csv")
+            oracle_write(paths[-1], ForecastIssue(issue_time=T0, horizon_hours=np.arange(3), values=np.ones(3)))
+        for k in (5, 9):
+            text = paths[k].read_text()
+            paths[k].write_text(text[: text.rindex("\n", 0, -1) + 1] + "2024-06-01T06:00:00, 2024-06-01T06:00:00, 1\n")
+        paths[2].write_text(paths[2].read_text().replace("2024-06-01T00:00:00, ", "2024-06-01T00:00:00Z, ", 1))
+        with pytest.raises(ValueError, match=r"f05\.csv: multiple issue times in one file"):
+            read_forecast_issues(paths)
+        with pytest.raises(ValueError, match=r"f09\.csv: multiple issue times in one file"):
+            read_forecast_issues(paths[:5] + paths[6:])
+        assert read_forecast_issue(paths[2]).issue_time == T0
+
     def test_short_row_names_file_and_line_inside_a_batch(self, tmp_path):
         paths = []
         for k in range(5):

@@ -64,6 +64,45 @@ def test_exported_names_resolve():
     assert missing == []
 
 
+# the assignments whose strings list public names rather than use them
+_NAME_LISTS = {"__all__", "_ORIGINS", "_CAMPAIGN_NAMES"}
+
+
+def _source_words(path: Path) -> set[str]:
+    """Every identifier path's code uses, and every word of its strings but
+    those of the name lists; a def or class statement does not use its own
+    name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    listed = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id in _NAME_LISTS for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in listed:
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that no stage, no acceptance criterion and no bench file
+    # uses is code that only its own unit tests run
+    used = set().union(*map(_source_words, SOURCES))
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").rglob("*.py"))]:
+        used.update(re.findall(r"\w+", path.read_text()))
+    exported = [(heavecast.__name__, name) for name in heavecast.__all__]
+    exported += [(m.__name__, name) for m in _modules() for name in getattr(m, "__all__", ())]
+    assert [f"{module}.{name}" for module, name in exported if name not in used] == []
+
+
 def _tracer_targets() -> list[tuple[str, str]]:
     """(module, function) of each Target in bench/tracer.py, read from its
     source, which is not imported here."""

@@ -17,7 +17,6 @@ from heavecast.spectral import (
     morison_rao,
     response_moments,
     response_statistics,
-    significant_response,
     spectral_moment,
 )
 from heavecast.synthetic import SwellEvent, SwellScenario, generate_spectra, reference_rao
@@ -248,23 +247,6 @@ class TestSpectralMoment:
             assert spectral_moment(redistributed, rao, order) == pytest.approx(
                 spectral_moment(uniform_dw, rao, order), rel=1e-12
             )
-
-
-class TestSignificantResponse:
-    @pytest.mark.parametrize("m0,expected", [(0.0, 0.0), (1.0, 2.0), (0.0625, 0.5)])
-    def test_values(self, m0, expected):
-        assert significant_response(m0) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            significant_response(-1e-9)
-
-    def test_sqrt_scaling(self):
-        spec, rao = random_case(np.random.default_rng(6))
-        m0 = spectral_moment(spec, rao, 0)
-        assert significant_response(4.0 * m0) == pytest.approx(
-            2.0 * significant_response(m0), rel=1e-12
-        )
 
 
 class TestResponseStatistics:
