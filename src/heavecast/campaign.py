@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datasets import ForecastIssue, IssueSet, _irregular_issues
-from .io import _CAMPAIGN_NAMES, _floats, _fmt, _naming, _parse_times, _read_columns, _table_lines, atomic_write_text
+from .io import _CAMPAIGN_NAMES, _floats, _naming, _parse_times, _read_columns, _table_lines, _write_table
+from .io import atomic_write_text
 
 if TYPE_CHECKING:
     from .motion import HeaveRecord
@@ -33,23 +34,26 @@ __all__ = list(_CAMPAIGN_NAMES)
 
 TWO_PI = 2.0 * np.pi
 
+# each file's columns: its reader requires this header and its writer writes it
+_RAO_HEADER = ["freq_hz", "amplitude"]
+_SPECTRA_HEADER = ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
+_HEAVE_HEADER = ["timestamp_utc", "sig_heave_m", "valid"]
+_ISSUE_HEADER = ["issue_time_utc", "valid_time_utc", "sig_heave_m"]
+
 
 # -- RAO ---------------------------------------------------------------------
 
 def read_rao(path: Path) -> RaoCurve:
     from .spectral import RaoCurve
 
-    freq_col, amp_col = _read_columns(path, ["freq_hz", "amplitude"])
+    freq_col, amp_col = _read_columns(path, _RAO_HEADER)
     freqs_hz, amps = _floats(freq_col, path, "freq_hz"), _floats(amp_col, path, "amplitude")
     with _naming(path):
         return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:
-    lines = ["freq_hz, amplitude"]
-    for w, a in zip(rao.freqs, rao.amplitudes):
-        lines.append(f"{_fmt(w / TWO_PI)}, {_fmt(a)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, _RAO_HEADER, "%.10g, %.10g", zip((rao.freqs / TWO_PI).tolist(), rao.amplitudes.tolist()))
 
 
 # -- directional spectra -----------------------------------------------------
@@ -63,15 +67,14 @@ def read_spectra(path: Path) -> SpectrumSeries:
     """
     from .spectral import SpectrumSeries
 
-    names = ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
-    time_col, *number_cols = _read_columns(path, names)
+    time_col, *number_cols = _read_columns(path, _SPECTRA_HEADER)
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
-    freqs, dirs, density = (_floats(col, path, name).tolist() for col, name in zip(number_cols, names[1:]))
+    freqs, dirs, density = (_floats(col, path, name).tolist() for col, name in zip(number_cols, _SPECTRA_HEADER[1:]))
     if not np.isfinite([freqs, dirs]).all():
         raise ValueError(f"{path}: freq_hz and dir_deg must be finite")
     by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for stamp, f, d, v in zip(_parse_times(time_col, path, names[0]), freqs, dirs, density):
+    for stamp, f, d, v in zip(_parse_times(time_col, path, _SPECTRA_HEADER[0]), freqs, dirs, density):
         by_time.setdefault(stamp, []).append((f, d, v))
 
     densities = []
@@ -104,14 +107,12 @@ def read_spectra(path: Path) -> SpectrumSeries:
 
 
 def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
-    lines = ["timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg"]
-    freqs_hz = spectra.freqs / TWO_PI
-    dirs_deg = np.rad2deg(spectra.dirs)
-    for stamp, density in zip(spectra.times, spectra.density * TWO_PI * (np.pi / 180.0)):
-        for i, f in enumerate(freqs_hz):
-            for j, d in enumerate(dirs_deg):
-                lines.append(f"{stamp}, {_fmt(f)}, {_fmt(d)}, {_fmt(density[i, j])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One row per (timestamp, frequency, direction), in that nesting order."""
+    stamps = np.datetime_as_string(spectra.times).astype(object)
+    grid = np.meshgrid(stamps, spectra.freqs / TWO_PI, np.rad2deg(spectra.dirs), indexing="ij")
+    # per-(rad/s) per-rad  ->  per-Hz per-deg
+    columns = [*grid, spectra.density * TWO_PI * (np.pi / 180.0)]
+    _write_table(path, _SPECTRA_HEADER, "%s, %.10g, %.10g, %.10g", zip(*(c.ravel().tolist() for c in columns)))
 
 
 # -- heave records -----------------------------------------------------------
@@ -120,7 +121,7 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
     """Each row's record; valid reads true or false in any case, and sig_heave_m is read only where true."""
     from .motion import HeaveRecord
 
-    time_col, sig_col, valid_col = _read_columns(path, ["timestamp_utc", "sig_heave_m", "valid"])
+    time_col, sig_col, valid_col = _read_columns(path, _HEAVE_HEADER)
     times = _parse_times(time_col, path, "timestamp_utc")
     for row, cell in enumerate(valid_col, 1):
         if cell.lower() not in ("true", "false"):
@@ -132,16 +133,12 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
 
 
 def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
-    lines = ["timestamp_utc, sig_heave_m, valid"]
-    for rec in records:
-        sig = _fmt(rec.sig_heave) if rec.valid else "nan"
-        lines.append(f"{rec.timestamp}, {sig}, {str(rec.valid).lower()}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """sig_heave_m reads nan where a record is not valid."""
+    rows = ((r.timestamp, r.sig_heave if r.valid else np.nan, str(r.valid).lower()) for r in records)
+    _write_table(path, _HEAVE_HEADER, "%s, %.10g, %s", rows)
 
 
 # -- forecast issues and horizon datasets ------------------------------------
-
-_ISSUE_HEADER = ["issue_time_utc", "valid_time_utc", "sig_heave_m"]
 
 # issue files parsed together: one split and one float conversion per batch,
 # while the text held at once stays a small part of the set
@@ -182,13 +179,6 @@ def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
         raise
 
 
-def _column_times(cells: list[str], where, what: str) -> np.ndarray:
-    """_parse_times of a column that repeats a few spellings, each parsed once."""
-    spellings = {c: k for k, c in enumerate(dict.fromkeys(cells))}
-    times = _parse_times([c.strip() for c in spellings], where, what)
-    return times[np.fromiter(map(spellings.__getitem__, cells), dtype=np.intp, count=len(cells))]
-
-
 def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     """The files' issue times, row counts, leads and values, their rows split
     and converted together, then checked file by file."""
@@ -209,12 +199,12 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     def file_of(rows: np.ndarray) -> Path:
         return paths[np.searchsorted(bounds, rows[0], side="right") - 1]
 
-    row_issue_times = _column_times(cells[0::3], where, "issue time")
+    row_issue_times = _parse_times(cells[0::3], where, "issue time")
     issue_times = row_issue_times[bounds[:-1]]
     mixed = np.flatnonzero(row_issue_times != np.repeat(issue_times, sizes))
     if mixed.size:
         raise ValueError(f"{file_of(mixed)}: multiple issue times in one file")
-    valid_times = _column_times(cells[1::3], where, "valid time")
+    valid_times = _parse_times(cells[1::3], where, "valid time")
     with _naming(where):
         values = np.array(cells[2::3], dtype=float)
     seconds = (valid_times - row_issue_times).astype(np.int64)

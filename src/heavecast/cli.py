@@ -261,9 +261,8 @@ def response(**kwargs):
     spectra = campaign.read_spectra(m.spectra_file)
     m0, m2 = spectral.response_moments(spectra, rao)
     rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
-    lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
-    lines += [f"{t}, {a:.10g}, {b:.10g}, {sig:.10g}" for t, a, b, sig in rows]
-    io.atomic_write_text(m.out_dir / "response.csv", "\n".join(lines) + "\n")
+    columns = ["timestamp_utc", "m0_m2", "m2_m2_per_s2", "sig_heave_m"]
+    io._write_table(m.out_dir / "response.csv", columns, "%s, %.10g, %.10g, %.10g", rows)
     print(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)", flush=True)
 
 
@@ -368,18 +367,13 @@ def diagnose(max_lag, bins, **kwargs):
         with io._naming(f"{_dataset_path(m, h)}, horizon {h}"):
             pac = diagnostics.pacf(series, max_lag)
             table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map=sigma_map)
-        lines = ["lag, coefficient, band"]
-        for lag, c in zip(pac.lags, pac.coefficients):
-            lines.append(f"{lag}, {c:.6f}, {pac.confidence_band:.6f}")
-        io.atomic_write_text(m.out_dir / f"pacf_{m.model_kind}_h{h:03d}.csv", "\n".join(lines) + "\n")
-
-        lines = ["x_bin_center_m, mean_abs_residual_m, count, sigma_map"]
-        for row in table:
-            lines.append(
-                f"{row['x_bin_center']:.6f}, {row['mean_abs_residual']:.6f}, "
-                f"{row['count']}, {row['sigma_map']:.6f}"
-            )
-        io.atomic_write_text(m.out_dir / f"hetero_{m.model_kind}_h{h:03d}.csv", "\n".join(lines) + "\n")
+        rows = ((lag, c, pac.confidence_band) for lag, c in zip(pac.lags.tolist(), pac.coefficients.tolist()))
+        io._write_table(
+            m.out_dir / f"pacf_{m.model_kind}_h{h:03d}.csv", ["lag", "coefficient", "band"], "%d, %.6f, %.6f", rows
+        )
+        columns = ["x_bin_center_m", "mean_abs_residual_m", "count", "sigma_map"]
+        rows = ((r["x_bin_center"], r["mean_abs_residual"], r["count"], r["sigma_map"]) for r in table)
+        io._write_table(m.out_dir / f"hetero_{m.model_kind}_h{h:03d}.csv", columns, "%.6f, %.6f, %d, %.6f", rows)
         print(f"h={h}: diagnostics written", flush=True)
 
 

@@ -216,17 +216,12 @@ def synthesize_horizon_series(issues: IssueSet | list[ForecastIssue], h: int) ->
     )
 
 
-def align(forecast_series, measurements, horizon: int) -> HorizonDataset:
+def align(forecast_series: HorizonSeries, measurements, horizon: int) -> HorizonDataset:
     """Inner-join the horizon forecast series with QA-valid measurements.
 
-    forecast_series is a HorizonSeries or (valid_time, value, issue_time)
-    rows; rows keep their order. Where several valid measurements share a
-    timestamp, the last one counts.
+    The series' rows keep their order. Where several valid measurements
+    share a timestamp, the last one counts.
     """
-    if not isinstance(forecast_series, HorizonSeries):
-        rows = list(forecast_series)
-        vt, x, it = zip(*rows) if rows else ((), (), ())
-        forecast_series = HorizonSeries(valid_times=vt, values=x, issue_times=it)
     valid = [m for m in measurements if m.valid]
     meas_times = np.array([m.timestamp for m in valid], dtype="datetime64[s]")
     meas_values = np.array([float(m.sig_heave) for m in valid])

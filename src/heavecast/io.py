@@ -107,26 +107,37 @@ def _naming(where):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.10g}"
+def _write_table(path: Path, columns: list[str], row_format: str, rows) -> None:
+    """The delimited-text file every table is: a header line of the columns,
+    then row_format % row for each row (a tuple), written atomically."""
+    line = row_format + "\n"
+    atomic_write_text(path, "".join([", ".join(columns) + "\n", *map(line.__mod__, rows)]))
 
 
 def _parse_times(cells, where, what: str) -> np.ndarray:
-    """One column of ISO-8601 UTC cells (optional trailing Z) as datetime64[s].
+    """One column of ISO-8601 UTC cells (optional trailing Z, blanks around
+    ignored) as datetime64[s]; each distinct cell is parsed once, so a column
+    that repeats a few spellings, as an issue-time column does, costs little.
 
     numpy alone also reads `now` and `today`, in any case, as the wall-clock
     time, and `NaT` and empty cells as NaT. A column with such a cell, or one
     numpy cannot parse, raises a ValueError naming where, the file, and what,
-    the column.
+    the column, and the first such cell.
     """
+    cells = list(cells)
+    distinct = list(dict.fromkeys(cells))
+    spellings = [c.strip() for c in distinct]
     with _naming(f"{where}: {what}"):
-        times = np.array([c.removesuffix("Z") for c in cells], dtype="datetime64[s]")
+        times = np.array([c.removesuffix("Z") for c in spellings], dtype="datetime64[s]")
     # an ISO-8601 cell starts with a digit or a sign, both of which sort
     # before every letter, so the largest cell starts with a letter if any does
-    if times.size and (max(cells)[:1] > "9" or np.isnat(times).any()):
-        bad = next(c for c, t in zip(cells, np.isnat(times).tolist()) if t or c[:1] > "9")
+    if times.size and (max(spellings)[:1] > "9" or np.isnat(times).any()):
+        bad = next(c for c, t in zip(spellings, np.isnat(times).tolist()) if t or c[:1] > "9")
         raise ValueError(f"{where}: {what} is not a time ({bad!r})")
-    return times
+    if len(distinct) == len(cells):
+        return times
+    position = {c: k for k, c in enumerate(distinct)}
+    return times[np.fromiter(map(position.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
 def _floats(cells, where, what: str) -> np.ndarray:
@@ -176,6 +187,9 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[list[str]]:
     return columns
 
 
+_DATASET_HEADER = ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
+
+
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     """The dataset write_horizon_dataset wrote.
 
@@ -183,9 +197,7 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     post_gap_flag column is only checked: each cell must be 0 or 1 and
     agree with the recomputed flag, or a ValueError names the file and row.
     """
-    valid_col, x_col, y_col, issue_col, flag_col = _read_columns(
-        path, ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
-    )
+    valid_col, x_col, y_col, issue_col, flag_col = _read_columns(path, _DATASET_HEADER)
     valid_times = _parse_times(valid_col, path, "valid_time_utc")
     issue_times = _parse_times(issue_col, path, "issue_time_utc")
     x, y = _floats(x_col, path, "x_m"), _floats(y_col, path, "y_m")
@@ -208,9 +220,7 @@ def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
         np.datetime_as_string(ds.issue_times).tolist(),
         ds.post_gap.astype(int).tolist(),
     )
-    lines = ["valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag"]
-    lines += [f"{vt}, {x:.10g}, {y:.10g}, {it}, {gap}" for vt, x, y, it, gap in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, _DATASET_HEADER, "%s, %.10g, %.10g, %s, %d", rows)
 
 
 # -- posterior samples -------------------------------------------------------
@@ -223,10 +233,8 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
     rejections per truncated block and the smallest ESS. No wall-clock value
     goes in, so a fixed manifest and seed reproduce it bit for bit.
     """
-    row = "%d, " + ", ".join(["%.12g"] * samples.draws.shape[1])
-    lines = ["chain, " + ", ".join(samples.param_names)]
-    lines += [row % (cid, *values) for cid, values in zip(samples.chain_ids.tolist(), samples.draws.tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((cid, *values) for cid, values in zip(samples.chain_ids.tolist(), samples.draws.tolist()))
+    _write_table(path, ["chain", *samples.param_names], "%d" + ", %.12g" * samples.draws.shape[1], rows)
     sidecar = {
         "acceptance_rate": samples.acceptance_rate,
         "parameters": samples.diagnostics,
@@ -286,17 +294,13 @@ def write_predictions(path: Path, pred: PredictiveDraws) -> None:
 
     table = predictive_summaries(pred)
     cols = ["valid_time_utc", "mean_m"] + [f"p{round(lv * 100):02d}_m" for lv in QUANTILE_LEVELS]
-    lines = [", ".join(cols)]
-    for vt, row in zip(pred.valid_times, table.tolist()):
-        lines.append(", ".join([str(vt)] + [_fmt(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((vt, *row) for vt, row in zip(pred.valid_times, table.tolist()))
+    _write_table(path, cols, "%s" + ", %.10g" * table.shape[1], rows)
 
 
 def write_score_reports(path: Path, reports: list[ScoreReport]) -> None:
-    lines = ["model, horizon_h, rmse_m, crps_m, n"]
-    for r in reports:
-        lines.append(f"{r.model_label}, {r.horizon}, {r.rmse:.3f}, {r.crps_mean:.3f}, {r.n}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((r.model_label, r.horizon, r.rmse, r.crps_mean, r.n) for r in reports)
+    _write_table(path, ["model", "horizon_h", "rmse_m", "crps_m", "n"], "%s, %s, %.3f, %.3f, %s", rows)
 
 
 # -- run manifest ------------------------------------------------------------
@@ -417,14 +421,18 @@ class RunManifest:
     sampler: dict = field(default_factory=dict)
     scenario: dict = field(default_factory=dict)
     injection: dict = field(default_factory=dict)
+    # the file load read, which names the manifest in require's messages
+    _path = None
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
         """The manifest at path, its keys, their types and values checked; a
-        ValueError's message starts with the path."""
+        ValueError's message starts with the path, as require's do."""
         path = Path(path)
         with _naming(path):
-            return cls._from_document(_manifest_document(path) or {}, path.parent)
+            m = cls._from_document(_manifest_document(path) or {}, path.parent)
+        m._path = path
+        return m
 
     @classmethod
     def _from_document(cls, raw, base: Path) -> "RunManifest":
@@ -502,7 +510,8 @@ class RunManifest:
         for name in names:
             value = getattr(self, name)
             if value is None or (isinstance(value, list) and not value):
-                raise ValueError(f"manifest is missing {name}")
+                where = "manifest" if self._path is None else f"{self._path}: manifest"
+                raise ValueError(f"{where} is missing {name}")
             paths = value if isinstance(value, list) else [value]
             for p in paths:
                 if isinstance(p, Path) and not p.exists():

@@ -217,6 +217,14 @@ class TestExitCodes:
         result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
 
+    def test_missing_input_names_the_manifest(self, tmp_path):
+        # no issue_files and no issues/ directory for build to default to
+        path = tmp_path / "run.json"
+        path.write_text('{"out_dir": "out"}')
+        result = invoke(["build", "--manifest", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {path}: manifest is missing issue_files\n", result.stderr
+
     def test_bad_manifest_key(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("out_dir: out\nwhatever: 1\n")

@@ -99,13 +99,16 @@ class TestAlign:
             )
         return out
 
+    def make_series(self, n):
+        return HorizonSeries(valid_times=T0 + np.arange(n) * HOUR, values=np.ones(n), issue_times=np.repeat(T0, n))
+
     def test_identical_timestamps(self):
-        series = [(T0 + k * HOUR, 1.0, T0) for k in range(10)]
+        series = self.make_series(10)
         ds = align(series, self.make_measurements(10), horizon=0)
         assert len(ds) == 10
 
     def test_invalid_measurement_dropped(self):
-        series = [(T0 + k * HOUR, 1.0, T0) for k in range(10)]
+        series = self.make_series(10)
         ds = align(series, self.make_measurements(10, invalid={3}), horizon=0)
         assert len(ds) == 9
         assert T0 + 3 * HOUR not in set(ds.valid_times)
@@ -114,7 +117,7 @@ class TestAlign:
         assert ds.post_gap[idx]
 
     def test_disjoint_ranges_error(self):
-        series = [(T0 + k * HOUR, 1.0, T0) for k in range(5)]
+        series = self.make_series(5)
         with pytest.raises(ValueError):
             align(series, self.make_measurements(5, offset=100), horizon=0)
 
@@ -309,9 +312,8 @@ class TestArrayJoinsOracle:
             with pytest.raises(ValueError, match="share no valid times"):
                 align(series, measurements, h)
             return
-        for given_series in (series, list(series)):
-            ds = align(given_series, measurements, h)
-            np.testing.assert_array_equal(ds.valid_times, ref.valid_times)
-            np.testing.assert_array_equal(ds.issue_times, ref.issue_times)
-            np.testing.assert_array_equal(ds.post_gap, ref.post_gap)
-            assert ds.x.tobytes() == ref.x.tobytes() and ds.y.tobytes() == ref.y.tobytes()
+        ds = align(series, measurements, h)
+        np.testing.assert_array_equal(ds.valid_times, ref.valid_times)
+        np.testing.assert_array_equal(ds.issue_times, ref.issue_times)
+        np.testing.assert_array_equal(ds.post_gap, ref.post_gap)
+        assert ds.x.tobytes() == ref.x.tobytes() and ds.y.tobytes() == ref.y.tobytes()

@@ -15,6 +15,8 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heavecast import campaign
+from heavecast import io as heavecast_io
 from heavecast.datasets import ForecastIssue, HorizonDataset
 from heavecast.io import (
     _YAML_DEPTH_LIMIT,
@@ -45,6 +47,20 @@ from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario
 ROOT = Path(__file__).resolve().parents[1]
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
+
+
+def test_readme_file_formats_are_the_readers_and_writers_headers():
+    # the README's File formats table against the one header constant that
+    # each file's reader requires and its writer writes
+    section = (ROOT / "README.md").read_text().split("\n## File formats\n", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, flags=re.M)
+    assert {name: header.split(", ") for name, header in rows} == {
+        "rao.csv": campaign._RAO_HEADER,
+        "spectra.csv": campaign._SPECTRA_HEADER,
+        "measurements.csv": campaign._HEAVE_HEADER,
+        "issues/issue_NNNN.csv": campaign._ISSUE_HEADER,
+        "dataset_hHHH.csv": heavecast_io._DATASET_HEADER,
+    }
 
 
 class TestAtomicWrite:
@@ -677,7 +693,7 @@ class TestRunManifest:
         m = RunManifest.load(manifest)
         with pytest.raises(FileNotFoundError):
             m.require("rao_file")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: manifest is missing spectra_file$"):
             m.require("spectra_file")
 
     def test_bad_model_kind(self, tmp_path):

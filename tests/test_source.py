@@ -54,6 +54,32 @@ def test_only_model_and_sampler_branch_on_the_model_kind():
     assert _kind_reads(model, within="posterior_predictive") == []
 
 
+def _callers(path: Path, name: str) -> list[str]:
+    """file:function of each call of name (as a name or an attribute) in path,
+    by the outermost function it is made in."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_tables_are_written_by_the_one_table_writer():
+    # every delimited-text table goes through io._write_table, which spells
+    # the header and row layout once; atomic_write_text is left to it, to the
+    # samples sidecar, to the free-text scores.txt and to the issue texts
+    # campaign._issue_texts builds by column
+    found = sorted(caller for path in SOURCES for caller in _callers(path, "atomic_write_text"))
+    assert found == [
+        "campaign.py:write_forecast_issue",
+        "cli.py:score",
+        "io.py:_write_table",
+        "io.py:write_posterior_samples",
+    ]
+
+
 def _modules():
     return [importlib.import_module(f"heavecast.{p.stem}") for p in SOURCES if p.stem != "__init__"]
 
