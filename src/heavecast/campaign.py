@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datasets import ForecastIssue, IssueSet, _irregular_issues
-from .io import _CAMPAIGN_NAMES, _floats, _naming, _parse_times, _read_columns, _table_lines, _write_table
+from .io import _CAMPAIGN_NAMES, _floats, _naming, _parse_times, _read_columns, _readable, _table_lines, _write_table
 from .io import atomic_write_text
 
 if TYPE_CHECKING:
@@ -250,7 +250,7 @@ def _issue_texts(issues: IssueSet):
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
     (text,) = _issue_texts(IssueSet.from_issues([issue]))
-    atomic_write_text(path, text)
+    atomic_write_text(path, _readable(path, text))
 
 
 def write_forecast_issues(issue_dir: Path, issues: IssueSet) -> None:
@@ -269,7 +269,9 @@ def write_forecast_issues(issue_dir: Path, issues: IssueSet) -> None:
         new, old = staging / issue_dir.name, staging / "replaced"
         new.mkdir()
         for i, text in enumerate(_issue_texts(issues)):
-            with open(new / f"issue_{i:04d}.csv", "x") as fh:
+            name = f"issue_{i:04d}.csv"
+            text = _readable(issue_dir / name, text)
+            with open(new / name, "x") as fh:
                 fh.write(text)
         if os.path.lexists(issue_dir):
             os.rename(issue_dir, old)

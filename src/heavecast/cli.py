@@ -1,4 +1,5 @@
-"""Command-line pipeline: simulate -> build -> fit -> predict -> score.
+"""Command-line pipeline: simulate -> build -> fit -> predict -> score ->
+diagnose, and response, the physics response of a spectra file and an RAO.
 
 Every command reads a run manifest (JSON or YAML), takes flag overrides,
 writes plain delimited text into the manifest's output directory and is
@@ -390,6 +391,7 @@ def simulate(spectra_hours, **kwargs):
     if spectra_hours < 0:
         raise ValueError(f"spectra_hours must be nonnegative, found {spectra_hours}")
     m = _load(**kwargs)
+    m.require("scenario")
     scn = m.swell_scenario()
     inj = m.error_injection()
     spectra = synthetic.generate_spectra(scn)

@@ -7,8 +7,10 @@ lead at that valid time is at least h and within the issue's capability. With
 6-hourly issues this concatenates leads h..h+5 per issue; when only 00Z/12Z
 issues reach far enough (long horizons) it concatenates leads h..h+11.
 
-HorizonDataset, chrono_split and DEFAULT_HORIZONS are defined in horizon,
-which the model stages load without this module, and re-exported here.
+HorizonDataset and chrono_split are defined in horizon, which the model
+stages load without this module. They are exported here as well because
+the acceptance tests import both from datasets and the bench traces
+datasets.chrono_split.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .horizon import DEFAULT_HORIZONS, HOUR, HorizonDataset, chrono_split
+from .horizon import HOUR, HorizonDataset, chrono_split
 
 __all__ = [
     "ForecastIssue",
@@ -26,7 +28,6 @@ __all__ = [
     "HorizonDataset",
     "HorizonSeries",
     "DEFAULT_MAX_LEADS",
-    "DEFAULT_HORIZONS",
     "synthesize_horizon_series",
     "align",
     "chrono_split",
@@ -55,10 +56,6 @@ class ForecastIssue:
         object.__setattr__(self, "issue_time", np.datetime64(self.issue_time, "s"))
         object.__setattr__(self, "horizon_hours", leads)
         object.__setattr__(self, "values", values)
-
-    @property
-    def cycle_hour(self) -> int:
-        return int(_cycle_hours(self.issue_time))
 
 
 def _cycle_hours(issue_times) -> np.ndarray:

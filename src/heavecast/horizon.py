@@ -2,8 +2,9 @@
 
 fit, predict, score and diagnose read a horizon dataset and split it, and
 need nothing else of datasets, so these names live in this small module,
-which those stages load without datasets. datasets re-exports every name
-here.
+which those stages load without datasets. datasets exports HorizonDataset
+and chrono_split as well; DEFAULT_HORIZONS, the manifest's default, is
+exported only here.
 """
 
 from __future__ import annotations

@@ -107,11 +107,25 @@ def _naming(where):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _readable(path: Path, text: str) -> str:
+    """text, or a ValueError naming path when text spells a finite number
+    past the largest float, which its reader would read as infinite.
+
+    Only an exponent of 308 can overflow: %.10g spells every finite value
+    from 1.7976931345e308 up as 1.797693135e+308.
+    """
+    if "e+308" in text:
+        for number in re.findall(r"-?[\d.]+e\+308", text):
+            if math.isinf(float(number)):
+                raise ValueError(f"{path}: {number} is past the largest float and would read back as infinite")
+    return text
+
+
 def _write_table(path: Path, columns: list[str], row_format: str, rows) -> None:
     """The delimited-text file every table is: a header line of the columns,
     then row_format % row for each row (a tuple), written atomically."""
     line = row_format + "\n"
-    atomic_write_text(path, "".join([", ".join(columns) + "\n", *map(line.__mod__, rows)]))
+    atomic_write_text(path, _readable(path, "".join([", ".join(columns) + "\n", *map(line.__mod__, rows)])))
 
 
 def _parse_times(cells, where, what: str) -> np.ndarray:
@@ -507,9 +521,10 @@ class RunManifest:
         return SwellScenario(events=events, seed=self.seed, **raw)
 
     def require(self, *names: str) -> None:
+        """Refuse a key the manifest leaves unset or empty, or a file it names that does not exist."""
         for name in names:
             value = getattr(self, name)
-            if value is None or (isinstance(value, list) and not value):
+            if value is None or (isinstance(value, (list, dict)) and not value):
                 where = "manifest" if self._path is None else f"{self._path}: manifest"
                 raise ValueError(f"{where} is missing {name}")
             paths = value if isinstance(value, list) else [value]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ, ErrorInjection, SwellEvent, SwellScenario
 from .datasets import DEFAULT_MAX_LEADS, IssueSet
+from .horizon import HOUR
 from .spectral import (
     MorisonRaoParams,
     RaoCurve,
@@ -32,11 +33,7 @@ __all__ = [
     "generate_observations",
     "reference_rao",
     "true_response_series",
-    "FORECAST_FREQS_HZ",
-    "FORECAST_DIRS_RAD",
 ]
-
-HOUR = np.timedelta64(1, "h")
 
 
 def _peak_shape(

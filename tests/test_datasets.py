@@ -207,7 +207,7 @@ def dict_synthesize(issues, h):
     synthesize_horizon_series."""
     block = 6 if h < 72 else 12
     admitted = sorted(
-        (i for i in issues if DEFAULT_MAX_LEADS.get(i.cycle_hour, 0) >= h + block - 1),
+        (i for i in issues if DEFAULT_MAX_LEADS.get(i.issue_time.astype(object).hour, 0) >= h + block - 1),
         key=lambda i: i.issue_time,
     )
     out = []

@@ -7,6 +7,7 @@ posterior draws), in the reader's units.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,7 +29,8 @@ HOUR = np.timedelta64(1, "h")
 SETTINGS = settings(max_examples=60, deadline=None)
 
 # Ten significant digits spell a float from 1.7976931345e308 up to the
-# largest one as 1.797693135e+308, which reads back as infinite (see
+# largest one as 1.797693135e+308, which reads back as infinite, so the
+# writers refuse it (see
 # test_ten_digits_spell_the_largest_floats_past_the_largest_float); these
 # properties draw the floats that ten digits can spell
 LARGEST_SPELLED = 1.797693134e308
@@ -222,14 +224,28 @@ def test_samples_and_sidecar_round_trip(draws, chains, rhat, acceptance, facts):
     )
 
 
-def test_ten_digits_spell_the_largest_floats_past_the_largest_float(tmp_path):
-    # a known limit of the format: the writer spells a finite x that its
-    # reader reads as infinite, so the dataset it wrote is refused
-    ds = HorizonDataset(
-        horizon=0, valid_times=T0 + np.arange(2) * HOUR, x=np.array([1.7976931345e308, 1.0]), y=np.ones(2),
+def _two_row_dataset(x0: float) -> HorizonDataset:
+    return HorizonDataset(
+        horizon=0, valid_times=T0 + np.arange(2) * HOUR, x=np.array([x0, 1.0]), y=np.ones(2),
         issue_times=np.repeat(T0, 2),
     )
-    io.write_horizon_dataset(tmp_path / "ds.csv", ds)
-    assert ", 1.797693135e+308, " in (tmp_path / "ds.csv").read_text()
-    with pytest.raises(ValueError, match="x and y must be finite"):
-        io.read_horizon_dataset(tmp_path / "ds.csv", 0)
+
+
+def test_ten_digits_spell_the_largest_floats_past_the_largest_float(tmp_path):
+    # a limit of the format: ten digits spell such a finite value as
+    # 1.797693135e+308, which its reader would read as infinite, so each
+    # writer refuses it, names the file and leaves no file behind
+    for value in (1.7976931345e308, -1.7976931348623157e308):
+        path = tmp_path / "ds.csv"
+        refused = f"^{re.escape(str(path))}: {'-' * (value < 0)}1.797693135e\\+308 is past the largest float"
+        with pytest.raises(ValueError, match=refused):
+            io.write_horizon_dataset(path, _two_row_dataset(value))
+        issue = ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.array([1.0, value]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'issues' / 'issue_0000.csv'))}: "):
+            campaign.write_forecast_issues(tmp_path / "issues", IssueSet.from_issues([issue]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'one.csv'))}: "):
+            campaign.write_forecast_issue(tmp_path / "one.csv", issue)
+        assert list(tmp_path.iterdir()) == []
+    # the largest value whose ten digits read back as finite is written
+    io.write_horizon_dataset(tmp_path / "ds.csv", _two_row_dataset(-1.797693134e308))
+    assert io.read_horizon_dataset(tmp_path / "ds.csv", 0).x[0] == -1.797693134e308

@@ -91,7 +91,7 @@ def test_exported_names_resolve():
 
 
 # the assignments whose strings list public names rather than use them
-_NAME_LISTS = {"__all__", "_ORIGINS", "_CAMPAIGN_NAMES"}
+_NAME_LISTS = {"__all__", "_CAMPAIGN_NAMES"}
 
 
 def _source_words(path: Path) -> set[str]:
@@ -124,8 +124,7 @@ def test_every_exported_name_has_a_caller():
     used = set().union(*map(_source_words, SOURCES))
     for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").rglob("*.py"))]:
         used.update(re.findall(r"\w+", path.read_text()))
-    exported = [(heavecast.__name__, name) for name in heavecast.__all__]
-    exported += [(m.__name__, name) for m in _modules() for name in getattr(m, "__all__", ())]
+    exported = [(m.__name__, name) for m in _modules() for name in getattr(m, "__all__", ())]
     assert [f"{module}.{name}" for module, name in exported if name not in used] == []
 
 
@@ -137,6 +136,64 @@ def _tracer_targets() -> list[tuple[str, str]]:
         for node in ast.walk(ast.parse(TRACER.read_text(), filename=str(TRACER)))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Target"
     ]
+
+
+def _reexported(path: Path) -> set[str]:
+    """The names a heavecast module binds by a module-level `from .x import`,
+    constants included."""
+    return {
+        alias.asname or alias.name
+        for node in _nodes(path, module_level=True)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+def _spellings(path: Path) -> set[tuple[str, str]]:
+    """(module, name) of each name path takes from a heavecast module:
+    `from heavecast.m import name` or `from .m import name`, and `m.name`
+    after `from heavecast import m` or `from . import m`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "" is the package itself
+            if node.level:
+                module = node.module or ""
+            elif node.module == "heavecast" or node.module.startswith("heavecast."):
+                module = node.module.removeprefix("heavecast").lstrip(".")
+            else:
+                continue
+            if module:
+                found.update((module, alias.name) for alias in node.names)
+            else:
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    found.update(
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    )
+    return found
+
+
+def test_every_reexported_name_is_imported_under_that_spelling():
+    # a name that a module's __all__ takes from another module by
+    # `from .x import` is a second spelling of it; it stays only where the
+    # acceptance test, a bench file (a tracer Target counts) or another
+    # module imports it under that spelling
+    used = {(m.removeprefix("heavecast."), f) for m, f in _tracer_targets()}
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").rglob("*.py"))]:
+        used |= _spellings(path)
+    for path in SOURCES:
+        used |= {(m, name) for m, name in _spellings(path) if m != path.stem}
+    unused = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        if path.stem != "__init__"
+        for name in _reexported(path) & set(getattr(importlib.import_module(f"heavecast.{path.stem}"), "__all__", ()))
+        if (path.stem, name) not in used
+    ]
+    assert unused == []
 
 
 def test_bench_tracer_targets_resolve():
@@ -172,21 +229,27 @@ def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
     assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets", "heavecast.horizon"}
 
 
-def _imported_packages(path: Path, module_level: bool = False) -> set[str]:
-    """Top-level names of every absolute import in path, at any depth of the
-    code, or with module_level only those outside every function body, which
-    run when the module is imported."""
-    names = set()
+def _nodes(path: Path, module_level: bool = False):
+    """Every node of path's code, or with module_level only those outside
+    every function body, which run when the module is imported."""
     nodes = [ast.parse(path.read_text(), filename=str(path))]
     while nodes:
         node = nodes.pop()
         if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
+        yield node
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def _imported_packages(path: Path, module_level: bool = False) -> set[str]:
+    """Top-level names of every absolute import in path, at any depth of the
+    code, or with module_level only those run when the module is imported."""
+    names = set()
+    for node in _nodes(path, module_level):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
-        nodes.extend(ast.iter_child_nodes(node))
     return names
 
 

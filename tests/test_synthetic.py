@@ -3,11 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from heavecast.config import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ
 from heavecast.datasets import DEFAULT_MAX_LEADS, ForecastIssue
 from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths, spectral_moment
 from heavecast.synthetic import (
-    FORECAST_DIRS_RAD,
-    FORECAST_FREQS_HZ,
     ErrorInjection,
     SwellEvent,
     SwellScenario,
@@ -226,10 +225,10 @@ class TestGenerateForecastIssues:
 
     def test_cycles_and_caps(self):
         issues = generate_forecast_issues(self.times, self.sig, ErrorInjection())
-        cycles = {i.cycle_hour for i in issues}
+        cycles = {i.issue_time.astype(object).hour for i in issues}
         assert cycles == {0, 6, 12, 18}
         for i in issues:
-            cap = {0: 240, 6: 72, 12: 240, 18: 72}[i.cycle_hour]
+            cap = {0: 240, 6: 72, 12: 240, 18: 72}[i.issue_time.astype(object).hour]
             assert i.horizon_hours[-1] <= cap
 
     def test_pure_bias(self):
