@@ -49,7 +49,7 @@ def read_rao(path: Path) -> RaoCurve:
     freq_col, amp_col = _read_columns(path, _RAO_HEADER)
     freqs_hz, amps = _floats(freq_col, path, "freq_hz"), _floats(amp_col, path, "amplitude")
     with _naming(path):
-        return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps, label=Path(path).stem)
+        return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps)
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:

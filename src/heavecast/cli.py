@@ -18,6 +18,7 @@ command that runs gets its options built.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import sys
@@ -124,10 +125,12 @@ def _parser(prog: str, chosen: str | None) -> argparse.ArgumentParser:
 
 
 def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
-    """The manifest with the command's overrides, checked, its output directory made.
+    """The manifest with the command's overrides, checked.
 
     A manifest path that is missing or a directory, and an --out that is a
-    file, raise OSError, which exits VALIDATION_EXIT.
+    file, raise OSError, which exits VALIDATION_EXIT. The output directory
+    is not made here but by the first file written into it, so a command
+    that refuses its manifest or its inputs before it writes leaves nothing.
     """
     from . import io
 
@@ -142,7 +145,8 @@ def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
         m.out_dir = Path(out)
     m.check()
     m.sampler = dict(m.sampler)
-    m.out_dir.mkdir(parents=True, exist_ok=True)
+    if m.out_dir.exists() and not m.out_dir.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(m.out_dir))
     return m
 
 

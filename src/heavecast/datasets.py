@@ -38,7 +38,7 @@ __all__ = [
 DEFAULT_MAX_LEADS: dict[int, int] = {0: 240, 6: 72, 12: 240, 18: 72}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastIssue:
     """One forecast run: significant-heave values against lead time."""
 
@@ -82,7 +82,8 @@ class IssueSet(Sequence):
 
     simulate, build and synthesize_horizon_series work on the flat arrays.
     As a sequence the set yields one ForecastIssue per issue, built when it
-    is indexed, so code that walks issues one at a time reads it as a list.
+    is indexed, so code that walks issues one at a time reads it as it would
+    a list. Like every record with array fields, a set compares by identity.
     """
 
     issue_times: np.ndarray  # datetime64[s], one per issue
@@ -124,12 +125,6 @@ class IssueSet(Sequence):
     def __len__(self) -> int:
         return self.issue_times.size
 
-    def __eq__(self, other):
-        # compared as the list of issues it stands for
-        if not isinstance(other, (list, IssueSet)):
-            return NotImplemented
-        return list(self) == list(other)
-
     def __getitem__(self, key):
         if isinstance(key, slice):
             return [self[i] for i in range(*key.indices(len(self)))]
@@ -146,7 +141,7 @@ class IssueSet(Sequence):
         return self.issue_times[self.row_issues()] + self.leads * HOUR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonSeries:
     """A fixed-horizon forecast series, one row per valid time in time order.
 

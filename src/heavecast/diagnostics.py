@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacfResult:
     """Partial autocorrelations at lags 1..L with a white-noise band."""
 

@@ -9,7 +9,7 @@ exported only here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +20,13 @@ HOUR = np.timedelta64(1, "h")
 DEFAULT_HORIZONS: tuple[int, ...] = (0, 6, 12, 24, 48, 72, 96)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonDataset:
     """Time-aligned (forecast, measurement) pairs for one horizon.
 
-    post_gap marks rows whose hourly predecessor is absent, so lagged-residual
-    terms must be reset there.
+    post_gap is worked out from the valid times: it marks the rows whose
+    hourly predecessor is absent (the first row, and each row more than an
+    hour after the row before), so lagged-residual terms must be reset there.
     """
 
     horizon: int
@@ -33,7 +34,7 @@ class HorizonDataset:
     x: np.ndarray  # forecast sig-heave (m)
     y: np.ndarray  # measured sig-heave (m)
     issue_times: np.ndarray
-    post_gap: np.ndarray = None
+    post_gap: np.ndarray = field(init=False)
 
     def __post_init__(self):
         vt = np.asarray(self.valid_times, dtype="datetime64[s]")
@@ -46,16 +47,14 @@ class HorizonDataset:
             raise ValueError("valid_times must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("x and y must be finite in every row")
-        post_gap = self.post_gap
-        if post_gap is None:
-            post_gap = np.ones(vt.size, dtype=bool)
-            if vt.size:
-                post_gap[1:] = np.diff(vt) != HOUR
+        post_gap = np.ones(vt.size, dtype=bool)
+        if vt.size:
+            post_gap[1:] = np.diff(vt) != HOUR
         object.__setattr__(self, "valid_times", vt)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "issue_times", it)
-        object.__setattr__(self, "post_gap", np.asarray(post_gap, dtype=bool))
+        object.__setattr__(self, "post_gap", post_gap)
 
     def __len__(self) -> int:
         return self.valid_times.size

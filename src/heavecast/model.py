@@ -113,7 +113,7 @@ class ModelSpec:
         return len(self.param_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorSamples:
     """Retained MCMC draws plus convergence diagnostics."""
 
@@ -132,7 +132,7 @@ class PosteriorSamples:
         return self.draws.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictiveDistribution:
     """Posterior-predictive draws of y* at one valid time."""
 
@@ -152,7 +152,7 @@ class PredictiveDistribution:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictiveDraws:
     """Posterior-predictive draws of y* for many valid times, as one matrix.
 

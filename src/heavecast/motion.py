@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawMotionSeries:
     """Uniformly sampled heave displacement with excluded (gap) index ranges."""
 

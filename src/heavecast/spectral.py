@@ -2,7 +2,9 @@
 
 The response model is the standard frequency-domain one: the vessel heave
 spectrum is |RAO(w)|^2 * S(w, theta), and operational statistics follow from
-its spectral moments. A parametric single-degree-of-freedom RAO generator in
+its spectral moments. A spectrum's bin widths are not given but worked out:
+they are the midpoint widths of its frequency and direction grids
+(midpoint_widths). A parametric single-degree-of-freedom RAO generator in
 Morison form is included for vessels where only the resonance frequency and
 damping-to-restoring ratio are known.
 """
@@ -45,13 +47,12 @@ def midpoint_widths(centers: np.ndarray) -> np.ndarray:
     return np.diff(edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaoCurve:
     """Heave RAO magnitude (m/m) tabulated against angular frequency (rad/s)."""
 
     freqs: np.ndarray
     amplitudes: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -88,7 +89,7 @@ class RaoCurve:
             raise ValueError("constant RAO has no resonance/cancellation structure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorisonRaoParams:
     """Parameters of the Morison-form heave RAO.
 
@@ -128,15 +129,14 @@ class MorisonRaoParams:
         return np.interp(freqs, f, v)
 
 
-def _checked_grid(freqs, dirs, density, freq_widths, dir_widths, n_times=None):
-    """Grid and density as float arrays, after the checks both spectrum
-    types make; density is (n_freqs, n_dirs), or (n_times, n_freqs, n_dirs)
-    when n_times is given. Absent widths are the grid's midpoint widths."""
+def _checked_grid(freqs, dirs, density, n_times=None):
+    """Grid, density and the grid's midpoint widths as float arrays, after
+    the checks both spectrum types make; density is (n_freqs, n_dirs), or
+    (n_times, n_freqs, n_dirs) when n_times is given."""
     freqs = np.asarray(freqs, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     density = np.asarray(density, dtype=float)
-    fw = midpoint_widths(freqs) if freq_widths is None else np.asarray(freq_widths, dtype=float)
-    dw = midpoint_widths(dirs) if dir_widths is None else np.asarray(dir_widths, dtype=float)
+    fw, dw = midpoint_widths(freqs), midpoint_widths(dirs)
     if np.any(np.diff(freqs) <= 0.0):
         raise ValueError("frequencies must be strictly increasing")
     if np.any(np.diff(dirs) <= 0.0) or np.any(dirs < 0.0) or np.any(dirs >= 2.0 * np.pi):
@@ -147,42 +147,40 @@ def _checked_grid(freqs, dirs, density, freq_widths, dir_widths, n_times=None):
         raise ValueError("density must be shaped (n_times, n_freqs, n_dirs)")
     if np.any(density < 0.0) or not np.all(np.isfinite(density)):
         raise ValueError("density must be finite and nonnegative")
-    if fw.shape != freqs.shape or dw.shape != dirs.shape:
-        raise ValueError("bin width count must match bin center count")
-    if np.any(fw <= 0.0) or np.any(dw <= 0.0):
-        raise ValueError("bin widths must be positive")
     return freqs, dirs, density, fw, dw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionalWaveSpectrum:
     """Directional spectral density on a frequency x direction grid.
 
     Density is in m^2 s/rad per rad of direction; freqs in rad/s, dirs in
-    radians in [0, 2*pi). The grid integral with the bin widths gives the
-    zeroth moment of the sea surface.
+    radians in [0, 2*pi). The bin widths are the grid's midpoint widths
+    (midpoint_widths of freqs and of dirs), worked out from the grid; the
+    grid integral with them gives the zeroth moment of the sea surface.
     """
 
     timestamp: np.datetime64
     freqs: np.ndarray
     dirs: np.ndarray
     density: np.ndarray
-    freq_widths: np.ndarray = None
-    dir_widths: np.ndarray = None
+    freq_widths: np.ndarray = field(init=False)
+    dir_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        grid = _checked_grid(self.freqs, self.dirs, self.density, self.freq_widths, self.dir_widths)
+        grid = _checked_grid(self.freqs, self.dirs, self.density)
         object.__setattr__(self, "timestamp", np.datetime64(self.timestamp, "s"))
         for name, value in zip(("freqs", "dirs", "density", "freq_widths", "dir_widths"), grid):
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumSeries:
     """Directional spectra of many timestamps on one frequency x direction grid.
 
     density is (times, freqs, dirs), in the units of DirectionalWaveSpectrum;
-    the grid and the whole density array are checked once, by the same rules.
+    the grid and the whole density array are checked once, by the same rules,
+    and the bin widths are the grid's midpoint widths, as there.
     series[k] is the spectrum at times[k] and series[a:b] a shorter series.
     """
 
@@ -190,14 +188,14 @@ class SpectrumSeries:
     freqs: np.ndarray
     dirs: np.ndarray
     density: np.ndarray
-    freq_widths: np.ndarray = None
-    dir_widths: np.ndarray = None
+    freq_widths: np.ndarray = field(init=False)
+    dir_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype="datetime64[s]")
         if times.ndim != 1:
             raise ValueError("times must be a 1-d array")
-        grid = _checked_grid(self.freqs, self.dirs, self.density, self.freq_widths, self.dir_widths, times.size)
+        grid = _checked_grid(self.freqs, self.dirs, self.density, times.size)
         object.__setattr__(self, "times", times)
         for name, value in zip(("freqs", "dirs", "density", "freq_widths", "dir_widths"), grid):
             object.__setattr__(self, name, value)
@@ -213,8 +211,6 @@ class SpectrumSeries:
             freqs=self.freqs,
             dirs=self.dirs,
             density=self.density[key],
-            freq_widths=self.freq_widths,
-            dir_widths=self.dir_widths,
         )
 
     def __iter__(self):
@@ -228,19 +224,16 @@ class ResponseStatistics:
     timestamp: np.datetime64
     m0: float
     m2: float
-    sig_amplitude: float = field(default=None)
+    sig_amplitude: float = field(init=False)  # 2*sqrt(m0)
 
     def __post_init__(self):
         if self.m0 < 0.0 or self.m2 < 0.0:
             raise ValueError("spectral moments must be nonnegative")
-        sig = 2.0 * np.sqrt(self.m0)
-        if self.sig_amplitude is not None and self.sig_amplitude != sig:
-            raise ValueError("sig_amplitude must equal 2*sqrt(m0)")
-        object.__setattr__(self, "sig_amplitude", sig)
+        object.__setattr__(self, "sig_amplitude", 2.0 * np.sqrt(self.m0))
         object.__setattr__(self, "timestamp", np.datetime64(self.timestamp, "s"))
 
 
-def morison_rao(params: MorisonRaoParams, freqs: np.ndarray, label: str = "morison") -> RaoCurve:
+def morison_rao(params: MorisonRaoParams, freqs: np.ndarray) -> RaoCurve:
     """Evaluate the Morison-form heave RAO magnitude on a frequency grid.
 
     amplitude(w) = E(w) / sqrt([1 - (w/w_R)^2]^2 + [d*w]^2) with E the
@@ -258,7 +251,7 @@ def morison_rao(params: MorisonRaoParams, freqs: np.ndarray, label: str = "moris
             "undamped resonance: RAO singular at omega = omega_r with zero damping"
         )
     amps = params.excitation_at(freqs) / np.sqrt(denom_sq)
-    return RaoCurve(freqs=freqs, amplitudes=amps, label=label)
+    return RaoCurve(freqs=freqs, amplitudes=amps)
 
 
 def interpolate_spectrum_to_rao_grid(
@@ -281,8 +274,6 @@ def interpolate_spectrum_to_rao_grid(
         freqs=rao.freqs.copy(),
         dirs=spec.dirs,
         density=density,
-        freq_widths=midpoint_widths(rao.freqs),
-        dir_widths=spec.dir_widths,
     )
 
 

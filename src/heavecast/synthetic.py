@@ -119,9 +119,7 @@ def generate_spectra(scn: SwellScenario) -> SpectrumSeries:
         shape, total = _peak_shape(freqs_hz, dirs, fw, dw, ev.tp, ev.direction, ev.spread_exp, ev.bandwidth_hz)
         density[on] += shape * _energy_scale(hs_t[on], total)[:, None, None]
     density *= (jitter**2)[:, None, None]  # Hs scales with sqrt(energy)
-    return SpectrumSeries(
-        times=scn.start + hours * HOUR, freqs=omega, dirs=dirs, density=density, freq_widths=fw, dir_widths=dw
-    )
+    return SpectrumSeries(times=scn.start + hours * HOUR, freqs=omega, dirs=dirs, density=density)
 
 
 def reference_rao() -> RaoCurve:
@@ -140,7 +138,7 @@ def reference_rao() -> RaoCurve:
         damping_ratio_term=1.0,
         excitation_ratio=(tab_w, dip * rolloff),
     )
-    return morison_rao(params, omega, label="reference semisubmersible")
+    return morison_rao(params, omega)
 
 
 def true_response_series(spectra: SpectrumSeries, rao: RaoCurve) -> tuple[np.ndarray, np.ndarray]:

@@ -219,7 +219,8 @@ class TestExitCodes:
 
     def test_missing_input_names_the_manifest(self, tmp_path):
         # build finds no issue_files and no issues/ directory to default to;
-        # simulate finds no scenario, where it stopped with a TypeError traceback
+        # simulate finds no scenario, where it stopped with a TypeError traceback.
+        # Neither makes the output directory.
         path = tmp_path / "run.json"
         path.write_text('{"out_dir": "out"}')
         for cmd, key in [("build", "issue_files"), ("simulate", "scenario")]:
@@ -227,7 +228,15 @@ class TestExitCodes:
             assert result.exit_code == 2
             assert result.stderr == f"error: {path}: manifest is missing {key}\n", result.stderr
             assert "Traceback" not in result.output
-        assert not (tmp_path / "out" / "issues").exists()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"], cmd
+
+    @pytest.mark.parametrize("cmd", ["fit", "predict", "score", "diagnose"])
+    def test_stage_without_its_inputs_makes_no_directory(self, tmp_path, cmd):
+        manifest = write_manifest(tmp_path)
+        result = invoke([cmd, "--manifest", str(manifest)])
+        assert result.exit_code == 2
+        assert "dataset_h000.csv" in result.stderr or "samples_basic_h000.csv" in result.stderr, result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_bad_manifest_key(self, tmp_path):
         path = tmp_path / "run.yaml"

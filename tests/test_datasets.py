@@ -116,6 +116,13 @@ class TestAlign:
         idx = list(ds.valid_times).index(T0 + 4 * HOUR)
         assert ds.post_gap[idx]
 
+    def test_post_gap_is_worked_out_not_given(self):
+        times = T0 + np.array([0, 1, 2, 5, 6]) * HOUR
+        fields = dict(horizon=0, valid_times=times, x=np.ones(5), y=np.ones(5), issue_times=times)
+        np.testing.assert_array_equal(HorizonDataset(**fields).post_gap, [True, False, False, True, False])
+        with pytest.raises(TypeError, match="post_gap"):
+            HorizonDataset(**fields, post_gap=np.zeros(5, dtype=bool))
+
     def test_disjoint_ranges_error(self):
         series = self.make_series(5)
         with pytest.raises(ValueError):

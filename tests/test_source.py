@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heavecast
@@ -227,6 +229,75 @@ def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
     assert [(f, held) for _, f, held in defined] == [(f, True) for _, f in targets]
     modules = {m for m, _, _ in defined}
     assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets", "heavecast.horizon"}
+
+
+def _array_records() -> dict[str, type]:
+    """module.Class of every dataclass src/heavecast defines with a field
+    whose annotation names np.ndarray."""
+    return {
+        f"{m.__name__}.{name}": cls
+        for m in _modules()
+        for name, cls in vars(m).items()
+        if isinstance(cls, type) and cls.__module__ == m.__name__ and dataclasses.is_dataclass(cls)
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+    }
+
+
+def test_no_record_with_array_fields_defines_equality():
+    # a generated __eq__ compares fields as tuples, so two distinct arrays of
+    # two or more elements raise "truth value ... is ambiguous", and a frozen
+    # one's generated __hash__ raises TypeError; such records compare by identity
+    records = _array_records()
+    assert len(records) >= 13
+    assert sorted(name for name, cls in records.items() if "__eq__" in vars(cls)) == []
+
+
+def _record_instances() -> dict[str, tuple[object, object]]:
+    """Two equal-valued, distinct instances of each record with array fields."""
+    from heavecast.datasets import ForecastIssue, HorizonSeries, IssueSet
+    from heavecast.diagnostics import PacfResult
+    from heavecast.horizon import HorizonDataset
+    from heavecast.model import PosteriorSamples, PredictiveDistribution, PredictiveDraws
+    from heavecast.motion import RawMotionSeries
+    from heavecast.spectral import DirectionalWaveSpectrum, MorisonRaoParams, RaoCurve, SpectrumSeries
+
+    t0 = np.datetime64("2024-01-01T00:00:00")
+    times = t0 + np.arange(3) * np.timedelta64(1, "h")
+    freqs, dirs = np.array([0.5, 1.0, 1.5]), np.array([0.5, 2.0])
+    builders = {
+        "HorizonDataset": lambda: HorizonDataset(
+            horizon=0, valid_times=times, x=np.ones(3), y=np.ones(3), issue_times=times
+        ),
+        "ForecastIssue": lambda: ForecastIssue(issue_time=t0, horizon_hours=np.arange(3), values=np.ones(3)),
+        "IssueSet": lambda: IssueSet(issue_times=[t0], bounds=[0, 3], leads=np.arange(3), values=np.ones(3)),
+        "HorizonSeries": lambda: HorizonSeries(valid_times=times, values=np.ones(3), issue_times=times),
+        "PosteriorSamples": lambda: PosteriorSamples(
+            draws=np.ones((3, 2)), param_names=("a", "b"), chain_ids=np.zeros(3), diagnostics={}, acceptance_rate=1.0
+        ),
+        "PredictiveDistribution": lambda: PredictiveDistribution(valid_time=t0, draws=np.ones(3)),
+        "PredictiveDraws": lambda: PredictiveDraws(valid_times=times, draws=np.ones((2, 3))),
+        "RaoCurve": lambda: RaoCurve(freqs=freqs, amplitudes=np.ones(3)),
+        "MorisonRaoParams": lambda: MorisonRaoParams(
+            omega_r=1.0, damping_ratio_term=0.5, excitation_ratio=(freqs, np.ones(3))
+        ),
+        "DirectionalWaveSpectrum": lambda: DirectionalWaveSpectrum(
+            timestamp=t0, freqs=freqs, dirs=dirs, density=np.ones((3, 2))
+        ),
+        "SpectrumSeries": lambda: SpectrumSeries(times=times, freqs=freqs, dirs=dirs, density=np.ones((3, 3, 2))),
+        "RawMotionSeries": lambda: RawMotionSeries(start=t0, sample_rate=1.0, values=np.ones(3)),
+        "PacfResult": lambda: PacfResult(lags=np.arange(1, 4), coefficients=np.zeros(3), confidence_band=0.5),
+    }
+    return {name: (build(), build()) for name, build in builders.items()}
+
+
+def test_records_with_array_fields_compare_and_hash_by_identity():
+    instances = _record_instances()
+    assert {type(a).__name__ for a, _ in instances.values()} == {
+        name.rsplit(".", 1)[1] for name in _array_records()
+    }
+    for name, (a, b) in instances.items():
+        assert a == a and a != b, name
+        assert hash(a) == hash(a) and len({a, b, a}) == 2, name
 
 
 def _nodes(path: Path, module_level: bool = False):

@@ -60,8 +60,6 @@ def series_of(spectra):
         freqs=first.freqs,
         dirs=first.dirs,
         density=np.array([s.density for s in spectra]),
-        freq_widths=first.freq_widths,
-        dir_widths=first.dir_widths,
     )
 
 
@@ -188,10 +186,7 @@ class TestSpectralMoment:
         fw = midpoint_widths(freqs)
         dw = midpoint_widths(dirs)
         density[1, 0] = 2.0 / (fw[1] * dw[0])  # S*dw*dth = 2.0 in the 0.5 bin
-        spec = DirectionalWaveSpectrum(
-            timestamp=T0, freqs=freqs, dirs=dirs, density=density,
-            freq_widths=fw, dir_widths=dw,
-        )
+        spec = DirectionalWaveSpectrum(timestamp=T0, freqs=freqs, dirs=dirs, density=density)
         rao = RaoCurve(freqs=freqs, amplitudes=np.ones(3))
         assert spectral_moment(spec, rao, 0) == pytest.approx(2.0, rel=1e-12)
         assert spectral_moment(spec, rao, 2) == pytest.approx(2.0 * 0.5**2, rel=1e-12)
@@ -218,7 +213,6 @@ class TestSpectralMoment:
         scaled = DirectionalWaveSpectrum(
             timestamp=T0, freqs=spec.freqs, dirs=spec.dirs,
             density=spec.density * scale,
-            freq_widths=spec.freq_widths, dir_widths=spec.dir_widths,
         )
         m_base = spectral_moment(spec, rao, 0)
         assert spectral_moment(scaled, rao, 0) == pytest.approx(scale * m_base, rel=1e-9, abs=1e-12)
@@ -229,19 +223,17 @@ class TestSpectralMoment:
         rng = np.random.default_rng(5)
         spec, rao = random_case(rng)
         uniform_dw = DirectionalWaveSpectrum(
-            timestamp=T0, freqs=spec.freqs, dirs=np.linspace(0.5, 5.5, 4),
-            density=spec.density, freq_widths=spec.freq_widths,
-            dir_widths=np.full(4, 1.0),
+            timestamp=T0, freqs=spec.freqs, dirs=np.linspace(0.5, 5.5, 4), density=spec.density,
         )
+        # the midpoint widths of an evenly spaced grid are all equal
+        np.testing.assert_allclose(uniform_dw.dir_widths, np.full(4, 5.0 / 3.0), rtol=1e-12)
         row_sums = uniform_dw.density.sum(axis=1)
         shuffled = uniform_dw.density.copy()
         for i in range(shuffled.shape[0]):
             p = rng.dirichlet(np.ones(4))
             shuffled[i] = row_sums[i] * p
         redistributed = DirectionalWaveSpectrum(
-            timestamp=T0, freqs=uniform_dw.freqs, dirs=uniform_dw.dirs,
-            density=shuffled, freq_widths=uniform_dw.freq_widths,
-            dir_widths=uniform_dw.dir_widths,
+            timestamp=T0, freqs=uniform_dw.freqs, dirs=uniform_dw.dirs, density=shuffled,
         )
         for order in (0, 2):
             assert spectral_moment(redistributed, rao, order) == pytest.approx(
@@ -253,6 +245,8 @@ class TestResponseStatistics:
     def test_sig_amplitude_identity(self):
         st_ = ResponseStatistics(timestamp=T0, m0=0.25, m2=0.1)
         assert st_.sig_amplitude == 2.0 * np.sqrt(0.25)
+        with pytest.raises(TypeError, match="sig_amplitude"):
+            ResponseStatistics(timestamp=T0, m0=0.25, m2=0.1, sig_amplitude=1.0)
 
     def test_pipeline_helper(self):
         spec, rao = random_case(np.random.default_rng(8))
@@ -329,6 +323,21 @@ class TestResponseMoments:
             )
 
 
+def test_values_a_record_works_out_are_not_given():
+    spec, rao = random_case(np.random.default_rng(13))
+    grid = dict(freqs=spec.freqs, dirs=spec.dirs)
+    for name in ("freq_widths", "dir_widths"):
+        np.testing.assert_array_equal(getattr(spec, name), midpoint_widths(grid[name.replace("_widths", "s")]))
+        with pytest.raises(TypeError, match=name):
+            DirectionalWaveSpectrum(timestamp=T0, **grid, density=spec.density, **{name: np.ones(4)})
+        with pytest.raises(TypeError, match=name):
+            SpectrumSeries(times=[T0], **grid, density=spec.density[None], **{name: np.ones(4)})
+    with pytest.raises(TypeError, match="label"):
+        RaoCurve(freqs=rao.freqs, amplitudes=rao.amplitudes, label="rao")
+    with pytest.raises(TypeError, match="label"):
+        morison_rao(MorisonRaoParams(omega_r=0.3, damping_ratio_term=1.0), rao.freqs, label="rao")
+
+
 class TestSpectrumSeries:
     """SpectrumSeries checks once what DirectionalWaveSpectrum checks per hour."""
 
@@ -349,12 +358,9 @@ class TestSpectrumSeries:
             freqs=fields["freqs"],
             dirs=fields["dirs"],
             density=fields["density"][k],
-            freq_widths=fields.get("freq_widths"),
-            dir_widths=fields.get("dir_widths"),
         )
 
-    @pytest.mark.parametrize("fault", ["negative", "nan", "inf", "decreasing_freqs", "dir_at_2pi",
-                                       "negative_dir", "width_count", "zero_width"])
+    @pytest.mark.parametrize("fault", ["negative", "nan", "inf", "decreasing_freqs", "dir_at_2pi", "negative_dir"])
     def test_rejects_what_the_per_hour_type_rejects(self, fault):
         fields = self.grid()
         density = fields["density"].copy()
@@ -370,10 +376,6 @@ class TestSpectrumSeries:
             fields["dirs"] = np.array([0.5, 1.0, 3.0, 2.0 * np.pi])
         elif fault == "negative_dir":
             fields["dirs"] = np.array([-0.1, 1.0, 3.0, 4.0])
-        elif fault == "width_count":
-            fields["freq_widths"] = np.ones(4)
-        elif fault == "zero_width":
-            fields["dir_widths"] = np.array([1.0, 0.0, 1.0, 1.0])
         fields["density"] = density
         hour = 5 if fault in ("negative", "inf") else 3 if fault == "nan" else 0
         with pytest.raises(ValueError) as per_hour:

@@ -379,7 +379,7 @@ class TestForecastIssuesOracle:
     def test_span_holding_no_issue_time(self):
         # 19:00 to 23:00 of one day: no cycle time falls inside
         times, sig = self.truth(T0 + 19 * HOUR, 5)
-        assert self.assert_same(times, sig, ErrorInjection(noise_scale=0.02, seed=1)) == []
+        assert len(self.assert_same(times, sig, ErrorInjection(noise_scale=0.02, seed=1))) == 0
 
 
 class TestGenerateObservations:
