@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import ForecastIssue, IssueSet, _irregular_issues
+from .datasets import ForecastIssue, IssueSet, _bad_values, _irregular_issues
 from .io import _CAMPAIGN_NAMES, _floats, _naming, _parse_times, _read_columns, _readable, _table_lines, _write_table
 from .io import atomic_write_text
 
@@ -154,7 +154,8 @@ def read_forecast_issues(paths: list[Path]) -> IssueSet:
 
     Every row of a file must repeat one issue time, and every valid time
     must lie a whole number of hours after it; the leads must be
-    nonnegative, hourly and increasing. A file that breaks a rule raises a
+    nonnegative, hourly and increasing, and each sig_heave_m a finite
+    nonnegative number. A file that breaks a rule raises a
     ValueError naming it: the first such file in the order given, as when
     the files are read one at a time.
     """
@@ -207,6 +208,13 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     valid_times = _parse_times(cells[1::3], where, "valid time")
     with _naming(where):
         values = np.array(cells[2::3], dtype=float)
+    bad = _bad_values(values)
+    if bad.size:
+        k = np.searchsorted(bounds, bad[0], side="right") - 1
+        raise ValueError(
+            f"{paths[k]}, row {bad[0] - bounds[k] + 1}: sig_heave_m must be a finite nonnegative number, "
+            f"found {cells[3 * bad[0] + 2].strip()!r}"
+        )
     seconds = (valid_times - row_issue_times).astype(np.int64)
     off_hour = np.flatnonzero(seconds % 3600)
     if off_hour.size:

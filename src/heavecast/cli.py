@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NoReturn
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from . import horizon, io, model
+    from . import io, model
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -164,14 +164,14 @@ def _samples_path(m: io.RunManifest, h: int) -> Path:
     return m.out_dir / f"samples_{m.model_kind}_h{h:03d}.csv"
 
 
-def _split(m: io.RunManifest, h: int) -> tuple[horizon.HorizonDataset, horizon.HorizonDataset]:
+def _split(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, io.HorizonDataset]:
     """The horizon-h dataset, split chronologically into (train, test)."""
-    from . import horizon, io
+    from . import io
 
     path = _dataset_path(m, h)
     ds = io.read_horizon_dataset(path, h)
     with io._naming(path):
-        return horizon.chrono_split(ds, m.train_fraction)
+        return io.chrono_split(ds, m.train_fraction)
 
 
 def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.PosteriorSamples:
@@ -185,7 +185,7 @@ def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.Pos
     return samples
 
 
-def _test_predictive(m: io.RunManifest, h: int) -> tuple[horizon.HorizonDataset, model.PredictiveDraws]:
+def _test_predictive(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, model.PredictiveDraws]:
     """The horizon-h test split and its posterior-predictive draws.
 
     predict and score both call this, so they draw the same y* values.
@@ -295,10 +295,10 @@ def build(**kwargs):
 @_command()
 def fit(**kwargs):
     """Fit the adjustment model per horizon on the training split."""
-    from . import config, io, sampler
+    from . import io, sampler
 
     m = _load(**kwargs)
-    cfg = config.SamplerConfig(**m.sampler)
+    cfg = io.SamplerConfig(**m.sampler)
 
     for h in m.horizons:
         train, _ = _split(m, h)

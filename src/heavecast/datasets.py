@@ -7,10 +7,10 @@ lead at that valid time is at least h and within the issue's capability. With
 6-hourly issues this concatenates leads h..h+5 per issue; when only 00Z/12Z
 issues reach far enough (long horizons) it concatenates leads h..h+11.
 
-HorizonDataset and chrono_split are defined in horizon, which the model
-stages load without this module. They are exported here as well because
-the acceptance tests import both from datasets and the bench traces
-datasets.chrono_split.
+HorizonDataset and chrono_split are defined in io, beside the dataset's
+file format, which the model stages load without this module. They are
+exported here as well because the acceptance tests import both from
+datasets and the bench traces datasets.chrono_split.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .horizon import HOUR, HorizonDataset, chrono_split
+from .io import HOUR, HorizonDataset, chrono_split
 
 __all__ = [
     "ForecastIssue",
@@ -40,7 +40,7 @@ DEFAULT_MAX_LEADS: dict[int, int] = {0: 240, 6: 72, 12: 240, 18: 72}
 
 @dataclass(frozen=True, eq=False)
 class ForecastIssue:
-    """One forecast run: significant-heave values against lead time."""
+    """One forecast run: significant-heave values, finite and nonnegative, against lead time."""
 
     issue_time: np.datetime64
     horizon_hours: np.ndarray
@@ -53,9 +53,17 @@ class ForecastIssue:
             raise ValueError("horizon_hours and values must be matching 1-d arrays")
         if _irregular_issues(np.array([0, leads.size]), leads).size:
             raise ValueError("lead times must be nonnegative, hourly and increasing")
+        bad = _bad_values(values)
+        if bad.size:
+            raise ValueError(f"lead {leads[bad[0]]}: values must be finite nonnegative numbers, found {values[bad[0]]}")
         object.__setattr__(self, "issue_time", np.datetime64(self.issue_time, "s"))
         object.__setattr__(self, "horizon_hours", leads)
         object.__setattr__(self, "values", values)
+
+
+def _bad_values(values: np.ndarray) -> np.ndarray:
+    """Indices of the values that are not finite nonnegative numbers."""
+    return np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
 
 
 def _cycle_hours(issue_times) -> np.ndarray:
@@ -105,6 +113,13 @@ class IssueSet(Sequence):
         bad = _irregular_issues(bounds, leads)
         if bad.size:
             raise ValueError(f"issue {bad[0]}: lead times must be nonnegative, hourly and increasing")
+        bad = _bad_values(values)
+        if bad.size:
+            row = bad[0]
+            issue = np.searchsorted(bounds, row, side="right") - 1
+            raise ValueError(
+                f"issue {issue}, lead {leads[row]}: values must be finite nonnegative numbers, found {values[row]}"
+            )
         object.__setattr__(self, "issue_times", issue_times)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "leads", leads)

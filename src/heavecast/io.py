@@ -1,21 +1,24 @@
-"""Delimited-text file formats and the run manifest.
+"""What every stage reads or writes: the run manifest with its settings,
+the horizon datasets, and their delimited-text files.
 
 All artefacts are plain comma-separated text with a header line so any
 plotting tool can consume them. Writes are atomic: a file is written as a
 temp file in the target directory, then renamed.
 
-This module holds what every stage reads or writes: the run manifest, the
-horizon datasets, posterior samples, predictions and scores, and the table
-helpers. The campaign's own files (RAO, spectra, heave records and
-forecast issues), which only simulate, build and response touch, are read
-and written by campaign; their readers and writers still resolve as
-attributes of this module, importing campaign on first use (PEP 562), so
-fit, predict, score and diagnose never load it.
+The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
+ErrorInjection) check their own values, and RunManifest.load checks a
+manifest's keys against their fields and builds each section, so every
+stage validates every section. A HorizonDataset holds one horizon's
+aligned (forecast, measurement) rows, which chrono_split splits in time
+order; the model stages need nothing else of datasets, which builds them.
 
-A reader imports the type it builds, and write_predictions the predictive
-helpers, when it runs, so a stage loads only the modules behind the files it
-reads or writes. Likewise the run manifest is read with json when it is a
-JSON document, and PyYAML is imported only for one that is not.
+The campaign's own files (RAO, spectra, heave records and forecast
+issues), which only simulate, build and response touch, are read and
+written by campaign; their readers and writers still resolve as attributes
+of this module, importing campaign on first use (PEP 562), so fit, predict,
+score and diagnose never load it. Likewise a reader imports the type it
+builds, and write_predictions the predictive helpers, when it runs, and
+PyYAML is imported only for a manifest that is not a JSON document.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .config import ErrorInjection, SamplerConfig, SwellEvent, SwellScenario
-from .horizon import DEFAULT_HORIZONS, HorizonDataset
 
 if TYPE_CHECKING:
     from .model import PosteriorSamples, PredictiveDraws
@@ -59,6 +59,15 @@ _CAMPAIGN_NAMES = (
 
 __all__ = [
     "RunManifest",
+    "SamplerConfig",
+    "SwellEvent",
+    "SwellScenario",
+    "ErrorInjection",
+    "FORECAST_FREQS_HZ",
+    "FORECAST_DIRS_RAD",
+    "HorizonDataset",
+    "DEFAULT_HORIZONS",
+    "chrono_split",
     "atomic_write_text",
     *_CAMPAIGN_NAMES,
     "read_horizon_dataset",
@@ -201,6 +210,82 @@ def _read_columns(path: Path, expected_header: list[str]) -> list[list[str]]:
     return columns
 
 
+# -- horizon datasets --------------------------------------------------------
+
+HOUR = np.timedelta64(1, "h")
+
+DEFAULT_HORIZONS: tuple[int, ...] = (0, 6, 12, 24, 48, 72, 96)
+
+
+@dataclass(frozen=True, eq=False)
+class HorizonDataset:
+    """Time-aligned (forecast, measurement) pairs for one horizon.
+
+    post_gap is worked out from the valid times: it marks the rows whose
+    hourly predecessor is absent (the first row, and each row more than an
+    hour after the row before), so lagged-residual terms must be reset there.
+    """
+
+    horizon: int
+    valid_times: np.ndarray  # datetime64[s]
+    x: np.ndarray  # forecast sig-heave (m)
+    y: np.ndarray  # measured sig-heave (m)
+    issue_times: np.ndarray
+    post_gap: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        vt = np.asarray(self.valid_times, dtype="datetime64[s]")
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        it = np.asarray(self.issue_times, dtype="datetime64[s]")
+        if not (vt.shape == x.shape == y.shape == it.shape):
+            raise ValueError("all row arrays must have equal length")
+        if vt.size and np.any(np.diff(vt) <= np.timedelta64(0, "s")):
+            raise ValueError("valid_times must be strictly increasing")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must be finite in every row")
+        post_gap = np.ones(vt.size, dtype=bool)
+        if vt.size:
+            post_gap[1:] = np.diff(vt) != HOUR
+        object.__setattr__(self, "valid_times", vt)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "issue_times", it)
+        object.__setattr__(self, "post_gap", post_gap)
+
+    def __len__(self) -> int:
+        return self.valid_times.size
+
+    def rows(self, sl: slice) -> "HorizonDataset":
+        return HorizonDataset(
+            horizon=self.horizon,
+            valid_times=self.valid_times[sl],
+            x=self.x[sl],
+            y=self.y[sl],
+            issue_times=self.issue_times[sl],
+        )
+
+
+def chrono_split(
+    ds: HorizonDataset, train_fraction: float = 0.8
+) -> tuple[HorizonDataset, HorizonDataset]:
+    """Chronological train/test split: first ceil(fraction*N) rows train.
+
+    Both parts must keep at least one row.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie strictly inside (0, 1)")
+    n = len(ds)
+    if n < 10:
+        raise ValueError(f"too few rows to split: {n} rows at horizon {ds.horizon}, at least 10 needed")
+    k = int(np.ceil(train_fraction * n))
+    if k >= n:
+        raise ValueError(
+            f"train_fraction {train_fraction} leaves no test row of the {n} rows at horizon {ds.horizon}"
+        )
+    return ds.rows(slice(0, k)), ds.rows(slice(k, n))
+
+
 _DATASET_HEADER = ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
 
 
@@ -315,6 +400,128 @@ def write_predictions(path: Path, pred: PredictiveDraws) -> None:
 def write_score_reports(path: Path, reports: list[ScoreReport]) -> None:
     rows = ((r.model_label, r.horizon, r.rmse, r.crps_mean, r.n) for r in reports)
     _write_table(path, ["model", "horizon_h", "rmse_m", "crps_m", "n"], "%s, %s, %.3f, %.3f, %s", rows)
+
+
+# -- run manifest settings ---------------------------------------------------
+
+# Operational forecast grid: 28 log-spaced frequency bins, 30 direction bins.
+FORECAST_FREQS_HZ = np.logspace(np.log10(0.0412), np.log10(0.5399), 28)
+FORECAST_DIRS_RAD = (np.arange(30) + 0.5) * (2.0 * np.pi / 30.0)
+
+_TP_MIN = 1.0 / FORECAST_FREQS_HZ[-1]  # ~1.85 s
+_TP_MAX = 1.0 / FORECAST_FREQS_HZ[0]  # ~24.3 s
+
+
+def _check_finite(settings) -> None:
+    """Every float field must hold a finite number: NaN compares false with
+    every bound, so a range check alone would let it through."""
+    for f in dataclasses.fields(settings):
+        if f.type == "float":
+            value = getattr(settings, f.name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be a finite number, found {value!r}")
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    chains: int = 3
+    warmup_draws: int = 1000  # burn-in sweeps per chain
+    retained_draws: int = 1000
+    rhat_limit: float = 1.05
+
+    def __post_init__(self):
+        if self.chains < 1 or self.warmup_draws < 100 or self.retained_draws < 100:
+            raise ValueError("need >= 1 chain, >= 100 warmup and retained draws")
+        # a NaN limit would make every R-hat comparison false and pass any chains
+        if not 1.0 <= self.rhat_limit < math.inf:
+            raise ValueError(f"rhat_limit must be finite and at least 1.0, found {self.rhat_limit!r}")
+
+
+@dataclass(frozen=True)
+class SwellEvent:
+    """One swell pulse: peak Hs/Tp with exponential rise and decay."""
+
+    arrival_h: float  # hours after scenario start
+    hs: float  # m at peak
+    tp: float  # s at peak
+    rise_h: float = 12.0
+    decay_h: float = 24.0
+    direction: float = np.deg2rad(200.0)
+    spread_exp: float = 12.0
+    bandwidth_hz: float = 0.008
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.hs < 0.0:
+            raise ValueError("Hs must be nonnegative")
+        if not _TP_MIN <= self.tp <= _TP_MAX:
+            raise ValueError(f"Tp must lie within the forecast band [{_TP_MIN:.2f}, {_TP_MAX:.2f}] s")
+        if self.rise_h <= 0.0 or self.decay_h <= 0.0:
+            raise ValueError("rise and decay time constants must be positive")
+
+
+@dataclass(frozen=True)
+class SwellScenario:
+    """Campaign description: event schedule plus wind-sea background."""
+
+    start: np.datetime64
+    duration_h: int
+    events: tuple[SwellEvent, ...] = ()
+    background_hs: float = 0.8
+    background_tp: float = 6.0
+    background_direction: float = np.deg2rad(90.0)
+    background_spread_exp: float = 2.0
+    hs_jitter: float = 0.0  # relative hourly Hs modulation (AR(1) in time)
+    hs_jitter_ar: float = 0.7  # hour-to-hour persistence of the modulation
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.duration_h < 1:
+            raise ValueError("duration must be at least one hour")
+        if self.background_hs < 0.0:
+            raise ValueError("background Hs must be nonnegative")
+        if self.hs_jitter < 0.0:
+            raise ValueError("Hs jitter must be nonnegative")
+        if not 0.0 <= self.hs_jitter_ar < 1.0:
+            raise ValueError("Hs jitter persistence must lie in [0, 1)")
+        if self.background_hs > 0.0 and not _TP_MIN <= self.background_tp <= _TP_MAX:
+            raise ValueError("background Tp outside the forecast band")
+        object.__setattr__(self, "start", np.datetime64(self.start, "s"))
+        object.__setattr__(self, "events", tuple(self.events))
+
+
+@dataclass(frozen=True)
+class ErrorInjection:
+    """Forecast corruption: bias, swell-timing error and lead-grown noise.
+
+    The additive noise is AR(1) across lead time within an issue, with
+    amplitude noise_scale * (1 + error_growth_rate * lead) and persistence
+    noise_ar * exp(-lead / noise_ar_lead_decay), so short leads carry small
+    but strongly correlated errors while long leads carry larger, whiter
+    ones.
+    """
+
+    bias_factor: float = 1.0
+    timing_shift_h: float = 0.0
+    error_growth_rate: float = 0.0  # per hour of lead
+    noise_scale: float = 0.0  # m
+    noise_ar: float = 0.0
+    noise_ar_lead_decay: float = 48.0
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.noise_scale < 0.0:
+            raise ValueError("noise scale must be nonnegative")
+        if not 0.0 <= self.noise_ar < 1.0:
+            raise ValueError("noise persistence must lie in [0, 1)")
+        if self.noise_ar_lead_decay <= 0.0:
+            raise ValueError(f"noise_ar_lead_decay must be positive, found {self.noise_ar_lead_decay!r}")
 
 
 # -- run manifest ------------------------------------------------------------

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .horizon import HOUR, HorizonDataset
+from .io import HOUR, HorizonDataset
 
 __all__ = [
     "PriorSet",

@@ -37,8 +37,7 @@ import math
 
 import numpy as np
 
-from .config import SamplerConfig
-from .horizon import HorizonDataset
+from .io import HorizonDataset, SamplerConfig
 from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, in_support
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]

@@ -105,21 +105,22 @@ class MorisonRaoParams:
     excitation_ratio: float | tuple[np.ndarray, np.ndarray] = 1.0
 
     def __post_init__(self):
-        if not self.omega_r > 0.0:
-            raise ValueError("omega_r must be positive")
-        if self.damping_ratio_term < 0.0:
-            raise ValueError("damping_ratio_term must be nonnegative")
+        # NaN compares false with every bound, so each range is checked as a whole
+        if not 0.0 < self.omega_r < np.inf:
+            raise ValueError("omega_r must be finite and positive")
+        if not 0.0 <= self.damping_ratio_term < np.inf:
+            raise ValueError("damping_ratio_term must be finite and nonnegative")
         if not np.isscalar(self.excitation_ratio):
             f, v = (np.asarray(a, dtype=float) for a in self.excitation_ratio)
             if f.shape != v.shape or f.ndim != 1:
                 raise ValueError("tabulated excitation_ratio needs matching 1-d arrays")
-            if np.any(np.diff(f) <= 0.0):
-                raise ValueError("excitation_ratio frequencies must be strictly increasing")
-            if np.any(v < 0.0):
-                raise ValueError("excitation_ratio values must be nonnegative")
+            if not np.all(np.isfinite(f)) or np.any(np.diff(f) <= 0.0):
+                raise ValueError("excitation_ratio frequencies must be finite and strictly increasing")
+            if not np.all((v >= 0.0) & (v < np.inf)):
+                raise ValueError("excitation_ratio values must be finite and nonnegative")
             object.__setattr__(self, "excitation_ratio", (f, v))
-        elif self.excitation_ratio < 0.0:
-            raise ValueError("excitation_ratio must be nonnegative")
+        elif not 0.0 <= self.excitation_ratio < np.inf:
+            raise ValueError("excitation_ratio must be finite and nonnegative")
 
     def excitation_at(self, freqs: np.ndarray) -> np.ndarray:
         freqs = np.asarray(freqs, dtype=float)
@@ -136,11 +137,12 @@ def _checked_grid(freqs, dirs, density, n_times=None):
     freqs = np.asarray(freqs, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     density = np.asarray(density, dtype=float)
+    # a NaN difference compares false, so finiteness is checked first
+    if not np.all(np.isfinite(freqs)) or np.any(np.diff(freqs) <= 0.0):
+        raise ValueError("frequencies must be finite and strictly increasing")
+    if not np.all((dirs >= 0.0) & (dirs < 2.0 * np.pi)) or np.any(np.diff(dirs) <= 0.0):
+        raise ValueError("directions must be finite and strictly increasing in [0, 2*pi)")
     fw, dw = midpoint_widths(freqs), midpoint_widths(dirs)
-    if np.any(np.diff(freqs) <= 0.0):
-        raise ValueError("frequencies must be strictly increasing")
-    if np.any(np.diff(dirs) <= 0.0) or np.any(dirs < 0.0) or np.any(dirs >= 2.0 * np.pi):
-        raise ValueError("directions must be strictly increasing in [0, 2*pi)")
     if n_times is None and density.shape != (freqs.size, dirs.size):
         raise ValueError("density must be shaped (n_freqs, n_dirs)")
     if n_times is not None and density.shape != (n_times, freqs.size, dirs.size):
@@ -227,8 +229,8 @@ class ResponseStatistics:
     sig_amplitude: float = field(init=False)  # 2*sqrt(m0)
 
     def __post_init__(self):
-        if self.m0 < 0.0 or self.m2 < 0.0:
-            raise ValueError("spectral moments must be nonnegative")
+        if not (0.0 <= self.m0 < np.inf and 0.0 <= self.m2 < np.inf):
+            raise ValueError("spectral moments must be finite and nonnegative")
         object.__setattr__(self, "sig_amplitude", 2.0 * np.sqrt(self.m0))
         object.__setattr__(self, "timestamp", np.datetime64(self.timestamp, "s"))
 

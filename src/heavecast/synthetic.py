@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ, ErrorInjection, SwellEvent, SwellScenario
 from .datasets import DEFAULT_MAX_LEADS, IssueSet
-from .horizon import HOUR
+from .io import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ, HOUR, ErrorInjection, SwellEvent, SwellScenario
 from .spectral import (
     MorisonRaoParams,
     RaoCurve,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from heavecast.config import SamplerConfig
+from heavecast.io import SamplerConfig
 from heavecast.model import ar2_stationary
 from heavecast.sampler import MAX_REJECTIONS, SamplerError, _Conditionals
 

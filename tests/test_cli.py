@@ -875,7 +875,7 @@ def json_stage_imports(tmp_path_factory):
 @pytest.mark.parametrize("stage", list(UNLOADED))
 def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
     names = stage_imports[stage]
-    assert {"heavecast.io", "heavecast.config", "heavecast.horizon"} <= names
+    assert "heavecast.io" in names  # the manifest, its settings and the horizon datasets
     assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
     # numpy.ma costs about 16 ms to import, and np.unique imports it
     assert {"scipy.stats", "scipy.signal", "numpy.ma"}.isdisjoint(names)
@@ -891,7 +891,7 @@ def test_json_manifest_leaves_pyyaml_unloaded(stage_imports, json_stage_imports,
     assert "yaml" in stage_imports[stage]
     names = json_stage_imports[stage]
     assert _pyyaml(names) == set()
-    assert {"heavecast.io", "heavecast.config", "heavecast.horizon"} <= names
+    assert "heavecast.io" in names  # the manifest, its settings and the horizon datasets
     assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
 
 

@@ -4,6 +4,7 @@ The per-file writer and reader they replaced are kept here as oracles, and
 `heavecast build` is fed garbled issue files.
 """
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -257,7 +258,16 @@ class TestSetReader:
 
 # -- build on garbled issue files -------------------------------------------
 
-GARBLES = ("bad header", "short row", "bad value cell", "two issue times", "off-hour valid time", "wall-clock time")
+GARBLES = (
+    "bad header",
+    "short row",
+    "bad value cell",
+    "non-finite value",
+    "negative value",
+    "two issue times",
+    "off-hour valid time",
+    "wall-clock time",
+)
 
 
 def garble(text: str, kind: str, row: int, junk: str) -> str:
@@ -270,6 +280,10 @@ def garble(text: str, kind: str, row: int, junk: str) -> str:
         lines[k] = lines[k][: len(issued) + 2 + row % (len(valid) + 1)]
     elif kind == "bad value cell":
         lines[k] = f"{issued}, {valid}, {value}{junk or 'x'}x"
+    elif kind == "non-finite value":
+        lines[k] = f"{issued}, {valid}, {('nan', 'inf', '-inf', 'NaN')[row % 4]}"
+    elif kind == "negative value":
+        lines[k] = f"{issued}, {valid}, -{value}"
     elif kind == "two issue times":
         lines[k] = f"{issued[:-8]}23:00:00, {valid}, {value}"
     elif kind == "wall-clock time":
@@ -315,3 +329,41 @@ def test_build_refuses_garbled_issue_file(issue_texts, kind, which, row, junk):
     assert result.exit_code == 2, result.output
     assert f"issue_{which}.csv" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-5"])
+@pytest.mark.parametrize("lead", [3, 29])  # one lead horizon 0 uses, one no horizon uses
+def test_build_refuses_an_issue_value_that_is_not_finite_and_nonnegative(issue_texts, tmp_path, cell, lead):
+    names = []
+    for k, text in enumerate(issue_texts):
+        names.append(f"issue_{k}.csv")
+        lines = text.splitlines()
+        if k == 1:
+            issued, valid, _ = lines[1 + lead].split(", ")
+            lines[1 + lead] = f"{issued}, {valid}, {cell}"
+        (tmp_path / names[-1]).write_text("\n".join(lines) + "\n")
+    hours = T0 + np.arange(96) * HOUR
+    (tmp_path / "measurements.csv").write_text(
+        "timestamp_utc, sig_heave_m, valid\n" + "".join(f"{t}, 1.0, true\n" for t in hours)
+    )
+    manifest = tmp_path / "run.yaml"
+    manifest.write_text(yaml.safe_dump(
+        {"out_dir": "out", "horizons": [0], "issue_files": names, "measurements_file": "measurements.csv"}
+    ))
+    result = invoke(["build", "--manifest", str(manifest)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"error: {tmp_path / 'issue_1.csv'}, row {1 + lead}: "
+        f"sig_heave_m must be a finite nonnegative number, found {cell!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0])
+def test_issue_records_refuse_a_value_that_is_not_finite_and_nonnegative(value):
+    values = np.array([1.0, 2.0, value])
+    refused = re.escape(f"values must be finite nonnegative numbers, found {value}")
+    with pytest.raises(ValueError, match=f"^lead 2: {refused}$"):
+        ForecastIssue(issue_time=T0, horizon_hours=np.arange(3), values=values)
+    with pytest.raises(ValueError, match=f"^issue 1, lead 2: {refused}$"):
+        IssueSet(issue_times=[T0, T0 + HOUR], bounds=[0, 0, 3], leads=np.arange(3), values=values)

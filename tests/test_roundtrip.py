@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from heavecast import campaign, io
 from heavecast.datasets import ForecastIssue, IssueSet
-from heavecast.horizon import HorizonDataset
+from heavecast.io import HorizonDataset
 from heavecast.model import PosteriorSamples
 from heavecast.motion import HeaveRecord
 from heavecast.spectral import RaoCurve, SpectrumSeries
@@ -36,6 +36,8 @@ SETTINGS = settings(max_examples=60, deadline=None)
 LARGEST_SPELLED = 1.797693134e308
 FINITE = st.floats(-LARGEST_SPELLED, LARGEST_SPELLED)
 ANY_FLOAT = FINITE | st.sampled_from([np.nan, np.inf, -np.inf])
+# issue values, which every issue record and the issue reader require finite and nonnegative
+NONNEGATIVE = st.floats(0.0, LARGEST_SPELLED)
 # seconds from T0, within a century either way
 OFFSETS = st.integers(-(10**9) * 3, 10**9 * 3)
 
@@ -127,7 +129,7 @@ def issue_sets(draw):
     for _ in range(draw(st.integers(1, 5))):
         first = draw(st.integers(0, 240))
         leads = list(range(first, first + draw(st.integers(1, 12))))
-        values = draw(st.lists(ANY_FLOAT, min_size=len(leads), max_size=len(leads)))
+        values = draw(st.lists(NONNEGATIVE, min_size=len(leads), max_size=len(leads)))
         issue_time = T0 + np.timedelta64(draw(OFFSETS), "s")
         issues.append(ForecastIssue(issue_time=issue_time, horizon_hours=np.array(leads), values=np.array(values)))
     return IssueSet.from_issues(issues)
@@ -240,12 +242,13 @@ def test_ten_digits_spell_the_largest_floats_past_the_largest_float(tmp_path):
         refused = f"^{re.escape(str(path))}: {'-' * (value < 0)}1.797693135e\\+308 is past the largest float"
         with pytest.raises(ValueError, match=refused):
             io.write_horizon_dataset(path, _two_row_dataset(value))
-        issue = ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.array([1.0, value]))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'issues' / 'issue_0000.csv'))}: "):
-            campaign.write_forecast_issues(tmp_path / "issues", IssueSet.from_issues([issue]))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'one.csv'))}: "):
-            campaign.write_forecast_issue(tmp_path / "one.csv", issue)
-        assert list(tmp_path.iterdir()) == []
+    # issue values are nonnegative, so only the positive one reaches the issue writers
+    issue = ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.array([1.0, 1.7976931345e308]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'issues' / 'issue_0000.csv'))}: "):
+        campaign.write_forecast_issues(tmp_path / "issues", IssueSet.from_issues([issue]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'one.csv'))}: "):
+        campaign.write_forecast_issue(tmp_path / "one.csv", issue)
+    assert list(tmp_path.iterdir()) == []
     # the largest value whose ten digits read back as finite is written
     io.write_horizon_dataset(tmp_path / "ds.csv", _two_row_dataset(-1.797693134e308))
     assert io.read_horizon_dataset(tmp_path / "ds.csv", 0).x[0] == -1.797693134e308

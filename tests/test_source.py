@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -80,6 +81,30 @@ def test_tables_are_written_by_the_one_table_writer():
         "io.py:_write_table",
         "io.py:write_posterior_samples",
     ]
+
+
+def test_readme_layout_lists_the_modules():
+    # the README's Layout table against the modules src/heavecast holds
+    section = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `heavecast\.(\w+)` \|", section, flags=re.M)
+    assert sorted(listed) == sorted(p.stem for p in SOURCES if p.stem != "__init__")
+
+
+def test_manifest_settings_and_horizon_datasets_live_in_io():
+    # the run manifest with its settings, and the horizon dataset with its
+    # file format, are each one module: io
+    from heavecast import io
+
+    assert importlib.util.find_spec("heavecast.config") is None
+    assert importlib.util.find_spec("heavecast.horizon") is None
+    names = [
+        "SamplerConfig", "SwellEvent", "SwellScenario", "ErrorInjection", "FORECAST_FREQS_HZ", "FORECAST_DIRS_RAD",
+        "_check_finite", "_TP_MIN", "_TP_MAX", "HorizonDataset", "chrono_split", "HOUR", "DEFAULT_HORIZONS",
+    ]
+    assert [name for name in names if name not in vars(io)] == []
+    assert {getattr(io, name).__module__ for name in ("SamplerConfig", "HorizonDataset", "chrono_split")} == {
+        "heavecast.io"
+    }
 
 
 def _modules():
@@ -228,7 +253,7 @@ def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
     defined = json.loads(out)
     assert [(f, held) for _, f, held in defined] == [(f, True) for _, f in targets]
     modules = {m for m, _, _ in defined}
-    assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets", "heavecast.horizon"}
+    assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets"}
 
 
 def _array_records() -> dict[str, type]:
@@ -256,7 +281,7 @@ def _record_instances() -> dict[str, tuple[object, object]]:
     """Two equal-valued, distinct instances of each record with array fields."""
     from heavecast.datasets import ForecastIssue, HorizonSeries, IssueSet
     from heavecast.diagnostics import PacfResult
-    from heavecast.horizon import HorizonDataset
+    from heavecast.io import HorizonDataset
     from heavecast.model import PosteriorSamples, PredictiveDistribution, PredictiveDraws
     from heavecast.motion import RawMotionSeries
     from heavecast.spectral import DirectionalWaveSpectrum, MorisonRaoParams, RaoCurve, SpectrumSeries

@@ -434,3 +434,52 @@ class TestSpectrumSeries:
         np.testing.assert_array_equal(part2, m2[3:9])
         ref = [response_statistics(s, rao) for s in series]
         np.testing.assert_allclose(m0, [r.m0 for r in ref], rtol=1e-12, atol=0.0)
+
+
+# NaN compares false with every bound, so each record checks finiteness itself
+@pytest.mark.parametrize(
+    "grid, what",
+    [
+        ({"freqs": [0.5, np.nan, 1.5]}, "frequencies"),
+        ({"freqs": [np.nan, 1.0, 1.5]}, "frequencies"),
+        ({"freqs": [0.5, 1.0, np.inf]}, "frequencies"),
+        ({"dirs": [0.5, np.nan]}, "directions"),
+        ({"dirs": [np.nan, 2.0]}, "directions"),
+    ],
+)
+def test_spectra_refuse_a_grid_point_that_is_not_finite(grid, what):
+    grid = {"freqs": [0.5, 1.0, 1.5], "dirs": [0.5, 2.0], **grid}
+    message = f"^{what} must be finite and strictly increasing"
+    with pytest.raises(ValueError, match=message):
+        DirectionalWaveSpectrum(timestamp=T0, density=np.ones((3, 2)), **grid)
+    with pytest.raises(ValueError, match=message):
+        SpectrumSeries(times=[T0], density=np.ones((1, 3, 2)), **grid)
+
+
+@pytest.mark.parametrize("m0, m2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+def test_response_statistics_refuse_a_moment_that_is_not_finite(m0, m2):
+    with pytest.raises(ValueError, match="^spectral moments must be finite and nonnegative$"):
+        ResponseStatistics(timestamp=T0, m0=m0, m2=m2)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"omega_r": np.inf}, "omega_r must be finite and positive"),
+        ({"damping_ratio_term": np.nan}, "damping_ratio_term must be finite and nonnegative"),
+        ({"damping_ratio_term": np.inf}, "damping_ratio_term must be finite and nonnegative"),
+        ({"excitation_ratio": np.nan}, "excitation_ratio must be finite and nonnegative"),
+        ({"excitation_ratio": np.inf}, "excitation_ratio must be finite and nonnegative"),
+        (
+            {"excitation_ratio": (np.array([0.1, np.nan, 0.9]), np.ones(3))},
+            "excitation_ratio frequencies must be finite and strictly increasing",
+        ),
+        (
+            {"excitation_ratio": (np.array([0.1, 0.5]), np.array([1.0, np.nan]))},
+            "excitation_ratio values must be finite and nonnegative",
+        ),
+    ],
+)
+def test_morison_params_refuse_a_value_that_is_not_finite(params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MorisonRaoParams(**{"omega_r": 0.3, "damping_ratio_term": 1.0, **params})

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from heavecast.config import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ
 from heavecast.datasets import DEFAULT_MAX_LEADS, ForecastIssue
+from heavecast.io import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ
 from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths, spectral_moment
 from heavecast.synthetic import (
     ErrorInjection,
