@@ -69,13 +69,14 @@ def _option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 # options every command takes
 _COMMON = (
     _option("-m", "--manifest", required=True, metavar="FILE"),
-    _option("-H", "--horizon", dest="horizons", action="append", type=int, metavar="HOURS",
-            help="override manifest horizons"),
-    _option("--model", dest="model_kind", choices=["basic", "hybrid"]),
-    _option("--seed", type=int),
     _option("--out", metavar="DIR",
             help="override output directory (relative to the current directory, not the manifest)"),
 )
+# overrides a command takes only where its work reads the manifest value
+_HORIZONS = _option("-H", "--horizon", dest="horizons", action="append", type=int, metavar="HOURS",
+                    help="override manifest horizons")
+_MODEL = _option("--model", dest="model_kind", choices=["basic", "hybrid"])
+_SEED = _option("--seed", type=int)
 
 # name -> (command, its options), filled by @_command
 _COMMANDS: dict[str, tuple] = {}
@@ -124,7 +125,7 @@ def _parser(prog: str, chosen: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
+def _load(manifest, out, horizons=None, model_kind=None, seed=None) -> io.RunManifest:
     """The manifest with the command's overrides, checked.
 
     A manifest path that is missing or a directory, and an --out that is a
@@ -144,7 +145,6 @@ def _load(manifest, horizons, model_kind, seed, out) -> io.RunManifest:
     if out:
         m.out_dir = Path(out)
     m.check()
-    m.sampler = dict(m.sampler)
     if m.out_dir.exists() and not m.out_dir.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(m.out_dir))
     return m
@@ -258,12 +258,12 @@ def response(**kwargs):
     """Physics response statistics from a spectra file and an RAO file."""
     import numpy as np
 
-    from . import campaign, io, spectral
+    from . import datasets, io, spectral
 
     m = _load(**kwargs)
     m.require("rao_file", "spectra_file")
-    rao = campaign.read_rao(m.rao_file)
-    spectra = campaign.read_spectra(m.spectra_file)
+    rao = datasets.read_rao(m.rao_file)
+    spectra = datasets.read_spectra(m.spectra_file)
     m0, m2 = spectral.response_moments(spectra, rao)
     rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
     columns = ["timestamp_utc", "m0_m2", "m2_m2_per_s2", "sig_heave_m"]
@@ -271,10 +271,10 @@ def response(**kwargs):
     print(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)", flush=True)
 
 
-@_command()
+@_command(_HORIZONS)
 def build(**kwargs):
     """Synthesise per-horizon datasets from forecast issues and measurements."""
-    from . import campaign, datasets, io
+    from . import datasets, io
 
     m = _load(**kwargs)
     if not m.issue_files:
@@ -282,8 +282,8 @@ def build(**kwargs):
     if m.measurements_file is None and (m.out_dir / "measurements.csv").exists():
         m.measurements_file = m.out_dir / "measurements.csv"
     m.require("issue_files", "measurements_file")
-    issues = campaign.read_forecast_issues(m.issue_files)
-    measurements = campaign.read_heave_records(m.measurements_file)
+    issues = datasets.read_forecast_issues(m.issue_files)
+    measurements = datasets.read_heave_records(m.measurements_file)
 
     for h in m.horizons:
         series = datasets.synthesize_horizon_series(issues, h)
@@ -292,7 +292,7 @@ def build(**kwargs):
         print(f"h={h}: {len(ds)} aligned rows -> {_dataset_path(m, h)}", flush=True)
 
 
-@_command()
+@_command(_HORIZONS, _MODEL, _SEED)
 def fit(**kwargs):
     """Fit the adjustment model per horizon on the training split."""
     from . import io, sampler
@@ -308,7 +308,7 @@ def fit(**kwargs):
         print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {_samples_path(m, h)}", flush=True)
 
 
-@_command()
+@_command(_HORIZONS, _MODEL, _SEED)
 def predict(**kwargs):
     """Posterior-predictive quantiles for the test split of each horizon."""
     from . import io
@@ -322,7 +322,7 @@ def predict(**kwargs):
         del pred  # before the next horizon's draws are made
 
 
-@_command()
+@_command(_HORIZONS, _MODEL, _SEED)
 def score(**kwargs):
     """Score the fitted model against the raw physics forecast.
 
@@ -348,6 +348,8 @@ def score(**kwargs):
 
 
 @_command(
+    _HORIZONS,
+    _MODEL,
     _option("--max-lag", type=int, default=20, help="[default: %(default)s]"),
     _option("--bins", type=int, default=10, help="[default: %(default)s]"),
 )
@@ -383,6 +385,7 @@ def diagnose(max_lag, bins, **kwargs):
 
 
 @_command(
+    _SEED,
     _option("--spectra-hours", type=int, default=0, metavar="N",
             help="also write the first N hours of true spectra (large files) [default: %(default)s]"),
 )
@@ -390,7 +393,7 @@ def simulate(spectra_hours, **kwargs):
     """Generate a synthetic campaign: RAO, measurements and forecast issues."""
     import numpy as np
 
-    from . import campaign, motion, synthetic
+    from . import datasets, synthetic
 
     if spectra_hours < 0:
         raise ValueError(f"spectra_hours must be nonnegative, found {spectra_hours}")
@@ -402,19 +405,18 @@ def simulate(spectra_hours, **kwargs):
     rao = synthetic.reference_rao()
     times, sig = synthetic.true_response_series(spectra, rao)
 
-    meas_noise = float(m.scenario.get("measurement_noise", 0.0))
     rng = np.random.default_rng(m.seed + 29)
-    y = np.maximum(sig + meas_noise * rng.standard_normal(sig.size), 0.0)
-    records = [motion.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
+    y = np.maximum(sig + scn.measurement_noise * rng.standard_normal(sig.size), 0.0)
+    records = [datasets.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
 
     issues = synthetic.generate_forecast_issues(times, sig, inj)
     # simulate owns issues/: build reads every issue file there, so the set
     # replaces the whole directory and no file of an earlier campaign survives
-    campaign.write_forecast_issues(m.out_dir / "issues", issues)
-    campaign.write_rao(m.out_dir / "rao.csv", rao)
-    campaign.write_heave_records(m.out_dir / "measurements.csv", records)
+    datasets.write_forecast_issues(m.out_dir / "issues", issues)
+    datasets.write_rao(m.out_dir / "rao.csv", rao)
+    datasets.write_heave_records(m.out_dir / "measurements.csv", records)
     if spectra_hours > 0:
-        campaign.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
+        datasets.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
     print(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}", flush=True)
 
 

@@ -14,8 +14,8 @@ order; the model stages need nothing else of datasets, which builds them.
 
 The campaign's own files (RAO, spectra, heave records and forecast
 issues), which only simulate, build and response touch, are read and
-written by campaign; their readers and writers still resolve as attributes
-of this module, importing campaign on first use (PEP 562), so fit, predict,
+written by datasets; their readers and writers still resolve as attributes
+of this module, importing datasets on first use (PEP 562), so fit, predict,
 score and diagnose never load it. Likewise a reader imports the type it
 builds, and write_predictions the predictive helpers, when it runs, and
 PyYAML is imported only for a manifest that is not a JSON document.
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from .model import PosteriorSamples, PredictiveDraws
     from .scoring import ScoreReport
 
-# the readers and writers campaign defines, resolved here on first use
+# the readers and writers datasets defines, resolved here on first use
 _CAMPAIGN_NAMES = (
     "read_rao",
     "write_rao",
@@ -82,9 +82,9 @@ __all__ = [
 def __getattr__(name: str):
     if name not in _CAMPAIGN_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import campaign
+    from . import datasets
 
-    value = getattr(campaign, name)
+    value = getattr(datasets, name)
     globals()[name] = value
     return value
 
@@ -468,8 +468,8 @@ class SwellEvent:
 class SwellScenario:
     """Campaign description: event schedule plus wind-sea background."""
 
-    start: np.datetime64
     duration_h: int
+    start: np.datetime64 = np.datetime64("2024-06-01T00:00:00", "s")
     events: tuple[SwellEvent, ...] = ()
     background_hs: float = 0.8
     background_tp: float = 6.0
@@ -477,6 +477,7 @@ class SwellScenario:
     background_spread_exp: float = 2.0
     hs_jitter: float = 0.0  # relative hourly Hs modulation (AR(1) in time)
     hs_jitter_ar: float = 0.7  # hour-to-hour persistence of the modulation
+    measurement_noise: float = 0.0  # m, the standard deviation of the measured heave's error
     seed: int = 0
 
     def __post_init__(self):
@@ -491,6 +492,8 @@ class SwellScenario:
             raise ValueError("Hs jitter persistence must lie in [0, 1)")
         if self.background_hs > 0.0 and not _TP_MIN <= self.background_tp <= _TP_MAX:
             raise ValueError("background Tp outside the forecast band")
+        if self.measurement_noise < 0.0:
+            raise ValueError(f"measurement_noise must be nonnegative, found {self.measurement_noise!r}")
         object.__setattr__(self, "start", np.datetime64(self.start, "s"))
         object.__setattr__(self, "events", tuple(self.events))
 
@@ -535,25 +538,20 @@ _FIELD_TYPES = {
     "Path": ((str,), "a path"),
     "Path | None": ((str, type(None)), "a path"),
     # YAML reads an unquoted ISO-8601 time as a timestamp
-    "str | date": ((str, datetime.date), "an ISO-8601 time"),
+    "np.datetime64": ((str, datetime.date), "an ISO-8601 time"),
 }
 
 _ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?")
 
-# where a scenario starts when its manifest names no start
-_DEFAULT_START = np.datetime64("2024-06-01T00:00:00", "s")
 
-
-def _check_section(what: str, raw, cls, skip=frozenset(), extra=None) -> None:
+def _check_section(what: str, raw, cls, skip=frozenset()) -> None:
     """A manifest mapping must set every field of cls without a default and
-    may set the others, less skip, and the keys of extra, which maps each to
-    its type annotation; int, float, dict, str and path values must have
-    that type."""
+    may set the others, less skip; int, float, dict, str, path and time
+    values must have that type."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a mapping, found {reprlib.repr(raw)}")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
-    types = {name: f.type for name, f in fields.items()} | (extra or {})
-    unknown = set(raw) - set(types)
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     missing = [
@@ -563,7 +561,7 @@ def _check_section(what: str, raw, cls, skip=frozenset(), extra=None) -> None:
     if missing:
         raise ValueError(f"{what} must set {missing}")
     for key, value in raw.items():
-        typed = _FIELD_TYPES.get(types[key])
+        typed = _FIELD_TYPES.get(fields[key].type)
         if typed and (isinstance(value, bool) or not isinstance(value, typed[0])):
             raise ValueError(f"{what} key {key} must be {typed[1]}, found {reprlib.repr(value)}")
 
@@ -664,20 +662,12 @@ class RunManifest:
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
             raise ValueError(f"issue_files must be a list of paths, found {reprlib.repr(files)}")
         if "scenario" in raw:
-            # simulate defaults the start time; the seeds come from the manifest seed
+            # the seed comes from the manifest seed
             scenario = raw["scenario"]
-            _check_section(
-                "manifest scenario", scenario, SwellScenario,
-                skip={"seed", "start"}, extra={"start": "str | date", "measurement_noise": "float"},
-            )
+            _check_section("manifest scenario", scenario, SwellScenario, skip={"seed"})
             if "start" in scenario:
                 with _naming("manifest scenario key start"):
                     scenario["start"] = _iso_time(scenario["start"])
-            noise = scenario.get("measurement_noise", 0.0)
-            if not 0.0 <= noise < math.inf:
-                raise ValueError(
-                    f"manifest scenario key measurement_noise must be finite and nonnegative, found {noise!r}"
-                )
             events = scenario.get("events", [])
             if not isinstance(events, list):
                 raise ValueError("manifest scenario events must be a list")
@@ -691,10 +681,16 @@ class RunManifest:
                 value = [base / v for v in value]
             setattr(m, key, value)
         m.check()
+        # the settings check their own values, so every stage refuses what simulate or fit would
+        SamplerConfig(**m.sampler)
+        m.error_injection()
+        if m.scenario:
+            m.swell_scenario()
         return m
 
     def check(self) -> None:
-        """Refuse a value no stage runs with; load calls this, and each command after its overrides."""
+        """Refuse a top-level value no stage runs with; load calls this, and
+        each command after its overrides."""
         if not isinstance(self.horizons, list) or not all(
             isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in self.horizons
         ):
@@ -709,22 +705,15 @@ class RunManifest:
             )
         if self.model_kind not in ("basic", "hybrid"):
             raise ValueError("model_kind must be 'basic' or 'hybrid'")
-        # the settings check their own values, so every stage refuses what simulate or fit would
-        SamplerConfig(**self.sampler)
-        self.error_injection()
-        if self.scenario:
-            self.swell_scenario()
 
     def error_injection(self) -> ErrorInjection:
         """The injection section, seeded from the manifest seed."""
         return ErrorInjection(seed=self.seed + 17, **self.injection)
 
     def swell_scenario(self) -> SwellScenario:
-        """The scenario section, seeded by the manifest seed; it starts at
-        2024-06-01T00:00:00 unless it names a start."""
-        raw = {k: v for k, v in self.scenario.items() if k != "measurement_noise"}
+        """The scenario section, seeded by the manifest seed."""
+        raw = dict(self.scenario)
         events = tuple(SwellEvent(**e) for e in raw.pop("events", []))
-        raw.setdefault("start", _DEFAULT_START)
         return SwellScenario(events=events, seed=self.seed, **raw)
 
     def require(self, *names: str) -> None:

@@ -1,9 +1,9 @@
-"""Measured heave: raw motion-sensor displacement and hourly significant heave.
+"""Raw motion-sensor displacement and its high-pass filter.
 
-A HeaveRecord is one hour's measured significant heave, 2*sqrt(m0), as
-simulate writes and build reads it. A RawMotionSeries is raw heave
-displacement (typically 1 Hz from a motion reference unit), which
-highpass_filter strips of slow-drift content.
+A RawMotionSeries is raw heave displacement (typically 1 Hz from a motion
+reference unit), which highpass_filter strips of slow-drift content.
+HeaveRecord, one hour's measured significant heave, is defined in
+datasets; the acceptance tests import it from here.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .datasets import HeaveRecord
 
 __all__ = [
     "RawMotionSeries",
@@ -51,20 +53,6 @@ class RawMotionSeries:
     def gap_mask(self) -> np.ndarray:
         """Boolean mask, True on excluded samples."""
         return self._gap_mask(self.values.size, self.gaps)
-
-
-@dataclass(frozen=True)
-class HeaveRecord:
-    """Windowed significant heave, 2*sqrt(m0), with a quality flag."""
-
-    timestamp: np.datetime64  # window end
-    sig_heave: float
-    valid: bool = True
-
-    def __post_init__(self):
-        if self.valid and not self.sig_heave >= 0.0:
-            raise ValueError("sig_heave must be nonnegative when valid")
-        object.__setattr__(self, "timestamp", np.datetime64(self.timestamp, "s"))
 
 
 def _merged_gaps(gaps) -> tuple[tuple[int, int], ...]:

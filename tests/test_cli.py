@@ -19,6 +19,18 @@ from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.spectral import response_moments
 from clirun import invoke
 
+ROOT = Path(__file__).resolve().parents[1]
+# the manifest overrides each command takes: those whose value its work reads
+OVERRIDES = {
+    "simulate": {"--seed"},
+    "build": {"-H"},
+    "fit": {"-H", "--model", "--seed"},
+    "predict": {"-H", "--model", "--seed"},
+    "score": {"-H", "--model", "--seed"},
+    "diagnose": {"-H", "--model"},
+    "response": set(),
+}
+
 
 def write_manifest(tmp_path, dump=yaml.safe_dump, **overrides):
     """A small basic campaign's manifest with overrides, as dump writes it (block YAML by default)."""
@@ -303,7 +315,11 @@ class TestExitCodes:
             # NaN measurements, which build then refused
             (
                 {"scenario": {"duration_h": 48, "measurement_noise": float("nan")}},
-                "manifest scenario key measurement_noise must be finite and nonnegative, found nan",
+                "measurement_noise must be a finite number, found nan",
+            ),
+            (
+                {"scenario": {"duration_h": 48, "measurement_noise": -0.5}},
+                "measurement_noise must be nonnegative, found -0.5",
             ),
         ],
     )
@@ -326,6 +342,27 @@ class TestExitCodes:
         result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert "issue.csv: valid time 2024-06-01T01:30:00 is not a whole number of hours" in result.output
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_measurement_not_finite_names_the_file_and_row(self, tmp_path, cell):
+        # inf reached the dataset, and build said only "x and y must be finite in every row"
+        (tmp_path / "issue.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n"
+            "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
+            "2024-06-01T00:00:00, 2024-06-01T01:00:00, 1.1\n"
+        )
+        measurements = tmp_path / "measurements.csv"
+        measurements.write_text(
+            "timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n"
+            f"2024-06-01T01:00:00, {cell}, true\n"
+        )
+        manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
+        result = invoke(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: {measurements}, row 2: sig_heave_m must be a finite nonnegative number, found {cell!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_wall_clock_issue_time_is_validation_error(self, tmp_path):
         # numpy reads `now` as the current time, which would make build's output depend on when it ran
@@ -431,12 +468,16 @@ class TestExitCodes:
         assert result.stderr.startswith(f"error: {path}: {message}"), result.stderr
         assert result.stderr.count(str(path)) == 1
 
-    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
     @pytest.mark.parametrize(
-        "flags, message",
+        "cmd, flags, message",
         [
-            (["--seed", "-100"], "seed must be a nonnegative integer, found -100"),
-            (["-H", "-1"], "horizons must be a list of nonnegative integers, found [-1]"),
+            (cmd, flags, message)
+            for flags, message in [
+                (["--seed", "-100"], "seed must be a nonnegative integer, found -100"),
+                (["-H", "-1"], "horizons must be a list of nonnegative integers, found [-1]"),
+            ]
+            for cmd, taken in OVERRIDES.items()
+            if flags[0] in taken
         ],
     )
     def test_negative_override_is_validation_error(self, tmp_path, cmd, flags, message):
@@ -578,7 +619,7 @@ class TestUsage:
         [
             (["nosuch"], r"'nosuch'"),  # an unknown command
             (["build"], r"--manifest"),  # -m is required
-            (["build", "-m", "run.yaml", "--model", "other"], r"--model.*'other'|'other'.*--model"),
+            (["fit", "-m", "run.yaml", "--model", "other"], r"--model.*'other'|'other'.*--model"),
             (["build", "-m", "run.yaml", "-H", "a"], r"'a'"),
             (["build", "-m", "run.yaml", "--manif", "run.yaml"], r"--manif\b"),  # no option is abbreviated
             (["build", "-m", "run.yaml", "--max-lag", "3"], r"--max-lag\b"),  # diagnose's option only
@@ -597,7 +638,32 @@ class TestUsage:
         result = invoke([cmd, "--help"])
         assert result.exit_code == 0
         assert getattr(cli, cmd).__doc__.partition("\n")[0] in result.output
-        assert "--manifest" in result.output and "override manifest horizons" in result.output
+        assert "--manifest" in result.output
+        assert ("override manifest horizons" in result.output) == ("-H" in OVERRIDES[cmd])
+
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [(cmd, flag) for cmd, taken in OVERRIDES.items() for flag in ("-H", "--model", "--seed") if flag not in taken],
+    )
+    def test_override_the_command_does_not_read_is_usage_error(self, tmp_path, monkeypatch, cmd, flag):
+        # each was accepted and then ignored
+        value = {"-H": "0", "--model": "basic", "--seed": "3"}[flag]
+        write_manifest(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        result = invoke([cmd, "-m", "run.yaml", flag, value])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == "" and f"unrecognized arguments: {flag} {value}" in result.stderr, result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_options_table_lists_each_commands_options(self):
+        # the README's Options table against the options each command's parser is given
+        section = (ROOT / "README.md").read_text().split("\n### Options\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", section, flags=re.M)
+        listed = {cmd: re.findall(r"`([^`]+)`", cell) for cmd, cell in rows}
+        assert listed == {
+            cmd: ["/".join(sorted(flags, key=lambda f: not f.startswith("--"))) for flags, _ in options]
+            for cmd, (_, options) in cli._COMMANDS.items()
+        }
 
     def test_program_help_lists_every_command(self):
         result = invoke(["--help"])
@@ -832,11 +898,11 @@ def test_help_loads_only_the_standard_library_and_the_package():
 
 
 # the model stages read no campaign file and build no issue set
-CAMPAIGN = {"campaign", "datasets"}
+CAMPAIGN = {"datasets"}
 # the heavecast modules each stage must leave unloaded
 UNLOADED = {
-    "simulate": {"sampler", "scoring", "diagnostics", "model"},
-    "build": {"sampler", "synthetic", "scoring", "diagnostics", "model", "spectral"},
+    "simulate": {"sampler", "scoring", "diagnostics", "model", "motion"},
+    "build": {"sampler", "synthetic", "scoring", "diagnostics", "model", "spectral", "motion"},
     "fit": {"synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
     "predict": {"sampler", "synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
     "score": {"sampler", "synthetic", "diagnostics", "spectral", "motion", *CAMPAIGN},

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,13 @@ from hypothesis import strategies as st
 from heavecast.datasets import (
     DEFAULT_MAX_LEADS,
     ForecastIssue,
+    HeaveRecord,
     HorizonDataset,
     HorizonSeries,
     align,
     chrono_split,
     synthesize_horizon_series,
 )
-from heavecast.motion import HeaveRecord
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
@@ -324,3 +326,12 @@ class TestArrayJoinsOracle:
         np.testing.assert_array_equal(ds.issue_times, ref.issue_times)
         np.testing.assert_array_equal(ds.post_gap, ref.post_gap)
         assert ds.x.tobytes() == ref.x.tobytes() and ds.y.tobytes() == ref.y.tobytes()
+
+
+class TestHeaveRecord:
+    @pytest.mark.parametrize("value", [-0.1, np.inf, -np.inf, np.nan, np.float64(np.inf)])
+    def test_value_not_finite_and_nonnegative_rejected_when_valid(self, value):
+        message = f"sig_heave must be a finite nonnegative number when valid, found {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HeaveRecord(timestamp=T0, sig_heave=value, valid=True)
+        assert HeaveRecord(timestamp=T0, sig_heave=value, valid=False).sig_heave is value

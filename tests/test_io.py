@@ -15,9 +15,9 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heavecast import campaign
+from heavecast import datasets
 from heavecast import io as heavecast_io
-from heavecast.datasets import ForecastIssue, HorizonDataset
+from heavecast.datasets import ForecastIssue, HeaveRecord, HorizonDataset
 from heavecast.io import (
     _YAML_DEPTH_LIMIT,
     RunManifest,
@@ -38,7 +38,6 @@ from heavecast.io import (
     write_spectra,
 )
 from heavecast.model import PosteriorSamples, PredictiveDraws, predictive_summaries
-from heavecast.motion import HeaveRecord
 from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport
 from heavecast.spectral import RaoCurve, SpectrumSeries
@@ -55,10 +54,10 @@ def test_readme_file_formats_are_the_readers_and_writers_headers():
     section = (ROOT / "README.md").read_text().split("\n## File formats\n", 1)[1]
     rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, flags=re.M)
     assert {name: header.split(", ") for name, header in rows} == {
-        "rao.csv": campaign._RAO_HEADER,
-        "spectra.csv": campaign._SPECTRA_HEADER,
-        "measurements.csv": campaign._HEAVE_HEADER,
-        "issues/issue_NNNN.csv": campaign._ISSUE_HEADER,
+        "rao.csv": datasets._RAO_HEADER,
+        "spectra.csv": datasets._SPECTRA_HEADER,
+        "measurements.csv": datasets._HEAVE_HEADER,
+        "issues/issue_NNNN.csv": datasets._ISSUE_HEADER,
         "dataset_hHHH.csv": heavecast_io._DATASET_HEADER,
     }
 
@@ -436,14 +435,15 @@ def test_bad_number_cell_names_the_file_and_column(tmp_path, kind, column):
             "measurements",
             read_heave_records,
             "timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, -0.5, true\n",
-            "sig_heave must be nonnegative",
+            "sig_heave_m must be a finite nonnegative number",
         ),
     ],
 )
 def test_value_error_of_the_built_type_names_the_file(tmp_path, kind, reader, text, message):
     p = tmp_path / f"{kind}.csv"
     p.write_text(text)
-    with pytest.raises(ValueError, match=rf"{kind}\.csv: .*{message}"):
+    # the heave-record reader checks its values itself, and names the row too
+    with pytest.raises(ValueError, match=rf"{kind}\.csv(, row \d+)?: .*{message}"):
         reader(p)
 
 
@@ -468,6 +468,22 @@ class TestValidCells:
             f"2024-06-01T01:00:00, 0.6, {cell}\n"
         )
         message = f"measurements.csv, row 2: valid must be true or false, found {cell!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_heave_records(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999", "-0.5", "-0"])
+    def test_valid_row_value_not_finite_and_nonnegative_names_the_file_and_row(self, tmp_path, cell):
+        # an infinite value was read, and build then said only "x and y must be finite in every row"
+        p = tmp_path / "measurements.csv"
+        p.write_text(
+            "timestamp_utc, sig_heave_m, valid\n"
+            "2024-06-01T00:00:00, inf, false\n"
+            f"2024-06-01T01:00:00, {cell}, TRUE\n"
+        )
+        if cell == "-0":  # negative zero is zero
+            assert read_heave_records(p)[1].sig_heave == 0.0
+            return
+        message = f"{p}, row 2: sig_heave_m must be a finite nonnegative number, found {cell!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_heave_records(p)
 
@@ -814,8 +830,8 @@ _VALID_MANIFEST = {
 _UNKNOWN_KEYS = ["bogus", 7, None]
 
 
-def _keys(cls, *extra) -> list:
-    return [f.name for f in dataclasses.fields(cls)] + list(extra) + _UNKNOWN_KEYS
+def _keys(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls)] + _UNKNOWN_KEYS
 
 
 # every key of the manifest and of its sampler, injection, scenario and
@@ -824,7 +840,7 @@ _KEY_PATHS = (
     [(k,) for k in _keys(RunManifest)]
     + [("sampler", k) for k in _keys(SamplerConfig)]
     + [("injection", k) for k in _keys(ErrorInjection)]
-    + [("scenario", k) for k in _keys(SwellScenario, "measurement_noise")]
+    + [("scenario", k) for k in _keys(SwellScenario)]
     + [("scenario", "events", 0, k) for k in _keys(SwellEvent)]
 )
 _DELETE = object()

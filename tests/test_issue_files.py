@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavecast import campaign, io
+from heavecast import datasets, io
 from heavecast.datasets import ForecastIssue, IssueSet
 from heavecast.io import (
     read_forecast_issue,
@@ -116,7 +116,7 @@ class TestSetWriter:
                 raise OSError(28, "No space left on device")
             return open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(campaign, "open", failing_open, raising=False)
+        monkeypatch.setattr(datasets, "open", failing_open, raising=False)
         second = [ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.zeros(2))] * 10
         with pytest.raises(OSError, match="No space left"):
             write_forecast_issues(issue_dir, IssueSet.from_issues(second))

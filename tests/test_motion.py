@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heavecast.motion import HeaveRecord, RawMotionSeries, highpass_filter
+from heavecast.motion import RawMotionSeries, highpass_filter
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 
@@ -91,9 +91,3 @@ class TestRawMotionSeries:
             make_series(x)
         assert make_series(x, gaps=((4, 5),)).gap_mask()[4]
 
-
-class TestHeaveRecord:
-    def test_negative_sig_rejected_when_valid(self):
-        with pytest.raises(ValueError):
-            HeaveRecord(timestamp=T0, sig_heave=-0.1, valid=True)
-        HeaveRecord(timestamp=T0, sig_heave=np.nan, valid=False)

@@ -32,9 +32,10 @@ def readme_manifest(directory: Path) -> Path:
     return path
 
 
-def run(manifest: Path, *flags: str, stages=STAGES) -> None:
+def run(manifest: Path, *flags: str, horizons=(), stages=STAGES) -> None:
+    """Run the stages with flags, and with horizons' -H flags where the stage takes them (all but simulate)."""
     for stage in stages:
-        result = invoke([stage, "--manifest", str(manifest), *flags])
+        result = invoke([stage, "--manifest", str(manifest), *flags, *(horizons if stage != "simulate" else ())])
         assert result.exit_code == 0, (stage, result.output)
 
 
@@ -52,12 +53,12 @@ def differing(got: dict[str, bytes], expected: dict[str, bytes]) -> list[str]:
 def reference(tmp_path_factory) -> Path:
     """The output directory of the README campaign at horizons 0 and 12, every stage run."""
     tmp = tmp_path_factory.mktemp("reference")
-    run(readme_manifest(tmp), *HORIZONS)
+    run(readme_manifest(tmp), horizons=HORIZONS)
     return tmp / "out"
 
 
 def test_one_horizon_run_reproduces_its_files(reference, tmp_path):
-    run(readme_manifest(tmp_path), "-H", "12")
+    run(readme_manifest(tmp_path), horizons=("-H", "12"))
     got, expected = files(tmp_path / "out"), files(reference)
     got_scores, expected_scores = ({name: run.pop(name).decode() for name in SCORE_FILES} for run in (got, expected))
     assert differing(got, {name: data for name, data in expected.items() if "_h000" not in name}) == []
@@ -90,14 +91,14 @@ def test_issue_file_order_and_names_do_not_matter(reference, tmp_path):
             "issue_files": [str(p) for p in listing],
             "measurements_file": str(reference / "measurements.csv"),
         }))
-        run(manifest, *HORIZONS, stages=("build",))
+        run(manifest, horizons=HORIZONS, stages=("build",))
         got = {name: (tmp_path / f"out-{label}" / name).read_bytes() for name in expected}
         assert differing(got, expected) == [], label
 
 
 def test_output_directory_does_not_matter(reference, tmp_path):
     elsewhere = tmp_path / "some" / "other place"
-    run(readme_manifest(tmp_path), *HORIZONS, "--out", str(elsewhere))
+    run(readme_manifest(tmp_path), "--out", str(elsewhere), horizons=HORIZONS)
     assert differing(files(elsewhere), files(reference)) == []
 
 
@@ -114,6 +115,6 @@ def test_measurements_outside_every_issue_window_change_nothing(reference, tmp_p
     late = [f"{last + k * hour}, 9.5, true" for k in range(1, 49)]
     early = [f"{first - k * hour}, 9.5, true" for k in range(1, 49)]
     (out / "measurements.csv").write_text("\n".join([header, *late, *rows, *early]) + "\n")
-    run(readme_manifest(tmp_path), *HORIZONS, stages=STAGES[1:])
+    run(readme_manifest(tmp_path), horizons=HORIZONS, stages=STAGES[1:])
     expected = {k: v for k, v in files(reference).items() if k != "measurements.csv"}
     assert differing({k: v for k, v in files(out).items() if k != "measurements.csv"}, expected) == []

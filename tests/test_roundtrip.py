@@ -16,11 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heavecast import campaign, io
-from heavecast.datasets import ForecastIssue, IssueSet
+from heavecast import datasets, io
+from heavecast.datasets import ForecastIssue, HeaveRecord, IssueSet
 from heavecast.io import HorizonDataset
 from heavecast.model import PosteriorSamples
-from heavecast.motion import HeaveRecord
 from heavecast.spectral import RaoCurve, SpectrumSeries
 
 TWO_PI = 2.0 * np.pi
@@ -72,7 +71,7 @@ def test_rao_round_trip(freqs_hz, amps):
     freqs = TWO_PI * np.sort(freqs_hz)
     assume(distinct_when_spelled(freqs / TWO_PI))
     rao = RaoCurve(freqs=freqs, amplitudes=amps[: freqs.size])
-    back, first, second = round_trip(campaign.write_rao, campaign.read_rao, rao)
+    back, first, second = round_trip(datasets.write_rao, datasets.read_rao, rao)
     assert first == second
     assert back.freqs.tobytes() == (TWO_PI * spelled(freqs / TWO_PI)).tobytes()
     assert back.amplitudes.tobytes() == spelled(rao.amplitudes).tobytes()
@@ -91,7 +90,7 @@ def test_spectra_round_trip(hours, freqs_hz, dirs_deg, seed):
     density = np.random.default_rng(seed).exponential(2.0, (len(hours), freqs.size, dirs.size))
     density[density < 0.5] = 0.0
     spectra = SpectrumSeries(times=T0 + np.sort(hours) * HOUR, freqs=freqs, dirs=dirs, density=density)
-    back, first, second = round_trip(campaign.write_spectra, campaign.read_spectra, spectra)
+    back, first, second = round_trip(datasets.write_spectra, datasets.read_spectra, spectra)
     assert first == second
     np.testing.assert_array_equal(back.times, spectra.times)
     assert back.freqs.tobytes() == (TWO_PI * spelled(freqs / TWO_PI)).tobytes()
@@ -115,7 +114,7 @@ def test_heave_records_round_trip(rows, invalid_values):
         HeaveRecord(timestamp=T0 + np.timedelta64(s, "s"), sig_heave=v if ok else bad, valid=ok)
         for (s, ok, v), bad in zip(rows, invalid_values)
     ]
-    back, first, second = round_trip(campaign.write_heave_records, campaign.read_heave_records, records)
+    back, first, second = round_trip(datasets.write_heave_records, datasets.read_heave_records, records)
     assert first == second
     assert [r.timestamp for r in back] == [r.timestamp for r in records]
     assert [r.valid for r in back] == [r.valid for r in records]
@@ -136,11 +135,11 @@ def issue_sets(draw):
 
 
 def _write_issues(path: Path, issues: IssueSet) -> None:
-    campaign.write_forecast_issues(path, issues)
+    datasets.write_forecast_issues(path, issues)
 
 
 def _read_issues(path: Path) -> IssueSet:
-    return campaign.read_forecast_issues(sorted(path.glob("issue_*.csv")))
+    return datasets.read_forecast_issues(sorted(path.glob("issue_*.csv")))
 
 
 @given(issues=issue_sets())
@@ -245,9 +244,9 @@ def test_ten_digits_spell_the_largest_floats_past_the_largest_float(tmp_path):
     # issue values are nonnegative, so only the positive one reaches the issue writers
     issue = ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.array([1.0, 1.7976931345e308]))
     with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'issues' / 'issue_0000.csv'))}: "):
-        campaign.write_forecast_issues(tmp_path / "issues", IssueSet.from_issues([issue]))
+        datasets.write_forecast_issues(tmp_path / "issues", IssueSet.from_issues([issue]))
     with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'one.csv'))}: "):
-        campaign.write_forecast_issue(tmp_path / "one.csv", issue)
+        datasets.write_forecast_issue(tmp_path / "one.csv", issue)
     assert list(tmp_path.iterdir()) == []
     # the largest value whose ten digits read back as finite is written
     io.write_horizon_dataset(tmp_path / "ds.csv", _two_row_dataset(-1.797693134e308))

@@ -73,11 +73,11 @@ def test_tables_are_written_by_the_one_table_writer():
     # every delimited-text table goes through io._write_table, which spells
     # the header and row layout once; atomic_write_text is left to it, to the
     # samples sidecar, to the free-text scores.txt and to the issue texts
-    # campaign._issue_texts builds by column
+    # datasets._issue_texts builds by column
     found = sorted(caller for path in SOURCES for caller in _callers(path, "atomic_write_text"))
     assert found == [
-        "campaign.py:write_forecast_issue",
         "cli.py:score",
+        "datasets.py:write_forecast_issue",
         "io.py:_write_table",
         "io.py:write_posterior_samples",
     ]
@@ -105,6 +105,23 @@ def test_manifest_settings_and_horizon_datasets_live_in_io():
     assert {getattr(io, name).__module__ for name in ("SamplerConfig", "HorizonDataset", "chrono_split")} == {
         "heavecast.io"
     }
+
+
+def test_campaign_inputs_live_in_datasets():
+    # the campaign's input files and the heave record are one module with
+    # the issue sets and align: datasets; io and motion keep a second spelling
+    from heavecast import datasets, io, motion
+
+    assert importlib.util.find_spec("heavecast.campaign") is None
+    names = [
+        *io._CAMPAIGN_NAMES, "HeaveRecord", "TWO_PI", "_RAO_HEADER", "_SPECTRA_HEADER", "_HEAVE_HEADER",
+        "_ISSUE_HEADER", "_ISSUE_BATCH", "_read_issue_batch", "_parse_issue_files", "_issue_texts",
+    ]
+    assert [name for name in names if name not in vars(datasets)] == []
+    assert len(io._CAMPAIGN_NAMES) == 10
+    assert [name for name in io._CAMPAIGN_NAMES if getattr(io, name) is not getattr(datasets, name)] == []
+    assert motion.HeaveRecord is datasets.HeaveRecord
+    assert datasets.HeaveRecord.__module__ == "heavecast.datasets"
 
 
 def _modules():
@@ -233,7 +250,7 @@ def test_bench_tracer_targets_resolve():
 
 
 def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
-    # io resolves the campaign readers and writers on first use, and datasets
+    # io resolves the datasets readers and writers on first use, and datasets
     # re-exports the horizon names: in a process that has resolved none of
     # them yet, getattr must still find each, as the function its defining
     # module holds
@@ -253,7 +270,7 @@ def test_bench_tracer_io_and_datasets_targets_resolve_in_a_fresh_process():
     defined = json.loads(out)
     assert [(f, held) for _, f, held in defined] == [(f, True) for _, f in targets]
     modules = {m for m, _, _ in defined}
-    assert modules == {"heavecast.io", "heavecast.campaign", "heavecast.datasets"}
+    assert modules == {"heavecast.io", "heavecast.datasets"}
 
 
 def _array_records() -> dict[str, type]:
