@@ -5,7 +5,9 @@ Every command reads a run manifest (JSON or YAML), takes flag overrides,
 writes plain delimited text into the manifest's output directory and is
 idempotent for a fixed manifest and seed. Exit codes: 0 success, 2
 validation or usage error (an unknown command or option, a missing or
-malformed value), 3 sampler or numerical failure.
+malformed value), 3 numerical failure. main maps a command's exceptions to
+them in one place: ValueError, OSError and KeyError exit 2, and any
+ArithmeticError, sampler.SamplerError included, exits 3.
 
 The command layer is argparse, one parser per command, and start-up loads
 nothing outside the standard library: each command and helper imports the
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import gc
 import sys
 import textwrap
@@ -33,32 +34,6 @@ if TYPE_CHECKING:
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
-
-
-def _numerical_errors() -> tuple[type[BaseException], ...]:
-    """The exception types that exit NUMERICAL_EXIT.
-
-    SamplerError is looked up only once an exception is being handled: it is
-    defined in sampler, which only fit imports, so when sampler is not loaded
-    nothing can have raised it.
-    """
-    sampler = sys.modules.get(f"{__package__}.sampler")
-    return (ZeroDivisionError, FloatingPointError) + ((sampler.SamplerError,) if sampler else ())
-
-
-def _failsoft(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(VALIDATION_EXIT)
-        except _numerical_errors() as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            sys.exit(NUMERICAL_EXIT)
-
-    return wrapper
 
 
 def _option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
@@ -85,12 +60,11 @@ _COMMANDS: dict[str, tuple] = {}
 def _command(*options: tuple[tuple[str, ...], dict]):
     """Make fn the command named after it, with the common options and options.
 
-    The command receives every option as a keyword argument, and its
-    ValueError, OSError and KeyError exit VALIDATION_EXIT (see _failsoft).
+    The command receives every option as a keyword argument; main maps what
+    it raises to the exit code.
     """
 
     def register(fn):
-        fn = _failsoft(fn)
         _COMMANDS[fn.__name__] = (fn, _COMMON + options)
         return fn
 
@@ -221,7 +195,14 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     failure.
     """
     command, options = _parse(sys.argv[1:] if args is None else list(args), prog_name or "heavecast")
-    command(**options)
+    try:
+        command(**options)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(VALIDATION_EXIT)
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        sys.exit(NUMERICAL_EXIT)
     sys.exit(0)
 
 
@@ -287,7 +268,8 @@ def build(**kwargs):
 
     for h in m.horizons:
         series = datasets.synthesize_horizon_series(issues, h)
-        ds = datasets.align(series, measurements, horizon=h)
+        with io._naming(f"{m.measurements_file}, horizon {h}"):
+            ds = datasets.align(series, measurements, horizon=h)
         io.write_horizon_dataset(_dataset_path(m, h), ds)
         print(f"h={h}: {len(ds)} aligned rows -> {_dataset_path(m, h)}", flush=True)
 
@@ -302,7 +284,8 @@ def fit(**kwargs):
 
     for h in m.horizons:
         train, _ = _split(m, h)
-        samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
+        with io._naming(f"{_dataset_path(m, h)}, horizon {h}"):
+            samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
         io.write_posterior_samples(_samples_path(m, h), samples)
         worst = max(v["rhat"] for v in samples.diagnostics.values())
         print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {_samples_path(m, h)}", flush=True)
@@ -406,7 +389,11 @@ def simulate(spectra_hours, **kwargs):
     times, sig = synthetic.true_response_series(spectra, rao)
 
     rng = np.random.default_rng(m.seed + 29)
-    y = np.maximum(sig + scn.measurement_noise * rng.standard_normal(sig.size), 0.0)
+    with np.errstate(over="ignore"):
+        noisy = sig + scn.measurement_noise * rng.standard_normal(sig.size)
+    if not np.isfinite(noisy).all():
+        raise ValueError(f"{m._path}: measurement_noise {scn.measurement_noise!r} overflows the measured heave")
+    y = np.maximum(noisy, 0.0)
     records = [datasets.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
 
     issues = synthetic.generate_forecast_issues(times, sig, inj)

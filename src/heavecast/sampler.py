@@ -50,8 +50,11 @@ _NOT_POSITIVE_DEFINITE = "conditional precision is not positive definite"
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-class SamplerError(RuntimeError):
-    """Sampling failed: a stuck truncated block or unconverged chains."""
+class SamplerError(ArithmeticError):
+    """Sampling failed: a stuck truncated block or unconverged chains.
+
+    An ArithmeticError, so cli.main exits 3 on it as on any numerical failure.
+    """
 
 
 def rhat(chains: np.ndarray) -> float:

@@ -331,6 +331,15 @@ class TestExitCodes:
         assert "Traceback" not in result.output
         assert not (tmp_path / "out" / "issues").exists()
 
+    def test_overflowing_measurement_noise_names_the_manifest_and_key(self, tmp_path):
+        # numpy warned of an overflow in multiply, and HeaveRecord then refused
+        # an infinite sig_heave, naming neither the manifest nor the key
+        manifest = write_manifest(tmp_path, scenario={"duration_h": 48, "measurement_noise": 1e308})
+        result = invoke(["simulate", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {manifest}: measurement_noise 1e+308 overflows the measured heave\n"
+        assert not (tmp_path / "out").exists()
+
     def test_off_hour_valid_time_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
             "issue_time_utc, valid_time_utc, sig_heave_m\n"
@@ -587,6 +596,40 @@ class TestExitCodes:
             assert invoke([cmd, "--manifest", str(manifest)]).exit_code == 0
         result = invoke(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 3
+        assert result.stderr.startswith("numerical failure: chains not converged, rhat over limit: ")
+
+
+class TestOneErrorPath:
+    """main maps what any command raises to its exit code, in one place."""
+
+    def test_sampler_error_is_an_arithmetic_error(self):
+        from heavecast.sampler import SamplerError
+
+        assert issubclass(SamplerError, ArithmeticError)
+        assert not issubclass(SamplerError, RuntimeError)
+
+    @pytest.mark.parametrize(
+        "exc, code, prefix",
+        [
+            # an OverflowError printed a traceback and exited 1
+            (OverflowError("math range error"), 3, "numerical failure"),
+            (ZeroDivisionError("division by zero"), 3, "numerical failure"),
+            (FloatingPointError("overflow encountered in multiply"), 3, "numerical failure"),
+            (KeyError("horizon"), 2, "error"),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None,
+    )
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    def test_stage_exception_exits_with_its_code(self, tmp_path, monkeypatch, cmd, exc, code, prefix):
+        def fail(*args, **kwargs):
+            raise exc
+
+        # every command loads its manifest first
+        monkeypatch.setattr(cli, "_load", fail)
+        result = invoke([cmd, "--manifest", str(write_manifest(tmp_path))])
+        assert result.exit_code == code
+        assert result.stderr == f"{prefix}: {exc}\n"
+        assert result.stdout == ""
 
 
 @pytest.fixture(scope="module")
@@ -844,6 +887,24 @@ def test_too_few_rows_to_split_names_the_dataset(campaign, cmd):
     result = invoke([cmd, "-m", str(manifest), "-H", "12"])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {dataset}: too few rows to split: 5 rows at horizon 12, at least 10 needed\n"
+
+
+def test_too_few_training_rows_names_the_dataset(campaign):
+    manifest = campaign / "run.yaml"
+    cfg = yaml.safe_load(manifest.read_text())
+    manifest.write_text(yaml.safe_dump({**cfg, "train_fraction": 1e-300}))
+    result = invoke(["fit", "--manifest", str(manifest)])
+    assert result.exit_code == 2, result.output
+    dataset = campaign / "out" / "dataset_h000.csv"
+    assert result.stderr == f"error: {dataset}, horizon 0: too few training rows for the parameter count\n"
+
+
+def test_measurements_sharing_no_valid_time_name_the_file(campaign):
+    measurements = campaign / "out" / "measurements.csv"
+    measurements.write_text(measurements.read_text().splitlines()[0] + "\n")
+    result = invoke(["build", "--manifest", str(campaign / "run.yaml")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {measurements}, horizon 0: forecast series and measurements share no valid times\n"
 
 
 class TestDiagnoseRanges:

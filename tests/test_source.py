@@ -172,6 +172,69 @@ def test_every_exported_name_has_a_caller():
     assert [f"{module}.{name}" for module, name in exported if name not in used] == []
 
 
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds: `import a.b` binds a."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _used_names(scope: ast.AST) -> set[str]:
+    """Every name scope's code reads, the names of its string annotations
+    and the strings of its __all__."""
+    used = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+        # a def's return annotation, or an argument's or a variable's
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        for text in ast.walk(annotation) if annotation else ():
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(text.value, mode="eval")) if isinstance(n, ast.Name))
+    return used
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """file:line name of each name an import binds that the module (for an
+    import outside every function) or the function it is made in, by the
+    outermost one, never uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module_used = _used_names(tree)
+    found = []
+    for top in tree.body:
+        local = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        used = _used_names(top) if local else module_used
+        found += [
+            (node.lineno, name)
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _bound_names(node)
+            if name not in used
+        ]
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_unused_imports_are_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import functools\nimport os.path\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from . import io\n"
+        "__all__ = ['sep']\nfrom os import sep\n"
+        "def f(m: 'io.RunManifest'):\n    import numpy as np\n    return os.path\n"
+        "def g():\n    return np\n"
+    )
+    assert _unused_imports(path) == ["m.py:2 functools", "m.py:10 np"]
+
+
+def test_every_import_is_used():
+    # a name imported and never used is a leftover of a deleted caller; a use
+    # in code, in __all__, under TYPE_CHECKING or in a string annotation counts
+    assert [line for path in SOURCES for line in _unused_imports(path)] == []
+
+
 def _tracer_targets() -> list[tuple[str, str]]:
     """(module, function) of each Target in bench/tracer.py, read from its
     source, which is not imported here."""
