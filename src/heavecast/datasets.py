@@ -5,9 +5,12 @@ simulate writes the campaign's files (RAO, spectra, heave records and
 forecast issues), build and response read them, and no other stage loads
 this module; its readers and writers also resolve as attributes of io.
 Files hold frequencies in Hz and directions in degrees, converted to rad/s
-and radians on reading. An issue set is written into a staging directory
-that one rename puts in place of the issue directory, so a reader never
-sees a mix of two sets.
+and radians on reading. Each reader converts whole columns. A spectra file
+holds one row per (timestamp, frequency, direction) cell, in any order:
+read_spectra sorts the rows once, checks each timestamp's run of rows
+against the first run's grid and reshapes the density column. An issue set
+is written into a staging directory that one rename puts in place of the
+issue directory, so a reader never sees a mix of two sets.
 
 Issues come on a fixed cycle (00/06/12/18Z here), each cycle with its
 maximum lead. The series at horizon h takes, for each valid time, the most
@@ -336,51 +339,59 @@ def write_rao(path: Path, rao: RaoCurve) -> None:
 
 # -- directional spectra -----------------------------------------------------
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The values of a sorted array, each once (not np.unique, which imports numpy.ma)."""
+    return ordered[_run_starts(ordered)]
+
+
 def read_spectra(path: Path) -> SpectrumSeries:
     """Long-format spectrum file covering one or more timestamps.
 
-    The (freq, dir) grid must be identical for every timestamp, each cell once;
-    the density column is m^2 s per degree of direction (per-Hz, per-deg) and
-    is converted to the per-rad/s, per-rad convention used internally.
+    One row per (timestamp, freq, dir) cell, in any order. The (freq, dir)
+    grid must be identical for every timestamp, each cell once, and every
+    frequency positive; the density column is m^2 s per degree of direction
+    (per-Hz, per-deg) and is converted to the per-rad/s, per-rad convention
+    used internally.
     """
     from .spectral import SpectrumSeries
 
-    time_col, *number_cols = _read_columns(path, _SPECTRA_HEADER)
+    time_col, freq_col, *number_cols = _read_columns(path, _SPECTRA_HEADER)
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
-    freqs, dirs, density = (_floats(col, path, name).tolist() for col, name in zip(number_cols, _SPECTRA_HEADER[1:]))
-    if not np.isfinite([freqs, dirs]).all():
+    freqs, dirs, density = (_floats(c, path, n) for c, n in zip([freq_col, *number_cols], _SPECTRA_HEADER[1:]))
+    if not (np.isfinite(freqs).all() and np.isfinite(dirs).all()):
         raise ValueError(f"{path}: freq_hz and dir_deg must be finite")
-    by_time: dict[np.datetime64, list[tuple[float, float, float]]] = {}
-    for stamp, f, d, v in zip(_parse_times(time_col, path, _SPECTRA_HEADER[0]), freqs, dirs, density):
-        by_time.setdefault(stamp, []).append((f, d, v))
-
-    densities = []
-    grid_key = None
-    for stamp in sorted(by_time):
-        entries = by_time[stamp]
-        freqs_hz = np.array(sorted({e[0] for e in entries}))
-        dirs_deg = np.array(sorted({e[1] for e in entries}))
-        key = (freqs_hz.tobytes(), dirs_deg.tobytes())
-        if grid_key is None:
-            grid_key = key
-        elif key != grid_key:
+    if (freqs <= 0.0).any():
+        row = int(np.argmax(freqs <= 0.0))
+        raise ValueError(f"{path}, row {row + 1}: freq_hz must be positive, found {freq_col[row]!r}")
+    times = _parse_times(time_col, path, _SPECTRA_HEADER[0])
+    # each timestamp's rows become one run, its cells in (freq, dir) order
+    order = np.lexsort((dirs, freqs, times))
+    times, freqs, dirs = times[order], freqs[order], dirs[order]
+    starts = _run_starts(times)
+    runs = list(zip(starts.tolist(), [*starts[1:].tolist(), times.size]))
+    first = slice(*runs[0])
+    freqs_hz, dirs_deg = _distinct(freqs[first]), _distinct(np.sort(dirs[first]))
+    shape = (starts.size, freqs_hz.size, dirs_deg.size)
+    cell_freqs, cell_dirs = np.repeat(freqs_hz, shape[2]), np.tile(dirs_deg, shape[1])
+    for lo, hi in runs:
+        f, d = freqs[lo:hi], dirs[lo:hi]
+        if not (np.array_equal(_distinct(f), freqs_hz) and np.array_equal(_distinct(np.sort(d)), dirs_deg)):
             raise ValueError(f"{path}: inconsistent grid across timestamps")
-        if len({e[:2] for e in entries}) != len(entries) or len(entries) != freqs_hz.size * dirs_deg.size:
-            raise ValueError(f"{path}: irregular grid at {stamp}")
-        fi = {f: i for i, f in enumerate(freqs_hz)}
-        di = {d: j for j, d in enumerate(dirs_deg)}
-        density = np.zeros((freqs_hz.size, dirs_deg.size))
-        for f, d, v in entries:
-            density[fi[f], di[d]] = v
-        densities.append(density)
+        if not (np.array_equal(f, cell_freqs) and np.array_equal(d, cell_dirs)):
+            raise ValueError(f"{path}: irregular grid at {times[lo]}")
     with _naming(path):
         return SpectrumSeries(
-            times=sorted(by_time),
+            times=times[starts],
             freqs=TWO_PI * freqs_hz,
             dirs=np.deg2rad(dirs_deg),
             # per-Hz per-deg  ->  per-(rad/s) per-rad
-            density=np.array(densities) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
+            density=density[order].reshape(shape) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
         )
 
 

@@ -140,6 +140,8 @@ def _checked_grid(freqs, dirs, density, n_times=None):
     # a NaN difference compares false, so finiteness is checked first
     if not np.all(np.isfinite(freqs)) or np.any(np.diff(freqs) <= 0.0):
         raise ValueError("frequencies must be finite and strictly increasing")
+    if np.any(freqs <= 0.0):
+        raise ValueError("frequencies must be positive")
     if not np.all((dirs >= 0.0) & (dirs < 2.0 * np.pi)) or np.any(np.diff(dirs) <= 0.0):
         raise ValueError("directions must be finite and strictly increasing in [0, 2*pi)")
     fw, dw = midpoint_widths(freqs), midpoint_widths(dirs)

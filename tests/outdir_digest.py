@@ -1,6 +1,6 @@
 """Digest of every file one pipeline run leaves in out_dir.
 
-    python tests/outdir_digest.py SRC WORKLOAD SEED > digests.txt
+    python tests/outdir_digest.py SRC WORKLOAD SEED [--spectra-hours N] > digests.txt
 
 Runs the six stages of a benchmark workload on the heavecast source tree
 SRC (the directory that holds the heavecast package, such as src/), each as
@@ -8,6 +8,11 @@ a `python -m heavecast.cli` child in a temporary directory. The inputs come
 from bench/workloads.py, which is imported and not changed, and the
 workload's measurement outages are flagged after simulate, as bench/run.py
 does. No bytecode cache is written into SRC.
+
+With --spectra-hours N, simulate also writes the first N hours of spectra,
+and after the six stages `response` runs through a copy of the manifest
+that names the RAO and spectra files simulate wrote, so its response.csv
+is digested with the other files.
 
 It prints one `sha256  path` line per file under out_dir, sorted by path,
 so two source trees write byte-identical outputs when
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -34,24 +40,35 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 
-def digests(src: Path, workload: str, seed: int) -> list[str]:
-    """`sha256  path` of each out_dir file after the workload's six stages."""
+def digests(src: Path, workload: str, seed: int, spectra_hours: int = 0) -> list[str]:
+    """`sha256  path` of each out_dir file after the workload's six stages,
+    and after response when spectra_hours is positive."""
     inputs = workloads.WORKLOADS[workload](seed)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory(prefix="outdir-digest-") as tmp:
         work = Path(tmp)
-        manifest = inputs.write(work)
-        out_dir = work / inputs.manifest["out_dir"]
-        for stage in workloads.STAGES:
+
+        def stage(name: str, manifest: Path, *flags: str) -> None:
             run = subprocess.run(
-                [sys.executable, "-m", "heavecast.cli", stage, "-m", str(manifest)],
+                [sys.executable, "-m", "heavecast.cli", name, "-m", str(manifest), *flags],
                 cwd=work, env=env, capture_output=True, text=True,
             )
             if run.returncode:
                 sys.stderr.write(run.stdout + run.stderr)
-                raise SystemExit(f"{stage} exited {run.returncode}")
-            if stage == "simulate":
+                raise SystemExit(f"{name} exited {run.returncode}")
+
+        manifest = inputs.write(work)
+        out_name = inputs.manifest["out_dir"]
+        out_dir = work / out_name
+        for name in workloads.STAGES:
+            stage(name, manifest, *(["--spectra-hours", str(spectra_hours)] if name == "simulate" else []))
+            if name == "simulate":
                 workloads.apply_outages(out_dir / "measurements.csv", inputs.outage_hours)
+        if spectra_hours:
+            files = {"rao_file": f"{out_name}/rao.csv", "spectra_file": f"{out_name}/spectra.csv"}
+            response = work / "response.json"
+            response.write_text(json.dumps({**inputs.manifest, **files}, indent=2, sort_keys=True) + "\n")
+            stage("response", response)
         return [
             f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir)}"
             for path in sorted(p for p in out_dir.rglob("*") if p.is_file())
@@ -63,8 +80,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("src", type=Path, help="directory holding the heavecast package")
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("seed", type=int)
+    parser.add_argument("--spectra-hours", type=int, default=0, metavar="N",
+                        help="also write N hours of spectra and digest response.csv [default: 0]")
     args = parser.parse_args(argv)
-    print("\n".join(digests(args.src, args.workload, args.seed)))
+    print("\n".join(digests(args.src, args.workload, args.seed, args.spectra_hours)))
     return 0
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -176,6 +177,23 @@ class TestPipeline:
         assert len(lines) == 31
         assert (tmp_path / "out" / "response.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_response_reads_spectra_rows_in_any_order(self, tmp_path):
+        manifest = write_manifest(
+            tmp_path, scenario={"duration_h": 48, "events": [{"arrival_h": 12, "hs": 2.0, "tp": 14.0}]},
+            rao_file="out/rao.csv", spectra_file="out/spectra.csv",
+        )
+        assert invoke(["simulate", "--manifest", str(manifest), "--spectra-hours", "48"]).exit_code == 0
+        response = tmp_path / "out" / "response.csv"
+        assert invoke(["response", "--manifest", str(manifest)]).exit_code == 0
+        ordered = response.read_bytes()
+        assert len(ordered.splitlines()) == 49
+        spectra = tmp_path / "out" / "spectra.csv"
+        header, *rows = spectra.read_text().splitlines()
+        random.Random(8).shuffle(rows)
+        spectra.write_text("\n".join([header, *rows]) + "\n")
+        assert invoke(["response", "--manifest", str(manifest)]).exit_code == 0
+        assert response.read_bytes() == ordered
+
     def test_horizon_override(self, pipeline):
         tmp_path, manifest = pipeline
         result = invoke(["build", "--manifest", str(manifest), "--horizon", "12"])
@@ -222,6 +240,18 @@ class TestExitCodes:
         result = invoke(["build", *flags])
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and f"'{named}'" in result.output, result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_spectra_frequency_not_positive_names_the_file(self, tmp_path):
+        # response used to read these rows and write m0 = 9 for them
+        (tmp_path / "rao.csv").write_text("freq_hz, amplitude\n0.05, 1.0\n0.5, 1.0\n")
+        rows = [f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f in ("-0.1", "0.0", "0.1") for d in (10, 20)]
+        (tmp_path / "spectra.csv").write_text("timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n" + "\n".join(rows))
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "rao_file": "rao.csv", "spectra_file": "spectra.csv"}))
+        result = invoke(["response", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {tmp_path / 'spectra.csv'}, row 1: freq_hz must be positive, found '-0.1'\n"
         assert not (tmp_path / "out").exists()
 
     def test_build_without_inputs(self, tmp_path):
@@ -769,6 +799,21 @@ class TestBadSamples:
         path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
         self.assert_refused(campaign, cmd, "need at least 100 posterior draws, found 1")
         assert not list((campaign / "out").glob("predictions_*.csv"))
+
+
+def test_horizons_draw_independent_normals(campaign):
+    # horizon 1 gets horizon 0's dataset and samples byte for byte, so only
+    # the seed of the predictive draws can tell the two horizons apart
+    out = campaign / "out"
+    for name in ("dataset_h{:03d}.csv", "samples_hybrid_h{:03d}.csv", "samples_hybrid_h{:03d}.csv.diag.json"):
+        shutil.copyfile(out / name.format(0), out / name.format(1))
+    m = cli._load(campaign / "run.yaml", None, horizons=[0, 1])
+    (test0, pred0), (test1, pred1) = cli._test_predictive(m, 0), cli._test_predictive(m, 1)
+    assert np.array_equal(test0.y, test1.y)
+    assert not np.array_equal(pred0.draws, pred1.draws)
+    result = invoke(["predict", "--manifest", str(campaign / "run.yaml"), "-H", "0", "-H", "1"])
+    assert result.exit_code == 0, result.output
+    assert (out / "predictions_hybrid_h000.csv").read_bytes() != (out / "predictions_hybrid_h001.csv").read_bytes()
 
 
 class TestEntryPoint:

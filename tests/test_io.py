@@ -523,6 +523,39 @@ class TestSpectraGrid:
         with pytest.raises(ValueError, match=re.escape(f"{p}: freq_hz and dir_deg must be finite")):
             read_spectra(p)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("duplicate cell", "irregular grid at 2024-06-01T01:00:00"),
+            ("missing cell", "irregular grid at 2024-06-01T01:00:00"),
+            ("extra frequency", "inconsistent grid across timestamps"),
+        ],
+    )
+    def test_fault_at_the_second_timestamp(self, tmp_path, fault, message):
+        cells = [(f, d) for f in (0.1, 0.2) for d in (10, 20)]
+        second = {
+            "duplicate cell": cells + cells[1:2],
+            "missing cell": cells[:-1],
+            "extra frequency": cells + [(0.3, 10), (0.3, 20)],
+        }[fault]
+        lines = [f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f, d in cells]
+        lines += [f"2024-06-01T01:00:00, {f}, {d}, 1.0" for f, d in second]
+        random.Random(4).shuffle(lines)
+        p = tmp_path / "spec.csv"
+        p.write_text("\n".join([self.HEADER] + lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            read_spectra(p)
+
+    @pytest.mark.parametrize("cell", ["-0.1", "0.0", "-0", "-1e-300"])
+    def test_frequency_not_positive_names_the_file_and_cell(self, tmp_path, cell):
+        # these rows were read, and response wrote m0 from them
+        p = tmp_path / "spec.csv"
+        freqs = (cell, "0.1", "0.2")
+        lines = [f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f in freqs for d in (10, 20)]
+        p.write_text("\n".join([self.HEADER, *lines[2:], *lines[:2]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}, row 5: freq_hz must be positive, found {cell!r}')}$"):
+            read_spectra(p)
+
 
 class TestPosteriorAndPredictions:
     @pytest.mark.parametrize("text", ["", "\n", "chain, beta0, sigma\n"])

@@ -456,6 +456,15 @@ def test_spectra_refuse_a_grid_point_that_is_not_finite(grid, what):
         SpectrumSeries(times=[T0], density=np.ones((1, 3, 2)), **grid)
 
 
+@pytest.mark.parametrize("freqs", [[-0.1, 0.0, 0.1], [0.0, 0.5, 1.0], [-1.5, -1.0, -0.5]])
+def test_spectra_refuse_a_frequency_that_is_not_positive(freqs):
+    # RaoCurve refuses these too; a spectrum used to take them, and response wrote an m0 from them
+    with pytest.raises(ValueError, match="^frequencies must be positive$"):
+        DirectionalWaveSpectrum(timestamp=T0, freqs=freqs, dirs=[0.5, 2.0], density=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="^frequencies must be positive$"):
+        SpectrumSeries(times=[T0], freqs=freqs, dirs=[0.5, 2.0], density=np.ones((1, 3, 2)))
+
+
 @pytest.mark.parametrize("m0, m2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
 def test_response_statistics_refuse_a_moment_that_is_not_finite(m0, m2):
     with pytest.raises(ValueError, match="^spectral moments must be finite and nonnegative$"):
