@@ -191,14 +191,17 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
 
     Parses args (default sys.argv[1:]), runs the command they name and
     exits as a program does: it always ends in SystemExit, whose code is 0
-    on success, 2 on a usage or validation error and 3 on a numerical
-    failure.
+    on success, 2 on a usage or validation error or when memory runs out,
+    and 3 on a numerical failure.
     """
     command, options = _parse(sys.argv[1:] if args is None else list(args), prog_name or "heavecast")
     try:
         command(**options)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        sys.exit(VALIDATION_EXIT)
+    except MemoryError as exc:  # numpy's names the array it could not allocate; Python's is empty
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         sys.exit(VALIDATION_EXIT)
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .io import _CAMPAIGN_NAMES, _floats, _naming, _parse_times, _read_columns, _readable, _table_lines, _write_table
+from .io import _CAMPAIGN_NAMES, _naming, _numbers, _parse_times, _read_cells, _readable, _write_table
 from .io import HOUR, HorizonDataset, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
@@ -276,17 +276,19 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
     """Each row's record; valid reads true or false in any case, and
     sig_heave_m is read only where true, where it must be a finite
     nonnegative number."""
-    time_col, sig_col, valid_col = _read_columns(path, _HEAVE_HEADER)
+    _, (time_col, sig_col, valid_col), _ = _read_cells([path], _HEAVE_HEADER)
     times = _parse_times(time_col, path, "timestamp_utc")
+    valid_col = [cell.strip().lower() for cell in valid_col]
     for row, cell in enumerate(valid_col, 1):
-        if cell.lower() not in ("true", "false"):
+        if cell not in ("true", "false"):
             raise ValueError(f"{path}, row {row}: valid must be true or false, found {cell!r}")
-    valid = [cell.lower() == "true" for cell in valid_col]
-    sig = _floats([c if ok else "nan" for c, ok in zip(sig_col, valid)], path, "sig_heave_m")
+    valid = [cell == "true" for cell in valid_col]
+    sig = _numbers([c if ok else "nan" for c, ok in zip(sig_col, valid)], path, "sig_heave_m")
     bad = _bad_values(np.where(valid, sig, 0.0))
     if bad.size:
         raise ValueError(
-            f"{path}, row {bad[0] + 1}: sig_heave_m must be a finite nonnegative number, found {sig_col[bad[0]]!r}"
+            f"{path}, row {bad[0] + 1}: sig_heave_m must be a finite nonnegative number, "
+            f"found {sig_col[bad[0]].strip()!r}"
         )
     return [HeaveRecord(timestamp=t, sig_heave=v, valid=ok) for t, v, ok in zip(times, sig.tolist(), valid)]
 
@@ -327,8 +329,8 @@ def align(forecast_series: HorizonSeries, measurements, horizon: int) -> Horizon
 def read_rao(path: Path) -> RaoCurve:
     from .spectral import RaoCurve
 
-    freq_col, amp_col = _read_columns(path, _RAO_HEADER)
-    freqs_hz, amps = _floats(freq_col, path, "freq_hz"), _floats(amp_col, path, "amplitude")
+    _, (freq_col, amp_col), _ = _read_cells([path], _RAO_HEADER)
+    freqs_hz, amps = _numbers(freq_col, path, "freq_hz"), _numbers(amp_col, path, "amplitude")
     with _naming(path):
         return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps)
 
@@ -360,15 +362,15 @@ def read_spectra(path: Path) -> SpectrumSeries:
     """
     from .spectral import SpectrumSeries
 
-    time_col, freq_col, *number_cols = _read_columns(path, _SPECTRA_HEADER)
+    _, (time_col, freq_col, *number_cols), _ = _read_cells([path], _SPECTRA_HEADER)
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
-    freqs, dirs, density = (_floats(c, path, n) for c, n in zip([freq_col, *number_cols], _SPECTRA_HEADER[1:]))
+    freqs, dirs, density = (_numbers(c, path, n) for c, n in zip([freq_col, *number_cols], _SPECTRA_HEADER[1:]))
     if not (np.isfinite(freqs).all() and np.isfinite(dirs).all()):
         raise ValueError(f"{path}: freq_hz and dir_deg must be finite")
     if (freqs <= 0.0).any():
         row = int(np.argmax(freqs <= 0.0))
-        raise ValueError(f"{path}, row {row + 1}: freq_hz must be positive, found {freq_col[row]!r}")
+        raise ValueError(f"{path}, row {row + 1}: freq_hz must be positive, found {freq_col[row].strip()!r}")
     times = _parse_times(time_col, path, _SPECTRA_HEADER[0])
     # each timestamp's rows become one run, its cells in (freq, dir) order
     order = np.lexsort((dirs, freqs, times))
@@ -449,37 +451,28 @@ def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
 def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     """The files' issue times, row counts, leads and values, their rows split
     and converted together, then checked file by file."""
-    sizes, bodies = [], []
-    for path in paths:
-        header, body = _table_lines(path)
-        if header != _ISSUE_HEADER:
-            raise ValueError(f"{path}: expected header {_ISSUE_HEADER}, found {header}")
-        if not body:
-            raise ValueError(f"{path}: empty forecast issue")
-        sizes.append(len(body))
-        bodies.append(",".join(body))  # one string per file: its lines need not be held
+    _, (issue_col, valid_col, value_col), sizes = _read_cells(paths, _ISSUE_HEADER)
+    if 0 in sizes:
+        raise ValueError(f"{paths[sizes.index(0)]}: empty forecast issue")
     bounds = np.cumsum([0] + sizes)
-    cells = ",".join(bodies).split(",")
-    del bodies
     where = paths[0] if len(paths) == 1 else f"{len(paths)} issue files"
 
     def file_of(rows: np.ndarray) -> Path:
         return paths[np.searchsorted(bounds, rows[0], side="right") - 1]
 
-    row_issue_times = _parse_times(cells[0::3], where, "issue time")
+    row_issue_times = _parse_times(issue_col, where, "issue time")
     issue_times = row_issue_times[bounds[:-1]]
     mixed = np.flatnonzero(row_issue_times != np.repeat(issue_times, sizes))
     if mixed.size:
         raise ValueError(f"{file_of(mixed)}: multiple issue times in one file")
-    valid_times = _parse_times(cells[1::3], where, "valid time")
-    with _naming(where):
-        values = np.array(cells[2::3], dtype=float)
+    valid_times = _parse_times(valid_col, where, "valid time")
+    values = _numbers(value_col, where, "sig_heave_m")
     bad = _bad_values(values)
     if bad.size:
         k = np.searchsorted(bounds, bad[0], side="right") - 1
         raise ValueError(
             f"{paths[k]}, row {bad[0] - bounds[k] + 1}: sig_heave_m must be a finite nonnegative number, "
-            f"found {cells[3 * bad[0] + 2].strip()!r}"
+            f"found {value_col[bad[0]].strip()!r}"
         )
     seconds = (valid_times - row_issue_times).astype(np.int64)
     off_hour = np.flatnonzero(seconds % 3600)

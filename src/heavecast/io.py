@@ -3,7 +3,10 @@ the horizon datasets, and their delimited-text files.
 
 All artefacts are plain comma-separated text with a header line so any
 plotting tool can consume them. Writes are atomic: a file is written as a
-temp file in the target directory, then renamed.
+temp file in the target directory, then renamed. Every reader takes its
+columns from _read_cells. A cell may carry spaces or tabs around it: numbers
+and times are parsed through them, and a cell compared as text is stripped
+where it is compared.
 
 The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
 ErrorInjection) check their own values, and RunManifest.load checks a
@@ -163,14 +166,20 @@ def _parse_times(cells, where, what: str) -> np.ndarray:
     return times[np.fromiter(map(position.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
-def _floats(cells, where, what: str) -> np.ndarray:
-    """A column of number cells as floats; a bad cell raises a ValueError naming where, the file, and what."""
+def _numbers(cells, where, what: str, dtype=float) -> np.ndarray:
+    """Number cells, blanks around each ignored, as an array of dtype; a bad cell raises
+    a ValueError naming where (the file), what (the column) and the cell without blanks."""
     with _naming(f"{where}: {what}"):
-        return np.array(cells, dtype=float)
+        try:
+            return np.array(cells, dtype=dtype)
+        except ValueError:
+            for cell in cells:
+                dtype(cell.strip())
+            raise
 
 
-def _table_lines(path: Path) -> tuple[list[str], list[str]]:
-    """Header cells and the data lines.
+def _table_lines(path: Path) -> tuple[list[str], str, int]:
+    """Header cells, then the data lines joined by commas and their count.
 
     Blank lines are skipped; every other row must have the header's cell
     count, or a ValueError names the file and the line.
@@ -192,22 +201,29 @@ def _table_lines(path: Path) -> tuple[list[str], list[str]]:
                     raise ValueError(f"{path}, line {n}: expected {len(header)} cells, found {ln.count(',') + 1}")
                 kept.append(ln)
         body = kept
-    return header, body
+    return header, ",".join(body), len(body)
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header cells and the data cells column by column (see _table_lines)."""
-    header, body = _table_lines(path)
-    cells = ",".join(body).split(",") if body else []
-    return header, [list(map(str.strip, cells[j::len(header)])) for j in range(len(header))]
-
-
-def _read_columns(path: Path, expected_header: list[str]) -> list[list[str]]:
-    """The data cells column by column, for a file with the expected header."""
-    header, columns = _read_table(path)
-    if header != expected_header:
-        raise ValueError(f"{path}: expected header {expected_header}, found {header}")
-    return columns
+def _read_cells(paths: list[Path], header: list[str] | None = None) -> tuple[list[str], list[list[str]], list[int]]:
+    """The header, the data cells column by column and each file's row count
+    of delimited-text files that share header (the first file's if None),
+    else a ValueError names the file. The rows are split at once, and each
+    cell keeps the blanks around it, which _numbers and _parse_times ignore.
+    """
+    texts, sizes = [], []
+    for path in paths:
+        found, text, rows = _table_lines(path)
+        header = found if header is None else header
+        if found != header:
+            raise ValueError(f"{path}: expected header {header}, found {found}")
+        texts.append(text)
+        sizes.append(rows)
+    # the text goes once split, so only the cells are held while they are dealt into columns
+    text = ",".join(filter(None, texts))
+    texts.clear()
+    cells = text.split(",") if text else []
+    del text
+    return header, [cells[j::len(header)] for j in range(len(header))], sizes
 
 
 # -- horizon datasets --------------------------------------------------------
@@ -296,12 +312,13 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     post_gap_flag column is only checked: each cell must be 0 or 1 and
     agree with the recomputed flag, or a ValueError names the file and row.
     """
-    valid_col, x_col, y_col, issue_col, flag_col = _read_columns(path, _DATASET_HEADER)
+    _, (valid_col, x_col, y_col, issue_col, flag_col), _ = _read_cells([path], _DATASET_HEADER)
     valid_times = _parse_times(valid_col, path, "valid_time_utc")
     issue_times = _parse_times(issue_col, path, "issue_time_utc")
-    x, y = _floats(x_col, path, "x_m"), _floats(y_col, path, "y_m")
+    x, y = _numbers(x_col, path, "x_m"), _numbers(y_col, path, "y_m")
     with _naming(path):
         ds = HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
+    flag_col = list(map(str.strip, flag_col))
     expected = np.where(ds.post_gap, "1", "0").tolist()
     if flag_col != expected:
         row, cell, flag = next((k, c, e) for k, (c, e) in enumerate(zip(flag_col, expected), 1) if c != e)
@@ -360,16 +377,16 @@ def _json_text(value, indent: str = "") -> str:
 def read_posterior_samples(path: Path) -> PosteriorSamples:
     from .model import PosteriorSamples
 
-    header, columns = _read_table(path)
+    header, columns, _ = _read_cells([path])
     if header[0] != "chain":
         raise ValueError(f"{path}: expected a 'chain' column first")
     if not columns[0]:
         raise ValueError(f"{path}: no posterior draws")
     names = tuple(header[1:])
-    with _naming(path):
-        chain_ids = [int(c) for c in columns[0]]
-        # (n_draws, n_params), row-major like the draws fit wrote
-        draws = np.array(columns[1:], dtype=float).reshape(len(names), len(chain_ids)).T.copy()
+    chain_ids = _numbers(columns[0], path, "chain", int)
+    # (n_draws, n_params), row-major like the draws fit wrote
+    draws = np.array([_numbers(c, path, n) for c, n in zip(columns[1:], names)])
+    draws = draws.reshape(len(names), chain_ids.size).T.copy()
     sidecar_path = Path(str(path) + ".diag.json")
     with _naming(sidecar_path):
         meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
@@ -378,7 +395,7 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     return PosteriorSamples(
         draws=draws,
         param_names=names,
-        chain_ids=np.array(chain_ids),
+        chain_ids=chain_ids,
         diagnostics=meta.get("parameters", {}),
         acceptance_rate=meta.get("acceptance_rate", float("nan")),
         sampler_facts=meta.get("sampler", {}),

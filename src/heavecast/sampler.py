@@ -61,7 +61,9 @@ def rhat(chains: np.ndarray) -> float:
     """Split potential-scale-reduction statistic for one parameter.
 
     chains has shape (n_chains, n_draws); each chain is split in half so
-    within-chain drift also inflates the statistic.
+    within-chain drift also inflates the statistic. Constant split chains
+    read 1.0 when they agree and infinity when they do not: chains stuck at
+    different values have not converged.
     """
     n_chains, n_draws = chains.shape
     half = n_draws // 2
@@ -69,7 +71,7 @@ def rhat(chains: np.ndarray) -> float:
     w = np.mean(np.var(split, axis=1, ddof=1))
     b = half * np.var(np.mean(split, axis=1), ddof=1)
     if w == 0.0:
-        return 1.0
+        return 1.0 if b == 0.0 else math.inf
     var_plus = (half - 1) / half * w + b / half
     return float(np.sqrt(var_plus / w))
 
@@ -82,10 +84,8 @@ def ess(chains: np.ndarray) -> float:
     for c in chains:
         c = c - np.mean(c)
         var = np.dot(c, c) / n_draws
-        if var == 0.0:
-            return float(total)
-        full = np.correlate(c, c, mode="full")[n_draws - 1 :] / (n_draws * var)
-        acs.append(full)
+        # a constant chain's autocorrelation is 1 at every lag
+        acs.append(np.correlate(c, c, mode="full")[n_draws - 1 :] / (n_draws * var) if var else np.ones(n_draws))
     rho = np.mean(acs, axis=0)
     # sum paired autocorrelations while they stay positive and decreasing
     tau = 1.0

@@ -661,6 +661,30 @@ class TestOneErrorPath:
         assert result.stderr == f"{prefix}: {exc}\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (
+                MemoryError("Unable to allocate 6.11 TiB for an array with shape (1000000000, 28, 30)"),
+                "out of memory: Unable to allocate 6.11 TiB for an array with shape (1000000000, 28, 30)",
+            ),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, exc, message):
+        # a campaign too large for memory printed a MemoryError traceback and exited 1
+        from heavecast import synthetic
+
+        def fail(scenario):
+            raise exc
+
+        monkeypatch.setattr(synthetic, "generate_spectra", fail)
+        result = invoke(["simulate", "--manifest", str(write_manifest(tmp_path, scenario={"duration_h": 10**9}))])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def hybrid_run(tmp_path_factory):

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from heavecast.model import PosteriorSamples, PredictiveDraws, predictive_summar
 from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport
 from heavecast.spectral import RaoCurve, SpectrumSeries
-from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario
+from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario, generate_spectra
 
 ROOT = Path(__file__).resolve().parents[1]
 T0 = np.datetime64("2024-06-01T00:00:00")
@@ -125,6 +126,19 @@ class TestSpectraRoundTrip:
         np.testing.assert_array_equal(back.freq_widths, back[0].freq_widths)
         write_spectra(tmp_path / "b.csv", back)
         assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
+
+    def test_read_peak_stays_within_nine_times_the_file(self, tmp_path):
+        # a reader that held each cell twice, as split and stripped, peaked at 11 times the file's size
+        p = tmp_path / "spectra.csv"
+        datasets.write_spectra(p, generate_spectra(SwellScenario(duration_h=48)))
+        read_spectra(p)  # imports happen untraced
+        tracemalloc.start()
+        try:
+            read_spectra(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * p.stat().st_size, peak / p.stat().st_size
 
     def test_mixed_grids_rejected(self, tmp_path):
         p = tmp_path / "spec.csv"
@@ -337,16 +351,69 @@ SHORT_ROW_CASES = {
 }
 
 
+# blanks a hand-edited file may put around a cell
+BLANKS = ["", " \t"]
+
+
+def with_last_row_cell(text: str, column: str, cell: str) -> str:
+    """text with the cell of column in its last row replaced."""
+    lines = text.splitlines()
+    cells = lines[-1].split(", ")
+    cells[lines[0].split(", ").index(column)] = cell
+    lines[-1] = ", ".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def as_compared(value):
+    """A reader's result as plain values: each array as its bytes, anything else as its repr."""
+    if isinstance(value, list):
+        return [as_compared(v) for v in value]
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in vars(value).items()}
+
+
+@pytest.mark.parametrize("kind", sorted(SHORT_ROW_CASES))
+def test_blanks_around_cells_read_as_the_writers_spelling(tmp_path, kind):
+    reader, text = SHORT_ROW_CASES[kind]
+    # spaces and tabs before, after and in place of the writer's one space after each comma
+    spaced = "".join(" \t" + " ,\t ".join(c.strip() for c in line.split(",")) + "\t \n" for line in text.splitlines())
+    plain, padded = tmp_path / f"{kind}.csv", tmp_path / f"{kind}_padded.csv"
+    plain.write_text(text)
+    padded.write_text(spaced)
+    assert as_compared(reader(padded)) == as_compared(reader(plain))
+
+
+@pytest.mark.parametrize(
+    "kind, column, cell, message",
+    [
+        ("spectra", "freq_hz", "-0.1", "row 4: freq_hz must be positive"),
+        ("measurements", "sig_heave_m", "-0.5", "row 2: sig_heave_m must be a finite nonnegative number"),
+        ("measurements", "valid", "yes", "row 2: valid must be true or false"),
+        ("issue", "sig_heave_m", "-1", "row 2: sig_heave_m must be a finite nonnegative number"),
+        ("dataset", "post_gap_flag", "2", "row 2: post_gap_flag must be 0 or 1"),
+    ],
+)
+@pytest.mark.parametrize("blank", BLANKS)
+def test_refused_cell_is_quoted_without_its_blanks(tmp_path, kind, column, cell, message, blank):
+    reader, text = SHORT_ROW_CASES[kind]
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(with_last_row_cell(text, column, blank + cell + blank[::-1]))
+    with pytest.raises(ValueError) as exc:
+        reader(p)
+    assert str(exc.value) == f"{p}, {message}, found {cell!r}"
+
+
 # numpy's datetime64 reads these as the wall-clock time or as NaT
 WALL_CLOCK_SPELLINGS = ["now", "NOW", "nowZ", "today", "Today", "NaT", "nat", ""]
 
 
+@pytest.mark.parametrize("blank", BLANKS)
 @pytest.mark.parametrize("spelling", WALL_CLOCK_SPELLINGS)
 @pytest.mark.parametrize("kind", sorted(set(SHORT_ROW_CASES) - {"rao", "samples"}))
-def test_wall_clock_time_cell_names_the_file(tmp_path, kind, spelling):
+def test_wall_clock_time_cell_names_the_file(tmp_path, kind, spelling, blank):
     reader, text = SHORT_ROW_CASES[kind]
     lines = text.splitlines()
-    lines[-1] = ", ".join([spelling] + lines[-1].split(", ")[1:])  # each of these files starts a row with a time
+    # each of these files starts a row with a time; the message quotes it without its blanks
+    lines[-1] = ", ".join([blank + spelling + blank] + lines[-1].split(", ")[1:])
     p = tmp_path / f"{kind}.csv"
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"{kind}\.csv: .* is not a time \({re.escape(repr(spelling))}\)"):
@@ -391,8 +458,7 @@ class TestShortRows:
             read_heave_records(p)
 
 
-# the number columns of each reader's file in SHORT_ROW_CASES; the issue
-# reader names only its file (tests/test_issue_files.py)
+# the number columns of each reader's file in SHORT_ROW_CASES
 NUMBER_COLUMNS = [
     ("rao", "freq_hz"),
     ("rao", "amplitude"),
@@ -400,21 +466,24 @@ NUMBER_COLUMNS = [
     ("spectra", "dir_deg"),
     ("spectra", "density_m2_s_per_deg"),
     ("measurements", "sig_heave_m"),
+    ("issue", "sig_heave_m"),
     ("dataset", "x_m"),
     ("dataset", "y_m"),
+    ("samples", "chain"),
+    ("samples", "beta0"),
+    ("samples", "sigma"),
 ]
 
 
+@pytest.mark.parametrize("blank", BLANKS)
 @pytest.mark.parametrize("kind, column", NUMBER_COLUMNS)
-def test_bad_number_cell_names_the_file_and_column(tmp_path, kind, column):
+def test_bad_number_cell_names_the_file_and_column(tmp_path, kind, column, blank):
     reader, text = SHORT_ROW_CASES[kind]
-    lines = text.splitlines()
-    cells = lines[-1].split(", ")
-    cells[lines[0].split(", ").index(column)] = "x"
-    lines[-1] = ", ".join(cells)
     p = tmp_path / f"{kind}.csv"
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"{kind}\.csv: {column}: could not convert string to float: 'x'"):
+    p.write_text(with_last_row_cell(text, column, blank + "x" + blank))
+    # the chain is an integer; the cell is quoted without its blanks
+    error = r"invalid literal for int\(\) with base 10" if column == "chain" else "could not convert string to float"
+    with pytest.raises(ValueError, match=rf"{kind}\.csv: {column}: {error}: 'x'$"):
         reader(p)
 
 

@@ -40,7 +40,7 @@ def oracle_write(path: Path, issue: ForecastIssue) -> None:
 
 def oracle_read(path: Path) -> ForecastIssue:
     """The per-file reader the batched reader replaced (it truncated off-hour leads)."""
-    issue_col, valid_col, value_col = io._read_columns(path, HEADER.split(", "))
+    _, (issue_col, valid_col, value_col), _ = io._read_cells([path], HEADER.split(", "))
     if not issue_col:
         raise ValueError(f"{path}: empty forecast issue")
     issue_times = io._parse_times(set(issue_col), path, "issue time")
@@ -185,7 +185,7 @@ class TestSetReader:
             oracle_write(paths[-1], ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.ones(2)))
         paths[70].write_text(paths[70].read_text().replace(", 1\n", ", one\n", 1))
         paths[100].write_text("issued, valid, value\n")
-        with pytest.raises(ValueError, match=r"f070\.csv: could not convert string to float: ' one'"):
+        with pytest.raises(ValueError, match=r"f070\.csv: sig_heave_m: could not convert string to float: 'one'"):
             read_forecast_issues(paths)
         with pytest.raises(ValueError, match=r"f100\.csv: expected header"):
             read_forecast_issues(paths[:70] + paths[71:])

@@ -323,6 +323,18 @@ class TestDiagStats:
         b = rng.standard_normal(500) + 5.0
         assert rhat(np.stack([a, b])) > 1.5
 
+    def test_rhat_of_constant_chains(self):
+        # chains stuck at different values have not converged; stuck at one value they agree
+        assert rhat(np.repeat([[1.0], [2.0], [3.0]], 200, axis=1)) == math.inf
+        assert rhat(np.full((3, 200), 2.0)) == 1.0
+
+    def test_ess_with_a_constant_chain(self):
+        # a constant chain is correlated at every lag: it adds almost nothing, not all 200 draws
+        rng = np.random.default_rng(9)
+        chains = np.stack([rng.standard_normal(100), np.full(100, 0.5)])
+        assert ess(chains) < 10.0
+        assert ess(np.full((2, 100), 0.5)) < 2.0
+
     def test_ess_iid_near_total(self):
         rng = np.random.default_rng(7)
         chains = rng.standard_normal((3, 2000))
