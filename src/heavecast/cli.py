@@ -3,7 +3,9 @@ diagnose, and response, the physics response of a spectra file and an RAO.
 
 Every command reads a run manifest (JSON or YAML), takes flag overrides,
 writes plain delimited text into the manifest's output directory and is
-idempotent for a fixed manifest and seed. Exit codes: 0 success, 2
+idempotent for a fixed manifest and seed. Each stage reads what the stages
+before it wrote: score reads the predictions predict wrote (with each test
+row's CRPS), so it draws nothing itself. Exit codes: 0 success, 2
 validation or usage error (an unknown command or option, a missing or
 malformed value), 3 numerical failure. main maps a command's exceptions to
 them in one place: ValueError, OSError and KeyError exit 2, and any
@@ -30,7 +32,9 @@ from typing import TYPE_CHECKING, NoReturn
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from . import io, model
+    import numpy as np
+
+    from . import io, model, scoring
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -159,11 +163,12 @@ def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.Pos
     return samples
 
 
-def _test_predictive(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, model.PredictiveDraws]:
-    """The horizon-h test split and its posterior-predictive draws.
+def _predictions_path(m: io.RunManifest, h: int) -> Path:
+    return m.out_dir / f"predictions_{m.model_kind}_h{h:03d}.csv"
 
-    predict and score both call this, so they draw the same y* values.
-    """
+
+def _test_predictive(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, model.PredictiveDraws]:
+    """The horizon-h test split and its posterior-predictive draws."""
     from . import model
 
     train, test = _split(m, h)
@@ -171,6 +176,50 @@ def _test_predictive(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, mode
     samples = _read_samples(m, h, spec)
     pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
     return test, pred
+
+
+def _read_predictions(m: io.RunManifest, h: int, test: io.HorizonDataset) -> np.ndarray:
+    """The number table of the horizon-h predictions file, written for test.
+
+    A file that is missing or unreadable, or whose valid times are not
+    test's (the dataset was rebuilt after predict), raises a ValueError that
+    names it and says to re-run predict.
+    """
+    import numpy as np
+
+    from . import io
+
+    path = _predictions_path(m, h)
+    try:
+        valid_times, table = io.read_predictions(path)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: no such file; run predict first") from None
+    except ValueError as exc:
+        raise ValueError(f"{exc}; re-run predict") from None
+    if not np.array_equal(valid_times, test.valid_times):
+        raise ValueError(f"{path}: valid times differ from the test split of {_dataset_path(m, h)}; re-run predict")
+    return table
+
+
+def _score_reports(m: io.RunManifest) -> list[scoring.ScoreReport]:
+    """Every horizon's report of the model, then every horizon's of the raw physics forecast.
+
+    The model's RMSE is that of the predictive means and its CRPS the mean
+    of the per-row CRPS, both read from the predictions file predict wrote;
+    the raw physics forecast is scored as a point forecast.
+    """
+    import numpy as np
+
+    from . import scoring
+
+    reports, x, y = [], {}, {}
+    for h in m.horizons:
+        _, test = _split(m, h)
+        table = _read_predictions(m, h, test)
+        rmse, crps = scoring.rmse(table[:, 0], test.y), float(np.mean(table[:, -1]))
+        reports.append(scoring.ScoreReport(f"{m.model_kind} adjustment", h, rmse, crps, len(test)))
+        x[h], y[h] = test.x, test.y
+    return reports + scoring.score_table({"raw physics": x}, y, m.horizons)
 
 
 def _parse(args: list[str], prog: str) -> tuple[Callable[..., None], dict]:
@@ -296,37 +345,35 @@ def fit(**kwargs):
 
 @_command(_HORIZONS, _MODEL, _SEED)
 def predict(**kwargs):
-    """Posterior-predictive quantiles for the test split of each horizon."""
+    """Posterior-predictive quantiles and CRPS for the test split of each horizon.
+
+    Each test row's draws give its mean, quantiles and sample CRPS against
+    the measured value in one pass; score reads them from the file written
+    here. Each horizon's draws are released before the next horizon's are
+    made.
+    """
     from . import io
 
     m = _load(**kwargs)
     for h in m.horizons:
-        _, pred = _test_predictive(m, h)
-        path = m.out_dir / f"predictions_{m.model_kind}_h{h:03d}.csv"
-        io.write_predictions(path, pred)
+        test, pred = _test_predictive(m, h)
+        path = _predictions_path(m, h)
+        io.write_predictions(path, pred, test.y)
         print(f"h={h}: {len(pred)} predictive rows -> {path}", flush=True)
         del pred  # before the next horizon's draws are made
 
 
-@_command(_HORIZONS, _MODEL, _SEED)
+@_command(_HORIZONS, _MODEL)
 def score(**kwargs):
-    """Score the fitted model against the raw physics forecast.
+    """Score the fitted model's predictions against the raw physics forecast.
 
-    Each horizon is scored as soon as its draws exist, and the draws are
-    released before the next horizon's are made; the reports are then put in
-    label-major order, every horizon of one model before the next model.
+    Reads each horizon's test split and the predictions file predict wrote
+    for it, and draws nothing: re-run predict after fit or with a new --seed.
     """
     from . import io, scoring
 
     m = _load(**kwargs)
-    labels = [f"{m.model_kind} adjustment", "raw physics"]
-    reports = []
-    for h in m.horizons:
-        test, pred = _test_predictive(m, h)
-        models = {labels[0]: {h: pred.draws.T}, labels[1]: {h: test.x}}
-        reports += scoring.score_table(models, {h: test.y}, [h])
-        del pred, models
-    reports.sort(key=lambda r: labels.index(r.model_label))
+    reports = _score_reports(m)
     io.write_score_reports(m.out_dir / "scores.csv", reports)
     table = scoring.format_score_table(reports)
     io.atomic_write_text(m.out_dir / "scores.txt", table + "\n")

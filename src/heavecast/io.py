@@ -20,8 +20,10 @@ issues), which only simulate, build and response touch, are read and
 written by datasets; their readers and writers still resolve as attributes
 of this module, importing datasets on first use (PEP 562), so fit, predict,
 score and diagnose never load it. Likewise a reader imports the type it
-builds, and write_predictions the predictive helpers, when it runs, and
-PyYAML is imported only for a manifest that is not a JSON document.
+builds, and write_predictions model.predictive_summaries (the one pass over
+the draws that gives each row's summaries and CRPS), when it runs, so
+score, which reads only the predictions table, never loads model; PyYAML
+is imported only for a manifest that is not a JSON document.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "read_posterior_samples",
     "write_posterior_samples",
     "write_predictions",
+    "read_predictions",
     "write_score_reports",
 ]
 
@@ -404,14 +407,36 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
 
 # -- predictions and scores --------------------------------------------------
 
-def write_predictions(path: Path, pred: PredictiveDraws) -> None:
-    """Predictive summaries per valid time: mean and the quantile levels."""
-    from .model import QUANTILE_LEVELS, predictive_summaries
+_PREDICTIONS_HEADER = ["valid_time_utc", "mean_m", "p05_m", "p50_m", "p95_m", "crps_m"]
 
-    table = predictive_summaries(pred)
-    cols = ["valid_time_utc", "mean_m"] + [f"p{round(lv * 100):02d}_m" for lv in QUANTILE_LEVELS]
+
+def write_predictions(path: Path, pred: PredictiveDraws, obs: np.ndarray) -> None:
+    """Per valid time: the predictive mean, the quantiles at model.QUANTILE_LEVELS
+    and the sample CRPS of the draws against the measured value in obs."""
+    from .model import predictive_summaries
+
+    table = predictive_summaries(pred.draws.T, obs)
     rows = ((vt, *row) for vt, row in zip(pred.valid_times, table.tolist()))
-    _write_table(path, cols, "%s" + ", %.10g" * table.shape[1], rows)
+    _write_table(path, _PREDICTIONS_HEADER, "%s" + ", %.10g" * table.shape[1], rows)
+
+
+def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The valid times and the (rows, columns) number table write_predictions wrote.
+
+    Every number must be finite and crps_m nonnegative, or a ValueError
+    names the file, the column and the row.
+    """
+    _, (valid_col, *number_cols), _ = _read_cells([path], _PREDICTIONS_HEADER)
+    valid_times = _parse_times(valid_col, path, "valid_time_utc")
+    table = np.column_stack([_numbers(c, path, n) for c, n in zip(number_cols, _PREDICTIONS_HEADER[1:])])
+    bad = ~np.isfinite(table)
+    bad[:, -1] |= table[:, -1] < 0.0
+    if bad.any():
+        row, col = np.argwhere(bad)[0].tolist()
+        name = _PREDICTIONS_HEADER[1 + col]
+        rule = "finite and nonnegative" if name == "crps_m" else "finite"
+        raise ValueError(f"{path}, row {row + 1}: {name} must be {rule}, found {number_cols[col][row].strip()!r}")
+    return valid_times, table
 
 
 def write_score_reports(path: Path, reports: list[ScoreReport]) -> None:

@@ -85,32 +85,6 @@ def crps_samples(draws: np.ndarray, y: float) -> float:
     return term1 - pair_sum / (2.0 * m * m)
 
 
-def _draw_scores(draws: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and crps_samples of every row of draws against obs, with the same bits.
-
-    Each block of 64 rows is copied once to C order, which stores every row
-    contiguously whatever the layout of draws (an F-ordered view included).
-    The mean and mean|y* - y| are taken on the copy as crps_samples takes
-    them on one row; the copy is then sorted in place, and its pair sums are
-    per-row dot products with the rank coefficients.
-    """
-    m = draws.shape[1]
-    if m < 2:
-        raise ValueError("need at least two draws")
-    coeffs = 2.0 * np.arange(m) - (m - 1)
-    means = np.empty(obs.size)
-    crps = np.empty(obs.size)
-    for start in range(0, obs.size, 64):
-        block = np.array(draws[start : start + 64], order="C")
-        rows = slice(start, start + 64)
-        means[rows] = block.mean(axis=1)
-        term1 = np.mean(np.abs(block - obs[rows, None]), axis=1)
-        block.sort(axis=1)
-        pair_sums = [2.0 * float(np.dot(coeffs, row)) for row in block]
-        crps[rows] = term1 - np.array(pair_sums) / (2.0 * m * m)
-    return means, crps
-
-
 def score_table(
     models: dict[str, dict[int, np.ndarray]],
     obs: dict[int, np.ndarray],
@@ -135,9 +109,10 @@ def score_table(
                 means = f
                 crps = np.abs(f - y)
             else:
-                if f.shape[0] != y.size:
-                    raise ValueError("draw matrix row count must match observations")
-                means, crps = _draw_scores(f, y)
+                from .model import predictive_summaries
+
+                summaries = predictive_summaries(f, y)
+                means, crps = summaries[:, 0], summaries[:, -1]
             reports.append(
                 ScoreReport(
                     model_label=label,

@@ -1,6 +1,6 @@
 """Digest of every file one pipeline run leaves in out_dir.
 
-    python tests/outdir_digest.py SRC WORKLOAD SEED [--spectra-hours N] > digests.txt
+    python tests/outdir_digest.py SRC WORKLOAD SEED [--spectra-hours N] [--against OTHER] > digests.txt
 
 Runs the six stages of a benchmark workload on the heavecast source tree
 SRC (the directory that holds the heavecast package, such as src/), each as
@@ -20,8 +20,11 @@ so two source trees write byte-identical outputs when
     diff <(python tests/outdir_digest.py a/src year-hybrid 1) \\
          <(python tests/outdir_digest.py b/src year-hybrid 1)
 
-prints nothing. A stage that fails stops the run with its exit code and
-output on stderr.
+prints nothing. With --against OTHER, a second source tree, the workload
+also runs on OTHER, and only the out_dir files whose digests differ, or
+that one tree alone wrote, are printed, one path per line; the exit code
+is 1 when any differ and 0 when none does. A stage that fails stops the run
+with its exit code and output on stderr.
 """
 
 from __future__ import annotations
@@ -82,9 +85,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("seed", type=int)
     parser.add_argument("--spectra-hours", type=int, default=0, metavar="N",
                         help="also write N hours of spectra and digest response.csv [default: 0]")
+    parser.add_argument("--against", type=Path, metavar="OTHER",
+                        help="a second source tree: print only the files whose digests differ, and exit 1 if any do")
     args = parser.parse_args(argv)
-    print("\n".join(digests(args.src, args.workload, args.seed, args.spectra_hours)))
-    return 0
+    lines = digests(args.src, args.workload, args.seed, args.spectra_hours)
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    other = digests(args.against, args.workload, args.seed, args.spectra_hours)
+    # a line present on one side only is a file one tree alone wrote or whose digest differs
+    differing = sorted({line.split("  ", 1)[1] for line in set(lines) ^ set(other)})
+    if differing:
+        print("\n".join(differing))
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """predict, score and diagnose on garbled dataset, samples and sidecar files,
-and response on garbled RAO and spectra files.
+score on garbled predictions files, and response on garbled RAO and spectra
+files.
 
 Whatever a stage reads, it must exit 0, 2 or 3 and never raise: clirun.invoke
 passes on any exception other than SystemExit, so an uncaught one fails the test.
@@ -24,7 +25,15 @@ from clirun import invoke
 DATASET = "dataset_h000.csv"
 SAMPLES = "samples_hybrid_h000.csv"
 SIDECAR = SAMPLES + ".diag.json"
+PREDICTIONS = "predictions_hybrid_h000.csv"
 STAGES = ("predict", "score", "diagnose")
+# the files of the campaign each stage reads: score reads the predictions
+# predict wrote, so a samples file predict refused leaves score none to read
+READS = {
+    "predict": {DATASET, SAMPLES, SIDECAR},
+    "score": {DATASET, PREDICTIONS},
+    "diagnose": {DATASET, SAMPLES, SIDECAR},
+}
 
 
 @pytest.fixture(scope="module")
@@ -49,29 +58,36 @@ def texts():
         return {name: (Path(tmp) / name).read_text() for name in (DATASET, SAMPLES, SIDECAR)}
 
 
-def stage_results(files: dict[str, str]) -> list[tuple[str, int, str]]:
-    """(stage, exit code, output) of every stage run on a campaign of files (name -> text)."""
+def write_campaign(tmp: str, files: dict[str, str]) -> Path:
+    """The manifest of a campaign of files (name -> text) in out/ under tmp."""
+    out = Path(tmp) / "out"
+    out.mkdir()
+    for name, text in files.items():
+        (out / name).write_text(text)
+    manifest = Path(tmp) / "run.yaml"
+    manifest.write_text(yaml.safe_dump(
+        {"out_dir": "out", "horizons": [0], "model_kind": "hybrid", "train_fraction": 0.75}
+    ))
+    return manifest
+
+
+def stage_results(files: dict[str, str], stages=STAGES) -> list[tuple[str, int, str]]:
+    """(stage, exit code, output) of each of stages run in order on a campaign of files (name -> text)."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        out.mkdir()
-        for name, text in files.items():
-            (out / name).write_text(text)
-        manifest = Path(tmp) / "run.yaml"
-        manifest.write_text(yaml.safe_dump(
-            {"out_dir": "out", "horizons": [0], "model_kind": "hybrid", "train_fraction": 0.75}
-        ))
-        results = [(stage, invoke([stage, "--manifest", str(manifest)])) for stage in STAGES]
+        manifest = write_campaign(tmp, files)
+        results = [(stage, invoke([stage, "--manifest", str(manifest)])) for stage in stages]
     return [(stage, r.exit_code, r.output) for stage, r in results]
 
 
-def run_stages(texts: dict[str, str], name: str, garbled: str, codes=(0, 2, 3)) -> None:
-    """Every stage, with file `name` replaced by `garbled`, exits with one of codes and its message."""
-    for stage, code, output in stage_results({**texts, name: garbled}):
+def run_stages(texts: dict[str, str], name: str, garbled: str, codes=(0, 2, 3), stages=STAGES) -> None:
+    """Each of stages, with file `name` replaced by `garbled`, exits with one of codes and its message,
+    which names that file if the stage reads it and else the predictions predict did not write."""
+    for stage, code, output in stage_results({**texts, name: garbled}, stages):
         assert code in codes, (stage, code, output)
         assert "Traceback" not in output
         if code == 2:
             assert output.startswith("error: "), output
-            assert name in output, output
+            assert (name if name in READS[stage] else PREDICTIONS) in output, output
 
 
 def test_campaign_as_written_is_accepted(texts):
@@ -120,6 +136,28 @@ def test_garbled_table(texts, name, kind, row, col, junk):
     # no cell other than 0 or 1 is a post_gap_flag, so that garbled cell must be refused
     flag = name == DATASET and kind in ("non-numeric cell", "non-finite cell") and col % 5 == FLAG_COLUMN
     run_stages(texts, name, garble_csv(texts[name], kind, row, col, junk), codes=(2,) if flag else (0, 2, 3))
+
+
+@pytest.fixture(scope="module")
+def predicted(texts):
+    """The campaign's files and the predictions file predict writes from them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_campaign(tmp, texts)
+        assert invoke(["predict", "--manifest", str(manifest)]).exit_code == 0
+        return {**texts, PREDICTIONS: (manifest.parent / "out" / PREDICTIONS).read_text()}
+
+
+@given(
+    kind=st.sampled_from(CSV_GARBLES),
+    row=st.integers(0, 10_000),
+    col=st.integers(0, 10),
+    junk=st.text(alphabet="abc ;:_", max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_garbled_predictions(predicted, kind, row, col, junk):
+    # score reads no samples, so the predictions file is the one input it trusts predict for
+    garbled = garble_csv(predicted[PREDICTIONS], kind, row, col, junk)
+    run_stages(predicted, PREDICTIONS, garbled, codes=(0, 2), stages=("score",))
 
 
 NOT_OBJECTS = st.one_of(

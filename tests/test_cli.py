@@ -27,7 +27,7 @@ OVERRIDES = {
     "build": {"-H"},
     "fit": {"-H", "--model", "--seed"},
     "predict": {"-H", "--model", "--seed"},
-    "score": {"-H", "--model", "--seed"},
+    "score": {"-H", "--model"},
     "diagnose": {"-H", "--model"},
     "response": set(),
 }
@@ -117,7 +117,7 @@ class TestPipeline:
         tmp_path, _ = pipeline
         out = tmp_path / "out"
         lines = (out / "predictions_basic_h000.csv").read_text().strip().splitlines()
-        assert lines[0] == "valid_time_utc, mean_m, p05_m, p50_m, p95_m"
+        assert lines[0] == "valid_time_utc, mean_m, p05_m, p50_m, p95_m, crps_m"
         assert len(lines) > 10
 
     def test_score_artifacts(self, pipeline):
@@ -792,18 +792,18 @@ class TestBadSamples:
         assert result.exit_code == 2, result.output
         assert "samples_hybrid_h000.csv: " + message in result.output
 
-    @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
+    @pytest.mark.parametrize("cmd", ["predict", "diagnose"])
     def test_missing_phi2_column(self, campaign, cmd):
         self.rewrite_samples(campaign, lambda cells: cells[:4] + cells[5:])
         self.assert_refused(campaign, cmd, "expected hybrid parameters ['beta0', 'beta1', 'phi1', 'phi2', 'sigma']")
 
-    @pytest.mark.parametrize("cmd", ["predict", "score"])
+    @pytest.mark.parametrize("cmd", ["predict"])
     @pytest.mark.parametrize("sigma", ["nan", "-0.05"])
     def test_sigma_outside_support(self, campaign, cmd, sigma):
         self.rewrite_samples(campaign, lambda cells: cells[:-1] + [cells[-1] if cells[0] == "chain" else sigma])
         self.assert_refused(campaign, cmd, "400 of 400 draws are not finite or lie outside the prior support")
 
-    @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
+    @pytest.mark.parametrize("cmd", ["predict", "diagnose"])
     def test_sidecar_not_an_object(self, campaign, cmd):
         (campaign / "out" / "samples_hybrid_h000.csv.diag.json").write_text("[]\n")
         result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])
@@ -816,13 +816,70 @@ class TestBadSamples:
             result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])
             assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("cmd", ["predict", "score", "diagnose"])
+    @pytest.mark.parametrize("cmd", ["predict", "diagnose"])
     def test_too_few_draws(self, campaign, cmd):
         # fit retains at least 100 draws per chain; one draw would give predict degenerate quantiles
         path = campaign / "out" / "samples_hybrid_h000.csv"
         path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
         self.assert_refused(campaign, cmd, "need at least 100 posterior draws, found 1")
         assert not list((campaign / "out").glob("predictions_*.csv"))
+
+
+class TestBadPredictions:
+    """score reads only the test split and the predictions predict wrote; a predictions
+    file it cannot use exits 2 with the file named and predict to re-run."""
+
+    @staticmethod
+    def predict(campaign) -> Path:
+        result = invoke(["predict", "--manifest", str(campaign / "run.yaml")])
+        assert result.exit_code == 0, result.output
+        return campaign / "out" / "predictions_hybrid_h000.csv"
+
+    @staticmethod
+    def assert_refused(campaign, message):
+        result = invoke(["score", "--manifest", str(campaign / "run.yaml")])
+        assert result.exit_code == 2, result.output
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
+        assert not (campaign / "out" / "scores.csv").exists()
+
+    def test_missing_file(self, campaign):
+        path = campaign / "out" / "predictions_hybrid_h000.csv"
+        self.assert_refused(campaign, f"{path}: no such file; run predict first")
+
+    def test_header_without_crps(self, campaign):
+        # the file as predict wrote it before it scored each row
+        path = self.predict(campaign)
+        path.write_text("".join(line.rsplit(", ", 1)[0] + "\n" for line in path.read_text().splitlines()))
+        expected, found = io._PREDICTIONS_HEADER, io._PREDICTIONS_HEADER[:-1]
+        self.assert_refused(campaign, f"{path}: expected header {expected}, found {found}; re-run predict")
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (1, "inf", "mean_m must be finite, found 'inf'"),
+            (4, "nan", "p95_m must be finite, found 'nan'"),
+            (5, "nan", "crps_m must be finite and nonnegative, found 'nan'"),
+            (5, "-0.002", "crps_m must be finite and nonnegative, found '-0.002'"),
+        ],
+    )
+    def test_bad_cell(self, campaign, column, cell, message):
+        path = self.predict(campaign)
+        header, *rows = path.read_text().splitlines()
+        cells = rows[2].split(", ")
+        cells[column] = cell
+        rows[2] = ", ".join(cells)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        self.assert_refused(campaign, f"{path}, row 3: {message}; re-run predict")
+
+    def test_valid_times_of_an_earlier_dataset(self, campaign):
+        # the dataset rebuilt after predict, without its last measurement:
+        # the split moves, and the file no longer covers the test rows
+        path = self.predict(campaign)
+        dataset = campaign / "out" / "dataset_h000.csv"
+        dataset.write_text("\n".join(dataset.read_text().splitlines()[:-1]) + "\n")
+        self.assert_refused(
+            campaign, f"{path}: valid times differ from the test split of {dataset}; re-run predict"
+        )
 
 
 def test_horizons_draw_independent_normals(campaign):
@@ -913,7 +970,7 @@ class TestEntryPoint:
 
         samples = campaign / "out" / "samples_hybrid_h000.csv"
         samples.write_text("\n".join(samples.read_text().splitlines()[:2]) + "\n")
-        bad = program("score", "--manifest", str(manifest), text=True)
+        bad = program("predict", "--manifest", str(manifest), text=True)
         assert bad.returncode == 2
         assert bad.stderr == f"error: {samples}: need at least 100 posterior draws, found 1\n"
 
@@ -925,6 +982,7 @@ class TestEntryPoint:
         assert failed.stderr.count("\n") == 1
 
     def test_score_prints_the_table_it_writes(self, campaign):
+        assert program("predict", "--manifest", str(campaign / "run.yaml")).returncode == 0
         result = program("score", "--manifest", str(campaign / "run.yaml"))
         assert result.returncode == 0, result.stderr
         assert result.stdout == (campaign / "out" / "scores.txt").read_bytes()
@@ -1035,7 +1093,7 @@ UNLOADED = {
     "build": {"sampler", "synthetic", "scoring", "diagnostics", "model", "spectral", "motion"},
     "fit": {"synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
     "predict": {"sampler", "synthetic", "scoring", "diagnostics", "spectral", "motion", *CAMPAIGN},
-    "score": {"sampler", "synthetic", "diagnostics", "spectral", "motion", *CAMPAIGN},
+    "score": {"sampler", "synthetic", "diagnostics", "model", "spectral", "motion", *CAMPAIGN},
     "diagnose": {"sampler", "synthetic", "scoring", "spectral", "motion", *CAMPAIGN},
 }
 
@@ -1075,6 +1133,12 @@ def test_stage_leaves_other_stages_modules_unloaded(stage_imports, stage):
     assert {f"heavecast.{m}" for m in UNLOADED[stage]}.isdisjoint(names)
     # numpy.ma costs about 16 ms to import, and np.unique imports it
     assert {"scipy.stats", "scipy.signal", "numpy.ma"}.isdisjoint(names)
+
+
+def test_score_draws_no_random_numbers(stage_imports):
+    # score reads the CRPS predict wrote, so it never loads numpy.random
+    assert "numpy.random" in stage_imports["predict"]
+    assert "numpy.random" not in stage_imports["score"]
 
 
 def _pyyaml(names: set[str]) -> set[str]:
@@ -1119,8 +1183,8 @@ def test_import_leaves_scipy_stats_and_signal_out():
     assert out.stdout.strip() == "[]"
 
 
-def test_score_holds_one_horizon_of_draws_at_a_time(tmp_path):
-    """score's traced peak must not grow with the number of horizons.
+def test_predict_holds_one_horizon_of_draws_at_a_time(tmp_path):
+    """predict's traced peak must not grow with the number of horizons.
 
     Four horizons share one dataset and one samples file, so each horizon's
     (rows x draws) matrix is as large as the others. numpy reports its
@@ -1149,11 +1213,11 @@ def test_score_holds_one_horizon_of_draws_at_a_time(tmp_path):
 
     def traced_peak(*flags):
         tracemalloc.reset_peak()
-        result = invoke(["score", "--manifest", str(manifest), *flags])
+        result = invoke(["predict", "--manifest", str(manifest), *flags])
         assert result.exit_code == 0, result.output
         return tracemalloc.get_traced_memory()[1]
 
-    assert invoke(["score", "--manifest", str(manifest), "-H", "0"]).exit_code == 0  # imports happen untraced
+    assert invoke(["predict", "--manifest", str(manifest), "-H", "0"]).exit_code == 0  # imports happen untraced
     tracemalloc.start()
     try:
         one, four = traced_peak("-H", "0"), traced_peak()

@@ -27,6 +27,7 @@ from heavecast.io import (
     read_heave_records,
     read_horizon_dataset,
     read_posterior_samples,
+    read_predictions,
     read_rao,
     read_spectra,
     write_forecast_issue,
@@ -38,9 +39,9 @@ from heavecast.io import (
     write_score_reports,
     write_spectra,
 )
-from heavecast.model import PosteriorSamples, PredictiveDraws, predictive_summaries
+from heavecast.model import QUANTILE_LEVELS, PosteriorSamples, PredictiveDraws, predictive_summaries
 from heavecast.sampler import SamplerConfig
-from heavecast.scoring import ScoreReport
+from heavecast.scoring import ScoreReport, crps_samples
 from heavecast.spectral import RaoCurve, SpectrumSeries
 from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario, generate_spectra
 
@@ -60,6 +61,7 @@ def test_readme_file_formats_are_the_readers_and_writers_headers():
         "measurements.csv": datasets._HEAVE_HEADER,
         "issues/issue_NNNN.csv": datasets._ISSUE_HEADER,
         "dataset_hHHH.csv": heavecast_io._DATASET_HEADER,
+        "predictions_<model>_hHHH.csv": heavecast_io._PREDICTIONS_HEADER,
     }
 
 
@@ -639,17 +641,22 @@ class TestPosteriorAndPredictions:
         # posterior_predictive makes them; 150 rows span three row blocks
         rng = np.random.default_rng(5)
         ystar = rng.gamma(2.0, 0.4, (1500, 150))
+        obs = rng.gamma(2.0, 0.4, 150)
         dists = PredictiveDraws(valid_times=T0 + np.arange(150) * HOUR, draws=ystar)
-        table = predictive_summaries(dists)
-        for d, row in zip(dists, table):
+        table = predictive_summaries(dists.draws.T, obs)
+        for d, y, row in zip(dists, obs, table):
             s = d.summaries
-            assert list(row) == [s["mean"], s["p05"], s["p50"], s["p95"]]
+            assert list(row) == [s["mean"], s["p05"], s["p50"], s["p95"], crps_samples(d.draws, y)]
         p = tmp_path / "pred.csv"
-        write_predictions(p, dists)
+        write_predictions(p, dists, obs)
         lines = p.read_text().splitlines()[1:]
-        for d, line in zip(dists, lines):
+        for d, y, line in zip(dists, obs, lines):
             s = d.summaries
-            assert line == ", ".join([str(d.valid_time)] + [f"{s[k]:.10g}" for k in ("mean", "p05", "p50", "p95")])
+            cells = [s[k] for k in ("mean", "p05", "p50", "p95")] + [crps_samples(d.draws, y)]
+            assert line == ", ".join([str(d.valid_time)] + [f"{v:.10g}" for v in cells])
+        valid_times, back = read_predictions(p)
+        np.testing.assert_array_equal(valid_times, dists.valid_times)
+        assert back.tolist() == [[float(f"{v:.10g}") for v in row] for row in table.tolist()]
 
     def test_samples_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -688,13 +695,36 @@ class TestPosteriorAndPredictions:
         draws = np.linspace(0, 1, 101)[:, None].repeat(3, axis=1)
         dists = PredictiveDraws(valid_times=T0 + np.arange(3) * HOUR, draws=draws)
         p = tmp_path / "pred.csv"
-        write_predictions(p, dists)
+        write_predictions(p, dists, np.array([0.0, 0.5, 1.0]))
         lines = p.read_text().strip().splitlines()
-        assert lines[0] == "valid_time_utc, mean_m, p05_m, p50_m, p95_m"
+        assert lines[0] == "valid_time_utc, mean_m, p05_m, p50_m, p95_m, crps_m"
+        assert lines[0].split(", ")[2:-1] == [f"p{round(lv * 100):02d}_m" for lv in QUANTILE_LEVELS]
         assert len(lines) == 4
         empty = PredictiveDraws(valid_times=dists.valid_times[:0], draws=draws[:, :0])
         with pytest.raises(ValueError):
-            write_predictions(tmp_path / "empty.csv", empty)
+            write_predictions(tmp_path / "empty.csv", empty, np.array([]))
+        with pytest.raises(ValueError, match="row count must match"):
+            write_predictions(tmp_path / "short.csv", dists, np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (1, "nan", "mean_m must be finite, found 'nan'"),
+            (3, "inf", "p50_m must be finite, found 'inf'"),
+            (5, "-1e-3", "crps_m must be finite and nonnegative, found '-1e-3'"),
+            (5, " -inf", "crps_m must be finite and nonnegative, found '-inf'"),
+        ],
+    )
+    def test_predictions_cell_refused(self, tmp_path, column, cell, message):
+        draws = np.linspace(0, 1, 101)[:, None].repeat(3, axis=1)
+        p = tmp_path / "pred.csv"
+        write_predictions(p, PredictiveDraws(valid_times=T0 + np.arange(3) * HOUR, draws=draws), np.zeros(3))
+        header, *lines = p.read_text().splitlines()
+        cells = lines[1].split(", ")
+        cells[column] = cell
+        p.write_text("\n".join([header, lines[0], ", ".join(cells), lines[2]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}, row 2: {message}')}$"):
+            read_predictions(p)
 
     def test_score_reports_file(self, tmp_path):
         reports = [ScoreReport(model_label="raw", horizon=0, rmse=0.2, crps_mean=0.1, n=5)]

@@ -118,3 +118,30 @@ def test_measurements_outside_every_issue_window_change_nothing(reference, tmp_p
     run(readme_manifest(tmp_path), horizons=HORIZONS, stages=STAGES[1:])
     expected = {k: v for k, v in files(reference).items() if k != "measurements.csv"}
     assert differing({k: v for k, v in files(out).items() if k != "measurements.csv"}, expected) == []
+
+
+def test_score_equals_score_table_on_the_predictive_draws(reference, tmp_path):
+    """score's unrounded reports equal score_table on the posterior-predictive
+    draws, rebuilt from the samples as bench/probe.py check rebuilds them.
+
+    score reads each row's mean and CRPS as predict spelled them (%.10g), so
+    the two agree to that rounding, not bit for bit.
+    """
+    from heavecast import cli, io, model, scoring
+
+    m = cli._load(readme_manifest(tmp_path), str(reference), horizons=[0, 12])
+    label = f"{m.model_kind} adjustment"
+    models, obs = {label: {}, "raw physics": {}}, {}
+    for h in m.horizons:
+        train, test = io.chrono_split(io.read_horizon_dataset(reference / f"dataset_h{h:03d}.csv", h), m.train_fraction)
+        samples = io.read_posterior_samples(reference / f"samples_{m.model_kind}_h{h:03d}.csv")
+        spec = model.ModelSpec(kind=m.model_kind, horizon=h)
+        pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
+        models[label][h], models["raw physics"][h], obs[h] = pred.draws.T, test.x, test.y
+    expected = scoring.score_table(models, obs, m.horizons)
+    got = cli._score_reports(m)
+    assert [(r.model_label, r.horizon, r.n) for r in got] == [(r.model_label, r.horizon, r.n) for r in expected]
+    for r, e in zip(got, expected):
+        assert r.rmse == pytest.approx(e.rmse, rel=1e-9, abs=0)
+        assert r.crps_mean == pytest.approx(e.crps_mean, rel=1e-9, abs=0)
+    assert got[len(m.horizons):] == expected[len(m.horizons):]  # the raw physics rows, bit for bit

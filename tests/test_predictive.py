@@ -163,13 +163,16 @@ class TestAgainstListPath:
         spec, samples, test, context = case
         pred = posterior_predictive(samples, test, spec, seed=8, context=context)
         ref = reference_predictive(samples, test, spec, seed=8, context=context)
-        table = predictive_summaries(pred)
-        assert_same_bits(table, reference_summaries(ref))
-        write_predictions(tmp_path / "pred.csv", pred)
+        crps = [crps_samples(d.draws, y) for d, y in zip(ref, test.y)]
+        table = predictive_summaries(pred.draws.T, test.y)
+        assert_same_bits(table[:, :-1], reference_summaries(ref))
+        assert_same_bits(table[:, -1], crps)
+        write_predictions(tmp_path / "pred.csv", pred, test.y)
         lines = (tmp_path / "pred.csv").read_text().splitlines()[1:]
+        # the first five columns as the list path spells them, then each row's crps_samples
         assert lines == [
-            ", ".join([str(d.valid_time)] + [f"{v:.10g}" for v in row])
-            for d, row in zip(ref, reference_summaries(ref).tolist())
+            ", ".join([str(d.valid_time)] + [f"{v:.10g}" for v in [*row, c]])
+            for d, row, c in zip(ref, reference_summaries(ref).tolist(), crps)
         ]
 
     def test_scores(self, case):
