@@ -181,9 +181,9 @@ def _test_predictive(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, mode
 def _read_predictions(m: io.RunManifest, h: int, test: io.HorizonDataset) -> np.ndarray:
     """The number table of the horizon-h predictions file, written for test.
 
-    A file that is missing or unreadable, or whose valid times are not
-    test's (the dataset was rebuilt after predict), raises a ValueError that
-    names it and says to re-run predict.
+    A file that is missing, unreadable, strictly older than the horizon's
+    dataset or samples file, or whose valid times are not test's, raises a
+    ValueError that names it and says to re-run predict.
     """
     import numpy as np
 
@@ -196,6 +196,9 @@ def _read_predictions(m: io.RunManifest, h: int, test: io.HorizonDataset) -> np.
         raise ValueError(f"{path}: no such file; run predict first") from None
     except ValueError as exc:
         raise ValueError(f"{exc}; re-run predict") from None
+    for source in (_dataset_path(m, h), _samples_path(m, h)):
+        if source.exists() and source.stat().st_mtime_ns > path.stat().st_mtime_ns:
+            raise ValueError(f"{path}: older than {source}; re-run predict")
     if not np.array_equal(valid_times, test.valid_times):
         raise ValueError(f"{path}: valid times differ from the test split of {_dataset_path(m, h)}; re-run predict")
     return table
@@ -310,10 +313,13 @@ def build(**kwargs):
     from . import datasets, io
 
     m = _load(**kwargs)
-    if not m.issue_files:
-        m.issue_files = sorted((m.out_dir / "issues").glob("issue_*.csv"))
-    if m.measurements_file is None and (m.out_dir / "measurements.csv").exists():
-        m.measurements_file = m.out_dir / "measurements.csv"
+    issue_dir, measured = m.out_dir / "issues", m.out_dir / "measurements.csv"
+    m.issue_files = m.issue_files or sorted(issue_dir.glob("issue_*.csv"))
+    if m.measurements_file is None and measured.exists():
+        m.measurements_file = measured
+    for name, searched in (("issue_files", issue_dir / "issue_*.csv"), ("measurements_file", measured)):
+        if not getattr(m, name):
+            raise ValueError(f"{m._path}: manifest is missing {name}, and build found no {searched}")
     m.require("issue_files", "measurements_file")
     issues = datasets.read_forecast_issues(m.issue_files)
     measurements = datasets.read_heave_records(m.measurements_file)
@@ -368,7 +374,8 @@ def score(**kwargs):
     """Score the fitted model's predictions against the raw physics forecast.
 
     Reads each horizon's test split and the predictions file predict wrote
-    for it, and draws nothing: re-run predict after fit or with a new --seed.
+    for it, and draws nothing: a predictions file older than its dataset or
+    samples file is refused, and after fit predict must run again.
     """
     from . import io, scoring
 

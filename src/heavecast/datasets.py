@@ -8,8 +8,9 @@ Files hold frequencies in Hz and directions in degrees, converted to rad/s
 and radians on reading. Each reader converts whole columns. A spectra file
 holds one row per (timestamp, frequency, direction) cell, in any order:
 read_spectra sorts the rows once, checks each timestamp's run of rows
-against the first run's grid and reshapes the density column. An issue set
-is written into a staging directory that one rename puts in place of the
+against the first run's grid and reshapes the density column. An IssueSet
+holds its issues as flat arrays, never as a list of ForecastIssue records;
+it is written into a staging directory that one rename puts in place of the
 issue directory, so a reader never sees a mix of two sets.
 
 Issues come on a fixed cycle (00/06/12/18Z here), each cycle with its
@@ -28,7 +29,6 @@ import math
 import os
 import shutil
 import tempfile
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -116,13 +116,12 @@ def _irregular_issues(bounds: np.ndarray, leads: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class IssueSet(Sequence):
+class IssueSet:
     """Forecast issues as one table: issue i owns rows bounds[i]:bounds[i + 1].
 
-    simulate, build and synthesize_horizon_series work on the flat arrays.
-    As a sequence the set yields one ForecastIssue per issue, built when it
-    is indexed, so code that walks issues one at a time reads it as it would
-    a list. Like every record with array fields, a set compares by identity.
+    simulate, build and synthesize_horizon_series work on the flat arrays,
+    and len(issues) is the number of issues. Like every record with array
+    fields, a set compares by identity.
     """
 
     issue_times: np.ndarray  # datetime64[s], one per issue
@@ -171,13 +170,6 @@ class IssueSet(Sequence):
     def __len__(self) -> int:
         return self.issue_times.size
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[i] for i in range(*key.indices(len(self)))]
-        i = range(len(self))[key]  # from the end when negative; IndexError when out of range
-        lo, hi = self.bounds[i], self.bounds[i + 1]
-        return ForecastIssue(issue_time=self.issue_times[i], horizon_hours=self.leads[lo:hi], values=self.values[lo:hi])
-
     def row_issues(self) -> np.ndarray:
         """The index of each row's issue."""
         return np.repeat(np.arange(len(self)), np.diff(self.bounds))
@@ -207,9 +199,6 @@ class HorizonSeries:
         if not self.valid_times.shape == self.values.shape == self.issue_times.shape == (self.valid_times.size,):
             raise ValueError("valid_times, values and issue_times must be matching 1-d arrays")
 
-    def __len__(self) -> int:
-        return self.valid_times.size
-
     def __iter__(self):
         return zip(self.valid_times, self.values.tolist(), self.issue_times)
 
@@ -223,9 +212,8 @@ def synthesize_horizon_series(issues: IssueSet | list[ForecastIssue], h: int) ->
     otherwise (00Z/12Z only, since the short cycles stop at 72 h). Each
     hourly valid time then takes the most recent admitted issue, which keeps
     every lead inside the window and guarantees no future information is
-    used. Hours whose issue
-    is missing are simply absent: gaps are recorded by omission, never
-    interpolated from an older issue.
+    used. Hours whose issue is missing are simply absent: gaps are recorded
+    by omission, never interpolated from an older issue.
 
     Where windows overlap, the issue latest in issue-time order (the later
     one in the input among equal issue times) wins. The rows are picked
@@ -414,7 +402,8 @@ _ISSUE_BATCH = 64
 
 
 def read_forecast_issue(path: Path) -> ForecastIssue:
-    return read_forecast_issues([path])[0]
+    issues = read_forecast_issues([path])
+    return ForecastIssue(issue_time=issues.issue_times[0], horizon_hours=issues.leads, values=issues.values)
 
 
 def read_forecast_issues(paths: list[Path]) -> IssueSet:

@@ -36,9 +36,6 @@ class PacfResult:
         if np.any(np.abs(self.coefficients) > 1.0 + 1e-9):
             raise ValueError("partial autocorrelations must lie in [-1, 1]")
 
-    def significant(self) -> np.ndarray:
-        return np.abs(self.coefficients) > self.confidence_band
-
 
 def sample_autocovariance(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased (divisor N) autocovariances at lags 0..max_lag."""

@@ -3,10 +3,11 @@ the horizon datasets, and their delimited-text files.
 
 All artefacts are plain comma-separated text with a header line so any
 plotting tool can consume them. Writes are atomic: a file is written as a
-temp file in the target directory, then renamed. Every reader takes its
-columns from _read_cells. A cell may carry spaces or tabs around it: numbers
-and times are parsed through them, and a cell compared as text is stripped
-where it is compared.
+temp file in the target directory, with the mode open(path, "w") would give
+it under the umask, then renamed. Every reader takes its columns from
+_read_cells. A cell may carry spaces or tabs around it: numbers and times
+are parsed through them, and a cell compared as text is stripped where it
+is compared.
 
 The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
 ErrorInjection) check their own values, and RunManifest.load checks a
@@ -95,16 +96,15 @@ def __getattr__(name: str):
     return value
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    umask = os.umask(0o022)  # os.umask reads the umask only by setting it, so it is set back
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's file is 0600; open(path, "w") follows the umask
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +93,12 @@ def score_table(
 
     models maps label -> {horizon: forecasts}, where forecasts is either a
     1-d array of point values or a 2-d (n_rows, n_draws) array of predictive
-    draws in any memory order. Horizons a model has no data for are skipped
-    with a warning.
+    draws in any memory order. Every model and obs must hold every horizon:
+    a missing one raises KeyError.
     """
     reports = []
     for label, per_h in models.items():
         for h in horizons:
-            if h not in per_h or h not in obs:
-                warnings.warn(f"no data for model {label!r} at horizon {h}", stacklevel=2)
-                continue
             f = np.asarray(per_h[h], dtype=float)
             y = np.asarray(obs[h], dtype=float)
             if f.ndim == 1:
@@ -113,15 +109,7 @@ def score_table(
 
                 summaries = predictive_summaries(f, y)
                 means, crps = summaries[:, 0], summaries[:, -1]
-            reports.append(
-                ScoreReport(
-                    model_label=label,
-                    horizon=h,
-                    rmse=rmse(means, y),
-                    crps_mean=float(np.mean(crps)),
-                    n=y.size,
-                )
-            )
+            reports.append(ScoreReport(label, h, rmse(means, y), float(np.mean(crps)), y.size))
     return reports
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "MorisonRaoParams",
     "DirectionalWaveSpectrum",
     "SpectrumSeries",
-    "ResponseStatistics",
     "morison_rao",
     "interpolate_spectrum_to_rao_grid",
     "spectral_moment",
@@ -185,7 +184,7 @@ class SpectrumSeries:
     density is (times, freqs, dirs), in the units of DirectionalWaveSpectrum;
     the grid and the whole density array are checked once, by the same rules,
     and the bin widths are the grid's midpoint widths, as there.
-    series[k] is the spectrum at times[k] and series[a:b] a shorter series.
+    series[a:b] is the series of times[a:b]; any other key raises TypeError.
     """
 
     times: np.ndarray  # datetime64[s]
@@ -207,34 +206,12 @@ class SpectrumSeries:
     def __len__(self) -> int:
         return self.times.size
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return dataclasses.replace(self, times=self.times[key], density=self.density[key])
-        return DirectionalWaveSpectrum(
-            timestamp=self.times[key],
-            freqs=self.freqs,
-            dirs=self.dirs,
-            density=self.density[key],
-        )
+    __iter__ = None  # not a list of spectra: iter(series) raises TypeError
 
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-
-@dataclass(frozen=True)
-class ResponseStatistics:
-    """Spectral moments of the heave response and the significant amplitude."""
-
-    timestamp: np.datetime64
-    m0: float
-    m2: float
-    sig_amplitude: float = field(init=False)  # 2*sqrt(m0)
-
-    def __post_init__(self):
-        if not (0.0 <= self.m0 < np.inf and 0.0 <= self.m2 < np.inf):
-            raise ValueError("spectral moments must be finite and nonnegative")
-        object.__setattr__(self, "sig_amplitude", 2.0 * np.sqrt(self.m0))
-        object.__setattr__(self, "timestamp", np.datetime64(self.timestamp, "s"))
+    def __getitem__(self, key: slice) -> SpectrumSeries:
+        if not isinstance(key, slice):
+            raise TypeError(f"a spectrum series is indexed by a slice of times, not {type(key).__name__}")
+        return dataclasses.replace(self, times=self.times[key], density=self.density[key])
 
 
 def morison_rao(params: MorisonRaoParams, freqs: np.ndarray) -> RaoCurve:
@@ -296,14 +273,11 @@ def spectral_moment(spec: DirectionalWaveSpectrum, rao: RaoCurve, order: int = 0
     return float(weights @ (spec.density @ spec.dir_widths))
 
 
-def response_statistics(
-    spec: DirectionalWaveSpectrum, rao: RaoCurve
-) -> ResponseStatistics:
-    """Interpolate, take moments and the significant amplitude in one call."""
+def response_statistics(spec: DirectionalWaveSpectrum, rao: RaoCurve) -> tuple[float, float]:
+    """Response moments (m0, m2) of one spectrum interpolated onto the RAO
+    grid: the per-spectrum reference that response_moments is checked against."""
     on_grid = interpolate_spectrum_to_rao_grid(spec, rao)
-    m0 = spectral_moment(on_grid, rao, 0)
-    m2 = spectral_moment(on_grid, rao, 2)
-    return ResponseStatistics(timestamp=spec.timestamp, m0=m0, m2=m2)
+    return spectral_moment(on_grid, rao, 0), spectral_moment(on_grid, rao, 2)
 
 
 def response_moments(series: SpectrumSeries, rao: RaoCurve) -> tuple[np.ndarray, np.ndarray]:

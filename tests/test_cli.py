@@ -168,12 +168,12 @@ class TestPipeline:
         assert invoke(["simulate", "--manifest", str(manifest), "--spectra-hours", "30"]).exit_code == 0
         result = invoke(["response", "--manifest", str(manifest)])
         assert result.exit_code == 0, result.output
-        # the reference: one validated spectrum object per row, read for its timestamp
+        # the reference: each row formatted from the series' own timestamps, one at a time
         spectra = io.read_spectra(tmp_path / "out" / "spectra.csv")
         m0, m2 = response_moments(spectra, io.read_rao(tmp_path / "out" / "rao.csv"))
         lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
-        for spec, a, b, sig in zip(spectra, m0, m2, 2.0 * np.sqrt(m0)):
-            lines.append(f"{spec.timestamp}, {a:.10g}, {b:.10g}, {sig:.10g}")
+        for t, a, b, sig in zip(spectra.times, m0, m2, 2.0 * np.sqrt(m0)):
+            lines.append(f"{t}, {a:.10g}, {b:.10g}, {sig:.10g}")
         assert len(lines) == 31
         assert (tmp_path / "out" / "response.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -265,12 +265,27 @@ class TestExitCodes:
         # Neither makes the output directory.
         path = tmp_path / "run.json"
         path.write_text('{"out_dir": "out"}')
-        for cmd, key in [("build", "issue_files"), ("simulate", "scenario")]:
+        searched = f", and build found no {tmp_path / 'out' / 'issues' / 'issue_*.csv'}"
+        for cmd, key, where in [("build", "issue_files", searched), ("simulate", "scenario", "")]:
             result = invoke([cmd, "--manifest", str(path)])
             assert result.exit_code == 2
-            assert result.stderr == f"error: {path}: manifest is missing {key}\n", result.stderr
+            assert result.stderr == f"error: {path}: manifest is missing {key}{where}\n", result.stderr
             assert "Traceback" not in result.output
             assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"], cmd
+
+    def test_build_names_the_measurements_it_searched_for(self, tmp_path):
+        # issue files where build looks for them, but no measurements.csv beside them
+        path = tmp_path / "run.json"
+        path.write_text('{"out_dir": "out"}')
+        (tmp_path / "out" / "issues").mkdir(parents=True)
+        (tmp_path / "out" / "issues" / "issue_0000.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.0\n"
+        )
+        result = invoke(["build", "--manifest", str(path)])
+        assert result.exit_code == 2
+        searched = tmp_path / "out" / "measurements.csv"
+        assert result.stderr == f"error: {path}: manifest is missing measurements_file, and build found no {searched}\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["issues"]
 
     @pytest.mark.parametrize("cmd", ["fit", "predict", "score", "diagnose"])
     def test_stage_without_its_inputs_makes_no_directory(self, tmp_path, cmd):
@@ -708,6 +723,26 @@ def campaign(hybrid_run, tmp_path):
     return tmp_path
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_follow_the_umask(tmp_path, umask, mode):
+    # every file the stages write gets the mode open(path, "w") would give it
+    manifest = write_manifest(
+        tmp_path, horizons=[0], model_kind="hybrid", rao_file="out/rao.csv", spectra_file="out/spectra.csv",
+        sampler={"chains": 2, "warmup_draws": 300, "retained_draws": 200},
+    )
+    previous = os.umask(umask)
+    try:
+        for cmd in ("simulate", "build", "fit", "predict", "score", "diagnose", "response"):
+            flags = ["--spectra-hours", "2"] if cmd == "simulate" else []
+            result = invoke([cmd, "--manifest", str(manifest), *flags])
+            assert result.exit_code == 0, result.output
+    finally:
+        os.umask(previous)
+    modes = {str(p.relative_to(tmp_path)): oct(p.stat().st_mode & 0o777) for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 1 + 84 + 12  # the manifest, the issue files and every other file the stages write
+    assert modes == dict.fromkeys(modes, oct(mode)) | {"run.yaml": modes["run.yaml"]}
+
+
 class TestUsage:
     """A usage error exits 2 with a message naming the culprit, and prints nothing to stdout."""
 
@@ -872,14 +907,38 @@ class TestBadPredictions:
         self.assert_refused(campaign, f"{path}, row 3: {message}; re-run predict")
 
     def test_valid_times_of_an_earlier_dataset(self, campaign):
-        # the dataset rebuilt after predict, without its last measurement:
-        # the split moves, and the file no longer covers the test rows
+        # the dataset rebuilt without its last measurement, at the time of the
+        # predictions (so not newer): the split moves, and the file no longer
+        # covers the test rows
         path = self.predict(campaign)
         dataset = campaign / "out" / "dataset_h000.csv"
         dataset.write_text("\n".join(dataset.read_text().splitlines()[:-1]) + "\n")
+        os.utime(dataset, ns=(path.stat().st_mtime_ns,) * 2)
         self.assert_refused(
             campaign, f"{path}: valid times differ from the test split of {dataset}; re-run predict"
         )
+
+    def test_predictions_older_than_their_samples(self, campaign):
+        # fit with a new seed after predict: score refuses the old predictions
+        # until predict runs again. The times are set, not waited for, and
+        # equal times count as fresh.
+        manifest = str(campaign / "run.yaml")
+        path = self.predict(campaign)
+        predicted = path.stat().st_mtime_ns
+        assert invoke(["fit", "--manifest", manifest, "--seed", "5"]).exit_code == 0
+        samples = campaign / "out" / "samples_hybrid_h000.csv"
+        os.utime(samples, ns=(predicted + 1,) * 2)
+        self.assert_refused(campaign, f"{path}: older than {samples}; re-run predict")
+        assert invoke(["predict", "--manifest", manifest, "--seed", "5"]).exit_code == 0
+        os.utime(path, ns=(predicted + 1,) * 2)
+        result = invoke(["score", "--manifest", manifest])
+        assert result.exit_code == 0, result.output
+
+    def test_predictions_older_than_their_dataset(self, campaign):
+        path = self.predict(campaign)
+        dataset = campaign / "out" / "dataset_h000.csv"
+        os.utime(dataset, ns=(path.stat().st_mtime_ns + 1,) * 2)
+        self.assert_refused(campaign, f"{path}: older than {dataset}; re-run predict")
 
 
 def test_horizons_draw_independent_normals(campaign):

@@ -69,22 +69,24 @@ class TestPacf:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(5000)
         result = pacf(x, 20)
-        assert np.sum(result.significant()) <= 2
+        assert np.sum(np.abs(result.coefficients) > result.confidence_band) <= 2
 
     def test_ar1_truncates_after_lag1(self):
         x = ar_series([0.8], 5000, seed=3)
         result = pacf(x, 10)
         assert result.coefficients[0] == pytest.approx(0.8, abs=0.05)
-        assert result.significant()[0]
-        assert np.sum(result.significant()[2:]) == 0
+        significant = np.abs(result.coefficients) > result.confidence_band
+        assert significant[0]
+        assert np.sum(significant[2:]) == 0
 
     def test_ar2_truncates_after_lag2(self):
         x = ar_series([0.6, 0.2], 8000, seed=4)
         result = pacf(x, 10)
-        assert result.significant()[0] and result.significant()[1]
+        significant = np.abs(result.coefficients) > result.confidence_band
+        assert significant[0] and significant[1]
         # lag-2 PACF of an AR(2) equals phi2
         assert result.coefficients[1] == pytest.approx(0.2, abs=0.05)
-        assert np.sum(result.significant()[2:]) <= 1
+        assert np.sum(significant[2:]) <= 1
 
     def test_band_value(self):
         x = ar_series([0.5], 400, seed=5)
@@ -179,5 +181,5 @@ class TestStandardizedResiduals:
         ds = self.make_ds(x, y)
         z = standardized_residuals(np.array(params), ds, ModelSpec(kind="hybrid"))
         result = pacf(z[2:], 10)
-        assert np.sum(result.significant()) <= 1
+        assert np.sum(np.abs(result.coefficients) > result.confidence_band) <= 1
         assert np.std(z[2:]) == pytest.approx(1.0, rel=0.05)

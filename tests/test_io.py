@@ -42,7 +42,7 @@ from heavecast.io import (
 from heavecast.model import QUANTILE_LEVELS, PosteriorSamples, PredictiveDraws, predictive_summaries
 from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport, crps_samples
-from heavecast.spectral import RaoCurve, SpectrumSeries
+from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths
 from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario, generate_spectra
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,11 +112,10 @@ class TestSpectraRoundTrip:
         back = read_spectra(p)
         assert isinstance(back, SpectrumSeries)
         assert len(back) == 2
-        for a, b in zip(spectra, back):
-            assert a.timestamp == b.timestamp
-            np.testing.assert_allclose(b.freqs, a.freqs, rtol=1e-9)
-            np.testing.assert_allclose(b.dirs, a.dirs, rtol=1e-9)
-            np.testing.assert_allclose(b.density, a.density, rtol=1e-8)
+        np.testing.assert_array_equal(back.times, spectra.times)
+        np.testing.assert_allclose(back.freqs, spectra.freqs, rtol=1e-9)
+        np.testing.assert_allclose(back.dirs, spectra.dirs, rtol=1e-9)
+        np.testing.assert_allclose(back.density, spectra.density, rtol=1e-8)
 
     def test_slice_round_trip_and_rewrite(self, tmp_path):
         # a written-and-read series writes the same file again
@@ -125,7 +124,7 @@ class TestSpectraRoundTrip:
         back = read_spectra(tmp_path / "a.csv")
         np.testing.assert_array_equal(back.times, spectra.times[1:4])
         np.testing.assert_allclose(back.density, spectra.density[1:4], rtol=1e-8)
-        np.testing.assert_array_equal(back.freq_widths, back[0].freq_widths)
+        np.testing.assert_array_equal(back.freq_widths, midpoint_widths(back.freqs))
         write_spectra(tmp_path / "b.csv", back)
         assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
 

@@ -151,8 +151,10 @@ class TestSetReader:
                 paths[-1].write_text(spell(paths[-1].read_text(), rng))
             got = read_forecast_issues(paths)
             assert len(got) == len(paths)
-            for path, issue in zip(paths, got):
-                assert_same_issue(issue, oracle_read(path))
+            expected = IssueSet.from_issues([oracle_read(path) for path in paths])
+            for name in ("issue_times", "bounds", "leads", "values"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+            for path in paths:
                 assert_same_issue(read_forecast_issue(path), oracle_read(path))
 
     @given(issues=issue_sets())

@@ -145,11 +145,13 @@ class TestScoreTable:
         assert report.crps_mean == float(np.mean(crps))
         assert report.rmse == rmse(np.mean(draws, axis=1), y)
 
-    def test_missing_horizon_warns_and_skips(self):
+    def test_missing_horizon_raises(self):
+        # no report is dropped without a sound: a model or obs that lacks a horizon raises
         obs = {0: np.array([1.0]), 6: np.array([1.0])}
-        with pytest.warns(UserWarning):
-            reports = score_table({"raw": {0: np.array([1.0])}}, obs, [0, 6])
-        assert [r.horizon for r in reports] == [0]
+        with pytest.raises(KeyError):
+            score_table({"raw": {0: np.array([1.0])}}, obs, [0, 6])
+        with pytest.raises(KeyError):
+            score_table({"raw": {0: np.array([1.0]), 6: np.array([1.0])}}, {0: obs[0]}, [0, 6])
 
     def test_row_mismatch_rejected(self):
         obs = {0: np.array([1.0, 2.0])}

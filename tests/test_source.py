@@ -405,6 +405,23 @@ def test_records_with_array_fields_compare_and_hash_by_identity():
         assert hash(a) == hash(a) and len({a, b, a}) == 2, name
 
 
+@pytest.mark.parametrize(
+    "name, walk",
+    [
+        ("IssueSet", lambda issues: issues[0]),
+        ("IssueSet", iter),
+        ("SpectrumSeries", lambda series: series[0]),
+        ("SpectrumSeries", iter),
+    ],
+)
+def test_array_records_build_no_per_row_records(name, walk):
+    # an issue set and a spectrum series are tables of arrays, not lists of
+    # ForecastIssue or DirectionalWaveSpectrum records built one row at a time
+    record, _ = _record_instances()[name]
+    with pytest.raises(TypeError):
+        walk(record)
+
+
 def _nodes(path: Path, module_level: bool = False):
     """Every node of path's code, or with module_level only those outside
     every function body, which run when the module is imported."""

@@ -10,7 +10,6 @@ from heavecast.spectral import (
     DirectionalWaveSpectrum,
     MorisonRaoParams,
     RaoCurve,
-    ResponseStatistics,
     SpectrumSeries,
     interpolate_spectrum_to_rao_grid,
     midpoint_widths,
@@ -242,18 +241,12 @@ class TestSpectralMoment:
 
 
 class TestResponseStatistics:
-    def test_sig_amplitude_identity(self):
-        st_ = ResponseStatistics(timestamp=T0, m0=0.25, m2=0.1)
-        assert st_.sig_amplitude == 2.0 * np.sqrt(0.25)
-        with pytest.raises(TypeError, match="sig_amplitude"):
-            ResponseStatistics(timestamp=T0, m0=0.25, m2=0.1, sig_amplitude=1.0)
-
     def test_pipeline_helper(self):
         spec, rao = random_case(np.random.default_rng(8))
-        st_ = response_statistics(spec, rao)
+        m0, m2 = response_statistics(spec, rao)
         on_grid = interpolate_spectrum_to_rao_grid(spec, rao)
-        assert st_.m0 == pytest.approx(spectral_moment(on_grid, rao, 0), rel=1e-12)
-        assert st_.sig_amplitude == 2.0 * np.sqrt(st_.m0)
+        assert m0 == pytest.approx(spectral_moment(on_grid, rao, 0), rel=1e-12)
+        assert m2 == pytest.approx(spectral_moment(on_grid, rao, 2), rel=1e-12)
 
 
 class TestResponseMoments:
@@ -262,9 +255,14 @@ class TestResponseMoments:
     @staticmethod
     def assert_matches_loop(spectra, rao):
         m0, m2 = response_moments(spectra, rao)
-        ref = [response_statistics(spectra[k], rao) for k in range(len(spectra))]
-        np.testing.assert_allclose(m0, [r.m0 for r in ref], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(m2, [r.m2 for r in ref], rtol=1e-12, atol=0.0)
+        ref = np.array([
+            response_statistics(
+                DirectionalWaveSpectrum(timestamp=t, freqs=spectra.freqs, dirs=spectra.dirs, density=density), rao
+            )
+            for t, density in zip(spectra.times, spectra.density)
+        ]).reshape(-1, 2)
+        np.testing.assert_allclose(m0, ref[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(m2, ref[:, 1], rtol=1e-12, atol=0.0)
         return m0, m2
 
     def test_generated_spectra(self):
@@ -395,19 +393,17 @@ class TestSpectrumSeries:
         with pytest.raises(ValueError, match="1-d"):
             SpectrumSeries(**{**fields, "times": fields["times"].reshape(2, 3)})
 
-    def test_item_is_the_per_hour_spectrum(self):
+    def test_one_hour_slice_holds_the_per_hour_spectrum(self):
         fields = self.grid()
         series = SpectrumSeries(**fields)
         assert len(series) == 6
         for k in (0, 3, 5, -1):
-            got, ref = series[k], self.per_hour(fields, k)
-            assert isinstance(got, DirectionalWaveSpectrum)
-            assert got.timestamp == ref.timestamp
-            for name in ("freqs", "dirs", "density", "freq_widths", "dir_widths"):
+            got, ref = series[k:k + 1 or None], self.per_hour(fields, k)
+            assert got.times.tolist() == [ref.timestamp]
+            np.testing.assert_array_equal(got.density[0], ref.density)
+            for name in ("freqs", "dirs", "freq_widths", "dir_widths"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-        with pytest.raises(IndexError):
-            series[6]
-        assert [s.timestamp for s in series] == list(fields["times"])
+        assert len(series[6:]) == 0
 
     def test_slices_are_series(self):
         fields = self.grid()
@@ -432,8 +428,11 @@ class TestSpectrumSeries:
         part0, part2 = response_moments(series[3:9], rao)
         np.testing.assert_array_equal(part0, m0[3:9])
         np.testing.assert_array_equal(part2, m2[3:9])
-        ref = [response_statistics(s, rao) for s in series]
-        np.testing.assert_allclose(m0, [r.m0 for r in ref], rtol=1e-12, atol=0.0)
+        ref = [
+            response_statistics(DirectionalWaveSpectrum(timestamp=t, freqs=series.freqs, dirs=series.dirs, density=d), rao)
+            for t, d in zip(series.times, series.density)
+        ]
+        np.testing.assert_allclose(m0, [m0_ for m0_, _ in ref], rtol=1e-12, atol=0.0)
 
 
 # NaN compares false with every bound, so each record checks finiteness itself
@@ -463,12 +462,6 @@ def test_spectra_refuse_a_frequency_that_is_not_positive(freqs):
         DirectionalWaveSpectrum(timestamp=T0, freqs=freqs, dirs=[0.5, 2.0], density=np.ones((3, 2)))
     with pytest.raises(ValueError, match="^frequencies must be positive$"):
         SpectrumSeries(times=[T0], freqs=freqs, dirs=[0.5, 2.0], density=np.ones((1, 3, 2)))
-
-
-@pytest.mark.parametrize("m0, m2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
-def test_response_statistics_refuse_a_moment_that_is_not_finite(m0, m2):
-    with pytest.raises(ValueError, match="^spectral moments must be finite and nonnegative$"):
-        ResponseStatistics(timestamp=T0, m0=m0, m2=m2)
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from heavecast.datasets import DEFAULT_MAX_LEADS, ForecastIssue
+from heavecast.datasets import DEFAULT_MAX_LEADS, ForecastIssue, IssueSet
 from heavecast.io import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ
-from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths, spectral_moment
+from heavecast.spectral import SpectrumSeries, midpoint_widths
 from heavecast.synthetic import (
     ErrorInjection,
     SwellEvent,
@@ -30,8 +30,9 @@ def lone_event_scenario(hs=2.5, tp=16.0, arrival=24, duration=49):
     )
 
 
-def unit_rao(freqs):
-    return RaoCurve(freqs=freqs, amplitudes=np.ones(freqs.size))
+def wave_m0(spectra):
+    """Each hour's zeroth moment of the sea surface, the grid sum of S Dw Dtheta."""
+    return spectra.density @ spectra.dir_widths @ spectra.freq_widths
 
 
 class TestGrid:
@@ -49,25 +50,21 @@ class TestGenerateSpectra:
     def test_hs_normalisation_at_peak(self):
         hs = 2.5
         spectra = generate_spectra(lone_event_scenario(hs=hs))
-        peak = spectra[24]
-        m0_wave = spectral_moment(peak, unit_rao(peak.freqs), 0)
-        assert 4.0 * np.sqrt(m0_wave) == pytest.approx(hs, rel=0.02)
+        assert 4.0 * np.sqrt(wave_m0(spectra)[24]) == pytest.approx(hs, rel=0.02)
 
     def test_energy_peaks_at_tp_bin(self):
         tp = 16.0
         spectra = generate_spectra(lone_event_scenario(tp=tp))
-        omnidir = spectra[24].density @ spectra[24].dir_widths
+        omnidir = spectra.density[24] @ spectra.dir_widths
         k = int(np.argmax(omnidir))
-        f_bin = spectra[24].freqs[k] / (2.0 * np.pi)
+        f_bin = spectra.freqs[k] / (2.0 * np.pi)
         # the peak must land in the grid bin closest to 1/Tp
         expected = int(np.argmin(np.abs(FORECAST_FREQS_HZ - 1.0 / tp)))
         assert k == expected
         assert f_bin == pytest.approx(1.0 / tp, rel=0.1)
 
     def test_envelope_rise_and_decay(self):
-        spectra = generate_spectra(lone_event_scenario(arrival=24))
-        rao = unit_rao(spectra[0].freqs)
-        energy = [spectral_moment(s, rao, 0) for s in spectra]
+        energy = wave_m0(generate_spectra(lone_event_scenario(arrival=24)))
         assert energy[24] == max(energy)
         assert energy[12] < energy[18] < energy[24]
         assert energy[24] > energy[36] > energy[48]
@@ -78,8 +75,6 @@ class TestGenerateSpectra:
         assert spectra.density.shape == (30, FORECAST_FREQS_HZ.size, FORECAST_DIRS_RAD.size)
         assert len(spectra) == 30
         np.testing.assert_array_equal(spectra.times, T0 + np.arange(30) * HOUR)
-        assert spectra[0].timestamp == T0
-        assert spectra[29].timestamp == T0 + 29 * HOUR
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -146,7 +141,7 @@ class TestBatchedSpectra:
         ref = per_hour_spectra(scn)
         spectra = generate_spectra(scn)
         assert len(spectra) == scn.duration_h
-        np.testing.assert_allclose(np.array([s.density for s in spectra]), ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(spectra.density, ref, rtol=1e-14, atol=0.0)
 
     def test_hours_below_cutoff_stay_empty(self):
         # no background: the second event falls below 1e-6 m after hour 8, the
@@ -165,8 +160,7 @@ class TestBatchedSpectra:
         )
         ref = per_hour_spectra(scn)
         assert np.all(ref[9:12] == 0.0) and ref[8].max() > 0.0 and ref[12].max() > 0.0
-        density = np.array([s.density for s in generate_spectra(scn)])
-        np.testing.assert_allclose(density, ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(generate_spectra(scn).density, ref, rtol=1e-14, atol=0.0)
 
 
 def per_hour_jitter(scn):
@@ -225,58 +219,49 @@ class TestGenerateForecastIssues:
 
     def test_cycles_and_caps(self):
         issues = generate_forecast_issues(self.times, self.sig, ErrorInjection())
-        cycles = {i.issue_time.astype(object).hour for i in issues}
-        assert cycles == {0, 6, 12, 18}
-        for i in issues:
-            cap = {0: 240, 6: 72, 12: 240, 18: 72}[i.issue_time.astype(object).hour]
-            assert i.horizon_hours[-1] <= cap
+        cycles = ((issues.issue_times - issues.issue_times.astype("datetime64[D]")) // HOUR).tolist()
+        assert set(cycles) == {0, 6, 12, 18}
+        caps = [{0: 240, 6: 72, 12: 240, 18: 72}[c] for c in cycles]
+        assert np.all(issues.leads[issues.bounds[1:] - 1] <= caps)
 
     def test_pure_bias(self):
         inj = ErrorInjection(bias_factor=0.8)
         issues = generate_forecast_issues(self.times, self.sig, inj)
         hours = (self.times - T0) / HOUR
-        for i in issues[:4]:
-            offset = float((i.issue_time - T0) / HOUR)
-            expected = 0.8 * np.interp(offset + i.horizon_hours, hours.astype(float), self.sig)
-            np.testing.assert_allclose(i.values, expected, atol=1e-12)
+        expected = 0.8 * np.interp((issues.valid_times() - T0) / HOUR, hours, self.sig)
+        np.testing.assert_allclose(issues.values, expected, atol=1e-12)
 
     def test_timing_shift(self):
         inj = ErrorInjection(timing_shift_h=6.0)
         issues = generate_forecast_issues(self.times, self.sig, inj)
-        i = issues[0]
         hours = (self.times - T0) / HOUR
-        offset = float((i.issue_time - T0) / HOUR)
-        expected = np.interp(offset + i.horizon_hours - 6.0, hours.astype(float), self.sig)
-        np.testing.assert_allclose(i.values, expected, atol=1e-12)
+        expected = np.interp((issues.valid_times() - T0) / HOUR - 6.0, hours, self.sig)
+        np.testing.assert_allclose(issues.values, expected, atol=1e-12)
 
     def test_noise_reproducible_and_seed_sensitive(self):
         inj = ErrorInjection(noise_scale=0.05, noise_ar=0.9, seed=5)
         a = generate_forecast_issues(self.times, self.sig, inj)
         b = generate_forecast_issues(self.times, self.sig, inj)
         c = generate_forecast_issues(self.times, self.sig, ErrorInjection(noise_scale=0.05, noise_ar=0.9, seed=6))
-        for ia, ib in zip(a, b):
-            np.testing.assert_array_equal(ia.values, ib.values)
-        assert not np.array_equal(a[0].values, c[0].values)
+        np.testing.assert_array_equal(a.values, b.values)
+        first = slice(0, a.bounds[1])
+        assert not np.array_equal(a.values[first], c.values[first])
 
     def test_noise_grows_with_lead(self):
         inj = ErrorInjection(noise_scale=0.02, error_growth_rate=0.05, seed=1)
         issues = generate_forecast_issues(self.times, self.sig, inj)
-        long_issues = [i for i in issues if i.horizon_hours[-1] >= 180]
-        errs_short, errs_long = [], []
         hours = (self.times - T0) / HOUR
-        for i in long_issues:
-            offset = float((i.issue_time - T0) / HOUR)
-            base = np.interp(offset + i.horizon_hours, hours.astype(float), self.sig)
-            err = i.values - base
-            errs_short.extend(err[:24])
-            errs_long.extend(err[-24:])
-        assert np.std(errs_long) > 2.0 * np.std(errs_short)
+        err = issues.values - np.interp((issues.valid_times() - T0) / HOUR, hours, self.sig)
+        # the first and the last 24 leads of each issue that reaches 180 h
+        last = issues.leads[issues.bounds[1:] - 1][issues.row_issues()]
+        short = (last >= 180) & (issues.leads < 24)
+        long = (last >= 180) & (issues.leads > last - 24)
+        assert np.std(err[long]) > 2.0 * np.std(err[short])
 
     def test_values_nonnegative(self):
         inj = ErrorInjection(noise_scale=2.0, seed=2)
         issues = generate_forecast_issues(self.times, self.sig, inj)
-        for i in issues:
-            assert np.all(i.values >= 0.0)
+        assert np.all(issues.values >= 0.0)
 
     def test_injection_validation(self):
         with pytest.raises(ValueError):
@@ -340,12 +325,12 @@ class TestForecastIssuesOracle:
     @staticmethod
     def assert_same(times, sig, inj):
         got = generate_forecast_issues(times, sig, inj)
-        ref = per_issue_forecasts(times, sig, inj)
+        ref = IssueSet.from_issues(per_issue_forecasts(times, sig, inj))
         assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            assert a.issue_time == b.issue_time
-            np.testing.assert_array_equal(a.horizon_hours, b.horizon_hours)
-            assert a.values.tobytes() == b.values.tobytes()
+        np.testing.assert_array_equal(got.issue_times, ref.issue_times)
+        np.testing.assert_array_equal(got.bounds, ref.bounds)
+        np.testing.assert_array_equal(got.leads, ref.leads)
+        assert got.values.tobytes() == ref.values.tobytes()
         return got
 
     @pytest.mark.parametrize(
@@ -362,15 +347,15 @@ class TestForecastIssuesOracle:
         # 20 days and 5 hours: the last 00Z and 12Z issues stop short of 240 h
         times, sig = self.truth(T0, 20 * 24 + 5)
         issues = self.assert_same(times, sig, inj)
-        assert issues[-1].horizon_hours[-1] < 72
-        assert max(i.horizon_hours.size for i in issues) == 241
+        assert issues.leads[-1] < 72
+        assert np.diff(issues.bounds).max() == 241
 
     @pytest.mark.parametrize("start_hour", [1, 5, 6, 13, 23])
     def test_start_not_at_00z(self, start_hour):
         times, sig = self.truth(T0 + start_hour * HOUR, 5 * 24 + 3, seed=start_hour)
         inj = ErrorInjection(noise_scale=0.04, error_growth_rate=0.02, noise_ar=0.7, timing_shift_h=1.5, seed=8)
         issues = self.assert_same(times, sig, inj)
-        assert issues[0].issue_time >= times[0]
+        assert issues.issue_times[0] >= times[0]
 
     def test_start_between_whole_hours(self):
         times, sig = self.truth(T0 + np.timedelta64(5430, "s"), 50)
