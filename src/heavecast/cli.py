@@ -441,19 +441,28 @@ def simulate(spectra_hours, **kwargs):
     m.require("scenario")
     scn = m.swell_scenario()
     inj = m.error_injection()
-    spectra = synthetic.generate_spectra(scn)
     rao = synthetic.reference_rao()
-    times, sig = synthetic.true_response_series(spectra, rao)
-
-    rng = np.random.default_rng(m.seed + 29)
-    with np.errstate(over="ignore"):
+    # a value too large for a float (an Hs, a jitter, a bias) makes a product
+    # infinite: refused by the section that set it, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            spectra = synthetic.generate_spectra(scn)
+        except (OverflowError, ValueError):  # a float's, or SpectrumSeries refusing an infinite density
+            raise ValueError(f"{m._path}: manifest scenario overflows the wave spectra") from None
+        times, sig = synthetic.true_response_series(spectra, rao)
+        if not np.isfinite(sig).all():
+            raise ValueError(f"{m._path}: manifest scenario overflows the heave response")
+        rng = np.random.default_rng(m.seed + 29)
         noisy = sig + scn.measurement_noise * rng.standard_normal(sig.size)
-    if not np.isfinite(noisy).all():
-        raise ValueError(f"{m._path}: measurement_noise {scn.measurement_noise!r} overflows the measured heave")
+        if not np.isfinite(noisy).all():
+            raise ValueError(f"{m._path}: measurement_noise {scn.measurement_noise!r} overflows the measured heave")
+        try:
+            issues = synthetic.generate_forecast_issues(times, sig, inj)
+        except ValueError:  # IssueSet refusing an infinite value
+            raise ValueError(f"{m._path}: manifest injection overflows the forecast issues") from None
     y = np.maximum(noisy, 0.0)
     records = [datasets.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
 
-    issues = synthetic.generate_forecast_issues(times, sig, inj)
     # simulate owns issues/: build reads every issue file there, so the set
     # replaces the whole directory and no file of an earlier campaign survives
     datasets.write_forecast_issues(m.out_dir / "issues", issues)

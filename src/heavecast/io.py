@@ -143,26 +143,35 @@ def _write_table(path: Path, columns: list[str], row_format: str, rows) -> None:
     atomic_write_text(path, _readable(path, "".join([", ".join(columns) + "\n", *map(line.__mod__, rows)])))
 
 
+# the README's time grammar, YYYY-MM-DD[(T| )HH[:MM[:SS[.f]]]][Z] in ASCII
+# digits, of cells joined by line breaks, so that one match checks a column
+_ISO_TIME = re.compile(
+    r"(?:{0}\n)*{0}".format(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?"), re.ASCII
+)
+
+
 def _parse_times(cells, where, what: str) -> np.ndarray:
-    """One column of ISO-8601 UTC cells (optional trailing Z, blanks around
-    ignored) as datetime64[s]; each distinct cell is parsed once, so a column
+    """One column of ISO-8601 UTC cells (blanks around each ignored) as
+    datetime64[s]; each distinct cell is checked and parsed once, so a column
     that repeats a few spellings, as an issue-time column does, costs little.
 
-    numpy alone also reads `now` and `today`, in any case, as the wall-clock
-    time, and `NaT` and empty cells as NaT. A column with such a cell, or one
-    numpy cannot parse, raises a ValueError naming where, the file, and what,
-    the column, and the first such cell.
+    A cell outside _ISO_TIME's grammar raises a ValueError naming where, the
+    file, and what, the column, and the first such cell: numpy's own grammar
+    would also read `now` and `today` as the wall-clock time, `NaT` and an
+    empty cell as no time, `2024` and `2024-06` as the first of the month,
+    `20240601` as the year 20240601, and an offset such as `+01:00` by
+    converting to UTC.
     """
     cells = list(cells)
     distinct = list(dict.fromkeys(cells))
     spellings = [c.strip() for c in distinct]
+    text = "\n".join(spellings)
+    # one match checks the column when no cell holds a line break of its own
+    if spellings and (text.count("\n") >= len(spellings) or not _ISO_TIME.fullmatch(text)):
+        bad = next(c for c in spellings if "\n" in c or not _ISO_TIME.fullmatch(c))
+        raise ValueError(f"{where}: {what} is not a time ({bad!r})")
     with _naming(f"{where}: {what}"):
         times = np.array([c.removesuffix("Z") for c in spellings], dtype="datetime64[s]")
-    # an ISO-8601 cell starts with a digit or a sign, both of which sort
-    # before every letter, so the largest cell starts with a letter if any does
-    if times.size and (max(spellings)[:1] > "9" or np.isnat(times).any()):
-        bad = next(c for c, t in zip(spellings, np.isnat(times).tolist()) if t or c[:1] > "9")
-        raise ValueError(f"{where}: {what} is not a time ({bad!r})")
     if len(distinct) == len(cells):
         return times
     position = {c: k for k, c in enumerate(distinct)}
@@ -583,9 +592,6 @@ _FIELD_TYPES = {
     "np.datetime64": ((str, datetime.date), "an ISO-8601 time"),
 }
 
-_ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?")
-
-
 def _check_section(what: str, raw, cls, skip=frozenset()) -> None:
     """A manifest mapping must set every field of cls without a default and
     may set the others, less skip; int, float, dict, str, path and time
@@ -608,14 +614,11 @@ def _check_section(what: str, raw, cls, skip=frozenset()) -> None:
             raise ValueError(f"{what} key {key} must be {typed[1]}, found {reprlib.repr(value)}")
 
 
-def _iso_time(value) -> np.datetime64:
-    """An ISO-8601 string (date, optional time, optional Z) or a YAML
-    timestamp, as a UTC datetime64[s]."""
+def _iso_time(value: datetime.date) -> np.datetime64:
+    """A YAML timestamp (a date, or a time with or without an offset) as a UTC datetime64[s]."""
     if isinstance(value, datetime.datetime) and value.tzinfo is not None:
         value = value.astimezone(datetime.timezone.utc).replace(tzinfo=None)
-    if isinstance(value, str) and not _ISO_TIME.fullmatch(value):
-        raise ValueError(f"{value!r} is not an ISO-8601 time")
-    return np.datetime64(value.removesuffix("Z") if isinstance(value, str) else value, "s")
+    return np.datetime64(value, "s")
 
 
 def _refuse_constant(name: str):
@@ -707,9 +710,11 @@ class RunManifest:
             # the seed comes from the manifest seed
             scenario = raw["scenario"]
             _check_section("manifest scenario", scenario, SwellScenario, skip={"seed"})
-            if "start" in scenario:
-                with _naming("manifest scenario key start"):
-                    scenario["start"] = _iso_time(scenario["start"])
+            start = scenario.get("start")
+            if isinstance(start, str):
+                scenario["start"] = _parse_times([start], "manifest scenario", "start")[0]
+            elif start is not None:
+                scenario["start"] = _iso_time(start)
             events = scenario.get("events", [])
             if not isinstance(events, list):
                 raise ValueError("manifest scenario events must be a list")
@@ -737,6 +742,8 @@ class RunManifest:
             isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in self.horizons
         ):
             raise ValueError(f"horizons must be a list of nonnegative integers, found {reprlib.repr(self.horizons)}")
+        if not self.horizons:
+            raise ValueError("horizons must not be empty")
         if len(set(self.horizons)) < len(self.horizons):
             raise ValueError(f"horizons must not repeat a horizon, found {self.horizons!r}")
         if self.seed < 0:

@@ -23,12 +23,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RawMotionSeries:
-    """Uniformly sampled heave displacement with excluded (gap) index ranges."""
+    """Uniformly sampled, finite heave displacement."""
 
     start: np.datetime64
     sample_rate: float  # Hz
     values: np.ndarray  # m
-    gaps: tuple[tuple[int, int], ...] = ()  # half-open [lo, hi) index ranges
 
     def __post_init__(self):
         if not self.sample_rate > 0.0:
@@ -36,46 +35,21 @@ class RawMotionSeries:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
-        mask = self._gap_mask(values.size, self.gaps)
-        if not np.all(np.isfinite(values[~mask])):
-            raise ValueError("values must be finite outside gaps")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         object.__setattr__(self, "start", np.datetime64(self.start, "s"))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "gaps", tuple((int(a), int(b)) for a, b in self.gaps))
-
-    @staticmethod
-    def _gap_mask(n: int, gaps) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        for lo, hi in gaps:
-            mask[max(lo, 0) : min(hi, n)] = True
-        return mask
-
-    def gap_mask(self) -> np.ndarray:
-        """Boolean mask, True on excluded samples."""
-        return self._gap_mask(self.values.size, self.gaps)
 
 
-def _merged_gaps(gaps) -> tuple[tuple[int, int], ...]:
-    if not gaps:
-        return ()
-    ordered = sorted((int(a), int(b)) for a, b in gaps)
-    merged = [list(ordered[0])]
-    for lo, hi in ordered[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((a, b) for a, b in merged if b > a)
+def highpass_filter(series: RawMotionSeries, cutoff: float) -> RawMotionSeries:
+    """Zero-phase five-pole Butterworth high-pass filter.
 
-
-def highpass_filter(series: RawMotionSeries, cutoff: float, order: int = 5) -> RawMotionSeries:
-    """Zero-phase Butterworth high-pass filter.
-
-    Applied forward-backward (so the magnitude response per pass is squared
-    and the phase is zero), realised as cascaded second-order sections for
-    stability at low cutoff-to-Nyquist ratios. Each contiguous non-gap
-    segment is filtered independently; segments too short for the filter
-    transient are converted to gaps.
+    Applied forward-backward over the whole series (so the magnitude
+    response per pass is squared and the phase is zero), realised as
+    cascaded biquad sections for stability at low cutoff-to-Nyquist
+    ratios. sosfiltfilt pads each end with 18 samples, its default padlen
+    for these three sections, one of which has a single pole, so a series
+    of 18 samples or fewer raises ValueError.
 
     The cutoff is deliberately a required argument: it must be chosen
     against the lowest frequency of the wave forecast band in use.
@@ -83,23 +57,8 @@ def highpass_filter(series: RawMotionSeries, cutoff: float, order: int = 5) -> R
     nyquist = series.sample_rate / 2.0
     if not 0.0 < cutoff < nyquist:
         raise ValueError(f"cutoff must lie in (0, {nyquist}) Hz")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     # imported here: scipy.signal is costly to import and no CLI stage filters
     from scipy import signal
 
-    sos = signal.butter(order, cutoff, btype="highpass", fs=series.sample_rate, output="sos")
-    padlen = 3 * (2 * sos.shape[0] + 1)  # sosfiltfilt default
-
-    out = np.zeros_like(series.values)
-    gaps = list(_merged_gaps(series.gaps))
-    mask = series.gap_mask()
-    edges = np.flatnonzero(np.diff(np.concatenate(([True], mask, [True])).astype(int)))
-    # edges pair up as [seg_start, seg_end) over non-gap runs
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        seg = series.values[lo:hi]
-        if seg.size <= padlen:
-            gaps.append((int(lo), int(hi)))
-            continue
-        out[lo:hi] = signal.sosfiltfilt(sos, seg)
-    return replace(series, values=out, gaps=_merged_gaps(gaps))
+    sos = signal.butter(5, cutoff, btype="highpass", fs=series.sample_rate, output="sos")
+    return replace(series, values=signal.sosfiltfilt(sos, series.values))

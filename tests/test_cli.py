@@ -385,6 +385,48 @@ class TestExitCodes:
         assert result.stderr == f"error: {manifest}: measurement_noise 1e+308 overflows the measured heave\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, value, product",
+        [
+            ("scenario", {"duration_h": 48, "events": [{"arrival_h": 10, "hs": 1e200, "tp": 10}]}, "wave spectra"),
+            ("scenario", {"duration_h": 48, "hs_jitter": 1e200}, "wave spectra"),
+            # a float's OverflowError, which exited 3
+            ("scenario", {"duration_h": 48, "background_hs": 1e200}, "wave spectra"),
+            # finite spectra whose heave is infinite, blamed on measurement_noise
+            ("scenario", {"duration_h": 48, "background_hs": 5.3e154}, "heave response"),
+            ("injection", {"bias_factor": 1e308}, "forecast issues"),
+        ],
+    )
+    def test_overflowing_campaign_names_the_manifest_and_section(self, tmp_path, section, value, product):
+        # numpy warned, and the arrays' own checks refused an infinite value
+        # naming neither the manifest nor the section
+        manifest = write_manifest(tmp_path, **{section: value})
+        result = invoke(["simulate", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {manifest}: manifest {section} overflows the {product}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "score"])
+    def test_empty_horizons_are_validation_error(self, tmp_path, command):
+        # fit exited 0 having fitted nothing, and score wrote a scores.csv of one header line
+        manifest = write_manifest(tmp_path, dump=json.dumps, horizons=[])
+        result = invoke([command, "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {manifest}: horizons must not be empty\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_time_outside_the_grammar_is_validation_error(self, tmp_path):
+        # numpy read 2024-06 as 1 June, so the row joined a measurement of that hour
+        (tmp_path / "issue.csv").write_text(
+            "issue_time_utc, valid_time_utc, sig_heave_m\n2024-06-01T00:00:00, 2024-06, 1.0\n"
+        )
+        (tmp_path / "measurements.csv").write_text("timestamp_utc, sig_heave_m, valid\n2024-06-01T00:00:00, 1.0, true\n")
+        manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
+        result = invoke(["build", "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {tmp_path / 'issue.csv'}: valid time is not a time ('2024-06')\n"
+        assert not (tmp_path / "out").exists()
+
     def test_off_hour_valid_time_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
             "issue_time_utc, valid_time_utc, sig_heave_m\n"
@@ -509,7 +551,7 @@ class TestExitCodes:
             ("horizons: [0]\n", "manifest must set ['out_dir']\n"),
             ("out_dir: out\nseed: x\n", "manifest key seed must be an integer, found 'x'\n"),
             ("out_dir: out\nsampler: {chains: 0}\n", "need >= 1 chain, >= 100 warmup and retained draws\n"),
-            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario key start: '5' is not"),
+            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario: start is not a time ('5')"),
             ("out_dir: [\n", "malformed YAML: "),
         ],
     )
@@ -614,8 +656,9 @@ class TestExitCodes:
             ({"measurement_noise": [1]}, "measurement_noise must be a number, found [1]"),
             ({"measurement_noise": "0.01"}, "measurement_noise must be a number"),
             ({"start": 5}, "start must be an ISO-8601 time, found 5"),
-            ({"start": "5"}, "'5' is not an ISO-8601 time"),
-            ({"start": "2024-13-01T00:00:00"}, "manifest scenario key start:"),
+            ({"start": "5"}, "manifest scenario: start is not a time ('5')"),
+            ({"start": "2024-06"}, "manifest scenario: start is not a time ('2024-06')"),
+            ({"start": "2024-13-01T00:00:00"}, "manifest scenario: start:"),
         ],
     )
     def test_bad_scenario_extras_are_validation_errors(self, tmp_path, scenario, message):

@@ -421,6 +421,53 @@ def test_wall_clock_time_cell_names_the_file(tmp_path, kind, spelling, blank):
         reader(p)
 
 
+# the time columns of SHORT_ROW_CASES, each file's own name for the column in its messages
+TIME_COLUMNS = [
+    ("spectra", "timestamp_utc", "timestamp_utc"),
+    ("measurements", "timestamp_utc", "timestamp_utc"),
+    ("issue", "issue_time_utc", "issue time"),
+    ("issue", "valid_time_utc", "valid time"),
+    ("dataset", "valid_time_utc", "valid_time_utc"),
+    ("dataset", "issue_time_utc", "issue_time_utc"),
+]
+# numpy reads these as the first of a month, the year 20240601, the first
+# of June, and 04:00 UTC (with a UserWarning); none is in the README grammar
+OFF_GRAMMAR_SPELLINGS = ["2024", "2024-06", "20240601", "+2024-06-01", "2024-06-01T05:00:00+01:00"]
+
+
+@pytest.mark.parametrize("spelling", OFF_GRAMMAR_SPELLINGS)
+@pytest.mark.parametrize("kind, column, what", TIME_COLUMNS)
+def test_time_cell_outside_the_grammar_names_file_column_and_cell(tmp_path, kind, column, what, spelling):
+    reader, text = SHORT_ROW_CASES[kind]
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(with_last_row_cell(text, column, f" {spelling}\t"))
+    with pytest.raises(ValueError) as exc:
+        reader(p)
+    assert str(exc.value) == f"{p}: {what} is not a time ({spelling!r})"
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [
+        lambda t: t.replace("T", " "),  # a space for the T
+        lambda t: t[:-3],  # no seconds
+        lambda t: t[:-6],  # the hour alone
+        lambda t: t + ".75",  # a fraction, dropped
+        lambda t: t + "Z",
+        lambda t: " \t" + t.replace("T", " ") + "Z\t ",  # blanks around
+    ],
+    ids=["space", "minutes", "hour", "fraction", "Z", "blanks"],
+)
+@pytest.mark.parametrize("kind, column, what", TIME_COLUMNS)
+def test_time_cells_in_the_grammar_read_as_the_writers_spelling(tmp_path, kind, column, what, spell):
+    reader, text = SHORT_ROW_CASES[kind]
+    canonical = text.splitlines()[-1].split(", ")[text.splitlines()[0].split(", ").index(column)]
+    plain, spelled = tmp_path / f"{kind}.csv", tmp_path / f"{kind}_spelled.csv"
+    plain.write_text(text)
+    spelled.write_text(with_last_row_cell(text, column, spell(canonical)))
+    assert as_compared(reader(spelled)) == as_compared(reader(plain))
+
+
 class TestShortRows:
     @pytest.mark.parametrize("kind", sorted(SHORT_ROW_CASES))
     def test_short_row_names_file_and_line(self, tmp_path, kind):
@@ -886,10 +933,12 @@ class TestRunManifest:
             ("scenario: {duration_h: 48, measurement_noise: true}", "measurement_noise must be a number"),
             ("scenario: {duration_h: 48, start: 5}", "start must be an ISO-8601 time, found 5"),
             ("scenario: {duration_h: 48, start: [2024]}", "start must be an ISO-8601 time"),
-            ("scenario: {duration_h: 48, start: '5'}", "'5' is not an ISO-8601 time"),
-            ("scenario: {duration_h: 48, start: now}", "'now' is not an ISO-8601 time"),
-            ("scenario: {duration_h: 48, start: ''}", "'' is not an ISO-8601 time"),
-            ("scenario: {duration_h: 48, start: '2024-02-30'}", "manifest scenario key start:"),
+            ("scenario: {duration_h: 48, start: '5'}", "manifest scenario: start is not a time ('5')"),
+            ("scenario: {duration_h: 48, start: now}", "manifest scenario: start is not a time ('now')"),
+            ("scenario: {duration_h: 48, start: ''}", "manifest scenario: start is not a time ('')"),
+            ("scenario: {duration_h: 48, start: '2024-02-30'}", "manifest scenario: start:"),
+            # each line in the grammar, and numpy printed a UserWarning before refusing it
+            ('scenario: {duration_h: 48, start: "2024-06-01T00\\n2024-06-01"}', "start is not a time ('2024-06-01T00\\n"),
         ],
     )
     def test_scenario_extras_checked(self, tmp_path, body, message):
@@ -897,6 +946,30 @@ class TestRunManifest:
         manifest.write_text(f"out_dir: out\n{body}\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             RunManifest.load(manifest)
+
+    @pytest.mark.parametrize("spelling", OFF_GRAMMAR_SPELLINGS)
+    def test_start_outside_the_grammar_is_refused(self, tmp_path, spelling):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "scenario": {"duration_h": 48, "start": spelling}}))
+        with pytest.raises(ValueError) as exc:
+            RunManifest.load(manifest)
+        assert str(exc.value) == f"{manifest}: manifest scenario: start is not a time ({spelling!r})"
+
+    @pytest.mark.parametrize(
+        "start", ["2024-06-01T06:00:00", "2024-06-01 06:00", "2024-06-01T06", "2024-06-01T06:00:00.5Z", " 2024-06-01T06Z "]
+    )
+    def test_start_in_the_grammar_reads_as_the_canonical_time(self, tmp_path, start):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "scenario": {"duration_h": 48, "start": start}}))
+        assert RunManifest.load(manifest).swell_scenario().start == np.datetime64("2024-06-01T06:00:00", "s")
+
+    def test_empty_horizons_are_refused(self, tmp_path):
+        # fit and score ran no horizon and exited 0, and score wrote a header-only table
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "horizons": []}))
+        with pytest.raises(ValueError) as exc:
+            RunManifest.load(manifest)
+        assert str(exc.value) == f"{manifest}: horizons must not be empty"
 
     @pytest.mark.parametrize(
         "start, expected",

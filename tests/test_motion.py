@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from heavecast.motion import RawMotionSeries, highpass_filter
 
 T0 = np.datetime64("2024-06-01T00:00:00")
 
 
-def make_series(values, rate=1.0, gaps=()):
-    return RawMotionSeries(start=T0, sample_rate=rate, values=values, gaps=gaps)
+def make_series(values, rate=1.0):
+    return RawMotionSeries(start=T0, sample_rate=rate, values=values)
 
 
 def sine(freq_hz, rate, n, amp=1.0, phase=0.0):
@@ -58,20 +59,23 @@ class TestHighpassFilter:
         scale = np.max(np.abs(combined))
         np.testing.assert_allclose(combined, a * fx + b * fy, atol=1e-9 * scale)
 
-    def test_gap_segments_filtered_independently(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(2000)
-        gapped = make_series(x, gaps=((900, 1000),))
-        out = highpass_filter(gapped, 0.04)
-        first = highpass_filter(make_series(x[:900]), 0.04).values
-        np.testing.assert_allclose(out.values[:900], first)
-        assert np.all(out.values[900:1000] == 0.0)
+    @pytest.mark.parametrize("rate, cutoff", [(1.0, 0.04), (4.0, 0.05)])
+    def test_one_sosfiltfilt_over_the_whole_series(self, rate, cutoff):
+        x = np.random.default_rng(3).standard_normal(5000)
+        sos = signal.butter(5, cutoff, "highpass", fs=rate, output="sos")
+        out = highpass_filter(make_series(x, rate=rate), cutoff)
+        assert out.values.tobytes() == signal.sosfiltfilt(sos, x).tobytes()
 
-    def test_short_segment_becomes_gap(self):
-        x = np.ones(200)
-        gapped = make_series(x, gaps=((20, 190),))
-        out = highpass_filter(gapped, 0.04)
-        assert out.gaps == ((0, 200),) or (0, 20) in out.gaps
+    def test_series_of_padlen_samples_or_fewer_is_refused(self):
+        # sosfiltfilt's default padlen, 3 * (2 * sections + 1 - first-order sections):
+        # the order-5 filter has two second-order sections and one first-order one
+        sos = signal.butter(5, 0.04, "highpass", fs=1.0, output="sos")
+        padlen = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
+        assert padlen == 18
+        for n in (1, padlen):
+            with pytest.raises(ValueError, match="padlen"):
+                highpass_filter(make_series(np.ones(n)), 0.04)
+        assert highpass_filter(make_series(np.ones(padlen + 1)), 0.04).values.size == padlen + 1
 
     def test_offset_invariance(self):
         # a constant offset is all slow drift: the filtered series does not see it
@@ -84,10 +88,8 @@ class TestHighpassFilter:
 
 class TestRawMotionSeries:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_values_must_be_finite_outside_gaps(self, bad):
+    def test_values_must_be_finite(self, bad):
         x = np.zeros(10)
         x[4] = bad
-        with pytest.raises(ValueError, match="values must be finite outside gaps"):
+        with pytest.raises(ValueError, match="values must be finite"):
             make_series(x)
-        assert make_series(x, gaps=((4, 5),)).gap_mask()[4]
-

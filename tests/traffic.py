@@ -8,9 +8,12 @@ through heavecast.cli.main, with the bench's measurement outages flagged
 after simulate; `response` on the first 24 hours of the readme campaign's
 spectra; `bench/probe.py check` on both workloads' outputs; and
 tests/test_acceptance.py. It then prints one `file:line name` line for each
-function of src/heavecast none of them ran a line of. What the runs print
-goes to stderr, so stdout holds only that list. It takes about 10 s on
-two cores.
+function of src/heavecast none of them ran a line of, and one
+`file:line name: 12, 15-17` line for each function they entered but did
+not run in full: the first line, or first-last, of each statement none of
+them ran a line of, `raise` statements left out. A statement listed covers
+the blocks inside it. What the runs print goes to stderr, so stdout holds
+only that list. It takes about 10 s on two cores.
 """
 
 from __future__ import annotations
@@ -62,19 +65,38 @@ def exercise(work: Path) -> None:
         raise SystemExit("tests/test_acceptance.py failed")
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def functions(path: Path):
-    """(line, qualified name, first line, last line) of each function
-    defined in path; the lines span its body after any docstring."""
+    """(line, qualified name, body) of each function defined in path; the
+    body leaves out any docstring."""
 
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 body = child.body[1:] if ast.get_docstring(child) is not None and len(child.body) > 1 else child.body
-                yield child.lineno, prefix + child.name, body[0].lineno, child.end_lineno
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child.lineno, prefix + child.name, body
+            if isinstance(child, DEFINITIONS):
                 yield from walk(child, f"{prefix}{child.name}.")
 
     yield from walk(ast.parse(path.read_text()), "")
+
+
+def unreached(body: list[ast.stmt], ran: set[int]):
+    """(first, last) line of each statement of body that ran no line, and
+    so on down the blocks of those that ran. A raise is left out, and so is
+    a nested function or class, which functions lists on its own."""
+    for stmt in body:
+        if isinstance(stmt, (ast.Raise, *DEFINITIONS)):
+            continue
+        if ran.isdisjoint(range(stmt.lineno, stmt.end_lineno + 1)):
+            yield stmt.lineno, stmt.end_lineno
+            continue
+        for name in ("body", "orelse", "finalbody"):
+            yield from unreached(getattr(stmt, name, []), ran)
+        for handler in getattr(stmt, "handlers", []):
+            yield from unreached(handler.body, ran)
 
 
 def main() -> None:
@@ -83,11 +105,17 @@ def main() -> None:
     tracer = trace.Trace(count=1, trace=0)
     with tempfile.TemporaryDirectory(prefix="traffic-") as tmp, redirect_stdout(sys.stderr):
         tracer.runfunc(exercise, Path(tmp))
-    ran = {(Path(f).resolve(), line) for f, line in tracer.results().counts}
+    ran = {}
+    for f, line in tracer.results().counts:
+        ran.setdefault(Path(f).resolve(), set()).add(line)
     for path in sorted(SRC.glob("*.py")):
-        for line, name, first, last in functions(path):
-            if not any((path, k) in ran for k in range(first, last + 1)):
-                print(f"{path.relative_to(ROOT)}:{line} {name}")
+        lines = ran.get(path, set())
+        for line, name, body in functions(path):
+            where = f"{path.relative_to(ROOT)}:{line} {name}"
+            if lines.isdisjoint(range(body[0].lineno, body[-1].end_lineno + 1)):
+                print(where)
+            elif spans := [str(a) if a == b else f"{a}-{b}" for a, b in unreached(body, lines)]:
+                print(f"{where}: {', '.join(spans)}")
 
 
 if __name__ == "__main__":
