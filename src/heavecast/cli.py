@@ -413,14 +413,13 @@ def diagnose(max_lag, bins, **kwargs):
         # both tables are computed before either is written, so a bad option writes nothing
         with io._naming(f"{_dataset_path(m, h)}, horizon {h}"):
             pac = diagnostics.pacf(series, max_lag)
-            table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map=sigma_map)
+            table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map)
         rows = ((lag, c, pac.confidence_band) for lag, c in zip(pac.lags.tolist(), pac.coefficients.tolist()))
         io._write_table(
             m.out_dir / f"pacf_{m.model_kind}_h{h:03d}.csv", ["lag", "coefficient", "band"], "%d, %.6f, %.6f", rows
         )
         columns = ["x_bin_center_m", "mean_abs_residual_m", "count", "sigma_map"]
-        rows = ((r["x_bin_center"], r["mean_abs_residual"], r["count"], r["sigma_map"]) for r in table)
-        io._write_table(m.out_dir / f"hetero_{m.model_kind}_h{h:03d}.csv", columns, "%.6f, %.6f, %d, %.6f", rows)
+        io._write_table(m.out_dir / f"hetero_{m.model_kind}_h{h:03d}.csv", columns, "%.6f, %.6f, %d, %.6f", table)
         print(f"h={h}: diagnostics written", flush=True)
 
 

@@ -86,16 +86,14 @@ def pacf(series: np.ndarray, max_lag: int) -> PacfResult:
 
 
 def heteroskedasticity_summary(
-    residuals: np.ndarray,
-    x_values: np.ndarray,
-    n_bins: int,
-    sigma_map: float | None = None,
-) -> list[dict]:
+    residuals: np.ndarray, x_values: np.ndarray, n_bins: int, sigma_map: float
+) -> list[tuple[float, float, int, float]]:
     """Mean absolute residual in equal-count bins of the physics forecast.
 
-    Returns one dict per bin with the bin center of x, the mean |residual|,
-    the row count and (when given) the flat MAP sigma overlay value, which
-    is what a homoskedastic error model would draw through the panel.
+    Returns one (x_bin_center, mean_abs_residual, count, sigma_map) row per
+    bin: the bin center of x, the mean |residual|, the row count and the
+    flat MAP sigma overlay value, which is what a homoskedastic error model
+    would draw through the panel.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be at least 1, found {n_bins}")
@@ -109,18 +107,10 @@ def heteroskedasticity_summary(
     # constant x collapses to a single effective bin
     if np.ptp(x) == 0.0:
         n_bins = 1
-    splits = np.array_split(order, n_bins)
-    table = []
-    for idx in splits:
-        entry = {
-            "x_bin_center": float(np.mean(x[idx])),
-            "mean_abs_residual": float(np.mean(np.abs(res[idx]))),
-            "count": int(idx.size),
-        }
-        if sigma_map is not None:
-            entry["sigma_map"] = float(sigma_map)
-        table.append(entry)
-    return table
+    return [
+        (float(np.mean(x[idx])), float(np.mean(np.abs(res[idx]))), int(idx.size), float(sigma_map))
+        for idx in np.array_split(order, n_bins)
+    ]
 
 
 def standardized_residuals(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> np.ndarray:

@@ -2,12 +2,12 @@
 the horizon datasets, and their delimited-text files.
 
 All artefacts are plain comma-separated text with a header line so any
-plotting tool can consume them. Writes are atomic: a file is written as a
-temp file in the target directory, with the mode open(path, "w") would give
-it under the umask, then renamed. Every reader takes its columns from
-_read_cells. A cell may carry spaces or tabs around it: numbers and times
-are parsed through them, and a cell compared as text is stripped where it
-is compared.
+plotting tool can consume them; a samples file's JSON sidecar is written
+by fit and read by no stage. Writes are atomic: a temp file in the target
+directory, which the kernel gives the umask's mode as for open(path, "w"),
+renamed into place. Every reader takes its columns from _read_cells. A cell
+may carry spaces or tabs around it: numbers and times are parsed through
+them, and a cell compared as text is stripped where it is compared.
 
 The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
 ErrorInjection) check their own values, and RunManifest.load checks a
@@ -37,7 +37,6 @@ import math
 import os
 import re
 import reprlib
-import tempfile
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -97,14 +96,18 @@ def __getattr__(name: str):
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write text to path through a temp file beside it, renamed into place.
+
+    The temp file gets a random hidden name and is created with mode 0666,
+    which the kernel masks with the umask, as open(path, "w") does; the
+    umask itself is never read or set.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    umask = os.umask(0o022)  # os.umask reads the umask only by setting it, so it is set back
-    os.umask(umask)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's file is 0600; open(path, "w") follows the umask
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -358,8 +361,9 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
 
     The sidecar holds per-parameter R-hat and ESS, the sigma-step acceptance
     rate and the sampler's deterministic facts: burn-in and retained sweeps,
-    rejections per truncated block and the smallest ESS. No wall-clock value
-    goes in, so a fixed manifest and seed reproduce it bit for bit.
+    rejections per truncated block and the smallest ESS. It is written for
+    people and tools; no stage reads it back. No wall-clock value goes in,
+    so a fixed manifest and seed reproduce it bit for bit.
     """
     rows = ((cid, *values) for cid, values in zip(samples.chain_ids.tolist(), samples.draws.tolist()))
     _write_table(path, ["chain", *samples.param_names], "%d" + ", %.12g" * samples.draws.shape[1], rows)
@@ -387,6 +391,11 @@ def _json_text(value, indent: str = "") -> str:
 
 
 def read_posterior_samples(path: Path) -> PosteriorSamples:
+    """The draws, parameter names and chain ids write_posterior_samples wrote.
+
+    The sidecar is not opened: no stage that reads samples uses what it
+    holds, so the samples get empty diagnostics and a NaN acceptance rate.
+    """
     from .model import PosteriorSamples
 
     header, columns, _ = _read_cells([path])
@@ -399,19 +408,8 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     # (n_draws, n_params), row-major like the draws fit wrote
     draws = np.array([_numbers(c, path, n) for c, n in zip(columns[1:], names)])
     draws = draws.reshape(len(names), chain_ids.size).T.copy()
-    sidecar_path = Path(str(path) + ".diag.json")
-    with _naming(sidecar_path):
-        meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar_path}: expected a JSON object, found {type(meta).__name__}")
-    return PosteriorSamples(
-        draws=draws,
-        param_names=names,
-        chain_ids=chain_ids,
-        diagnostics=meta.get("parameters", {}),
-        acceptance_rate=meta.get("acceptance_rate", float("nan")),
-        sampler_facts=meta.get("sampler", {}),
-    )
+    return PosteriorSamples(draws=draws, param_names=names, chain_ids=chain_ids, diagnostics={},
+                            acceptance_rate=float("nan"))
 
 
 # -- predictions and scores --------------------------------------------------

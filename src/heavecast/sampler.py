@@ -18,8 +18,9 @@ by _Conditionals, so a sweep costs the same whatever the training-set size.
 Its cost is interpreter work, so _run_chain runs each chain as one fused
 loop over local floats: per sweep it evaluates each block's quadratic form,
 factors the block's 2x2 precision once for all its redraws, and computes
-the sum of squares and the stationarity test inline. The same sweep written
-as small helpers (form, precision, bivariate draw, truncated redraws, sum of
+the sum of squares inline; each phi draw is tested by model.ar2_stationary,
+the one definition of the triangle. The same sweep written as small
+helpers (form, precision, bivariate draw, truncated redraws, sum of
 squares) lives in tests/sampler_reference.py. There the helpers are tested
 against model.log_posterior, and the fused loop must match their chain bit
 for bit. A truncated block that rejects MAX_REJECTIONS draws in a row raises
@@ -38,7 +39,7 @@ import math
 import numpy as np
 
 from .io import HorizonDataset, SamplerConfig
-from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, in_support
+from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, ar2_stationary, in_support
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]
 
@@ -240,8 +241,7 @@ def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.ra
             c1 = (y1 + z3 - l21 * c2) / l11
             phi1, phi2 = -c1, -c2
             rejected = 0
-            # the AR(2) stationarity triangle of model.ar2_stationary
-            while not (abs(phi2) < 1.0 and phi1 + phi2 < 1.0 and phi2 - phi1 < 1.0):
+            while not ar2_stationary(phi1, phi2):
                 rejected += 1
                 if rejected == MAX_REJECTIONS:
                     raise SamplerError(_STUCK)

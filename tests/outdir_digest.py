@@ -14,17 +14,18 @@ and after the six stages `response` runs through a copy of the manifest
 that names the RAO and spectra files simulate wrote, so its response.csv
 is digested with the other files.
 
-It prints one `sha256  path` line per file under out_dir, sorted by path,
-so two source trees write byte-identical outputs when
+It prints one `sha256  mode  path` line per file under out_dir, sorted by
+path, the mode being the file's permission bits in octal, so two source
+trees write byte-identical outputs with the same modes when
 
     diff <(python tests/outdir_digest.py a/src year-hybrid 1) \\
          <(python tests/outdir_digest.py b/src year-hybrid 1)
 
 prints nothing. With --against OTHER, a second source tree, the workload
-also runs on OTHER, and only the out_dir files whose digests differ, or
-that one tree alone wrote, are printed, one path per line; the exit code
-is 1 when any differ and 0 when none does. A stage that fails stops the run
-with its exit code and output on stderr.
+also runs on OTHER, and only the out_dir files whose digests or modes
+differ, or that one tree alone wrote, are printed, one path per line; the
+exit code is 1 when any differ and 0 when none does. A stage that fails
+stops the run with its exit code and output on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -44,8 +46,8 @@ import workloads  # noqa: E402
 
 
 def digests(src: Path, workload: str, seed: int, spectra_hours: int = 0) -> list[str]:
-    """`sha256  path` of each out_dir file after the workload's six stages,
-    and after response when spectra_hours is positive."""
+    """`sha256  mode  path` of each out_dir file after the workload's six
+    stages, and after response when spectra_hours is positive."""
     inputs = workloads.WORKLOADS[workload](seed)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory(prefix="outdir-digest-") as tmp:
@@ -73,7 +75,8 @@ def digests(src: Path, workload: str, seed: int, spectra_hours: int = 0) -> list
             response.write_text(json.dumps({**inputs.manifest, **files}, indent=2, sort_keys=True) + "\n")
             stage("response", response)
         return [
-            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir)}"
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {stat.S_IMODE(path.stat().st_mode):04o}"
+            f"  {path.relative_to(out_dir)}"
             for path in sorted(p for p in out_dir.rglob("*") if p.is_file())
         ]
 
@@ -93,8 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(lines))
         return 0
     other = digests(args.against, args.workload, args.seed, args.spectra_hours)
-    # a line present on one side only is a file one tree alone wrote or whose digest differs
-    differing = sorted({line.split("  ", 1)[1] for line in set(lines) ^ set(other)})
+    # a line present on one side only is a file one tree alone wrote or whose digest or mode differs
+    differing = sorted({line.split("  ", 2)[2] for line in set(lines) ^ set(other)})
     if differing:
         print("\n".join(differing))
     return 1 if differing else 0

@@ -4,6 +4,8 @@ files.
 
 Whatever a stage reads, it must exit 0, 2 or 3 and never raise: clirun.invoke
 passes on any exception other than SystemExit, so an uncaught one fails the test.
+No stage reads the sidecar, so with it garbled each must write what it writes
+with the sidecar intact.
 """
 
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavecast.datasets import HorizonDataset
@@ -30,9 +32,9 @@ STAGES = ("predict", "score", "diagnose")
 # the files of the campaign each stage reads: score reads the predictions
 # predict wrote, so a samples file predict refused leaves score none to read
 READS = {
-    "predict": {DATASET, SAMPLES, SIDECAR},
+    "predict": {DATASET, SAMPLES},
     "score": {DATASET, PREDICTIONS},
-    "diagnose": {DATASET, SAMPLES, SIDECAR},
+    "diagnose": {DATASET, SAMPLES},
 }
 
 
@@ -165,21 +167,44 @@ NOT_OBJECTS = st.one_of(
 )
 
 
+def stage_outputs(files: dict[str, str]) -> tuple[list[int], dict[str, bytes]]:
+    """The exit codes of predict, score and diagnose run in order on a campaign
+    of files (name -> text), and the bytes of every file in out/ after them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_campaign(tmp, files)
+        codes = [invoke([stage, "--manifest", str(manifest)]).exit_code for stage in STAGES]
+        return codes, {p.name: p.read_bytes() for p in (manifest.parent / "out").iterdir()}
+
+
+@pytest.fixture(scope="module")
+def intact_outputs(texts):
+    codes, outputs = stage_outputs(texts)
+    assert codes == [0, 0, 0]
+    return outputs
+
+
 @given(
-    kind=st.sampled_from(["invalid JSON", "not an object", "fields of the wrong type"]),
+    kind=st.sampled_from(["invalid JSON", "not an object", "fields of the wrong type", "nested too deeply"]),
     cut=st.integers(0, 10_000),
     value=NOT_OBJECTS,
 )
+@example(kind="nested too deeply", cut=0, value=None)  # json's decoder raised RecursionError
+@example(kind="not an object", cut=0, value=[])
+@example(kind="invalid JSON", cut=10_000, value=None)
 @settings(max_examples=40, deadline=None)
-def test_garbled_sidecar(texts, kind, cut, value):
+def test_garbled_sidecar(texts, intact_outputs, kind, cut, value):
     if kind == "invalid JSON":
         text = texts[SIDECAR]
         garbled = text[: cut % len(text.rstrip())]  # every proper prefix of the object is invalid
     elif kind == "not an object":
         garbled = json.dumps(value)
+    elif kind == "nested too deeply":
+        garbled = "[" * 100_000 + "]" * 100_000
     else:
         garbled = json.dumps({"acceptance_rate": value, "parameters": value, "sampler": value})
-    run_stages(texts, SIDECAR, garbled)
+    codes, outputs = stage_outputs({**texts, SIDECAR: garbled})
+    assert codes == [0, 0, 0]
+    assert outputs == {**intact_outputs, SIDECAR: garbled.encode()}
 
 
 RAO = "rao.csv"

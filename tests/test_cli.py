@@ -881,14 +881,6 @@ class TestBadSamples:
         self.rewrite_samples(campaign, lambda cells: cells[:-1] + [cells[-1] if cells[0] == "chain" else sigma])
         self.assert_refused(campaign, cmd, "400 of 400 draws are not finite or lie outside the prior support")
 
-    @pytest.mark.parametrize("cmd", ["predict", "diagnose"])
-    def test_sidecar_not_an_object(self, campaign, cmd):
-        (campaign / "out" / "samples_hybrid_h000.csv.diag.json").write_text("[]\n")
-        result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])
-        assert result.exit_code == 2, result.output
-        assert "samples_hybrid_h000.csv.diag.json: expected a JSON object, found list" in result.output
-        assert "Traceback" not in result.output
-
     def test_samples_as_fit_wrote_them_are_accepted(self, campaign):
         for cmd in ("predict", "score", "diagnose"):
             result = invoke([cmd, "--manifest", str(campaign / "run.yaml")])

@@ -115,10 +115,8 @@ class TestHeteroskedasticitySummary:
         rng = np.random.default_rng(6)
         x = rng.uniform(0.2, 3.0, 4000)
         res = x * 0.2 * rng.standard_normal(4000)
-        table = heteroskedasticity_summary(res, x, n_bins=5)
-        mags = [row["mean_abs_residual"] for row in table]
-        centers = [row["x_bin_center"] for row in table]
-        assert centers == sorted(centers)
+        centers, mags, _, _ = zip(*heteroskedasticity_summary(res, x, 5, 0.2))
+        assert list(centers) == sorted(centers)
         assert all(a < b for a, b in zip(mags, mags[1:]))
         # |N(0, s^2)| has mean s * sqrt(2/pi)
         assert mags[-1] / centers[-1] == pytest.approx(0.2 * np.sqrt(2 / np.pi), rel=0.1)
@@ -127,31 +125,36 @@ class TestHeteroskedasticitySummary:
         rng = np.random.default_rng(7)
         x = rng.uniform(0.2, 3.0, 4000)
         res = 0.3 * rng.standard_normal(4000)
-        table = heteroskedasticity_summary(res, x, n_bins=4, sigma_map=0.3)
-        mags = [row["mean_abs_residual"] for row in table]
+        _, mags, _, sigmas = zip(*heteroskedasticity_summary(res, x, 4, 0.3))
         assert max(mags) / min(mags) < 1.25
-        assert all(row["sigma_map"] == 0.3 for row in table)
+        assert sigmas == (0.3,) * 4
 
     def test_counts_cover_all_rows(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0.0, 1.0, 103)
-        table = heteroskedasticity_summary(np.zeros(103), x, n_bins=5)
-        assert sum(row["count"] for row in table) == 103
+        table = heteroskedasticity_summary(np.zeros(103), x, 5, 0.1)
+        assert sum(count for _, _, count, _ in table) == 103
+
+    def test_rows_are_the_hetero_file_columns(self):
+        # (x_bin_center, mean_abs_residual, count, sigma_map) as Python numbers, the order diagnose writes
+        table = heteroskedasticity_summary(np.array([-1.0, 2.0, 3.0, -5.0]), np.array([4.0, 1.0, 2.0, 3.0]), 2, 0.25)
+        assert table == [(1.5, 2.5, 2, 0.25), (3.5, 3.0, 2, 0.25)]
+        assert [tuple(map(type, row)) for row in table] == [(float, float, int, float)] * 2
 
     def test_constant_x_single_bin(self):
-        table = heteroskedasticity_summary(np.ones(50), np.full(50, 2.0), n_bins=5)
-        assert len(table) == 1 and table[0]["count"] == 50
+        table = heteroskedasticity_summary(np.ones(50), np.full(50, 2.0), 5, 0.1)
+        assert len(table) == 1 and table[0][2] == 50
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            heteroskedasticity_summary(np.ones(3), np.ones(4), 2)
+            heteroskedasticity_summary(np.ones(3), np.ones(4), 2, 0.1)
         with pytest.raises(ValueError):
-            heteroskedasticity_summary(np.ones(3), np.ones(3), 10)
+            heteroskedasticity_summary(np.ones(3), np.ones(3), 10, 0.1)
 
     @pytest.mark.parametrize("n_bins", [0, -2])
     def test_bins_below_one_rejected(self, n_bins):
         with pytest.raises(ValueError, match="n_bins must be at least 1"):
-            heteroskedasticity_summary(np.ones(20), np.arange(20.0), n_bins)
+            heteroskedasticity_summary(np.ones(20), np.arange(20.0), n_bins, 0.1)
 
 
 class TestStandardizedResiduals:

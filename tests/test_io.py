@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -77,6 +78,22 @@ class TestAtomicWrite:
         atomic_write_text(target, "one\n")
         atomic_write_text(target, "two\n")
         assert target.read_text() == "two\n"
+
+    def test_follows_the_umask_without_setting_it(self, tmp_path, monkeypatch):
+        # setting the umask, even to read it, would change the mode of a file another thread creates meanwhile
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        target = tmp_path / "out.txt"
+        previous = os.umask(0o027)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", refuse)
+                atomic_write_text(target, "hello\n")
+        finally:
+            os.umask(previous)
+        assert target.read_text() == "hello\n"
+        assert target.stat().st_mode & 0o777 == 0o640
 
 
 class TestRaoRoundTrip:
@@ -719,9 +736,12 @@ class TestPosteriorAndPredictions:
         np.testing.assert_allclose(back.draws, samples.draws, rtol=1e-10)
         np.testing.assert_array_equal(back.chain_ids, samples.chain_ids)
         assert back.param_names == samples.param_names
-        assert back.acceptance_rate == pytest.approx(0.31)
-        assert back.diagnostics["beta0"]["rhat"] == 1.0
-        assert back.sampler_facts == {}
+        # the sidecar is read as bench/run.py reads it; the samples reader never opens it
+        sidecar = json.loads(Path(f"{p}.diag.json").read_text())
+        assert sidecar["acceptance_rate"] == pytest.approx(0.31)
+        assert sidecar["parameters"]["beta0"]["rhat"] == 1.0
+        assert sidecar["sampler"] == {}
+        assert back.diagnostics == {} and math.isnan(back.acceptance_rate) and back.sampler_facts == {}
 
     def test_sampler_facts_round_trip(self, tmp_path):
         facts = {"burn_in_sweeps": 1000, "retained_sweeps": 10, "rejections": {"beta": 2, "phi": 0}, "min_ess": 9.5}
@@ -735,7 +755,7 @@ class TestPosteriorAndPredictions:
         )
         p = tmp_path / "samples.csv"
         write_posterior_samples(p, samples)
-        assert read_posterior_samples(p).sampler_facts == facts
+        assert json.loads(Path(f"{p}.diag.json").read_text())["sampler"] == facts
 
     def test_predictions_file(self, tmp_path):
         draws = np.linspace(0, 1, 101)[:, None].repeat(3, axis=1)

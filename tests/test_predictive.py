@@ -18,7 +18,6 @@ from heavecast.model import (
     PredictiveDistribution,
     PredictiveDraws,
     _lagged,
-    _sorted_quantiles,
     posterior_predictive,
     predictive_summaries,
 )
@@ -62,8 +61,7 @@ def reference_summaries(dists):
     for start in range(0, len(dists), 64):
         block = np.stack([d.draws for d in dists[start : start + 64]])
         out[start : start + 64, 0] = block.mean(axis=1)
-        block.sort(axis=1)
-        out[start : start + 64, 1:] = _sorted_quantiles(block, QUANTILE_LEVELS)
+        out[start : start + 64, 1:] = np.quantile(block, QUANTILE_LEVELS, axis=1).T
     return out
 
 
