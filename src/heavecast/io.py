@@ -297,9 +297,7 @@ class HorizonDataset:
         )
 
 
-def chrono_split(
-    ds: HorizonDataset, train_fraction: float = 0.8
-) -> tuple[HorizonDataset, HorizonDataset]:
+def chrono_split(ds: HorizonDataset, train_fraction: float) -> tuple[HorizonDataset, HorizonDataset]:
     """Chronological train/test split: first ceil(fraction*N) rows train.
 
     Both parts must keep at least one row.

@@ -10,8 +10,8 @@ lags zeroed as model.log_posterior zeroes them, fits one chain and takes the
 rank of each true parameter among every 10th retained draw. When the sampler
 targets the posterior, the ranks are uniform whatever the data, so a
 chi-squared test per parameter over rank bins that each hold the same number
-of rank values must not reject. The conditional and fused-loop tests of
-test_sampler.py check the sweep at fixed states; this checks the chain's
+of rank values must not reject. The conditional tests of test_sampler.py
+check the sweep's helpers at fixed states; this checks the chain's
 stationary distribution, which carries the sigma step's prior ratio, the
 Gamma shape, the zeroed first lags and the two truncations.
 

@@ -1,18 +1,29 @@
-"""Blocked Gibbs sampler: conditionals against the reference density, the
-bivariate draw, the rejection cap and the fused chain against the reference
-chain built from the helpers."""
+"""Blocked Gibbs sampler: the sweep's helpers against the reference density,
+the bivariate draw, the rejection cap, the redraws of one chain and its
+centre against the posterior mode."""
 
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from heavecast import sampler
 from heavecast.datasets import HorizonDataset
-from heavecast.model import X_FLOOR, ModelSpec, PriorSet, log_posterior
-from heavecast.sampler import MAX_REJECTIONS, SamplerConfig, SamplerError, _Conditionals, _run_chain, fit
-from sampler_reference import _form, _gaussian2, _precision, _quadratic, _truncated, run_chain
+from heavecast.model import X_FLOOR, ModelSpec, PriorSet, in_support, log_posterior
+from heavecast.sampler import (
+    MAX_REJECTIONS,
+    SamplerConfig,
+    SamplerError,
+    _Conditionals,
+    _form,
+    _precision,
+    _quadratic,
+    _run_chain,
+    _truncated,
+    fit,
+)
 
 T0 = np.datetime64("2024-06-01T00:00:00", "s")
 HOUR = np.timedelta64(1, "h")
@@ -123,6 +134,15 @@ class TestConditionalsOracle:
             assert_constant(diffs, refs)
 
 
+def anywhere(x1, x2):
+    return True
+
+
+def gaussian2(p, z1, z2):
+    """The untruncated bivariate draw of _truncated from the normals (z1, z2)."""
+    return _truncated(p, z1, z2, anywhere, None)[:2]
+
+
 class TestGaussian2:
     P = (4.0, 1.5, 2.0, 1.0, -2.0)
 
@@ -130,15 +150,15 @@ class TestGaussian2:
         # the draw is affine in the normals: x(0) = P^-1 h and the columns of
         # x(e_k) - x(0) are a square root of P^-1
         prec = np.array([[4.0, 1.5], [1.5, 2.0]])
-        mean = np.array(_gaussian2(*self.P, 0.0, 0.0))
+        mean = np.array(gaussian2(self.P, 0.0, 0.0))
         np.testing.assert_allclose(mean, np.linalg.solve(prec, [1.0, -2.0]), rtol=1e-14)
-        root = np.column_stack([np.array(_gaussian2(*self.P, *e)) - mean for e in ((1.0, 0.0), (0.0, 1.0))])
+        root = np.column_stack([np.array(gaussian2(self.P, *e)) - mean for e in ((1.0, 0.0), (0.0, 1.0))])
         np.testing.assert_allclose(root @ root.T, np.linalg.inv(prec), rtol=1e-13)
 
     def test_sample_moments(self):
         prec = np.array([[4.0, 1.5], [1.5, 2.0]])
         z = np.random.default_rng(5).standard_normal((20000, 2)).tolist()
-        x = np.array([_gaussian2(*self.P, z1, z2) for z1, z2 in z])
+        x = np.array([gaussian2(self.P, z1, z2) for z1, z2 in z])
         cov = np.linalg.inv(prec)
         se = np.sqrt(np.diag(cov) / len(x))
         np.testing.assert_array_less(np.abs(x.mean(axis=0) - cov @ [1.0, -2.0]), 4.0 * se)
@@ -146,9 +166,9 @@ class TestGaussian2:
 
     def test_not_positive_definite(self):
         with pytest.raises(SamplerError, match="positive definite"):
-            _gaussian2(1.0, 2.0, 1.0, 0.0, 0.0, 0.1, 0.1)
+            gaussian2((1.0, 2.0, 1.0, 0.0, 0.0), 0.1, 0.1)
         with pytest.raises(SamplerError, match="positive definite"):
-            _gaussian2(float("nan"), 0.0, 1.0, 0.0, 0.0, 0.1, 0.1)
+            gaussian2((float("nan"), 0.0, 1.0, 0.0, 0.0), 0.1, 0.1)
 
 
 class TestRejectionCap:
@@ -187,25 +207,44 @@ class TestFitFacts:
 REDRAWS = PriorSet(beta1_mean=0.0, beta1_var=1e-6, phi_sd=10.0)
 
 
-class TestFusedChain:
-    """sampler._run_chain against the reference chain of sampler_reference, bit for bit."""
+class TestRedraws:
+    """A chain whose truncated blocks often draw outside the support keeps only draws inside it."""
 
     @pytest.mark.parametrize("kind", ["basic", "hybrid"])
-    @pytest.mark.parametrize("n,priors", [(400, PriorSet()), (3428, PriorSet()), (20, REDRAWS)], ids=["400", "3428", "redraws"])
-    def test_same_draws_and_counts(self, kind, n, priors):
-        ds = gappy_dataset(n, seed=n + 3)
+    def test_chain_redraws_into_the_support(self, kind):
+        ds = gappy_dataset(20, seed=23)
         assert np.any(ds.x < X_FLOOR)
-        cond = _Conditionals(ds, ModelSpec(kind=kind, priors=priors))
+        spec = ModelSpec(kind=kind, priors=REDRAWS)
+        cond = _Conditionals(ds, spec)
         cfg = SamplerConfig(chains=1, warmup_draws=300, retained_draws=200)
-        hybrid = kind == "hybrid"
-        draws, *counts = _run_chain(cond, cfg, hybrid, np.random.default_rng(n))
-        ref_draws, *ref_counts = run_chain(cond, cfg, hybrid, np.random.default_rng(n))
-        assert draws.shape == ref_draws.shape == (200, 5 if hybrid else 3)
-        assert draws.tobytes() == ref_draws.tobytes()
-        assert counts == ref_counts
-        if priors is REDRAWS:
-            _, beta_rejected, phi_rejected = counts
-            assert beta_rejected > 0 and (phi_rejected > 0 or not hybrid)
+        draws, _, beta_rejected, phi_rejected = _run_chain(cond, cfg, kind == "hybrid", np.random.default_rng(20))
+        assert draws.shape == (200, 5 if kind == "hybrid" else 3)
+        assert np.all(in_support(draws, spec))
+        assert beta_rejected > 0 and (phi_rejected > 0 or kind == "basic")
+
+
+class TestChain:
+    """One chain at the default priors: reproducible from its generator and centred on the posterior mode."""
+
+    @pytest.mark.parametrize("kind", ["basic", "hybrid"])
+    @pytest.mark.parametrize("n", [400, 3428])
+    def test_chain_centres_on_the_posterior_mode(self, kind, n):
+        ds = gappy_dataset(n, seed=n + 3)
+        spec = ModelSpec(kind=kind)
+        cond = _Conditionals(ds, spec)
+        cfg = SamplerConfig(chains=1, warmup_draws=300, retained_draws=200)
+        draws, *counts = _run_chain(cond, cfg, kind == "hybrid", np.random.default_rng(n))
+        again, *counts_again = _run_chain(cond, cfg, kind == "hybrid", np.random.default_rng(n))
+        assert draws.tobytes() == again.tobytes() and counts == counts_again
+        assert draws.shape == (200, spec.n_params)
+        assert np.all(in_support(draws, spec))
+        # the posterior is close to Gaussian at these sizes, so its mean lies
+        # within a small part of a standard deviation of the mode
+        start = [0.1, 0.9, 0.0, 0.0, 0.1] if kind == "hybrid" else [0.1, 0.9, 0.1]
+        options = {"xatol": 1e-10, "fatol": 1e-10, "maxiter": 20000, "maxfev": 40000}
+        mode = minimize(lambda p: -log_posterior(p, ds, spec), start, method="Nelder-Mead", options=options)
+        assert mode.success
+        np.testing.assert_array_less(np.abs(draws.mean(axis=0) - mode.x), 0.5 * draws.std(axis=0))
 
 
 def with_conditionals(monkeypatch, **attrs):
@@ -221,7 +260,7 @@ def with_conditionals(monkeypatch, **attrs):
 
 
 class TestFitErrors:
-    """The fused loop's checks raise through fit with the reference helpers' messages."""
+    """The sweep's checks raise through fit."""
 
     CFG = SamplerConfig(chains=1, warmup_draws=100, retained_draws=100)
 
