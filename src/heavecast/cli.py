@@ -115,7 +115,7 @@ def _load(manifest, out, horizons=None, model_kind=None, seed=None) -> io.RunMan
 
     m = io.RunManifest.load(Path(manifest))
     if horizons:
-        m.horizons = sorted(set(horizons))
+        m.horizons = list(horizons)
     if model_kind:
         m.model_kind = model_kind
     if seed is not None:

@@ -3,7 +3,7 @@ per-horizon datasets built from them.
 
 simulate writes the campaign's files (RAO, spectra, heave records and
 forecast issues), build and response read them, and no other stage loads
-this module; its readers and writers also resolve as attributes of io.
+this module; io resolves five of its readers and writers as attributes.
 Files hold frequencies in Hz and directions in degrees, converted to rad/s
 and radians on reading. Each reader converts whole columns. A spectra file
 holds one row per (timestamp, frequency, direction) cell, in any order:
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .io import _CAMPAIGN_NAMES, _naming, _numbers, _parse_times, _read_cells, _readable, _write_table
+from .io import _naming, _numbers, _parse_times, _read_cells, _readable, _write_table
 from .io import HOUR, HorizonDataset, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
@@ -51,7 +51,16 @@ __all__ = [
     "synthesize_horizon_series",
     "align",
     "chrono_split",
-    *_CAMPAIGN_NAMES,
+    "read_rao",
+    "write_rao",
+    "read_spectra",
+    "write_spectra",
+    "read_heave_records",
+    "write_heave_records",
+    "read_forecast_issue",
+    "read_forecast_issues",
+    "write_forecast_issue",
+    "write_forecast_issues",
 ]
 
 # Maximum lead (hours) each issue cycle extends to. The 06Z and 18Z runs of

@@ -18,13 +18,15 @@ order; the model stages need nothing else of datasets, which builds them.
 
 The campaign's own files (RAO, spectra, heave records and forecast
 issues), which only simulate, build and response touch, are read and
-written by datasets; their readers and writers still resolve as attributes
-of this module, importing datasets on first use (PEP 562), so fit, predict,
-score and diagnose never load it. Likewise a reader imports the type it
-builds, and write_predictions model.predictive_summaries (the one pass over
-the draws that gives each row's summaries and CRPS), when it runs, so
-score, which reads only the predictions table, never loads model; PyYAML
-is imported only for a manifest that is not a JSON document.
+written by datasets. Five of its functions, write_rao, read_heave_records,
+write_heave_records, read_forecast_issue and write_forecast_issue, still
+resolve as attributes of this module, importing datasets on first use
+(PEP 562), so fit, predict, score and diagnose never load it. Likewise a
+reader imports the type it builds, and write_predictions
+model.predictive_summaries (the one pass over the draws that gives each
+row's summaries and CRPS), when it runs, so score, which reads only the
+predictions table, never loads model; PyYAML is imported only for a
+manifest that is not a JSON document.
 """
 
 from __future__ import annotations
@@ -48,18 +50,14 @@ if TYPE_CHECKING:
     from .model import PosteriorSamples, PredictiveDraws
     from .scoring import ScoreReport
 
-# the readers and writers datasets defines, resolved here on first use
+# readers and writers datasets defines that bench/tracer.py traces under
+# this module, resolved here on first use
 _CAMPAIGN_NAMES = (
-    "read_rao",
     "write_rao",
-    "read_spectra",
-    "write_spectra",
     "read_heave_records",
     "write_heave_records",
     "read_forecast_issue",
-    "read_forecast_issues",
     "write_forecast_issue",
-    "write_forecast_issues",
 )
 
 __all__ = [
@@ -509,6 +507,10 @@ class SwellEvent:
             raise ValueError(f"Tp must lie within the forecast band [{_TP_MIN:.2f}, {_TP_MAX:.2f}] s")
         if self.rise_h <= 0.0 or self.decay_h <= 0.0:
             raise ValueError("rise and decay time constants must be positive")
+        if self.bandwidth_hz <= 0.0:
+            raise ValueError(f"bandwidth_hz must be positive, found {self.bandwidth_hz!r}")
+        if self.spread_exp < 0.0:
+            raise ValueError(f"spread_exp must be nonnegative, found {self.spread_exp!r}")
 
 
 @dataclass(frozen=True)
@@ -533,6 +535,8 @@ class SwellScenario:
             raise ValueError("duration must be at least one hour")
         if self.background_hs < 0.0:
             raise ValueError("background Hs must be nonnegative")
+        if self.background_spread_exp < 0.0:
+            raise ValueError(f"background_spread_exp must be nonnegative, found {self.background_spread_exp!r}")
         if self.hs_jitter < 0.0:
             raise ValueError("Hs jitter must be nonnegative")
         if not 0.0 <= self.hs_jitter_ar < 1.0:

@@ -145,11 +145,8 @@ class PredictiveDistribution:
 
     @property
     def summaries(self) -> dict[str, float]:
-        out = {"mean": self.mean}
-        qs = np.quantile(self.draws, QUANTILE_LEVELS)
-        for lv, q in zip(QUANTILE_LEVELS, qs):
-            out[f"p{round(lv * 100):02d}"] = float(q)
-        return out
+        qs = _sorted_quantiles(np.sort(self.draws)[None, :], QUANTILE_LEVELS)[0]
+        return {"mean": self.mean} | {f"p{round(lv * 100):02d}": float(q) for lv, q in zip(QUANTILE_LEVELS, qs)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +178,14 @@ def predictive_summaries(rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
     rows is an (n_rows, n_draws) matrix in any memory order, such as the
     transposed view PredictiveDraws.draws.T, and obs the n_rows measured
     values. Column 0 is the mean, then one column per level of
-    QUANTILE_LEVELS, then scoring.crps_samples of the row against its obs.
-    Each value has the same bits as PredictiveDistribution.summaries and
-    crps_samples of the one row: every block of 64 rows is copied once to C
-    order, which stores each row's draws contiguously, and the mean and
-    mean|y* - y| are taken on the copy along axis 1. The copy is then
-    sorted in place, every quantile is read from it by _sorted_quantiles,
-    and its pair sums are per-row dot products with the rank coefficients.
+    QUANTILE_LEVELS, then the energy-form CRPS mean|y* - y| - (1/2)
+    mean_{i,j}|y*_i - y*_j| of the row against its obs (Gneiting & Raftery
+    2007); PredictiveDistribution.summaries and scoring.crps_samples read
+    theirs from here. Every block of 64 rows is copied once to C order, which
+    stores each row's draws contiguously, and the mean and mean|y* - y| are
+    taken on the copy along axis 1. The copy is then sorted in place, every
+    quantile is read from it by _sorted_quantiles, and its pair sums are
+    per-row dot products with the rank coefficients, O(m log m) in all.
     Blocks of 64 rows keep the copies small: one block of all rows raised
     the predict stage's peak RSS by about 10 MB on a 4380-hour campaign
     (850 rows x 1500 draws).
@@ -217,8 +215,9 @@ def _sorted_quantiles(rows: np.ndarray, levels) -> np.ndarray:
     """np.quantile(rows, levels, axis=1).T, bit for bit, for rows sorted along axis 1.
 
     Each level reads the two order statistics a, b around (n - 1) * level and
-    interpolates as numpy's default 'linear' method does: a + (b - a) * t,
-    or b - (b - a) * (1 - t) when the fraction t is at least one half.
+    interpolates as numpy's default 'linear' method (Hyndman & Fan 1996,
+    type 7) does: a + (b - a) * t, or b - (b - a) * (1 - t) when the
+    fraction t is at least one half. np.quantile itself imports numpy.ma.
     """
     n = rows.shape[1]
     out = np.empty((rows.shape[0], len(levels)))

@@ -4,7 +4,9 @@ RMSE measures accuracy only; the continuous ranked probability score (CRPS)
 also rewards correctly sized uncertainty, which is what distinguishes the
 probabilistic adjustment from the raw physics point forecast. A deterministic
 forecast is scored as a point mass, for which the CRPS reduces to absolute
-error.
+error. Predictive draws are summarised by model.predictive_summaries, which
+crps_samples and score_table import when they run: score reads the CRPS that
+predict wrote, so it never loads model.
 """
 
 from __future__ import annotations
@@ -69,19 +71,15 @@ def crps_gaussian(mu: float, sigma: float, y: float) -> float:
 def crps_samples(draws: np.ndarray, y: float) -> float:
     """Energy-form CRPS estimator from predictive draws.
 
-    mean|y* - y| - (1/2) mean_{i,j}|y*_i - y*_j|; the pairwise double sum is
-    evaluated through the order statistics in O(m log m).
+    mean|y* - y| - (1/2) mean_{i,j}|y*_i - y*_j|, as the last column of
+    model.predictive_summaries of the one row, the estimator predict writes.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1 or draws.size < 2:
         raise ValueError("need at least two draws")
-    m = draws.size
-    term1 = float(np.mean(np.abs(draws - y)))
-    s = np.sort(draws)
-    # sum_{i<j}(s_j - s_i) via cumulative ranks; doubled for ordered pairs
-    coeffs = 2.0 * np.arange(m) - (m - 1)
-    pair_sum = 2.0 * float(np.dot(coeffs, s))
-    return term1 - pair_sum / (2.0 * m * m)
+    from .model import predictive_summaries
+
+    return float(predictive_summaries(draws[None, :], np.array([y], dtype=float))[0, -1])
 
 
 def score_table(

@@ -18,8 +18,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavecast.datasets import HorizonDataset
-from heavecast.io import SwellEvent, SwellScenario, write_horizon_dataset, write_posterior_samples, write_rao, write_spectra
+from heavecast.datasets import HorizonDataset, write_spectra
+from heavecast.io import SwellEvent, SwellScenario, write_horizon_dataset, write_posterior_samples, write_rao
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.synthetic import generate_spectra, reference_rao
 from clirun import invoke

@@ -15,7 +15,7 @@ import yaml
 
 import heavecast
 from heavecast import cli, io
-from heavecast.datasets import HorizonDataset
+from heavecast.datasets import HorizonDataset, read_rao, read_spectra
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.spectral import response_moments
 from clirun import invoke
@@ -169,8 +169,8 @@ class TestPipeline:
         result = invoke(["response", "--manifest", str(manifest)])
         assert result.exit_code == 0, result.output
         # the reference: each row formatted from the series' own timestamps, one at a time
-        spectra = io.read_spectra(tmp_path / "out" / "spectra.csv")
-        m0, m2 = response_moments(spectra, io.read_rao(tmp_path / "out" / "rao.csv"))
+        spectra = read_spectra(tmp_path / "out" / "spectra.csv")
+        m0, m2 = response_moments(spectra, read_rao(tmp_path / "out" / "rao.csv"))
         lines = ["timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"]
         for t, a, b, sig in zip(spectra.times, m0, m2, 2.0 * np.sqrt(m0)):
             lines.append(f"{t}, {a:.10g}, {b:.10g}, {sig:.10g}")
@@ -323,6 +323,16 @@ class TestExitCodes:
             ({"injection": {"noise_scale": -1.0}}, "noise scale must be nonnegative"),
             ({"scenario": {"duration_h": 48, "events": [{"arrival_h": 5, "hs": 1.0, "tp": 40.0}]}}, "Tp must lie"),
             ({"scenario": {"duration_h": 0}}, "duration must be at least one hour"),
+            # simulate divided by zero and the event's heave was 0
+            (
+                {"scenario": {"duration_h": 48, "events": [{"arrival_h": 10, "hs": 2.0, "tp": 14.0, "bandwidth_hz": 0}]}},
+                "bandwidth_hz must be positive, found 0",
+            ),
+            (
+                {"scenario": {"duration_h": 48, "events": [{"arrival_h": 10, "hs": 2.0, "tp": 14.0, "spread_exp": -1}]}},
+                "spread_exp must be nonnegative, found -1",
+            ),
+            ({"scenario": {"duration_h": 48, "background_spread_exp": -1}}, "background_spread_exp must be nonnegative"),
             # simulate and build ran with it; fit stopped with numpy's "expected non-negative integer"
             ({"seed": -1}, "seed must be a nonnegative integer, found -1"),
         ],
@@ -582,6 +592,15 @@ class TestExitCodes:
         result = invoke([cmd, "--manifest", str(manifest), *flags])
         assert result.exit_code == 2
         assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", [cmd for cmd, taken in OVERRIDES.items() if "-H" in taken])
+    def test_repeated_horizon_override_is_validation_error(self, tmp_path, cmd):
+        # build -H 6 -H 6 ran horizon 6 once, where a manifest listing it twice exits 2
+        manifest = write_manifest(tmp_path)
+        result = invoke([cmd, "--manifest", str(manifest), "-H", "6", "-H", "6"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: horizons must not repeat a horizon, found [6, 6]\n"
         assert not (tmp_path / "out").exists()
 
     def test_negative_spectra_hours_is_validation_error(self, tmp_path):
@@ -853,6 +872,12 @@ class TestUsage:
         assert result.exit_code == 0, result.output
         assert [line.split(":")[0] for line in result.stdout.splitlines()] == ["h=0", "h=6"]
         assert (campaign / "out" / "dataset_h006.csv").is_file()
+
+    def test_horizon_overrides_keep_their_order(self, campaign):
+        # as a manifest's horizons list does
+        result = invoke(["build", "-m", str(campaign / "run.yaml"), "-H", "6", "-H", "0"])
+        assert result.exit_code == 0, result.output
+        assert [line.split(":")[0] for line in result.stdout.splitlines()] == ["h=6", "h=0"]
 
 
 class TestBadSamples:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from heavecast import datasets
 from heavecast import io as heavecast_io
-from heavecast.datasets import ForecastIssue, HeaveRecord, HorizonDataset
+from heavecast.datasets import ForecastIssue, HeaveRecord, HorizonDataset, read_rao, read_spectra, write_spectra
 from heavecast.io import (
     _YAML_DEPTH_LIMIT,
     RunManifest,
@@ -29,8 +29,6 @@ from heavecast.io import (
     read_horizon_dataset,
     read_posterior_samples,
     read_predictions,
-    read_rao,
-    read_spectra,
     write_forecast_issue,
     write_heave_records,
     write_horizon_dataset,
@@ -38,13 +36,13 @@ from heavecast.io import (
     write_predictions,
     write_rao,
     write_score_reports,
-    write_spectra,
 )
 from heavecast.model import QUANTILE_LEVELS, PosteriorSamples, PredictiveDraws, predictive_summaries
 from heavecast.sampler import SamplerConfig
-from heavecast.scoring import ScoreReport, crps_samples
+from heavecast.scoring import ScoreReport
 from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths
 from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario, generate_spectra
+from test_predictive import reference_crps
 
 ROOT = Path(__file__).resolve().parents[1]
 T0 = np.datetime64("2024-06-01T00:00:00")
@@ -707,15 +705,14 @@ class TestPosteriorAndPredictions:
         obs = rng.gamma(2.0, 0.4, 150)
         dists = PredictiveDraws(valid_times=T0 + np.arange(150) * HOUR, draws=ystar)
         table = predictive_summaries(dists.draws.T, obs)
-        for d, y, row in zip(dists, obs, table):
-            s = d.summaries
-            assert list(row) == [s["mean"], s["p05"], s["p50"], s["p95"], crps_samples(d.draws, y)]
+        crps = reference_crps(np.ascontiguousarray(ystar.T), obs)
+        for d, c, row in zip(dists, crps, table):
+            assert list(row) == [np.mean(d.draws), *np.quantile(d.draws, QUANTILE_LEVELS), c]
         p = tmp_path / "pred.csv"
         write_predictions(p, dists, obs)
         lines = p.read_text().splitlines()[1:]
-        for d, y, line in zip(dists, obs, lines):
-            s = d.summaries
-            cells = [s[k] for k in ("mean", "p05", "p50", "p95")] + [crps_samples(d.draws, y)]
+        for d, c, line in zip(dists, crps, lines):
+            cells = [np.mean(d.draws), *np.quantile(d.draws, QUANTILE_LEVELS), c]
             assert line == ", ".join([str(d.valid_time)] + [f"{v:.10g}" for v in cells])
         valid_times, back = read_predictions(p)
         np.testing.assert_array_equal(valid_times, dists.valid_times)

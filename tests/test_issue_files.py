@@ -15,13 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavecast import datasets, io
-from heavecast.datasets import ForecastIssue, IssueSet
-from heavecast.io import (
-    read_forecast_issue,
-    read_forecast_issues,
-    write_forecast_issue,
-    write_forecast_issues,
-)
+from heavecast.datasets import ForecastIssue, IssueSet, read_forecast_issues, write_forecast_issues
+from heavecast.io import read_forecast_issue, write_forecast_issue
 from clirun import invoke
 
 T0 = np.datetime64("2024-06-01T00:00:00", "s")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heavecast.io import read_forecast_issues
+from heavecast.datasets import read_forecast_issues
 from clirun import invoke
 
 ROOT = Path(__file__).resolve().parents[1]

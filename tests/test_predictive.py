@@ -65,8 +65,8 @@ def reference_summaries(dists):
     return out
 
 
-def reference_scores(stacked, obs):
-    """(rmse, mean CRPS) of a C-ordered (rows, draws) matrix, as score_table took them."""
+def reference_crps(stacked, obs):
+    """Each row's sample CRPS of a C-ordered (rows, draws) matrix, as score_table took them."""
     m = stacked.shape[1]
     coeffs = 2.0 * np.arange(m) - (m - 1)
     crps = np.empty(obs.size)
@@ -75,7 +75,12 @@ def reference_scores(stacked, obs):
         term1 = np.mean(np.abs(block - obs[start : start + 64, None]), axis=1)
         pair_sums = [2.0 * float(np.dot(coeffs, row)) for row in np.sort(block, axis=1)]
         crps[start : start + 64] = term1 - np.array(pair_sums) / (2.0 * m * m)
-    return rmse(np.mean(stacked, axis=1), obs), float(np.mean(crps))
+    return crps
+
+
+def reference_scores(stacked, obs):
+    """(rmse, mean CRPS) of a C-ordered (rows, draws) matrix, as score_table took them."""
+    return rmse(np.mean(stacked, axis=1), obs), float(np.mean(reference_crps(stacked, obs)))
 
 
 def assert_same_bits(got, want):
@@ -161,13 +166,13 @@ class TestAgainstListPath:
         spec, samples, test, context = case
         pred = posterior_predictive(samples, test, spec, seed=8, context=context)
         ref = reference_predictive(samples, test, spec, seed=8, context=context)
-        crps = [crps_samples(d.draws, y) for d, y in zip(ref, test.y)]
+        crps = reference_crps(np.stack([d.draws for d in ref]), test.y)
         table = predictive_summaries(pred.draws.T, test.y)
         assert_same_bits(table[:, :-1], reference_summaries(ref))
         assert_same_bits(table[:, -1], crps)
         write_predictions(tmp_path / "pred.csv", pred, test.y)
         lines = (tmp_path / "pred.csv").read_text().splitlines()[1:]
-        # the first five columns as the list path spells them, then each row's crps_samples
+        # the first five columns as the list path spells them, then each row's reference CRPS
         assert lines == [
             ", ".join([str(d.valid_time)] + [f"{v:.10g}" for v in [*row, c]])
             for d, row, c in zip(ref, reference_summaries(ref).tolist(), crps)

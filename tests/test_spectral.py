@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavecast.io import read_spectra, write_spectra
+from heavecast.datasets import read_spectra, write_spectra
 from heavecast.spectral import (
     DirectionalWaveSpectrum,
     MorisonRaoParams,
