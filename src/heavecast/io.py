@@ -116,11 +116,14 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 @contextlib.contextmanager
 def _naming(where):
-    """Give a ValueError raised in the block the message f"{where}: {message}"."""
+    """Give a ValueError or ArithmeticError raised in the block the message
+    f"{where}: {message}", keeping its type."""
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _readable(path: Path, text: str) -> str:

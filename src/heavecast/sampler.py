@@ -15,14 +15,15 @@ blocks have closed-form full conditionals. One sweep draws
 
 The conditionals come from one Gram matrix of the training rows, built once
 by _Conditionals, so a sweep costs the same whatever the training-set size.
-_run_chain strings the sweep's steps together: _form evaluates a block's
-quadratic form, _precision turns it into the block's conditional precision
-and linear term, _truncated draws the block from its bivariate Gaussian and
-redraws until the draw lies inside its support (each phi draw is tested by
-model.ar2_stationary, the one definition of the triangle), and _quadratic
-gives the sum of squares. The tests check these helpers against
-model.log_posterior. A truncated block that rejects MAX_REJECTIONS draws in
-a row raises SamplerError.
+_run_chain is the sweep, written out on local floats: each block's quadratic
+form, its conditional precision and linear term, their 2x2 Cholesky factor
+and the block's first draw, then the sum of squares and the sigma step.
+A block whose first draw falls outside its support (beta1 > 0; each phi draw
+is tested by model.ar2_stationary, the one definition of the triangle) goes
+to _redraw, which redraws it from fresh normals; after MAX_REJECTIONS draws
+in a row outside, it raises SamplerError. The tests drive _run_chain with
+scripted numbers and check each block's conditional against
+model.log_posterior.
 
 Chains are independent. Each has its own Generator spawned from the fit
 seed, which draws the chain's normals, gammas and uniforms up front (and
@@ -129,24 +130,26 @@ class _Conditionals:
     def __init__(self, ds: HorizonDataset, spec: ModelSpec):
         pr = spec.priors
         self.n, self.sigma_scale = len(ds), pr.sigma_scale
-        self.x_mean, self.y_mean = float(np.mean(ds.x)), float(np.mean(ds.y))
-        dx = ds.x - self.x_mean
-        sxx = float(dx @ dx)
-        self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
-        block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
-        if spec.kind == "hybrid":
-            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
-        gram = np.zeros((9, 9))
-        gram[: len(block), : len(block)] = block @ block.T
+        # values so large that the Gram matrix or the forms overflow raise FloatingPointError, an ArithmeticError
+        with np.errstate(over="raise", invalid="raise"):
+            self.x_mean, self.y_mean = float(np.mean(ds.x)), float(np.mean(ds.y))
+            dx = ds.x - self.x_mean
+            sxx = float(dx @ dx)
+            self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
+            block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
+            if spec.kind == "hybrid":
+                block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
+            gram = np.zeros((9, 9))
+            gram[: len(block), : len(block)] = block @ block.T
+            # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2
+            mono = np.zeros((3, 3, 6))
+            for m, (i, j) in enumerate(_UPPER):
+                mono[i, j, m] = mono[j, i, m] = 1.0
+            g4 = gram.reshape(3, 3, 3, 3)
+            beta_terms = np.einsum("lkmn,lmp->knp", g4, mono)
+            phi_terms = np.einsum("lkmn,knp->lmp", g4, mono)
         # the start: phi = 0, and sigma the weighted RMS residual of the least-squares line (a = d = 0)
         self.sigma_start = max(math.sqrt(gram[0, 0] / self.n), 1e-4)
-        # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2
-        mono = np.zeros((3, 3, 6))
-        for m, (i, j) in enumerate(_UPPER):
-            mono[i, j, m] = mono[j, i, m] = 1.0
-        g4 = gram.reshape(3, 3, 3, 3)
-        beta_terms = np.einsum("lkmn,lmp->knp", g4, mono)
-        phi_terms = np.einsum("lkmn,knp->lmp", g4, mono)
         self.beta_terms = tuple(tuple(beta_terms[i, j].tolist()) for i, j in _UPPER)
         self.phi_terms = tuple(tuple(phi_terms[i, j].tolist()) for i, j in _UPPER)
         # beta0 - beta0_mean = a - x_mean * d + e0 and beta1 - beta1_mean = d + e1
@@ -157,57 +160,25 @@ class _Conditionals:
         self.phi_prior = (pr.phi_sd**-2, 0.0, pr.phi_sd**-2, 0.0, 0.0)
 
 
-def _form(terms: tuple, v1: float, v2: float) -> list:
-    """Upper entries of a block's 3x3 form Q at (v1, v2), in _UPPER order.
+def _redraw(l11: float, l21: float, l22: float, y1: float, y2: float, inside, rng: np.random.Generator) -> tuple:
+    """Redraw a truncated block whose first draw fell outside its support.
 
-    terms is _Conditionals.beta_terms or phi_terms: per entry, the
-    coefficients of 1, v1, v2, v1^2, v1 v2 and v2^2.
+    The block has the density proportional to exp(-x'Px/2 + h'x) restricted
+    to inside(x1, x2), with P = LL' (L lower triangular, entries l11, l21,
+    l22) and (y1, y2) = L^-1 h. Each redraw is x = L'^-1 (y + z), z two fresh
+    standard normals from rng, as _run_chain draws the first. Returns x1, x2
+    and the number of draws rejected, the first one included; raises
+    SamplerError when MAX_REJECTIONS draws in a row fall outside.
     """
-    m11, m12, m22 = v1 * v1, v1 * v2, v2 * v2
-    return [t0 + t1 * v1 + t2 * v2 + t3 * m11 + t4 * m12 + t5 * m22 for t0, t1, t2, t3, t4, t5 in terms]
-
-
-def _quadratic(q: list, x1: float, x2: float) -> float:
-    """v'Qv for v = (1, x1, x2), Q given by its upper entries."""
-    q00, q01, q02, q11, q12, q22 = q
-    return q00 + 2.0 * (x1 * q01 + x2 * q02 + x1 * x2 * q12) + x1 * x1 * q11 + x2 * x2 * q22
-
-
-def _precision(q: list, sigma2: float, prior: tuple) -> tuple:
-    """(P11, P12, P22, h1, h2) of the block whose form is q, given sigma^2 and the block's prior."""
-    p11, p12, p22, h1, h2 = prior
-    return q[3] / sigma2 + p11, q[4] / sigma2 + p12, q[5] / sigma2 + p22, h1 - q[1] / sigma2, h2 - q[2] / sigma2
-
-
-def _truncated(p: tuple, z1: float, z2: float, inside, rng: np.random.Generator) -> tuple:
-    """A draw from the density proportional to exp(-x'Px/2 + h'x) restricted to inside(x1, x2).
-
-    p is (P11, P12, P22, h1, h2). With P = LL', x = L'^-1 (L^-1 h + z) has
-    mean P^-1 h and covariance P^-1; z is (z1, z2), then two fresh standard
-    normals from rng after each draw outside. Returns x1, x2 and the number
-    of redraws.
-    """
-    p11, p12, p22, h1, h2 = p
-    if not p11 > 0.0:
-        raise SamplerError(_NOT_POSITIVE_DEFINITE)
-    l11 = math.sqrt(p11)
-    l21 = p12 / l11
-    pivot = p22 - l21 * l21
-    if not pivot > 0.0:
-        raise SamplerError(_NOT_POSITIVE_DEFINITE)
-    l22 = math.sqrt(pivot)
-    y1 = h1 / l11
-    y2 = (h2 - l21 * y1) / l22
-    rejected = 0
-    while True:
+    rejected = 1
+    while rejected < MAX_REJECTIONS:
+        z1, z2 = rng.standard_normal(2).tolist()
         x2 = (y2 + z2) / l22
         x1 = (y1 + z1 - l21 * x2) / l11
         if inside(x1, x2):
             return x1, x2, rejected
         rejected += 1
-        if rejected == MAX_REJECTIONS:
-            raise SamplerError(_STUCK)
-        z1, z2 = rng.standard_normal(2).tolist()
+    raise SamplerError(_STUCK)
 
 
 def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.random.Generator):
@@ -221,43 +192,99 @@ def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.ra
     normals = rng.standard_normal((sweeps, 4)).tolist()
     gammas = rng.standard_gamma(0.5 * (cond.n - 1), sweeps).tolist()
     log_us = np.log(rng.random(sweeps)).tolist()
+    sqrt, stationary = math.sqrt, ar2_stationary
     half_inv_scale2 = 0.5 / cond.sigma_scale**2
-    x_mean, y_mean, slope, warmup = cond.x_mean, cond.y_mean, cond.slope, cfg.warmup_draws
-    beta_terms, beta_prior, phi_terms, phi_prior = cond.beta_terms, cond.beta_prior, cond.phi_terms, cond.phi_prior
+    slope = cond.slope
+    # per entry of a block's form, the coefficients of 1, v1, v2, v1^2, v1 v2
+    # and v2^2 (see _Conditionals): the beta form's q1-q5 (its q0 is not
+    # read) and the phi form's q0-q5
+    (_, (b10, b11, b12, b13, b14, b15), (b20, b21, b22, b23, b24, b25), (b30, b31, b32, b33, b34, b35),
+     (b40, b41, b42, b43, b44, b45), (b50, b51, b52, b53, b54, b55)) = cond.beta_terms
+    ((f00, f01, f02, f03, f04, f05), (f10, f11, f12, f13, f14, f15), (f20, f21, f22, f23, f24, f25),
+     (f30, f31, f32, f33, f34, f35), (f40, f41, f42, f43, f44, f45), (f50, f51, f52, f53, f54, f55)) = cond.phi_terms
+    bp11, bp12, bp22, bh1, bh2 = cond.beta_prior
+    fp11, fp12, fp22, fh1, fh2 = cond.phi_prior
 
     def beta_inside(a, d):
         return d + slope > 0.0
 
     def phi_inside(c1, c2):
-        return ar2_stationary(-c1, -c2)
+        return stationary(-c1, -c2)
 
+    # the phi block is drawn as (c1, c2) = (-phi1, -phi2); phi starts at 0
     phi1 = phi2 = 0.0
+    c1, c2 = -phi1, -phi2
     sigma2 = cond.sigma_start**2
-    draws = []
+    states = []
     accepted = beta_rejected = phi_rejected = 0
-    for i, (z1, z2, z3, z4), gamma, log_u in zip(range(sweeps), normals, gammas, log_us):
-        # beta block, drawn as (a, d), then phi block, drawn as (-phi1, -phi2)
-        p = _precision(_form(beta_terms, -phi1, -phi2), sigma2, beta_prior)
-        a, d, rejected = _truncated(p, z1, z2, beta_inside, rng)
-        beta_rejected += rejected
-        q = _form(phi_terms, a, d)  # also gives the sum of squares
+    for (z1, z2, z3, z4), gamma, log_u in zip(normals, gammas, log_us):
+        # beta block, drawn as (a, d): its form at (c1, c2) gives, with sigma,
+        # its precision P and linear term h; with P = LL' and y = L^-1 h the
+        # draw is L'^-1 (y + z)
+        m11, m12, m22 = c1 * c1, c1 * c2, c2 * c2
+        q1 = b10 + b11 * c1 + b12 * c2 + b13 * m11 + b14 * m12 + b15 * m22
+        q2 = b20 + b21 * c1 + b22 * c2 + b23 * m11 + b24 * m12 + b25 * m22
+        q3 = b30 + b31 * c1 + b32 * c2 + b33 * m11 + b34 * m12 + b35 * m22
+        q4 = b40 + b41 * c1 + b42 * c2 + b43 * m11 + b44 * m12 + b45 * m22
+        q5 = b50 + b51 * c1 + b52 * c2 + b53 * m11 + b54 * m12 + b55 * m22
+        p11 = q3 / sigma2 + bp11
+        if not p11 > 0.0:
+            raise SamplerError(_NOT_POSITIVE_DEFINITE)
+        l11 = sqrt(p11)
+        l21 = (q4 / sigma2 + bp12) / l11
+        pivot = q5 / sigma2 + bp22 - l21 * l21
+        if not pivot > 0.0:
+            raise SamplerError(_NOT_POSITIVE_DEFINITE)
+        l22 = sqrt(pivot)
+        y1 = (bh1 - q1 / sigma2) / l11
+        y2 = (bh2 - q2 / sigma2 - l21 * y1) / l22
+        d = (y2 + z2) / l22
+        a = (y1 + z1 - l21 * d) / l11
+        if not d + slope > 0.0:
+            a, d, rejected = _redraw(l11, l21, l22, y1, y2, beta_inside, rng)
+            beta_rejected += rejected
+
+        # phi block: its form at (a, d), which also gives the sum of squares
+        m11, m12, m22 = a * a, a * d, d * d
+        q0 = f00 + f01 * a + f02 * d + f03 * m11 + f04 * m12 + f05 * m22
+        q1 = f10 + f11 * a + f12 * d + f13 * m11 + f14 * m12 + f15 * m22
+        q2 = f20 + f21 * a + f22 * d + f23 * m11 + f24 * m12 + f25 * m22
+        q3 = f30 + f31 * a + f32 * d + f33 * m11 + f34 * m12 + f35 * m22
+        q4 = f40 + f41 * a + f42 * d + f43 * m11 + f44 * m12 + f45 * m22
+        q5 = f50 + f51 * a + f52 * d + f53 * m11 + f54 * m12 + f55 * m22
         if hybrid:
-            c1, c2, rejected = _truncated(_precision(q, sigma2, phi_prior), z3, z4, phi_inside, rng)
-            phi_rejected += rejected
-            phi1, phi2 = -c1, -c2
-        # sigma by independence MH: S = v'Qv at v = (1, -phi1, -phi2)
-        ss = _quadratic(q, -phi1, -phi2)
+            p11 = q3 / sigma2 + fp11
+            if not p11 > 0.0:
+                raise SamplerError(_NOT_POSITIVE_DEFINITE)
+            l11 = sqrt(p11)
+            l21 = (q4 / sigma2 + fp12) / l11
+            pivot = q5 / sigma2 + fp22 - l21 * l21
+            if not pivot > 0.0:
+                raise SamplerError(_NOT_POSITIVE_DEFINITE)
+            l22 = sqrt(pivot)
+            y1 = (fh1 - q1 / sigma2) / l11
+            y2 = (fh2 - q2 / sigma2 - l21 * y1) / l22
+            c2 = (y2 + z4) / l22
+            c1 = (y1 + z3 - l21 * c2) / l11
+            if not stationary(-c1, -c2):
+                c1, c2, rejected = _redraw(l11, l21, l22, y1, y2, phi_inside, rng)
+                phi_rejected += rejected
+
+        # sigma by independence MH: S = v'Qv at v = (1, c1, c2)
+        ss = q0 + 2.0 * (c1 * q1 + c2 * q2 + c1 * c2 * q4) + c1 * c1 * q3 + c2 * c2 * q5
         if not ss > 0.0:
             raise SamplerError("weighted sum of squared innovations is not positive")
         proposal = 0.5 * ss / gamma
         if log_u < (sigma2 - proposal) * half_inv_scale2:
             sigma2 = proposal
             accepted += 1
-        if i >= warmup:
-            beta1 = d + slope
-            draws.append((a - beta1 * x_mean + y_mean, beta1, phi1, phi2, math.sqrt(sigma2)))
-    draws = np.array(draws)
-    return (draws if hybrid else draws[:, [0, 1, 4]]), accepted, beta_rejected, phi_rejected
+        states.append((a, d, c1, c2, sigma2))
+    # the retained states back to (beta0, beta1, phi1, phi2, sigma), by the operations a sweep would use
+    a, d, c1, c2, sigma2 = np.array(states[cfg.warmup_draws :]).T
+    beta1 = d + slope
+    beta0 = a - beta1 * cond.x_mean + cond.y_mean
+    columns = [beta0, beta1, -c1, -c2, np.sqrt(sigma2)] if hybrid else [beta0, beta1, np.sqrt(sigma2)]
+    return np.column_stack(columns), accepted, beta_rejected, phi_rejected
 
 
 def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, seed: int = 0) -> PosteriorSamples:

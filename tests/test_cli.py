@@ -703,7 +703,21 @@ class TestExitCodes:
             assert invoke([cmd, "--manifest", str(manifest)]).exit_code == 0
         result = invoke(["fit", "--manifest", str(manifest)])
         assert result.exit_code == 3
-        assert result.stderr.startswith("numerical failure: chains not converged, rhat over limit: ")
+        named = f"numerical failure: {tmp_path / 'out' / 'dataset_h000.csv'}, horizon 0: "
+        assert result.stderr.startswith(f"{named}chains not converged, rhat over limit: ")
+
+    def test_overflowing_dataset_is_numerical_error_without_warnings(self, tmp_path):
+        # numpy warned twice of an overflow in matmul, and the sampler then
+        # failed on a precision that was not positive definite
+        manifest = write_manifest(
+            tmp_path, horizons=[0], model_kind="hybrid", scenario={"duration_h": 48}, injection={"noise_scale": 1e300}
+        )
+        for cmd in ("simulate", "build"):
+            assert invoke([cmd, "--manifest", str(manifest)]).exit_code == 0
+        result = program("fit", "--manifest", str(manifest), text=True)
+        named = f"numerical failure: {tmp_path / 'out' / 'dataset_h000.csv'}, horizon 0: "
+        assert (result.returncode, result.stderr) == (3, f"{named}overflow encountered in matmul\n")
+        assert not (tmp_path / "out" / "samples_hybrid_h000.csv").exists()
 
 
 class TestOneErrorPath:
@@ -1097,7 +1111,8 @@ class TestEntryPoint:
         manifest.write_text(yaml.safe_dump({**cfg, "sampler": {**cfg["sampler"], "rhat_limit": 1.0}}))
         failed = program("fit", "--manifest", str(manifest), text=True)
         assert failed.returncode == 3
-        assert failed.stderr.startswith("numerical failure: chains not converged, rhat over limit: ")
+        named = f"numerical failure: {campaign / 'out' / 'dataset_h000.csv'}, horizon 0: "
+        assert failed.stderr.startswith(f"{named}chains not converged, rhat over limit: ")
         assert failed.stderr.count("\n") == 1
 
     def test_score_prints_the_table_it_writes(self, campaign):

@@ -13,7 +13,8 @@ function of src/heavecast none of them ran a line of, and one
 not run in full: the first line, or first-last, of each statement none of
 them ran a line of, `raise` statements left out. A statement listed covers
 the blocks inside it. What the runs print goes to stderr, so stdout holds
-only that list. It takes about 10 s on two cores.
+only that list. It takes about 40-55 s on a two-core x86-64 host (Python
+3.11, numpy 2.4).
 """
 
 from __future__ import annotations
