@@ -4,8 +4,8 @@ diagnose, and response, the physics response of a spectra file and an RAO.
 Every command reads a run manifest (JSON or YAML), takes flag overrides,
 writes plain delimited text into the manifest's output directory and is
 idempotent for a fixed manifest and seed. Each stage reads what the stages
-before it wrote: score reads the predictions predict wrote (with each test
-row's CRPS), so it draws nothing itself. Exit codes: 0 success, 2
+before it wrote, as STAGE_FILES lists them: score reads the predictions
+predict wrote (with each test row's CRPS), so it draws nothing itself. Exit codes: 0 success, 2
 validation or usage error (an unknown command or option, a missing or
 malformed value), 3 numerical failure. main maps a command's exceptions to
 them in one place: ValueError, OSError and KeyError exit 2, and any
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -134,73 +135,77 @@ def _model_spec(m: io.RunManifest, horizon: int) -> model.ModelSpec:
     return model.ModelSpec(kind=m.model_kind, horizon=horizon)
 
 
-def _dataset_path(m: io.RunManifest, h: int) -> Path:
-    return m.out_dir / f"dataset_h{h:03d}.csv"
+# The out_dir files each command reads and writes, as name templates of the
+# horizon h and the model kind; every command takes its paths from here.
+# response reads the manifest's rao_file and spectra_file, and simulate
+# writes spectra.csv only with --spectra-hours. An issue file's index i is
+# filled in last, by datasets.write_forecast_issues: its braces are doubled.
+DATASET = "dataset_h{h:03d}.csv"
+SAMPLES = "samples_{model}_h{h:03d}.csv"
+PREDICTIONS = "predictions_{model}_h{h:03d}.csv"
+ISSUES = "issues/issue_{{i:04d}}.csv"
+MEASUREMENTS = "measurements.csv"
+RAO = "rao.csv"
+SPECTRA = "spectra.csv"
+# command -> (the templates it reads, the templates it writes)
+STAGE_FILES = {
+    "simulate": ((), (ISSUES, RAO, MEASUREMENTS, SPECTRA)),
+    "build": ((ISSUES, MEASUREMENTS), (DATASET,)),
+    "fit": ((DATASET,), (SAMPLES, SAMPLES + ".diag.json")),  # the sidecar io.write_posterior_samples writes
+    "predict": ((DATASET, SAMPLES), (PREDICTIONS,)),
+    "score": ((DATASET, PREDICTIONS), ("scores.csv", "scores.txt")),
+    "diagnose": ((DATASET, SAMPLES), ("pacf_{model}_h{h:03d}.csv", "hetero_{model}_h{h:03d}.csv")),
+    "response": ((RAO, SPECTRA), ("response.csv",)),
+}
 
 
-def _samples_path(m: io.RunManifest, h: int) -> Path:
-    return m.out_dir / f"samples_{m.model_kind}_h{h:03d}.csv"
+def _paths(m: io.RunManifest, names: tuple[str, ...], h: int | None = None) -> list[Path]:
+    """The out_dir paths of the name templates names, at horizon h and m's model kind."""
+    return [m.out_dir / name.format(h=h, model=m.model_kind) for name in names]
 
 
-def _split(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, io.HorizonDataset]:
-    """The horizon-h dataset, split chronologically into (train, test)."""
+def _split(m: io.RunManifest, dataset: Path, h: int) -> tuple[io.HorizonDataset, io.HorizonDataset]:
+    """The horizon-h dataset at path dataset, split chronologically into (train, test)."""
     from . import io
 
-    path = _dataset_path(m, h)
-    ds = io.read_horizon_dataset(path, h)
-    with io._naming(path):
+    ds = io.read_horizon_dataset(dataset, h)
+    with io._naming(dataset):
         return io.chrono_split(ds, m.train_fraction)
 
 
-def _read_samples(m: io.RunManifest, h: int, spec: model.ModelSpec) -> model.PosteriorSamples:
-    """The horizon-h posterior samples, checked to be spec's parameters inside the prior support."""
+def _read_samples(path: Path, spec: model.ModelSpec) -> model.PosteriorSamples:
+    """The posterior samples at path, checked to be spec's parameters inside the prior support."""
     from . import io, model
 
-    path = _samples_path(m, h)
     samples = io.read_posterior_samples(path)
     with io._naming(path):
         model.check_samples(samples, spec)
     return samples
 
 
-def _predictions_path(m: io.RunManifest, h: int) -> Path:
-    return m.out_dir / f"predictions_{m.model_kind}_h{h:03d}.csv"
+def _read_predictions(m: io.RunManifest, path: Path, h: int, test: io.HorizonDataset) -> np.ndarray:
+    """The number table of the horizon-h predictions file at path, written for test.
 
-
-def _test_predictive(m: io.RunManifest, h: int) -> tuple[io.HorizonDataset, model.PredictiveDraws]:
-    """The horizon-h test split and its posterior-predictive draws."""
-    from . import model
-
-    train, test = _split(m, h)
-    spec = _model_spec(m, h)
-    samples = _read_samples(m, h, spec)
-    pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
-    return test, pred
-
-
-def _read_predictions(m: io.RunManifest, h: int, test: io.HorizonDataset) -> np.ndarray:
-    """The number table of the horizon-h predictions file, written for test.
-
-    A file that is missing, unreadable, strictly older than the horizon's
-    dataset or samples file, or whose valid times are not test's, raises a
-    ValueError that names it and says to re-run predict.
+    A file that is missing, unreadable, strictly older than a file predict
+    reads, or whose valid times are not test's, raises a ValueError that
+    names it and says to re-run predict.
     """
     import numpy as np
 
     from . import io
 
-    path = _predictions_path(m, h)
+    sources = _paths(m, STAGE_FILES["predict"][0], h)  # the dataset, then the samples
     try:
         valid_times, table = io.read_predictions(path)
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file; run predict first") from None
     except ValueError as exc:
         raise ValueError(f"{exc}; re-run predict") from None
-    for source in (_dataset_path(m, h), _samples_path(m, h)):
+    for source in sources:
         if source.exists() and source.stat().st_mtime_ns > path.stat().st_mtime_ns:
             raise ValueError(f"{path}: older than {source}; re-run predict")
     if not np.array_equal(valid_times, test.valid_times):
-        raise ValueError(f"{path}: valid times differ from the test split of {_dataset_path(m, h)}; re-run predict")
+        raise ValueError(f"{path}: valid times differ from the test split of {sources[0]}; re-run predict")
     return table
 
 
@@ -216,9 +221,11 @@ def _score_reports(m: io.RunManifest) -> list[scoring.ScoreReport]:
     from . import scoring
 
     reports, x, y = [], {}, {}
+    reads, _ = STAGE_FILES["score"]
     for h in m.horizons:
-        _, test = _split(m, h)
-        table = _read_predictions(m, h, test)
+        dataset, predictions = _paths(m, reads, h)
+        _, test = _split(m, dataset, h)
+        table = _read_predictions(m, predictions, h, test)
         rmse, crps = scoring.rmse(table[:, 0], test.y), float(np.mean(table[:, -1]))
         reports.append(scoring.ScoreReport(f"{m.model_kind} adjustment", h, rmse, crps, len(test)))
         x[h], y[h] = test.x, test.y
@@ -298,13 +305,14 @@ def response(**kwargs):
 
     m = _load(**kwargs)
     m.require("rao_file", "spectra_file")
+    (path,) = _paths(m, STAGE_FILES["response"][1])
     rao = datasets.read_rao(m.rao_file)
     spectra = datasets.read_spectra(m.spectra_file)
     m0, m2 = spectral.response_moments(spectra, rao)
     rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
     columns = ["timestamp_utc", "m0_m2", "m2_m2_per_s2", "sig_heave_m"]
-    io._write_table(m.out_dir / "response.csv", columns, "%s, %.10g, %.10g, %.10g", rows)
-    print(f"wrote {m.out_dir / 'response.csv'} ({len(spectra)} timestamps)", flush=True)
+    io._write_table(path, columns, "%s, %.10g, %.10g, %.10g", rows)
+    print(f"wrote {path} ({len(spectra)} timestamps)", flush=True)
 
 
 @_command(_HORIZONS)
@@ -313,11 +321,13 @@ def build(**kwargs):
     from . import datasets, io
 
     m = _load(**kwargs)
-    issue_dir, measured = m.out_dir / "issues", m.out_dir / "measurements.csv"
-    m.issue_files = m.issue_files or sorted(issue_dir.glob("issue_*.csv"))
+    reads, writes = STAGE_FILES["build"]
+    issue_files, measured = _paths(m, reads)
+    issue_files = issue_files.with_name(re.sub(r"\{.*?\}", "*", issue_files.name))  # every index
+    m.issue_files = m.issue_files or sorted(issue_files.parent.glob(issue_files.name))
     if m.measurements_file is None and measured.exists():
         m.measurements_file = measured
-    for name, searched in (("issue_files", issue_dir / "issue_*.csv"), ("measurements_file", measured)):
+    for name, searched in (("issue_files", issue_files), ("measurements_file", measured)):
         if not getattr(m, name):
             raise ValueError(f"{m._path}: manifest is missing {name}, and build found no {searched}")
     m.require("issue_files", "measurements_file")
@@ -328,8 +338,9 @@ def build(**kwargs):
         series = datasets.synthesize_horizon_series(issues, h)
         with io._naming(f"{m.measurements_file}, horizon {h}"):
             ds = datasets.align(series, measurements, horizon=h)
-        io.write_horizon_dataset(_dataset_path(m, h), ds)
-        print(f"h={h}: {len(ds)} aligned rows -> {_dataset_path(m, h)}", flush=True)
+        (path,) = _paths(m, writes, h)
+        io.write_horizon_dataset(path, ds)
+        print(f"h={h}: {len(ds)} aligned rows -> {path}", flush=True)
 
 
 @_command(_HORIZONS, _MODEL, _SEED)
@@ -339,14 +350,16 @@ def fit(**kwargs):
 
     m = _load(**kwargs)
     cfg = io.SamplerConfig(**m.sampler)
+    reads, writes = STAGE_FILES["fit"]
 
     for h in m.horizons:
-        train, _ = _split(m, h)
-        with io._naming(f"{_dataset_path(m, h)}, horizon {h}"):
+        (dataset,), (path, _) = _paths(m, reads, h), _paths(m, writes, h)  # io.write_posterior_samples adds the sidecar
+        train, _ = _split(m, dataset, h)
+        with io._naming(f"{dataset}, horizon {h}"):
             samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
-        io.write_posterior_samples(_samples_path(m, h), samples)
+        io.write_posterior_samples(path, samples)
         worst = max(v["rhat"] for v in samples.diagnostics.values())
-        print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {_samples_path(m, h)}", flush=True)
+        print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {path}", flush=True)
 
 
 @_command(_HORIZONS, _MODEL, _SEED)
@@ -358,13 +371,21 @@ def predict(**kwargs):
     here. Each horizon's draws are released before the next horizon's are
     made.
     """
-    from . import io
+    import numpy as np
+
+    from . import io, model
 
     m = _load(**kwargs)
+    reads, writes = STAGE_FILES["predict"]
     for h in m.horizons:
-        test, pred = _test_predictive(m, h)
-        path = _predictions_path(m, h)
-        io.write_predictions(path, pred, test.y)
+        (dataset, samples_path), (path,) = _paths(m, reads, h), _paths(m, writes, h)
+        train, test = _split(m, dataset, h)
+        spec = _model_spec(m, h)
+        samples = _read_samples(samples_path, spec)
+        # an overflow in the draws or in the summaries the writer takes of them raises before it writes
+        with io._naming(f"{dataset}, horizon {h}"), np.errstate(over="raise", invalid="raise"):
+            pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
+            io.write_predictions(path, pred, test.y)
         print(f"h={h}: {len(pred)} predictive rows -> {path}", flush=True)
         del pred  # before the next horizon's draws are made
 
@@ -380,10 +401,11 @@ def score(**kwargs):
     from . import io, scoring
 
     m = _load(**kwargs)
+    csv_path, text_path = _paths(m, STAGE_FILES["score"][1])
     reports = _score_reports(m)
-    io.write_score_reports(m.out_dir / "scores.csv", reports)
+    io.write_score_reports(csv_path, reports)
     table = scoring.format_score_table(reports)
-    io.atomic_write_text(m.out_dir / "scores.txt", table + "\n")
+    io.atomic_write_text(text_path, table + "\n")
     print(table, flush=True)
 
 
@@ -400,26 +422,25 @@ def diagnose(max_lag, bins, **kwargs):
     from . import diagnostics, io, model
 
     m = _load(**kwargs)
+    reads, writes = STAGE_FILES["diagnose"]
     for h in m.horizons:
-        train, _ = _split(m, h)
+        (dataset, samples_path), (pacf_path, hetero_path) = _paths(m, reads, h), _paths(m, writes, h)
+        train, _ = _split(m, dataset, h)
         spec = _model_spec(m, h)
-        samples = _read_samples(m, h, spec)
-        at_mean = np.mean(samples.draws, axis=0)
-
-        eps = model.residuals(at_mean, train)
-        # the basic model's innovations are eps / sigma, whose PACF is that of eps
-        series = diagnostics.standardized_residuals(at_mean, train, spec)
-        sigma_map = model.map_sigma(samples)
+        samples = _read_samples(samples_path, spec)
         # both tables are computed before either is written, so a bad option writes nothing
-        with io._naming(f"{_dataset_path(m, h)}, horizon {h}"):
+        with io._naming(f"{dataset}, horizon {h}"), np.errstate(over="raise", invalid="raise"):
+            at_mean = np.mean(samples.draws, axis=0)
+            eps = model.residuals(at_mean, train)
+            # the basic model's innovations are eps / sigma, whose PACF is that of eps
+            series = diagnostics.standardized_residuals(at_mean, train, spec)
+            sigma_map = model.map_sigma(samples)
             pac = diagnostics.pacf(series, max_lag)
             table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map)
         rows = ((lag, c, pac.confidence_band) for lag, c in zip(pac.lags.tolist(), pac.coefficients.tolist()))
-        io._write_table(
-            m.out_dir / f"pacf_{m.model_kind}_h{h:03d}.csv", ["lag", "coefficient", "band"], "%d, %.6f, %.6f", rows
-        )
+        io._write_table(pacf_path, ["lag", "coefficient", "band"], "%d, %.6f, %.6f", rows)
         columns = ["x_bin_center_m", "mean_abs_residual_m", "count", "sigma_map"]
-        io._write_table(m.out_dir / f"hetero_{m.model_kind}_h{h:03d}.csv", columns, "%.6f, %.6f, %d, %.6f", table)
+        io._write_table(hetero_path, columns, "%.6f, %.6f, %d, %.6f", table)
         print(f"h={h}: diagnostics written", flush=True)
 
 
@@ -462,13 +483,15 @@ def simulate(spectra_hours, **kwargs):
     y = np.maximum(noisy, 0.0)
     records = [datasets.HeaveRecord(timestamp=t, sig_heave=v) for t, v in zip(times, y)]
 
-    # simulate owns issues/: build reads every issue file there, so the set
-    # replaces the whole directory and no file of an earlier campaign survives
-    datasets.write_forecast_issues(m.out_dir / "issues", issues)
-    datasets.write_rao(m.out_dir / "rao.csv", rao)
-    datasets.write_heave_records(m.out_dir / "measurements.csv", records)
+    # simulate owns the issue files' directory: build reads every issue file
+    # there, so the set replaces the whole directory and no file of an
+    # earlier campaign survives
+    issue_files, rao_path, measured, spectra_path = _paths(m, STAGE_FILES["simulate"][1])
+    datasets.write_forecast_issues(issue_files, issues)
+    datasets.write_rao(rao_path, rao)
+    datasets.write_heave_records(measured, records)
     if spectra_hours > 0:
-        datasets.write_spectra(m.out_dir / "spectra.csv", spectra[:spectra_hours])
+        datasets.write_spectra(spectra_path, spectra[:spectra_hours])
     print(f"simulated {len(spectra)} hours, {len(issues)} forecast issues -> {m.out_dir}", flush=True)
 
 

@@ -518,23 +518,24 @@ def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
     atomic_write_text(path, _readable(path, text))
 
 
-def write_forecast_issues(issue_dir: Path, issues: IssueSet) -> None:
-    """The set as issue_0000.csv, issue_0001.csv, ... and nothing else in issue_dir.
+def write_forecast_issues(pattern: Path, issues: IssueSet) -> None:
+    """The set as the files pattern names with each issue's index i, and nothing else in their directory.
 
-    The files are written into a staging directory beside issue_dir. Then
-    issue_dir, if there is one, is moved into the staging directory, and one
-    rename puts the new set in its place, so a reader finds the old set, no
-    directory or the new set, never a mix. The staging directory, with the
-    old set, is removed last; if a write fails, issue_dir is left as it was.
+    The files are written into a staging directory beside the issue
+    directory. Then the issue directory, if there is one, is moved into the
+    staging directory, and one rename puts the new set in its place, so a
+    reader finds the old set, no directory or the new set, never a mix. The
+    staging directory, with the old set, is removed last; if a write fails,
+    the issue directory is left as it was.
     """
-    issue_dir = Path(issue_dir)
+    issue_dir, template = Path(pattern).parent, Path(pattern).name
     issue_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=issue_dir.parent, prefix=f".{issue_dir.name}."))
     try:
         new, old = staging / issue_dir.name, staging / "replaced"
         new.mkdir()
         for i, text in enumerate(_issue_texts(issues)):
-            name = f"issue_{i:04d}.csv"
+            name = template.format(i=i)
             text = _readable(issue_dir / name, text)
             with open(new / name, "x") as fh:
                 fh.write(text)

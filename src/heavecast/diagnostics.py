@@ -56,7 +56,7 @@ def pacf(series: np.ndarray, max_lag: int) -> PacfResult:
     series = np.asarray(series, dtype=float)
     n = series.size
     if n <= max_lag + 1:
-        raise ValueError("series must be longer than max_lag + 1")
+        raise ValueError(f"series of {n} rows allows a max_lag of at most {n - 2}, found {max_lag}")
     if not np.all(np.isfinite(series)):
         raise ValueError("series must have no missing values")
     gamma = sample_autocovariance(series, max_lag)
@@ -102,7 +102,7 @@ def heteroskedasticity_summary(
     if res.shape != x.shape:
         raise ValueError("residuals and x_values must have equal length")
     if res.size < n_bins:
-        raise ValueError("fewer rows than bins")
+        raise ValueError(f"{res.size} rows allow at most {res.size} bins, found {n_bins}")
     order = np.argsort(x, kind="stable")
     # constant x collapses to a single effective bin
     if np.ptp(x) == 0.0:

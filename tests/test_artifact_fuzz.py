@@ -23,19 +23,15 @@ from heavecast.io import SwellEvent, SwellScenario, write_horizon_dataset, write
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.synthetic import generate_spectra, reference_rao
 from clirun import invoke
+from layout import reads, writes
 
-DATASET = "dataset_h000.csv"
-SAMPLES = "samples_hybrid_h000.csv"
-SIDECAR = SAMPLES + ".diag.json"
-PREDICTIONS = "predictions_hybrid_h000.csv"
+# the files of a hybrid campaign at horizon 0
+(DATASET,), (SAMPLES, SIDECAR) = reads("fit"), writes("fit")
+(PREDICTIONS,) = writes("predict")
 STAGES = ("predict", "score", "diagnose")
 # the files of the campaign each stage reads: score reads the predictions
 # predict wrote, so a samples file predict refused leaves score none to read
-READS = {
-    "predict": {DATASET, SAMPLES},
-    "score": {DATASET, PREDICTIONS},
-    "diagnose": {DATASET, SAMPLES},
-}
+READS = {stage: set(reads(stage)) for stage in STAGES}
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +203,7 @@ def test_garbled_sidecar(texts, intact_outputs, kind, cut, value):
     assert outputs == {**intact_outputs, SIDECAR: garbled.encode()}
 
 
-RAO = "rao.csv"
-SPECTRA = "spectra.csv"
+RAO, SPECTRA = reads("response")
 
 
 @pytest.fixture(scope="module")

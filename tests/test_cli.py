@@ -19,6 +19,7 @@ from heavecast.datasets import HorizonDataset, read_rao, read_spectra
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.spectral import response_moments
 from clirun import invoke
+from layout import reads, writes
 
 ROOT = Path(__file__).resolve().parents[1]
 # the manifest overrides each command takes: those whose value its work reads
@@ -86,27 +87,34 @@ def pipeline(tmp_path_factory):
 
 
 class TestPipeline:
+    """Each stage writes the files cli.STAGE_FILES declares, at each horizon."""
+
+    @staticmethod
+    def assert_written(out, stage):
+        assert [name for name in writes(stage, "basic", (0, 6)) if not list(out.glob(name))] == [], stage
+
     def test_simulate_artifacts(self, pipeline):
         tmp_path, _ = pipeline
         out = tmp_path / "out"
-        assert (out / "rao.csv").exists()
-        assert (out / "measurements.csv").exists()
-        assert len(list((out / "issues").glob("issue_*.csv"))) > 50
+        issues, *others = writes("simulate")
+        # spectra.csv only with --spectra-hours
+        assert [name for name in others if not (out / name).exists()] == [cli.SPECTRA]
+        assert len(list(out.glob(issues))) > 50
 
     def test_build_artifacts(self, pipeline):
         tmp_path, _ = pipeline
         out = tmp_path / "out"
-        for h in (0, 6):
-            p = out / f"dataset_h{h:03d}.csv"
-            assert p.exists()
-            assert len(p.read_text().strip().splitlines()) > 100
+        self.assert_written(out, "build")
+        for name in writes("build", "basic", (0, 6)):
+            assert len((out / name).read_text().strip().splitlines()) > 100
 
     def test_fit_artifacts(self, pipeline):
         tmp_path, _ = pipeline
         out = tmp_path / "out"
+        self.assert_written(out, "fit")
         for h in (0, 6):
-            assert (out / f"samples_basic_h{h:03d}.csv").exists()
-            sidecar = json.loads((out / f"samples_basic_h{h:03d}.csv.diag.json").read_text())
+            _, sidecar = writes("fit", "basic", (h,))
+            sidecar = json.loads((out / sidecar).read_text())
             assert 0.5 < sidecar["acceptance_rate"] <= 1.0
             facts = sidecar["sampler"]
             assert set(facts) == {"burn_in_sweeps", "retained_sweeps", "rejections", "min_ess"}
@@ -116,6 +124,7 @@ class TestPipeline:
     def test_predict_artifacts(self, pipeline):
         tmp_path, _ = pipeline
         out = tmp_path / "out"
+        self.assert_written(out, "predict")
         lines = (out / "predictions_basic_h000.csv").read_text().strip().splitlines()
         assert lines[0] == "valid_time_utc, mean_m, p05_m, p50_m, p95_m, crps_m"
         assert len(lines) > 10
@@ -123,17 +132,15 @@ class TestPipeline:
     def test_score_artifacts(self, pipeline):
         tmp_path, _ = pipeline
         out = tmp_path / "out"
+        self.assert_written(out, "score")
         text = (out / "scores.csv").read_text()
         assert "basic adjustment" in text and "raw physics" in text
-        assert (out / "scores.txt").exists()
 
     def test_diagnose(self, pipeline):
         tmp_path, manifest = pipeline
         result = invoke(["diagnose", "--manifest", str(manifest), "--max-lag", "10"])
         assert result.exit_code == 0, result.output
-        out = tmp_path / "out"
-        assert (out / "pacf_basic_h000.csv").exists()
-        assert (out / "hetero_basic_h006.csv").exists()
+        self.assert_written(tmp_path / "out", "diagnose")
 
     def test_response_command(self, pipeline):
         tmp_path, _ = pipeline
@@ -146,6 +153,7 @@ class TestPipeline:
         assert result.exit_code == 0, result.output
         result = invoke(["response", "--manifest", str(manifest)])
         assert result.exit_code == 0, result.output
+        self.assert_written(tmp_path / "out", "response")
         lines = (tmp_path / "out" / "response.csv").read_text().strip().splitlines()
         assert lines[0] == "timestamp_utc, m0_m2, m2_m2_per_s2, sig_heave_m"
         assert len(lines) == 4
@@ -719,6 +727,44 @@ class TestExitCodes:
         assert (result.returncode, result.stderr) == (3, f"{named}overflow encountered in matmul\n")
         assert not (tmp_path / "out" / "samples_hybrid_h000.csv").exists()
 
+    @pytest.mark.parametrize(
+        "stage, x_scale, huge_y_row",
+        [
+            # the draws' CRPS pair sums overflowed: predict warned, exited 0 and wrote crps_m = -inf
+            ("predict", 1e305, None),
+            # the autocovariances overflowed: diagnose warned, exited 0 and wrote a PACF of nan
+            ("diagnose", 1.0, 30),
+        ],
+    )
+    def test_overflowing_inputs_are_numerical_errors_naming_the_dataset(self, tmp_path, stage, x_scale, huge_y_row):
+        rng = np.random.default_rng(5)
+        n_rows, n_draws = 80, 200
+        times = np.datetime64("2024-06-01T00:00:00", "s") + np.arange(n_rows) * np.timedelta64(1, "h")
+        x = rng.gamma(2.0, 0.5, n_rows) + 0.1
+        y = 1.1 * x + 0.05 * rng.standard_normal(n_rows)
+        x, y = x_scale * x, x_scale * y
+        if huge_y_row is not None:
+            y[huge_y_row] = 1e307  # a training row
+        samples = PosteriorSamples(
+            draws=np.array([0.05, 1.1, 0.5, -0.2, 0.1]) + 0.01 * rng.standard_normal((n_draws, 5)),
+            param_names=ModelSpec(kind="hybrid").param_names,
+            chain_ids=np.repeat([0, 1], n_draws // 2),
+            diagnostics={},
+            acceptance_rate=0.8,
+        )
+        out = tmp_path / "out"
+        dataset, samples_path = (out / name for name in reads(stage))
+        io.write_horizon_dataset(dataset, HorizonDataset(horizon=0, valid_times=times, x=x, y=y, issue_times=times))
+        io.write_posterior_samples(samples_path, samples)
+        manifest = tmp_path / "run.json"
+        cfg = {"out_dir": "out", "horizons": [0], "model_kind": "hybrid", "train_fraction": 0.75}
+        manifest.write_text(json.dumps(cfg))
+        result = program(stage, "--manifest", str(manifest), text=True)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith(f"numerical failure: {dataset}, horizon 0: "), result.stderr
+        assert result.stderr.count("\n") == 1 and "Warning" not in result.stderr, result.stderr
+        assert [name for name in writes(stage) if (out / name).exists()] == []
+
 
 class TestOneErrorPath:
     """main maps what any command raises to its exit code, in one place."""
@@ -815,7 +861,8 @@ def test_output_files_follow_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     modes = {str(p.relative_to(tmp_path)): oct(p.stat().st_mode & 0o777) for p in tmp_path.rglob("*") if p.is_file()}
-    assert len(modes) == 1 + 84 + 12  # the manifest, the issue files and every other file the stages write
+    # the manifest, the 84 issue files of the one glob and every other file the stages declare they write
+    assert len(modes) == 1 + 84 + sum(len(writes(stage)) for stage in cli.STAGE_FILES) - 1
     assert modes == dict.fromkeys(modes, oct(mode)) | {"run.yaml": modes["run.yaml"]}
 
 
@@ -1019,15 +1066,12 @@ def test_horizons_draw_independent_normals(campaign):
     # horizon 1 gets horizon 0's dataset and samples byte for byte, so only
     # the seed of the predictive draws can tell the two horizons apart
     out = campaign / "out"
-    for name in ("dataset_h{:03d}.csv", "samples_hybrid_h{:03d}.csv", "samples_hybrid_h{:03d}.csv.diag.json"):
-        shutil.copyfile(out / name.format(0), out / name.format(1))
-    m = cli._load(campaign / "run.yaml", None, horizons=[0, 1])
-    (test0, pred0), (test1, pred1) = cli._test_predictive(m, 0), cli._test_predictive(m, 1)
-    assert np.array_equal(test0.y, test1.y)
-    assert not np.array_equal(pred0.draws, pred1.draws)
+    for zero, one in zip(reads("predict", horizons=(0,)), reads("predict", horizons=(1,))):
+        shutil.copyfile(out / zero, out / one)
     result = invoke(["predict", "--manifest", str(campaign / "run.yaml"), "-H", "0", "-H", "1"])
     assert result.exit_code == 0, result.output
-    assert (out / "predictions_hybrid_h000.csv").read_bytes() != (out / "predictions_hybrid_h001.csv").read_bytes()
+    zero, one = writes("predict", horizons=(0, 1))
+    assert (out / zero).read_bytes() != (out / one).read_bytes()
 
 
 class TestEntryPoint:
@@ -1187,7 +1231,24 @@ class TestDiagnoseRanges:
         result = invoke(["diagnose", "--manifest", str(campaign / "run.yaml"), "--max-lag", "100000"])
         assert result.exit_code == 2, result.output
         dataset = campaign / "out" / "dataset_h000.csv"
-        assert result.stderr == f"error: {dataset}, horizon 0: series must be longer than max_lag + 1\n"
+        message = "series of 404 rows allows a max_lag of at most 402, found 100000"
+        assert result.stderr == f"error: {dataset}, horizon 0: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "series of 20 rows allows a max_lag of at most 18, found 20"),
+            (["--max-lag", "5", "--bins", "21"], "20 rows allow at most 20 bins, found 21"),
+        ],
+    )
+    def test_short_dataset_says_what_its_rows_allow(self, campaign, flags, message):
+        # 24 rows, of which the first ceil(0.8 * 24) = 20 train
+        dataset = campaign / "out" / "dataset_h000.csv"
+        dataset.write_text("\n".join(dataset.read_text().splitlines()[:25]) + "\n")
+        result = invoke(["diagnose", "--manifest", str(campaign / "run.yaml"), *flags])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {dataset}, horizon 0: {message}\n"
+        assert not list((campaign / "out").glob("pacf_*.csv"))
 
 
 def _imported(args, python_args=("-m", "heavecast.cli")):

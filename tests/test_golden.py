@@ -1,0 +1,59 @@
+"""Every out_dir file of two benchmark workloads, byte for byte and with its
+mode, against the digests checked in under tests/golden/.
+
+Each golden file holds the `sha256  mode  path` lines tests/outdir_digest.py
+prints, after a first line naming the numpy version and the platform they
+were made with; on another numpy or platform the test fails and says so, as
+numpy's arithmetic may differ there. A change meant to alter the outputs
+regenerates both files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Files are written under a umask of 022, so their modes are 0644 whatever
+the umask of the process that runs the tests.
+"""
+
+import os
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import heavecast
+import outdir_digest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(heavecast.__file__).resolve().parents[1]
+# golden file -> (workload, seed, --spectra-hours)
+CASES = {
+    "readme-hybrid-1.sha256": ("readme-hybrid", 1, 24),
+    "year-hybrid-1.sha256": ("year-hybrid", 1, 0),
+}
+
+
+def made_with() -> str:
+    return f"# numpy {np.__version__}, {sys.platform} {platform.machine()}"
+
+
+def digests(workload: str, seed: int, spectra_hours: int) -> list[str]:
+    previous = os.umask(0o022)
+    try:
+        return outdir_digest.digests(SRC, workload, seed, spectra_hours)
+    finally:
+        os.umask(previous)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_the_golden_digests(name):
+    header, *expected = (GOLDEN / name).read_text().splitlines()
+    assert header == made_with(), f"{name} was made with {header[2:]}, and this run has {made_with()[2:]}"
+    got = digests(*CASES[name])
+    # a line on one side only is a file one run alone wrote, or whose digest or mode differs
+    assert sorted({line.split("  ", 2)[2] for line in set(got) ^ set(expected)}) == []
+
+
+if __name__ == "__main__":
+    for name, case in CASES.items():
+        (GOLDEN / name).write_text("\n".join([made_with(), *digests(*case)]) + "\n")

@@ -14,10 +14,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavecast import datasets, io
+from heavecast import cli, datasets, io
 from heavecast.datasets import ForecastIssue, IssueSet, read_forecast_issues, write_forecast_issues
 from heavecast.io import read_forecast_issue, write_forecast_issue
 from clirun import invoke
+
+# the name of each issue file in its directory, formatted with its index i
+ISSUE_NAME = Path(cli.ISSUES.format()).name
 
 T0 = np.datetime64("2024-06-01T00:00:00", "s")
 HOUR = np.timedelta64(1, "h")
@@ -77,7 +80,7 @@ class TestSetWriter:
     def test_bytes_match_per_file_writer(self, issues):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            write_forecast_issues(tmp / "issues", IssueSet.from_issues(issues))
+            write_forecast_issues(tmp / "issues" / ISSUE_NAME, IssueSet.from_issues(issues))
             names = sorted(p.name for p in (tmp / "issues").iterdir())
             assert names == [f"issue_{i:04d}.csv" for i in range(len(issues))]
             for i, issue in enumerate(issues):
@@ -93,7 +96,7 @@ class TestSetWriter:
         (issue_dir / "issue_0007.csv").write_text("stale\n")
         (issue_dir / "notes.txt").write_text("not an issue\n")
         issues = [ForecastIssue(issue_time=T0, horizon_hours=np.arange(3), values=np.ones(3))]
-        write_forecast_issues(issue_dir, IssueSet.from_issues(issues))
+        write_forecast_issues(issue_dir / ISSUE_NAME, IssueSet.from_issues(issues))
         assert sorted(p.name for p in issue_dir.iterdir()) == ["issue_0000.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["issues"]
 
@@ -101,7 +104,7 @@ class TestSetWriter:
         issue_dir = tmp_path / "issues"
         first = [ForecastIssue(issue_time=T0 + 6 * k * HOUR, horizon_hours=np.arange(4), values=np.full(4, k))
                  for k in range(8)]
-        write_forecast_issues(issue_dir, IssueSet.from_issues(first))
+        write_forecast_issues(issue_dir / ISSUE_NAME, IssueSet.from_issues(first))
         before = {p.name: p.read_bytes() for p in issue_dir.iterdir()}
         opened = []
 
@@ -114,7 +117,7 @@ class TestSetWriter:
         monkeypatch.setattr(datasets, "open", failing_open, raising=False)
         second = [ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.zeros(2))] * 10
         with pytest.raises(OSError, match="No space left"):
-            write_forecast_issues(issue_dir, IssueSet.from_issues(second))
+            write_forecast_issues(issue_dir / ISSUE_NAME, IssueSet.from_issues(second))
         assert len(opened) == 6
         assert {p.name: p.read_bytes() for p in issue_dir.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["issues"]
@@ -157,7 +160,7 @@ class TestSetReader:
     def test_round_trip_is_bit_identical(self, issues):
         written = IssueSet.from_issues(issues)
         with tempfile.TemporaryDirectory() as tmp:
-            write_forecast_issues(Path(tmp) / "issues", written)
+            write_forecast_issues(Path(tmp) / "issues" / ISSUE_NAME, written)
             back = read_forecast_issues(sorted((Path(tmp) / "issues").glob("issue_*.csv")))
         for name in ("issue_times", "bounds", "leads", "values"):
             assert getattr(back, name).tobytes() == getattr(written, name).tobytes(), name
@@ -168,7 +171,7 @@ class TestSetReader:
             ForecastIssue(issue_time=T0 + k * HOUR, horizon_hours=np.arange(1 + k % 2), values=np.full(1 + k % 2, k))
             for k in range(150)
         ]
-        write_forecast_issues(tmp_path / "issues", IssueSet.from_issues(issues))
+        write_forecast_issues(tmp_path / "issues" / ISSUE_NAME, IssueSet.from_issues(issues))
         back = read_forecast_issues(sorted((tmp_path / "issues").glob("issue_*.csv")))
         written = IssueSet.from_issues(issues)
         for name in ("issue_times", "bounds", "leads", "values"):
@@ -296,7 +299,7 @@ def issue_texts():
     issues = [ForecastIssue(issue_time=T0 + 6 * k * HOUR, horizon_hours=np.arange(30), values=np.linspace(0.5, 2.0, 30))
               for k in range(4)]
     with tempfile.TemporaryDirectory() as tmp:
-        write_forecast_issues(Path(tmp) / "issues", IssueSet.from_issues(issues))
+        write_forecast_issues(Path(tmp) / "issues" / ISSUE_NAME, IssueSet.from_issues(issues))
         return [p.read_text() for p in sorted((Path(tmp) / "issues").glob("issue_*.csv"))]
 
 

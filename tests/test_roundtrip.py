@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heavecast import datasets, io
+from heavecast import cli, datasets, io
 from heavecast.datasets import ForecastIssue, HeaveRecord, IssueSet
 from heavecast.io import HorizonDataset
 from heavecast.model import PosteriorSamples
@@ -135,7 +135,7 @@ def issue_sets(draw):
 
 
 def _write_issues(path: Path, issues: IssueSet) -> None:
-    datasets.write_forecast_issues(path, issues)
+    datasets.write_forecast_issues(path / Path(cli.ISSUES.format()).name, issues)
 
 
 def _read_issues(path: Path) -> IssueSet:
@@ -244,7 +244,7 @@ def test_ten_digits_spell_the_largest_floats_past_the_largest_float(tmp_path):
     # issue values are nonnegative, so only the positive one reaches the issue writers
     issue = ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.array([1.0, 1.7976931345e308]))
     with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'issues' / 'issue_0000.csv'))}: "):
-        datasets.write_forecast_issues(tmp_path / "issues", IssueSet.from_issues([issue]))
+        datasets.write_forecast_issues(tmp_path / cli.ISSUES.format(), IssueSet.from_issues([issue]))
     with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'one.csv'))}: "):
         datasets.write_forecast_issue(tmp_path / "one.csv", issue)
     assert list(tmp_path.iterdir()) == []

@@ -105,6 +105,57 @@ def test_readme_layout_lists_the_modules():
     assert sorted(listed) == sorted(p.stem for p in SOURCES if p.stem != "__init__")
 
 
+# each out_dir name pattern, as a regular expression over a string of the code
+OUT_DIR_PATTERNS = {
+    **{name: rf"\b{name}" for name in ("dataset_h", "samples_", "predictions_", "pacf_", "hetero_")},
+    **{name: re.escape(name) for name in ("scores.csv", "scores.txt", "rao.csv", "measurements.csv", "spectra.csv",
+                                          "response.csv")},
+    "the issues directory": r"^issues$|\bissues/",
+    "the issue files": r"\bissue_(?![a-z])",  # not issue_files or issue_time_utc
+}
+
+
+def _code_strings(path: Path) -> list[str]:
+    """The string constants of path's code, f-strings' literal parts
+    included, but those that stand alone as a statement: the docstrings."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    alone = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    return [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in alone
+    ]
+
+
+def test_each_out_dir_name_is_spelled_once():
+    # cli.STAGE_FILES holds the layout of out_dir; every command, build's
+    # defaults and score's staleness check take their paths from it
+    strings = [text for path in SOURCES for text in _code_strings(path)]
+    spelled = {name: [text for text in strings if re.search(regex, text)] for name, regex in OUT_DIR_PATTERNS.items()}
+    assert {name: len(texts) for name, texts in spelled.items()} == dict.fromkeys(OUT_DIR_PATTERNS, 1), spelled
+    from heavecast import cli
+
+    templates = {name for files in cli.STAGE_FILES.values() for names in files for name in names}
+    assert [name for name, (text,) in spelled.items() if text not in templates] == []
+    assert [name for name in ("_dataset_path", "_samples_path", "_predictions_path") if hasattr(cli, name)] == []
+
+
+def _readme_name(template: str) -> str:
+    """A template of cli.STAGE_FILES as README spells it: dataset_hHHH.csv."""
+    fields = {"h": "HHH", "model": "<model>", "i": "NNNN"}
+    return re.sub(r"\{+(\w+)[^}]*\}+", lambda field: fields[field[1]], template)
+
+
+def test_readme_file_formats_name_the_stage_files():
+    # README's "File formats" names every file a command reads or writes
+    # in out_dir, and no other
+    from heavecast import cli
+
+    section = (ROOT / "README.md").read_text().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    named = {name for name in re.findall(r"`([\w<>/.*]+)`", section) if re.search(r"\.(csv|txt|json)$|\*", name)}
+    declared = {_readme_name(name) for files in cli.STAGE_FILES.values() for names in files for name in names}
+    assert sorted(named) == sorted(declared)
+
+
 def test_manifest_settings_and_horizon_datasets_live_in_io():
     # the run manifest with its settings, and the horizon dataset with its
     # file format, are each one module: io
