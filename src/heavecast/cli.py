@@ -7,8 +7,12 @@ idempotent for a fixed manifest and seed. Each stage reads what the stages
 before it wrote, as STAGE_FILES lists them: score reads the predictions
 predict wrote (with each test row's CRPS), so it draws nothing itself. Exit codes: 0 success, 2
 validation or usage error (an unknown command or option, a missing or
-malformed value), 3 numerical failure. main maps a command's exceptions to
-them in one place: ValueError, OSError and KeyError exit 2, and any
+malformed value), 3 numerical failure. main does once what every command
+shares: it loads the manifest, runs the command (a function of the loaded
+RunManifest and its own options) under one floating-point policy, in which
+an overflow or an invalid value raises FloatingPointError instead of a
+warning (simulate alone overrides it), and maps what the command raises to
+the exit code: ValueError, OSError and KeyError exit 2, and any
 ArithmeticError, sampler.SamplerError included, exits 3.
 
 The command layer is argparse, one parser per command, and start-up loads
@@ -65,8 +69,8 @@ _COMMANDS: dict[str, tuple] = {}
 def _command(*options: tuple[tuple[str, ...], dict]):
     """Make fn the command named after it, with the common options and options.
 
-    The command receives every option as a keyword argument; main maps what
-    it raises to the exit code.
+    _run calls it with the loaded manifest and, as keyword arguments, the
+    options _load does not take; main maps what it raises to the exit code.
     """
 
     def register(fn):
@@ -104,8 +108,8 @@ def _parser(prog: str, chosen: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load(manifest, out, horizons=None, model_kind=None, seed=None) -> io.RunManifest:
-    """The manifest with the command's overrides, checked.
+def _load(manifest, out, horizons=None, model_kind=None, seed=None, **options) -> tuple[io.RunManifest, dict]:
+    """The manifest with the command's overrides, checked, and the command's own options.
 
     A manifest path that is missing or a directory, and an --out that is a
     file, raise OSError, which exits VALIDATION_EXIT. The output directory
@@ -126,13 +130,16 @@ def _load(manifest, out, horizons=None, model_kind=None, seed=None) -> io.RunMan
     m.check()
     if m.out_dir.exists() and not m.out_dir.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(m.out_dir))
-    return m
+    return m, options
 
 
-def _model_spec(m: io.RunManifest, horizon: int) -> model.ModelSpec:
-    from . import model
+def _run(command: Callable[..., None], options: dict) -> None:
+    """Run command, with its parsed options, on the manifest they name, under main's floating-point policy."""
+    import numpy as np
 
-    return model.ModelSpec(kind=m.model_kind, horizon=horizon)
+    m, own = _load(**options)
+    with np.errstate(over="raise", invalid="raise"):
+        command(m, **own)
 
 
 # The out_dir files each command reads and writes, as name templates of the
@@ -151,7 +158,7 @@ SPECTRA = "spectra.csv"
 STAGE_FILES = {
     "simulate": ((), (ISSUES, RAO, MEASUREMENTS, SPECTRA)),
     "build": ((ISSUES, MEASUREMENTS), (DATASET,)),
-    "fit": ((DATASET,), (SAMPLES, SAMPLES + ".diag.json")),  # the sidecar io.write_posterior_samples writes
+    "fit": ((DATASET,), (SAMPLES, SAMPLES + ".diag.json")),  # the samples, then their diagnostics sidecar
     "predict": ((DATASET, SAMPLES), (PREDICTIONS,)),
     "score": ((DATASET, PREDICTIONS), ("scores.csv", "scores.txt")),
     "diagnose": ((DATASET, SAMPLES), ("pacf_{model}_h{h:03d}.csv", "hetero_{model}_h{h:03d}.csv")),
@@ -218,18 +225,19 @@ def _score_reports(m: io.RunManifest) -> list[scoring.ScoreReport]:
     """
     import numpy as np
 
-    from . import scoring
+    from . import io, scoring
 
-    reports, x, y = [], {}, {}
+    reports, raw = [], []
     reads, _ = STAGE_FILES["score"]
     for h in m.horizons:
         dataset, predictions = _paths(m, reads, h)
         _, test = _split(m, dataset, h)
         table = _read_predictions(m, predictions, h, test)
-        rmse, crps = scoring.rmse(table[:, 0], test.y), float(np.mean(table[:, -1]))
-        reports.append(scoring.ScoreReport(f"{m.model_kind} adjustment", h, rmse, crps, len(test)))
-        x[h], y[h] = test.x, test.y
-    return reports + scoring.score_table({"raw physics": x}, y, m.horizons)
+        with io._naming(f"{dataset}, horizon {h}"):
+            rmse, crps = scoring.rmse(table[:, 0], test.y), float(np.mean(table[:, -1]))
+            reports.append(scoring.ScoreReport(f"{m.model_kind} adjustment", h, rmse, crps, len(test)))
+            raw += scoring.score_table({"raw physics": {h: test.x}}, {h: test.y}, [h])
+    return reports + raw
 
 
 def _parse(args: list[str], prog: str) -> tuple[Callable[..., None], dict]:
@@ -248,14 +256,14 @@ def _parse(args: list[str], prog: str) -> tuple[Callable[..., None], dict]:
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Probabilistic heave-response forecasting pipeline.
 
-    Parses args (default sys.argv[1:]), runs the command they name and
-    exits as a program does: it always ends in SystemExit, whose code is 0
-    on success, 2 on a usage or validation error or when memory runs out,
-    and 3 on a numerical failure.
+    Parses args (default sys.argv[1:]), runs the command they name (_run)
+    and exits as a program does: it always ends in SystemExit, whose code is
+    0 on success, 2 on a usage or validation error or when memory runs out,
+    and 3 on a numerical failure, an overflow or invalid value included.
     """
     command, options = _parse(sys.argv[1:] if args is None else list(args), prog_name or "heavecast")
     try:
-        command(**options)
+        _run(command, options)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(VALIDATION_EXIT)
@@ -297,18 +305,18 @@ def run() -> None:
 
 
 @_command()
-def response(**kwargs):
+def response(m):
     """Physics response statistics from a spectra file and an RAO file."""
     import numpy as np
 
     from . import datasets, io, spectral
 
-    m = _load(**kwargs)
     m.require("rao_file", "spectra_file")
     (path,) = _paths(m, STAGE_FILES["response"][1])
     rao = datasets.read_rao(m.rao_file)
     spectra = datasets.read_spectra(m.spectra_file)
-    m0, m2 = spectral.response_moments(spectra, rao)
+    with io._naming(m.spectra_file):
+        m0, m2 = spectral.response_moments(spectra, rao)
     rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
     columns = ["timestamp_utc", "m0_m2", "m2_m2_per_s2", "sig_heave_m"]
     io._write_table(path, columns, "%s, %.10g, %.10g, %.10g", rows)
@@ -316,11 +324,10 @@ def response(**kwargs):
 
 
 @_command(_HORIZONS)
-def build(**kwargs):
+def build(m):
     """Synthesise per-horizon datasets from forecast issues and measurements."""
     from . import datasets, io
 
-    m = _load(**kwargs)
     reads, writes = STAGE_FILES["build"]
     issue_files, measured = _paths(m, reads)
     issue_files = issue_files.with_name(re.sub(r"\{.*?\}", "*", issue_files.name))  # every index
@@ -344,26 +351,25 @@ def build(**kwargs):
 
 
 @_command(_HORIZONS, _MODEL, _SEED)
-def fit(**kwargs):
+def fit(m):
     """Fit the adjustment model per horizon on the training split."""
-    from . import io, sampler
+    from . import io, model, sampler
 
-    m = _load(**kwargs)
     cfg = io.SamplerConfig(**m.sampler)
     reads, writes = STAGE_FILES["fit"]
 
     for h in m.horizons:
-        (dataset,), (path, _) = _paths(m, reads, h), _paths(m, writes, h)  # io.write_posterior_samples adds the sidecar
+        (dataset,), (path, sidecar) = _paths(m, reads, h), _paths(m, writes, h)
         train, _ = _split(m, dataset, h)
         with io._naming(f"{dataset}, horizon {h}"):
-            samples = sampler.fit(train, _model_spec(m, h), cfg, seed=m.seed + h)
-        io.write_posterior_samples(path, samples)
+            samples = sampler.fit(train, model.ModelSpec(kind=m.model_kind, horizon=h), cfg, seed=m.seed + h)
+        io.write_posterior_samples(path, samples, sidecar)
         worst = max(v["rhat"] for v in samples.diagnostics.values())
         print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {path}", flush=True)
 
 
 @_command(_HORIZONS, _MODEL, _SEED)
-def predict(**kwargs):
+def predict(m):
     """Posterior-predictive quantiles and CRPS for the test split of each horizon.
 
     Each test row's draws give its mean, quantiles and sample CRPS against
@@ -371,19 +377,16 @@ def predict(**kwargs):
     here. Each horizon's draws are released before the next horizon's are
     made.
     """
-    import numpy as np
-
     from . import io, model
 
-    m = _load(**kwargs)
     reads, writes = STAGE_FILES["predict"]
     for h in m.horizons:
         (dataset, samples_path), (path,) = _paths(m, reads, h), _paths(m, writes, h)
         train, test = _split(m, dataset, h)
-        spec = _model_spec(m, h)
+        spec = model.ModelSpec(kind=m.model_kind, horizon=h)
         samples = _read_samples(samples_path, spec)
         # an overflow in the draws or in the summaries the writer takes of them raises before it writes
-        with io._naming(f"{dataset}, horizon {h}"), np.errstate(over="raise", invalid="raise"):
+        with io._naming(f"{dataset}, horizon {h}"):
             pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
             io.write_predictions(path, pred, test.y)
         print(f"h={h}: {len(pred)} predictive rows -> {path}", flush=True)
@@ -391,7 +394,7 @@ def predict(**kwargs):
 
 
 @_command(_HORIZONS, _MODEL)
-def score(**kwargs):
+def score(m):
     """Score the fitted model's predictions against the raw physics forecast.
 
     Reads each horizon's test split and the predictions file predict wrote
@@ -400,7 +403,6 @@ def score(**kwargs):
     """
     from . import io, scoring
 
-    m = _load(**kwargs)
     csv_path, text_path = _paths(m, STAGE_FILES["score"][1])
     reports = _score_reports(m)
     io.write_score_reports(csv_path, reports)
@@ -415,21 +417,20 @@ def score(**kwargs):
     _option("--max-lag", type=int, default=20, help="[default: %(default)s]"),
     _option("--bins", type=int, default=10, help="[default: %(default)s]"),
 )
-def diagnose(max_lag, bins, **kwargs):
+def diagnose(m, max_lag, bins):
     """Residual PACF and heteroskedasticity tables per horizon."""
     import numpy as np
 
     from . import diagnostics, io, model
 
-    m = _load(**kwargs)
     reads, writes = STAGE_FILES["diagnose"]
     for h in m.horizons:
         (dataset, samples_path), (pacf_path, hetero_path) = _paths(m, reads, h), _paths(m, writes, h)
         train, _ = _split(m, dataset, h)
-        spec = _model_spec(m, h)
+        spec = model.ModelSpec(kind=m.model_kind, horizon=h)
         samples = _read_samples(samples_path, spec)
         # both tables are computed before either is written, so a bad option writes nothing
-        with io._naming(f"{dataset}, horizon {h}"), np.errstate(over="raise", invalid="raise"):
+        with io._naming(f"{dataset}, horizon {h}"):
             at_mean = np.mean(samples.draws, axis=0)
             eps = model.residuals(at_mean, train)
             # the basic model's innovations are eps / sigma, whose PACF is that of eps
@@ -449,7 +450,7 @@ def diagnose(max_lag, bins, **kwargs):
     _option("--spectra-hours", type=int, default=0, metavar="N",
             help="also write the first N hours of true spectra (large files) [default: %(default)s]"),
 )
-def simulate(spectra_hours, **kwargs):
+def simulate(m, spectra_hours):
     """Generate a synthetic campaign: RAO, measurements and forecast issues."""
     import numpy as np
 
@@ -457,13 +458,12 @@ def simulate(spectra_hours, **kwargs):
 
     if spectra_hours < 0:
         raise ValueError(f"spectra_hours must be nonnegative, found {spectra_hours}")
-    m = _load(**kwargs)
     m.require("scenario")
     scn = m.swell_scenario()
     inj = m.error_injection()
     rao = synthetic.reference_rao()
     # a value too large for a float (an Hs, a jitter, a bias) makes a product
-    # infinite: refused by the section that set it, without numpy's warnings
+    # infinite: refused by the section that set it, not by main's policy
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             spectra = synthetic.generate_spectra(scn)

@@ -355,8 +355,8 @@ def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
 
 # -- posterior samples -------------------------------------------------------
 
-def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
-    """Draw matrix as delimited text plus a JSON diagnostics sidecar.
+def write_posterior_samples(path: Path, samples: PosteriorSamples, sidecar: Path | None = None) -> None:
+    """Draw matrix as delimited text at path and, given its path, a JSON diagnostics sidecar.
 
     The sidecar holds per-parameter R-hat and ESS, the sigma-step acceptance
     rate and the sampler's deterministic facts: burn-in and retained sweeps,
@@ -366,12 +366,10 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples) -> None:
     """
     rows = ((cid, *values) for cid, values in zip(samples.chain_ids.tolist(), samples.draws.tolist()))
     _write_table(path, ["chain", *samples.param_names], "%d" + ", %.12g" * samples.draws.shape[1], rows)
-    sidecar = {
-        "acceptance_rate": samples.acceptance_rate,
-        "parameters": samples.diagnostics,
-        "sampler": samples.sampler_facts,
-    }
-    atomic_write_text(Path(str(path) + ".diag.json"), _json_text(sidecar) + "\n")
+    if sidecar is not None:
+        facts = {"acceptance_rate": samples.acceptance_rate, "parameters": samples.diagnostics,
+                 "sampler": samples.sampler_facts}
+        atomic_write_text(sidecar, _json_text(facts) + "\n")
 
 
 def _json_text(value, indent: str = "") -> str:

@@ -207,7 +207,8 @@ def predictive_summaries(rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
         block.sort(axis=1)
         chunk[:, 1:-1] = _sorted_quantiles(block, QUANTILE_LEVELS)
         pair_sums = [2.0 * float(np.dot(coeffs, row)) for row in block]
-        chunk[:, -1] = term1 - np.array(pair_sums) / (2.0 * m * m)
+        # never negative (the CRPS of the draws' own distribution), but rounding can take near-equal draws below 0
+        chunk[:, -1] = np.maximum(term1 - np.array(pair_sums) / (2.0 * m * m), 0.0)
     return out
 
 

@@ -15,6 +15,8 @@ blocks have closed-form full conditionals. One sweep draws
 
 The conditionals come from one Gram matrix of the training rows, built once
 by _Conditionals, so a sweep costs the same whatever the training-set size.
+Under cli's floating-point policy a Gram matrix that overflows raises
+FloatingPointError; under numpy's defaults it warns, and SamplerError follows.
 _run_chain is the sweep, written out on local floats: each block's quadratic
 form, its conditional precision and linear term, their 2x2 Cholesky factor
 and the block's first draw, then the sum of squares and the sigma step.
@@ -130,24 +132,22 @@ class _Conditionals:
     def __init__(self, ds: HorizonDataset, spec: ModelSpec):
         pr = spec.priors
         self.n, self.sigma_scale = len(ds), pr.sigma_scale
-        # values so large that the Gram matrix or the forms overflow raise FloatingPointError, an ArithmeticError
-        with np.errstate(over="raise", invalid="raise"):
-            self.x_mean, self.y_mean = float(np.mean(ds.x)), float(np.mean(ds.y))
-            dx = ds.x - self.x_mean
-            sxx = float(dx @ dx)
-            self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
-            block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
-            if spec.kind == "hybrid":
-                block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
-            gram = np.zeros((9, 9))
-            gram[: len(block), : len(block)] = block @ block.T
-            # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2
-            mono = np.zeros((3, 3, 6))
-            for m, (i, j) in enumerate(_UPPER):
-                mono[i, j, m] = mono[j, i, m] = 1.0
-            g4 = gram.reshape(3, 3, 3, 3)
-            beta_terms = np.einsum("lkmn,lmp->knp", g4, mono)
-            phi_terms = np.einsum("lkmn,knp->lmp", g4, mono)
+        self.x_mean, self.y_mean = float(np.mean(ds.x)), float(np.mean(ds.y))
+        dx = ds.x - self.x_mean
+        sxx = float(dx @ dx)
+        self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
+        block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
+        if spec.kind == "hybrid":
+            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
+        gram = np.zeros((9, 9))
+        gram[: len(block), : len(block)] = block @ block.T
+        # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2
+        mono = np.zeros((3, 3, 6))
+        for m, (i, j) in enumerate(_UPPER):
+            mono[i, j, m] = mono[j, i, m] = 1.0
+        g4 = gram.reshape(3, 3, 3, 3)
+        beta_terms = np.einsum("lkmn,lmp->knp", g4, mono)
+        phi_terms = np.einsum("lkmn,knp->lmp", g4, mono)
         # the start: phi = 0, and sigma the weighted RMS residual of the least-squares line (a = d = 0)
         self.sigma_start = max(math.sqrt(gram[0, 0] / self.n), 1e-4)
         self.beta_terms = tuple(tuple(beta_terms[i, j].tolist()) for i, j in _UPPER)
@@ -297,7 +297,7 @@ def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, s
     if cfg is None:
         cfg = SamplerConfig()
     if len(ds) < 3 + spec.n_params:
-        raise ValueError("too few training rows for the parameter count")
+        raise ValueError(f"{len(ds)} training rows, at least {3 + spec.n_params} needed for the {spec.kind} model")
     cond = _Conditionals(ds, spec)
     streams = np.random.SeedSequence(seed).spawn(cfg.chains)
     runs = [_run_chain(cond, cfg, spec.kind == "hybrid", np.random.default_rng(s)) for s in streams]

@@ -52,7 +52,7 @@ def texts():
     )
     with tempfile.TemporaryDirectory() as tmp:
         write_horizon_dataset(Path(tmp) / DATASET, ds)
-        write_posterior_samples(Path(tmp) / SAMPLES, samples)
+        write_posterior_samples(Path(tmp) / SAMPLES, samples, Path(tmp) / SIDECAR)
         return {name: (Path(tmp) / name).read_text() for name in (DATASET, SAMPLES, SIDECAR)}
 
 

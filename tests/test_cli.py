@@ -766,6 +766,47 @@ class TestExitCodes:
         assert [name for name in writes(stage) if (out / name).exists()] == []
 
 
+    def test_overflowing_score_names_the_dataset_and_horizon(self, campaign):
+        # score warned of an overflow in square, exited 0 and wrote an RMSE of inf
+        manifest, dataset = campaign / "run.yaml", campaign / "out" / "dataset_h000.csv"
+        lines = dataset.read_text().splitlines()
+        cells = lines[-1].split(", ")
+        lines[-1] = ", ".join([cells[0], "1e+200", *cells[2:]])  # the last test row's forecast x
+        dataset.write_text("\n".join(lines) + "\n")
+        assert invoke(["predict", "--manifest", str(manifest)]).exit_code == 0
+        result = program("score", "--manifest", str(manifest), text=True)
+        assert (result.returncode, result.stderr) == (
+            3, f"numerical failure: {dataset}, horizon 0: overflow encountered in square\n"
+        )
+        assert [name for name in writes("score") if (campaign / "out" / name).exists()] == []
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            # the density's unit conversion overflowed: response warned, then refused the infinite density (exit 2)
+            ("spectra.csv", "2024-06-01T00:00:00, 0.2, 20, 1e308"),
+            # the frequency's conversion to rad/s overflowed: response warned, then refused the frequency (exit 2)
+            ("rao.csv", "1e308, 1.0"),
+        ],
+    )
+    def test_overflowing_response_input_names_the_file(self, tmp_path, name, row):
+        lines = {
+            "rao.csv": ["freq_hz, amplitude", "0.05, 1.0", "0.5, 1.0"],
+            "spectra.csv": ["timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg",
+                            *(f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f in (0.1, 0.2) for d in (10, 20))],
+        }
+        lines[name][-1] = row
+        for file, text in lines.items():
+            (tmp_path / file).write_text("\n".join(text) + "\n")
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "rao_file": "rao.csv", "spectra_file": "spectra.csv"}))
+        result = program("response", "--manifest", str(manifest), text=True)
+        assert (result.returncode, result.stderr) == (
+            3, f"numerical failure: {tmp_path / name}: overflow encountered in multiply\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 class TestOneErrorPath:
     """main maps what any command raises to its exit code, in one place."""
 
@@ -1118,7 +1159,7 @@ class TestEntryPoint:
                 gc.collect()
                 gc.disable()
                 try:
-                    command(**options)
+                    cli._run(command, options)  # as main runs it: the manifest loaded, under one errstate
                     found[args[0]] = gc.collect()
                 finally:
                     gc.enable()
@@ -1201,7 +1242,7 @@ def test_too_few_training_rows_names_the_dataset(campaign):
     result = invoke(["fit", "--manifest", str(manifest)])
     assert result.exit_code == 2, result.output
     dataset = campaign / "out" / "dataset_h000.csv"
-    assert result.stderr == f"error: {dataset}, horizon 0: too few training rows for the parameter count\n"
+    assert result.stderr == f"error: {dataset}, horizon 0: 1 training rows, at least 8 needed for the hybrid model\n"
 
 
 def test_measurements_sharing_no_valid_time_name_the_file(campaign):

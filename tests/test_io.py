@@ -728,7 +728,7 @@ class TestPosteriorAndPredictions:
             acceptance_rate=0.31,
         )
         p = tmp_path / "samples.csv"
-        write_posterior_samples(p, samples)
+        write_posterior_samples(p, samples, tmp_path / "samples.csv.diag.json")
         back = read_posterior_samples(p)
         np.testing.assert_allclose(back.draws, samples.draws, rtol=1e-10)
         np.testing.assert_array_equal(back.chain_ids, samples.chain_ids)
@@ -751,7 +751,7 @@ class TestPosteriorAndPredictions:
             sampler_facts=facts,
         )
         p = tmp_path / "samples.csv"
-        write_posterior_samples(p, samples)
+        write_posterior_samples(p, samples, tmp_path / "samples.csv.diag.json")
         assert json.loads(Path(f"{p}.diag.json").read_text())["sampler"] == facts
 
     def test_predictions_file(self, tmp_path):
@@ -831,6 +831,7 @@ def test_samples_rows_spelled_as_per_value_f_strings(rows, hybrid):
         p = Path(tmp) / "samples.csv"
         write_posterior_samples(p, samples)
         assert p.read_text() == per_value_samples_text(samples)
+        assert [q.name for q in Path(tmp).iterdir()] == ["samples.csv"]  # no sidecar path, no sidecar
         back = read_posterior_samples(p)
     expected = np.array([[float(f"{v:.12g}") for v in row] for row in draws.tolist()])
     assert back.draws.tobytes() == expected.tobytes()
@@ -863,7 +864,7 @@ def test_samples_sidecar_spelled_as_json_dumps(sidecar, rhat):
     expected = {"acceptance_rate": rhat, "parameters": samples.diagnostics, "sampler": sidecar}
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "samples.csv"
-        write_posterior_samples(p, samples)
+        write_posterior_samples(p, samples, Path(tmp, "samples.csv.diag.json"))
         assert Path(tmp, "samples.csv.diag.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 

@@ -83,11 +83,14 @@ class TestSetWriter:
             write_forecast_issues(tmp / "issues" / ISSUE_NAME, IssueSet.from_issues(issues))
             names = sorted(p.name for p in (tmp / "issues").iterdir())
             assert names == [f"issue_{i:04d}.csv" for i in range(len(issues))]
+            # each issue's files get fresh names: replacing a file just written can take
+            # tens of milliseconds, writing a new name tens of microseconds
             for i, issue in enumerate(issues):
-                oracle_write(tmp / "oracle.csv", issue)
-                assert (tmp / "issues" / names[i]).read_bytes() == (tmp / "oracle.csv").read_bytes()
-                write_forecast_issue(tmp / "one.csv", issue)
-                assert (tmp / "one.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+                oracle, one = tmp / f"oracle_{i}.csv", tmp / f"one_{i}.csv"
+                oracle_write(oracle, issue)
+                assert (tmp / "issues" / names[i]).read_bytes() == oracle.read_bytes()
+                write_forecast_issue(one, issue)
+                assert one.read_bytes() == oracle.read_bytes()
             assert [p.name for p in tmp.iterdir() if p.name.startswith(".")] == []
 
     def test_replaces_the_whole_directory(self, tmp_path):

@@ -135,7 +135,7 @@ def test_score_equals_score_table_on_the_predictive_draws(reference, tmp_path):
     """
     from heavecast import io, model, scoring
 
-    m = cli._load(readme_manifest(tmp_path), str(reference), horizons=[0, 12])
+    m, _ = cli._load(readme_manifest(tmp_path), str(reference), horizons=[0, 12])
     label = f"{m.model_kind} adjustment"
     models, obs = {label: {}, "raw physics": {}}, {}
     for h in m.horizons:

@@ -210,7 +210,7 @@ def test_samples_and_sidecar_round_trip(draws, chains, rhat, acceptance, facts):
     )
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a", "samples.csv"), Path(tmp, "b", "samples.csv")
-        io.write_posterior_samples(first, samples)
+        io.write_posterior_samples(first, samples, Path(f"{first}.diag.json"))
         back = io.read_posterior_samples(first)
         io.write_posterior_samples(second, back)
         assert first.read_bytes() == second.read_bytes()

@@ -98,6 +98,14 @@ def test_tables_are_written_by_the_one_table_writer():
     ]
 
 
+def test_main_alone_loads_the_manifest_and_sets_the_floating_point_policy():
+    # cli._run loads every command's manifest and runs the command under one
+    # np.errstate; simulate alone overrides it, to name the manifest section
+    # whose values overflow its campaign
+    found = {name: sorted(c for path in SOURCES for c in _callers(path, name)) for name in ("_load", "errstate")}
+    assert found == {"_load": ["cli.py:_run"], "errstate": ["cli.py:_run", "cli.py:simulate"]}
+
+
 def test_readme_layout_lists_the_modules():
     # the README's Layout table against the modules src/heavecast holds
     section = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
@@ -112,6 +120,7 @@ OUT_DIR_PATTERNS = {
                                           "response.csv")},
     "the issues directory": r"^issues$|\bissues/",
     "the issue files": r"\bissue_(?![a-z])",  # not issue_files or issue_time_utc
+    "the samples sidecar": re.escape(".diag.json"),
 }
 
 
@@ -135,6 +144,9 @@ def test_each_out_dir_name_is_spelled_once():
     from heavecast import cli
 
     templates = {name for files in cli.STAGE_FILES.values() for names in files for name in names}
+    # the sidecar's suffix is spelled where the table adds it to the samples template
+    (suffix,) = spelled.pop("the samples sidecar")
+    assert cli.SAMPLES + suffix in templates
     assert [name for name, (text,) in spelled.items() if text not in templates] == []
     assert [name for name in ("_dataset_path", "_samples_path", "_predictions_path") if hasattr(cli, name)] == []
 
