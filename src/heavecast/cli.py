@@ -317,9 +317,9 @@ def response(m):
     spectra = datasets.read_spectra(m.spectra_file)
     with io._naming(m.spectra_file):
         m0, m2 = spectral.response_moments(spectra, rao)
-    rows = zip(np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist())
+    cells = [np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist()]
     columns = ["timestamp_utc", "m0_m2", "m2_m2_per_s2", "sig_heave_m"]
-    io._write_table(path, columns, "%s, %.10g, %.10g, %.10g", rows)
+    io._write_table(path, columns, "%s, %.10g, %.10g, %.10g", cells)
     print(f"wrote {path} ({len(spectra)} timestamps)", flush=True)
 
 
@@ -438,10 +438,10 @@ def diagnose(m, max_lag, bins):
             sigma_map = model.map_sigma(samples)
             pac = diagnostics.pacf(series, max_lag)
             table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map)
-        rows = ((lag, c, pac.confidence_band) for lag, c in zip(pac.lags.tolist(), pac.coefficients.tolist()))
-        io._write_table(pacf_path, ["lag", "coefficient", "band"], "%d, %.6f, %.6f", rows)
+        cells = [pac.lags.tolist(), pac.coefficients.tolist(), [pac.confidence_band] * pac.lags.size]
+        io._write_table(pacf_path, ["lag", "coefficient", "band"], "%d, %.6f, %.6f", cells)
         columns = ["x_bin_center_m", "mean_abs_residual_m", "count", "sigma_map"]
-        io._write_table(hetero_path, columns, "%.6f, %.6f, %d, %.6f", table)
+        io._write_table(hetero_path, columns, "%.6f, %.6f, %d, %.6f", [*zip(*table)])
         print(f"h={h}: diagnostics written", flush=True)
 
 

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .io import _naming, _numbers, _parse_times, _read_cells, _readable, _write_table
+from .io import _naming, _numbers, _parse_times, _read_cells, _readable, _table_text, _write_table
 from .io import HOUR, HorizonDataset, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
@@ -292,8 +292,8 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
 
 def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
     """sig_heave_m reads nan where a record is not valid."""
-    rows = ((r.timestamp, r.sig_heave if r.valid else np.nan, str(r.valid).lower()) for r in records)
-    _write_table(path, _HEAVE_HEADER, "%s, %.10g, %s", rows)
+    cells = [*zip(*((r.timestamp, r.sig_heave if r.valid else np.nan, str(r.valid).lower()) for r in records))]
+    _write_table(path, _HEAVE_HEADER, "%s, %.10g, %s", cells)
 
 
 def align(forecast_series: HorizonSeries, measurements, horizon: int) -> HorizonDataset:
@@ -333,7 +333,7 @@ def read_rao(path: Path) -> RaoCurve:
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:
-    _write_table(path, _RAO_HEADER, "%.10g, %.10g", zip((rao.freqs / TWO_PI).tolist(), rao.amplitudes.tolist()))
+    _write_table(path, _RAO_HEADER, "%.10g, %.10g", [(rao.freqs / TWO_PI).tolist(), rao.amplitudes.tolist()])
 
 
 # -- directional spectra -----------------------------------------------------
@@ -400,7 +400,7 @@ def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
     grid = np.meshgrid(stamps, spectra.freqs / TWO_PI, np.rad2deg(spectra.dirs), indexing="ij")
     # per-(rad/s) per-rad  ->  per-Hz per-deg
     columns = [*grid, spectra.density * TWO_PI * (np.pi / 180.0)]
-    _write_table(path, _SPECTRA_HEADER, "%s, %.10g, %.10g, %.10g", zip(*(c.ravel().tolist() for c in columns)))
+    _write_table(path, _SPECTRA_HEADER, "%s, %.10g, %.10g, %.10g", [c.ravel().tolist() for c in columns])
 
 
 # -- forecast issue files ----------------------------------------------------
@@ -488,7 +488,7 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
 
 
 def _issue_texts(issues: IssueSet):
-    """Each issue's file text, in issue order, formatted by column.
+    """Each issue's file text, in issue order, as the table _table_text spells.
 
     The valid-time strings come from one table of the set's distinct valid
     times, and each file's values from one %.10g format, which spells a
@@ -504,13 +504,10 @@ def _issue_texts(issues: IssueSet):
     row_stamp = np.empty(valid.size, dtype=np.intp)
     row_stamp[order] = np.cumsum(new) - 1
     bounds = issues.bounds.tolist()
-    header = ", ".join(_ISSUE_HEADER)
     for issued, lo, hi in zip(np.datetime_as_string(issues.issue_times).tolist(), bounds, bounds[1:]):
         # one file's cells at a time, so no Python object per row of the set is held
-        cells = [None] * (2 * (hi - lo))
-        cells[0::2] = stamps[row_stamp[lo:hi]].tolist()
-        cells[1::2] = issues.values[lo:hi].tolist()
-        yield f"{header}\n" + (f"{issued}, %s, %.10g\n" * (hi - lo)) % tuple(cells)
+        cells = [stamps[row_stamp[lo:hi]].tolist(), issues.values[lo:hi].tolist()]
+        yield _table_text(_ISSUE_HEADER, f"{issued}, %s, %.10g", cells)
 
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:

@@ -140,18 +140,21 @@ def _readable(path: Path, text: str) -> str:
     return text
 
 
-def _write_table(path: Path, columns: list[str], row_format: str, rows) -> None:
-    """The delimited-text file every table is: a header line of the columns,
-    then row_format % row for each row (a tuple), written atomically."""
-    line = row_format + "\n"
-    atomic_write_text(path, _readable(path, "".join([", ".join(columns) + "\n", *map(line.__mod__, rows)])))
+def _table_text(columns: list[str], row_format: str, cells: list) -> str:
+    """The columns' header line, then row_format for each row, filled by one % from cells, a list per placeholder."""
+    flat = [None] * sum(map(len, cells))
+    for k, column in enumerate(cells):
+        flat[k :: len(cells)] = column
+    return f"{', '.join(columns)}\n" + f"{row_format}\n" * (len(flat) // (len(cells) or 1)) % tuple(flat)
 
 
-# the README's time grammar, YYYY-MM-DD[(T| )HH[:MM[:SS[.f]]]][Z] in ASCII
-# digits, of cells joined by line breaks, so that one match checks a column
-_ISO_TIME = re.compile(
-    r"(?:{0}\n)*{0}".format(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?"), re.ASCII
-)
+def _write_table(path: Path, columns: list[str], row_format: str, cells: list) -> None:
+    """Write _table_text's text to path atomically, once _readable accepts it."""
+    atomic_write_text(path, _readable(path, _table_text(columns, row_format, cells)))
+
+
+# the README's time grammar, YYYY-MM-DD[(T| )HH[:MM[:SS[.f]]]][Z] in ASCII digits
+_ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?", re.ASCII)
 
 
 def _parse_times(cells, where, what: str) -> np.ndarray:
@@ -169,10 +172,8 @@ def _parse_times(cells, where, what: str) -> np.ndarray:
     cells = list(cells)
     distinct = list(dict.fromkeys(cells))
     spellings = [c.strip() for c in distinct]
-    text = "\n".join(spellings)
-    # one match checks the column when no cell holds a line break of its own
-    if spellings and (text.count("\n") >= len(spellings) or not _ISO_TIME.fullmatch(text)):
-        bad = next(c for c in spellings if "\n" in c or not _ISO_TIME.fullmatch(c))
+    if not all(map(_ISO_TIME.fullmatch, spellings)):
+        bad = next(c for c in spellings if not _ISO_TIME.fullmatch(c))
         raise ValueError(f"{where}: {what} is not a time ({bad!r})")
     with _naming(f"{where}: {what}"):
         times = np.array([c.removesuffix("Z") for c in spellings], dtype="datetime64[s]")
@@ -343,20 +344,15 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
-    rows = zip(
-        np.datetime_as_string(ds.valid_times).tolist(),
-        ds.x.tolist(),
-        ds.y.tolist(),
-        np.datetime_as_string(ds.issue_times).tolist(),
-        ds.post_gap.astype(int).tolist(),
-    )
-    _write_table(path, _DATASET_HEADER, "%s, %.10g, %.10g, %s, %d", rows)
+    cells = [np.datetime_as_string(ds.valid_times).tolist(), ds.x.tolist(), ds.y.tolist(),
+             np.datetime_as_string(ds.issue_times).tolist(), ds.post_gap.astype(int).tolist()]
+    _write_table(path, _DATASET_HEADER, "%s, %.10g, %.10g, %s, %d", cells)
 
 
 # -- posterior samples -------------------------------------------------------
 
-def write_posterior_samples(path: Path, samples: PosteriorSamples, sidecar: Path | None = None) -> None:
-    """Draw matrix as delimited text at path and, given its path, a JSON diagnostics sidecar.
+def write_posterior_samples(path: Path, samples: PosteriorSamples, sidecar: Path) -> None:
+    """Draw matrix as delimited text at path and a JSON diagnostics sidecar at sidecar.
 
     The sidecar holds per-parameter R-hat and ESS, the sigma-step acceptance
     rate and the sampler's deterministic facts: burn-in and retained sweeps,
@@ -364,12 +360,11 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples, sidecar: Path
     people and tools; no stage reads it back. No wall-clock value goes in,
     so a fixed manifest and seed reproduce it bit for bit.
     """
-    rows = ((cid, *values) for cid, values in zip(samples.chain_ids.tolist(), samples.draws.tolist()))
-    _write_table(path, ["chain", *samples.param_names], "%d" + ", %.12g" * samples.draws.shape[1], rows)
-    if sidecar is not None:
-        facts = {"acceptance_rate": samples.acceptance_rate, "parameters": samples.diagnostics,
-                 "sampler": samples.sampler_facts}
-        atomic_write_text(sidecar, _json_text(facts) + "\n")
+    cells = [samples.chain_ids.tolist(), *samples.draws.T.tolist()]
+    _write_table(path, ["chain", *samples.param_names], "%d" + ", %.12g" * samples.draws.shape[1], cells)
+    facts = {"acceptance_rate": samples.acceptance_rate, "parameters": samples.diagnostics,
+             "sampler": samples.sampler_facts}
+    atomic_write_text(sidecar, _json_text(facts) + "\n")
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -420,8 +415,8 @@ def write_predictions(path: Path, pred: PredictiveDraws, obs: np.ndarray) -> Non
     from .model import predictive_summaries
 
     table = predictive_summaries(pred.draws.T, obs)
-    rows = ((vt, *row) for vt, row in zip(pred.valid_times, table.tolist()))
-    _write_table(path, _PREDICTIONS_HEADER, "%s" + ", %.10g" * table.shape[1], rows)
+    cells = [np.datetime_as_string(pred.valid_times).tolist(), *table.T.tolist()]
+    _write_table(path, _PREDICTIONS_HEADER, "%s" + ", %.10g" * table.shape[1], cells)
 
 
 def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -444,8 +439,8 @@ def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_score_reports(path: Path, reports: list[ScoreReport]) -> None:
-    rows = ((r.model_label, r.horizon, r.rmse, r.crps_mean, r.n) for r in reports)
-    _write_table(path, ["model", "horizon_h", "rmse_m", "crps_m", "n"], "%s, %s, %.3f, %.3f, %s", rows)
+    cells = [*zip(*((r.model_label, r.horizon, r.rmse, r.crps_mean, r.n) for r in reports))]
+    _write_table(path, ["model", "horizon_h", "rmse_m", "crps_m", "n"], "%s, %s, %.3f, %.3f, %s", cells)
 
 
 # -- run manifest settings ---------------------------------------------------

@@ -755,7 +755,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         dataset, samples_path = (out / name for name in reads(stage))
         io.write_horizon_dataset(dataset, HorizonDataset(horizon=0, valid_times=times, x=x, y=y, issue_times=times))
-        io.write_posterior_samples(samples_path, samples)
+        io.write_posterior_samples(samples_path, samples, out / writes("fit")[1])
         manifest = tmp_path / "run.json"
         cfg = {"out_dir": "out", "horizons": [0], "model_kind": "hybrid", "train_fraction": 0.75}
         manifest.write_text(json.dumps(cfg))
@@ -1445,7 +1445,8 @@ def test_predict_holds_one_horizon_of_draws_at_a_time(tmp_path):
     manifest.write_text(yaml.safe_dump(cfg))
     for h in range(4):
         io.write_horizon_dataset(tmp_path / "out" / f"dataset_h{h:03d}.csv", ds)
-        io.write_posterior_samples(tmp_path / "out" / f"samples_hybrid_h{h:03d}.csv", samples)
+        samples_path, sidecar = (tmp_path / "out" / name for name in writes("fit", horizons=(h,)))
+        io.write_posterior_samples(samples_path, samples, sidecar)
 
     def traced_peak(*flags):
         tracemalloc.reset_peak()

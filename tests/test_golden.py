@@ -1,11 +1,12 @@
-"""Every out_dir file of two benchmark workloads, byte for byte and with its
-mode, against the digests checked in under tests/golden/.
+"""Every out_dir file of two benchmark workloads, readme-hybrid at seed 1
+and year-hybrid at seeds 1-3, byte for byte and with its mode, against the
+digests checked in under tests/golden/.
 
 Each golden file holds the `sha256  mode  path` lines tests/outdir_digest.py
 prints, after a first line naming the numpy version and the platform they
 were made with; on another numpy or platform the test fails and says so, as
 numpy's arithmetic may differ there. A change meant to alter the outputs
-regenerates both files with
+regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -30,6 +31,8 @@ SRC = Path(heavecast.__file__).resolve().parents[1]
 CASES = {
     "readme-hybrid-1.sha256": ("readme-hybrid", 1, 24),
     "year-hybrid-1.sha256": ("year-hybrid", 1, 0),
+    "year-hybrid-2.sha256": ("year-hybrid", 2, 0),
+    "year-hybrid-3.sha256": ("year-hybrid", 3, 0),
 }
 
 

@@ -461,6 +461,47 @@ def test_time_cell_outside_the_grammar_names_file_column_and_cell(tmp_path, kind
     assert str(exc.value) == f"{p}: {what} is not a time ({spelling!r})"
 
 
+# the column check before cells were checked one at a time: one match of the
+# distinct cells joined by line breaks, when no cell held a line break of its own
+JOINED_TIMES = re.compile(
+    r"(?:{0}\n)*{0}".format(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?"), re.ASCII
+)
+GRAMMAR_TIMES = st.builds(
+    lambda day, clock, zone, blank: f"{blank}{day}{clock}{zone}{blank}",
+    st.sampled_from(["2024-06-01", "1999-12-31", "2024-13-01"]),  # month 13 is in the grammar, though no date
+    st.sampled_from(["", "T05", " 05", "T05:30", "T05:30:00", "T05:30:00.25"]),
+    st.sampled_from(["", "Z"]),
+    st.sampled_from(["", " ", "\t"]),
+)
+TIME_PIECES = ["2024-06-01", "T", " ", "05", ":00", ":30", ".5", "Z", "\n", "\t", "1", "-", "+01:00", "\u0663", "now"]
+# one character of a grammar time replaced, removed or doubled, the pieces above joined, or any text
+OTHER_CELLS = (
+    st.builds(lambda t, i, c: t[:i] + c.replace("*", t[i : i + 1] * 2) + t[i + 1 :], GRAMMAR_TIMES,
+              st.integers(0, 30), st.sampled_from(["\u0663", "\n", "x", "", "*"]))
+    | st.lists(st.sampled_from(TIME_PIECES), max_size=6).map("".join)
+    | st.text(max_size=12)
+)
+
+
+@given(cells=st.lists(GRAMMAR_TIMES, max_size=5), odd=st.none() | OTHER_CELLS, at=st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_time_cells_are_checked_as_the_joined_match_checked_them(cells, odd, at):
+    column = cells if odd is None else [*cells[:at], odd, *cells[at:]]
+    spellings = [c.strip() for c in dict.fromkeys(column)]
+    text = "\n".join(spellings)
+    expected = None
+    if spellings and (text.count("\n") >= len(spellings) or not JOINED_TIMES.fullmatch(text)):
+        bad = next(c for c in spellings if "\n" in c or not JOINED_TIMES.fullmatch(c))
+        expected = f"f.csv: t is not a time ({bad!r})"
+    try:
+        heavecast_io._parse_times(column, "f.csv", "t")
+        refused = None
+    except ValueError as exc:
+        # a cell in the grammar may still be no date numpy knows, such as month 13
+        refused = str(exc) if str(exc).startswith("f.csv: t is not a time") else None
+    assert refused == expected
+
+
 @pytest.mark.parametrize(
     "spell",
     [
@@ -829,9 +870,10 @@ def test_samples_rows_spelled_as_per_value_f_strings(rows, hybrid):
     )
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "samples.csv"
-        write_posterior_samples(p, samples)
+        write_posterior_samples(p, samples, Path(tmp) / "samples.csv.diag.json")
         assert p.read_text() == per_value_samples_text(samples)
-        assert [q.name for q in Path(tmp).iterdir()] == ["samples.csv"]  # no sidecar path, no sidecar
+        # the table and its sidecar, and no temp file left beside them
+        assert sorted(q.name for q in Path(tmp).iterdir()) == ["samples.csv", "samples.csv.diag.json"]
         back = read_posterior_samples(p)
     expected = np.array([[float(f"{v:.12g}") for v in row] for row in draws.tolist()])
     assert back.draws.tobytes() == expected.tobytes()

@@ -212,7 +212,7 @@ def test_samples_and_sidecar_round_trip(draws, chains, rhat, acceptance, facts):
         first, second = Path(tmp, "a", "samples.csv"), Path(tmp, "b", "samples.csv")
         io.write_posterior_samples(first, samples, Path(f"{first}.diag.json"))
         back = io.read_posterior_samples(first)
-        io.write_posterior_samples(second, back)
+        io.write_posterior_samples(second, back, Path(f"{second}.diag.json"))
         assert first.read_bytes() == second.read_bytes()
         # no stage reads the sidecar back; it is read as bench/run.py reads it
         sidecar = json.loads(Path(f"{first}.diag.json").read_text())

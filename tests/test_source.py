@@ -85,10 +85,11 @@ def _callers(path: Path, name: str) -> list[str]:
 
 
 def test_tables_are_written_by_the_one_table_writer():
-    # every delimited-text table goes through io._write_table, which spells
-    # the header and row layout once; atomic_write_text is left to it, to the
-    # samples sidecar, to the free-text scores.txt and to the issue texts
-    # datasets._issue_texts builds by column
+    # every delimited-text table goes through io._write_table, and its text,
+    # the header and row layout, comes from io._table_text, which the issue
+    # files' texts also come from; atomic_write_text is left to the table
+    # writer, to the samples sidecar, to the free-text scores.txt and to the
+    # one-file issue writer
     found = sorted(caller for path in SOURCES for caller in _callers(path, "atomic_write_text"))
     assert found == [
         "cli.py:score",
@@ -96,6 +97,8 @@ def test_tables_are_written_by_the_one_table_writer():
         "io.py:_write_table",
         "io.py:write_posterior_samples",
     ]
+    found = sorted(caller for path in SOURCES for caller in _callers(path, "_table_text"))
+    assert found == ["datasets.py:_issue_texts", "io.py:_write_table"]
 
 
 def test_main_alone_loads_the_manifest_and_sets_the_floating_point_policy():
