@@ -331,7 +331,7 @@ def build(m):
     reads, writes = STAGE_FILES["build"]
     issue_files, measured = _paths(m, reads)
     issue_files = issue_files.with_name(re.sub(r"\{.*?\}", "*", issue_files.name))  # every index
-    m.issue_files = m.issue_files or sorted(issue_files.parent.glob(issue_files.name))
+    m.issue_files = m.issue_files or sorted(issue_files.parent.glob(issue_files.name), key=str)
     if m.measurements_file is None and measured.exists():
         m.measurements_file = measured
     for name, searched in (("issue_files", issue_files), ("measurements_file", measured)):

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .io import _naming, _numbers, _parse_times, _read_cells, _readable, _table_text, _write_table
+from .io import _naming, _numbers, _parse_times, _read_cells, _readable, _refuse_cell, _table_text, _write_table
 from .io import HOUR, HorizonDataset, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
@@ -275,18 +275,15 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
     nonnegative number."""
     _, (time_col, sig_col, valid_col), _ = _read_cells([path], _HEAVE_HEADER)
     times = _parse_times(time_col, path, "timestamp_utc")
-    valid_col = [cell.strip().lower() for cell in valid_col]
-    for row, cell in enumerate(valid_col, 1):
-        if cell not in ("true", "false"):
-            raise ValueError(f"{path}, row {row}: valid must be true or false, found {cell!r}")
-    valid = [cell == "true" for cell in valid_col]
+    flags = [cell.strip().lower() for cell in valid_col]
+    for row, flag in enumerate(flags):
+        if flag not in ("true", "false"):
+            _refuse_cell(path, valid_col, row, "valid", "true or false")
+    valid = [flag == "true" for flag in flags]
     sig = _numbers([c if ok else "nan" for c, ok in zip(sig_col, valid)], path, "sig_heave_m")
     bad = _bad_values(np.where(valid, sig, 0.0))
     if bad.size:
-        raise ValueError(
-            f"{path}, row {bad[0] + 1}: sig_heave_m must be a finite nonnegative number, "
-            f"found {sig_col[bad[0]].strip()!r}"
-        )
+        _refuse_cell(path, sig_col, bad[0], "sig_heave_m", "a finite nonnegative number")
     return [HeaveRecord(timestamp=t, sig_heave=v, valid=ok) for t, v, ok in zip(times, sig.tolist(), valid)]
 
 
@@ -366,8 +363,7 @@ def read_spectra(path: Path) -> SpectrumSeries:
     if not (np.isfinite(freqs).all() and np.isfinite(dirs).all()):
         raise ValueError(f"{path}: freq_hz and dir_deg must be finite")
     if (freqs <= 0.0).any():
-        row = int(np.argmax(freqs <= 0.0))
-        raise ValueError(f"{path}, row {row + 1}: freq_hz must be positive, found {freq_col[row].strip()!r}")
+        _refuse_cell(path, freq_col, int(np.argmax(freqs <= 0.0)), "freq_hz", "positive")
     times = _parse_times(time_col, path, _SPECTRA_HEADER[0])
     # each timestamp's rows become one run, its cells in (freq, dir) order
     order = np.lexsort((dirs, freqs, times))
@@ -448,42 +444,34 @@ def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
 
 def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     """The files' issue times, row counts, leads and values, their rows split
-    and converted together, then checked file by file."""
+    and converted together, then checked file by file. A refusal names the
+    first file: _read_issue_batch reads a failed batch again file by file."""
     _, (issue_col, valid_col, value_col), sizes = _read_cells(paths, _ISSUE_HEADER)
     if 0 in sizes:
-        raise ValueError(f"{paths[sizes.index(0)]}: empty forecast issue")
+        raise ValueError(f"{paths[0]}: empty forecast issue")
     bounds = np.cumsum([0] + sizes)
-    where = paths[0] if len(paths) == 1 else f"{len(paths)} issue files"
-
-    def file_of(rows: np.ndarray) -> Path:
-        return paths[np.searchsorted(bounds, rows[0], side="right") - 1]
-
-    row_issue_times = _parse_times(issue_col, where, "issue time")
-    issue_times = row_issue_times[bounds[:-1]]
-    mixed = np.flatnonzero(row_issue_times != np.repeat(issue_times, sizes))
-    if mixed.size:
-        raise ValueError(f"{file_of(mixed)}: multiple issue times in one file")
-    valid_times = _parse_times(valid_col, where, "valid time")
-    values = _numbers(value_col, where, "sig_heave_m")
+    # each file's first issue-time cell; a file that spells its others otherwise is parsed whole
+    issue_times = _parse_times([issue_col[lo] for lo in bounds[:-1].tolist()], paths[0], "issue_time_utc")
+    for issued, lo, hi in zip(issue_times, bounds.tolist(), bounds[1:].tolist()):
+        cells = issue_col[lo:hi]
+        if cells.count(cells[0]) < hi - lo and (_parse_times(cells, paths[0], "issue_time_utc") != issued).any():
+            raise ValueError(f"{paths[0]}: multiple issue times in one file")
+    row_issue_times = np.repeat(issue_times, sizes)
+    valid_times = _parse_times(valid_col, paths[0], "valid_time_utc")
+    values = _numbers(value_col, paths[0], "sig_heave_m")
     bad = _bad_values(values)
     if bad.size:
-        k = np.searchsorted(bounds, bad[0], side="right") - 1
-        raise ValueError(
-            f"{paths[k]}, row {bad[0] - bounds[k] + 1}: sig_heave_m must be a finite nonnegative number, "
-            f"found {value_col[bad[0]].strip()!r}"
-        )
+        _refuse_cell(paths[0], value_col, bad[0], "sig_heave_m", "a finite nonnegative number")
     seconds = (valid_times - row_issue_times).astype(np.int64)
     off_hour = np.flatnonzero(seconds % 3600)
     if off_hour.size:
-        row = off_hour[0]
         raise ValueError(
-            f"{file_of(off_hour)}: valid time {valid_times[row]} is not a whole number of hours "
-            f"after the issue time {row_issue_times[row]}"
+            f"{paths[0]}: valid time {valid_times[off_hour[0]]} is not a whole number of hours "
+            f"after the issue time {row_issue_times[off_hour[0]]}"
         )
     leads = seconds // 3600
-    irregular = _irregular_issues(bounds, leads)
-    if irregular.size:
-        raise ValueError(f"{paths[irregular[0]]}: lead times must be nonnegative, hourly and increasing")
+    if _irregular_issues(bounds, leads).size:
+        raise ValueError(f"{paths[0]}: lead times must be nonnegative, hourly and increasing")
     return issue_times, np.array(sizes), leads, values
 
 

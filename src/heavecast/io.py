@@ -157,42 +157,55 @@ def _write_table(path: Path, columns: list[str], row_format: str, cells: list) -
 _ISO_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?)?Z?", re.ASCII)
 
 
-def _parse_times(cells, where, what: str) -> np.ndarray:
-    """One column of ISO-8601 UTC cells (blanks around each ignored) as
-    datetime64[s]; each distinct cell is checked and parsed once, so a column
-    that repeats a few spellings, as an issue-time column does, costs little.
+def _refuse_cell(where, cells, row: int, column: str, rule: str):
+    """Refuse the cell cells[row] of column in the file where, naming its data row counted from 1."""
+    raise ValueError(f"{where}, row {row + 1}: {column} must be {rule}, found {cells[row].strip()!r}")
 
-    A cell outside _ISO_TIME's grammar raises a ValueError naming where, the
-    file, and what, the column, and the first such cell: numpy's own grammar
-    would also read `now` and `today` as the wall-clock time, `NaT` and an
-    empty cell as no time, `2024` and `2024-06` as the first of the month,
-    `20240601` as the year 20240601, and an offset such as `+01:00` by
-    converting to UTC.
+
+def _time(spelling: str):
+    """A time spelling, blanks stripped, as datetime64[s]; None outside _ISO_TIME's grammar or the calendar."""
+    try:
+        return np.datetime64(spelling.removesuffix("Z"), "s") if _ISO_TIME.fullmatch(spelling) else None
+    except ValueError:
+        return None
+
+
+def _parse_times(cells, where, column: str) -> np.ndarray:
+    """One column of ISO-8601 UTC cells (blanks around each ignored) as
+    datetime64[s], each distinct cell checked and parsed once. The first row
+    whose cell _time refuses is refused: numpy alone would also read `now` and
+    `today` as the wall-clock time, `NaT` and an empty cell as no time, `2024`
+    and `2024-06` as the first of the month, `20240601` as the year 20240601,
+    and an offset such as `+01:00` by converting to UTC.
     """
     cells = list(cells)
     distinct = list(dict.fromkeys(cells))
     spellings = [c.strip() for c in distinct]
-    if not all(map(_ISO_TIME.fullmatch, spellings)):
-        bad = next(c for c in spellings if not _ISO_TIME.fullmatch(c))
-        raise ValueError(f"{where}: {what} is not a time ({bad!r})")
-    with _naming(f"{where}: {what}"):
+    try:
+        if not all(map(_ISO_TIME.fullmatch, spellings)):
+            raise ValueError
         times = np.array([c.removesuffix("Z") for c in spellings], dtype="datetime64[s]")
+    except ValueError:
+        bad = next(c for c in distinct if _time(c.strip()) is None)
+        _refuse_cell(where, cells, cells.index(bad), column, "a time")
     if len(distinct) == len(cells):
         return times
     position = {c: k for k, c in enumerate(distinct)}
     return times[np.fromiter(map(position.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
-def _numbers(cells, where, what: str, dtype=float) -> np.ndarray:
-    """Number cells, blanks around each ignored, as an array of dtype; a bad cell raises
-    a ValueError naming where (the file), what (the column) and the cell without blanks."""
-    with _naming(f"{where}: {what}"):
-        try:
-            return np.array(cells, dtype=dtype)
-        except ValueError:
-            for cell in cells:
-                dtype(cell.strip())
-            raise
+def _numbers(cells, where, column: str, dtype=float) -> np.ndarray:
+    """Number cells, blanks around each ignored, as an array of dtype; the first
+    cell numpy refuses is refused by _refuse_cell."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for row, cell in enumerate(cells):
+            try:
+                np.array(cell, dtype=dtype)
+            except (ValueError, OverflowError):
+                _refuse_cell(where, cells, row, column, "a number" if dtype is float else "an integer")
+        raise
 
 
 def _table_lines(path: Path) -> tuple[list[str], str, int]:
@@ -336,10 +349,10 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     flag_col = list(map(str.strip, flag_col))
     expected = np.where(ds.post_gap, "1", "0").tolist()
     if flag_col != expected:
-        row, cell, flag = next((k, c, e) for k, (c, e) in enumerate(zip(flag_col, expected), 1) if c != e)
+        row, cell, flag = next((k, c, e) for k, (c, e) in enumerate(zip(flag_col, expected)) if c != e)
         if cell not in ("0", "1"):
-            raise ValueError(f"{path}, row {row}: post_gap_flag must be 0 or 1, found {cell!r}")
-        raise ValueError(f"{path}, row {row}: post_gap_flag is {cell}, but the valid times make it {flag}")
+            _refuse_cell(path, flag_col, row, "post_gap_flag", "0 or 1")
+        raise ValueError(f"{path}, row {row + 1}: post_gap_flag is {cell}, but the valid times make it {flag}")
     return ds
 
 
@@ -433,8 +446,7 @@ def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         row, col = np.argwhere(bad)[0].tolist()
         name = _PREDICTIONS_HEADER[1 + col]
-        rule = "finite and nonnegative" if name == "crps_m" else "finite"
-        raise ValueError(f"{path}, row {row + 1}: {name} must be {rule}, found {number_cols[col][row].strip()!r}")
+        _refuse_cell(path, number_cols[col], row, name, "finite and nonnegative" if name == "crps_m" else "finite")
     return valid_times, table
 
 
@@ -707,10 +719,10 @@ class RunManifest:
             scenario = raw["scenario"]
             _check_section("manifest scenario", scenario, SwellScenario, skip={"seed"})
             start = scenario.get("start")
-            if isinstance(start, str):
-                scenario["start"] = _parse_times([start], "manifest scenario", "start")[0]
-            elif start is not None:
-                scenario["start"] = _iso_time(start)
+            if start is not None:
+                scenario["start"] = _time(start.strip()) if isinstance(start, str) else _iso_time(start)
+                if scenario["start"] is None:
+                    raise ValueError(f"manifest scenario: start must be a time, found {start.strip()!r}")
             events = scenario.get("events", [])
             if not isinstance(events, list):
                 raise ValueError("manifest scenario events must be a list")

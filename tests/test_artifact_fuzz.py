@@ -77,15 +77,18 @@ def stage_results(files: dict[str, str], stages=STAGES) -> list[tuple[str, int, 
     return [(stage, r.exit_code, r.output) for stage, r in results]
 
 
-def run_stages(texts: dict[str, str], name: str, garbled: str, codes=(0, 2, 3), stages=STAGES) -> None:
+def run_stages(texts: dict[str, str], name: str, garbled: str, codes=(0, 2, 3), stages=STAGES, refused=None) -> None:
     """Each of stages, with file `name` replaced by `garbled`, exits with one of codes and its message,
-    which names that file if the stage reads it and else the predictions predict did not write."""
+    which names that file if the stage reads it and else the predictions predict did not write. A
+    stage that reads the file and exits 2 also names refused, a (data row, column) pair, if given."""
     for stage, code, output in stage_results({**texts, name: garbled}, stages):
         assert code in codes, (stage, code, output)
         assert "Traceback" not in output
         if code == 2:
             assert output.startswith("error: "), output
             assert (name if name in READS[stage] else PREDICTIONS) in output, output
+            if refused and name in READS[stage]:
+                assert f"{name}, row {refused[0]}: {refused[1]} must be " in output, output
 
 
 def test_campaign_as_written_is_accepted(texts):
@@ -96,6 +99,13 @@ CSV_GARBLES = ("truncated row", "truncated file", "non-numeric cell", "non-finit
                "repeated header")
 NON_FINITE = ("nan", "NaN", "inf", "-inf", "1e999")
 FLAG_COLUMN = 4  # the dataset's post_gap_flag, which must read 0 or 1
+
+
+def garbled_cell(text: str, row: int, col: int) -> tuple[int, str]:
+    """The data row, counted from 1, and the header's column of the cell garble_csv garbles at row, col."""
+    lines = text.splitlines()
+    header = lines[0].split(", ")
+    return 1 + row % (len(lines) - 1), header[col % len(header)]
 
 
 def garble_csv(text: str, kind: str, row: int, col: int, junk: str) -> str:
@@ -133,7 +143,10 @@ def garble_csv(text: str, kind: str, row: int, col: int, junk: str) -> str:
 def test_garbled_table(texts, name, kind, row, col, junk):
     # no cell other than 0 or 1 is a post_gap_flag, so that garbled cell must be refused
     flag = name == DATASET and kind in ("non-numeric cell", "non-finite cell") and col % 5 == FLAG_COLUMN
-    run_stages(texts, name, garble_csv(texts[name], kind, row, col, junk), codes=(2,) if flag else (0, 2, 3))
+    # a cell that is no number, time or flag is refused by its row and column
+    refused = garbled_cell(texts[name], row, col) if kind == "non-numeric cell" else None
+    run_stages(texts, name, garble_csv(texts[name], kind, row, col, junk), codes=(2,) if flag else (0, 2, 3),
+               refused=refused)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +168,8 @@ def predicted(texts):
 def test_garbled_predictions(predicted, kind, row, col, junk):
     # score reads no samples, so the predictions file is the one input it trusts predict for
     garbled = garble_csv(predicted[PREDICTIONS], kind, row, col, junk)
-    run_stages(predicted, PREDICTIONS, garbled, codes=(0, 2), stages=("score",))
+    refused = garbled_cell(predicted[PREDICTIONS], row, col) if kind == "non-numeric cell" else None
+    run_stages(predicted, PREDICTIONS, garbled, codes=(0, 2), stages=("score",), refused=refused)
 
 
 NOT_OBJECTS = st.one_of(

@@ -442,7 +442,9 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
         result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: {tmp_path / 'issue.csv'}: valid time is not a time ('2024-06')\n"
+        assert result.stderr == (
+            f"error: {tmp_path / 'issue.csv'}, row 1: valid_time_utc must be a time, found '2024-06'\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_off_hour_valid_time_is_validation_error(self, tmp_path):
@@ -485,7 +487,7 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
         result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert "issue.csv: issue time is not a time ('now')" in result.output
+        assert "issue.csv, row 1: issue_time_utc must be a time, found 'now'" in result.output
         assert not list((tmp_path / "out").glob("dataset_*.csv"))
 
     def test_bad_issue_time_is_named_alike_under_every_hash_seed(self, tmp_path):
@@ -501,7 +503,8 @@ class TestExitCodes:
             (r.returncode, r.stderr)
             for r in (program("build", "-m", str(manifest), env={"PYTHONHASHSEED": seed}, text=True) for seed in "04")
         }
-        assert results == {(2, f"error: {tmp_path / 'issue.csv'}: issue time is not a time ('today')\n")}
+        message = f"error: {tmp_path / 'issue.csv'}, row 1: issue_time_utc must be a time, found 'today'\n"
+        assert results == {(2, message)}
 
     def test_short_issue_row_is_validation_error(self, tmp_path):
         (tmp_path / "issue.csv").write_text(
@@ -569,7 +572,7 @@ class TestExitCodes:
             ("horizons: [0]\n", "manifest must set ['out_dir']\n"),
             ("out_dir: out\nseed: x\n", "manifest key seed must be an integer, found 'x'\n"),
             ("out_dir: out\nsampler: {chains: 0}\n", "need >= 1 chain, >= 100 warmup and retained draws\n"),
-            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario: start is not a time ('5')"),
+            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario: start must be a time, found '5'"),
             ("out_dir: [\n", "malformed YAML: "),
         ],
     )
@@ -683,9 +686,9 @@ class TestExitCodes:
             ({"measurement_noise": [1]}, "measurement_noise must be a number, found [1]"),
             ({"measurement_noise": "0.01"}, "measurement_noise must be a number"),
             ({"start": 5}, "start must be an ISO-8601 time, found 5"),
-            ({"start": "5"}, "manifest scenario: start is not a time ('5')"),
-            ({"start": "2024-06"}, "manifest scenario: start is not a time ('2024-06')"),
-            ({"start": "2024-13-01T00:00:00"}, "manifest scenario: start:"),
+            ({"start": "5"}, "manifest scenario: start must be a time, found '5'"),
+            ({"start": "2024-06"}, "manifest scenario: start must be a time, found '2024-06'"),
+            ({"start": "2024-13-01T00:00:00"}, "manifest scenario: start must be a time, found '2024-13-01T00:00:00'"),
         ],
     )
     def test_bad_scenario_extras_are_validation_errors(self, tmp_path, scenario, message):

@@ -41,11 +41,11 @@ def oracle_read(path: Path) -> ForecastIssue:
     _, (issue_col, valid_col, value_col), _ = io._read_cells([path], HEADER.split(", "))
     if not issue_col:
         raise ValueError(f"{path}: empty forecast issue")
-    issue_times = io._parse_times(set(issue_col), path, "issue time")
+    issue_times = io._parse_times(set(issue_col), path, "issue_time_utc")
     issue_time = issue_times[0]
     if np.any(issue_times != issue_time):
         raise ValueError(f"{path}: multiple issue times in one file")
-    leads = ((io._parse_times(valid_col, path, "valid time") - issue_time) / np.timedelta64(1, "h")).astype(int)
+    leads = ((io._parse_times(valid_col, path, "valid_time_utc") - issue_time) / np.timedelta64(1, "h")).astype(int)
     values = np.array(value_col, dtype=float)
     return ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values)
 
@@ -188,7 +188,7 @@ class TestSetReader:
             oracle_write(paths[-1], ForecastIssue(issue_time=T0, horizon_hours=np.arange(2), values=np.ones(2)))
         paths[70].write_text(paths[70].read_text().replace(", 1\n", ", one\n", 1))
         paths[100].write_text("issued, valid, value\n")
-        with pytest.raises(ValueError, match=r"f070\.csv: sig_heave_m: could not convert string to float: 'one'"):
+        with pytest.raises(ValueError, match=r"f070\.csv, row 1: sig_heave_m must be a number, found 'one'$"):
             read_forecast_issues(paths)
         with pytest.raises(ValueError, match=r"f100\.csv: expected header"):
             read_forecast_issues(paths[:70] + paths[71:])
@@ -244,19 +244,20 @@ class TestSetReader:
         "rows, message",
         [
             ("2024-06-01T00:00:00, 2024-06-01T01:00:00, 1\n2024-06-01T00:00:00, 2024-06-01T00:00:00, 1\n",
-             "lead times must be nonnegative, hourly and increasing"),
-            ("2024-06-01T00:00:00, 2024-05-31T23:00:00, 1\n", "lead times must be nonnegative, hourly and increasing"),
-            ("NaT, 2024-06-01T00:00:00, 1\n", "issue time is not a time"),
-            ("2024-06-01T00:00:00, , 1\n", "valid time is not a time"),
-            ("now, now, 1\n", "issue time is not a time"),
-            ("2024-06-01T00:00:00, today, 1\n", "valid time is not a time"),
+             ": lead times must be nonnegative, hourly and increasing"),
+            ("2024-06-01T00:00:00, 2024-05-31T23:00:00, 1\n", ": lead times must be nonnegative, hourly and increasing"),
+            ("NaT, 2024-06-01T00:00:00, 1\n", ", row 1: issue_time_utc must be a time, found 'NaT'"),
+            ("2024-06-01T00:00:00, , 1\n", ", row 1: valid_time_utc must be a time, found ''"),
+            ("now, now, 1\n", ", row 1: issue_time_utc must be a time, found 'now'"),
+            ("2024-06-01T00:00:00, today, 1\n", ", row 1: valid_time_utc must be a time, found 'today'"),
         ],
     )
     def test_bad_leads_and_times_name_the_file(self, tmp_path, rows, message):
         p = tmp_path / "issue.csv"
         p.write_text(f"{HEADER}\n{rows}")
-        with pytest.raises(ValueError, match=rf"issue\.csv: {message}"):
+        with pytest.raises(ValueError) as exc:
             read_forecast_issue(p)
+        assert str(exc.value) == f"{p}{message}"
 
 
 # -- build on garbled issue files -------------------------------------------

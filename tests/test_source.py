@@ -154,6 +154,25 @@ def test_each_out_dir_name_is_spelled_once():
     assert [name for name in ("_dataset_path", "_samples_path", "_predictions_path") if hasattr(cli, name)] == []
 
 
+def _fstring_shapes(path: Path) -> list[str]:
+    """Each f-string of path's code as its literal text with {} for each field."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+        for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+    ]
+
+
+def test_a_bad_table_cell_is_refused_in_one_spelling():
+    # every reader refuses a cell through io._refuse_cell, which names the
+    # file, the data row, the header's column, the rule and the cell
+    found = [
+        f"{path.name}: {shape}"
+        for path in SOURCES for shape in _fstring_shapes(path) if re.search(r"row \{\}: .*must be", shape)
+    ]
+    assert found == ["io.py: {}, row {}: {} must be {}, found {}"]
+
+
 def _readme_name(template: str) -> str:
     """A template of cli.STAGE_FILES as README spells it: dataset_hHHH.csv."""
     fields = {"h": "HHH", "model": "<model>", "i": "NNNN"}
