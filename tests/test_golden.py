@@ -1,6 +1,6 @@
-"""Every out_dir file of two benchmark workloads, readme-hybrid at seed 1
-and year-hybrid at seeds 1-3, byte for byte and with its mode, against the
-digests checked in under tests/golden/.
+"""Every out_dir file of three benchmark workloads, readme-basic and
+readme-hybrid at seed 1 and year-hybrid at seeds 1-3, byte for byte and
+with its mode, against the digests checked in under tests/golden/.
 
 Each golden file holds the `sha256  mode  path` lines tests/outdir_digest.py
 prints, after a first line naming the numpy version and the platform they
@@ -29,6 +29,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(heavecast.__file__).resolve().parents[1]
 # golden file -> (workload, seed, --spectra-hours)
 CASES = {
+    "readme-basic-1.sha256": ("readme-basic", 1, 24),
     "readme-hybrid-1.sha256": ("readme-hybrid", 1, 24),
     "year-hybrid-1.sha256": ("year-hybrid", 1, 0),
     "year-hybrid-2.sha256": ("year-hybrid", 2, 0),
