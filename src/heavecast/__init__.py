@@ -6,9 +6,22 @@ motions. The hybrid error structure carries AR(2) lagged residuals and a
 noise scale proportional to the physics forecast, and forecasts are scored
 with proper scoring rules (RMSE, CRPS).
 
-Each public name is imported from the submodule that defines it
-(`heavecast.model`, `heavecast.sampler`, ...); `import heavecast` loads
+Each public name but the table of model kinds below is imported from the
+submodule that defines it (`heavecast.model`, ...); `import heavecast` loads
 none of them, so the CLI's start-up pays only for the modules a stage uses.
 """
 
 __version__ = "0.1.0"
+
+# each model kind and its parameters in a draw's column order; one with phi1
+# and phi2 has the AR(2) error block and noise scaled by x (ModelSpec.ar2)
+MODEL_KINDS = {
+    "basic": ("beta0", "beta1", "sigma"),
+    "hybrid": ("beta0", "beta1", "phi1", "phi2", "sigma"),
+}
+
+
+def check_model_kind(kind: str) -> None:
+    """Raise ValueError unless kind is a key of MODEL_KINDS."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"model_kind must be one of {', '.join(map(repr, MODEL_KINDS))}, found {kind!r}")

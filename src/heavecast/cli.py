@@ -34,6 +34,8 @@ import textwrap
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
+from . import MODEL_KINDS, check_model_kind
+
 if TYPE_CHECKING:
     from collections.abc import Callable
 
@@ -56,10 +58,21 @@ _COMMON = (
     _option("--out", metavar="DIR",
             help="override output directory (relative to the current directory, not the manifest)"),
 )
+
+
+def _model_kind(kind: str) -> str:
+    """kind, refused as the manifest and the model refuse it; argparse names --model."""
+    try:
+        check_model_kind(kind)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return kind
+
+
 # overrides a command takes only where its work reads the manifest value
 _HORIZONS = _option("-H", "--horizon", dest="horizons", action="append", type=int, metavar="HOURS",
                     help="override manifest horizons")
-_MODEL = _option("--model", dest="model_kind", choices=["basic", "hybrid"])
+_MODEL = _option("--model", dest="model_kind", type=_model_kind, metavar="{" + ",".join(MODEL_KINDS) + "}")
 _SEED = _option("--seed", type=int)
 
 # name -> (command, its options), filled by @_command

@@ -360,8 +360,9 @@ def read_spectra(path: Path) -> SpectrumSeries:
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
     freqs, dirs, density = (_numbers(c, path, n) for c, n in zip([freq_col, *number_cols], _SPECTRA_HEADER[1:]))
-    if not (np.isfinite(freqs).all() and np.isfinite(dirs).all()):
-        raise ValueError(f"{path}: freq_hz and dir_deg must be finite")
+    for cells, values, name in zip([freq_col, number_cols[0]], [freqs, dirs], _SPECTRA_HEADER[1:]):
+        if not np.isfinite(values).all():
+            _refuse_cell(path, cells, int(np.argmin(np.isfinite(values))), name, "finite")
     if (freqs <= 0.0).any():
         _refuse_cell(path, freq_col, int(np.argmax(freqs <= 0.0)), "freq_hz", "positive")
     times = _parse_times(time_col, path, _SPECTRA_HEADER[0])

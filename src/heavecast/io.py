@@ -46,6 +46,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import check_model_kind
+
 if TYPE_CHECKING:
     from .model import PosteriorSamples, PredictiveDraws
     from .scoring import ScoreReport
@@ -760,8 +762,7 @@ class RunManifest:
             raise ValueError(
                 f"manifest key train_fraction must lie strictly inside (0, 1), found {self.train_fraction!r}"
             )
-        if self.model_kind not in ("basic", "hybrid"):
-            raise ValueError("model_kind must be 'basic' or 'hybrid'")
+        check_model_kind(self.model_kind)
 
     def error_injection(self) -> ErrorInjection:
         """The injection section, seeded from the manifest seed."""

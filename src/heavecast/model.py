@@ -1,6 +1,7 @@
 """Bayesian linear adjustment of the physics forecast.
 
-Two model variants share the mean structure y = beta0 + beta1 * x + error:
+Two model kinds, with their parameters in heavecast.MODEL_KINDS, share the
+mean structure y = beta0 + beta1 * x + error:
 
 * basic  -- independent Gaussian errors with a common variance.
 * hybrid -- the error carries lagged-residual (AR(2)) terms and the noise
@@ -29,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import MODEL_KINDS, check_model_kind
 from .io import HOUR, HorizonDataset
 
 __all__ = [
@@ -94,19 +96,21 @@ class PriorSet:
 class ModelSpec:
     """Which adjustment model to fit, with its priors, for one horizon."""
 
-    kind: str  # "basic" | "hybrid"
+    kind: str  # a key of heavecast.MODEL_KINDS
     priors: PriorSet = field(default_factory=PriorSet)
     horizon: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("basic", "hybrid"):
-            raise ValueError("kind must be 'basic' or 'hybrid'")
+        check_model_kind(self.kind)
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        if self.kind == "basic":
-            return ("beta0", "beta1", "sigma")
-        return ("beta0", "beta1", "phi1", "phi2", "sigma")
+        return MODEL_KINDS[self.kind]
+
+    @property
+    def ar2(self) -> bool:
+        """Whether the kind has the AR(2) error block (phi1, phi2), and with it noise scaled by max(x, X_FLOOR)."""
+        return "phi1" in self.param_names
 
     @property
     def n_params(self) -> int:
@@ -248,7 +252,7 @@ def in_support(params: np.ndarray, spec: ModelSpec):
     """
     params = np.asarray(params, dtype=float)
     ok = np.all(np.isfinite(params), axis=-1) & (params[..., 1] > 0.0) & (params[..., -1] > 0.0)
-    if spec.kind == "hybrid":
+    if spec.ar2:
         ok &= ar2_stationary(params[..., 2], params[..., 3])
     return ok
 
@@ -281,7 +285,7 @@ def _log_prior(params: np.ndarray, spec: ModelSpec) -> float:
         + n_sigma
         - 0.5 * (sigma / pr.sigma_scale) ** 2
     )
-    if spec.kind == "hybrid":
+    if spec.ar2:
         # joint truncation to the stationarity triangle contributes only a
         # constant, which is irrelevant to sampling and omitted here
         p1, p2 = float(params[2]), float(params[3])
@@ -322,9 +326,9 @@ def conditional_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row conditional mean and noise scale, teacher-forcing the lags.
 
-    For the basic model the mean is beta0 + beta1*x and the scale is sigma.
-    For the hybrid model the mean adds phi1*eps_{t-1} + phi2*eps_{t-2} and
-    the scale is max(x, X_FLOOR) * sigma.
+    Without the AR(2) block (the basic model) the mean is beta0 + beta1*x and
+    the scale is sigma. With it (the hybrid model) the mean adds
+    phi1*eps_{t-1} + phi2*eps_{t-2} and the scale is max(x, X_FLOOR) * sigma.
 
     params is one parameter vector, or a stack of them along the last axis as
     in_support takes them; a stack gives one row of means and scales per vector.
@@ -332,7 +336,7 @@ def conditional_moments(
     params = np.asarray(params, dtype=float)
     beta0, beta1, sigma = params[..., 0, None], params[..., 1, None], params[..., -1, None]
     mean = beta0 + beta1 * x
-    if spec.kind == "basic":
+    if not spec.ar2:
         return mean, np.broadcast_to(sigma, mean.shape)
     e1, e2 = _lagged(y - mean, post_gap)
     mean = mean + params[..., 2, None] * e1 + params[..., 3, None] * e2

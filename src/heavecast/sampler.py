@@ -8,7 +8,7 @@ blocks have closed-form full conditionals. One sweep draws
 * (beta0, beta1) | phi, sigma from a bivariate Gaussian, redrawn until
   beta1 > 0;
 * (phi1, phi2) | beta, sigma from a bivariate Gaussian, redrawn until it lies
-  in the AR(2) stationarity triangle (hybrid only);
+  in the AR(2) stationarity triangle (hybrid only: ModelSpec.ar2);
 * sigma | beta, phi by independence Metropolis-Hastings: 1/sigma^2 is
   proposed from Gamma((N - 1)/2, rate S/2), S the weighted sum of squared
   innovations, and accepted by the half-Gaussian prior's density ratio alone.
@@ -137,7 +137,7 @@ class _Conditionals:
         sxx = float(dx @ dx)
         self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
         block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
-        if spec.kind == "hybrid":
+        if spec.ar2:
             block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
         gram = np.zeros((9, 9))
         gram[: len(block), : len(block)] = block @ block.T
@@ -181,11 +181,11 @@ def _redraw(l11: float, l21: float, l22: float, y1: float, y2: float, inside, rn
     raise SamplerError(_STUCK)
 
 
-def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.random.Generator):
-    """One chain of Gibbs sweeps.
+def _run_chain(cond: _Conditionals, cfg: SamplerConfig, ar2: bool, rng: np.random.Generator):
+    """One chain of Gibbs sweeps, with the phi block when ar2 is true.
 
     Returns the retained (beta0, beta1, phi1, phi2, sigma) draws, less the
-    phi columns for the basic model, the number of accepted sigma proposals
+    phi columns without ar2, the number of accepted sigma proposals
     over all sweeps and the redraws of the beta and phi blocks.
     """
     sweeps = cfg.warmup_draws + cfg.retained_draws
@@ -252,7 +252,7 @@ def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.ra
         q3 = f30 + f31 * a + f32 * d + f33 * m11 + f34 * m12 + f35 * m22
         q4 = f40 + f41 * a + f42 * d + f43 * m11 + f44 * m12 + f45 * m22
         q5 = f50 + f51 * a + f52 * d + f53 * m11 + f54 * m12 + f55 * m22
-        if hybrid:
+        if ar2:
             p11 = q3 / sigma2 + fp11
             if not p11 > 0.0:
                 raise SamplerError(_NOT_POSITIVE_DEFINITE)
@@ -283,7 +283,7 @@ def _run_chain(cond: _Conditionals, cfg: SamplerConfig, hybrid: bool, rng: np.ra
     a, d, c1, c2, sigma2 = np.array(states[cfg.warmup_draws :]).T
     beta1 = d + slope
     beta0 = a - beta1 * cond.x_mean + cond.y_mean
-    columns = [beta0, beta1, -c1, -c2, np.sqrt(sigma2)] if hybrid else [beta0, beta1, np.sqrt(sigma2)]
+    columns = [beta0, beta1, -c1, -c2, np.sqrt(sigma2)] if ar2 else [beta0, beta1, np.sqrt(sigma2)]
     return np.column_stack(columns), accepted, beta_rejected, phi_rejected
 
 
@@ -300,7 +300,7 @@ def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, s
         raise ValueError(f"{len(ds)} training rows, at least {3 + spec.n_params} needed for the {spec.kind} model")
     cond = _Conditionals(ds, spec)
     streams = np.random.SeedSequence(seed).spawn(cfg.chains)
-    runs = [_run_chain(cond, cfg, spec.kind == "hybrid", np.random.default_rng(s)) for s in streams]
+    runs = [_run_chain(cond, cfg, spec.ar2, np.random.default_rng(s)) for s in streams]
     per_chain, accepted, beta_rejected, phi_rejected = zip(*runs)
 
     stacked = np.stack(per_chain)  # (chains, draws, params)
@@ -312,7 +312,7 @@ def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, s
         raise SamplerError(f"chains not converged, rhat over limit: {bad}")
 
     rejections = {"beta": sum(beta_rejected)}
-    if spec.kind == "hybrid":
+    if spec.ar2:
         rejections["phi"] = sum(phi_rejected)
     samples = PosteriorSamples(
         draws=stacked.reshape(-1, spec.n_params),

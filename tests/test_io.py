@@ -756,10 +756,18 @@ class TestSpectraGrid:
         per_deg = back.density / ((1.0 / (2 * np.pi)) * (180.0 / np.pi))
         np.testing.assert_allclose(per_deg, [[[7, 6], [5, 4]], [[3, 2], [1, 0]]])
 
-    def test_non_finite_grid_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["nan, 10"], "row 1: freq_hz must be finite, found 'nan'"),
+            (["0.1, 10", "0.2,  inf"], "row 2: dir_deg must be finite, found 'inf'"),
+            (["0.1, 10", "-inf, 20"], "row 2: freq_hz must be finite, found '-inf'"),
+        ],
+    )
+    def test_non_finite_grid_value_rejected(self, tmp_path, rows, message):
         p = tmp_path / "spec.csv"
-        p.write_text(f"{self.HEADER}\n2024-06-01T00:00:00, nan, 10, 1.0\n")
-        with pytest.raises(ValueError, match=re.escape(f"{p}: freq_hz and dir_deg must be finite")):
+        p.write_text("\n".join([self.HEADER, *(f"2024-06-01T00:00:00, {r}, 1.0" for r in rows)]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}, {message}')}$"):
             read_spectra(p)
 
     @pytest.mark.parametrize(

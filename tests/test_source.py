@@ -72,6 +72,65 @@ def test_only_model_and_sampler_branch_on_the_model_kind():
     assert _kind_reads(model, within="posterior_predictive") == []
 
 
+def _kind_names(path: Path) -> list[str]:
+    """file:line of each comparison with a model kind's name, and of each
+    literal that lists two or more kinds, in path's code outside the table
+    heavecast.MODEL_KINDS."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    table = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "MODEL_KINDS" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+
+    def named(node) -> bool:
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in heavecast.MODEL_KINDS
+
+    def listed(node) -> int:
+        elts = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
+        return sum(map(named, elts))
+
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in table:
+            continue
+        if isinstance(node, ast.Compare):
+            hit = any(named(o) or listed(o) for o in [node.left, *node.comparators])
+        elif isinstance(node, ast.MatchValue):
+            hit = named(node.value)
+        else:
+            hit = listed(node) >= 2
+        if hit:
+            found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_kind_names_outside_the_table_are_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "MODEL_KINDS = {'basic': (), 'hybrid': ()}\n"
+        "a = spec.kind == 'hybrid'\nb = kind not in ('basic', 'hybrid')\nc = ['basic', 'hybrid']\n"
+        "match kind:\n    case 'basic':\n        pass\n"
+        "d = MODEL_KINDS['basic']\ne = kind == 'other'\n"
+    )
+    assert _kind_names(path) == ["m.py:2", "m.py:3", "m.py:4", "m.py:6"]
+
+
+def test_each_model_kind_is_named_in_one_table():
+    # heavecast.MODEL_KINDS maps each kind to its parameter names; the CLI's
+    # --model, the manifest and ModelSpec check a kind against it, and every
+    # other site reads ModelSpec.param_names or ModelSpec.ar2, so adding a
+    # kind edits the table and the blocks it has, not a branch on its name
+    assert [line for path in SOURCES for line in _kind_names(path)] == []
+    assert set(heavecast.MODEL_KINDS) == {"basic", "hybrid"}
+    # a kind's name is spelled in the table, and once more as the kind a
+    # manifest without model_kind runs
+    spelled = sorted(f"{path.name}: {text}" for path in SOURCES for text in _code_strings(path)
+                     if text in heavecast.MODEL_KINDS)
+    assert spelled == ["__init__.py: basic", "__init__.py: hybrid", "io.py: hybrid"]
+
+
 def _callers(path: Path, name: str) -> list[str]:
     """file:function of each call of name (as a name or an attribute) in path,
     by the outermost function it is made in."""
