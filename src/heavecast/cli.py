@@ -375,7 +375,7 @@ def fit(m):
         (dataset,), (path, sidecar) = _paths(m, reads, h), _paths(m, writes, h)
         train, _ = _split(m, dataset, h)
         with io._naming(f"{dataset}, horizon {h}"):
-            samples = sampler.fit(train, model.ModelSpec(kind=m.model_kind, horizon=h), cfg, seed=m.seed + h)
+            samples = sampler.fit(train, model.ModelSpec(kind=m.model_kind, horizon=h), cfg, seed=m.stream("fit", h))
         io.write_posterior_samples(path, samples, sidecar)
         worst = max(v["rhat"] for v in samples.diagnostics.values())
         print(f"h={h}: {len(samples)} draws, max rhat {worst:.3f} -> {path}", flush=True)
@@ -400,7 +400,7 @@ def predict(m):
         samples = _read_samples(samples_path, spec)
         # an overflow in the draws or in the summaries the writer takes of them raises before it writes
         with io._naming(f"{dataset}, horizon {h}"):
-            pred = model.posterior_predictive(samples, test, spec, seed=m.seed + 1000 + h, context=train)
+            pred = model.posterior_predictive(samples, test, spec, seed=m.stream("predict", h), context=train)
             io.write_predictions(path, pred, test.y)
         print(f"h={h}: {len(pred)} predictive rows -> {path}", flush=True)
         del pred  # before the next horizon's draws are made
@@ -485,7 +485,7 @@ def simulate(m, spectra_hours):
         times, sig = synthetic.true_response_series(spectra, rao)
         if not np.isfinite(sig).all():
             raise ValueError(f"{m._path}: manifest scenario overflows the heave response")
-        rng = np.random.default_rng(m.seed + 29)
+        rng = np.random.default_rng(m.stream("measurement_noise"))
         noisy = sig + scn.measurement_noise * rng.standard_normal(sig.size)
         if not np.isfinite(noisy).all():
             raise ValueError(f"{m._path}: measurement_noise {scn.measurement_noise!r} overflows the measured heave")

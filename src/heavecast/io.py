@@ -12,7 +12,8 @@ them, and a cell compared as text is stripped where it is compared.
 The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
 ErrorInjection) check their own values, and RunManifest.load checks a
 manifest's keys against their fields and builds each section, so every
-stage validates every section. A HorizonDataset holds one horizon's
+stage validates every section. Every seed a stage draws from comes from
+STREAMS, through RunManifest.stream. A HorizonDataset holds one horizon's
 aligned (forecast, measurement) rows, which chrono_split splits in time
 order; the model stages need nothing else of datasets, which builds them.
 
@@ -679,6 +680,22 @@ def _manifest_document(path: Path):
         raise ValueError("nested too deeply") from None
 
 
+# The random streams of a run: each maps the manifest seed (and, for fit and
+# predict, the horizon) to the seed its stage draws from, an int or a tuple of
+# ints as numpy's SeedSequence takes. numpy pads entropy with zero words
+# (default_rng(s) draws as default_rng([s, 0])), and SeedSequence(e).spawn(n)[k]
+# is spawn key (k,) of e, so fit's key keeps three words with a nonzero second:
+# no other stream, and no cycle slot of the issue noise, draws its chains'
+# numbers. bench/probe.py recomputes the predictive draws with predict's seed.
+STREAMS = {
+    "spectra_jitter": lambda seed: seed,
+    "issue_noise": lambda seed: seed + 17,  # spawned per cycle slot by synthetic
+    "measurement_noise": lambda seed: seed + 29,
+    "fit": lambda seed, h: (seed, 1, h),  # spawned per chain by sampler.fit
+    "predict": lambda seed, h: seed + 1000 + h,
+}
+
+
 @dataclass
 class RunManifest:
     """Paths and settings steering one end-to-end run."""
@@ -764,15 +781,19 @@ class RunManifest:
             )
         check_model_kind(self.model_kind)
 
+    def stream(self, name: str, *index: int) -> int | tuple[int, ...]:
+        """The seed stream name of STREAMS draws from in this run, at index (the horizon, for fit and predict)."""
+        return STREAMS[name](self.seed, *index)
+
     def error_injection(self) -> ErrorInjection:
-        """The injection section, seeded from the manifest seed."""
-        return ErrorInjection(seed=self.seed + 17, **self.injection)
+        """The injection section, seeded with the issue-noise stream."""
+        return ErrorInjection(seed=self.stream("issue_noise"), **self.injection)
 
     def swell_scenario(self) -> SwellScenario:
-        """The scenario section, seeded by the manifest seed."""
+        """The scenario section, seeded with the spectra-jitter stream."""
         raw = dict(self.scenario)
         events = tuple(SwellEvent(**e) for e in raw.pop("events", []))
-        return SwellScenario(events=events, seed=self.seed, **raw)
+        return SwellScenario(events=events, seed=self.stream("spectra_jitter"), **raw)
 
     def require(self, *names: str) -> None:
         """Refuse a key the manifest leaves unset or empty, or a file it names that does not exist."""

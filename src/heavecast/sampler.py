@@ -28,9 +28,10 @@ scripted numbers and check each block's conditional against
 model.log_posterior.
 
 Chains are independent. Each has its own Generator spawned from the fit
-seed, which draws the chain's normals, gammas and uniforms up front (and
-further normals only when a truncated block rejects), so results are
-reproducible bit for bit.
+seed, an int or a tuple of ints (the entropy numpy's SeedSequence takes;
+cli's fit passes the tuple io.STREAMS["fit"] gives), which draws the
+chain's normals, gammas and uniforms up front (and further normals only
+when a truncated block rejects), so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -287,10 +288,13 @@ def _run_chain(cond: _Conditionals, cfg: SamplerConfig, ar2: bool, rng: np.rando
     return np.column_stack(columns), accepted, beta_rejected, phi_rejected
 
 
-def fit(ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, seed: int = 0) -> PosteriorSamples:
+def fit(
+    ds: HorizonDataset, spec: ModelSpec, cfg: SamplerConfig | None = None, seed: int | tuple[int, ...] = 0
+) -> PosteriorSamples:
     """Draw posterior samples for the model on the training rows of ds.
 
-    Runs cfg.chains independent chains and pools the retained draws. Raises
+    Runs cfg.chains independent chains, each on its own stream spawned from
+    seed (an int or a tuple of ints), and pools the retained draws. Raises
     SamplerError when the split potential-scale-reduction statistic of any
     parameter exceeds cfg.rhat_limit.
     """

@@ -10,7 +10,8 @@ regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-Files are written under a umask of 022, so their modes are 0644 whatever
+which prints, per golden file, the paths whose digest or mode differ from
+the file it replaces, or `unchanged`. Files are written under a umask of 022, so their modes are 0644 whatever
 the umask of the process that runs the tests.
 """
 
@@ -49,15 +50,22 @@ def digests(workload: str, seed: int, spectra_hours: int) -> list[str]:
         os.umask(previous)
 
 
+def differing(got: list[str], expected: list[str]) -> list[str]:
+    """The paths of the digest lines on one side only: a file one run alone
+    wrote, or whose digest or mode differs."""
+    return sorted({line.split("  ", 2)[2] for line in set(got) ^ set(expected)})
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_the_golden_digests(name):
     header, *expected = (GOLDEN / name).read_text().splitlines()
     assert header == made_with(), f"{name} was made with {header[2:]}, and this run has {made_with()[2:]}"
-    got = digests(*CASES[name])
-    # a line on one side only is a file one run alone wrote, or whose digest or mode differs
-    assert sorted({line.split("  ", 2)[2] for line in set(got) ^ set(expected)}) == []
+    assert differing(digests(*CASES[name]), expected) == []
 
 
 if __name__ == "__main__":
     for name, case in CASES.items():
-        (GOLDEN / name).write_text("\n".join([made_with(), *digests(*case)]) + "\n")
+        path, got = GOLDEN / name, digests(*case)
+        expected = path.read_text().splitlines()[1:] if path.exists() else []
+        path.write_text("\n".join([made_with(), *got]) + "\n")
+        print(f"{name}: {', '.join(differing(got, expected)) or 'unchanged'}")

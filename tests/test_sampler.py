@@ -362,6 +362,17 @@ class TestChainDigests:
         assert hashlib.sha256(draws.tobytes() + json.dumps(counts).encode()).hexdigest() == digest, counts
 
 
+@pytest.mark.parametrize("seed", [7, (7, 1, 24)])
+def test_each_chain_draws_from_its_spawn_of_the_seed(seed):
+    # an int or a tuple of ints, as io.STREAMS gives fit; chain k draws from
+    # spawn k of the seed's SeedSequence, the rule tests/test_streams.py reads
+    ds, spec = gappy_dataset(60, seed=3), ModelSpec(kind="hybrid")
+    cfg = SamplerConfig(chains=3, warmup_draws=100, retained_draws=100, rhat_limit=10.0)
+    cond = _Conditionals(ds, spec)
+    chains = [_run_chain(cond, cfg, True, np.random.default_rng(s))[0] for s in np.random.SeedSequence(seed).spawn(3)]
+    np.testing.assert_array_equal(fit(ds, spec, cfg, seed=seed).draws, np.concatenate(chains))
+
+
 def with_conditionals(monkeypatch, **attrs):
     """Have fit build _Conditionals whose given attributes are replaced."""
 
