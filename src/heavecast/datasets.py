@@ -13,11 +13,11 @@ holds its issues as flat arrays, never as a list of ForecastIssue records;
 it is written into a staging directory that one rename puts in place of the
 issue directory, so a reader never sees a mix of two sets.
 
-Issues come on a fixed cycle (00/06/12/18Z here), each cycle with its
-maximum lead. The series at horizon h takes, for each valid time, the most
-recent issue whose lead there is at least h and within its cycle's reach:
-leads h..h+5 of each issue while all four cycles reach, h..h+11 when only
-00Z and 12Z do. align joins it with the valid heave records into a
+Issues come on a fixed cycle, each cycle with its maximum lead
+(DEFAULT_MAX_LEADS). The series at horizon h takes, for each valid time, the
+most recent issue of a cycle that serves h: leads h..h+5 of the 00/06/12/18Z
+issues for h up to 67, h..h+11 of the 00Z and 12Z issues for h 68 to 229,
+and none beyond. align joins it with the valid heave records into a
 HorizonDataset. That type and chrono_split are io's, and are exported here
 because the acceptance tests import both from datasets and the bench
 traces datasets.chrono_split.
@@ -63,8 +63,8 @@ __all__ = [
     "write_forecast_issues",
 ]
 
-# Maximum lead (hours) each issue cycle extends to. The 06Z and 18Z runs of
-# the reference product stop at 72 h; 00Z and 12Z run out to 10 days.
+# Maximum lead (hours) of each issue cycle by UTC hour, which alone decides each horizon's
+# cycles and lead window (_lead_window): the reference product's 06Z and 18Z runs stop at 72 h.
 DEFAULT_MAX_LEADS: dict[int, int] = {0: 240, 6: 72, 12: 240, 18: 72}
 
 TWO_PI = 2.0 * np.pi
@@ -212,39 +212,47 @@ class HorizonSeries:
         return zip(self.valid_times, self.values.tolist(), self.issue_times)
 
 
+def _lead_window(h: int) -> tuple[list[int], int]:
+    """The cycle hours that serve horizon h, if any, and the length of their lead window.
+
+    The window is the longest wait from one serving cycle to the next, wrapping
+    over 24 h, and a cycle serves while its maximum lead reaches h + window - 1.
+    Dropping a cycle lengthens the window, so cycles drop until all left reach.
+    """
+    cycles = sorted(DEFAULT_MAX_LEADS)
+    while cycles:
+        window = max(b - a for a, b in zip(cycles, [*cycles[1:], cycles[0] + 24]))
+        reaching = [c for c in cycles if DEFAULT_MAX_LEADS[c] >= h + window - 1]
+        if reaching == cycles:
+            return cycles, window
+        cycles = reaching
+    return [], 0
+
+
 def synthesize_horizon_series(issues: IssueSet | list[ForecastIssue], h: int) -> HorizonSeries:
-    """Continuous hourly forecast series at fixed horizon h.
+    """Continuous hourly forecast series at fixed horizon h, which some cycle must serve.
 
-    Issues are admitted for horizon h only when their cycle's maximum lead
-    (DEFAULT_MAX_LEADS) covers the whole lead window [h, h + block - 1],
-    where block is 6 h for h < 72 (all four daily cycles qualify) and 12 h
-    otherwise (00Z/12Z only, since the short cycles stop at 72 h). Each
-    hourly valid time then takes the most recent admitted issue, which keeps
-    every lead inside the window and guarantees no future information is
-    used. Hours whose issue is missing are simply absent: gaps are recorded
-    by omission, never interpolated from an older issue.
-
-    Where windows overlap, the issue latest in issue-time order (the later
-    one in the input among equal issue times) wins. The rows are picked
-    from the set's flat arrays; a list of issues is made one table first.
+    Each hourly valid time takes the most recent issue, of a cycle that serves
+    h (_lead_window), whose lead there lies in the window, so no future
+    information is used; among equal issue times the later in the input wins.
+    Hours whose issue is missing are absent: gaps are recorded by omission,
+    never interpolated from an older issue. A list of issues is made one table first.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
+    cycles, window = _lead_window(h)
+    if not cycles:
+        reach = next((k for k in range(min(h, max(DEFAULT_MAX_LEADS.values())), -1, -1) if _lead_window(k)[0]), -1)
+        raise ValueError(f"horizon {h}: no issue cycle reaches it; the cycle table serves horizons up to {reach}")
     if not isinstance(issues, IssueSet):
         issues = IssueSet.from_issues(issues)
-    block = 6 if h < 72 else 12
-    caps = np.array([DEFAULT_MAX_LEADS.get(hour, 0) for hour in range(24)])
-    admitted = caps[_cycle_hours(issues.issue_times)] >= h + block - 1
+    admitted = np.array([hour in cycles for hour in range(24)])[_cycle_hours(issues.issue_times)]
     row_issue = issues.row_issues()
-    rows = np.flatnonzero(admitted[row_issue] & (issues.leads >= h) & (issues.leads < h + block))
-    # issue by issue in issue-time order, each issue's window in lead order
-    rank = np.empty(len(issues), dtype=np.intp)
-    rank[np.argsort(issues.issue_times, kind="stable")] = np.arange(len(issues))
-    rows = rows[np.argsort(rank[row_issue[rows]], kind="stable")]
+    rows = np.flatnonzero(admitted[row_issue] & (issues.leads >= h) & (issues.leads < h + window))
     issue_times = issues.issue_times[row_issue[rows]]
     valid_times = issue_times + issues.leads[rows] * HOUR
-    # the most recent issue wins: the last row of each valid time after a stable sort
-    order = np.argsort(valid_times, kind="stable")
+    # the most recent issue wins: the last row of each valid time, stably sorted by valid and then issue time
+    order = np.lexsort((issue_times, valid_times))
     valid_times = valid_times[order]
     last = np.ones(valid_times.size, dtype=bool)
     last[:-1] = valid_times[1:] != valid_times[:-1]

@@ -466,6 +466,7 @@ FORECAST_DIRS_RAD = (np.arange(30) + 0.5) * (2.0 * np.pi / 30.0)
 
 _TP_MIN = 1.0 / FORECAST_FREQS_HZ[-1]  # ~1.85 s
 _TP_MAX = 1.0 / FORECAST_FREQS_HZ[0]  # ~24.3 s
+MIN_DRAWS = 100  # fewest posterior draws a stage accepts; fit warms up and retains at least this many per chain
 
 
 def _check_finite(settings) -> None:
@@ -490,8 +491,8 @@ class SamplerConfig:
     rhat_limit: float = 1.05
 
     def __post_init__(self):
-        if self.chains < 1 or self.warmup_draws < 100 or self.retained_draws < 100:
-            raise ValueError("need >= 1 chain, >= 100 warmup and retained draws")
+        if self.chains < 1 or self.warmup_draws < MIN_DRAWS or self.retained_draws < MIN_DRAWS:
+            raise ValueError(f"need >= 1 chain, >= {MIN_DRAWS} warmup and retained draws")
         # a NaN limit would make every R-hat comparison false and pass any chains
         if not 1.0 <= self.rhat_limit < math.inf:
             raise ValueError(f"rhat_limit must be finite and at least 1.0, found {self.rhat_limit!r}")

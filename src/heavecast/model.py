@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import MODEL_KINDS, check_model_kind
-from .io import HOUR, HorizonDataset
+from .io import HOUR, MIN_DRAWS, HorizonDataset
 
 __all__ = [
     "PriorSet",
@@ -52,7 +52,6 @@ __all__ = [
 
 X_FLOOR = 0.01  # m; keeps the scaled-noise likelihood proper as x -> 0
 QUANTILE_LEVELS = (0.05, 0.5, 0.95)  # predictive quantiles reported per row
-MIN_DRAWS = 100  # fewest posterior draws a stage accepts; fit retains at least this many per chain
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 

@@ -295,6 +295,13 @@ class TestExitCodes:
         assert result.stderr == f"error: {path}: manifest is missing measurements_file, and build found no {searched}\n"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["issues"]
 
+    def test_build_refuses_a_horizon_no_cycle_serves(self, campaign):
+        # the empty series of horizon 240 was refused as if the measurements were at fault
+        result = invoke(["build", "-m", str(campaign / "run.yaml"), "-H", "240"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: horizon 240: no issue cycle reaches it; the cycle table serves horizons up to 229\n"
+        assert not (campaign / "out" / "dataset_h240.csv").exists()
+
     @pytest.mark.parametrize("cmd", ["fit", "predict", "score", "diagnose"])
     def test_stage_without_its_inputs_makes_no_directory(self, tmp_path, cmd):
         manifest = write_manifest(tmp_path)

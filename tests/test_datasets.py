@@ -11,6 +11,7 @@ from heavecast.datasets import (
     HeaveRecord,
     HorizonDataset,
     HorizonSeries,
+    IssueSet,
     align,
     chrono_split,
     synthesize_horizon_series,
@@ -37,6 +38,20 @@ def full_day_issues(days=3, value_fn=None):
             cap = DEFAULT_MAX_LEADS[cycle]
             issues.append(issue_at(24 * d + cycle, cap, value_fn))
     return issues
+
+
+def reference_window(h):
+    """The cycle hours that serve horizon h and their lead window, or (set(), None).
+
+    The window is the shortest one whose admitted cycles, those whose cap
+    reaches its last lead, leave no longer wait from one cycle to the next.
+    """
+    for window in range(1, 25):
+        cycles = sorted(c for c, cap in DEFAULT_MAX_LEADS.items() if cap >= h + window - 1)
+        waits = [(b - a) % 24 or 24 for a, b in zip(cycles, cycles[1:] + cycles[:1])]
+        if cycles and max(waits) <= window:
+            return set(cycles), window
+    return set(), None
 
 
 class TestSynthesize:
@@ -85,6 +100,26 @@ class TestSynthesize:
             assert T0 + k * HOUR not in times
         assert T0 + 5 * HOUR in times
         assert T0 + 12 * HOUR in times
+
+    def test_complete_issue_set_is_gapless_at_every_served_horizon(self):
+        # at h = 68..71 the 00Z and 12Z issues filled only 6 h of their 12 h windows
+        issues = IssueSet.from_issues(full_day_issues(days=12))
+        for h in range(230):
+            steps = np.diff(synthesize_horizon_series(issues, h).valid_times)
+            assert steps.size and (steps == HOUR).all(), f"gap at horizon {h}"
+
+    def test_window_follows_the_cycle_table(self, monkeypatch):
+        # two cycles 12 h apart serve h = 0 with 12 h windows, not the 6 h of four cycles
+        monkeypatch.setattr("heavecast.datasets.DEFAULT_MAX_LEADS", {0: 240, 12: 240})
+        series = synthesize_horizon_series(full_day_issues(days=12), h=0)
+        assert series.valid_times.size == 288
+        assert (np.diff(series.valid_times) == HOUR).all()
+
+    @pytest.mark.parametrize("h", [230, 240, 10**6])
+    def test_horizon_no_cycle_serves_is_refused(self, h):
+        message = rf"^horizon {h}: no issue cycle reaches it; the cycle table serves horizons up to 229$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_horizon_series(full_day_issues(days=12), h)
 
 
 class TestAlign:
@@ -186,11 +221,11 @@ class TestLeakProperties:
         if not issues:
             return
         series = synthesize_horizon_series(issues, h)
-        block = 6 if h < 72 else 12
+        _, window = reference_window(h)
         for vt, _, it in series:
             lead = int((vt - it) / HOUR)
             assert it <= vt - h * HOUR  # no future information
-            assert lead >= h
+            assert h <= lead < h + window
             cycle = int((it - T0) / HOUR) % 24
             assert lead <= DEFAULT_MAX_LEADS[cycle]
 
@@ -214,14 +249,14 @@ class TestLeakProperties:
 def dict_synthesize(issues, h):
     """Lead by lead with a dict keyed by valid time: the reference for
     synthesize_horizon_series."""
-    block = 6 if h < 72 else 12
+    cycles, window = reference_window(h)
     admitted = sorted(
-        (i for i in issues if DEFAULT_MAX_LEADS.get(i.issue_time.astype(object).hour, 0) >= h + block - 1),
+        (i for i in issues if i.issue_time.astype(object).hour in cycles),
         key=lambda i: i.issue_time,
     )
     out = []
     for issue in admitted:
-        for lead in range(h, h + block):
+        for lead in range(h, h + window):
             pos = np.searchsorted(issue.horizon_hours, lead)
             if pos >= issue.horizon_hours.size or issue.horizon_hours[pos] != lead:
                 continue
@@ -272,9 +307,13 @@ def irregular_issues(draw):
 
 
 class TestArrayJoinsOracle:
-    @given(issues=irregular_issues(), h=st.sampled_from([0, 1, 5, 6, 12, 24, 48, 71, 72, 80, 96]))
+    @given(issues=irregular_issues(), h=st.integers(0, 240))
     @settings(max_examples=150, deadline=None)
     def test_synthesize_matches_dict_reference(self, issues, h):
+        if reference_window(h)[1] is None:
+            with pytest.raises(ValueError, match=rf"^horizon {h}: no issue cycle reaches it"):
+                synthesize_horizon_series(issues, h)
+            return
         series = synthesize_horizon_series(issues, h)
         assert isinstance(series, HorizonSeries)
         ref = dict_synthesize(issues, h)
@@ -290,7 +329,7 @@ class TestArrayJoinsOracle:
         for h in (0, 6, 72, 96):
             got = list(synthesize_horizon_series(issues, h))
             assert got == dict_synthesize(issues, h)
-            assert all(int((vt - it) / HOUR) in range(h, h + (6 if h < 72 else 12)) for vt, _, it in got)
+            assert all(int((vt - it) / HOUR) in range(h, h + reference_window(h)[1]) for vt, _, it in got)
 
     def test_no_admitted_issue(self):
         issues = [issue_at(6, 72)]  # 06Z stops at 72 h
