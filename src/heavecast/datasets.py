@@ -91,7 +91,7 @@ class ForecastIssue:
         values = np.asarray(self.values, dtype=float)
         if leads.ndim != 1 or leads.shape != values.shape:
             raise ValueError("horizon_hours and values must be matching 1-d arrays")
-        if _irregular_issues(np.array([0, leads.size]), leads).size:
+        if _irregular_rows(np.array([0, leads.size]), leads).size:
             raise ValueError("lead times must be nonnegative, hourly and increasing")
         bad = _bad_values(values)
         if bad.size:
@@ -112,16 +112,16 @@ def _cycle_hours(issue_times) -> np.ndarray:
     return secs // 3600 % 24
 
 
-def _irregular_issues(bounds: np.ndarray, leads: np.ndarray) -> np.ndarray:
-    """Indices of the issues, rows bounds[i]:bounds[i + 1], whose leads are
-    not nonnegative, hourly and increasing."""
+def _irregular_rows(bounds: np.ndarray, leads: np.ndarray) -> np.ndarray:
+    """Indices of the rows, issue i owning rows bounds[i]:bounds[i + 1], that
+    break its leads' rule: nonnegative, hourly and increasing. That is an
+    issue's first row with a negative lead, and any other row whose lead is
+    not one more than the row before."""
     bad = np.zeros(leads.size, dtype=bool)
     bad[1:] = np.diff(leads) != 1
     starts = bounds[:-1][np.diff(bounds) > 0]
     bad[starts] = leads[starts] < 0
-    bad_issue = np.zeros(bounds.size - 1, dtype=bool)  # not np.unique, which imports numpy.ma
-    bad_issue[np.searchsorted(bounds, np.flatnonzero(bad), side="right") - 1] = True
-    return np.flatnonzero(bad_issue)
+    return np.flatnonzero(bad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +149,10 @@ class IssueSet:
             raise ValueError("leads and values must be matching 1-d arrays")
         if bounds[0] != 0 or bounds[-1] != leads.size or np.any(np.diff(bounds) < 0):
             raise ValueError("bounds must rise from 0 to the number of rows")
-        bad = _irregular_issues(bounds, leads)
+        bad = _irregular_rows(bounds, leads)
         if bad.size:
-            raise ValueError(f"issue {bad[0]}: lead times must be nonnegative, hourly and increasing")
+            issue = np.searchsorted(bounds, bad[0], side="right") - 1
+            raise ValueError(f"issue {issue}: lead times must be nonnegative, hourly and increasing")
         bad = _bad_values(values)
         if bad.size:
             row = bad[0]
@@ -367,10 +368,8 @@ def read_spectra(path: Path) -> SpectrumSeries:
     _, (time_col, freq_col, *number_cols), _ = _read_cells([path], _SPECTRA_HEADER)
     if not time_col:
         raise ValueError(f"{path}: no spectrum rows")
-    freqs, dirs, density = (_numbers(c, path, n) for c, n in zip([freq_col, *number_cols], _SPECTRA_HEADER[1:]))
-    for cells, values, name in zip([freq_col, number_cols[0]], [freqs, dirs], _SPECTRA_HEADER[1:]):
-        if not np.isfinite(values).all():
-            _refuse_cell(path, cells, int(np.argmin(np.isfinite(values))), name, "finite")
+    freqs, dirs = (_numbers(c, path, n, finite=True) for c, n in zip([freq_col, number_cols[0]], _SPECTRA_HEADER[1:]))
+    density = _numbers(number_cols[1], path, _SPECTRA_HEADER[3])
     if (freqs <= 0.0).any():
         _refuse_cell(path, freq_col, int(np.argmax(freqs <= 0.0)), "freq_hz", "positive")
     times = _parse_times(time_col, path, _SPECTRA_HEADER[0])
@@ -427,8 +426,9 @@ def read_forecast_issues(paths: list[Path]) -> IssueSet:
     must lie a whole number of hours after it; the leads must be
     nonnegative, hourly and increasing, and each sig_heave_m a finite
     nonnegative number. A file that breaks a rule raises a
-    ValueError naming it: the first such file in the order given, as when
-    the files are read one at a time.
+    ValueError naming it, and the row and column of a cell that breaks one:
+    the first such file in the order given, as when the files are read one
+    at a time.
     """
     paths = list(paths)
     parts = [_read_issue_batch(paths[k:k + _ISSUE_BATCH]) for k in range(0, len(paths), _ISSUE_BATCH)]
@@ -463,24 +463,26 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
     issue_times = _parse_times([issue_col[lo] for lo in bounds[:-1].tolist()], paths[0], "issue_time_utc")
     for issued, lo, hi in zip(issue_times, bounds.tolist(), bounds[1:].tolist()):
         cells = issue_col[lo:hi]
-        if cells.count(cells[0]) < hi - lo and (_parse_times(cells, paths[0], "issue_time_utc") != issued).any():
-            raise ValueError(f"{paths[0]}: multiple issue times in one file")
-    row_issue_times = np.repeat(issue_times, sizes)
+        if cells.count(cells[0]) < hi - lo:
+            other = np.flatnonzero(_parse_times(cells, paths[0], "issue_time_utc") != issued)
+            if other.size:
+                _refuse_cell(paths[0], cells, int(other[0]), "issue_time_utc", "the first row's issue time")
     valid_times = _parse_times(valid_col, paths[0], "valid_time_utc")
     values = _numbers(value_col, paths[0], "sig_heave_m")
     bad = _bad_values(values)
     if bad.size:
         _refuse_cell(paths[0], value_col, bad[0], "sig_heave_m", "a finite nonnegative number")
-    seconds = (valid_times - row_issue_times).astype(np.int64)
+    seconds = (valid_times - np.repeat(issue_times, sizes)).astype(np.int64)
     off_hour = np.flatnonzero(seconds % 3600)
     if off_hour.size:
-        raise ValueError(
-            f"{paths[0]}: valid time {valid_times[off_hour[0]]} is not a whole number of hours "
-            f"after the issue time {row_issue_times[off_hour[0]]}"
-        )
+        rule = "a whole number of hours after the issue time"
+        _refuse_cell(paths[0], valid_col, int(off_hour[0]), "valid_time_utc", rule)
     leads = seconds // 3600
-    if _irregular_issues(bounds, leads).size:
-        raise ValueError(f"{paths[0]}: lead times must be nonnegative, hourly and increasing")
+    bad = _irregular_rows(bounds, leads)
+    if bad.size:
+        row = int(bad[0])
+        rule = "no earlier than the issue time" if leads[row] < 0 else "an hour after the row before"
+        _refuse_cell(paths[0], valid_col, row, "valid_time_utc", rule)
     return issue_times, np.array(sizes), leads, values
 
 

@@ -197,11 +197,12 @@ def _parse_times(cells, where, column: str) -> np.ndarray:
     return times[np.fromiter(map(position.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
-def _numbers(cells, where, column: str, dtype=float) -> np.ndarray:
+def _numbers(cells, where, column: str, dtype=float, finite: bool = False) -> np.ndarray:
     """Number cells, blanks around each ignored, as an array of dtype; the first
-    cell numpy refuses is refused by _refuse_cell."""
+    cell numpy refuses, or with finite the first that is not finite, is refused
+    by _refuse_cell."""
     try:
-        return np.array(cells, dtype=dtype)
+        values = np.array(cells, dtype=dtype)
     except (ValueError, OverflowError):
         for row, cell in enumerate(cells):
             try:
@@ -209,6 +210,9 @@ def _numbers(cells, where, column: str, dtype=float) -> np.ndarray:
             except (ValueError, OverflowError):
                 _refuse_cell(where, cells, row, column, "a number" if dtype is float else "an integer")
         raise
+    if finite and not np.isfinite(values).all():
+        _refuse_cell(where, cells, int(np.argmin(np.isfinite(values))), column, "a finite number")
+    return values
 
 
 def _table_lines(path: Path) -> tuple[list[str], str, int]:
@@ -339,16 +343,20 @@ _DATASET_HEADER = ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_f
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
     """The dataset write_horizon_dataset wrote.
 
+    Each valid time must be later than the row before, and x_m and y_m
+    finite numbers, or a ValueError names the file, the row and the column.
     HorizonDataset recomputes post_gap from the valid times, so the
     post_gap_flag column is only checked: each cell must be 0 or 1 and
     agree with the recomputed flag, or a ValueError names the file and row.
     """
     _, (valid_col, x_col, y_col, issue_col, flag_col), _ = _read_cells([path], _DATASET_HEADER)
     valid_times = _parse_times(valid_col, path, "valid_time_utc")
+    early = np.flatnonzero(np.diff(valid_times) <= np.timedelta64(0, "s"))
+    if early.size:
+        _refuse_cell(path, valid_col, int(early[0]) + 1, "valid_time_utc", "later than the row before")
     issue_times = _parse_times(issue_col, path, "issue_time_utc")
-    x, y = _numbers(x_col, path, "x_m"), _numbers(y_col, path, "y_m")
-    with _naming(path):
-        ds = HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
+    x, y = _numbers(x_col, path, "x_m", finite=True), _numbers(y_col, path, "y_m", finite=True)
+    ds = HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
     flag_col = list(map(str.strip, flag_col))
     expected = np.where(ds.post_gap, "1", "0").tolist()
     if flag_col != expected:
@@ -401,8 +409,10 @@ def _json_text(value, indent: str = "") -> str:
 def read_posterior_samples(path: Path) -> PosteriorSamples:
     """The draws, parameter names and chain ids write_posterior_samples wrote.
 
-    The sidecar is not opened: no stage that reads samples uses what it
-    holds, so the samples get empty diagnostics and a NaN acceptance rate.
+    Every draw must be a finite number, or a ValueError names the file, the
+    row and the column. The sidecar is not opened: no stage that reads samples
+    uses what it holds, so the samples get empty diagnostics and a NaN
+    acceptance rate.
     """
     from .model import PosteriorSamples
 
@@ -414,7 +424,7 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     names = tuple(header[1:])
     chain_ids = _numbers(columns[0], path, "chain", int)
     # (n_draws, n_params), row-major like the draws fit wrote
-    draws = np.array([_numbers(c, path, n) for c, n in zip(columns[1:], names)])
+    draws = np.array([_numbers(c, path, n, finite=True) for c, n in zip(columns[1:], names)])
     draws = draws.reshape(len(names), chain_ids.size).T.copy()
     return PosteriorSamples(draws=draws, param_names=names, chain_ids=chain_ids, diagnostics={},
                             acceptance_rate=float("nan"))

@@ -48,6 +48,7 @@ __all__ = [
     "posterior_predictive",
     "map_sigma",
     "conditional_moments",
+    "noise_weights",
 ]
 
 X_FLOOR = 0.01  # m; keeps the scaled-noise likelihood proper as x -> 0
@@ -108,7 +109,7 @@ class ModelSpec:
 
     @property
     def ar2(self) -> bool:
-        """Whether the kind has the AR(2) error block (phi1, phi2), and with it noise scaled by max(x, X_FLOOR)."""
+        """Whether the kind has the AR(2) error block (phi1, phi2), and with it noise scaled by noise_weights(x)."""
         return "phi1" in self.param_names
 
     @property
@@ -327,7 +328,7 @@ def conditional_moments(
 
     Without the AR(2) block (the basic model) the mean is beta0 + beta1*x and
     the scale is sigma. With it (the hybrid model) the mean adds
-    phi1*eps_{t-1} + phi2*eps_{t-2} and the scale is max(x, X_FLOOR) * sigma.
+    phi1*eps_{t-1} + phi2*eps_{t-2} and the scale is noise_weights(x) * sigma.
 
     params is one parameter vector, or a stack of them along the last axis as
     in_support takes them; a stack gives one row of means and scales per vector.
@@ -339,7 +340,12 @@ def conditional_moments(
         return mean, np.broadcast_to(sigma, mean.shape)
     e1, e2 = _lagged(y - mean, post_gap)
     mean = mean + params[..., 2, None] * e1 + params[..., 3, None] * e2
-    return mean, np.maximum(x, X_FLOOR) * sigma
+    return mean, noise_weights(x) * sigma
+
+
+def noise_weights(x: np.ndarray) -> np.ndarray:
+    """Each row's noise weight max(x_t, X_FLOOR): a kind with the AR(2) block has noise scale sigma times it."""
+    return np.maximum(x, X_FLOOR)
 
 
 def log_posterior(params: np.ndarray, ds: HorizonDataset, spec: ModelSpec) -> float:

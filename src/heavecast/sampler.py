@@ -1,6 +1,6 @@
 """Blocked Gibbs sampler for the adjustment models.
 
-The noise weights w_t = max(x_t, X_FLOOR) are fixed, so the hybrid model is a
+The noise weights w_t = noise_weights(x_t) are fixed, so the hybrid model is a
 regression with AR(2) errors (Chib 1993, J. Econometrics 58, "Bayes
 regression with autoregressive errors: a Gibbs sampling approach") whose
 blocks have closed-form full conditionals. One sweep draws
@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .io import HorizonDataset, SamplerConfig
-from .model import X_FLOOR, ModelSpec, PosteriorSamples, _lagged, ar2_stationary, in_support
+from .model import ModelSpec, PosteriorSamples, _lagged, ar2_stationary, in_support, noise_weights
 
 __all__ = ["SamplerConfig", "SamplerError", "fit", "rhat", "ess"]
 
@@ -109,7 +109,7 @@ class _Conditionals:
     Row t's innovation is u_t = c' A_t b with c = (1, -phi1, -phi2), b the
     regression coordinates and A_t the 3x3 block whose rows are the lag-0, -1
     and -2 values of (y, -1, -x), missing lags zeroed as in model._lagged. So
-    S = sum_t (u_t / w_t)^2 = v'Gv with v = c (x) b, w_t = max(x_t, X_FLOOR)
+    S = sum_t (u_t / w_t)^2 = v'Gv with v = c (x) b, w = model.noise_weights(x)
     and G = sum_t vec(A_t) vec(A_t)' / w_t^2, a 9x9 matrix built once; the
     basic model keeps the lag-0 row (a 3x3 G, w_t = 1), zero-padded to 9x9.
     G is centred on the least-squares line y = y_mean + slope * (x - x_mean):
@@ -139,7 +139,7 @@ class _Conditionals:
         self.slope = float(dx @ (ds.y - self.y_mean)) / sxx if sxx > 0.0 else 0.0
         block = np.stack([ds.y - self.y_mean - self.slope * dx, -np.ones_like(dx), -dx])  # (3, N)
         if spec.ar2:
-            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / np.maximum(ds.x, X_FLOOR)  # (9, N)
+            block = np.concatenate([block, *_lagged(block, ds.post_gap)]) / noise_weights(ds.x)  # (9, N)
         gram = np.zeros((9, 9))
         gram[: len(block), : len(block)] = block @ block.T
         # products v_i v_j of v = (1, v1, v2) over the monomials 1, v1, v2, v1^2, v1 v2, v2^2

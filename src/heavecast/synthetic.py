@@ -221,11 +221,11 @@ def generate_observations(
 ) -> np.ndarray:
     """Forward-simulate observations from the hybrid generative process.
 
-    y_t = beta0 + beta1*x_t + phi1*eps_{t-1} + phi2*eps_{t-2} + x_t*eta_t
-    with eta ~ N(0, sigma^2), eps_t = y_t - beta0 - beta1*x_t and the
-    residual recursion initialised at zero.
+    y_t = beta0 + beta1*x_t + phi1*eps_{t-1} + phi2*eps_{t-2} + max(x_t, X_FLOOR)*eta_t
+    with eta ~ N(0, sigma^2) and eps_t = y_t - beta0 - beta1*x_t, the residual
+    recursion initialised at zero and the weights model.noise_weights(x).
     """
-    from .model import ar2_stationary
+    from .model import ar2_stationary, noise_weights
 
     beta0, beta1, phi1, phi2, sigma = (float(v) for v in true_params)
     if not ar2_stationary(phi1, phi2):
@@ -234,10 +234,10 @@ def generate_observations(
         raise ValueError("sigma must be nonnegative")
     x = np.asarray(x_series, dtype=float)
     rng = np.random.default_rng(seed)
-    eta = sigma * rng.standard_normal(x.size)
+    noise = noise_weights(x) * (sigma * rng.standard_normal(x.size))
     eps = np.zeros(x.size)
     e1 = e2 = 0.0
     for t in range(x.size):
-        eps[t] = phi1 * e1 + phi2 * e2 + x[t] * eta[t]
+        eps[t] = phi1 * e1 + phi2 * e2 + noise[t]
         e2, e1 = e1, eps[t]
     return beta0 + beta1 * x + eps

@@ -96,7 +96,8 @@ def test_campaign_as_written_is_accepted(texts):
 
 
 CSV_GARBLES = ("truncated row", "truncated file", "non-numeric cell", "non-finite cell", "duplicate column",
-               "repeated header")
+               "repeated header", "swapped rows")
+CELL_GARBLES = ("non-numeric cell", "non-finite cell")
 NON_FINITE = ("nan", "NaN", "inf", "-inf", "1e999")
 FLAG_COLUMN = 4  # the dataset's post_gap_flag, which must read 0 or 1
 
@@ -106,6 +107,11 @@ def garbled_cell(text: str, row: int, col: int) -> tuple[int, str]:
     lines = text.splitlines()
     header = lines[0].split(", ")
     return 1 + row % (len(lines) - 1), header[col % len(header)]
+
+
+def swapped_row(text: str, row: int) -> int:
+    """The data row, counted from 1, that garble_csv's swapped rows swaps with the row before it."""
+    return 2 + row % (len(text.splitlines()) - 2)
 
 
 def garble_csv(text: str, kind: str, row: int, col: int, junk: str) -> str:
@@ -123,6 +129,9 @@ def garble_csv(text: str, kind: str, row: int, col: int, junk: str) -> str:
     elif kind == "non-finite cell":
         cells[j] = NON_FINITE[row % len(NON_FINITE)]
         lines[k] = ", ".join(cells)
+    elif kind == "swapped rows":
+        k = swapped_row(text, row)
+        lines[k - 1], lines[k] = lines[k], lines[k - 1]
     elif kind == "duplicate column":
         header = lines[0].split(", ")
         header[j] = header[(j + 1) % len(header)]
@@ -139,13 +148,20 @@ def garble_csv(text: str, kind: str, row: int, col: int, junk: str) -> str:
     col=st.integers(0, 10),
     junk=st.text(alphabet="abc ;:_", max_size=5),
 )
+@example(name=DATASET, kind="non-finite cell", row=0, col=1, junk="")
+@example(name=DATASET, kind="swapped rows", row=3, col=0, junk="")
 @settings(max_examples=80, deadline=None)
 def test_garbled_table(texts, name, kind, row, col, junk):
-    # no cell other than 0 or 1 is a post_gap_flag, so that garbled cell must be refused
-    flag = name == DATASET and kind in ("non-numeric cell", "non-finite cell") and col % 5 == FLAG_COLUMN
-    # a cell that is no number, time or flag is refused by its row and column
-    refused = garbled_cell(texts[name], row, col) if kind == "non-numeric cell" else None
-    run_stages(texts, name, garble_csv(texts[name], kind, row, col, junk), codes=(2,) if flag else (0, 2, 3),
+    # no cell other than 0 or 1 is a post_gap_flag, no non-finite cell is a number, time or flag
+    # that either file accepts, and no valid time may come before the row above it
+    swapped = name == DATASET and kind == "swapped rows"
+    must_refuse = swapped or kind == "non-finite cell" or (
+        name == DATASET and kind == "non-numeric cell" and col % 5 == FLAG_COLUMN)
+    # a refused cell, or the valid time of the later row swapped, is named by its row and column
+    refused = garbled_cell(texts[name], row, col) if kind in CELL_GARBLES else None
+    if swapped:
+        refused = (swapped_row(texts[name], row), "valid_time_utc")
+    run_stages(texts, name, garble_csv(texts[name], kind, row, col, junk), codes=(2,) if must_refuse else (0, 2, 3),
                refused=refused)
 
 
@@ -168,7 +184,7 @@ def predicted(texts):
 def test_garbled_predictions(predicted, kind, row, col, junk):
     # score reads no samples, so the predictions file is the one input it trusts predict for
     garbled = garble_csv(predicted[PREDICTIONS], kind, row, col, junk)
-    refused = garbled_cell(predicted[PREDICTIONS], row, col) if kind == "non-numeric cell" else None
+    refused = garbled_cell(predicted[PREDICTIONS], row, col) if kind in CELL_GARBLES else None
     run_stages(predicted, PREDICTIONS, garbled, codes=(0, 2), stages=("score",), refused=refused)
 
 

@@ -464,7 +464,10 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, issue_files=["issue.csv"], measurements_file="measurements.csv")
         result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
-        assert "issue.csv: valid time 2024-06-01T01:30:00 is not a whole number of hours" in result.output
+        assert result.stderr == (
+            f"error: {tmp_path / 'issue.csv'}, row 2: valid_time_utc must be a whole number of hours after the "
+            "issue time, found '2024-06-01T01:30:00'\n"
+        )
 
     @pytest.mark.parametrize("cell", ["inf", "-inf"])
     def test_measurement_not_finite_names_the_file_and_row(self, tmp_path, cell):
@@ -1013,10 +1016,21 @@ class TestBadSamples:
         self.assert_refused(campaign, cmd, "expected hybrid parameters ['beta0', 'beta1', 'phi1', 'phi2', 'sigma']")
 
     @pytest.mark.parametrize("cmd", ["predict"])
-    @pytest.mark.parametrize("sigma", ["nan", "-0.05"])
+    @pytest.mark.parametrize("sigma", ["-0.05", "0"])
     def test_sigma_outside_support(self, campaign, cmd, sigma):
         self.rewrite_samples(campaign, lambda cells: cells[:-1] + [cells[-1] if cells[0] == "chain" else sigma])
         self.assert_refused(campaign, cmd, "400 of 400 draws are not finite or lie outside the prior support")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    def test_non_finite_draw_names_the_row_and_column(self, campaign, cell):
+        # it was refused among the draws outside the prior support, its column unnamed
+        self.rewrite_samples(campaign, lambda cells: cells[:2] + [cell] + cells[3:] if cells[0] == "0" else cells)
+        result = invoke(["predict", "--manifest", str(campaign / "run.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: {campaign / 'out' / 'samples_hybrid_h000.csv'}, row 1: "
+            f"beta1 must be a finite number, found {cell!r}\n"
+        )
 
     def test_samples_as_fit_wrote_them_are_accepted(self, campaign):
         for cmd in ("predict", "score", "diagnose"):

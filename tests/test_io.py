@@ -270,7 +270,8 @@ class TestIssueAndDataset:
             "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.5\n"
             "2024-06-01T06:00:00, 2024-06-01T07:00:00, 1.25\n"
         )
-        with pytest.raises(ValueError, match="multiple issue times"):
+        refused = "row 2: issue_time_utc must be the first row's issue time, found '2024-06-01T06:00:00'$"
+        with pytest.raises(ValueError, match=refused):
             read_forecast_issue(p)
 
     def test_dataset_round_trip(self, tmp_path):
@@ -314,6 +315,36 @@ class TestIssueAndDataset:
             "valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag\n"
             + "".join(", ".join((*cells, flag)) + "\n" for cells, flag in zip(rows, flags))
         )
+        with pytest.raises(ValueError) as exc:
+            read_horizon_dataset(p, horizon=6)
+        assert str(exc.value) == f"{p}, {message}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ((1, 1, "nan"), "row 2: x_m must be a finite number, found 'nan'"),
+            ((2, 2, "inf"), "row 3: y_m must be a finite number, found 'inf'"),
+            ((0, 2, "1e999"), "row 1: y_m must be a finite number, found '1e999'"),
+            ((1, 1, "-inf"), "row 2: x_m must be a finite number, found '-inf'"),
+            ((2, 0, "2024-06-01T01:00:00"), "row 3: valid_time_utc must be later than the row before, "
+                                            "found '2024-06-01T01:00:00'"),
+            ((1, 0, "2024-05-31T23:00:00"), "row 2: valid_time_utc must be later than the row before, "
+                                            "found '2024-05-31T23:00:00'"),
+        ],
+    )
+    def test_dataset_rows_name_the_bad_cell(self, tmp_path, edit, message):
+        # these were refused as "x and y must be finite in every row" and
+        # "valid_times must be strictly increasing", naming neither row nor column
+        rows = [
+            ["2024-06-01T00:00:00", "1.0", "0.9", "2024-05-31T18:00:00", "1"],
+            ["2024-06-01T01:00:00", "1.1", "1.0", "2024-05-31T18:00:00", "0"],
+            ["2024-06-01T03:00:00", "1.2", "1.3", "2024-05-31T18:00:00", "1"],
+        ]
+        row, col, cell = edit
+        rows[row][col] = cell
+        p = tmp_path / "ds.csv"
+        p.write_text("valid_time_utc, x_m, y_m, issue_time_utc, post_gap_flag\n"
+                     + "".join(", ".join(r) + "\n" for r in rows))
         with pytest.raises(ValueError) as exc:
             read_horizon_dataset(p, horizon=6)
         assert str(exc.value) == f"{p}, {message}"
@@ -513,6 +544,15 @@ def test_chain_past_the_integer_range_is_refused(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_posterior_samples(p)
     assert str(exc.value) == f"{p}, row 2: chain must be an integer, found '99999999999999999999999'"
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_non_finite_draw_is_refused_by_row_and_column(tmp_path, cell):
+    p = tmp_path / "samples.csv"
+    p.write_text(f"chain, beta0, sigma\n0, 0.1, 0.5\n0, 0.2, 0.6\n1, 0.3, {cell}\n")
+    with pytest.raises(ValueError) as exc:
+        read_posterior_samples(p)
+    assert str(exc.value) == f"{p}, row 3: sigma must be a finite number, found {cell!r}"
 
 
 # the column check before cells were checked one at a time: one match of the
@@ -759,9 +799,9 @@ class TestSpectraGrid:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (["nan, 10"], "row 1: freq_hz must be finite, found 'nan'"),
-            (["0.1, 10", "0.2,  inf"], "row 2: dir_deg must be finite, found 'inf'"),
-            (["0.1, 10", "-inf, 20"], "row 2: freq_hz must be finite, found '-inf'"),
+            (["nan, 10"], "row 1: freq_hz must be a finite number, found 'nan'"),
+            (["0.1, 10", "0.2,  inf"], "row 2: dir_deg must be a finite number, found 'inf'"),
+            (["0.1, 10", "-inf, 20"], "row 2: freq_hz must be a finite number, found '-inf'"),
         ],
     )
     def test_non_finite_grid_value_rejected(self, tmp_path, rows, message):

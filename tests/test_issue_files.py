@@ -41,10 +41,12 @@ def oracle_read(path: Path) -> ForecastIssue:
     _, (issue_col, valid_col, value_col), _ = io._read_cells([path], HEADER.split(", "))
     if not issue_col:
         raise ValueError(f"{path}: empty forecast issue")
-    issue_times = io._parse_times(set(issue_col), path, "issue_time_utc")
+    issue_times = io._parse_times(issue_col, path, "issue_time_utc")
     issue_time = issue_times[0]
     if np.any(issue_times != issue_time):
-        raise ValueError(f"{path}: multiple issue times in one file")
+        row = int(np.argmax(issue_times != issue_time))
+        raise ValueError(f"{path}, row {row + 1}: issue_time_utc must be the first row's issue time, "
+                         f"found {issue_col[row].strip()!r}")
     leads = ((io._parse_times(valid_col, path, "valid_time_utc") - issue_time) / np.timedelta64(1, "h")).astype(int)
     values = np.array(value_col, dtype=float)
     return ForecastIssue(issue_time=issue_time, horizon_hours=leads, values=values)
@@ -203,9 +205,10 @@ class TestSetReader:
             text = paths[k].read_text()
             paths[k].write_text(text[: text.rindex("\n", 0, -1) + 1] + "2024-06-01T06:00:00, 2024-06-01T06:00:00, 1\n")
         paths[2].write_text(paths[2].read_text().replace("2024-06-01T00:00:00, ", "2024-06-01T00:00:00Z, ", 1))
-        with pytest.raises(ValueError, match=r"f05\.csv: multiple issue times in one file"):
+        message = r"\.csv, row 3: issue_time_utc must be the first row's issue time, found '2024-06-01T06:00:00'$"
+        with pytest.raises(ValueError, match=r"f05" + message):
             read_forecast_issues(paths)
-        with pytest.raises(ValueError, match=r"f09\.csv: multiple issue times in one file"):
+        with pytest.raises(ValueError, match=r"f09" + message):
             read_forecast_issues(paths[:5] + paths[6:])
         assert read_forecast_issue(paths[2]).issue_time == T0
 
@@ -225,7 +228,8 @@ class TestSetReader:
         # read as leads 0, 1 and 2 before, shifting the data by up to 59 min 59 s
         p = tmp_path / "issue.csv"
         p.write_text(f"{HEADER}\n2024-06-01T00:00:00, 2024-06-01T{valid}, 1.5\n")
-        message = rf"issue\.csv: valid time 2024-06-01T{valid} is not a whole number of hours"
+        message = (rf"issue\.csv, row 1: valid_time_utc must be a whole number of hours after the issue time, "
+                   rf"found '2024-06-01T{valid}'$")
         with pytest.raises(ValueError, match=message):
             read_forecast_issue(p)
 
@@ -244,8 +248,9 @@ class TestSetReader:
         "rows, message",
         [
             ("2024-06-01T00:00:00, 2024-06-01T01:00:00, 1\n2024-06-01T00:00:00, 2024-06-01T00:00:00, 1\n",
-             ": lead times must be nonnegative, hourly and increasing"),
-            ("2024-06-01T00:00:00, 2024-05-31T23:00:00, 1\n", ": lead times must be nonnegative, hourly and increasing"),
+             ", row 2: valid_time_utc must be an hour after the row before, found '2024-06-01T00:00:00'"),
+            ("2024-06-01T00:00:00, 2024-05-31T23:00:00, 1\n",
+             ", row 1: valid_time_utc must be no earlier than the issue time, found '2024-05-31T23:00:00'"),
             ("NaT, 2024-06-01T00:00:00, 1\n", ", row 1: issue_time_utc must be a time, found 'NaT'"),
             ("2024-06-01T00:00:00, , 1\n", ", row 1: valid_time_utc must be a time, found ''"),
             ("now, now, 1\n", ", row 1: issue_time_utc must be a time, found 'now'"),
@@ -333,6 +338,9 @@ def test_build_refuses_garbled_issue_file(issue_texts, kind, which, row, junk):
     assert result.exit_code == 2, result.output
     assert f"issue_{which}.csv" in result.output
     assert "Traceback" not in result.output
+    if kind not in ("bad header", "short row"):
+        # every rule but the header's and a row's width names the row of the cell it refuses
+        assert f"issue_{which}.csv, row " in result.output, result.output
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-5"])
@@ -371,3 +379,13 @@ def test_issue_records_refuse_a_value_that_is_not_finite_and_nonnegative(value):
         ForecastIssue(issue_time=T0, horizon_hours=np.arange(3), values=values)
     with pytest.raises(ValueError, match=f"^issue 1, lead 2: {refused}$"):
         IssueSet(issue_times=[T0, T0 + HOUR], bounds=[0, 0, 3], leads=np.arange(3), values=values)
+
+
+@pytest.mark.parametrize("leads", [[0, 1, 0, 2, 3], [0, 1, -1, 0, 1]])
+def test_issue_records_refuse_irregular_leads_naming_the_issue(leads):
+    refused = "lead times must be nonnegative, hourly and increasing"
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        ForecastIssue(issue_time=T0, horizon_hours=np.array(leads[2:]), values=np.ones(3))
+    # issue 1 is empty, so the first row that breaks the rule, row 2 or 3, is issue 2's
+    with pytest.raises(ValueError, match=f"^issue 2: {refused}$"):
+        IssueSet(issue_times=[T0, T0, T0 + HOUR], bounds=[0, 2, 2, 5], leads=np.array(leads), values=np.ones(5))

@@ -208,17 +208,27 @@ def test_samples_and_sidecar_round_trip(draws, chains, rhat, acceptance, facts):
         acceptance_rate=acceptance,
         sampler_facts=facts,
     )
+    bad = ~np.isfinite(samples.draws)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a", "samples.csv"), Path(tmp, "b", "samples.csv")
         io.write_posterior_samples(first, samples, Path(f"{first}.diag.json"))
-        back = io.read_posterior_samples(first)
-        io.write_posterior_samples(second, back, Path(f"{second}.diag.json"))
-        assert first.read_bytes() == second.read_bytes()
         # no stage reads the sidecar back; it is read as bench/run.py reads it
         sidecar = json.loads(Path(f"{first}.diag.json").read_text())
-    assert back.param_names == samples.param_names
-    assert back.chain_ids.tolist() == samples.chain_ids.tolist()
-    assert back.draws.tobytes() == spelled(samples.draws, digits=12).tobytes()
+        if bad.any():
+            # every draw must be a finite number: the reader refuses the first non-finite cell, column by column
+            col = int(np.argmax(bad.any(axis=0)))
+            row = int(np.argmax(bad[:, col]))
+            cell = f"{samples.draws[row, col]:.12g}"
+            refused = f"row {row + 1}: {samples.param_names[col]} must be a finite number, found {cell!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{first}, {refused}')}$"):
+                io.read_posterior_samples(first)
+        else:
+            back = io.read_posterior_samples(first)
+            io.write_posterior_samples(second, back, Path(f"{second}.diag.json"))
+            assert first.read_bytes() == second.read_bytes()
+            assert back.param_names == samples.param_names
+            assert back.chain_ids.tolist() == samples.chain_ids.tolist()
+            assert back.draws.tobytes() == spelled(samples.draws, digits=12).tobytes()
     # compared as JSON text, in which every NaN reads alike
     assert json.dumps(sidecar, sort_keys=True) == json.dumps(
         {"acceptance_rate": acceptance, "parameters": samples.diagnostics, "sampler": facts}, sort_keys=True

@@ -130,6 +130,30 @@ def test_each_model_kind_is_named_in_one_table():
     assert spelled == ["__init__.py: basic", "__init__.py: hybrid", "io.py: hybrid"]
 
 
+def _floor_names(path: Path) -> list[str]:
+    """file:line of each name X_FLOOR in path's code: a load, an attribute or an import."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "X_FLOOR")
+        or (isinstance(node, ast.Attribute) and node.attr == "X_FLOOR")
+        or (isinstance(node, ast.alias) and "X_FLOOR" in (node.name, node.asname))
+    ]
+
+
+def test_floor_names_are_caught(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .model import X_FLOOR\nfrom . import model\nw = model.X_FLOOR\nv = max(1, X_FLOOR)\n")
+    assert _floor_names(probe) == ["probe.py:1", "probe.py:3", "probe.py:4"]
+
+
+def test_the_noise_floor_is_applied_in_model_alone():
+    # model.noise_weights is the one definition of the scaled noise's weight
+    # max(x, X_FLOOR): the likelihood, the sampler's Gram matrix and the
+    # synthetic generator read it, and no other module names the floor
+    assert [name for path in SOURCES if path.name != "model.py" for name in _floor_names(path)] == []
+
+
 def _seed_arithmetic(path: Path) -> list[str]:
     """file:line of each arithmetic on a seed (a name seed or an attribute
     .seed: `seed + 17`, `m.seed + h`, `seed += 1`) in path's code outside

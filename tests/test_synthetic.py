@@ -5,6 +5,7 @@ import pytest
 
 from heavecast.datasets import DEFAULT_MAX_LEADS, ForecastIssue, IssueSet
 from heavecast.io import FORECAST_DIRS_RAD, FORECAST_FREQS_HZ
+from heavecast.model import X_FLOOR, noise_weights
 from heavecast.spectral import SpectrumSeries, midpoint_widths
 from heavecast.synthetic import (
     ErrorInjection,
@@ -384,6 +385,20 @@ class TestGenerateObservations:
         s2 = (xc * sigma) ** 2
         expected = s2 * (1 - phi2) / ((1 + phi2) * ((1 - phi2) ** 2 - phi1**2))
         assert np.var(eps[500:]) == pytest.approx(expected, rel=0.05)
+
+    def test_noise_below_the_floor_has_the_models_scale(self):
+        # the hybrid likelihood scales the noise by max(x, X_FLOOR), so at
+        # x = 0.001 m its sd is X_FLOOR * sigma, ten times x * sigma; the
+        # sample sd's standard error is about sd / sqrt(2n), 0.5 % here
+        x = np.full(20_000, 0.001)
+        eps = generate_observations(x, (0.0, 1.0, 0.0, 0.0, 0.5), seed=4) - x
+        assert np.std(eps) == pytest.approx(X_FLOOR * 0.5, rel=0.03)
+
+    def test_noise_is_the_model_weight_times_eta(self):
+        x = np.array([0.0, 0.005, 0.01, 0.02, 1.5])
+        eps = generate_observations(x, (0.0, 1.0, 0.0, 0.0, 0.5), seed=4) - x
+        eta = 0.5 * np.random.default_rng(4).standard_normal(x.size)
+        np.testing.assert_allclose(eps, noise_weights(x) * eta, rtol=1e-12, atol=1e-15)
 
     def test_reproducible(self):
         x = np.linspace(0.5, 2.0, 100)
