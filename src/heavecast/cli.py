@@ -34,7 +34,8 @@ import textwrap
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from . import MODEL_KINDS, check_model_kind
+from . import (DATASET, HETERO, ISSUES, MEASUREMENTS, MODEL_KINDS, PACF, PREDICTIONS, RAO, RESPONSE, SAMPLES,
+               SCORES, SPECTRA, check_model_kind)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -155,27 +156,17 @@ def _run(command: Callable[..., None], options: dict) -> None:
         command(m, **own)
 
 
-# The out_dir files each command reads and writes, as name templates of the
-# horizon h and the model kind; every command takes its paths from here.
-# response reads the manifest's rao_file and spectra_file, and simulate
-# writes spectra.csv only with --spectra-hours. An issue file's index i is
-# filled in last, by datasets.write_forecast_issues: its braces are doubled.
-DATASET = "dataset_h{h:03d}.csv"
-SAMPLES = "samples_{model}_h{h:03d}.csv"
-PREDICTIONS = "predictions_{model}_h{h:03d}.csv"
-ISSUES = "issues/issue_{{i:04d}}.csv"
-MEASUREMENTS = "measurements.csv"
-RAO = "rao.csv"
-SPECTRA = "spectra.csv"
-# command -> (the templates it reads, the templates it writes)
+# command -> (the out_dir templates it reads, those it writes); every command takes its
+# paths from here. response reads the manifest's rao_file and spectra_file, and simulate
+# writes spectra.csv only with --spectra-hours.
 STAGE_FILES = {
     "simulate": ((), (ISSUES, RAO, MEASUREMENTS, SPECTRA)),
     "build": ((ISSUES, MEASUREMENTS), (DATASET,)),
     "fit": ((DATASET,), (SAMPLES, SAMPLES + ".diag.json")),  # the samples, then their diagnostics sidecar
     "predict": ((DATASET, SAMPLES), (PREDICTIONS,)),
-    "score": ((DATASET, PREDICTIONS), ("scores.csv", "scores.txt")),
-    "diagnose": ((DATASET, SAMPLES), ("pacf_{model}_h{h:03d}.csv", "hetero_{model}_h{h:03d}.csv")),
-    "response": ((RAO, SPECTRA), ("response.csv",)),
+    "score": ((DATASET, PREDICTIONS), (SCORES, "scores.txt")),
+    "diagnose": ((DATASET, SAMPLES), (PACF, HETERO)),
+    "response": ((RAO, SPECTRA), (RESPONSE,)),
 }
 
 
@@ -331,8 +322,7 @@ def response(m):
     with io._naming(m.spectra_file):
         m0, m2 = spectral.response_moments(spectra, rao)
     cells = [np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist()]
-    columns = ["timestamp_utc", "m0_m2", "m2_m2_per_s2", "sig_heave_m"]
-    io._write_table(path, columns, "%s, %.10g, %.10g, %.10g", cells)
+    io._write_table(path, RESPONSE, cells)
     print(f"wrote {path} ({len(spectra)} timestamps)", flush=True)
 
 
@@ -452,9 +442,8 @@ def diagnose(m, max_lag, bins):
             pac = diagnostics.pacf(series, max_lag)
             table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map)
         cells = [pac.lags.tolist(), pac.coefficients.tolist(), [pac.confidence_band] * pac.lags.size]
-        io._write_table(pacf_path, ["lag", "coefficient", "band"], "%d, %.6f, %.6f", cells)
-        columns = ["x_bin_center_m", "mean_abs_residual_m", "count", "sigma_map"]
-        io._write_table(hetero_path, columns, "%.6f, %.6f, %d, %.6f", [*zip(*table)])
+        io._write_table(pacf_path, PACF, cells)
+        io._write_table(hetero_path, HETERO, [*zip(*table)])
         print(f"h={h}: diagnostics written", flush=True)
 
 

@@ -4,11 +4,12 @@ per-horizon datasets built from them.
 simulate writes the campaign's files (RAO, spectra, heave records and
 forecast issues), build and response read them, and no other stage loads
 this module; io resolves five of its readers and writers as attributes.
-Files hold frequencies in Hz and directions in degrees, converted to rad/s
-and radians on reading. Each reader converts whole columns. A spectra file
-holds one row per (timestamp, frequency, direction) cell, in any order:
-read_spectra sorts the rows once, checks each timestamp's run of rows
-against the first run's grid and reshapes the density column. An IssueSet
+Each file's columns and cell rules are io.FORMATS'; frequencies in Hz and
+directions in degrees are converted to rad/s and radians on reading. A
+spectra file holds one row per (timestamp, frequency, direction) cell, in
+any order: read_spectra sorts the rows once, checks each timestamp's run
+against the first run's grid, naming the file row of the first cell out of
+place, and reshapes the density column. An IssueSet
 holds its issues as flat arrays, never as a list of ForecastIssue records;
 it is written into a staging directory that one rename puts in place of the
 issue directory, so a reader never sees a mix of two sets.
@@ -35,7 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .io import _naming, _numbers, _parse_times, _read_cells, _readable, _refuse_cell, _table_text, _write_table
+from . import ISSUES, MEASUREMENTS, RAO, SPECTRA
+from .io import _RULES, _naming, _read_table, _readable, _refuse_cell, _table_text, _write_table
 from .io import HOUR, HorizonDataset, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
@@ -69,12 +71,6 @@ DEFAULT_MAX_LEADS: dict[int, int] = {0: 240, 6: 72, 12: 240, 18: 72}
 
 TWO_PI = 2.0 * np.pi
 
-# each file's columns: its reader requires this header and its writer writes it
-_RAO_HEADER = ["freq_hz", "amplitude"]
-_SPECTRA_HEADER = ["timestamp_utc", "freq_hz", "dir_deg", "density_m2_s_per_deg"]
-_HEAVE_HEADER = ["timestamp_utc", "sig_heave_m", "valid"]
-_ISSUE_HEADER = ["issue_time_utc", "valid_time_utc", "sig_heave_m"]
-
 
 # -- forecast issues ---------------------------------------------------------
 
@@ -93,17 +89,12 @@ class ForecastIssue:
             raise ValueError("horizon_hours and values must be matching 1-d arrays")
         if _irregular_rows(np.array([0, leads.size]), leads).size:
             raise ValueError("lead times must be nonnegative, hourly and increasing")
-        bad = _bad_values(values)
+        bad = np.flatnonzero(_RULES["nonnegative"][1](values, None, None))
         if bad.size:
             raise ValueError(f"lead {leads[bad[0]]}: values must be finite nonnegative numbers, found {values[bad[0]]}")
         object.__setattr__(self, "issue_time", np.datetime64(self.issue_time, "s"))
         object.__setattr__(self, "horizon_hours", leads)
         object.__setattr__(self, "values", values)
-
-
-def _bad_values(values: np.ndarray) -> np.ndarray:
-    """Indices of the values that are not finite nonnegative numbers."""
-    return np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
 
 
 def _cycle_hours(issue_times) -> np.ndarray:
@@ -153,7 +144,7 @@ class IssueSet:
         if bad.size:
             issue = np.searchsorted(bounds, bad[0], side="right") - 1
             raise ValueError(f"issue {issue}: lead times must be nonnegative, hourly and increasing")
-        bad = _bad_values(values)
+        bad = np.flatnonzero(_RULES["nonnegative"][1](values, None, None))
         if bad.size:
             row = bad[0]
             issue = np.searchsorted(bounds, row, side="right") - 1
@@ -279,27 +270,16 @@ class HeaveRecord:
 
 
 def read_heave_records(path: Path) -> list[HeaveRecord]:
-    """Each row's record; valid reads true or false in any case, and
-    sig_heave_m is read only where true, where it must be a finite
-    nonnegative number."""
-    _, (time_col, sig_col, valid_col), _ = _read_cells([path], _HEAVE_HEADER)
-    times = _parse_times(time_col, path, "timestamp_utc")
-    flags = [cell.strip().lower() for cell in valid_col]
-    for row, flag in enumerate(flags):
-        if flag not in ("true", "false"):
-            _refuse_cell(path, valid_col, row, "valid", "true or false")
-    valid = [flag == "true" for flag in flags]
-    sig = _numbers([c if ok else "nan" for c, ok in zip(sig_col, valid)], path, "sig_heave_m")
-    bad = _bad_values(np.where(valid, sig, 0.0))
-    if bad.size:
-        _refuse_cell(path, sig_col, bad[0], "sig_heave_m", "a finite nonnegative number")
-    return [HeaveRecord(timestamp=t, sig_heave=v, valid=ok) for t, v, ok in zip(times, sig.tolist(), valid)]
+    """Each row's record, its cells read by io.FORMATS: valid reads true or
+    false in any case, and sig_heave_m is read only where true."""
+    _, (times, sig, valid), _, _ = _read_table([path], MEASUREMENTS)
+    return [HeaveRecord(timestamp=t, sig_heave=v, valid=ok) for t, v, ok in zip(times, sig.tolist(), valid.tolist())]
 
 
 def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
     """sig_heave_m reads nan where a record is not valid."""
     cells = [*zip(*((r.timestamp, r.sig_heave if r.valid else np.nan, str(r.valid).lower()) for r in records))]
-    _write_table(path, _HEAVE_HEADER, "%s, %.10g, %s", cells)
+    _write_table(path, MEASUREMENTS, cells)
 
 
 def align(forecast_series: HorizonSeries, measurements, horizon: int) -> HorizonDataset:
@@ -332,14 +312,13 @@ def align(forecast_series: HorizonSeries, measurements, horizon: int) -> Horizon
 def read_rao(path: Path) -> RaoCurve:
     from .spectral import RaoCurve
 
-    _, (freq_col, amp_col), _ = _read_cells([path], _RAO_HEADER)
-    freqs_hz, amps = _numbers(freq_col, path, "freq_hz"), _numbers(amp_col, path, "amplitude")
+    _, (freqs_hz, amps), _, _ = _read_table([path], RAO)
     with _naming(path):
         return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps)
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:
-    _write_table(path, _RAO_HEADER, "%.10g, %.10g", [(rao.freqs / TWO_PI).tolist(), rao.amplitudes.tolist()])
+    _write_table(path, RAO, [(rao.freqs / TWO_PI).tolist(), rao.amplitudes.tolist()])
 
 
 # -- directional spectra -----------------------------------------------------
@@ -355,24 +334,17 @@ def _distinct(ordered: np.ndarray) -> np.ndarray:
 
 
 def read_spectra(path: Path) -> SpectrumSeries:
-    """Long-format spectrum file covering one or more timestamps.
+    """Long-format spectrum file covering one or more timestamps, its cells read by io.FORMATS.
 
-    One row per (timestamp, freq, dir) cell, in any order. The (freq, dir)
-    grid must be identical for every timestamp, each cell once, and every
-    frequency positive; the density column is m^2 s per degree of direction
-    (per-Hz, per-deg) and is converted to the per-rad/s, per-rad convention
-    used internally.
+    One row per (timestamp, freq, dir) cell, in any order; each timestamp
+    must hold each cell of the first one's (freq, dir) grid once. The density
+    is m^2 s per Hz per degree, converted to the per-rad/s, per-rad convention.
     """
     from .spectral import SpectrumSeries
 
-    _, (time_col, freq_col, *number_cols), _ = _read_cells([path], _SPECTRA_HEADER)
-    if not time_col:
+    _, (times, freqs, dirs, density), _, _ = _read_table([path], SPECTRA)
+    if not times.size:
         raise ValueError(f"{path}: no spectrum rows")
-    freqs, dirs = (_numbers(c, path, n, finite=True) for c, n in zip([freq_col, number_cols[0]], _SPECTRA_HEADER[1:]))
-    density = _numbers(number_cols[1], path, _SPECTRA_HEADER[3])
-    if (freqs <= 0.0).any():
-        _refuse_cell(path, freq_col, int(np.argmax(freqs <= 0.0)), "freq_hz", "positive")
-    times = _parse_times(time_col, path, _SPECTRA_HEADER[0])
     # each timestamp's rows become one run, its cells in (freq, dir) order
     order = np.lexsort((dirs, freqs, times))
     times, freqs, dirs = times[order], freqs[order], dirs[order]
@@ -384,10 +356,15 @@ def read_spectra(path: Path) -> SpectrumSeries:
     cell_freqs, cell_dirs = np.repeat(freqs_hz, shape[2]), np.tile(dirs_deg, shape[1])
     for lo, hi in runs:
         f, d = freqs[lo:hi], dirs[lo:hi]
-        if not (np.array_equal(_distinct(f), freqs_hz) and np.array_equal(_distinct(np.sort(d)), dirs_deg)):
-            raise ValueError(f"{path}: inconsistent grid across timestamps")
-        if not (np.array_equal(f, cell_freqs) and np.array_equal(d, cell_dirs)):
-            raise ValueError(f"{path}: irregular grid at {times[lo]}")
+        if np.array_equal(f, cell_freqs) and np.array_equal(d, cell_dirs):
+            continue
+        # the first cell out of the grid's place, or the last of a run that stops short, by its row in the file
+        n = min(f.size, cell_freqs.size)
+        off = np.flatnonzero((f[:n] != cell_freqs[:n]) | (d[:n] != cell_dirs[:n]))
+        row = order[lo + (off[0] if off.size else min(n, f.size - 1))] + 1
+        if np.array_equal(_distinct(f), freqs_hz) and np.array_equal(_distinct(np.sort(d)), dirs_deg):
+            raise ValueError(f"{path}, row {row}: irregular grid at {times[lo]}")
+        raise ValueError(f"{path}, row {row}: inconsistent grid across timestamps")
     with _naming(path):
         return SpectrumSeries(
             times=times[starts],
@@ -404,7 +381,7 @@ def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
     grid = np.meshgrid(stamps, spectra.freqs / TWO_PI, np.rad2deg(spectra.dirs), indexing="ij")
     # per-(rad/s) per-rad  ->  per-Hz per-deg
     columns = [*grid, spectra.density * TWO_PI * (np.pi / 180.0)]
-    _write_table(path, _SPECTRA_HEADER, "%s, %.10g, %.10g, %.10g", [c.ravel().tolist() for c in columns])
+    _write_table(path, SPECTRA, [c.ravel().tolist() for c in columns])
 
 
 # -- forecast issue files ----------------------------------------------------
@@ -422,13 +399,10 @@ def read_forecast_issue(path: Path) -> ForecastIssue:
 def read_forecast_issues(paths: list[Path]) -> IssueSet:
     """The issue files, in the order given, as one IssueSet.
 
-    Every row of a file must repeat one issue time, and every valid time
-    must lie a whole number of hours after it; the leads must be
-    nonnegative, hourly and increasing, and each sig_heave_m a finite
-    nonnegative number. A file that breaks a rule raises a
+    Their cells are read by io.FORMATS, and each file's leads must be
+    nonnegative, hourly and increasing. A file that breaks a rule raises a
     ValueError naming it, and the row and column of a cell that breaks one:
-    the first such file in the order given, as when the files are read one
-    at a time.
+    the first such file in the order given, as a file-by-file read would.
     """
     paths = list(paths)
     parts = [_read_issue_batch(paths[k:k + _ISSUE_BATCH]) for k in range(0, len(paths), _ISSUE_BATCH)]
@@ -443,55 +417,31 @@ def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
     try:
         return _parse_issue_files(paths)
     except (ValueError, OSError):
-        if len(paths) == 1:
-            raise
-        # the batch holds a bad file: find the first, as a file-by-file read would
-        for path in paths:
+        for path in paths:  # the first bad file, as a file-by-file read would find it
             _parse_issue_files([path])
         raise
 
 
 def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
-    """The files' issue times, row counts, leads and values, their rows split
-    and converted together, then checked file by file. A refusal names the
-    first file: _read_issue_batch reads a failed batch again file by file."""
-    _, (issue_col, valid_col, value_col), sizes = _read_cells(paths, _ISSUE_HEADER)
+    """The files' issue times, row counts, leads and values, read together. A refusal
+    names the first file, so _read_issue_batch reads a failed batch again file by file."""
+    _, (issue_times, valid_times, values), sizes, (_, valid_col, _) = _read_table(paths, ISSUES)
     if 0 in sizes:
         raise ValueError(f"{paths[0]}: empty forecast issue")
-    bounds = np.cumsum([0] + sizes)
-    # each file's first issue-time cell; a file that spells its others otherwise is parsed whole
-    issue_times = _parse_times([issue_col[lo] for lo in bounds[:-1].tolist()], paths[0], "issue_time_utc")
-    for issued, lo, hi in zip(issue_times, bounds.tolist(), bounds[1:].tolist()):
-        cells = issue_col[lo:hi]
-        if cells.count(cells[0]) < hi - lo:
-            other = np.flatnonzero(_parse_times(cells, paths[0], "issue_time_utc") != issued)
-            if other.size:
-                _refuse_cell(paths[0], cells, int(other[0]), "issue_time_utc", "the first row's issue time")
-    valid_times = _parse_times(valid_col, paths[0], "valid_time_utc")
-    values = _numbers(value_col, paths[0], "sig_heave_m")
-    bad = _bad_values(values)
-    if bad.size:
-        _refuse_cell(paths[0], value_col, bad[0], "sig_heave_m", "a finite nonnegative number")
-    seconds = (valid_times - np.repeat(issue_times, sizes)).astype(np.int64)
-    off_hour = np.flatnonzero(seconds % 3600)
-    if off_hour.size:
-        rule = "a whole number of hours after the issue time"
-        _refuse_cell(paths[0], valid_col, int(off_hour[0]), "valid_time_utc", rule)
-    leads = seconds // 3600
-    bad = _irregular_rows(bounds, leads)
+    leads = (valid_times - issue_times).astype(np.int64) // 3600
+    bad = _irregular_rows(np.cumsum([0] + sizes), leads)
     if bad.size:
         row = int(bad[0])
         rule = "no earlier than the issue time" if leads[row] < 0 else "an hour after the row before"
         _refuse_cell(paths[0], valid_col, row, "valid_time_utc", rule)
-    return issue_times, np.array(sizes), leads, values
+    return issue_times[np.cumsum([0] + sizes[:-1])], np.array(sizes), leads, values
 
 
 def _issue_texts(issues: IssueSet):
     """Each issue's file text, in issue order, as the table _table_text spells.
 
     The valid-time strings come from one table of the set's distinct valid
-    times, and each file's values from one %.10g format, which spells a
-    float as f"{v:.10g}" does. The table comes from a sort, not np.unique,
+    times, and each file's rows from one row format of io.FORMATS. The table comes from a sort, not np.unique,
     which imports numpy.ma (about 16 ms at the start of a stage).
     """
     valid = issues.valid_times()
@@ -506,7 +456,7 @@ def _issue_texts(issues: IssueSet):
     for issued, lo, hi in zip(np.datetime_as_string(issues.issue_times).tolist(), bounds, bounds[1:]):
         # one file's cells at a time, so no Python object per row of the set is held
         cells = [stamps[row_stamp[lo:hi]].tolist(), issues.values[lo:hi].tolist()]
-        yield _table_text(_ISSUE_HEADER, f"{issued}, %s, %.10g", cells)
+        yield _table_text(ISSUES, [issued, *cells])
 
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:

@@ -5,9 +5,10 @@ All artefacts are plain comma-separated text with a header line so any
 plotting tool can consume them; a samples file's JSON sidecar is written
 by fit and read by no stage. Writes are atomic: a temp file in the target
 directory, which the kernel gives the umask's mode as for open(path, "w"),
-renamed into place. Every reader takes its columns from _read_cells. A cell
-may carry spaces or tabs around it: numbers and times are parsed through
-them, and a cell compared as text is stripped where it is compared.
+renamed into place. FORMATS declares each table file's columns, _read_table
+reads them and _table_text spells them. A cell may carry spaces or tabs
+around it: numbers and times are parsed through them, and a cell compared
+as text is stripped where it is compared.
 
 The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
 ErrorInjection) check their own values, and RunManifest.load checks a
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import DATASET, HETERO, ISSUES, MEASUREMENTS, PACF, PREDICTIONS, RAO, RESPONSE, SAMPLES, SCORES, SPECTRA
 from . import check_model_kind
 
 if TYPE_CHECKING:
@@ -73,6 +75,7 @@ __all__ = [
     "FORECAST_DIRS_RAD",
     "HorizonDataset",
     "DEFAULT_HORIZONS",
+    "FORMATS",
     "chrono_split",
     "atomic_write_text",
     *_CAMPAIGN_NAMES,
@@ -143,17 +146,72 @@ def _readable(path: Path, text: str) -> str:
     return text
 
 
-def _table_text(columns: list[str], row_format: str, cells: list) -> str:
-    """The columns' header line, then row_format for each row, filled by one % from cells, a list per placeholder."""
+# Each table file's columns in order, by its out_dir name template, each
+# "name kind format rule ...". A cell's kind: time (_ISO_TIME's grammar),
+# number, integer, flag (_FLAGS' spellings for its format, in any case) or
+# text, which no reader reads. Each rule, a key of _RULES, is what every value
+# must be, checked in order within each file; "rule:C" names the column C,
+# read first, and only_where:C reads a cell only where the flag in C is true.
+# A last column named * stands for every header column after those before it.
+FORMATS = {
+    RAO: ("freq_hz number %.10g finite positive increasing", "amplitude number %.10g nonnegative"),
+    SPECTRA: ("timestamp_utc time %s", "freq_hz number %.10g finite positive", "dir_deg number %.10g finite",
+              "density_m2_s_per_deg number %.10g nonnegative"),
+    MEASUREMENTS: ("timestamp_utc time %s", "sig_heave_m number %.10g only_where:valid nonnegative", "valid flag %s"),
+    ISSUES: ("issue_time_utc time %s constant", "valid_time_utc time %s hours_after:issue_time_utc",
+             "sig_heave_m number %.10g nonnegative"),
+    DATASET: ("valid_time_utc time %s later", "x_m number %.10g finite", "y_m number %.10g finite",
+              "issue_time_utc time %s", "post_gap_flag flag %d"),
+    SAMPLES: ("chain integer %d", "* number %.12g finite"),
+    PREDICTIONS: ("valid_time_utc time %s", "mean_m number %.10g finite", "p05_m number %.10g finite",
+                  "p50_m number %.10g finite", "p95_m number %.10g finite", "crps_m number %.10g nonnegative"),
+    SCORES: ("model text %s", "horizon_h integer %d", "rmse_m number %.3f", "crps_m number %.3f", "n integer %d"),
+    PACF: ("lag integer %d", "coefficient number %.6f", "band number %.6f"),
+    HETERO: ("x_bin_center_m number %.6f", "mean_abs_residual_m number %.6f", "count integer %d",
+             "sigma_map number %.6f"),
+    RESPONSE: ("timestamp_utc time %s", "m0_m2 number %.10g", "m2_m2_per_s2 number %.10g", "sig_heave_m number %.10g"),
+}
+
+# a flag's spellings by its write format, each with the value it reads as
+_FLAGS = {"%d": {"0": False, "1": True}, "%s": {"true": True, "false": False}}
+
+
+def _falls(v, other, first) -> np.ndarray:
+    """The rows no greater than the row before, each file's first row excepted."""
+    return np.concatenate(([False], v[1:] <= v[:-1])) & ~first
+
+
+# each rule: what a refusal says the value must be, and the mask of the rows that break it,
+# given the values, the column the rule names and the mask of each file's first row
+_RULES = {
+    "finite": ("a finite number", lambda v, other, first: ~np.isfinite(v)),
+    "nonnegative": ("a finite nonnegative number", lambda v, other, first: ~((v >= 0.0) & (v < np.inf))),
+    "positive": ("positive", lambda v, other, first: ~(v > 0.0)),
+    "later": ("later than the row before", _falls),
+    "increasing": ("greater than the row before", _falls),
+    "constant": ("the first row's", lambda v, other, first: v != v[first][np.cumsum(first) - 1]),
+    "hours_after": ("a whole number of hours after {}", lambda v, other, first: (v - other) % HOUR != 0),
+}
+
+
+def _table_text(key: str, cells: list, names=()) -> str:
+    """FORMATS[key]'s header line, with names for its column *, then its row
+    format for each row, filled by one % from cells, a list per column; a
+    column given as one str, of a %s column, is that cell in every row."""
+    spec = [column.split() for column in FORMATS[key]]
+    header = [name for name, *_ in spec if name != "*"] + list(names)
+    formats = [fmt for _, _, fmt, *_ in spec[:-1] + spec[-1:] * (len(cells) - len(spec) + 1)]
+    row_format = ", ".join(c.replace("%", "%%") if isinstance(c, str) else f for c, f in zip(cells, formats))
+    cells = [column for column in cells if not isinstance(column, str)]
     flat = [None] * sum(map(len, cells))
     for k, column in enumerate(cells):
         flat[k :: len(cells)] = column
-    return f"{', '.join(columns)}\n" + f"{row_format}\n" * (len(flat) // (len(cells) or 1)) % tuple(flat)
+    return f"{', '.join(header)}\n" + f"{row_format}\n" * (len(flat) // (len(cells) or 1)) % tuple(flat)
 
 
-def _write_table(path: Path, columns: list[str], row_format: str, cells: list) -> None:
+def _write_table(path: Path, key: str, cells: list, names=()) -> None:
     """Write _table_text's text to path atomically, once _readable accepts it."""
-    atomic_write_text(path, _readable(path, _table_text(columns, row_format, cells)))
+    atomic_write_text(path, _readable(path, _table_text(key, cells, names)))
 
 
 # the README's time grammar, YYYY-MM-DD[(T| )HH[:MM[:SS[.f]]]][Z] in ASCII digits
@@ -197,30 +255,31 @@ def _parse_times(cells, where, column: str) -> np.ndarray:
     return times[np.fromiter(map(position.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
-def _numbers(cells, where, column: str, dtype=float, finite: bool = False) -> np.ndarray:
-    """Number cells, blanks around each ignored, as an array of dtype; the first
-    cell numpy refuses, or with finite the first that is not finite, is refused
-    by _refuse_cell."""
+def _parse(cells, where, column: str, kind: str, fmt: str) -> np.ndarray:
+    """One column's cells, blanks around each ignored, as values of kind; the
+    first cell that is not one is refused by _refuse_cell."""
+    if kind == "time":
+        return _parse_times(cells, where, column)
+    if kind == "flag":
+        found = list(map(_FLAGS[fmt].get, map(str.lower, map(str.strip, cells))))
+        if None in found:
+            _refuse_cell(where, cells, found.index(None), column, " or ".join(_FLAGS[fmt]))
+        return np.array(found, dtype=bool)
+    dtype, rule = (int, "an integer") if kind == "integer" else (float, "a number")
     try:
-        values = np.array(cells, dtype=dtype)
+        return np.array(cells, dtype=dtype)
     except (ValueError, OverflowError):
         for row, cell in enumerate(cells):
             try:
                 np.array(cell, dtype=dtype)
             except (ValueError, OverflowError):
-                _refuse_cell(where, cells, row, column, "a number" if dtype is float else "an integer")
+                _refuse_cell(where, cells, row, column, rule)
         raise
-    if finite and not np.isfinite(values).all():
-        _refuse_cell(where, cells, int(np.argmin(np.isfinite(values))), column, "a finite number")
-    return values
 
 
 def _table_lines(path: Path) -> tuple[list[str], str, int]:
-    """Header cells, then the data lines joined by commas and their count.
-
-    Blank lines are skipped; every other row must have the header's cell
-    count, or a ValueError names the file and the line.
-    """
+    """Header cells, then the data lines joined by commas and their count. Blank lines
+    are skipped; a row without the header's cell count is refused by its line in the file."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     top = next((n for n, ln in enumerate(lines) if ln.strip()), None)
@@ -241,13 +300,18 @@ def _table_lines(path: Path) -> tuple[list[str], str, int]:
     return header, ",".join(body), len(body)
 
 
-def _read_cells(paths: list[Path], header: list[str] | None = None) -> tuple[list[str], list[list[str]], list[int]]:
-    """The header, the data cells column by column and each file's row count
-    of delimited-text files that share header (the first file's if None),
-    else a ValueError names the file. The rows are split at once, and each
-    cell keeps the blanks around it, which _numbers and _parse_times ignore.
+def _read_table(paths: list[Path], key: str) -> tuple[list[str], list[np.ndarray], list[int], list[list[str]]]:
+    """The header, the values column by column, each file's row count and the cells of
+    files in the format FORMATS[key] with the first one's header, their rows split at once.
+
+    Each column's cells are parsed by its kind, then held to its rules in order;
+    the first cell that breaks one is refused, naming paths[0] and counting rows
+    over every file. A constant column whose every file spells one cell is
+    parsed at each file's first row.
     """
-    texts, sizes = [], []
+    spec = [column.split() for column in FORMATS[key]]
+    names = [name for name, *_ in spec if name != "*"]
+    header, texts, sizes = None if spec[-1][0] == "*" else names, [], []
     for path in paths:
         found, text, rows = _table_lines(path)
         header = found if header is None else header
@@ -255,12 +319,40 @@ def _read_cells(paths: list[Path], header: list[str] | None = None) -> tuple[lis
             raise ValueError(f"{path}: expected header {header}, found {found}")
         texts.append(text)
         sizes.append(rows)
+    if header[:len(names)] != names:
+        raise ValueError(f"{paths[0]}: expected a header starting {names}, found {header}")
     # the text goes once split, so only the cells are held while they are dealt into columns
     text = ",".join(filter(None, texts))
     texts.clear()
     cells = text.split(",") if text else []
     del text
-    return header, [cells[j::len(header)] for j in range(len(header))], sizes
+    cells = [cells[j::len(header)] for j in range(len(header))]
+    spec += spec[-1:] * (len(header) - len(spec))
+    bounds = np.cumsum([0, *sizes])
+    lo, hi = bounds[:-1][np.diff(bounds) > 0].tolist(), bounds[1:][np.diff(bounds) > 0].tolist()
+    first = np.zeros(bounds[-1], dtype=bool)
+    first[lo] = True
+    values = [None] * len(header)
+    # a column that a rule names is read before the column with the rule
+    for j in sorted(range(len(header)), key=lambda j: any(":" in rule for rule in spec[j][3:])):
+        (_, kind, fmt, *rules), name = spec[j], header[j]
+        flags = [values[header.index(r.partition(":")[2])] for r in rules if r.startswith("only_where:")]
+        read = flags[0] if flags else np.ones_like(first)
+        if not read.all():  # the cells of the other rows are not read
+            unread = np.array(cells[j], dtype=object)
+            unread[~read] = "nan"
+            cells[j] = unread.tolist()
+        column = cells[j]
+        if "constant" in rules and all(column[a:b].count(column[a]) == b - a for a, b in zip(lo, hi)):
+            values[j] = _parse([column[a] for a in lo], paths[0], name, kind, fmt)[np.cumsum(first) - 1]
+        else:
+            values[j] = _parse(column, paths[0], name, kind, fmt)
+        for rule, _, other in (r.partition(":") for r in rules if not r.startswith("only_where:")):
+            phrase, breaks = _RULES[rule]
+            bad = breaks(values[j], values[header.index(other)] if other else None, first) & read
+            if bad.any():
+                _refuse_cell(paths[0], column, int(np.argmax(bad)), name, phrase.format(other))
+    return header, values, sizes, cells
 
 
 # -- horizon datasets --------------------------------------------------------
@@ -337,40 +429,22 @@ def chrono_split(ds: HorizonDataset, train_fraction: float) -> tuple[HorizonData
     return ds.rows(slice(0, k)), ds.rows(slice(k, n))
 
 
-_DATASET_HEADER = ["valid_time_utc", "x_m", "y_m", "issue_time_utc", "post_gap_flag"]
-
-
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
-    """The dataset write_horizon_dataset wrote.
-
-    Each valid time must be later than the row before, and x_m and y_m
-    finite numbers, or a ValueError names the file, the row and the column.
-    HorizonDataset recomputes post_gap from the valid times, so the
-    post_gap_flag column is only checked: each cell must be 0 or 1 and
-    agree with the recomputed flag, or a ValueError names the file and row.
-    """
-    _, (valid_col, x_col, y_col, issue_col, flag_col), _ = _read_cells([path], _DATASET_HEADER)
-    valid_times = _parse_times(valid_col, path, "valid_time_utc")
-    early = np.flatnonzero(np.diff(valid_times) <= np.timedelta64(0, "s"))
-    if early.size:
-        _refuse_cell(path, valid_col, int(early[0]) + 1, "valid_time_utc", "later than the row before")
-    issue_times = _parse_times(issue_col, path, "issue_time_utc")
-    x, y = _numbers(x_col, path, "x_m", finite=True), _numbers(y_col, path, "y_m", finite=True)
+    """The dataset write_horizon_dataset wrote. HorizonDataset recomputes
+    post_gap from the valid times, and each post_gap_flag must agree with it."""
+    _, (valid_times, x, y, issue_times, flags), _, _ = _read_table([path], DATASET)
     ds = HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
-    flag_col = list(map(str.strip, flag_col))
-    expected = np.where(ds.post_gap, "1", "0").tolist()
-    if flag_col != expected:
-        row, cell, flag = next((k, c, e) for k, (c, e) in enumerate(zip(flag_col, expected)) if c != e)
-        if cell not in ("0", "1"):
-            _refuse_cell(path, flag_col, row, "post_gap_flag", "0 or 1")
-        raise ValueError(f"{path}, row {row + 1}: post_gap_flag is {cell}, but the valid times make it {flag}")
+    if (flags != ds.post_gap).any():
+        row = int(np.argmax(flags != ds.post_gap))
+        raise ValueError(f"{path}, row {row + 1}: post_gap_flag is {flags[row]:d}, "
+                         f"but the valid times make it {ds.post_gap[row]:d}")
     return ds
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
     cells = [np.datetime_as_string(ds.valid_times).tolist(), ds.x.tolist(), ds.y.tolist(),
              np.datetime_as_string(ds.issue_times).tolist(), ds.post_gap.astype(int).tolist()]
-    _write_table(path, _DATASET_HEADER, "%s, %.10g, %.10g, %s, %d", cells)
+    _write_table(path, DATASET, cells)
 
 
 # -- posterior samples -------------------------------------------------------
@@ -384,8 +458,7 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples, sidecar: Path
     people and tools; no stage reads it back. No wall-clock value goes in,
     so a fixed manifest and seed reproduce it bit for bit.
     """
-    cells = [samples.chain_ids.tolist(), *samples.draws.T.tolist()]
-    _write_table(path, ["chain", *samples.param_names], "%d" + ", %.12g" * samples.draws.shape[1], cells)
+    _write_table(path, SAMPLES, [samples.chain_ids.tolist(), *samples.draws.T.tolist()], samples.param_names)
     facts = {"acceptance_rate": samples.acceptance_rate, "parameters": samples.diagnostics,
              "sampler": samples.sampler_facts}
     atomic_write_text(sidecar, _json_text(facts) + "\n")
@@ -409,31 +482,21 @@ def _json_text(value, indent: str = "") -> str:
 def read_posterior_samples(path: Path) -> PosteriorSamples:
     """The draws, parameter names and chain ids write_posterior_samples wrote.
 
-    Every draw must be a finite number, or a ValueError names the file, the
-    row and the column. The sidecar is not opened: no stage that reads samples
-    uses what it holds, so the samples get empty diagnostics and a NaN
-    acceptance rate.
+    The sidecar is not opened: no stage that reads samples uses what it
+    holds, so the samples get empty diagnostics and a NaN acceptance rate.
     """
     from .model import PosteriorSamples
 
-    header, columns, _ = _read_cells([path])
-    if header[0] != "chain":
-        raise ValueError(f"{path}: expected a 'chain' column first")
-    if not columns[0]:
+    header, (chain_ids, *columns), _, _ = _read_table([path], SAMPLES)
+    if not chain_ids.size:
         raise ValueError(f"{path}: no posterior draws")
-    names = tuple(header[1:])
-    chain_ids = _numbers(columns[0], path, "chain", int)
     # (n_draws, n_params), row-major like the draws fit wrote
-    draws = np.array([_numbers(c, path, n, finite=True) for c, n in zip(columns[1:], names)])
-    draws = draws.reshape(len(names), chain_ids.size).T.copy()
-    return PosteriorSamples(draws=draws, param_names=names, chain_ids=chain_ids, diagnostics={},
+    draws = np.array(columns).reshape(len(columns), chain_ids.size).T.copy()
+    return PosteriorSamples(draws=draws, param_names=tuple(header[1:]), chain_ids=chain_ids, diagnostics={},
                             acceptance_rate=float("nan"))
 
 
 # -- predictions and scores --------------------------------------------------
-
-_PREDICTIONS_HEADER = ["valid_time_utc", "mean_m", "p05_m", "p50_m", "p95_m", "crps_m"]
-
 
 def write_predictions(path: Path, pred: PredictiveDraws, obs: np.ndarray) -> None:
     """Per valid time: the predictive mean, the quantiles at model.QUANTILE_LEVELS
@@ -441,31 +504,17 @@ def write_predictions(path: Path, pred: PredictiveDraws, obs: np.ndarray) -> Non
     from .model import predictive_summaries
 
     table = predictive_summaries(pred.draws.T, obs)
-    cells = [np.datetime_as_string(pred.valid_times).tolist(), *table.T.tolist()]
-    _write_table(path, _PREDICTIONS_HEADER, "%s" + ", %.10g" * table.shape[1], cells)
+    _write_table(path, PREDICTIONS, [np.datetime_as_string(pred.valid_times).tolist(), *table.T.tolist()])
 
 
 def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The valid times and the (rows, columns) number table write_predictions wrote.
-
-    Every number must be finite and crps_m nonnegative, or a ValueError
-    names the file, the column and the row.
-    """
-    _, (valid_col, *number_cols), _ = _read_cells([path], _PREDICTIONS_HEADER)
-    valid_times = _parse_times(valid_col, path, "valid_time_utc")
-    table = np.column_stack([_numbers(c, path, n) for c, n in zip(number_cols, _PREDICTIONS_HEADER[1:])])
-    bad = ~np.isfinite(table)
-    bad[:, -1] |= table[:, -1] < 0.0
-    if bad.any():
-        row, col = np.argwhere(bad)[0].tolist()
-        name = _PREDICTIONS_HEADER[1 + col]
-        _refuse_cell(path, number_cols[col], row, name, "finite and nonnegative" if name == "crps_m" else "finite")
-    return valid_times, table
+    """The valid times and the (rows, columns) number table write_predictions wrote."""
+    _, (valid_times, *numbers), _, _ = _read_table([path], PREDICTIONS)
+    return valid_times, np.column_stack(numbers)
 
 
 def write_score_reports(path: Path, reports: list[ScoreReport]) -> None:
-    cells = [*zip(*((r.model_label, r.horizon, r.rmse, r.crps_mean, r.n) for r in reports))]
-    _write_table(path, ["model", "horizon_h", "rmse_m", "crps_m", "n"], "%s, %s, %.3f, %.3f, %s", cells)
+    _write_table(path, SCORES, [*zip(*((r.model_label, r.horizon, r.rmse, r.crps_mean, r.n) for r in reports))])
 
 
 # -- run manifest settings ---------------------------------------------------

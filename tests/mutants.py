@@ -78,53 +78,69 @@ MUTANTS = (
     ),
     Mutant(
         "dataset-non-finite-accepted", "io.py",
-        'x, y = _numbers(x_col, path, "x_m", finite=True), _numbers(y_col, path, "y_m", finite=True)',
-        'x, y = _numbers(x_col, path, "x_m"), _numbers(y_col, path, "y_m")',
+        '"x_m number %.10g finite", "y_m number %.10g finite"', '"x_m number %.10g", "y_m number %.10g"',
         ("tests/test_io.py::TestIssueAndDataset::test_dataset_rows_name_the_bad_cell",
          "tests/test_artifact_fuzz.py::test_garbled_table"),
         "a non-finite x_m or y_m cell is refused without its row and column",
     ),
     Mutant(
         "dataset-order-unchecked", "io.py",
-        "    if early.size:\n", "    if False:\n",
+        '"valid_time_utc time %s later"', '"valid_time_utc time %s"',
         ("tests/test_io.py::TestIssueAndDataset::test_dataset_rows_name_the_bad_cell",
          "tests/test_artifact_fuzz.py::test_garbled_table"),
         "a valid time no later than the row before is refused without its row and column",
     ),
     Mutant(
         "samples-non-finite-accepted", "io.py",
-        "_numbers(c, path, n, finite=True) for c, n in zip(columns[1:], names)",
-        "_numbers(c, path, n) for c, n in zip(columns[1:], names)",
+        '"* number %.12g finite"', '"* number %.12g"',
         ("tests/test_io.py::test_non_finite_draw_is_refused_by_row_and_column",
          "tests/test_cli.py::TestBadSamples::test_non_finite_draw_names_the_row_and_column"),
         "a non-finite draw is refused without its row and column",
     ),
     Mutant(
-        "issue-times-unchecked", "datasets.py",
-        "            if other.size:\n", "            if False:\n",
+        "issue-times-unchecked", "io.py",
+        '"issue_time_utc time %s constant"', '"issue_time_utc time %s"',
         ("tests/test_issue_files.py::TestSetReader::test_first_file_with_two_issue_times_is_named",
          "tests/test_io.py::TestIssueAndDataset::test_multiple_issue_times_rejected"),
         "an issue file with a second issue time is read as one issue",
     ),
     Mutant(
-        "off-hour-unchecked", "datasets.py",
-        "    if off_hour.size:\n", "    if False:\n",
+        "off-hour-unchecked", "io.py",
+        '"valid_time_utc time %s hours_after:issue_time_utc"', '"valid_time_utc time %s"',
         ("tests/test_issue_files.py::TestSetReader::test_off_hour_valid_time_rejected",
          "tests/test_cli.py::TestExitCodes::test_off_hour_valid_time_is_validation_error"),
         "a valid time off the issue's hourly grid is truncated to a whole lead",
     ),
     Mutant(
         "leads-unchecked", "datasets.py",
-        "    bad = _irregular_rows(bounds, leads)\n    if bad.size:\n        row = int(bad[0])",
-        "    bad = _irregular_rows(bounds, leads)[:0]\n    if bad.size:\n        row = int(bad[0])",
+        "    bad = _irregular_rows(np.cumsum([0] + sizes), leads)\n",
+        "    bad = _irregular_rows(np.cumsum([0] + sizes), leads)[:0]\n",
         ("tests/test_issue_files.py::TestSetReader::test_bad_leads_and_times_name_the_file",),
         "an issue file whose leads are not hourly is refused without its file, row and column",
     ),
     Mutant(
-        "issue-writer-digits", "datasets.py",
-        'f"{issued}, %s, %.10g"', 'f"{issued}, %s, %.9g"',
+        "issue-writer-digits", "io.py",
+        '"sig_heave_m number %.10g nonnegative"', '"sig_heave_m number %.9g nonnegative"',
         ("tests/test_golden.py", "tests/test_issue_files.py::TestSetWriter::test_bytes_match_per_file_writer"),
         "the issue files keep 9 significant digits, so build reads other forecasts than simulate made",
+    ),
+    Mutant(
+        "dataset-writer-digits", "io.py",
+        '"x_m number %.10g', '"x_m number %.9g',
+        ("tests/test_golden.py", "tests/test_io.py::TestIssueAndDataset::test_dataset_bytes_match_row_loop"),
+        "the datasets keep 9 significant digits of the forecast, so fit reads other values than build aligned",
+    ),
+    Mutant(
+        "predictions-writer-digits", "io.py",
+        '"mean_m number %.10g', '"mean_m number %.9g',
+        ("tests/test_golden.py", "tests/test_io.py::TestPosteriorAndPredictions::test_predictions_equal_row_summaries"),
+        "the predictive means keep 9 significant digits, so score's RMSE is not that of the means predict made",
+    ),
+    Mutant(
+        "samples-writer-digits", "io.py",
+        '"* number %.12g', '"* number %.11g',
+        ("tests/test_golden.py", "tests/test_io.py::test_samples_rows_spelled_as_per_value_f_strings"),
+        "the draws keep 11 significant digits, so predict and diagnose read other draws than fit made",
     ),
     Mutant(
         "issue-noise-offset", "io.py",

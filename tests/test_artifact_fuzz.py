@@ -1,6 +1,6 @@
 """predict, score and diagnose on garbled dataset, samples and sidecar files,
-score on garbled predictions files, and response on garbled RAO and spectra
-files.
+score on garbled predictions files, response on garbled RAO and spectra
+files, and each cell rule of io.FORMATS broken in each file a stage reads.
 
 Whatever a stage reads, it must exit 0, 2 or 3 and never raise: clirun.invoke
 passes on any exception other than SystemExit, so an uncaught one fails the test.
@@ -18,7 +18,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavecast.datasets import HorizonDataset, write_spectra
+from heavecast import cli, io
+from heavecast.datasets import HeaveRecord, HorizonDataset, IssueSet, write_forecast_issues, write_heave_records
+from heavecast.datasets import write_spectra
 from heavecast.io import SwellEvent, SwellScenario, write_horizon_dataset, write_posterior_samples, write_rao
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.synthetic import generate_spectra, reference_rao
@@ -278,3 +280,102 @@ def test_garbled_response_input(response_texts, name, kind, row, col, junk):
     if code == 2:
         assert output.startswith("error: "), output
         assert name in output, output
+
+
+# -- every rule of io.FORMATS ------------------------------------------------
+
+# each table file a stage reads, by its template, and the first stage that reads it
+READERS = {
+    template: next(stage for stage, (read, _) in cli.STAGE_FILES.items() if template in read)
+    for template in io.FORMATS if any(template in read for read, _ in cli.STAGE_FILES.values())
+}
+
+
+def out_name(template: str) -> str:
+    """The out_dir name of a template at horizon 0, for the hybrid model, the first issue file for the issues."""
+    return template.format(h=0, model="hybrid").format(i=0)
+
+
+def rule_cases() -> list[tuple[str, str, str, str]]:
+    """(template, column, kind, rule) of each rule of each column of a file a
+    stage reads, and ("parse") of the column's kind itself; the column * stands
+    for each column after those the table names."""
+    cases = []
+    for template in READERS:
+        for column in io.FORMATS[template]:
+            name, kind, _, *rules = column.split()
+            cases += [(template, name, kind, rule.partition(":")[0])
+                      for rule in ["parse", *rules] if not rule.startswith("only_where:")]
+    return cases
+
+
+def breaking_cell(kind: str, rule: str, cells: list[str], row: int) -> str:
+    """A cell for data row `row` (from 1) of a column whose cells are cells, which breaks rule
+    there and no rule checked before it; for "parse", a cell that is no value of kind."""
+    if rule == "parse":
+        return "maybe" if kind == "flag" else "x"
+    if rule in ("later", "increasing"):
+        return cells[row - 2]  # the row before's cell again
+    return {"finite": "nan", "nonnegative": "-1", "positive": "-0.5", "constant": "2000-01-01T00:00:00",
+            "hours_after": "2000-01-01T00:30:00"}[rule]
+
+
+@pytest.fixture(scope="module")
+def table_texts(predicted, response_texts):
+    """The text of every file a stage reads, by its out_dir name: the model
+    campaign's, the response inputs and a small set of issues and measurements."""
+    start = np.datetime64("2024-06-01T00:00:00", "s")
+    issues = IssueSet(issue_times=start + np.arange(4) * np.timedelta64(6, "h"), bounds=np.arange(5) * 8,
+                      leads=np.tile(np.arange(8), 4), values=np.linspace(0.5, 2.0, 32))
+    records = [HeaveRecord(timestamp=start + k * np.timedelta64(1, "h"), sig_heave=0.1 * k) for k in range(30)]
+    with tempfile.TemporaryDirectory() as tmp:
+        issue_path = Path(tmp) / out_name(cli.ISSUES)
+        write_forecast_issues(issue_path.with_name(Path(cli.ISSUES).name.format()), issues)
+        write_heave_records(Path(tmp) / cli.MEASUREMENTS, records)
+        built = {out_name(cli.ISSUES): issue_path.read_text(), cli.MEASUREMENTS: (Path(tmp) / cli.MEASUREMENTS).read_text()}
+    return {**predicted, **response_texts, **built}
+
+
+def reader_result(files: dict[str, str], stage: str) -> tuple[int, str]:
+    """(exit code, output) of stage run on a campaign of files (out_dir name -> text)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_campaign(tmp, {})
+        for name, text in files.items():
+            (manifest.parent / "out" / name).parent.mkdir(parents=True, exist_ok=True)
+            (manifest.parent / "out" / name).write_text(text)
+        raw = yaml.safe_load(manifest.read_text())
+        manifest.write_text(yaml.safe_dump({**raw, "rao_file": f"out/{RAO}", "spectra_file": f"out/{SPECTRA}"}))
+        result = invoke([stage, "--manifest", str(manifest)])
+    return result.exit_code, result.output
+
+
+@pytest.mark.parametrize("stage", sorted(set(READERS.values())))
+def test_every_reader_accepts_the_files_as_written(table_texts, stage):
+    assert reader_result(table_texts, stage)[0] == 0
+
+
+RULE_CASES = rule_cases()
+
+
+@pytest.mark.parametrize("template, column, kind, rule", RULE_CASES,
+                         ids=[f"{out_name(t)}:{column}:{rule}" for t, column, _, rule in RULE_CASES])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_every_rule_refuses_by_row_and_column(table_texts, template, column, kind, rule, data):
+    # a cell that breaks a rule of io.FORMATS, or is no value of its column's
+    # kind, makes the first stage that reads the file exit 2 naming its row
+    # and column, so each rule the table gains is garbled here
+    name = out_name(template)
+    header, *lines = table_texts[name].splitlines()
+    names = header.split(", ")
+    if column == "*":  # one of the columns the table leaves to the header
+        column = data.draw(st.sampled_from(names[len(io.FORMATS[template]) - 1:]))
+    j = names.index(column)
+    first = 1 if rule in ("parse", "finite", "nonnegative", "positive") else 2
+    row = data.draw(st.integers(first, len(lines)))
+    cells = [line.split(", ") for line in lines]
+    cells[row - 1][j] = breaking_cell(kind, rule, [c[j] for c in cells], row)
+    garbled = "\n".join([header, *(", ".join(c) for c in cells)]) + "\n"
+    code, output = reader_result({**table_texts, name: garbled}, READERS[template])
+    assert code == 2, output
+    assert f"{name}, row {row}: {column} must be " in output, output

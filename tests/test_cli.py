@@ -465,8 +465,8 @@ class TestExitCodes:
         result = invoke(["build", "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert result.stderr == (
-            f"error: {tmp_path / 'issue.csv'}, row 2: valid_time_utc must be a whole number of hours after the "
-            "issue time, found '2024-06-01T01:30:00'\n"
+            f"error: {tmp_path / 'issue.csv'}, row 2: valid_time_utc must be a whole number of hours after "
+            "issue_time_utc, found '2024-06-01T01:30:00'\n"
         )
 
     @pytest.mark.parametrize("cell", ["inf", "-inf"])
@@ -1071,16 +1071,17 @@ class TestBadPredictions:
         # the file as predict wrote it before it scored each row
         path = self.predict(campaign)
         path.write_text("".join(line.rsplit(", ", 1)[0] + "\n" for line in path.read_text().splitlines()))
-        expected, found = io._PREDICTIONS_HEADER, io._PREDICTIONS_HEADER[:-1]
+        expected = [column.split()[0] for column in io.FORMATS[cli.PREDICTIONS]]
+        found = expected[:-1]
         self.assert_refused(campaign, f"{path}: expected header {expected}, found {found}; re-run predict")
 
     @pytest.mark.parametrize(
         "column, cell, message",
         [
-            (1, "inf", "mean_m must be finite, found 'inf'"),
-            (4, "nan", "p95_m must be finite, found 'nan'"),
-            (5, "nan", "crps_m must be finite and nonnegative, found 'nan'"),
-            (5, "-0.002", "crps_m must be finite and nonnegative, found '-0.002'"),
+            (1, "inf", "mean_m must be a finite number, found 'inf'"),
+            (4, "nan", "p95_m must be a finite number, found 'nan'"),
+            (5, "nan", "crps_m must be a finite nonnegative number, found 'nan'"),
+            (5, "-0.002", "crps_m must be a finite nonnegative number, found '-0.002'"),
         ],
     )
     def test_bad_cell(self, campaign, column, cell, message):

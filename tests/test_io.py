@@ -49,21 +49,6 @@ T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
 
 
-def test_readme_file_formats_are_the_readers_and_writers_headers():
-    # the README's File formats table against the one header constant that
-    # each file's reader requires and its writer writes
-    section = (ROOT / "README.md").read_text().split("\n## File formats\n", 1)[1]
-    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, flags=re.M)
-    assert {name: header.split(", ") for name, header in rows} == {
-        "rao.csv": datasets._RAO_HEADER,
-        "spectra.csv": datasets._SPECTRA_HEADER,
-        "measurements.csv": datasets._HEAVE_HEADER,
-        "issues/issue_NNNN.csv": datasets._ISSUE_HEADER,
-        "dataset_hHHH.csv": heavecast_io._DATASET_HEADER,
-        "predictions_<model>_hHHH.csv": heavecast_io._PREDICTIONS_HEADER,
-    }
-
-
 class TestAtomicWrite:
     def test_creates_parents_and_no_temp_left(self, tmp_path):
         target = tmp_path / "a" / "b" / "out.txt"
@@ -270,7 +255,7 @@ class TestIssueAndDataset:
             "2024-06-01T00:00:00, 2024-06-01T00:00:00, 1.5\n"
             "2024-06-01T06:00:00, 2024-06-01T07:00:00, 1.25\n"
         )
-        refused = "row 2: issue_time_utc must be the first row's issue time, found '2024-06-01T06:00:00'$"
+        refused = "row 2: issue_time_utc must be the first row's, found '2024-06-01T06:00:00'$"
         with pytest.raises(ValueError, match=refused):
             read_forecast_issue(p)
 
@@ -700,16 +685,7 @@ def test_bad_number_cell_names_the_file_and_column(tmp_path, kind, column, blank
 @pytest.mark.parametrize(
     "kind, reader, text, message",
     [
-        ("rao", read_rao, "freq_hz, amplitude\n0.2, 1.0\n0.1, 1.5\n", "strictly increasing"),
-        # an infinite last frequency passed, and its bin width came out NaN
-        ("rao", read_rao, "freq_hz, amplitude\n0.1, 1.0\ninf, 1.5\n", "frequencies must be finite"),
-        (
-            "spectra",
-            read_spectra,
-            "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n"
-            + "".join(f"2024-06-01T00:00:00, {f}, {d}, -1.0\n" for f in (0.1, 0.2) for d in (10, 20)),
-            "density must be finite and nonnegative",
-        ),
+        ("rao", read_rao, "freq_hz, amplitude\n0.1, 1.0\n", "RAO needs at least two frequency points"),
         (
             "measurements",
             read_heave_records,
@@ -724,6 +700,34 @@ def test_value_error_of_the_built_type_names_the_file(tmp_path, kind, reader, te
     # the heave-record reader checks its values itself, and names the row too
     with pytest.raises(ValueError, match=rf"{kind}\.csv(, row \d+)?: .*{message}"):
         reader(p)
+
+
+# four spectra rows, the second with a density of nan
+SPECTRA_ROWS = "".join(f"2024-06-01T00:00:00, {f}, {d}, {v}\n" for (f, d), v in zip(
+    [(0.1, 10), (0.1, 20), (0.2, 10), (0.2, 20)], ["1.0", "nan", "1.0", "1.0"]))
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        # each was refused as "frequencies must be finite, strictly increasing and positive"
+        (read_rao, "freq_hz, amplitude\n0.1, 1.0\ninf, 1.5\n", "row 2: freq_hz must be a finite number, found 'inf'"),
+        (read_rao, "freq_hz, amplitude\n0.2, 1.0\n0.1, 1.5\n",
+         "row 2: freq_hz must be greater than the row before, found '0.1'"),
+        # "amplitudes must be finite and nonnegative"
+        (read_rao, "freq_hz, amplitude\n0.1, 1.0\n0.2, -1.5\n",
+         "row 2: amplitude must be a finite nonnegative number, found '-1.5'"),
+        # "density must be finite and nonnegative"
+        (read_spectra, "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg\n" + SPECTRA_ROWS,
+         "row 2: density_m2_s_per_deg must be a finite nonnegative number, found 'nan'"),
+    ],
+)
+def test_rao_and_spectra_values_name_their_row_and_column(tmp_path, reader, text, message):
+    p = tmp_path / "input.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        reader(p)
+    assert str(exc.value) == f"{p}, {message}"
 
 
 class TestValidCells:
@@ -781,7 +785,7 @@ class TestSpectraGrid:
         p = tmp_path / "spec.csv"
         rows = [("0.1", "10", "1.0"), ("0.1", "20", "2.0"), ("0.2", "10", "3.0"), ("0.1", "10", "4.0")]
         p.write_text("\n".join([self.HEADER] + [f"2024-06-01T00:00:00, {f}, {d}, {v}" for f, d, v in rows]) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{p}: irregular grid at 2024-06-01T00:00:00")):
+        with pytest.raises(ValueError, match=re.escape(f"{p}, row 4: irregular grid at 2024-06-01T00:00:00")):
             read_spectra(p)
 
     def test_rows_in_any_order_read_as_sorted(self, tmp_path):
@@ -811,14 +815,17 @@ class TestSpectraGrid:
             read_spectra(p)
 
     @pytest.mark.parametrize(
-        "fault, message",
+        "fault, cell, message",
         [
-            ("duplicate cell", "irregular grid at 2024-06-01T01:00:00"),
-            ("missing cell", "irregular grid at 2024-06-01T01:00:00"),
-            ("extra frequency", "inconsistent grid across timestamps"),
+            # the later copy of the repeated cell
+            ("duplicate cell", (0.1, 20), "irregular grid at 2024-06-01T01:00:00"),
+            # the run's last cell, which the missing (0.2, 20) should follow
+            ("missing cell", (0.2, 10), "irregular grid at 2024-06-01T01:00:00"),
+            # the first cell outside the first timestamp's grid
+            ("extra frequency", (0.3, 10), "inconsistent grid across timestamps"),
         ],
     )
-    def test_fault_at_the_second_timestamp(self, tmp_path, fault, message):
+    def test_fault_at_the_second_timestamp(self, tmp_path, fault, cell, message):
         cells = [(f, d) for f in (0.1, 0.2) for d in (10, 20)]
         second = {
             "duplicate cell": cells + cells[1:2],
@@ -828,9 +835,11 @@ class TestSpectraGrid:
         lines = [f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f, d in cells]
         lines += [f"2024-06-01T01:00:00, {f}, {d}, 1.0" for f, d in second]
         random.Random(4).shuffle(lines)
+        # the data row, counted in the file's order, of the named cell's last copy
+        row = max(k for k, line in enumerate(lines, 1) if line == f"2024-06-01T01:00:00, {cell[0]}, {cell[1]}, 1.0")
         p = tmp_path / "spec.csv"
         p.write_text("\n".join([self.HEADER] + lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}, row {row}: {message}')}$"):
             read_spectra(p)
 
     @pytest.mark.parametrize("cell", ["-0.1", "0.0", "-0", "-1e-300"])
@@ -927,10 +936,10 @@ class TestPosteriorAndPredictions:
     @pytest.mark.parametrize(
         "column, cell, message",
         [
-            (1, "nan", "mean_m must be finite, found 'nan'"),
-            (3, "inf", "p50_m must be finite, found 'inf'"),
-            (5, "-1e-3", "crps_m must be finite and nonnegative, found '-1e-3'"),
-            (5, " -inf", "crps_m must be finite and nonnegative, found '-inf'"),
+            (1, "nan", "mean_m must be a finite number, found 'nan'"),
+            (3, "inf", "p50_m must be a finite number, found 'inf'"),
+            (5, "-1e-3", "crps_m must be a finite nonnegative number, found '-1e-3'"),
+            (5, " -inf", "crps_m must be a finite nonnegative number, found '-inf'"),
         ],
     )
     def test_predictions_cell_refused(self, tmp_path, column, cell, message):

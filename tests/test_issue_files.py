@@ -38,14 +38,18 @@ def oracle_write(path: Path, issue: ForecastIssue) -> None:
 
 def oracle_read(path: Path) -> ForecastIssue:
     """The per-file reader the batched reader replaced (it truncated off-hour leads)."""
-    _, (issue_col, valid_col, value_col), _ = io._read_cells([path], HEADER.split(", "))
+    header, text, _ = io._table_lines(path)
+    if header != HEADER.split(", "):
+        raise ValueError(f"{path}: expected header {HEADER.split(', ')}, found {header}")
+    cells = text.split(",") if text else []
+    issue_col, valid_col, value_col = cells[0::3], cells[1::3], cells[2::3]
     if not issue_col:
         raise ValueError(f"{path}: empty forecast issue")
     issue_times = io._parse_times(issue_col, path, "issue_time_utc")
     issue_time = issue_times[0]
     if np.any(issue_times != issue_time):
         row = int(np.argmax(issue_times != issue_time))
-        raise ValueError(f"{path}, row {row + 1}: issue_time_utc must be the first row's issue time, "
+        raise ValueError(f"{path}, row {row + 1}: issue_time_utc must be the first row's, "
                          f"found {issue_col[row].strip()!r}")
     leads = ((io._parse_times(valid_col, path, "valid_time_utc") - issue_time) / np.timedelta64(1, "h")).astype(int)
     values = np.array(value_col, dtype=float)
@@ -205,7 +209,7 @@ class TestSetReader:
             text = paths[k].read_text()
             paths[k].write_text(text[: text.rindex("\n", 0, -1) + 1] + "2024-06-01T06:00:00, 2024-06-01T06:00:00, 1\n")
         paths[2].write_text(paths[2].read_text().replace("2024-06-01T00:00:00, ", "2024-06-01T00:00:00Z, ", 1))
-        message = r"\.csv, row 3: issue_time_utc must be the first row's issue time, found '2024-06-01T06:00:00'$"
+        message = r"\.csv, row 3: issue_time_utc must be the first row's, found '2024-06-01T06:00:00'$"
         with pytest.raises(ValueError, match=r"f05" + message):
             read_forecast_issues(paths)
         with pytest.raises(ValueError, match=r"f09" + message):
@@ -228,7 +232,7 @@ class TestSetReader:
         # read as leads 0, 1 and 2 before, shifting the data by up to 59 min 59 s
         p = tmp_path / "issue.csv"
         p.write_text(f"{HEADER}\n2024-06-01T00:00:00, 2024-06-01T{valid}, 1.5\n")
-        message = (rf"issue\.csv, row 1: valid_time_utc must be a whole number of hours after the issue time, "
+        message = (rf"issue\.csv, row 1: valid_time_utc must be a whole number of hours after issue_time_utc, "
                    rf"found '2024-06-01T{valid}'$")
         with pytest.raises(ValueError, match=message):
             read_forecast_issue(p)

@@ -213,11 +213,9 @@ def _callers(path: Path, name: str) -> list[str]:
 
 
 def test_tables_are_written_by_the_one_table_writer():
-    # every delimited-text table goes through io._write_table, and its text,
-    # the header and row layout, comes from io._table_text, which the issue
-    # files' texts also come from; atomic_write_text is left to the table
-    # writer, to the samples sidecar, to the free-text scores.txt and to the
-    # one-file issue writer
+    # every delimited-text table goes through io._write_table, and so does its
+    # text; atomic_write_text is left to the table writer, to the samples
+    # sidecar, to the free-text scores.txt and to the one-file issue writer
     found = sorted(caller for path in SOURCES for caller in _callers(path, "atomic_write_text"))
     assert found == [
         "cli.py:score",
@@ -225,8 +223,62 @@ def test_tables_are_written_by_the_one_table_writer():
         "io.py:_write_table",
         "io.py:write_posterior_samples",
     ]
-    found = sorted(caller for path in SOURCES for caller in _callers(path, "_table_text"))
-    assert found == ["datasets.py:_issue_texts", "io.py:_write_table"]
+
+
+# a printf conversion, as a row format spells a cell: %s, %d, %.10g, %.6f, ...
+PRINTF = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGs]")
+
+
+def _format_spellings(path: Path, files: list[set[str]]) -> list[str]:
+    """file:line of each printf conversion in a string of path's code, and of
+    each list or tuple that holds two or more column names of one of files,
+    outside the tables FORMATS and _FLAGS; docstrings are not code."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tables = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) in ("FORMATS", "_FLAGS") for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    alone = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in tables or id(node) in alone:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and PRINTF.search(node.value):
+            found.add(node.lineno)
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            names = {e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+            if any(len(names & columns) >= 2 for columns in files):
+                found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_format_spellings_outside_the_table_are_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        '"""A docstring may name %.10g."""\n'
+        "FORMATS = {'a.csv': ('x_m number %.10g', 'y_m number %.10g')}\n"
+        "_FLAGS = {'%d': {'0': False, '1': True}}\n"
+        "row = '%s, %.10g'\nheader = ['x_m', 'y_m']\ncell = f'{v:.10g}, %d'\nhelp = '[default: %(default)s]'\n"
+        "pair = ('x_m', 'z')\ncolumns = ('y_m', 'x_m', 'z')\nescaped = c.replace('%', '%%')\n"
+    )
+    assert _format_spellings(path, [{"x_m", "y_m"}]) == ["m.py:4", "m.py:5", "m.py:6", "m.py:9"]
+
+
+def test_headers_and_row_formats_are_spelled_in_the_table_alone():
+    # io.FORMATS declares each table file's columns and number formats once;
+    # io._table_text takes every header and row format from it, and no
+    # module spells a header list or a printf row format of its own
+    from heavecast import io
+
+    files = [{column.split()[0] for column in columns} for columns in io.FORMATS.values()]
+    assert [line for path in SOURCES for line in _format_spellings(path, files)] == []
+    assigned = [
+        target.id for path in SOURCES for node in _nodes(path) if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    ]
+    assert [name for name in assigned if re.fullmatch(r"_\w*_HEADER", name)] == []
 
 
 def test_main_alone_loads_the_manifest_and_sets_the_floating_point_policy():
@@ -307,6 +359,23 @@ def _readme_name(template: str) -> str:
     return re.sub(r"\{+(\w+)[^}]*\}+", lambda field: fields[field[1]], template)
 
 
+def test_readme_file_formats_table_is_the_table():
+    # README's File formats table lists io.FORMATS' files in order, each with
+    # its header (the samples' parameters as <parameters>) and, in column
+    # order, each number format other than %s once
+    from heavecast import io
+
+    section = (ROOT / "README.md").read_text().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| ([^|]*) \|", section, flags=re.M)
+    listed = [(name, header, re.findall(r"`(%[^`]+)`", formats)) for name, header, formats in rows]
+    declared = []
+    for template, columns in io.FORMATS.items():
+        spec = [column.split() for column in columns]
+        header = ", ".join("<parameters>" if name == "*" else name for name, *_ in spec)
+        declared.append((_readme_name(template), header, list(dict.fromkeys(f for _, _, f, *_ in spec if f != "%s"))))
+    assert listed == declared
+
+
 def test_readme_file_formats_name_the_stage_files():
     # README's "File formats" names every file a command reads or writes
     # in out_dir, and no other
@@ -342,8 +411,8 @@ def test_campaign_inputs_live_in_datasets():
 
     assert importlib.util.find_spec("heavecast.campaign") is None
     names = [
-        *io._CAMPAIGN_NAMES, "HeaveRecord", "TWO_PI", "_RAO_HEADER", "_SPECTRA_HEADER", "_HEAVE_HEADER",
-        "_ISSUE_HEADER", "_ISSUE_BATCH", "_read_issue_batch", "_parse_issue_files", "_issue_texts",
+        *io._CAMPAIGN_NAMES, "HeaveRecord", "TWO_PI", "_ISSUE_BATCH", "_read_issue_batch", "_parse_issue_files",
+        "_issue_texts",
     ]
     assert [name for name in names if name not in vars(datasets)] == []
     assert len(io._CAMPAIGN_NAMES) == 5
