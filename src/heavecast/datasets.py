@@ -184,10 +184,7 @@ class IssueSet:
 
 @dataclass(frozen=True, eq=False)
 class HorizonSeries:
-    """A fixed-horizon forecast series, one row per valid time in time order.
-
-    Iterating yields (valid_time, value, issue_time) tuples.
-    """
+    """A fixed-horizon forecast series, one row per valid time in time order."""
 
     valid_times: np.ndarray  # datetime64[s]
     values: np.ndarray  # m
@@ -199,9 +196,6 @@ class HorizonSeries:
         object.__setattr__(self, "issue_times", np.asarray(self.issue_times, dtype="datetime64[s]"))
         if not self.valid_times.shape == self.values.shape == self.issue_times.shape == (self.valid_times.size,):
             raise ValueError("valid_times, values and issue_times must be matching 1-d arrays")
-
-    def __iter__(self):
-        return zip(self.valid_times, self.values.tolist(), self.issue_times)
 
 
 def _lead_window(h: int) -> tuple[list[int], int]:

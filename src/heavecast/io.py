@@ -10,13 +10,17 @@ reads them and _table_text spells them. A cell may carry spaces or tabs
 around it: numbers and times are parsed through them, and a cell compared
 as text is stripped where it is compared.
 
-The manifest's settings (SamplerConfig, SwellEvent, SwellScenario,
-ErrorInjection) check their own values, and RunManifest.load checks a
-manifest's keys against their fields and builds each section, so every
-stage validates every section. Every seed a stage draws from comes from
-STREAMS, through RunManifest.stream. A HorizonDataset holds one horizon's
-aligned (forecast, measurement) rows, which chrono_split splits in time
-order; the model stages need nothing else of datasets, which builds them.
+Each manifest setting's value rules are declared on its dataclass field
+(_setting, naming rules of _SETTING_RULES), and _check_settings checks them:
+RunManifest.load through _check_section, naming each section and key, and
+each settings class (SamplerConfig, SwellEvent, SwellScenario,
+ErrorInjection) when built, so every stage validates every section. Only
+the scenario's background_tp rule, which reads background_hs, and the list
+rules of horizons, issue_files and events are code. Every seed a stage
+draws from comes from STREAMS, through RunManifest.stream. A
+HorizonDataset holds one horizon's aligned (forecast, measurement) rows,
+which chrono_split splits in time order; the model stages need nothing
+else of datasets, which builds them.
 
 The campaign's own files (RAO, spectra, heave records and forecast
 issues), which only simulate, build and response touch, are read and
@@ -414,10 +418,10 @@ class HorizonDataset:
 def chrono_split(ds: HorizonDataset, train_fraction: float) -> tuple[HorizonDataset, HorizonDataset]:
     """Chronological train/test split: first ceil(fraction*N) rows train.
 
-    Both parts must keep at least one row.
+    train_fraction must keep RunManifest.train_fraction's rule, and both parts
+    must keep at least one row.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly inside (0, 1)")
+    _check_settings(RunManifest, {"train_fraction": train_fraction})
     n = len(ds)
     if n < 10:
         raise ValueError(f"too few rows to split: {n} rows at horizon {ds.horizon}, at least 10 needed")
@@ -528,94 +532,97 @@ _TP_MAX = 1.0 / FORECAST_FREQS_HZ[0]  # ~24.3 s
 MIN_DRAWS = 100  # fewest posterior draws a stage accepts; fit warms up and retains at least this many per chain
 
 
-def _check_finite(settings) -> None:
-    """Every float field must hold a finite number: NaN compares false with
-    every bound, so a range check alone would let it through."""
-    for f in dataclasses.fields(settings):
-        if f.type == "float":
-            value = getattr(settings, f.name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{f.name} must be a finite number, found {value!r}")
+def _finite(value) -> bool:
+    """Whether value is a finite number; an integer past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# each rule a setting may declare: what a refusal says the value must be, and whether a value keeps
+# it, given the text after the rule's colon; NaN keeps none (it compares false with every bound)
+_SETTING_RULES = {
+    "finite": ("a finite number", lambda v, arg: _finite(v)),
+    "nonnegative": ("a finite nonnegative number", lambda v, arg: _finite(v) and v >= 0.0),
+    "positive": ("a finite positive number", lambda v, arg: _finite(v) and v > 0.0),
+    "at_least": ("at least {}", lambda v, arg: v >= float(arg)),
+    "persistence": ("in [0, 1)", lambda v, arg: 0.0 <= v < 1.0),
+    "fraction": ("strictly inside (0, 1)", lambda v, arg: 0.0 < v < 1.0),
+    "tp_band": (f"within the forecast band [{_TP_MIN:.2f}, {_TP_MAX:.2f}] s", lambda v, arg: _TP_MIN <= v <= _TP_MAX),
+}
+
+
+def _setting(*rules: str, **kwargs):
+    """A settings field whose value must keep each of rules, in order: keys
+    of _SETTING_RULES, each with ":argument" where it takes one."""
+    return field(metadata={"rules": rules}, **kwargs)
+
+
+def _check_settings(cls, values: dict, what: str = "") -> None:
+    """Refuse the first of values, by field name, that breaks a rule its field
+    of cls declares: "<what> key <name> must be <rule>, found <value>", or
+    "<name> must be ..." without what."""
+    for f in dataclasses.fields(cls):
+        for rule in f.metadata.get("rules", ()) if f.name in values else ():
+            name, _, arg = rule.partition(":")
+            phrase, keeps = _SETTING_RULES[name]
+            if not keeps(values[f.name], arg):
+                key = f"{what} key {f.name}" if what else f.name
+                raise ValueError(f"{key} must be {phrase.format(arg)}, found {reprlib.repr(values[f.name])}")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    chains: int = 3
-    warmup_draws: int = 1000  # burn-in sweeps per chain
-    retained_draws: int = 1000
-    rhat_limit: float = 1.05
+    chains: int = _setting("at_least:1", default=3)
+    warmup_draws: int = _setting(f"at_least:{MIN_DRAWS}", default=1000)  # burn-in sweeps per chain
+    retained_draws: int = _setting(f"at_least:{MIN_DRAWS}", default=1000)
+    rhat_limit: float = _setting("finite", "at_least:1.0", default=1.05)
 
     def __post_init__(self):
-        if self.chains < 1 or self.warmup_draws < MIN_DRAWS or self.retained_draws < MIN_DRAWS:
-            raise ValueError(f"need >= 1 chain, >= {MIN_DRAWS} warmup and retained draws")
-        # a NaN limit would make every R-hat comparison false and pass any chains
-        if not 1.0 <= self.rhat_limit < math.inf:
-            raise ValueError(f"rhat_limit must be finite and at least 1.0, found {self.rhat_limit!r}")
+        _check_settings(SamplerConfig, vars(self))
 
 
 @dataclass(frozen=True)
 class SwellEvent:
     """One swell pulse: peak Hs/Tp with exponential rise and decay."""
 
-    arrival_h: float  # hours after scenario start
-    hs: float  # m at peak
-    tp: float  # s at peak
-    rise_h: float = 12.0
-    decay_h: float = 24.0
-    direction: float = np.deg2rad(200.0)
-    spread_exp: float = 12.0
-    bandwidth_hz: float = 0.008
+    arrival_h: float = _setting("finite")  # hours after scenario start
+    hs: float = _setting("nonnegative")  # m at peak
+    tp: float = _setting("tp_band")  # s at peak
+    rise_h: float = _setting("positive", default=12.0)
+    decay_h: float = _setting("positive", default=24.0)
+    direction: float = _setting("finite", default=np.deg2rad(200.0))
+    spread_exp: float = _setting("nonnegative", default=12.0)
+    bandwidth_hz: float = _setting("positive", default=0.008)
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.hs < 0.0:
-            raise ValueError("Hs must be nonnegative")
-        if not _TP_MIN <= self.tp <= _TP_MAX:
-            raise ValueError(f"Tp must lie within the forecast band [{_TP_MIN:.2f}, {_TP_MAX:.2f}] s")
-        if self.rise_h <= 0.0 or self.decay_h <= 0.0:
-            raise ValueError("rise and decay time constants must be positive")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError(f"bandwidth_hz must be positive, found {self.bandwidth_hz!r}")
-        if self.spread_exp < 0.0:
-            raise ValueError(f"spread_exp must be nonnegative, found {self.spread_exp!r}")
+        _check_settings(SwellEvent, vars(self))
 
 
 @dataclass(frozen=True)
 class SwellScenario:
     """Campaign description: event schedule plus wind-sea background."""
 
-    duration_h: int
+    duration_h: int = _setting("at_least:1")
     start: np.datetime64 = np.datetime64("2024-06-01T00:00:00", "s")
     events: tuple[SwellEvent, ...] = ()
-    background_hs: float = 0.8
-    background_tp: float = 6.0
-    background_direction: float = np.deg2rad(90.0)
-    background_spread_exp: float = 2.0
-    hs_jitter: float = 0.0  # relative hourly Hs modulation (AR(1) in time)
-    hs_jitter_ar: float = 0.7  # hour-to-hour persistence of the modulation
-    measurement_noise: float = 0.0  # m, the standard deviation of the measured heave's error
+    background_hs: float = _setting("nonnegative", default=0.8)
+    background_tp: float = _setting("finite", default=6.0)
+    background_direction: float = _setting("finite", default=np.deg2rad(90.0))
+    background_spread_exp: float = _setting("nonnegative", default=2.0)
+    hs_jitter: float = _setting("nonnegative", default=0.0)  # relative hourly Hs modulation (AR(1) in time)
+    hs_jitter_ar: float = _setting("persistence", default=0.7)  # hour-to-hour persistence of the modulation
+    measurement_noise: float = _setting("nonnegative", default=0.0)  # m, std of the measured heave's error
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.duration_h < 1:
-            raise ValueError("duration must be at least one hour")
-        if self.background_hs < 0.0:
-            raise ValueError("background Hs must be nonnegative")
-        if self.background_spread_exp < 0.0:
-            raise ValueError(f"background_spread_exp must be nonnegative, found {self.background_spread_exp!r}")
-        if self.hs_jitter < 0.0:
-            raise ValueError("Hs jitter must be nonnegative")
-        if not 0.0 <= self.hs_jitter_ar < 1.0:
-            raise ValueError("Hs jitter persistence must lie in [0, 1)")
-        if self.background_hs > 0.0 and not _TP_MIN <= self.background_tp <= _TP_MAX:
-            raise ValueError("background Tp outside the forecast band")
-        if self.measurement_noise < 0.0:
-            raise ValueError(f"measurement_noise must be nonnegative, found {self.measurement_noise!r}")
+        _check_settings(SwellScenario, vars(self))
+        # the one rule across fields: a background sea has its peak period in the band
+        phrase, keeps = _SETTING_RULES["tp_band"]
+        if self.background_hs > 0.0 and not keeps(self.background_tp, ""):
+            raise ValueError(f"background_tp must be {phrase} when background_hs > 0, "
+                             f"found {reprlib.repr(self.background_tp)}")
         object.__setattr__(self, "start", np.datetime64(self.start, "s"))
         object.__setattr__(self, "events", tuple(self.events))
 
@@ -631,27 +638,21 @@ class ErrorInjection:
     ones.
     """
 
-    bias_factor: float = 1.0
-    timing_shift_h: float = 0.0
-    error_growth_rate: float = 0.0  # per hour of lead
-    noise_scale: float = 0.0  # m
-    noise_ar: float = 0.0
-    noise_ar_lead_decay: float = 48.0
+    bias_factor: float = _setting("finite", default=1.0)
+    timing_shift_h: float = _setting("finite", default=0.0)
+    error_growth_rate: float = _setting("finite", default=0.0)  # per hour of lead
+    noise_scale: float = _setting("nonnegative", default=0.0)  # m
+    noise_ar: float = _setting("persistence", default=0.0)
+    noise_ar_lead_decay: float = _setting("positive", default=48.0)
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.noise_scale < 0.0:
-            raise ValueError("noise scale must be nonnegative")
-        if not 0.0 <= self.noise_ar < 1.0:
-            raise ValueError("noise persistence must lie in [0, 1)")
-        if self.noise_ar_lead_decay <= 0.0:
-            raise ValueError(f"noise_ar_lead_decay must be positive, found {self.noise_ar_lead_decay!r}")
+        _check_settings(ErrorInjection, vars(self))
 
 
 # -- run manifest ------------------------------------------------------------
 
-# value types checked per dataclass field annotation; other fields are not
+# value types checked per dataclass field annotation, before the values' rules; other fields are not
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
@@ -666,7 +667,7 @@ _FIELD_TYPES = {
 def _check_section(what: str, raw, cls, skip=frozenset()) -> None:
     """A manifest mapping must set every field of cls without a default and
     may set the others, less skip; int, float, dict, str, path and time
-    values must have that type."""
+    values must have that type, and each value must keep its field's rules."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a mapping, found {reprlib.repr(raw)}")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
@@ -683,6 +684,7 @@ def _check_section(what: str, raw, cls, skip=frozenset()) -> None:
         typed = _FIELD_TYPES.get(fields[key].type)
         if typed and (isinstance(value, bool) or not isinstance(value, typed[0])):
             raise ValueError(f"{what} key {key} must be {typed[1]}, found {reprlib.repr(value)}")
+    _check_settings(cls, raw, what)
 
 
 def _iso_time(value: datetime.date) -> np.datetime64:
@@ -767,8 +769,8 @@ class RunManifest:
     measurements_file: Path | None = None
     horizons: list[int] = field(default_factory=lambda: list(DEFAULT_HORIZONS))
     model_kind: str = "hybrid"
-    seed: int = 0
-    train_fraction: float = 0.8
+    seed: int = _setting("at_least:0", default=0)
+    train_fraction: float = _setting("fraction", default=0.8)
     sampler: dict = field(default_factory=dict)
     scenario: dict = field(default_factory=dict)
     injection: dict = field(default_factory=dict)
@@ -792,7 +794,7 @@ class RunManifest:
         _check_section("manifest injection", raw.get("injection", {}), ErrorInjection, skip={"seed"})
         files = raw.get("issue_files", [])
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-            raise ValueError(f"issue_files must be a list of paths, found {reprlib.repr(files)}")
+            raise ValueError(f"manifest key issue_files must be a list of paths, found {reprlib.repr(files)}")
         if "scenario" in raw:
             # the seed comes from the manifest seed
             scenario = raw["scenario"]
@@ -801,10 +803,10 @@ class RunManifest:
             if start is not None:
                 scenario["start"] = _time(start.strip()) if isinstance(start, str) else _iso_time(start)
                 if scenario["start"] is None:
-                    raise ValueError(f"manifest scenario: start must be a time, found {start.strip()!r}")
+                    raise ValueError(f"manifest scenario key start must be a time, found {start.strip()!r}")
             events = scenario.get("events", [])
             if not isinstance(events, list):
-                raise ValueError("manifest scenario events must be a list")
+                raise ValueError(f"manifest scenario key events must be a list, found {reprlib.repr(events)}")
             for event in events:
                 _check_section("manifest scenario event", event, SwellEvent)
         m = cls(out_dir=base / raw.pop("out_dir"))
@@ -815,16 +817,17 @@ class RunManifest:
                 value = [base / v for v in value]
             setattr(m, key, value)
         m.check()
-        # the settings check their own values, so every stage refuses what simulate or fit would
-        SamplerConfig(**m.sampler)
-        m.error_injection()
-        if m.scenario:
-            m.swell_scenario()
+        try:  # the scenario's rule across fields, which _check_section leaves to the scenario
+            if m.scenario:
+                m.swell_scenario()
+        except ValueError as exc:
+            raise ValueError(f"manifest scenario key {exc}") from exc
         return m
 
     def check(self) -> None:
-        """Refuse a top-level value no stage runs with; load calls this, and
-        each command after its overrides."""
+        """Refuse a top-level value no stage runs with, by the horizons' list
+        rules and the fields' own; load calls this, and each command after its
+        overrides."""
         if not isinstance(self.horizons, list) or not all(
             isinstance(h, int) and not isinstance(h, bool) and h >= 0 for h in self.horizons
         ):
@@ -833,12 +836,7 @@ class RunManifest:
             raise ValueError("horizons must not be empty")
         if len(set(self.horizons)) < len(self.horizons):
             raise ValueError(f"horizons must not repeat a horizon, found {self.horizons!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, found {self.seed!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"manifest key train_fraction must lie strictly inside (0, 1), found {self.train_fraction!r}"
-            )
+        _check_settings(RunManifest, vars(self))
         check_model_kind(self.model_kind)
 
     def stream(self, name: str, *index: int) -> int | tuple[int, ...]:

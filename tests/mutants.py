@@ -160,6 +160,32 @@ MUTANTS = (
         ("tests/test_acceptance.py", "tests/test_scoring.py::TestCrpsSamples", "tests/test_predictive.py"),
         "the sample CRPS halves its spread term, so it overstates the error of a wide forecast",
     ),
+    Mutant(
+        "persistence-bound-closed", "io.py",
+        "lambda v, arg: 0.0 <= v < 1.0)", "lambda v, arg: 0.0 <= v <= 1.0)",
+        ("tests/test_cli.py::TestExitCodes::test_every_stage_refuses_a_value_breaking_its_rule",
+         "tests/test_io.py::test_settings_built_in_code_refuse_by_key"),
+        "a noise or jitter persistence of 1 is kept, whose AR(1) noise never decays",
+    ),
+    Mutant(
+        "tp-band-lower-edge-open", "io.py",
+        "lambda v, arg: _TP_MIN <= v", "lambda v, arg: _TP_MIN < v",
+        ("tests/test_cli.py::TestExitCodes::test_a_value_at_the_edge_of_its_rule_is_kept",),
+        "a swell whose peak period is the forecast grid's shortest is refused",
+    ),
+    Mutant(
+        "at-least-strict", "io.py",
+        "lambda v, arg: v >= float(arg)", "lambda v, arg: v > float(arg)",
+        ("tests/test_cli.py::TestExitCodes::test_a_value_at_the_edge_of_its_rule_is_kept",),
+        "one chain, 100 warmup or retained draws, a one-hour campaign, seed 0 and an R-hat limit of 1 are refused",
+    ),
+    Mutant(
+        "sigma-proposal-doubled", "sampler.py",
+        "        proposal = 0.5 * ss / gamma\n", "        proposal = ss / gamma\n",
+        ("tests/test_sampler.py::TestConditionalsOracle::test_sigma_block",
+         "tests/test_calibration.py::test_ranks_of_the_true_parameters_are_uniform"),
+        "the sigma step proposes from twice its conditional's scale, so the chains do not target the posterior",
+    ),
 )
 
 

@@ -406,22 +406,19 @@ def test_criterion_10_synthesis_properties(capfd):
         def no_future_leak(issues, h):
             if not issues:
                 return
-            for vt, _, it in synthesize_horizon_series(issues, h):
-                lead = int((vt - it) / HOUR)
-                assert it + h * HOUR <= vt  # issue precedes the valid time by >= h
-                assert lead >= h
+            series = synthesize_horizon_series(issues, h)
+            assert (series.issue_times + h * HOUR <= series.valid_times).all()  # issue precedes the valid time by >= h
 
         @given(issues=_issue_sets(), h=st.sampled_from([0, 6, 12, 24, 48, 72, 96]))
         @settings(max_examples=60, deadline=None)
         def short_cycles_capped(issues, h):
             if not issues:
                 return
-            for vt, _, it in synthesize_horizon_series(issues, h):
-                lead = int((vt - it) / HOUR)
-                cycle = int((it - T0) / HOUR) % 24
-                assert lead <= DEFAULT_MAX_LEADS[cycle]
-                if cycle in (6, 18):
-                    assert lead <= 72
+            series = synthesize_horizon_series(issues, h)
+            leads = (series.valid_times - series.issue_times) / HOUR
+            cycles = ((series.issue_times - T0) / HOUR % 24).tolist()
+            assert (leads <= np.array([DEFAULT_MAX_LEADS[c] for c in cycles], dtype=float)).all()
+            assert (leads[np.isin(cycles, [6, 18])] <= 72).all()
 
         no_future_leak()
         short_cycles_capped()

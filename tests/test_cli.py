@@ -20,6 +20,7 @@ from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.spectral import response_moments
 from clirun import invoke
 from layout import reads, writes
+from manifest_rules import SETTING_RULES, breaking_values, keeping_values, refusal
 
 ROOT = Path(__file__).resolve().parents[1]
 # the manifest overrides each command takes: those whose value its work reads
@@ -34,9 +35,19 @@ OVERRIDES = {
 }
 
 
-def write_manifest(tmp_path, dump=yaml.safe_dump, **overrides):
-    """A small basic campaign's manifest with overrides, as dump writes it (block YAML by default)."""
-    cfg = {
+def with_setting(section: str, key: str, value) -> dict:
+    """write_manifest's overrides that set key of section (the first event's, for "scenario event") to value."""
+    if not section:
+        return {key: value}
+    top, _, event = section.partition(" ")
+    cfg = base_manifest()[top]
+    (cfg["events"][0] if event else cfg)[key] = value
+    return {top: cfg}
+
+
+def base_manifest() -> dict:
+    """A small basic campaign's manifest."""
+    return {
         "out_dir": "out",
         "horizons": [0, 6],
         "model_kind": "basic",
@@ -54,7 +65,11 @@ def write_manifest(tmp_path, dump=yaml.safe_dump, **overrides):
         },
         "injection": {"bias_factor": 0.85, "noise_scale": 0.02, "noise_ar": 0.6},
     }
-    cfg.update(overrides)
+
+
+def write_manifest(tmp_path, dump=yaml.safe_dump, **overrides):
+    """base_manifest's manifest with overrides, as dump writes it (block YAML by default)."""
+    cfg = {**base_manifest(), **overrides}
     path = tmp_path / "run.yaml"
     path.write_text(dump(cfg))
     return path
@@ -335,71 +350,55 @@ class TestExitCodes:
             ({"sampler": {"chainz": 3}}, "unknown manifest sampler keys: ['chainz']"),
             ({"injection": {"noise_scale": "big"}}, "manifest injection key noise_scale must be a number"),
             ({"scenario": {"duration_h": 48, "events": [{"hs": 1.0}]}}, "manifest scenario event must set"),
-            ({"injection": {"noise_scale": -1.0}}, "noise scale must be nonnegative"),
-            ({"scenario": {"duration_h": 48, "events": [{"arrival_h": 5, "hs": 1.0, "tp": 40.0}]}}, "Tp must lie"),
-            ({"scenario": {"duration_h": 0}}, "duration must be at least one hour"),
-            # simulate divided by zero and the event's heave was 0
+            # the one rule across keys, which io declares as code
             (
-                {"scenario": {"duration_h": 48, "events": [{"arrival_h": 10, "hs": 2.0, "tp": 14.0, "bandwidth_hz": 0}]}},
-                "bandwidth_hz must be positive, found 0",
+                {"scenario": {"duration_h": 48, "background_hs": 0.5, "background_tp": 40.0}},
+                "manifest scenario key background_tp must be within the forecast band [1.85, 24.27] s when "
+                "background_hs > 0, found 40.0",
             ),
-            (
-                {"scenario": {"duration_h": 48, "events": [{"arrival_h": 10, "hs": 2.0, "tp": 14.0, "spread_exp": -1}]}},
-                "spread_exp must be nonnegative, found -1",
-            ),
-            ({"scenario": {"duration_h": 48, "background_spread_exp": -1}}, "background_spread_exp must be nonnegative"),
-            # simulate and build ran with it; fit stopped with numpy's "expected non-negative integer"
-            ({"seed": -1}, "seed must be a nonnegative integer, found -1"),
+            ({"scenario": {"duration_h": 48, "start": "5"}}, "manifest scenario key start must be a time, found '5'"),
         ],
     )
     def test_every_stage_checks_every_manifest_section(self, tmp_path, cmd, override, message):
+        # each declared value rule is checked by every stage in test_every_stage_refuses_a_value_breaking_its_rule
         manifest = write_manifest(tmp_path, **override)
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2
         assert message in result.output
 
     @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
-    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
-    def test_rhat_limit_below_one_or_nan_is_validation_error(self, tmp_path, cmd, limit):
+    @pytest.mark.parametrize("section, key, rule", SETTING_RULES, ids=[":".join(case) for case in SETTING_RULES])
+    def test_every_stage_refuses_a_value_breaking_its_rule(self, tmp_path, cmd, section, key, rule):
+        # a value that breaks a rule a settings field declares, and no rule
+        # declared before it, exits 2 naming the section, key and value, before
+        # the stage writes anything; each rule io gains is broken here
+        for value in breaking_values(rule):
+            manifest = write_manifest(tmp_path, **with_setting(section, key, value))
+            result = invoke([cmd, "--manifest", str(manifest)])
+            where = f"manifest {section} key" if section else "manifest key"
+            message = f"error: {manifest}: {where} {key} {refusal(rule, value)}\n"
+            assert (result.exit_code, result.stderr) == (2, message)
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, rule", SETTING_RULES, ids=[":".join(case) for case in SETTING_RULES])
+    def test_a_value_at_the_edge_of_its_rule_is_kept(self, tmp_path, section, key, rule):
+        # simulate loads every section and builds the scenario and injection from them
+        for value in keeping_values(rule):
+            manifest = write_manifest(tmp_path, **with_setting(section, key, value))
+            result = invoke(["simulate", "--manifest", str(manifest)])
+            assert result.exit_code == 0, (value, result.output)
+
+    @pytest.mark.parametrize("cmd", ["simulate", "build", "fit", "predict", "score", "diagnose", "response"])
+    @pytest.mark.parametrize(
+        "limit, rule", [(float("nan"), "a finite number"), (-1.0, "at least 1.0"), (0.999, "at least 1.0")]
+    )
+    def test_rhat_limit_below_one_or_nan_is_validation_error(self, tmp_path, cmd, limit, rule):
         # a NaN limit would pass any chains, since no R-hat compares greater than it
         manifest = write_manifest(tmp_path, sampler={"rhat_limit": limit})
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert f"error: {manifest}: rhat_limit must be finite and at least 1.0, found {limit!r}" in result.output
+        assert f"error: {manifest}: manifest sampler key rhat_limit must be {rule}, found {limit!r}" in result.output
         assert "Traceback" not in result.output
-
-    @pytest.mark.parametrize(
-        "override, message",
-        [
-            # NaN issue values were written
-            ({"injection": {"bias_factor": float("nan")}}, "bias_factor must be a finite number, found nan"),
-            # the event was dropped without a word
-            (
-                {"scenario": {"duration_h": 48, "events": [{"arrival_h": 10, "hs": float("nan"), "tp": 14.0}]}},
-                "hs must be a finite number, found nan",
-            ),
-            # NaN issue values, with a RuntimeWarning
-            ({"injection": {"noise_ar_lead_decay": -5.0}}, "noise_ar_lead_decay must be positive, found -5.0"),
-            # a RuntimeWarning from the division by zero
-            ({"injection": {"noise_ar_lead_decay": 0.0}}, "noise_ar_lead_decay must be positive, found 0.0"),
-            # NaN measurements, which build then refused
-            (
-                {"scenario": {"duration_h": 48, "measurement_noise": float("nan")}},
-                "measurement_noise must be a finite number, found nan",
-            ),
-            (
-                {"scenario": {"duration_h": 48, "measurement_noise": -0.5}},
-                "measurement_noise must be nonnegative, found -0.5",
-            ),
-        ],
-    )
-    def test_non_finite_or_nonpositive_setting_is_validation_error(self, tmp_path, override, message):
-        manifest = write_manifest(tmp_path, **override)
-        result = invoke(["simulate", "--manifest", str(manifest)])
-        assert result.exit_code == 2, result.output
-        assert f"error: {manifest}: {message}" in result.output
-        assert "Traceback" not in result.output
-        assert not (tmp_path / "out" / "issues").exists()
 
     def test_overflowing_measurement_noise_names_the_manifest_and_key(self, tmp_path):
         # numpy warned of an overflow in multiply, and HeaveRecord then refused
@@ -581,8 +580,8 @@ class TestExitCodes:
             ("out_dir: out\nbogus: 1\n", "unknown manifest keys: ['bogus']\n"),
             ("horizons: [0]\n", "manifest must set ['out_dir']\n"),
             ("out_dir: out\nseed: x\n", "manifest key seed must be an integer, found 'x'\n"),
-            ("out_dir: out\nsampler: {chains: 0}\n", "need >= 1 chain, >= 100 warmup and retained draws\n"),
-            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario: start must be a time, found '5'"),
+            ("out_dir: out\nsampler: {chains: 0}\n", "manifest sampler key chains must be at least 1, found 0\n"),
+            ("out_dir: out\nscenario: {duration_h: 48, start: '5'}\n", "manifest scenario key start must be a time, found '5'"),
             ("out_dir: [\n", "malformed YAML: "),
         ],
     )
@@ -600,7 +599,7 @@ class TestExitCodes:
         [
             (cmd, flags, message)
             for flags, message in [
-                (["--seed", "-100"], "seed must be a nonnegative integer, found -100"),
+                (["--seed", "-100"], "seed must be at least 0, found -100"),
                 (["-H", "-1"], "horizons must be a list of nonnegative integers, found [-1]"),
             ]
             for cmd, taken in OVERRIDES.items()
@@ -640,7 +639,7 @@ class TestExitCodes:
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
         assert result.stderr == (
-            f"error: {manifest}: manifest key train_fraction must lie strictly inside (0, 1), found {fraction!r}\n"
+            f"error: {manifest}: manifest key train_fraction must be strictly inside (0, 1), found {fraction!r}\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -696,9 +695,9 @@ class TestExitCodes:
             ({"measurement_noise": [1]}, "measurement_noise must be a number, found [1]"),
             ({"measurement_noise": "0.01"}, "measurement_noise must be a number"),
             ({"start": 5}, "start must be an ISO-8601 time, found 5"),
-            ({"start": "5"}, "manifest scenario: start must be a time, found '5'"),
-            ({"start": "2024-06"}, "manifest scenario: start must be a time, found '2024-06'"),
-            ({"start": "2024-13-01T00:00:00"}, "manifest scenario: start must be a time, found '2024-13-01T00:00:00'"),
+            ({"start": "5"}, "manifest scenario key start must be a time, found '5'"),
+            ({"start": "2024-06"}, "manifest scenario key start must be a time, found '2024-06'"),
+            ({"start": "2024-13-01T00:00:00"}, "manifest scenario key start must be a time, found '2024-13-01T00:00:00'"),
         ],
     )
     def test_bad_scenario_extras_are_validation_errors(self, tmp_path, scenario, message):

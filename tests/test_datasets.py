@@ -40,6 +40,17 @@ def full_day_issues(days=3, value_fn=None):
     return issues
 
 
+def leads_of(series):
+    """Each row's lead in hours: its valid time less its issue time."""
+    return (series.valid_times - series.issue_times) / HOUR
+
+
+def assert_same_series(got, ref):
+    np.testing.assert_array_equal(got.valid_times, ref.valid_times)
+    np.testing.assert_array_equal(got.issue_times, ref.issue_times)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
 def reference_window(h):
     """The cycle hours that serve horizon h and their lead window, or (set(), None).
 
@@ -58,48 +69,38 @@ class TestSynthesize:
     def test_h0_uses_most_recent_issue(self):
         # valid time 07Z must come from the 06Z issue at lead 1
         series = synthesize_horizon_series(full_day_issues(), h=0)
-        by_time = {vt: it for vt, _, it in series}
-        assert by_time[T0 + 7 * HOUR] == T0 + 6 * HOUR
+        np.testing.assert_array_equal(series.issue_times[series.valid_times == T0 + 7 * HOUR], [T0 + 6 * HOUR])
 
     def test_h0_block_structure(self):
-        series = synthesize_horizon_series(full_day_issues(), h=0)
-        for vt, _, it in series:
-            lead = int((vt - it) / HOUR)
-            assert 0 <= lead <= 5
+        leads = leads_of(synthesize_horizon_series(full_day_issues(), h=0))
+        assert leads.size and ((0 <= leads) & (leads <= 5)).all()
 
     def test_h72_uses_00_and_12_only(self):
         series = synthesize_horizon_series(full_day_issues(days=6), h=72)
-        cycles = set()
-        for vt, _, it in series:
-            lead = int((vt - it) / HOUR)
-            assert 72 <= lead <= 83
-            cycles.add(int((it - T0) / HOUR) % 24)
-        assert cycles <= {0, 12}
+        leads = leads_of(series)
+        assert leads.size and ((72 <= leads) & (leads <= 83)).all()
+        assert set(((series.issue_times - T0) / HOUR % 24).tolist()) <= {0, 12}
 
     def test_h72_specific_lead(self):
         series = synthesize_horizon_series(full_day_issues(days=6), h=72)
-        by_time = {vt: it for vt, _, it in series}
         vt = T0 + 12 * HOUR + 77 * HOUR  # 12Z issue + lead 77
-        assert by_time[vt] == T0 + 12 * HOUR
+        np.testing.assert_array_equal(series.issue_times[series.valid_times == vt], [T0 + 12 * HOUR])
 
     def test_single_issue_degenerate(self):
         issues = [issue_at(0, 240)]
         series = synthesize_horizon_series(issues, h=6)
-        assert [int((vt - T0) / HOUR) for vt, _, _ in series] == [6, 7, 8, 9, 10, 11]
-        assert all(it == T0 for _, _, it in series)
+        assert ((series.valid_times - T0) / HOUR).tolist() == [6, 7, 8, 9, 10, 11]
+        assert (series.issue_times == T0).all()
         series_long = synthesize_horizon_series(issues, h=72)
-        assert [int((vt - T0) / HOUR) for vt, _, _ in series_long] == list(range(72, 84))
+        assert ((series_long.valid_times - T0) / HOUR).tolist() == list(range(72, 84))
 
     def test_missing_issue_leaves_gap(self):
         # dropping the 06Z issue removes hours 06..11Z entirely: leads stay
         # inside [h, h+5], so older issues never backfill the hole
         issues = [i for i in full_day_issues() if i.issue_time != T0 + 6 * HOUR]
         series = synthesize_horizon_series(issues, h=0)
-        times = {vt for vt, _, _ in series}
-        for k in range(6, 12):
-            assert T0 + k * HOUR not in times
-        assert T0 + 5 * HOUR in times
-        assert T0 + 12 * HOUR in times
+        assert not np.isin(T0 + np.arange(6, 12) * HOUR, series.valid_times).any()
+        assert np.isin([T0 + 5 * HOUR, T0 + 12 * HOUR], series.valid_times).all()
 
     def test_complete_issue_set_is_gapless_at_every_served_horizon(self):
         # at h = 68..71 the 00Z and 12Z issues filled only 6 h of their 12 h windows
@@ -222,12 +223,11 @@ class TestLeakProperties:
             return
         series = synthesize_horizon_series(issues, h)
         _, window = reference_window(h)
-        for vt, _, it in series:
-            lead = int((vt - it) / HOUR)
-            assert it <= vt - h * HOUR  # no future information
-            assert h <= lead < h + window
-            cycle = int((it - T0) / HOUR) % 24
-            assert lead <= DEFAULT_MAX_LEADS[cycle]
+        leads = leads_of(series)
+        assert (series.issue_times <= series.valid_times - h * HOUR).all()  # no future information
+        assert ((h <= leads) & (leads < h + window)).all()
+        cycles = ((series.issue_times - T0) / HOUR % 24).tolist()
+        assert (leads <= np.array([DEFAULT_MAX_LEADS[c] for c in cycles], dtype=float)).all()
 
     @given(issues=issue_sets(), h=st.sampled_from([0, 6, 24]))
     @settings(max_examples=25, deadline=None)
@@ -235,15 +235,12 @@ class TestLeakProperties:
         if not issues:
             return
         series = synthesize_horizon_series(issues, h)
-        by_issue_time = {i.issue_time: i for i in issues}
-        for vt, _, it in series:
-            for other in issues:
-                if other.issue_time <= it:
-                    continue
-                lead = (vt - other.issue_time) / HOUR
-                cycle = int((other.issue_time - T0) / HOUR) % 24
-                admissible = lead >= h and lead <= DEFAULT_MAX_LEADS[cycle]
-                assert not admissible, "a more recent admissible issue was skipped"
+        for other in issues:
+            # the rows an issue later than their own could serve
+            leads = (series.valid_times[series.issue_times < other.issue_time] - other.issue_time) / HOUR
+            cycle = int((other.issue_time - T0) / HOUR) % 24
+            admissible = (leads >= h) & (leads <= DEFAULT_MAX_LEADS[cycle])
+            assert not admissible.any(), "a more recent admissible issue was skipped"
 
 
 def dict_synthesize(issues, h):
@@ -262,7 +259,9 @@ def dict_synthesize(issues, h):
                 continue
             out.append((issue.issue_time + lead * HOUR, float(issue.values[pos]), issue.issue_time))
     by_time = {vt: (x, it) for vt, x, it in out}
-    return [(vt, x, it) for vt, (x, it) in sorted(by_time.items())]
+    rows = [(vt, x, it) for vt, (x, it) in sorted(by_time.items())]
+    vt, x, it = zip(*rows) if rows else ((), (), ())
+    return HorizonSeries(valid_times=list(vt), values=list(x), issue_times=list(it))
 
 
 def dict_align(series, measurements, horizon):
@@ -270,7 +269,7 @@ def dict_align(series, measurements, horizon):
     meas = {np.datetime64(m.timestamp, "s"): float(m.sig_heave) for m in measurements if m.valid}
     rows = [
         (np.datetime64(vt, "s"), x, meas[np.datetime64(vt, "s")], np.datetime64(it, "s"))
-        for vt, x, it in series
+        for vt, x, it in zip(series.valid_times, series.values.tolist(), series.issue_times)
         if np.datetime64(vt, "s") in meas
     ]
     if not rows:
@@ -316,25 +315,21 @@ class TestArrayJoinsOracle:
             return
         series = synthesize_horizon_series(issues, h)
         assert isinstance(series, HorizonSeries)
-        ref = dict_synthesize(issues, h)
-        got = list(series)
-        assert len(got) == series.valid_times.size == len(ref)
-        for (vt, x, it), (rvt, rx, rit) in zip(got, ref):
-            assert vt == rvt and it == rit
-            assert type(x) is float and x == rx
+        assert_same_series(series, dict_synthesize(issues, h))
 
     def test_overlapping_windows_take_the_latest_issue(self):
         # 00Z and 06Z issues at h=0 (6 h windows) and 00Z/12Z at h=72 (12 h)
         issues = full_day_issues(days=4, value_fn=lambda t, lead: t + lead / 1000.0)
         for h in (0, 6, 72, 96):
-            got = list(synthesize_horizon_series(issues, h))
-            assert got == dict_synthesize(issues, h)
-            assert all(int((vt - it) / HOUR) in range(h, h + reference_window(h)[1]) for vt, _, it in got)
+            got = synthesize_horizon_series(issues, h)
+            assert_same_series(got, dict_synthesize(issues, h))
+            leads = leads_of(got)
+            assert leads.size and ((h <= leads) & (leads < h + reference_window(h)[1])).all()
 
     def test_no_admitted_issue(self):
         issues = [issue_at(6, 72)]  # 06Z stops at 72 h
-        assert list(synthesize_horizon_series(issues, 72)) == []
-        assert list(synthesize_horizon_series([], 0)) == []
+        assert synthesize_horizon_series(issues, 72).valid_times.size == 0
+        assert synthesize_horizon_series([], 0).valid_times.size == 0
 
     @given(
         issues=irregular_issues(),
@@ -355,7 +350,7 @@ class TestArrayJoinsOracle:
         ]
         series = synthesize_horizon_series(issues, h)
         try:
-            ref = dict_align(list(series), measurements, h)
+            ref = dict_align(series, measurements, h)
         except ValueError:
             with pytest.raises(ValueError, match="share no valid times"):
                 align(series, measurements, h)

@@ -42,6 +42,7 @@ from heavecast.sampler import SamplerConfig
 from heavecast.scoring import ScoreReport
 from heavecast.spectral import RaoCurve, SpectrumSeries, midpoint_widths
 from heavecast.synthetic import ErrorInjection, SwellEvent, SwellScenario, generate_spectra
+from manifest_rules import SECTIONS, SETTING_RULES, breaking_values, refusal
 from test_predictive import reference_crps
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1087,8 +1088,8 @@ class TestRunManifest:
             ("horizons: [6.5]", "horizons must be a list"),
             ("seed: 1.5", "seed must be an integer"),
             ("rao_file: 5", "rao_file must be a path"),
-            ("issue_files: 5", "issue_files must be a list of paths"),
-            ("issue_files: [a.csv, 5]", "issue_files must be a list of paths"),
+            ("issue_files: 5", "manifest key issue_files must be a list of paths, found 5"),
+            ("issue_files: [a.csv, 5]", "manifest key issue_files must be a list of paths, found ['a.csv', 5]"),
             ("train_fraction: high", "train_fraction must be a number"),
             ("7: 1\nbogus: 2", "unknown manifest keys: [7, 'bogus']"),
             ("sampler: 3", "sampler must be a mapping"),
@@ -1098,7 +1099,7 @@ class TestRunManifest:
             ("injection: {noise_scale: [1]}", "noise_scale must be a number"),
             ("scenario: {duration_h: 48, extra: 1}", "unknown manifest scenario keys"),
             ("scenario: {background_hs: 0.5}", "scenario must set ['duration_h']"),
-            ("scenario: {duration_h: 48, events: {hs: 1}}", "events must be a list"),
+            ("scenario: {duration_h: 48, events: {hs: 1}}", "manifest scenario key events must be a list, found {'hs': 1}"),
             ("scenario: {duration_h: 48, events: [{hs: 1.0, tp: 12}]}", "event must set ['arrival_h']"),
             ("scenario: {duration_h: 48, events: [{arrival_h: 0, hs: true, tp: 12}]}", "hs must be a number"),
         ],
@@ -1116,11 +1117,14 @@ class TestRunManifest:
             ("scenario: {duration_h: 48, measurement_noise: true}", "measurement_noise must be a number"),
             ("scenario: {duration_h: 48, start: 5}", "start must be an ISO-8601 time, found 5"),
             ("scenario: {duration_h: 48, start: [2024]}", "start must be an ISO-8601 time"),
-            ("scenario: {duration_h: 48, start: '5'}", "manifest scenario: start must be a time, found '5'"),
-            ("scenario: {duration_h: 48, start: now}", "manifest scenario: start must be a time, found 'now'"),
-            ("scenario: {duration_h: 48, start: ''}", "manifest scenario: start must be a time, found ''"),
+            ("scenario: {duration_h: 48, start: '5'}", "manifest scenario key start must be a time, found '5'"),
+            ("scenario: {duration_h: 48, start: now}", "manifest scenario key start must be a time, found 'now'"),
+            ("scenario: {duration_h: 48, start: ''}", "manifest scenario key start must be a time, found ''"),
             # in the grammar, but no date: numpy's own message named no key
-            ("scenario: {duration_h: 48, start: '2024-02-30'}", "manifest scenario: start must be a time, found '2024-02-30'"),
+            (
+                "scenario: {duration_h: 48, start: '2024-02-30'}",
+                "manifest scenario key start must be a time, found '2024-02-30'",
+            ),
             # each line in the grammar, and numpy printed a UserWarning before refusing it
             ('scenario: {duration_h: 48, start: "2024-06-01T00\\n2024-06-01"}',
              "start must be a time, found '2024-06-01T00\\n2024-06-01'"),
@@ -1138,7 +1142,7 @@ class TestRunManifest:
         manifest.write_text(json.dumps({"out_dir": "out", "scenario": {"duration_h": 48, "start": spelling}}))
         with pytest.raises(ValueError) as exc:
             RunManifest.load(manifest)
-        assert str(exc.value) == f"{manifest}: manifest scenario: start must be a time, found {spelling!r}"
+        assert str(exc.value) == f"{manifest}: manifest scenario key start must be a time, found {spelling!r}"
 
     @pytest.mark.parametrize(
         "start", ["2024-06-01T06:00:00", "2024-06-01 06:00", "2024-06-01T06", "2024-06-01T06:00:00.5Z", " 2024-06-01T06Z "]
@@ -1284,6 +1288,32 @@ class TestRunManifestFuzz:
     @settings(max_examples=100, deadline=None)
     def test_arbitrary_text(self, text):
         _load_text(text)
+
+
+# the fields a settings class needs set besides the one a case breaks
+_REQUIRED = {SwellEvent: {"arrival_h": 0.0, "hs": 1.0, "tp": 10.0}, SwellScenario: {"duration_h": 48}}
+
+
+@pytest.mark.parametrize("section, key, rule", SETTING_RULES, ids=[":".join(case) for case in SETTING_RULES])
+def test_settings_built_in_code_refuse_by_key(section, key, rule):
+    # a settings class built without a manifest, or a RunManifest checked
+    # after a command's overrides, names the key and the value, as a manifest
+    # refusal does after its section
+    cls = SECTIONS[section]
+    for value in breaking_values(rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{key} {refusal(rule, value)}')}$"):
+            if cls is RunManifest:
+                RunManifest(out_dir=Path("out"), **{key: value}).check()
+            else:
+                cls(**{**_REQUIRED.get(cls, {}), key: value})
+
+
+def test_background_tp_is_checked_against_the_band_while_background_hs_is_positive():
+    # the one rule across fields: the period of a background sea of no height is not held to the band
+    assert SwellScenario(duration_h=48, background_hs=0.0, background_tp=40.0).background_tp == 40.0
+    message = "background_tp must be within the forecast band [1.85, 24.27] s when background_hs > 0, found 40.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SwellScenario(duration_h=48, background_hs=0.1, background_tp=40.0)
 
 
 def _readme_text() -> str:
@@ -1437,7 +1467,7 @@ class TestJsonManifest:
     )
     def test_train_fraction_outside_unit_interval_rejected(self, tmp_path, fraction, value):
         # YAML here: json reads NaN and infinity only as constants, which load hands to PyYAML
-        message = f"manifest key train_fraction must lie strictly inside (0, 1), found {value!r}"
+        message = f"manifest key train_fraction must be strictly inside (0, 1), found {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             _load_as(tmp_path, f"out_dir: out\ntrain_fraction: {fraction}\n", "run.yaml")
 

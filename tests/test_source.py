@@ -376,6 +376,26 @@ def test_readme_file_formats_table_is_the_table():
     assert listed == declared
 
 
+def test_readme_manifest_rules_table_is_the_declarations():
+    # README's table of manifest values lists every key whose settings field
+    # declares rules, in declaration order, with its type, its default and
+    # what each of its rules says the value must be
+    from heavecast import io
+    from manifest_rules import SECTIONS
+
+    section = (ROOT / "README.md").read_text().split("\n## CLI walkthrough\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| ([a-z ]+) \| `(\w+)` \| (\w+) \| ([^|]+) \| ([^|]+) \|$", section, flags=re.M)
+    declared = []
+    for name, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            rules = [rule.partition(":") for rule in f.metadata.get("rules", ())]
+            if rules:
+                default = "required" if f.default is dataclasses.MISSING else f"{f.default:g}"
+                phrases = ", ".join(io._SETTING_RULES[rule][0].format(arg) for rule, _, arg in rules)
+                declared.append((name or "top level", f.name, io._FIELD_TYPES[f.type][1].split()[-1], default, phrases))
+    assert listed == declared
+
+
 def test_readme_file_formats_name_the_stage_files():
     # README's "File formats" names every file a command reads or writes
     # in out_dir, and no other
@@ -396,7 +416,8 @@ def test_manifest_settings_and_horizon_datasets_live_in_io():
     assert importlib.util.find_spec("heavecast.horizon") is None
     names = [
         "SamplerConfig", "SwellEvent", "SwellScenario", "ErrorInjection", "FORECAST_FREQS_HZ", "FORECAST_DIRS_RAD",
-        "_check_finite", "_TP_MIN", "_TP_MAX", "HorizonDataset", "chrono_split", "HOUR", "DEFAULT_HORIZONS",
+        "_setting", "_SETTING_RULES", "_check_settings", "_TP_MIN", "_TP_MAX", "HorizonDataset", "chrono_split", "HOUR",
+        "DEFAULT_HORIZONS",
     ]
     assert [name for name in names if name not in vars(io)] == []
     assert {getattr(io, name).__module__ for name in ("SamplerConfig", "HorizonDataset", "chrono_split")} == {
@@ -709,11 +730,12 @@ def test_records_with_array_fields_compare_and_hash_by_identity():
         ("IssueSet", iter),
         ("SpectrumSeries", lambda series: series[0]),
         ("SpectrumSeries", iter),
+        ("HorizonSeries", iter),
     ],
 )
 def test_array_records_build_no_per_row_records(name, walk):
-    # an issue set and a spectrum series are tables of arrays, not lists of
-    # ForecastIssue or DirectionalWaveSpectrum records built one row at a time
+    # an issue set, a spectrum series and a horizon series are tables of arrays,
+    # not lists of ForecastIssue, DirectionalWaveSpectrum or row tuples built one row at a time
     record, _ = _record_instances()[name]
     with pytest.raises(TypeError):
         walk(record)
