@@ -321,8 +321,7 @@ def response(m):
     spectra = datasets.read_spectra(m.spectra_file)
     with io._naming(m.spectra_file):
         m0, m2 = spectral.response_moments(spectra, rao)
-    cells = [np.datetime_as_string(spectra.times).tolist(), m0.tolist(), m2.tolist(), (2.0 * np.sqrt(m0)).tolist()]
-    io._write_table(path, RESPONSE, cells)
+    io._write_table(path, RESPONSE, [spectra.times, m0, m2, 2.0 * np.sqrt(m0)])
     print(f"wrote {path} ({len(spectra)} timestamps)", flush=True)
 
 
@@ -441,8 +440,7 @@ def diagnose(m, max_lag, bins):
             sigma_map = model.map_sigma(samples)
             pac = diagnostics.pacf(series, max_lag)
             table = diagnostics.heteroskedasticity_summary(eps, train.x, bins, sigma_map)
-        cells = [pac.lags.tolist(), pac.coefficients.tolist(), [pac.confidence_band] * pac.lags.size]
-        io._write_table(pacf_path, PACF, cells)
+        io._write_table(pacf_path, PACF, [pac.lags, pac.coefficients, pac.confidence_band])
         io._write_table(hetero_path, HETERO, [*zip(*table)])
         print(f"h={h}: diagnostics written", flush=True)
 

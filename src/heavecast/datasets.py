@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import ISSUES, MEASUREMENTS, RAO, SPECTRA
-from .io import _RULES, _naming, _read_table, _readable, _refuse_cell, _table_text, _write_table
-from .io import HOUR, HorizonDataset, atomic_write_text, chrono_split
+from .io import _PER_RAD, _RULES, _distinct, _naming, _read_table, _readable, _refuse_cell, _run_starts, _table_texts
+from .io import HOUR, HorizonDataset, _write_table, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
     from .spectral import RaoCurve, SpectrumSeries
@@ -271,9 +271,8 @@ def read_heave_records(path: Path) -> list[HeaveRecord]:
 
 
 def write_heave_records(path: Path, records: list[HeaveRecord]) -> None:
-    """sig_heave_m reads nan where a record is not valid."""
-    cells = [*zip(*((r.timestamp, r.sig_heave if r.valid else np.nan, str(r.valid).lower()) for r in records))]
-    _write_table(path, MEASUREMENTS, cells)
+    """sig_heave_m is written nan where a record is not valid, as io.FORMATS has it."""
+    _write_table(path, MEASUREMENTS, [*zip(*((r.timestamp, r.sig_heave, r.valid) for r in records))])
 
 
 def align(forecast_series: HorizonSeries, measurements, horizon: int) -> HorizonDataset:
@@ -312,20 +311,10 @@ def read_rao(path: Path) -> RaoCurve:
 
 
 def write_rao(path: Path, rao: RaoCurve) -> None:
-    _write_table(path, RAO, [(rao.freqs / TWO_PI).tolist(), rao.amplitudes.tolist()])
+    _write_table(path, RAO, [rao.freqs / TWO_PI, rao.amplitudes])
 
 
 # -- directional spectra -----------------------------------------------------
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of a sorted array starts."""
-    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-
-
-def _distinct(ordered: np.ndarray) -> np.ndarray:
-    """The values of a sorted array, each once (not np.unique, which imports numpy.ma)."""
-    return ordered[_run_starts(ordered)]
-
 
 def read_spectra(path: Path) -> SpectrumSeries:
     """Long-format spectrum file covering one or more timestamps, its cells read by io.FORMATS.
@@ -365,17 +354,15 @@ def read_spectra(path: Path) -> SpectrumSeries:
             freqs=TWO_PI * freqs_hz,
             dirs=np.deg2rad(dirs_deg),
             # per-Hz per-deg  ->  per-(rad/s) per-rad
-            density=density[order].reshape(shape) * ((1.0 / TWO_PI) * (180.0 / np.pi)),
+            density=density[order].reshape(shape) * _PER_RAD,
         )
 
 
 def write_spectra(path: Path, spectra: SpectrumSeries) -> None:
     """One row per (timestamp, frequency, direction), in that nesting order."""
-    stamps = np.datetime_as_string(spectra.times).astype(object)
-    grid = np.meshgrid(stamps, spectra.freqs / TWO_PI, np.rad2deg(spectra.dirs), indexing="ij")
+    grid = np.meshgrid(spectra.times, spectra.freqs / TWO_PI, np.rad2deg(spectra.dirs), indexing="ij")
     # per-(rad/s) per-rad  ->  per-Hz per-deg
-    columns = [*grid, spectra.density * TWO_PI * (np.pi / 180.0)]
-    _write_table(path, SPECTRA, [c.ravel().tolist() for c in columns])
+    _write_table(path, SPECTRA, [c.ravel() for c in (*grid, spectra.density * TWO_PI * (np.pi / 180.0))])
 
 
 # -- forecast issue files ----------------------------------------------------
@@ -432,30 +419,12 @@ def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
 
 
 def _issue_texts(issues: IssueSet):
-    """Each issue's file text, in issue order, as the table _table_text spells.
-
-    The valid-time strings come from one table of the set's distinct valid
-    times, and each file's rows from one row format of io.FORMATS. The table comes from a sort, not np.unique,
-    which imports numpy.ma (about 16 ms at the start of a stage).
-    """
-    valid = issues.valid_times()
-    order = np.argsort(valid, kind="stable")
-    valid = valid[order]
-    new = np.ones(valid.size, dtype=bool)
-    new[1:] = valid[1:] != valid[:-1]
-    stamps = np.asarray(np.datetime_as_string(valid[new]), dtype=object)
-    row_stamp = np.empty(valid.size, dtype=np.intp)
-    row_stamp[order] = np.cumsum(new) - 1
-    bounds = issues.bounds.tolist()
-    for issued, lo, hi in zip(np.datetime_as_string(issues.issue_times).tolist(), bounds, bounds[1:]):
-        # one file's cells at a time, so no Python object per row of the set is held
-        cells = [stamps[row_stamp[lo:hi]].tolist(), issues.values[lo:hi].tolist()]
-        yield _table_text(ISSUES, [issued, *cells])
+    """Each issue's file text, in issue order, one block of the set's rows each (io._table_texts)."""
+    return _table_texts(ISSUES, [issues.issue_times, issues.valid_times(), issues.values], issues.bounds)
 
 
 def write_forecast_issue(path: Path, issue: ForecastIssue) -> None:
-    (text,) = _issue_texts(IssueSet.from_issues([issue]))
-    atomic_write_text(path, _readable(path, text))
+    atomic_write_text(path, _readable(path, next(_issue_texts(IssueSet.from_issues([issue])))))
 
 
 def write_forecast_issues(pattern: Path, issues: IssueSet) -> None:

@@ -6,9 +6,12 @@ plotting tool can consume them; a samples file's JSON sidecar is written
 by fit and read by no stage. Writes are atomic: a temp file in the target
 directory, which the kernel gives the umask's mode as for open(path, "w"),
 renamed into place. FORMATS declares each table file's columns, _read_table
-reads them and _table_text spells them. A cell may carry spaces or tabs
-around it: numbers and times are parsed through them, and a cell compared
-as text is stripped where it is compared.
+reads them and _table_text spells them, each cell by its column's kind,
+from typed columns: a numpy array per column, or a scalar for one value in
+every row, of datetime64 for a time, bool for a flag, and numbers, integers
+or text. A cell may carry spaces or tabs around it: numbers and times are
+parsed through them, and a cell compared as text is stripped where it is
+compared.
 
 Each manifest setting's value rules are declared on its dataclass field
 (_setting, naming rules of _SETTING_RULES), and _check_settings checks them:
@@ -158,9 +161,9 @@ def _readable(path: Path, text: str) -> str:
 # read first, and only_where:C reads a cell only where the flag in C is true.
 # A last column named * stands for every header column after those before it.
 FORMATS = {
-    RAO: ("freq_hz number %.10g finite positive increasing", "amplitude number %.10g nonnegative"),
-    SPECTRA: ("timestamp_utc time %s", "freq_hz number %.10g finite positive", "dir_deg number %.10g finite",
-              "density_m2_s_per_deg number %.10g nonnegative"),
+    RAO: ("freq_hz number %.10g finite positive rad increasing", "amplitude number %.10g nonnegative"),
+    SPECTRA: ("timestamp_utc time %s", "freq_hz number %.10g finite positive rad", "dir_deg number %.10g finite",
+              "density_m2_s_per_deg number %.10g nonnegative per_rad"),
     MEASUREMENTS: ("timestamp_utc time %s", "sig_heave_m number %.10g only_where:valid nonnegative", "valid flag %s"),
     ISSUES: ("issue_time_utc time %s constant", "valid_time_utc time %s hours_after:issue_time_utc",
              "sig_heave_m number %.10g nonnegative"),
@@ -185,6 +188,13 @@ def _falls(v, other, first) -> np.ndarray:
     return np.concatenate(([False], v[1:] <= v[:-1])) & ~first
 
 
+# a density per Hz per degree times this is the density per rad/s per radian
+_PER_RAD = (1.0 / (2.0 * np.pi)) * (180.0 / np.pi)
+# a value times a unit conversion's factor is past the largest float when, scaled by 1/16 (a power of two,
+# so the product cannot overflow), its product is past this
+_LARGEST_16 = np.finfo(float).max / 16.0
+
+
 # each rule: what a refusal says the value must be, and the mask of the rows that break it,
 # given the values, the column the rule names and the mask of each file's first row
 _RULES = {
@@ -195,27 +205,78 @@ _RULES = {
     "increasing": ("greater than the row before", _falls),
     "constant": ("the first row's", lambda v, other, first: v != v[first][np.cumsum(first) - 1]),
     "hours_after": ("a whole number of hours after {}", lambda v, other, first: (v - other) % HOUR != 0),
+    "rad": ("finite in rad/s", lambda v, other, first: np.abs(v / 16.0) * (2.0 * np.pi) > _LARGEST_16),
+    "per_rad": ("finite per rad/s and radian", lambda v, other, first: np.abs(v / 16.0) * _PER_RAD > _LARGEST_16),
 }
 
 
-def _table_text(key: str, cells: list, names=()) -> str:
-    """FORMATS[key]'s header line, with names for its column *, then its row
-    format for each row, filled by one % from cells, a list per column; a
-    column given as one str, of a %s column, is that cell in every row."""
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]])[:ordered.size])
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The values of a sorted array, each once (not np.unique, which imports numpy.ma)."""
+    return ordered[_run_starts(ordered)]
+
+
+def _time_texts(times: np.ndarray) -> np.ndarray:
+    """Each time's ISO-8601 seconds, from one table of the distinct times; a stable sort is quick on the
+    nearly sorted times the writers hand over."""
+    seconds = times.astype("datetime64[s]", copy=False)
+    table = _distinct(np.sort(seconds, kind="stable"))
+    return np.datetime_as_string(table, unit="s").astype(object)[np.searchsorted(table, seconds)]
+
+
+def _table_texts(key: str, columns: list, bounds, names=()):
+    """FORMATS[key]'s text of each block of rows bounds[i]:bounds[i + 1], as
+    _table_text spells one, each column spelled once for every block. A
+    column under the rule constant holds a value per block, not per row."""
     spec = [column.split() for column in FORMATS[key]]
     header = [name for name, *_ in spec if name != "*"] + list(names)
-    formats = [fmt for _, _, fmt, *_ in spec[:-1] + spec[-1:] * (len(cells) - len(spec) + 1)]
-    row_format = ", ".join(c.replace("%", "%%") if isinstance(c, str) else f for c, f in zip(cells, formats))
-    cells = [column for column in cells if not isinstance(column, str)]
-    flat = [None] * sum(map(len, cells))
-    for k, column in enumerate(cells):
-        flat[k :: len(cells)] = column
-    return f"{', '.join(header)}\n" + f"{row_format}\n" * (len(flat) // (len(cells) or 1)) % tuple(flat)
+    spec = spec[:-1] + spec[-1:] * len(columns)
+    # a constant column's cell is spelled into each block's row format
+    fixed = {k for k, column in enumerate(spec[:len(columns)]) if "constant" in column[3:]}
+    typed = [np.broadcast_to(c, (len(bounds) - 1 if k in fixed else bounds[-1],)) for k, c in enumerate(columns)]
+    cells = []  # each column's spelled values and the conversion that fills them in
+    for values, (_, kind, fmt, *rules) in zip(typed, spec):
+        flags = [typed[header.index(r.partition(":")[2])] for r in rules if r.startswith("only_where:")]
+        if flags:
+            values = np.where(flags[0], values, np.nan)
+        if kind == "time":
+            values = _time_texts(values)
+        elif kind == "flag":  # its spellings go through the format's conversion as text
+            spelled = {value: text for text, value in _FLAGS[fmt].items()}
+            values, fmt = np.where(values, spelled[True], spelled[False]), fmt[:-1] + "s"
+        cells.append((values, fmt))
+    head, rows = f"{', '.join(header)}\n", [c for k, (c, _) in enumerate(cells) if k not in fixed]
+    bounds = np.asarray(bounds).tolist()
+    for block, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        row_format = ", ".join((f % c[block]).replace("%", "%%") if k in fixed else f for k, (c, f) in enumerate(cells))
+        flat = [None] * ((hi - lo) * len(rows))
+        for k, column in enumerate(rows):
+            flat[k :: len(rows)] = column[lo:hi].tolist()
+        yield head + f"{row_format}\n" * (hi - lo) % tuple(flat)
 
 
-def _write_table(path: Path, key: str, cells: list, names=()) -> None:
+def _table_text(key: str, columns: list, names=()) -> str:
+    """FORMATS[key]'s header line, with names for its column *, then a line
+    per row, filled by one % from the cells spelled by each column's kind.
+
+    Each column is a numpy array (or what numpy makes one of) of a value per
+    row, or a scalar for the value of every row, as a constant column is:
+    datetime64 for a time, spelled as ISO-8601 seconds; bool for a flag,
+    spelled as _FLAGS has it for its format; and numbers, integers or text,
+    spelled by the format. A column under only_where:C is written nan in the
+    rows where C is false.
+    """
+    rows = next((np.size(column) for column in columns if np.ndim(column)), 0)
+    return next(_table_texts(key, columns, [0, rows], names))
+
+
+def _write_table(path: Path, key: str, columns: list, names=()) -> None:
     """Write _table_text's text to path atomically, once _readable accepts it."""
-    atomic_write_text(path, _readable(path, _table_text(key, cells, names)))
+    atomic_write_text(path, _readable(path, _table_text(key, columns, names)))
 
 
 # the README's time grammar, YYYY-MM-DD[(T| )HH[:MM[:SS[.f]]]][Z] in ASCII digits
@@ -446,9 +507,7 @@ def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
-    cells = [np.datetime_as_string(ds.valid_times).tolist(), ds.x.tolist(), ds.y.tolist(),
-             np.datetime_as_string(ds.issue_times).tolist(), ds.post_gap.astype(int).tolist()]
-    _write_table(path, DATASET, cells)
+    _write_table(path, DATASET, [ds.valid_times, ds.x, ds.y, ds.issue_times, ds.post_gap])
 
 
 # -- posterior samples -------------------------------------------------------
@@ -462,7 +521,7 @@ def write_posterior_samples(path: Path, samples: PosteriorSamples, sidecar: Path
     people and tools; no stage reads it back. No wall-clock value goes in,
     so a fixed manifest and seed reproduce it bit for bit.
     """
-    _write_table(path, SAMPLES, [samples.chain_ids.tolist(), *samples.draws.T.tolist()], samples.param_names)
+    _write_table(path, SAMPLES, [samples.chain_ids, *samples.draws.T], samples.param_names)
     facts = {"acceptance_rate": samples.acceptance_rate, "parameters": samples.diagnostics,
              "sampler": samples.sampler_facts}
     atomic_write_text(sidecar, _json_text(facts) + "\n")
@@ -508,7 +567,7 @@ def write_predictions(path: Path, pred: PredictiveDraws, obs: np.ndarray) -> Non
     from .model import predictive_summaries
 
     table = predictive_summaries(pred.draws.T, obs)
-    _write_table(path, PREDICTIONS, [np.datetime_as_string(pred.valid_times).tolist(), *table.T.tolist()])
+    _write_table(path, PREDICTIONS, [pred.valid_times, *table.T])
 
 
 def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -816,7 +875,10 @@ class RunManifest:
             if key == "issue_files":
                 value = [base / v for v in value]
             setattr(m, key, value)
-        m.check()
+        try:  # the top-level rules check leaves to code, spelled as _check_section spells the others
+            m.check()
+        except ValueError as exc:
+            raise ValueError(f"manifest key {exc}") from exc
         try:  # the scenario's rule across fields, which _check_section leaves to the scenario
             if m.scenario:
                 m.swell_scenario()
@@ -833,7 +895,7 @@ class RunManifest:
         ):
             raise ValueError(f"horizons must be a list of nonnegative integers, found {reprlib.repr(self.horizons)}")
         if not self.horizons:
-            raise ValueError("horizons must not be empty")
+            raise ValueError(f"horizons must not be empty, found {self.horizons!r}")
         if len(set(self.horizons)) < len(self.horizons):
             raise ValueError(f"horizons must not repeat a horizon, found {self.horizons!r}")
         _check_settings(RunManifest, vars(self))

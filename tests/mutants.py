@@ -180,6 +180,49 @@ MUTANTS = (
         "one chain, 100 warmup or retained draws, a one-hour campaign, seed 0 and an R-hat limit of 1 are refused",
     ),
     Mutant(
+        "flag-spelled-inverted", "io.py",
+        "np.where(values, spelled[True], spelled[False])", "np.where(values, spelled[False], spelled[True])",
+        ("tests/test_golden.py", "tests/test_io.py::test_every_table_format_round_trips_its_typed_columns"),
+        "every flag is written as its opposite, so a dataset's post_gap_flag disagrees with its valid times",
+    ),
+    Mutant(
+        "unread-cell-written", "io.py",
+        "values = np.where(flags[0], values, np.nan)", "values = np.where(flags[0], values, values)",
+        ("tests/test_io.py::test_every_table_format_round_trips_its_typed_columns",
+         "tests/test_roundtrip.py::test_heave_records_round_trip"),
+        "a measurement that is not valid is written as its value instead of nan",
+    ),
+    Mutant(
+        "time-spelled-without-seconds", "io.py",
+        'np.datetime_as_string(table, unit="s")', 'np.datetime_as_string(table, unit="m")',
+        ("tests/test_golden.py", "tests/test_io.py::test_every_table_format_round_trips_its_typed_columns"),
+        "every time cell drops its seconds, so a time off the minute reads back as another time",
+    ),
+    Mutant(
+        "predictive-mean-short", "model.py",
+        "chunk[:, 0] = block.mean(axis=1)", "chunk[:, 0] = block[:, :-1].mean(axis=1)",
+        ("tests/test_golden.py", "tests/test_io.py::TestPosteriorAndPredictions::test_predictions_equal_row_summaries"),
+        "the predictive mean leaves out each row's last draw",
+    ),
+    *(
+        Mutant(
+            f"predictive-{column}-misread", "model.py",
+            "        chunk[:, 1:-1] = _sorted_quantiles(block, QUANTILE_LEVELS)\n",
+            f"        chunk[:, 1:-1] = _sorted_quantiles(block, QUANTILE_LEVELS)\n        chunk[:, {j}] = block[:, {k}]\n",
+            ("tests/test_golden.py",
+             "tests/test_io.py::TestPosteriorAndPredictions::test_predictions_equal_row_summaries"),
+            f"the {column} column is each row's {draw} draw, not the quantile interpolated between two draws",
+        )
+        for column, j, k, draw in (("p05", 1, "0", "smallest"), ("p50", 2, "block.shape[1] // 2", "upper middle"),
+                                   ("p95", 3, "-1", "largest"))
+    ),
+    Mutant(
+        "predictive-crps-against-the-mean", "model.py",
+        "np.abs(block - obs[start : start + 64, None])", "np.abs(block - chunk[:, :1])",
+        ("tests/test_golden.py", "tests/test_io.py::TestPosteriorAndPredictions::test_predictions_equal_row_summaries"),
+        "the sample CRPS is taken against the predictive mean, not the measured value",
+    ),
+    Mutant(
         "sigma-proposal-doubled", "sampler.py",
         "        proposal = 0.5 * ss / gamma\n", "        proposal = ss / gamma\n",
         ("tests/test_sampler.py::TestConditionalsOracle::test_sigma_block",

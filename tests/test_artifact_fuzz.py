@@ -317,7 +317,7 @@ def breaking_cell(kind: str, rule: str, cells: list[str], row: int) -> str:
     if rule in ("later", "increasing"):
         return cells[row - 2]  # the row before's cell again
     return {"finite": "nan", "nonnegative": "-1", "positive": "-0.5", "constant": "2000-01-01T00:00:00",
-            "hours_after": "2000-01-01T00:30:00"}[rule]
+            "hours_after": "2000-01-01T00:30:00", "rad": "1e308", "per_rad": "1e308"}[rule]
 
 
 @pytest.fixture(scope="module")
@@ -371,7 +371,7 @@ def test_every_rule_refuses_by_row_and_column(table_texts, template, column, kin
     if column == "*":  # one of the columns the table leaves to the header
         column = data.draw(st.sampled_from(names[len(io.FORMATS[template]) - 1:]))
     j = names.index(column)
-    first = 1 if rule in ("parse", "finite", "nonnegative", "positive") else 2
+    first = 1 if rule in ("parse", "finite", "nonnegative", "positive", "rad", "per_rad") else 2
     row = data.draw(st.integers(first, len(lines)))
     cells = [line.split(", ") for line in lines]
     cells[row - 1][j] = breaking_cell(kind, rule, [c[j] for c in cells], row)

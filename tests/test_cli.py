@@ -357,6 +357,8 @@ class TestExitCodes:
                 "background_hs > 0, found 40.0",
             ),
             ({"scenario": {"duration_h": 48, "start": "5"}}, "manifest scenario key start must be a time, found '5'"),
+            # a top-level rule io checks as code, which was spelled as the --model override spells it
+            ({"model_kind": "x"}, "manifest key model_kind must be one of 'basic', 'hybrid', found 'x'"),
         ],
     )
     def test_every_stage_checks_every_manifest_section(self, tmp_path, cmd, override, message):
@@ -430,13 +432,14 @@ class TestExitCodes:
         assert result.stderr == f"error: {manifest}: manifest {section} overflows the {product}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["fit", "score"])
+    @pytest.mark.parametrize("command", ["build", "fit", "score"])
     def test_empty_horizons_are_validation_error(self, tmp_path, command):
-        # fit exited 0 having fitted nothing, and score wrote a scores.csv of one header line
+        # fit exited 0 having fitted nothing, and score wrote a scores.csv of one header line;
+        # then every stage spelled it as the -H override does, without "manifest key" or the value
         manifest = write_manifest(tmp_path, dump=json.dumps, horizons=[])
         result = invoke([command, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: {manifest}: horizons must not be empty\n"
+        assert result.stderr == f"error: {manifest}: manifest key horizons must not be empty, found []\n"
         assert not (tmp_path / "out").exists()
 
     def test_time_outside_the_grammar_is_validation_error(self, tmp_path):
@@ -542,7 +545,9 @@ class TestExitCodes:
         manifest = write_manifest(tmp_path, horizons=[0, 12, 12])
         result = invoke([cmd, "--manifest", str(manifest)])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: {manifest}: horizons must not repeat a horizon, found [0, 12, 12]\n"
+        assert result.stderr == (
+            f"error: {manifest}: manifest key horizons must not repeat a horizon, found [0, 12, 12]\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_yaml_horizons_is_validation_error(self, tmp_path):
@@ -552,7 +557,7 @@ class TestExitCodes:
         result = invoke(["build", "--manifest", str(path)])
         assert result.exit_code == 2, result.output
         assert result.stderr == (
-            f"error: {path}: horizons must be a list of nonnegative integers, found [[[[[[[...]]]]]]]\n"
+            f"error: {path}: manifest key horizons must be a list of nonnegative integers, found [[[[[[[...]]]]]]]\n"
         )
 
     @pytest.mark.parametrize(
@@ -793,28 +798,31 @@ class TestExitCodes:
         assert [name for name in writes("score") if (campaign / "out" / name).exists()] == []
 
     @pytest.mark.parametrize(
-        "name, row",
+        "name, row, cell, column, rule",
         [
-            # the density's unit conversion overflowed: response warned, then refused the infinite density (exit 2)
-            ("spectra.csv", "2024-06-01T00:00:00, 0.2, 20, 1e308"),
-            # the frequency's conversion to rad/s overflowed: response warned, then refused the frequency (exit 2)
-            ("rao.csv", "1e308, 1.0"),
+            # the unit conversions overflowed and exited 3 as a numerical failure; a finite cell whose
+            # converted value is past the largest float is refused by its row in the file. The spectra
+            # reader sorts its rows, so the density's row is the first here and the last once sorted
+            ("spectra.csv", 1, "2024-06-01T00:00:00, 0.2, 20, 1e308", "density_m2_s_per_deg",
+             "finite per rad/s and radian"),
+            ("spectra.csv", 2, "2024-06-01T00:00:00, 1e308, 10, 1.0", "freq_hz", "finite in rad/s"),
+            ("rao.csv", 2, "1e308, 1.0", "freq_hz", "finite in rad/s"),
         ],
     )
-    def test_overflowing_response_input_names_the_file(self, tmp_path, name, row):
+    def test_overflowing_response_input_names_the_file_row_and_column(self, tmp_path, name, row, cell, column, rule):
         lines = {
             "rao.csv": ["freq_hz, amplitude", "0.05, 1.0", "0.5, 1.0"],
             "spectra.csv": ["timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg",
-                            *(f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f in (0.1, 0.2) for d in (10, 20))],
+                            *(f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f in (0.2, 0.1) for d in (20, 10))],
         }
-        lines[name][-1] = row
+        lines[name][row] = cell
         for file, text in lines.items():
             (tmp_path / file).write_text("\n".join(text) + "\n")
         manifest = tmp_path / "run.json"
         manifest.write_text(json.dumps({"out_dir": "out", "rao_file": "rao.csv", "spectra_file": "spectra.csv"}))
         result = program("response", "--manifest", str(manifest), text=True)
         assert (result.returncode, result.stderr) == (
-            3, f"numerical failure: {tmp_path / name}: overflow encountered in multiply\n"
+            2, f"error: {tmp_path / name}, row {row}: {column} must be {rule}, found '1e308'\n"
         )
         assert not (tmp_path / "out").exists()
 

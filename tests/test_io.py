@@ -81,14 +81,6 @@ class TestAtomicWrite:
 
 
 class TestRaoRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rao = RaoCurve(freqs=np.linspace(0.1, 2.0, 40), amplitudes=np.linspace(0.0, 2.0, 40))
-        p = tmp_path / "rao.csv"
-        write_rao(p, rao)
-        back = read_rao(p)
-        np.testing.assert_allclose(back.freqs, rao.freqs, rtol=1e-9)
-        np.testing.assert_allclose(back.amplitudes, rao.amplitudes, rtol=1e-9)
-
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("omega, amp\n0.1, 1.0\n")
@@ -105,18 +97,6 @@ class TestSpectraRoundTrip:
             dirs=np.deg2rad(np.array([15.0, 105.0, 195.0, 285.0])),
             density=rng.uniform(0.0, 4.0, (n, 6, 4)),
         )
-
-    def test_round_trip(self, tmp_path):
-        spectra = self.make_spectra()
-        p = tmp_path / "spec.csv"
-        write_spectra(p, spectra)
-        back = read_spectra(p)
-        assert isinstance(back, SpectrumSeries)
-        assert len(back) == 2
-        np.testing.assert_array_equal(back.times, spectra.times)
-        np.testing.assert_allclose(back.freqs, spectra.freqs, rtol=1e-9)
-        np.testing.assert_allclose(back.dirs, spectra.dirs, rtol=1e-9)
-        np.testing.assert_allclose(back.density, spectra.density, rtol=1e-8)
 
     def test_slice_round_trip_and_rewrite(self, tmp_path):
         # a written-and-read series writes the same file again
@@ -164,31 +144,7 @@ class TestSpectraRoundTrip:
             read_spectra(p)
 
 
-class TestHeaveRecords:
-    def test_heave_record_round_trip(self, tmp_path):
-        records = [
-            HeaveRecord(timestamp=T0, sig_heave=0.5, valid=True),
-            HeaveRecord(timestamp=T0 + HOUR, sig_heave=np.nan, valid=False),
-        ]
-        p = tmp_path / "heave.csv"
-        write_heave_records(p, records)
-        back = read_heave_records(p)
-        assert back[0].sig_heave == pytest.approx(0.5)
-        assert not back[1].valid and np.isnan(back[1].sig_heave)
-
-
 class TestIssueAndDataset:
-    def test_issue_round_trip(self, tmp_path):
-        issue = ForecastIssue(
-            issue_time=T0, horizon_hours=np.arange(10), values=np.linspace(1.0, 2.0, 10)
-        )
-        p = tmp_path / "issue.csv"
-        write_forecast_issue(p, issue)
-        back = read_forecast_issue(p)
-        assert back.issue_time == issue.issue_time
-        np.testing.assert_array_equal(back.horizon_hours, issue.horizon_hours)
-        np.testing.assert_allclose(back.values, issue.values, rtol=1e-9)
-
     @pytest.mark.parametrize("issue_time", ["2024-06-01T06:00:00", "2024-12-31T18:00:00"])
     def test_issue_round_trip_exact(self, tmp_path, issue_time):
         # a non-midnight issue of the 00/12Z length (241 leads) crossing a day
@@ -259,24 +215,6 @@ class TestIssueAndDataset:
         refused = "row 2: issue_time_utc must be the first row's, found '2024-06-01T06:00:00'$"
         with pytest.raises(ValueError, match=refused):
             read_forecast_issue(p)
-
-    def test_dataset_round_trip(self, tmp_path):
-        times = np.array([T0, T0 + HOUR, T0 + 3 * HOUR], dtype="datetime64[s]")
-        ds = HorizonDataset(
-            horizon=6,
-            valid_times=times,
-            x=np.array([1.0, 1.1, 1.2]),
-            y=np.array([0.9, 1.0, 1.3]),
-            issue_times=np.array([T0 - 6 * HOUR] * 3, dtype="datetime64[s]"),
-        )
-        p = tmp_path / "ds.csv"
-        write_horizon_dataset(p, ds)
-        back = read_horizon_dataset(p, horizon=6)
-        np.testing.assert_array_equal(back.valid_times, ds.valid_times)
-        np.testing.assert_allclose(back.x, ds.x)
-        np.testing.assert_allclose(back.y, ds.y)
-        # the gap between rows 1 and 2 is reconstructed
-        np.testing.assert_array_equal(back.post_gap, [True, False, True])
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -356,6 +294,82 @@ class TestIssueAndDataset:
                 f"{ds.issue_times[i]}, {int(ds.post_gap[i])}"
             )
         assert p.read_text() == "\n".join(lines) + "\n"
+
+
+def typed_columns(key: str, rng: np.random.Generator, rows: int) -> tuple[list, tuple[str, ...], list]:
+    """Typed columns for io.FORMATS[key] whose values keep each column's
+    rules, the header names of its column * and the values each column reads
+    back as: a time to its second, a number as its format spells it, nan
+    where only_where's flag is false. A constant column is given as a scalar."""
+    spec = [column.split() for column in heavecast_io.FORMATS[key]]
+    names = ("beta0", "sigma") if spec[-1][0] == "*" else ()
+    spec = spec[:-1] + [[name, *spec[-1][1:]] for name in names] if names else spec
+    header = [name for name, *_ in spec]
+    columns, expected = [None] * len(spec), [None] * len(spec)
+    # a column that a rule names is made before the column with the rule, as _read_table reads them
+    for j in sorted(range(len(spec)), key=lambda j: any(":" in rule for rule in spec[j][3:])):
+        name, kind, fmt, *rules = spec[j]
+        other = [columns[header.index(r.partition(":")[2])] for r in rules if ":" in r]
+        if kind == "time":
+            # seconds that are not whole minutes, which a spelling without them would drop
+            seconds = np.sort(rng.choice(10**7, rows, replace=False)) if "later" in rules else rng.integers(0, 10**7, rows)
+            value = T0 + seconds.astype("timedelta64[s]")
+            if "constant" in rules:
+                value = value[0]
+            if other:  # hours_after: whole hours after the column it names
+                value = other[0] + rng.integers(0, 300, rows) * HOUR
+            columns[j], expected[j] = value, np.broadcast_to(value, (rows,))
+        elif kind == "flag":
+            value = rng.random(rows) < 0.6
+            columns[j] = expected[j] = value
+        elif kind == "integer":
+            value = rng.integers(-5, 10**6, rows)
+            columns[j] = expected[j] = value
+        elif kind == "text":
+            value = rng.choice(["hybrid adjustment", "raw physics"], rows)
+            columns[j] = expected[j] = value
+        else:
+            value = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+            if {"nonnegative", "positive"} & set(rules):
+                value = np.abs(value) + 1e-9
+            if "increasing" in rules:
+                value = np.cumsum(1.0 + rng.random(rows))
+            read = np.array([float(fmt % v) for v in value])
+            columns[j], expected[j] = value, np.where(other[0], read, np.nan) if other else read
+    return columns, names, expected
+
+
+@pytest.mark.parametrize("key", sorted(heavecast_io.FORMATS))
+def test_every_table_format_round_trips_its_typed_columns(tmp_path, key):
+    # each file's columns as the writers hand them over, spelled by _table_text and read back by _read_table
+    rng = np.random.default_rng(sorted(heavecast_io.FORMATS).index(key))
+    columns, names, expected = typed_columns(key, rng, 40)
+    path = tmp_path / "table.csv"
+    path.write_text(heavecast_io._table_text(key, columns, names))
+    header, *rows = [line.split(", ") for line in path.read_text().splitlines()]
+    assert header == [column.split()[0] for column in heavecast_io.FORMATS[key] if column[0] != "*"] + list(names)
+    kinds = [column.split()[1] for column in heavecast_io.FORMATS[key]]
+    if "text" in kinds:
+        # no reader reads a file with a text column: its cells are compared as written
+        values = [np.array(cells, dtype=str if kind == "text" else float) for cells, kind in zip(zip(*rows), kinds)]
+    else:
+        read_header, values, sizes, _ = heavecast_io._read_table([path], key)
+        assert read_header == header and sizes == [40]
+    for name, value, want in zip(header, values, expected, strict=True):
+        np.testing.assert_array_equal(value, want, err_msg=name)
+    # a cell that is not read is written nan, whatever the column holds there
+    for j, column in enumerate(heavecast_io.FORMATS[key]):
+        flags = [r.partition(":")[2] for r in column.split()[3:] if r.startswith("only_where:")]
+        if flags:
+            unread = ~columns[header.index(flags[0])]
+            assert unread.any() and {row[j] for row, off in zip(rows, unread) if off} == {"nan"}
+
+
+def test_times_finer_than_seconds_are_spelled_as_their_second():
+    # the latest time too, though it lies past every second of the table the spelling looks up
+    times = np.datetime64("2024-06-01T00:00:00", "ms") + np.array([500, 1000, 1250]).astype("timedelta64[ms]")
+    spelled = heavecast_io._time_texts(times).tolist()
+    assert spelled == ["2024-06-01T00:00:00", "2024-06-01T00:00:01", "2024-06-01T00:00:01"]
 
 
 # one good file per reader; its last data row loses a cell in the test below
@@ -883,28 +897,6 @@ class TestPosteriorAndPredictions:
         np.testing.assert_array_equal(valid_times, dists.valid_times)
         assert back.tolist() == [[float(f"{v:.10g}") for v in row] for row in table.tolist()]
 
-    def test_samples_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        samples = PosteriorSamples(
-            draws=rng.standard_normal((30, 3)),
-            param_names=("beta0", "beta1", "sigma"),
-            chain_ids=np.repeat([0, 1, 2], 10),
-            diagnostics={"beta0": {"rhat": 1.0, "ess": 25.0}},
-            acceptance_rate=0.31,
-        )
-        p = tmp_path / "samples.csv"
-        write_posterior_samples(p, samples, tmp_path / "samples.csv.diag.json")
-        back = read_posterior_samples(p)
-        np.testing.assert_allclose(back.draws, samples.draws, rtol=1e-10)
-        np.testing.assert_array_equal(back.chain_ids, samples.chain_ids)
-        assert back.param_names == samples.param_names
-        # the sidecar is read as bench/run.py reads it; the samples reader never opens it
-        sidecar = json.loads(Path(f"{p}.diag.json").read_text())
-        assert sidecar["acceptance_rate"] == pytest.approx(0.31)
-        assert sidecar["parameters"]["beta0"]["rhat"] == 1.0
-        assert sidecar["sampler"] == {}
-        assert back.diagnostics == {} and math.isnan(back.acceptance_rate) and back.sampler_facts == {}
-
     def test_sampler_facts_round_trip(self, tmp_path):
         facts = {"burn_in_sweeps": 1000, "retained_sweeps": 10, "rejections": {"beta": 2, "phi": 0}, "min_ess": 9.5}
         samples = PosteriorSamples(
@@ -1158,7 +1150,7 @@ class TestRunManifest:
         manifest.write_text(json.dumps({"out_dir": "out", "horizons": []}))
         with pytest.raises(ValueError) as exc:
             RunManifest.load(manifest)
-        assert str(exc.value) == f"{manifest}: horizons must not be empty"
+        assert str(exc.value) == f"{manifest}: manifest key horizons must not be empty, found []"
 
     @pytest.mark.parametrize(
         "start, expected",

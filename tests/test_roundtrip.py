@@ -7,6 +7,7 @@ posterior draws), in the reader's units.
 """
 
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -229,6 +230,8 @@ def test_samples_and_sidecar_round_trip(draws, chains, rhat, acceptance, facts):
             assert back.param_names == samples.param_names
             assert back.chain_ids.tolist() == samples.chain_ids.tolist()
             assert back.draws.tobytes() == spelled(samples.draws, digits=12).tobytes()
+            # the samples reader never opens the sidecar
+            assert back.diagnostics == {} and math.isnan(back.acceptance_rate) and back.sampler_facts == {}
     # compared as JSON text, in which every NaN reads alike
     assert json.dumps(sidecar, sort_keys=True) == json.dumps(
         {"acceptance_rate": acceptance, "parameters": samples.diagnostics, "sampler": facts}, sort_keys=True

@@ -281,6 +281,66 @@ def test_headers_and_row_formats_are_spelled_in_the_table_alone():
     assert [name for name in assigned if re.fullmatch(r"_\w*_HEADER", name)] == []
 
 
+TABLE_WRITERS = {"_write_table", "_table_text", "_table_texts"}
+# the calls a writer that spells its own cells makes, and the strings a flag or an unread cell is spelled as
+CELL_CALLS = {"datetime_as_string", "str", "lower"}
+CELL_TEXTS = {"nan", "true", "false", "0", "1"}
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name or attribute a call node calls, else None."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None) if isinstance(node, ast.Call) else None
+
+
+def _cell_spellings(path: Path) -> list[str]:
+    """file:line of each time, flag or unread cell that a function of path
+    spells for a table writer of io (TABLE_WRITERS) it calls: a call of
+    datetime_as_string, str or lower, an astype(int), a nan (np.nan or
+    math.nan) or a string a flag or an unread cell is spelled as."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        nodes = list(ast.walk(top))
+        if not any(_called(node) in TABLE_WRITERS for node in nodes):
+            continue
+        for node in nodes:
+            if (
+                _called(node) in CELL_CALLS
+                or (_called(node) == "astype" and any(getattr(a, "id", None) == "int" for a in node.args))
+                or (isinstance(node, ast.Attribute) and node.attr == "nan")
+                or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.strip().lower() in CELL_TEXTS)
+            ):
+                found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_cell_spellings_outside_the_table_writer_are_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import numpy as np\n"
+        "def write_records(path, records):\n"
+        "    cells = [np.datetime_as_string(t), r.value if r.valid else np.nan, str(r.valid).lower()]\n"
+        "    flags = post_gap.astype(int)\n"
+        "    unread = [float('nan'), ' NaN', math.nan]\n"
+        "    _write_table(path, KEY, [cells, flags, 'true', 1])\n"
+        "def write_typed(path, records):\n"
+        "    io._write_table(path, KEY, [times, values.astype(float), valid, 0.5, 1])\n"
+        "def label(t):\n"
+        "    return str(np.datetime_as_string(t)).lower() + 'nan'\n"
+    )
+    assert _cell_spellings(path) == ["m.py:3", "m.py:4", "m.py:5", "m.py:6"]
+    assert _callers(path, "datetime_as_string") == ["m.py:write_records", "m.py:label"]
+
+
+def test_cells_are_spelled_by_the_one_table_writer():
+    # io._table_texts spells each cell by its column's FORMATS kind from typed
+    # columns (a time from datetime64, a flag from bool, an unread cell as
+    # nan), so no writer outside io spells one, and io spells times in one place
+    assert [line for path in SOURCES if path.name != "io.py" for line in _cell_spellings(path)] == []
+    assert [caller for path in SOURCES for caller in _callers(path, "datetime_as_string")] == ["io.py:_time_texts"]
+
+
 def test_main_alone_loads_the_manifest_and_sets_the_floating_point_policy():
     # cli._run loads every command's manifest and runs the command under one
     # np.errstate; simulate alone overrides it, to name the manifest section
