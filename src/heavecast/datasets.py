@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import ISSUES, MEASUREMENTS, RAO, SPECTRA
-from .io import _PER_RAD, _RULES, _distinct, _naming, _read_table, _readable, _refuse_cell, _run_starts, _table_texts
-from .io import HOUR, HorizonDataset, _write_table, atomic_write_text, chrono_split
+from .io import _PER_RAD, _RULES, _distinct, _naming, _read_table, _readable, _refuse_row, _run_starts
+from .io import HOUR, HorizonDataset, _table_texts, _write_table, atomic_write_text, chrono_split
 
 if TYPE_CHECKING:
     from .spectral import RaoCurve, SpectrumSeries
@@ -87,7 +87,9 @@ class ForecastIssue:
         values = np.asarray(self.values, dtype=float)
         if leads.ndim != 1 or leads.shape != values.shape:
             raise ValueError("horizon_hours and values must be matching 1-d arrays")
-        if _irregular_rows(np.array([0, leads.size]), leads).size:
+        # an issue file's rules not_before and hourly (io.FORMATS), held on the leads
+        lags, first = leads.astype("m8[h]"), np.arange(leads.size) == 0
+        if (_RULES["not_before"][1](lags, 0 * HOUR, first) | _RULES["hourly"][1](lags, None, first)).any():
             raise ValueError("lead times must be nonnegative, hourly and increasing")
         bad = np.flatnonzero(_RULES["nonnegative"][1](values, None, None))
         if bad.size:
@@ -101,18 +103,6 @@ def _cycle_hours(issue_times) -> np.ndarray:
     """The UTC hour of day of each issue time."""
     secs = (issue_times - issue_times.astype("datetime64[D]")).astype(np.int64)
     return secs // 3600 % 24
-
-
-def _irregular_rows(bounds: np.ndarray, leads: np.ndarray) -> np.ndarray:
-    """Indices of the rows, issue i owning rows bounds[i]:bounds[i + 1], that
-    break its leads' rule: nonnegative, hourly and increasing. That is an
-    issue's first row with a negative lead, and any other row whose lead is
-    not one more than the row before."""
-    bad = np.zeros(leads.size, dtype=bool)
-    bad[1:] = np.diff(leads) != 1
-    starts = bounds[:-1][np.diff(bounds) > 0]
-    bad[starts] = leads[starts] < 0
-    return np.flatnonzero(bad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +130,9 @@ class IssueSet:
             raise ValueError("leads and values must be matching 1-d arrays")
         if bounds[0] != 0 or bounds[-1] != leads.size or np.any(np.diff(bounds) < 0):
             raise ValueError("bounds must rise from 0 to the number of rows")
-        bad = _irregular_rows(bounds, leads)
+        lags, first = leads.astype("m8[h]"), np.zeros(leads.size, dtype=bool)
+        first[bounds[:-1][np.diff(bounds) > 0]] = True  # each issue's first row
+        bad = np.flatnonzero(_RULES["not_before"][1](lags, 0 * HOUR, first) | _RULES["hourly"][1](lags, None, first))
         if bad.size:
             issue = np.searchsorted(bounds, bad[0], side="right") - 1
             raise ValueError(f"issue {issue}: lead times must be nonnegative, hourly and increasing")
@@ -266,7 +258,7 @@ class HeaveRecord:
 def read_heave_records(path: Path) -> list[HeaveRecord]:
     """Each row's record, its cells read by io.FORMATS: valid reads true or
     false in any case, and sig_heave_m is read only where true."""
-    _, (times, sig, valid), _, _ = _read_table([path], MEASUREMENTS)
+    _, (times, sig, valid), _ = _read_table([path], MEASUREMENTS)
     return [HeaveRecord(timestamp=t, sig_heave=v, valid=ok) for t, v, ok in zip(times, sig.tolist(), valid.tolist())]
 
 
@@ -305,7 +297,7 @@ def align(forecast_series: HorizonSeries, measurements, horizon: int) -> Horizon
 def read_rao(path: Path) -> RaoCurve:
     from .spectral import RaoCurve
 
-    _, (freqs_hz, amps), _, _ = _read_table([path], RAO)
+    _, (freqs_hz, amps), _ = _read_table([path], RAO)
     with _naming(path):
         return RaoCurve(freqs=TWO_PI * freqs_hz, amplitudes=amps)
 
@@ -325,7 +317,7 @@ def read_spectra(path: Path) -> SpectrumSeries:
     """
     from .spectral import SpectrumSeries
 
-    _, (times, freqs, dirs, density), _, _ = _read_table([path], SPECTRA)
+    _, (times, freqs, dirs, density), _ = _read_table([path], SPECTRA)
     if not times.size:
         raise ValueError(f"{path}: no spectrum rows")
     # each timestamp's rows become one run, its cells in (freq, dir) order
@@ -344,10 +336,10 @@ def read_spectra(path: Path) -> SpectrumSeries:
         # the first cell out of the grid's place, or the last of a run that stops short, by its row in the file
         n = min(f.size, cell_freqs.size)
         off = np.flatnonzero((f[:n] != cell_freqs[:n]) | (d[:n] != cell_dirs[:n]))
-        row = order[lo + (off[0] if off.size else min(n, f.size - 1))] + 1
+        row = order[lo + (off[0] if off.size else min(n, f.size - 1))]
         if np.array_equal(_distinct(f), freqs_hz) and np.array_equal(_distinct(np.sort(d)), dirs_deg):
-            raise ValueError(f"{path}, row {row}: irregular grid at {times[lo]}")
-        raise ValueError(f"{path}, row {row}: inconsistent grid across timestamps")
+            _refuse_row(path, row, f"irregular grid at {times[lo]}")
+        _refuse_row(path, row, "inconsistent grid across timestamps")
     with _naming(path):
         return SpectrumSeries(
             times=times[starts],
@@ -380,8 +372,8 @@ def read_forecast_issue(path: Path) -> ForecastIssue:
 def read_forecast_issues(paths: list[Path]) -> IssueSet:
     """The issue files, in the order given, as one IssueSet.
 
-    Their cells are read by io.FORMATS, and each file's leads must be
-    nonnegative, hourly and increasing. A file that breaks a rule raises a
+    Their cells are read by io.FORMATS, whose rules also hold each file's
+    leads nonnegative, hourly and increasing. A file that breaks a rule raises a
     ValueError naming it, and the row and column of a cell that breaks one:
     the first such file in the order given, as a file-by-file read would.
     """
@@ -404,17 +396,12 @@ def _read_issue_batch(paths: list[Path]) -> tuple[np.ndarray, ...]:
 
 
 def _parse_issue_files(paths: list[Path]) -> tuple[np.ndarray, ...]:
-    """The files' issue times, row counts, leads and values, read together. A refusal
-    names the first file, so _read_issue_batch reads a failed batch again file by file."""
-    _, (issue_times, valid_times, values), sizes, (_, valid_col, _) = _read_table(paths, ISSUES)
+    """The files' issue times, row counts, leads and values, read together, every cell held to io.FORMATS
+    by _read_table. A refusal names the first file, so _read_issue_batch reads a failed batch again file by file."""
+    _, (issue_times, valid_times, values), sizes = _read_table(paths, ISSUES)
     if 0 in sizes:
         raise ValueError(f"{paths[0]}: empty forecast issue")
     leads = (valid_times - issue_times).astype(np.int64) // 3600
-    bad = _irregular_rows(np.cumsum([0] + sizes), leads)
-    if bad.size:
-        row = int(bad[0])
-        rule = "no earlier than the issue time" if leads[row] < 0 else "an hour after the row before"
-        _refuse_cell(paths[0], valid_col, row, "valid_time_utc", rule)
     return issue_times[np.cumsum([0] + sizes[:-1])], np.array(sizes), leads, values
 
 

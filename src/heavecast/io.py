@@ -165,10 +165,11 @@ FORMATS = {
     SPECTRA: ("timestamp_utc time %s", "freq_hz number %.10g finite positive rad", "dir_deg number %.10g finite",
               "density_m2_s_per_deg number %.10g nonnegative per_rad"),
     MEASUREMENTS: ("timestamp_utc time %s", "sig_heave_m number %.10g only_where:valid nonnegative", "valid flag %s"),
-    ISSUES: ("issue_time_utc time %s constant", "valid_time_utc time %s hours_after:issue_time_utc",
+    ISSUES: ("issue_time_utc time %s constant",
+             "valid_time_utc time %s hours_after:issue_time_utc not_before:issue_time_utc hourly",
              "sig_heave_m number %.10g nonnegative"),
     DATASET: ("valid_time_utc time %s later", "x_m number %.10g finite", "y_m number %.10g finite",
-              "issue_time_utc time %s", "post_gap_flag flag %d"),
+              "issue_time_utc time %s", "post_gap_flag flag %d gaps:valid_time_utc"),
     SAMPLES: ("chain integer %d", "* number %.12g finite"),
     PREDICTIONS: ("valid_time_utc time %s", "mean_m number %.10g finite", "p05_m number %.10g finite",
                   "p50_m number %.10g finite", "p95_m number %.10g finite", "crps_m number %.10g nonnegative"),
@@ -188,6 +189,12 @@ def _falls(v, other, first) -> np.ndarray:
     return np.concatenate(([False], v[1:] <= v[:-1])) & ~first
 
 
+def _post_gap(times: np.ndarray, first=False) -> np.ndarray:
+    """The rows whose hourly predecessor is absent: the first row, each file's
+    first row, and each row that is not an hour after the row before."""
+    return np.concatenate(([True], times[1:] - times[:-1] != HOUR))[:times.size] | first
+
+
 # a density per Hz per degree times this is the density per rad/s per radian
 _PER_RAD = (1.0 / (2.0 * np.pi)) * (180.0 / np.pi)
 # a value times a unit conversion's factor is past the largest float when, scaled by 1/16 (a power of two,
@@ -205,6 +212,10 @@ _RULES = {
     "increasing": ("greater than the row before", _falls),
     "constant": ("the first row's", lambda v, other, first: v != v[first][np.cumsum(first) - 1]),
     "hours_after": ("a whole number of hours after {}", lambda v, other, first: (v - other) % HOUR != 0),
+    "not_before": ("no earlier than the issue time", lambda v, other, first: first & (v < other)),
+    "hourly": ("an hour after the row before", lambda v, other, first: _post_gap(v) & ~first),
+    "gaps": ("1 exactly where {} is not an hour after the row before",
+             lambda v, other, first: v != _post_gap(other, first)),
     "rad": ("finite in rad/s", lambda v, other, first: np.abs(v / 16.0) * (2.0 * np.pi) > _LARGEST_16),
     "per_rad": ("finite per rad/s and radian", lambda v, other, first: np.abs(v / 16.0) * _PER_RAD > _LARGEST_16),
 }
@@ -288,6 +299,11 @@ def _refuse_cell(where, cells, row: int, column: str, rule: str):
     raise ValueError(f"{where}, row {row + 1}: {column} must be {rule}, found {cells[row].strip()!r}")
 
 
+def _refuse_row(where, row: int, message: str):
+    """Refuse the data row row of the file where, for a rule over the whole file, naming the row counted from 1."""
+    raise ValueError(f"{where}, row {row + 1}: {message}")
+
+
 def _time(spelling: str):
     """A time spelling, blanks stripped, as datetime64[s]; None outside _ISO_TIME's grammar or the calendar."""
     try:
@@ -365,14 +381,14 @@ def _table_lines(path: Path) -> tuple[list[str], str, int]:
     return header, ",".join(body), len(body)
 
 
-def _read_table(paths: list[Path], key: str) -> tuple[list[str], list[np.ndarray], list[int], list[list[str]]]:
-    """The header, the values column by column, each file's row count and the cells of
+def _read_table(paths: list[Path], key: str) -> tuple[list[str], list[np.ndarray], list[int]]:
+    """The header, the values column by column and each file's row count of
     files in the format FORMATS[key] with the first one's header, their rows split at once.
 
-    Each column's cells are parsed by its kind, then held to its rules in order;
-    the first cell that breaks one is refused, naming paths[0] and counting rows
-    over every file. A constant column whose every file spells one cell is
-    parsed at each file's first row.
+    Each column's cells are parsed by its kind, then held to its rules in order, the columns in
+    order but each after those its rules name; the first cell that breaks one is refused, naming
+    paths[0] and counting rows over every file. A constant column whose every file spells one
+    cell is parsed at each file's first row.
     """
     spec = [column.split() for column in FORMATS[key]]
     names = [name for name, *_ in spec if name != "*"]
@@ -397,9 +413,9 @@ def _read_table(paths: list[Path], key: str) -> tuple[list[str], list[np.ndarray
     lo, hi = bounds[:-1][np.diff(bounds) > 0].tolist(), bounds[1:][np.diff(bounds) > 0].tolist()
     first = np.zeros(bounds[-1], dtype=bool)
     first[lo] = True
+    named = [[header.index(r.partition(":")[2]) for r in rules if ":" in r] for _, _, _, *rules in spec]
     values = [None] * len(header)
-    # a column that a rule names is read before the column with the rule
-    for j in sorted(range(len(header)), key=lambda j: any(":" in rule for rule in spec[j][3:])):
+    for j in dict.fromkeys(k for j in range(len(header)) for k in [*named[j], j]):
         (_, kind, fmt, *rules), name = spec[j], header[j]
         flags = [values[header.index(r.partition(":")[2])] for r in rules if r.startswith("only_where:")]
         read = flags[0] if flags else np.ones_like(first)
@@ -417,7 +433,7 @@ def _read_table(paths: list[Path], key: str) -> tuple[list[str], list[np.ndarray
             bad = breaks(values[j], values[header.index(other)] if other else None, first) & read
             if bad.any():
                 _refuse_cell(paths[0], column, int(np.argmax(bad)), name, phrase.format(other))
-    return header, values, sizes, cells
+    return header, values, sizes
 
 
 # -- horizon datasets --------------------------------------------------------
@@ -450,13 +466,11 @@ class HorizonDataset:
         it = np.asarray(self.issue_times, dtype="datetime64[s]")
         if not (vt.shape == x.shape == y.shape == it.shape):
             raise ValueError("all row arrays must have equal length")
-        if vt.size and np.any(np.diff(vt) <= np.timedelta64(0, "s")):
+        if _falls(vt, None, False).any():
             raise ValueError("valid_times must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("x and y must be finite in every row")
-        post_gap = np.ones(vt.size, dtype=bool)
-        if vt.size:
-            post_gap[1:] = np.diff(vt) != HOUR
+        post_gap = _post_gap(vt)
         object.__setattr__(self, "valid_times", vt)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -495,15 +509,11 @@ def chrono_split(ds: HorizonDataset, train_fraction: float) -> tuple[HorizonData
 
 
 def read_horizon_dataset(path: Path, horizon: int) -> HorizonDataset:
-    """The dataset write_horizon_dataset wrote. HorizonDataset recomputes
-    post_gap from the valid times, and each post_gap_flag must agree with it."""
-    _, (valid_times, x, y, issue_times, flags), _, _ = _read_table([path], DATASET)
-    ds = HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
-    if (flags != ds.post_gap).any():
-        row = int(np.argmax(flags != ds.post_gap))
-        raise ValueError(f"{path}, row {row + 1}: post_gap_flag is {flags[row]:d}, "
-                         f"but the valid times make it {ds.post_gap[row]:d}")
-    return ds
+    """The dataset write_horizon_dataset wrote, its cells checked by
+    FORMATS[DATASET], whose rule gaps holds each post_gap_flag to the post_gap
+    HorizonDataset works out from the valid times, so the flags are not kept."""
+    _, (valid_times, x, y, issue_times, _), _ = _read_table([path], DATASET)
+    return HorizonDataset(horizon=horizon, valid_times=valid_times, x=x, y=y, issue_times=issue_times)
 
 
 def write_horizon_dataset(path: Path, ds: HorizonDataset) -> None:
@@ -550,7 +560,7 @@ def read_posterior_samples(path: Path) -> PosteriorSamples:
     """
     from .model import PosteriorSamples
 
-    header, (chain_ids, *columns), _, _ = _read_table([path], SAMPLES)
+    header, (chain_ids, *columns), _ = _read_table([path], SAMPLES)
     if not chain_ids.size:
         raise ValueError(f"{path}: no posterior draws")
     # (n_draws, n_params), row-major like the draws fit wrote
@@ -572,7 +582,7 @@ def write_predictions(path: Path, pred: PredictiveDraws, obs: np.ndarray) -> Non
 
 def read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The valid times and the (rows, columns) number table write_predictions wrote."""
-    _, (valid_times, *numbers), _, _ = _read_table([path], PREDICTIONS)
+    _, (valid_times, *numbers), _ = _read_table([path], PREDICTIONS)
     return valid_times, np.column_stack(numbers)
 
 

@@ -52,6 +52,8 @@ class RaoCurve:
 
     freqs: np.ndarray
     amplitudes: np.ndarray
+    # w^k |RAO|^2 Dw of the response moments k = 0 and 2, formed with the curve so that an overflow in it is the RAO's
+    moment_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -66,6 +68,8 @@ class RaoCurve:
             raise ValueError("amplitudes must be finite and nonnegative")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "amplitudes", amps)
+        widths = midpoint_widths(freqs)
+        object.__setattr__(self, "moment_weights", np.column_stack([freqs**k * amps**2 * widths for k in (0, 2)]))
 
     @property
     def resonance_freq(self) -> float:
@@ -296,7 +300,5 @@ def response_moments(series: SpectrumSeries, rao: RaoCurve) -> tuple[np.ndarray,
     interp = np.column_stack(
         [np.interp(rao.freqs, series.freqs, unit, left=0.0, right=0.0) for unit in np.eye(series.freqs.size)]
     )
-    widths = midpoint_widths(rao.freqs)
-    weights = np.column_stack([rao.freqs**order * rao.amplitudes**2 * widths for order in (0, 2)])
-    moments = omni @ (interp.T @ weights)
+    moments = omni @ (interp.T @ rao.moment_weights)
     return moments[:, 0], moments[:, 1]

@@ -106,17 +106,22 @@ MUTANTS = (
     ),
     Mutant(
         "off-hour-unchecked", "io.py",
-        '"valid_time_utc time %s hours_after:issue_time_utc"', '"valid_time_utc time %s"',
+        '"valid_time_utc time %s hours_after:issue_time_utc ', '"valid_time_utc time %s ',
         ("tests/test_issue_files.py::TestSetReader::test_off_hour_valid_time_rejected",
          "tests/test_cli.py::TestExitCodes::test_off_hour_valid_time_is_validation_error"),
         "a valid time off the issue's hourly grid is truncated to a whole lead",
     ),
     Mutant(
-        "leads-unchecked", "datasets.py",
-        "    bad = _irregular_rows(np.cumsum([0] + sizes), leads)\n",
-        "    bad = _irregular_rows(np.cumsum([0] + sizes), leads)[:0]\n",
+        "leads-unchecked", "io.py",
+        ' not_before:issue_time_utc hourly"', '"',
         ("tests/test_issue_files.py::TestSetReader::test_bad_leads_and_times_name_the_file",),
         "an issue file whose leads are not hourly is refused without its file, row and column",
+    ),
+    Mutant(
+        "post-gap-unchecked", "io.py",
+        ' gaps:valid_time_utc"', '"',
+        ("tests/test_io.py::TestIssueAndDataset::test_dataset_post_gap_flag_is_checked",),
+        "a dataset whose post_gap_flag disagrees with its valid times is read as if it agreed",
     ),
     Mutant(
         "issue-writer-digits", "io.py",
@@ -147,6 +152,25 @@ MUTANTS = (
         '"issue_noise": lambda seed: seed + 17,', '"issue_noise": lambda seed: seed + 18,',
         ("tests/test_golden.py", "tests/test_streams.py"),
         "the forecast-error noise draws from another run's stream",
+    ),
+    Mutant(
+        "measurement-noise-replays-jitter", "io.py",
+        '"measurement_noise": lambda seed: seed + 29,', '"measurement_noise": lambda seed: seed,',
+        ("tests/test_golden.py", "tests/test_streams.py::test_no_two_streams_of_a_run_draw_the_same_numbers"),
+        "the measurement noise draws the numbers of the spectra jitter",
+    ),
+    Mutant(
+        "fit-key-without-horizon", "io.py",
+        '"fit": lambda seed, h: (seed, 1, h),', '"fit": lambda seed, h: (seed, 1, 0),',
+        ("tests/test_golden.py", "tests/test_streams.py::test_no_two_streams_of_a_run_draw_the_same_numbers"),
+        "every horizon's chains draw the same numbers",
+    ),
+    Mutant(
+        "predict-seed-without-horizon", "io.py",
+        '"predict": lambda seed, h: seed + 1000 + h,', '"predict": lambda seed, h: seed + 1000,',
+        ("tests/test_golden.py", "tests/test_streams.py::test_no_two_streams_of_a_run_draw_the_same_numbers",
+         "tests/test_streams.py::test_predict_draws_from_the_seed_bench_probe_recomputes"),
+        "every horizon's predictive draws use the same numbers, and not the seed bench/probe.py recomputes",
     ),
     Mutant(
         "redraw-ignores-support", "sampler.py",
@@ -221,6 +245,26 @@ MUTANTS = (
         "np.abs(block - obs[start : start + 64, None])", "np.abs(block - chunk[:, :1])",
         ("tests/test_golden.py", "tests/test_io.py::TestPosteriorAndPredictions::test_predictions_equal_row_summaries"),
         "the sample CRPS is taken against the predictive mean, not the measured value",
+    ),
+    Mutant(
+        "beta-form-lags-swapped", "sampler.py",
+        "b11 * c1 + b12 * c2", "b11 * c2 + b12 * c1",
+        ("tests/test_sampler.py::TestConditionalsOracle::test_beta_block",),
+        "the beta block's form reads the phi block's two coordinates swapped",
+    ),
+    Mutant(
+        "phi-form-betas-swapped", "sampler.py",
+        "f11 * a + f12 * d", "f11 * d + f12 * a",
+        ("tests/test_sampler.py::TestConditionalsOracle::test_phi_block",),
+        "the phi block's form reads the beta block's two coordinates swapped",
+    ),
+    Mutant(
+        "time-spelled-in-local-time", "io.py",
+        'np.datetime_as_string(table, unit="s")',
+        'np.array([__import__("time").strftime("%Y-%m-%dT%H:%M:%S", __import__("time").localtime(t))'
+        ' for t in table.astype(np.int64).tolist()])',
+        ("tests/test_golden.py::test_the_environment_leaves_every_byte_alone",),
+        "every time cell is spelled in the local time zone, which is UTC only where TZ is unset or UTC",
     ),
     Mutant(
         "sigma-proposal-doubled", "sampler.py",

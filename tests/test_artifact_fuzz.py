@@ -314,10 +314,13 @@ def breaking_cell(kind: str, rule: str, cells: list[str], row: int) -> str:
     there and no rule checked before it; for "parse", a cell that is no value of kind."""
     if rule == "parse":
         return "maybe" if kind == "flag" else "x"
-    if rule in ("later", "increasing"):
+    if rule in ("later", "increasing", "hourly"):
         return cells[row - 2]  # the row before's cell again
+    if rule == "gaps":
+        return {"0": "1", "1": "0"}[cells[row - 1]]  # the other flag
     return {"finite": "nan", "nonnegative": "-1", "positive": "-0.5", "constant": "2000-01-01T00:00:00",
-            "hours_after": "2000-01-01T00:30:00", "rad": "1e308", "per_rad": "1e308"}[rule]
+            "hours_after": "2000-01-01T00:30:00", "not_before": "2000-01-01T00:00:00", "rad": "1e308",
+            "per_rad": "1e308"}[rule]
 
 
 @pytest.fixture(scope="module")
@@ -371,8 +374,9 @@ def test_every_rule_refuses_by_row_and_column(table_texts, template, column, kin
     if column == "*":  # one of the columns the table leaves to the header
         column = data.draw(st.sampled_from(names[len(io.FORMATS[template]) - 1:]))
     j = names.index(column)
-    first = 1 if rule in ("parse", "finite", "nonnegative", "positive", "rad", "per_rad") else 2
-    row = data.draw(st.integers(first, len(lines)))
+    first = 1 if rule in ("parse", "finite", "nonnegative", "positive", "rad", "per_rad", "not_before", "gaps") else 2
+    # a rule on a file's first row alone garbles that row
+    row = data.draw(st.integers(first, 1 if rule == "not_before" else len(lines)))
     cells = [line.split(", ") for line in lines]
     cells[row - 1][j] = breaking_cell(kind, rule, [c[j] for c in cells], row)
     garbled = "\n".join([header, *(", ".join(c) for c in cells)]) + "\n"

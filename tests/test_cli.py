@@ -826,6 +826,23 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rao", [["0.05, 1.0", "1e300, 1.0"], ["0.05, 1.0", "0.5, 1e200"]])
+    def test_overflowing_rao_weights_name_the_rao_file(self, tmp_path, rao):
+        # each cell keeps its rules, but the RAO's own factor of the moments, w^k |RAO|^2 Dw,
+        # overflows; the failure was blamed on the spectra file
+        (tmp_path / "rao.csv").write_text("\n".join(["freq_hz, amplitude", *rao]) + "\n")
+        (tmp_path / "spectra.csv").write_text("\n".join([
+            "timestamp_utc, freq_hz, dir_deg, density_m2_s_per_deg",
+            *(f"2024-06-01T00:00:00, {f}, {d}, 1.0" for f in (0.1, 0.2) for d in (10, 20)),
+        ]) + "\n")
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({"out_dir": "out", "rao_file": "rao.csv", "spectra_file": "spectra.csv"}))
+        result = program("response", "--manifest", str(manifest), text=True)
+        assert (result.returncode, result.stderr) == (
+            3, f"numerical failure: {tmp_path / 'rao.csv'}: overflow encountered in square\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestOneErrorPath:
     """main maps what any command raises to its exit code, in one place."""

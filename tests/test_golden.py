@@ -12,7 +12,9 @@ regenerates the files with
 
 which prints, per golden file, the paths whose digest or mode differ from
 the file it replaces, or `unchanged`. Files are written under a umask of 022, so their modes are 0644 whatever
-the umask of the process that runs the tests.
+the umask of the process that runs the tests. readme-hybrid's run is made a
+second time with the time zone, the thread counts, the locale and the hash
+seed changed together, which must leave every digest as it is.
 """
 
 import os
@@ -61,6 +63,20 @@ def test_outputs_match_the_golden_digests(name):
     header, *expected = (GOLDEN / name).read_text().splitlines()
     assert header == made_with(), f"{name} was made with {header[2:]}, and this run has {made_with()[2:]}"
     assert differing(digests(*CASES[name]), expected) == []
+
+
+# what a run must not read: the time zone, the BLAS and OpenMP thread counts, the locale and the hash seed
+ENVIRONMENT = {"TZ": "Asia/Kolkata", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "LC_ALL": "C.UTF-8",
+               "PYTHONHASHSEED": "123"}
+
+
+def test_the_environment_leaves_every_byte_alone(monkeypatch):
+    # the stage children inherit this environment, all five set at once
+    for name, value in ENVIRONMENT.items():
+        monkeypatch.setenv(name, value)
+    header, *expected = (GOLDEN / "readme-hybrid-1.sha256").read_text().splitlines()
+    assert header == made_with()
+    assert differing(digests(*CASES["readme-hybrid-1.sha256"]), expected) == []
 
 
 if __name__ == "__main__":

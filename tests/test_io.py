@@ -48,6 +48,7 @@ from test_predictive import reference_crps
 ROOT = Path(__file__).resolve().parents[1]
 T0 = np.datetime64("2024-06-01T00:00:00")
 HOUR = np.timedelta64(1, "h")
+GAPS = "1 exactly where valid_time_utc is not an hour after the row before"
 
 
 class TestAtomicWrite:
@@ -222,8 +223,9 @@ class TestIssueAndDataset:
             (["1", "0", "abc"], "row 3: post_gap_flag must be 0 or 1, found 'abc'"),
             (["1", "nan", "1"], "row 2: post_gap_flag must be 0 or 1, found 'nan'"),
             (["1", "0", ""], "row 3: post_gap_flag must be 0 or 1, found ''"),
-            (["1", "1", "1"], "row 2: post_gap_flag is 1, but the valid times make it 0"),
-            (["0", "0", "1"], "row 1: post_gap_flag is 0, but the valid times make it 1"),
+            (["1", "1", "1"], f"row 2: post_gap_flag must be {GAPS}, found '1'"),
+            (["0", "0", "1"], f"row 1: post_gap_flag must be {GAPS}, found '0'"),
+            (["1", "0", "0"], f"row 3: post_gap_flag must be {GAPS}, found '0'"),
         ],
     )
     def test_dataset_post_gap_flag_is_checked(self, tmp_path, flags, message):
@@ -312,15 +314,19 @@ def typed_columns(key: str, rng: np.random.Generator, rows: int) -> tuple[list, 
         other = [columns[header.index(r.partition(":")[2])] for r in rules if ":" in r]
         if kind == "time":
             # seconds that are not whole minutes, which a spelling without them would drop
-            seconds = np.sort(rng.choice(10**7, rows, replace=False)) if "later" in rules else rng.integers(0, 10**7, rows)
+            seconds = rng.integers(0, 10**7, rows)
+            if "later" in rules:  # hourly runs broken by gaps
+                seconds = seconds[0] + np.cumsum(rng.choice([3600, 3600, 7207], rows))
             value = T0 + seconds.astype("timedelta64[s]")
             if "constant" in rules:
                 value = value[0]
-            if other:  # hours_after: whole hours after the column it names
-                value = other[0] + rng.integers(0, 300, rows) * HOUR
+            if other:  # hours_after, not_before and hourly: a lead from 0 up, then one an hour
+                value = other[0] + (rng.integers(0, 300) + np.arange(rows)) * HOUR
             columns[j], expected[j] = value, np.broadcast_to(value, (rows,))
         elif kind == "flag":
             value = rng.random(rows) < 0.6
+            if other:  # gaps: set where the valid time is not an hour after the row before
+                value = np.concatenate([[True], np.diff(other[0]) != HOUR])
             columns[j] = expected[j] = value
         elif kind == "integer":
             value = rng.integers(-5, 10**6, rows)
@@ -353,7 +359,7 @@ def test_every_table_format_round_trips_its_typed_columns(tmp_path, key):
         # no reader reads a file with a text column: its cells are compared as written
         values = [np.array(cells, dtype=str if kind == "text" else float) for cells, kind in zip(zip(*rows), kinds)]
     else:
-        read_header, values, sizes, _ = heavecast_io._read_table([path], key)
+        read_header, values, sizes = heavecast_io._read_table([path], key)
         assert read_header == header and sizes == [40]
     for name, value, want in zip(header, values, expected, strict=True):
         np.testing.assert_array_equal(value, want, err_msg=name)

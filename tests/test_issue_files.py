@@ -268,6 +268,16 @@ class TestSetReader:
             read_forecast_issue(p)
         assert str(exc.value) == f"{p}{message}"
 
+    def test_a_lead_is_refused_before_a_later_column(self, tmp_path):
+        # the rules are held in column order, so valid_time_utc's lead rules come before sig_heave_m's
+        p = tmp_path / "issue.csv"
+        p.write_text(f"{HEADER}\n2024-06-01T00:00:00, 2024-06-01T00:00:00, -1\n"
+                     "2024-06-01T00:00:00, 2024-06-01T02:00:00, 1\n")
+        with pytest.raises(ValueError) as exc:
+            read_forecast_issue(p)
+        assert str(exc.value) == (f"{p}, row 2: valid_time_utc must be an hour after the row before, "
+                                  "found '2024-06-01T02:00:00'")
+
 
 # -- build on garbled issue files -------------------------------------------
 

@@ -394,13 +394,15 @@ def test_each_out_dir_name_is_spelled_once():
     assert [name for name in ("_dataset_path", "_samples_path", "_predictions_path") if hasattr(cli, name)] == []
 
 
+def _shape(node: ast.JoinedStr) -> str:
+    """An f-string's literal text with {} for each field."""
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+
+
 def _fstring_shapes(path: Path) -> list[str]:
     """Each f-string of path's code as its literal text with {} for each field."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
-        for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
-    ]
+    return [_shape(node) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)]
 
 
 def test_a_bad_table_cell_is_refused_in_one_spelling():
@@ -411,6 +413,59 @@ def test_a_bad_table_cell_is_refused_in_one_spelling():
         for path in SOURCES for shape in _fstring_shapes(path) if re.search(r"row \{\}: .*must be", shape)
     ]
     assert found == ["io.py: {}, row {}: {} must be {}, found {}"]
+
+
+def _row_namings(path: Path) -> list[str]:
+    """file:function of each f-string of path's code that names a data row
+    (`row {}:`), by the outermost function it is in."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{getattr(top, 'name', '<module>')}"
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.JoinedStr) and re.search(r"row \{\}:", _shape(node))
+    ]
+
+
+def test_row_namings_outside_the_refusals_are_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def _refuse_row(where, row, message):\n"
+        "    raise ValueError(f'{where}, row {row + 1}: {message}')\n"
+        "def read(path, flags, row):\n"
+        "    raise ValueError(f'{path}, row {row + 1}: post_gap_flag is {flags[row]:d}, but the valid times differ')\n"
+        "def lines(path, n, k):\n"
+        "    raise ValueError(f'{path}, line {n}: expected {k} cells, found {n} rows {k}')\n"
+    )
+    assert _row_namings(path) == ["m.py:_refuse_row", "m.py:read"]
+
+
+def test_a_data_row_is_named_by_the_io_refusals_alone():
+    # a refusal that names a data row goes through io._refuse_cell (a cell
+    # against its FORMATS rule) or io._refuse_row (a rule over a whole file,
+    # as the spectra grid's), so every such message starts in one spelling
+    found = sorted(name for path in SOURCES for name in _row_namings(path))
+    assert found == ["io.py:_refuse_cell", "io.py:_refuse_row"]
+
+
+def test_cell_refusals_outside_io_are_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from .io import _refuse_cell\n"
+        "def read(path, cells):\n"
+        "    _refuse_cell(path, cells, 0, 'valid_time_utc', 'an hour after the row before')\n"
+        "def check(path, cells):\n"
+        "    io._refuse_cell(path, cells, 1, 'x_m', 'a number')\n"
+        "def refuse(path, row):\n"
+        "    _refuse_row(path, row, 'irregular grid')\n"
+    )
+    assert _callers(path, "_refuse_cell") == ["m.py:read", "m.py:check"]
+
+
+def test_io_alone_refuses_a_table_cell():
+    # io._read_table holds every cell of every table file to the rules
+    # io.FORMATS declares, so no reader outside io refuses a cell of its own
+    found = {caller for path in SOURCES for caller in _callers(path, "_refuse_cell")}
+    assert found == {"io.py:_parse_times", "io.py:_parse", "io.py:_read_table"}
 
 
 def _readme_name(template: str) -> str:
