@@ -16,10 +16,10 @@ def breaking_values(rule: str) -> list:
     """Values that break rule and keep every rule a field declares before it."""
     name, _, arg = rule.partition(":")
     if name == "at_least":
-        return [float(arg) - 0.5] if "." in arg else [int(arg) - 1]
+        return [float(arg) - 0.5, float(arg) - 0.001] if "." in arg else [int(arg) - 1]
     nan, inf = float("nan"), float("inf")
     return {"finite": [nan, inf, -inf], "nonnegative": [-0.5, nan, inf], "positive": [0.0, -1.0, nan, inf],
-            "persistence": [1.0, -0.1, nan], "fraction": [0.0, 1.0, nan], "tp_band": [1.8, 24.3, nan]}[name]
+            "persistence": [1.0, -0.1, nan], "fraction": [0.0, 1.0, 1.5, nan, inf], "tp_band": [1.8, 24.3, nan]}[name]
 
 
 def keeping_values(rule: str) -> list:

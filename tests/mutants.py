@@ -50,6 +50,10 @@ class Mutant:
     breaks: str
 
 
+# the table-driven tests that break each cell rule of io.FORMATS: at its reader, and at the first stage that reads it
+READER_RULES = "tests/test_io.py::test_each_reader_holds_every_cell_to_its_rules"
+STAGE_RULES = "tests/test_artifact_fuzz.py::test_every_rule_refuses_by_row_and_column"
+
 MUTANTS = (
     Mutant(
         "noise-floor-dropped", "model.py",
@@ -79,36 +83,32 @@ MUTANTS = (
     Mutant(
         "dataset-non-finite-accepted", "io.py",
         '"x_m number %.10g finite", "y_m number %.10g finite"', '"x_m number %.10g", "y_m number %.10g"',
-        ("tests/test_io.py::TestIssueAndDataset::test_dataset_rows_name_the_bad_cell",
-         "tests/test_artifact_fuzz.py::test_garbled_table"),
+        (READER_RULES, "tests/test_artifact_fuzz.py::test_garbled_table"),
         "a non-finite x_m or y_m cell is refused without its row and column",
     ),
     Mutant(
         "dataset-order-unchecked", "io.py",
         '"valid_time_utc time %s later"', '"valid_time_utc time %s"',
-        ("tests/test_io.py::TestIssueAndDataset::test_dataset_rows_name_the_bad_cell",
-         "tests/test_artifact_fuzz.py::test_garbled_table"),
+        (READER_RULES, "tests/test_artifact_fuzz.py::test_garbled_table"),
         "a valid time no later than the row before is refused without its row and column",
     ),
     Mutant(
         "samples-non-finite-accepted", "io.py",
         '"* number %.12g finite"', '"* number %.12g"',
-        ("tests/test_io.py::test_non_finite_draw_is_refused_by_row_and_column",
-         "tests/test_cli.py::TestBadSamples::test_non_finite_draw_names_the_row_and_column"),
+        (READER_RULES, STAGE_RULES),
         "a non-finite draw is refused without its row and column",
     ),
     Mutant(
         "issue-times-unchecked", "io.py",
         '"issue_time_utc time %s constant"', '"issue_time_utc time %s"',
         ("tests/test_issue_files.py::TestSetReader::test_first_file_with_two_issue_times_is_named",
-         "tests/test_io.py::TestIssueAndDataset::test_multiple_issue_times_rejected"),
+         READER_RULES),
         "an issue file with a second issue time is read as one issue",
     ),
     Mutant(
         "off-hour-unchecked", "io.py",
         '"valid_time_utc time %s hours_after:issue_time_utc ', '"valid_time_utc time %s ',
-        ("tests/test_issue_files.py::TestSetReader::test_off_hour_valid_time_rejected",
-         "tests/test_cli.py::TestExitCodes::test_off_hour_valid_time_is_validation_error"),
+        (READER_RULES, STAGE_RULES),
         "a valid time off the issue's hourly grid is truncated to a whole lead",
     ),
     Mutant(
@@ -120,8 +120,44 @@ MUTANTS = (
     Mutant(
         "post-gap-unchecked", "io.py",
         ' gaps:valid_time_utc"', '"',
-        ("tests/test_io.py::TestIssueAndDataset::test_dataset_post_gap_flag_is_checked",),
+        (READER_RULES,),
         "a dataset whose post_gap_flag disagrees with its valid times is read as if it agreed",
+    ),
+    Mutant(
+        "nonnegative-accepts-inf", "io.py",
+        "~((v >= 0.0) & (v < np.inf))", "~(v >= 0.0)",
+        (READER_RULES, STAGE_RULES),
+        "an infinite measurement, forecast, density, amplitude or CRPS is read as a value",
+    ),
+    Mutant(
+        "positive-accepts-zero", "io.py",
+        "lambda v, other, first: ~(v > 0.0)", "lambda v, other, first: ~(v >= 0.0)",
+        (READER_RULES, STAGE_RULES),
+        "an RAO or spectra frequency of zero is read, whose response period is infinite",
+    ),
+    Mutant(
+        "rao-frequencies-unordered", "io.py",
+        " rad increasing\"", " rad\"",
+        (READER_RULES,),
+        "an RAO frequency no greater than the row before is refused without its row and column",
+    ),
+    Mutant(
+        "rad-without-its-factor", "io.py",
+        "np.abs(v / 16.0) * (2.0 * np.pi) > _LARGEST_16", "np.abs(v / 16.0) > _LARGEST_16",
+        (READER_RULES, STAGE_RULES),
+        "a frequency finite in Hz but past the largest float in rad/s is read, and overflows later",
+    ),
+    Mutant(
+        "per-rad-without-its-factor", "io.py",
+        "np.abs(v / 16.0) * _PER_RAD > _LARGEST_16", "np.abs(v / 16.0) > _LARGEST_16",
+        (READER_RULES, STAGE_RULES),
+        "a density finite per Hz and degree but past the largest float per rad/s and radian is read as infinite",
+    ),
+    Mutant(
+        "invalid-measurement-read", "io.py",
+        " only_where:valid nonnegative", " nonnegative",
+        (READER_RULES,),
+        "the value of a measurement flagged not valid is read and checked, so its nan or blank is refused",
     ),
     Mutant(
         "issue-writer-digits", "io.py",
@@ -267,6 +303,13 @@ MUTANTS = (
         "every time cell is spelled in the local time zone, which is UTC only where TZ is unset or UTC",
     ),
     Mutant(
+        "cycle-slots-from-the-month", "synthetic.py",
+        'times[0].astype("datetime64[D]")', 'times[0].astype("datetime64[M]")',
+        ("tests/test_pipeline_invariants.py::test_whole_days_later_the_campaign_is_the_same",),
+        "the issue cycle slots are counted from the first of the month, so a campaign's forecast noise depends on"
+        " the day of the month it starts, which the golden start, 2024-06-01, does not show",
+    ),
+    Mutant(
         "sigma-proposal-doubled", "sampler.py",
         "        proposal = 0.5 * ss / gamma\n", "        proposal = ss / gamma\n",
         ("tests/test_sampler.py::TestConditionalsOracle::test_sigma_block",
@@ -303,7 +346,22 @@ def _failing_ids(tests: tuple[str, ...], src: Path) -> tuple[int, set[str]]:
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
-    return run.returncode, set(re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE))
+    return run.returncode, _failed_ids(run.stdout)
+
+
+def _failed_ids(report: str) -> set[str]:
+    """The node ids of pytest's -rfE summary lines in report, each read whole,
+    spaces in a parametrized id included, up to the ` - ` before the reason."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", report, re.MULTILINE))
+
+
+def test_failed_ids_hold_their_spaces():
+    # two cases whose ids share their text up to a space were read as one
+    report = ("FAILED tests/t.py::test_a[2024-06-01T00:00:00, x] - AssertionError: assert 1 == 2\n"
+              "FAILED tests/t.py::test_a[2024-06-01T00:00:00, y] - ValueError: row 2: a - b\n"
+              "ERROR tests/t.py::test_b[c d]\n= 3 failed in 0.1s =\n")
+    assert _failed_ids(report) == {"tests/t.py::test_a[2024-06-01T00:00:00, x]",
+                                   "tests/t.py::test_a[2024-06-01T00:00:00, y]", "tests/t.py::test_b[c d]"}
 
 
 def _killed_by(test: str, failed: set[str]) -> bool:

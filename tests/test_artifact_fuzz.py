@@ -25,6 +25,7 @@ from heavecast.io import SwellEvent, SwellScenario, write_horizon_dataset, write
 from heavecast.model import ModelSpec, PosteriorSamples
 from heavecast.synthetic import generate_spectra, reference_rao
 from clirun import invoke
+from format_rules import AFTER_THE_FIRST, READERS, breaking_cells, must_be, out_name, rule_cases
 from layout import reads, writes
 
 # the files of a hybrid campaign at horizon 0
@@ -284,45 +285,6 @@ def test_garbled_response_input(response_texts, name, kind, row, col, junk):
 
 # -- every rule of io.FORMATS ------------------------------------------------
 
-# each table file a stage reads, by its template, and the first stage that reads it
-READERS = {
-    template: next(stage for stage, (read, _) in cli.STAGE_FILES.items() if template in read)
-    for template in io.FORMATS if any(template in read for read, _ in cli.STAGE_FILES.values())
-}
-
-
-def out_name(template: str) -> str:
-    """The out_dir name of a template at horizon 0, for the hybrid model, the first issue file for the issues."""
-    return template.format(h=0, model="hybrid").format(i=0)
-
-
-def rule_cases() -> list[tuple[str, str, str, str]]:
-    """(template, column, kind, rule) of each rule of each column of a file a
-    stage reads, and ("parse") of the column's kind itself; the column * stands
-    for each column after those the table names."""
-    cases = []
-    for template in READERS:
-        for column in io.FORMATS[template]:
-            name, kind, _, *rules = column.split()
-            cases += [(template, name, kind, rule.partition(":")[0])
-                      for rule in ["parse", *rules] if not rule.startswith("only_where:")]
-    return cases
-
-
-def breaking_cell(kind: str, rule: str, cells: list[str], row: int) -> str:
-    """A cell for data row `row` (from 1) of a column whose cells are cells, which breaks rule
-    there and no rule checked before it; for "parse", a cell that is no value of kind."""
-    if rule == "parse":
-        return "maybe" if kind == "flag" else "x"
-    if rule in ("later", "increasing", "hourly"):
-        return cells[row - 2]  # the row before's cell again
-    if rule == "gaps":
-        return {"0": "1", "1": "0"}[cells[row - 1]]  # the other flag
-    return {"finite": "nan", "nonnegative": "-1", "positive": "-0.5", "constant": "2000-01-01T00:00:00",
-            "hours_after": "2000-01-01T00:30:00", "not_before": "2000-01-01T00:00:00", "rad": "1e308",
-            "per_rad": "1e308"}[rule]
-
-
 @pytest.fixture(scope="module")
 def table_texts(predicted, response_texts):
     """The text of every file a stage reads, by its out_dir name: the model
@@ -339,8 +301,8 @@ def table_texts(predicted, response_texts):
     return {**predicted, **response_texts, **built}
 
 
-def reader_result(files: dict[str, str], stage: str) -> tuple[int, str]:
-    """(exit code, output) of stage run on a campaign of files (out_dir name -> text)."""
+def reader_result(files: dict[str, str], stage: str) -> tuple[int, str, Path]:
+    """(exit code, standard error) of stage run on a campaign of files (out_dir name -> text), and its out_dir."""
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_campaign(tmp, {})
         for name, text in files.items():
@@ -349,7 +311,7 @@ def reader_result(files: dict[str, str], stage: str) -> tuple[int, str]:
         raw = yaml.safe_load(manifest.read_text())
         manifest.write_text(yaml.safe_dump({**raw, "rao_file": f"out/{RAO}", "spectra_file": f"out/{SPECTRA}"}))
         result = invoke([stage, "--manifest", str(manifest)])
-    return result.exit_code, result.output
+    return result.exit_code, result.stderr, manifest.parent / "out"
 
 
 @pytest.mark.parametrize("stage", sorted(set(READERS.values())))
@@ -357,29 +319,37 @@ def test_every_reader_accepts_the_files_as_written(table_texts, stage):
     assert reader_result(table_texts, stage)[0] == 0
 
 
-RULE_CASES = rule_cases()
+# only_where refuses no cell: it leaves the cells where its flag is false unread
+RULE_CASES = [case for case in rule_cases() if not case[3].startswith("only_where:")]
 
 
 @pytest.mark.parametrize("template, column, kind, rule", RULE_CASES,
-                         ids=[f"{out_name(t)}:{column}:{rule}" for t, column, _, rule in RULE_CASES])
+                         ids=[f"{out_name(t)}:{column}:{rule.partition(':')[0]}" for t, column, _, rule in RULE_CASES])
 @given(data=st.data())
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=2, deadline=None)
 def test_every_rule_refuses_by_row_and_column(table_texts, template, column, kind, rule, data):
-    # a cell that breaks a rule of io.FORMATS, or is no value of its column's
-    # kind, makes the first stage that reads the file exit 2 naming its row
-    # and column, so each rule the table gains is garbled here
+    # each cell format_rules gives as breaking a rule of io.FORMATS, or being
+    # no value of its column's kind, makes the first stage that reads the file
+    # exit 2 naming the file, row, column and cell, on the file's last row (an
+    # issue file's is a lead no horizon uses) and on a drawn one
     name = out_name(template)
     header, *lines = table_texts[name].splitlines()
     names = header.split(", ")
     if column == "*":  # one of the columns the table leaves to the header
         column = data.draw(st.sampled_from(names[len(io.FORMATS[template]) - 1:]))
     j = names.index(column)
-    first = 1 if rule in ("parse", "finite", "nonnegative", "positive", "rad", "per_rad", "not_before", "gaps") else 2
-    # a rule on a file's first row alone garbles that row
-    row = data.draw(st.integers(first, 1 if rule == "not_before" else len(lines)))
     cells = [line.split(", ") for line in lines]
-    cells[row - 1][j] = breaking_cell(kind, rule, [c[j] for c in cells], row)
-    garbled = "\n".join([header, *(", ".join(c) for c in cells)]) + "\n"
-    code, output = reader_result({**table_texts, name: garbled}, READERS[template])
-    assert code == 2, output
-    assert f"{name}, row {row}: {column} must be " in output, output
+    ruled, _, named = rule.partition(":")
+    other = [c[names.index(named)] for c in cells] if named else None
+    last = 1 if ruled == "not_before" else len(lines)  # a rule on a file's first row alone garbles that row
+    drawn = data.draw(st.integers(2 if ruled in AFTER_THE_FIRST else 1, last))
+    # score names the predictions predict wrote, and says to re-run it
+    suffix = "; re-run predict" if READERS[template] == "score" else ""
+    for row in dict.fromkeys([last, drawn]):
+        for cell in breaking_cells(kind, rule, [c[j] for c in cells], row, other):
+            garbled = [list(c) for c in cells]
+            garbled[row - 1][j] = cell
+            text = "\n".join([header, *(", ".join(c) for c in garbled)]) + "\n"
+            code, stderr, out = reader_result({**table_texts, name: text}, READERS[template])
+            message = f"{out / name}, row {row}: {column} must be {must_be(template, column, rule)}, found {cell!r}"
+            assert (code, stderr) == (2, f"error: {message}{suffix}\n")

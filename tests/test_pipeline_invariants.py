@@ -2,9 +2,9 @@
 
 Each test runs the campaign again with one thing changed that must not
 matter (the horizons asked for, the order and names of the issue files, the
-output directory, measurements no forecast reaches) and compares the files
-with those of one reference run. One runs each stage on only the files
-cli.STAGE_FILES says it reads.
+output directory, measurements no forecast reaches, a start whole days
+later) and compares the files with those of one reference run. One runs
+each stage on only the files cli.STAGE_FILES says it reads.
 """
 
 import json
@@ -21,6 +21,7 @@ from heavecast import cli
 from heavecast.datasets import read_forecast_issues
 from clirun import invoke
 from layout import glob, reads, writes
+from outdir_digest import workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("simulate", "build", "fit", "predict", "score", "diagnose")
@@ -124,6 +125,29 @@ def test_measurements_outside_every_issue_window_change_nothing(reference, tmp_p
     run(readme_manifest(tmp_path), horizons=HORIZONS, stages=STAGES[1:])
     expected = {k: v for k, v in files(reference).items() if k != measured}
     assert differing({k: v for k, v in files(out).items() if k != measured}, expected) == []
+
+
+# a time cell as the writers spell it
+TIME = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
+
+
+def test_whole_days_later_the_campaign_is_the_same(tmp_path):
+    # the bench's readme-hybrid campaign (seed 1, no outages) started 274 days
+    # later, 2025-03-02: the issue cycles sit at fixed UTC hours, so every file
+    # is the same once its times are moved back
+    later = np.timedelta64(274, "D")
+    runs = {}
+    for label, start in (("default", None), ("later", np.datetime64("2024-06-01T00:00:00") + later)):
+        raw = workloads.WORKLOADS["readme-hybrid"](1).manifest
+        if start is not None:
+            raw["scenario"]["start"] = str(start)
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "run.json").write_text(json.dumps(raw))
+        run(tmp_path / label / "run.json")
+        runs[label] = files(tmp_path / label / "out")
+    moved_back = {name: TIME.sub(lambda t: str(np.datetime64(t.group().decode()) - later).encode(), data)
+                  for name, data in runs["later"].items()}
+    assert moved_back != runs["later"] and differing(moved_back, runs["default"]) == []
 
 
 def test_score_equals_score_table_on_the_predictive_draws(reference, tmp_path):

@@ -72,17 +72,22 @@ def test_only_model_and_sampler_branch_on_the_model_kind():
     assert _kind_reads(model, within="posterior_predictive") == []
 
 
+def _table_nodes(tree: ast.Module, *names: str) -> set[int]:
+    """The ids of the nodes inside the value of each module-level assignment to one of names in tree."""
+    return {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) in names for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+
+
 def _kind_names(path: Path) -> list[str]:
     """file:line of each comparison with a model kind's name, and of each
     literal that lists two or more kinds, in path's code outside the table
     heavecast.MODEL_KINDS."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    table = {
-        id(node)
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "MODEL_KINDS" for t in stmt.targets)
-        for node in ast.walk(stmt.value)
-    }
+    table = _table_nodes(tree, "MODEL_KINDS")
 
     def named(node) -> bool:
         return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in heavecast.MODEL_KINDS
@@ -159,12 +164,7 @@ def _seed_arithmetic(path: Path) -> list[str]:
     .seed: `seed + 17`, `m.seed + h`, `seed += 1`) in path's code outside
     the table io.STREAMS."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    table = {
-        id(node)
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "STREAMS" for t in stmt.targets)
-        for node in ast.walk(stmt.value)
-    }
+    table = _table_nodes(tree, "STREAMS")
 
     def seed(node) -> bool:
         return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "seed"
@@ -234,12 +234,7 @@ def _format_spellings(path: Path, files: list[set[str]]) -> list[str]:
     each list or tuple that holds two or more column names of one of files,
     outside the tables FORMATS and _FLAGS; docstrings are not code."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    tables = {
-        id(node)
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) in ("FORMATS", "_FLAGS") for t in stmt.targets)
-        for node in ast.walk(stmt.value)
-    }
+    tables = _table_nodes(tree, "FORMATS", "_FLAGS")
     alone = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
     found = set()
     for node in ast.walk(tree):
@@ -576,12 +571,7 @@ def _source_words(path: Path) -> set[str]:
     those of the name lists; a def or class statement does not use its own
     name."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    listed = {
-        id(node)
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id in _NAME_LISTS for t in stmt.targets)
-        for node in ast.walk(stmt.value)
-    }
+    listed = _table_nodes(tree, *_NAME_LISTS)
     words = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
